@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .poly import Spectrum
+from .poly import Spectrum, _as_spectrum
 
 EPS = float(np.finfo(float).eps)
 
@@ -583,7 +583,7 @@ def invariant_split(A, moved) -> InvariantSplit:
     since no real invariant subspace separates it from its conjugate.
     """
     A = _as_square(A, "A")
-    moved = moved if isinstance(moved, Spectrum) else Spectrum(moved)
+    moved = _as_spectrum(moved)
     n = A.shape[0]
     if not 1 <= len(moved) <= n:
         raise ValidationError(f"moved set has {len(moved)} values, expected 1..{n}")

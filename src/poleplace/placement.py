@@ -1,19 +1,20 @@
 """Full-state pole placement for single-input systems.
 
-The methods here assign the entire closed-loop spectrum at once.  All of
-them reduce to choosing a row vector in the controller canonical
-coordinate frame: the coefficient vector of a polynomial reduced modulo
-the open-loop characteristic polynomial, mapped back through the
-controllability matrices.  They differ in how much of the work happens
-before or after that mapping, which is what gives them different
-numerical behaviour on the same problem.
+The full-spectrum methods here are one formula, the generalization of
+the Bass-Gura and Ackermann formulae.  The targets split into a pulled
+part, applied as a matrix factor ``prod(A - lam I)``, and the rest, kept
+as a polynomial whose coefficients are reduced modulo the open-loop
+characteristic polynomial and mapped back through the controllability
+matrices.  Bass-Gura pulls nothing and Ackermann pulls everything;
+``place_general`` takes any self-conjugate pulled set between those two
+endpoints, which gives the same gain with different rounding.
 
 Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import krylov, solve_linear
-from .poly import Polynomial, Spectrum, char_poly, eval_matrix, monic_from_roots
+from .poly import Polynomial, _as_spectrum, char_poly, eval_matrix, monic_from_roots
 from .verify import Diagnostics, assemble_diagnostics
 
 
@@ -126,35 +127,14 @@ def gamma_vector(q: Polynomial, n: int) -> np.ndarray:
     return out
 
 
-def gamma_recursion(q_n: Polynomial, lam1: float) -> np.ndarray:
-    """Coefficient recursion dividing ``q_n`` by ``(x - lam1)``.
-
-    Runs the leading coefficient down through the polynomial, which is
-    synthetic division by the linear factor.  When lam1 is a root of the
-    monic ``q_n`` the result holds the ascending coefficients of the
-    degree n-1 cofactor; the remainder is dropped, so the caller is
-    responsible for lam1 actually being (close to) a root.
-    """
-    if not q_n.is_monic:
-        raise ValidationError("gamma_recursion expects a monic polynomial")
-    n = q_n.degree
-    if n < 1:
-        raise ValidationError("gamma_recursion needs degree at least 1")
-    desc = q_n.coeffs[::-1]
-    g = np.empty(n)
-    g[0] = 1.0
-    for i in range(1, n):
-        g[i] = desc[i] + lam1 * g[i - 1]
-    return g[::-1].copy()
-
-
 def gamma_full(factor: Polynomial, q_n: Polynomial) -> np.ndarray:
     """Length-n coefficient vector of ``factor`` reduced modulo ``q_n``.
 
     ``factor`` is the monic product of the target eigenvalues that are
     not pulled out as matrix factors.  Its degree is at most n; at exactly
     n one copy of the monic ``q_n`` is subtracted, which cancels the
-    leading term exactly and leaves the Bass-Gura difference vector.
+    leading term exactly and leaves the negated Bass-Gura difference
+    vector ``factor - q_n``.
     """
     n = q_n.degree
     if not (factor.is_monic and q_n.is_monic):
@@ -168,25 +148,32 @@ def gamma_full(factor: Polynomial, q_n: Polynomial) -> np.ndarray:
     return gamma_vector(factor, n)
 
 
-def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
-    """Map a canonical-frame coefficient row back to original coordinates.
+def _solve_controllability(C, rhs) -> np.ndarray:
+    """Solve ``C^T x = rhs`` against a controllability matrix.
 
-    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.  This is the
-    single place the original controllability matrix gets inverted, so an
-    uncontrollable system surfaces here with the rank estimate from the
-    failed elimination column.
+    The one place the original controllability matrix gets inverted, so
+    an uncontrollable system surfaces here with the rank estimate from
+    the failed elimination column.
     """
-    cf = controller_canonical(sys)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (sys.n,):
-        raise ValidationError(f"gamma has shape {gamma.shape}, expected ({sys.n},)")
     try:
-        return solve_linear(cf.C.T, cf.C_c.T @ gamma)
+        return solve_linear(C.T, rhs)
     except SingularMatrixError as exc:
         raise UncontrollableError(
             f"controllability matrix is singular to working precision; "
-            f"rank estimate {exc.column} < {sys.n}"
+            f"rank estimate {exc.column} < {C.shape[0]}"
         ) from exc
+
+
+def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
+    """Map a canonical-frame coefficient row back to original coordinates.
+
+    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (sys.n,):
+        raise ValidationError(f"gamma has shape {gamma.shape}, expected ({sys.n},)")
+    cf = controller_canonical(sys)
+    return _solve_controllability(cf.C, cf.C_c.T @ gamma)
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -213,51 +200,52 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
 
 
-def place_bass_gura(sys: StateSpace, targets) -> Gain:
-    """Assign the full spectrum via the coefficient difference vector.
+def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
+    """The generalized formula ``k^T = gamma^T C_c C^{-1} M``.
 
-    The canonical-frame gain is the open-loop minus desired coefficient
-    vector; one controllability solve maps it back.
+    ``M`` is the product ``prod(A - lam I)`` over the pulled roots and
+    ``gamma`` holds the coefficients of ``p - f`` reduced modulo the
+    open-loop characteristic polynomial ``p``, where ``f`` is the monic
+    product of the targets left at the coefficient level: ``p - f``
+    itself when nothing is pulled and ``-f`` otherwise.
     """
-    targets = targets if isinstance(targets, Spectrum) else Spectrum(targets)
-    if len(targets) != sys.n:
-        raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    cf = controller_canonical(sys)
-    pdes = monic_from_roots(targets)
-    diff = gamma_vector(Polynomial(cf.p.coeffs - pdes.coeffs), sys.n)
-    try:
-        k = solve_linear(cf.C.T, cf.C_c.T @ diff)
-    except SingularMatrixError as exc:
-        raise UncontrollableError(
-            f"controllability matrix is singular to working precision; "
-            f"rank estimate {exc.column} < {sys.n}"
-        ) from exc
-    return Gain(k=k, method="bass_gura", diagnostics=assemble_diagnostics(sys, k, targets))
+    targets = _as_spectrum(targets)
+    pulled = _as_spectrum(pulled)
+    n = sys.n
+    if len(targets) != n:
+        raise ValidationError(f"{len(targets)} targets for an order-{n} system")
+    if not targets.contains(pulled):
+        raise ValidationError("pulled values must be a sub-multiset of the targets")
+    rest = targets.minus(pulled)
+    if len(rest) == 0:
+        # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
+        # -e_n: the canonical form, and its char_poly, are not needed.
+        C = controllability_matrix(sys)
+        row = np.zeros(n)
+        row[n - 1] = -1.0
+    else:
+        cf = controller_canonical(sys)
+        C = cf.C
+        # 0.0 - x, not -x: exact zeros stay positive, as in p - f
+        gamma = 0.0 - gamma_full(monic_from_roots(rest), cf.p)
+        row = cf.C_c.T @ gamma
+    k = _solve_controllability(C, row)
+    if len(pulled) > 0:
+        k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
+    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
+
+
+def place_bass_gura(sys: StateSpace, targets) -> Gain:
+    """Assign the full spectrum via the coefficient difference vector:
+    the generalized formula with nothing pulled."""
+    return _place(sys, targets, (), "bass_gura")
 
 
 def place_ackermann(sys: StateSpace, targets) -> Gain:
-    """Assign the full spectrum via the desired polynomial in A.
-
-    ``k^T = -e_n^T C^{-1} p(A)``: the polynomial is evaluated at the
-    matrix first, then hit with the last row of the inverse
-    controllability matrix.
-    """
-    targets = targets if isinstance(targets, Spectrum) else Spectrum(targets)
-    if len(targets) != sys.n:
-        raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    C = controllability_matrix(sys)
-    e_n = np.zeros(sys.n)
-    e_n[sys.n - 1] = 1.0
-    try:
-        row = solve_linear(C.T, e_n)
-    except SingularMatrixError as exc:
-        raise UncontrollableError(
-            f"controllability matrix is singular to working precision; "
-            f"rank estimate {exc.column} < {sys.n}"
-        ) from exc
-    M = eval_matrix(monic_from_roots(targets), sys.A)
-    k = -(M.T @ row)
-    return Gain(k=k, method="ackermann", diagnostics=assemble_diagnostics(sys, k, targets))
+    """Assign the full spectrum via the desired polynomial in A,
+    ``k^T = -e_n^T C^{-1} p(A)``: the generalized formula with every
+    target pulled."""
+    return _place(sys, targets, targets, "ackermann")
 
 
 def place_general(sys: StateSpace, targets, pulled) -> Gain:
@@ -266,29 +254,7 @@ def place_general(sys: StateSpace, targets, pulled) -> Gain:
     ``pulled`` is a self-conjugate sub-multiset of the targets.  Those
     roots are applied as the matrix product ``prod(A - lam I)`` while the
     remaining factor stays at the coefficient level.  Pulling nothing is
-    the coefficient-difference method; pulling everything is the
-    polynomial-in-A method; anything between trades one kind of rounding
-    for the other.
+    Bass-Gura and pulling everything is Ackermann; anything between
+    trades one kind of rounding for the other.
     """
-    targets = targets if isinstance(targets, Spectrum) else Spectrum(targets)
-    pulled = pulled if isinstance(pulled, Spectrum) else Spectrum(pulled)
-    if len(targets) != sys.n:
-        raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    if not targets.contains(pulled):
-        raise ValidationError("pulled values must be a sub-multiset of the targets")
-    cf = controller_canonical(sys)
-    factor = monic_from_roots(targets.minus(pulled))
-    gamma = gamma_full(factor, cf.p)
-    try:
-        omega = solve_linear(cf.C.T, cf.C_c.T @ gamma)
-    except SingularMatrixError as exc:
-        raise UncontrollableError(
-            f"controllability matrix is singular to working precision; "
-            f"rank estimate {exc.column} < {sys.n}"
-        ) from exc
-    if len(pulled) == 0:
-        k = -omega
-    else:
-        M = eval_matrix(monic_from_roots(pulled), sys.A)
-        k = -(M.T @ omega)
-    return Gain(k=k, method="general", diagnostics=assemble_diagnostics(sys, k, targets))
+    return _place(sys, targets, pulled, "general")

@@ -222,14 +222,6 @@ def char_poly(A) -> Polynomial:
     return Polynomial(desc[::-1].copy())
 
 
-def eval_scalar(q: Polynomial, x):
-    """Evaluate at a real or complex scalar by Horner's rule."""
-    val = npoly.polyval(x, q.coeffs)
-    if isinstance(x, complex) or np.iscomplexobj(val):
-        return complex(val)
-    return float(val)
-
-
 def eval_matrix(q: Polynomial, A) -> np.ndarray:
     """Evaluate at a square matrix by Horner's rule."""
     A = np.asarray(A, dtype=float)
@@ -241,52 +233,3 @@ def eval_matrix(q: Polynomial, A) -> np.ndarray:
         out = out @ A + c * eye
     return out
 
-
-def deflate(q: Polynomial, root: float) -> tuple[Polynomial, float]:
-    """Divide a monic polynomial by ``(x - root)`` with a real root.
-
-    Returns the monic quotient and the scalar remainder ``q(root)``; the
-    remainder is the caller's evidence of how good the root was.
-    """
-    if not q.is_monic:
-        raise ValidationError("deflate expects a monic polynomial")
-    if q.degree < 1:
-        raise ValidationError("cannot deflate a constant polynomial")
-    root = float(root)
-    quo, rem = npoly.polydiv(q.coeffs, np.array([-root, 1.0]))
-    out = np.zeros(q.degree)
-    out[: quo.size] = quo
-    out[-1] = 1.0
-    return Polynomial(out), float(rem[0])
-
-
-def divide(q: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Polynomial long division ``q = quo * d + rem``."""
-    if d.degree > q.degree:
-        raise ValidationError("divisor degree exceeds dividend degree")
-    if np.all(d.coeffs == 0.0):
-        raise ValidationError("division by the zero polynomial")
-    quo, rem = npoly.polydiv(q.coeffs, d.coeffs)
-    return Polynomial(quo), Polynomial(rem)
-
-
-def split(q_n: Polynomial, subset, full) -> tuple[Polynomial, Polynomial]:
-    """Factor a characteristic polynomial across a spectrum split.
-
-    ``full`` is the complete root multiset of the monic ``q_n`` and
-    ``subset`` the part being pulled out.  Returns ``(q_rest, q_subset)``
-    built independently from the two root multisets, so that
-    ``q_rest * q_subset`` reproduces ``q_n`` up to rounding.
-    """
-    subset = _as_spectrum(subset)
-    full = _as_spectrum(full)
-    if not q_n.is_monic:
-        raise ValidationError("split expects a monic polynomial")
-    if q_n.degree != len(full):
-        raise ValidationError(
-            f"degree {q_n.degree} does not match the {len(full)} roots supplied"
-        )
-    if not full.contains(subset):
-        raise ValidationError("subset is not contained in the full spectrum")
-    rest = full.minus(subset)
-    return monic_from_roots(rest), monic_from_roots(subset)

@@ -21,7 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    EPS,
     InvariantSplit,
     _match_values,
     condition_number,
@@ -32,7 +31,7 @@ from .linalg import (
     solve_linear,
 )
 from .placement import Gain, StateSpace
-from .poly import Spectrum, eval_matrix, monic_from_roots
+from .poly import Spectrum, _as_spectrum, eval_matrix, monic_from_roots
 from .verify import assemble_diagnostics
 
 
@@ -46,8 +45,8 @@ class AssignmentPlan:
         groups = []
         for gi, pair in enumerate(self.groups):
             move, to = pair
-            move = move if isinstance(move, Spectrum) else Spectrum(move)
-            to = to if isinstance(to, Spectrum) else Spectrum(to)
+            move = _as_spectrum(move)
+            to = _as_spectrum(to)
             if len(move) == 0:
                 raise ValidationError(f"group {gi + 1} is empty")
             if len(move) != len(to):
@@ -71,36 +70,6 @@ class StepRecord:
     gain: np.ndarray
     kappa: float
     spectrum_after: Spectrum
-
-
-def projected_controllability_rank(sys: StateSpace, U) -> tuple[int, float]:
-    """Rank and condition of the controllability structure seen through U.
-
-    Forms ``U^T [b, Ab, ...]`` with as many columns as U has, then counts
-    elimination pivots above the singularity threshold.  Full rank with a
-    moderate condition number is what makes a subspace placement solvable.
-    """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != sys.n:
-        raise ValidationError(f"basis has shape {U.shape}, expected ({sys.n}, r)")
-    r = U.shape[1]
-    if not 1 <= r <= sys.n:
-        raise ValidationError(f"basis must have 1..{sys.n} columns, got {r}")
-    P = U.T @ krylov(sys.A, sys.b, r)
-    work = P.copy()
-    limit = r * EPS * max_abs(P)
-    rank = 0
-    for k in range(r):
-        j = k + int(np.argmax(np.abs(work[k:, k])))
-        pivot = work[j, k]
-        if abs(pivot) < limit or pivot == 0.0:
-            break
-        if j != k:
-            work[[k, j]] = work[[j, k]]
-        work[k + 1 :, k] /= work[k, k]
-        work[k + 1 :, k + 1 :] -= np.outer(work[k + 1 :, k], work[k, k + 1 :])
-        rank += 1
-    return rank, condition_number(P)
 
 
 def _gain_on_split(b, split: InvariantSplit, to: Spectrum):
@@ -136,8 +105,8 @@ def place_partial(sys: StateSpace, move, to) -> Gain:
     structurally, by working entirely inside the reordered invariant
     subspace, not by cancellation.
     """
-    move = move if isinstance(move, Spectrum) else Spectrum(move)
-    to = to if isinstance(to, Spectrum) else Spectrum(to)
+    move = _as_spectrum(move)
+    to = _as_spectrum(to)
     if len(move) != len(to):
         raise ValidationError(
             f"moving {len(move)} eigenvalues to {len(to)} values"
@@ -213,7 +182,7 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     differ, a leftover pair takes the two largest real targets, or two
     leftover reals take a target pair.  Parity makes the counts work out.
     """
-    targets = targets if isinstance(targets, Spectrum) else Spectrum(targets)
+    targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(
             f"{len(targets)} targets for a system of dimension {sys.n}"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvariantEigenvalueError, ValidationError
 from .linalg import condition_number, determinant, eigenvalues, krylov, solve_linear
-from .poly import Spectrum, char_poly, monic_from_roots
+from .poly import _as_spectrum, char_poly, monic_from_roots
 
 ILL_CONDITIONED = 1e8
 
@@ -54,7 +54,7 @@ def charpoly_residual(sys, k, targets) -> float:
     monic polynomial built from the targets, coefficient by coefficient,
     each scaled by ``max(1, |coefficient|)``.
     """
-    targets = targets if isinstance(targets, Spectrum) else Spectrum(targets)
+    targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
     achieved = char_poly(closed_loop(sys, k))
@@ -119,8 +119,8 @@ def spectrum_distance(got, want) -> float:
     pairing.  Exact (matching-based) up to 12 values, greedy beyond; the
     greedy answer can only overestimate.
     """
-    got = got if isinstance(got, Spectrum) else Spectrum(got)
-    want = want if isinstance(want, Spectrum) else Spectrum(want)
+    got = _as_spectrum(got)
+    want = _as_spectrum(want)
     if len(got) != len(want):
         raise ValidationError(
             f"cannot compare spectra of sizes {len(got)} and {len(want)}"

@@ -19,13 +19,12 @@ from poleplace.errors import (
     UncontrollableError,
     ValidationError,
 )
+from poleplace import placement
 from poleplace.placement import (
     gamma_full,
-    gamma_recursion,
     gamma_vector,
     omega_vector,
 )
-from poleplace.poly import deflate, monic_from_roots
 from poleplace.verify import spectrum_distance
 
 
@@ -104,26 +103,6 @@ def test_gamma_vector_pads():
 def test_gamma_vector_rejects_overflow():
     with pytest.raises(ValidationError):
         gamma_vector(Polynomial([0.0, 0.0, 1.0]), 2)
-
-
-def test_gamma_recursion_examples():
-    assert np.array_equal(gamma_recursion(Polynomial([2.0, 3.0, 1.0]), -1.0), [2.0, 1.0])
-    assert np.array_equal(gamma_recursion(Polynomial([0.0, 0.0, 1.0]), 0.0), [0.0, 1.0])
-
-
-def test_gamma_recursion_matches_deflation():
-    rng = np.random.default_rng(103)
-    for _ in range(20):
-        roots = rng.uniform(-3, 3, 3)
-        q = monic_from_roots(roots)
-        got = gamma_recursion(q, roots[0])
-        want = deflate(q, roots[0])[0].coeffs
-        assert_allclose(got, want, atol=1e-12)
-
-
-def test_gamma_recursion_requires_monic():
-    with pytest.raises(ValidationError):
-        gamma_recursion(Polynomial([1.0, 2.0]), 0.0)
 
 
 def test_gamma_full_degree_n_subtracts_open_loop():
@@ -301,6 +280,22 @@ def test_general_intermediate_pull_agrees():
         scale = max(1.0, float(np.max(np.abs(ref.k))))
         assert np.max(np.abs(mid.k - ref.k)) <= 1e-6 * scale
         assert mid.method == "general"
+
+
+def test_full_pull_skips_canonical_form(monkeypatch):
+    # with every target pulled the coefficient-level factor is 1, whose
+    # canonical row is -e_n without the canonical form or char_poly
+    def refuse(*args):
+        raise AssertionError("a full pull built the canonical form")
+
+    targets = Spectrum([-1.0, -2.0])
+    monkeypatch.setattr(placement, "controller_canonical", refuse)
+    monkeypatch.setattr(placement, "char_poly", refuse)
+    for gain in (
+        place_ackermann(diag_system(), targets),
+        place_general(diag_system(), targets, targets),
+    ):
+        assert_allclose(gain.k, [6.0, -12.0], atol=1e-10)
 
 
 def test_general_validates_pulled_subset():

@@ -1,16 +1,15 @@
 """Polynomial and spectrum layer: construction, the trace recurrence, and
-the division helpers everything downstream leans on."""
+matrix evaluation."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from numpy.testing import assert_allclose
 
 from poleplace import Polynomial, Spectrum, char_poly, monic_from_roots
 from poleplace.errors import ValidationError
-from poleplace.poly import deflate, divide, eval_matrix, eval_scalar, split
+from poleplace.poly import eval_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_monic_from_roots_residual_at_roots():
         q = monic_from_roots(roots)
         bound = 1e-9 * (1.0 + max(abs(z) for z in roots)) ** q.degree
         for z in roots:
-            assert abs(eval_scalar(q, z)) <= bound
+            assert abs(npoly.polyval(z, q.coeffs)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +208,7 @@ def test_char_poly_cayley_hamilton():
 
 
 # ---------------------------------------------------------------------------
-# evaluation and division
-
-
-def test_eval_scalar():
-    q = Polynomial([2.0, 3.0, 1.0])
-    assert eval_scalar(q, -1.0) == 0.0
-    assert eval_scalar(q, 0.0) == 2.0
-    z = eval_scalar(q, 1j)
-    assert isinstance(z, complex)
-    assert z == 1 + 3j
+# matrix evaluation
 
 
 def test_eval_matrix_double_integrator():
@@ -235,86 +225,3 @@ def test_eval_matrix_constant():
 def test_eval_matrix_rejects_nonsquare():
     with pytest.raises(ValidationError):
         eval_matrix(Polynomial([1.0]), np.zeros((2, 3)))
-
-
-def test_deflate_exact_root():
-    quo, rem = deflate(Polynomial([2.0, 3.0, 1.0]), -1.0)
-    assert np.array_equal(quo.coeffs, [2.0, 1.0])
-    assert rem == 0.0
-
-
-def test_deflate_nonroot_reports_remainder():
-    quo, rem = deflate(Polynomial([2.0, 3.0, 1.0]), 0.0)
-    assert np.array_equal(quo.coeffs, [3.0, 1.0])
-    assert rem == 2.0
-
-
-def test_deflate_requires_monic_nonconstant():
-    with pytest.raises(ValidationError):
-        deflate(Polynomial([1.0, 2.0]), 0.0)
-    with pytest.raises(ValidationError):
-        deflate(Polynomial([1.0]), 0.0)
-
-
-def test_deflate_down_to_constant():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        roots = sorted(rng.uniform(-3, 3, 5))
-        q = monic_from_roots(roots)
-        for r in roots:
-            q, rem = deflate(q, r)
-            assert abs(rem) <= 1e-9 * (1.0 + max(abs(x) for x in roots)) ** 5
-        assert q.degree == 0
-        assert q.coeffs[0] == 1.0
-
-
-def test_divide_exact():
-    quo, rem = divide(Polynomial([2.0, 3.0, 1.0]), Polynomial([1.0, 1.0]))
-    assert np.array_equal(quo.coeffs, [2.0, 1.0])
-    assert np.max(np.abs(rem.coeffs)) == 0.0
-
-
-def test_divide_by_quadratic_removes_pair():
-    q = monic_from_roots([-1 + 2j, -1 - 2j, -3.0])
-    quo, rem = divide(q, monic_from_roots([-1 + 2j, -1 - 2j]))
-    assert_allclose(quo.coeffs, [3.0, 1.0], atol=1e-12)
-    assert np.max(np.abs(rem.coeffs)) <= 1e-12
-
-
-def test_divide_rejects_degenerate():
-    with pytest.raises(ValidationError):
-        divide(Polynomial([1.0]), Polynomial([1.0, 1.0]))
-    with pytest.raises(ValidationError):
-        divide(Polynomial([1.0, 1.0]), Polynomial([0.0]))
-
-
-def test_split_real_triple():
-    q = monic_from_roots([-1.0, -2.0, -3.0])
-    rest, sub = split(q, Spectrum([-2.0]), Spectrum([-1.0, -2.0, -3.0]))
-    assert np.array_equal(sub.coeffs, [2.0, 1.0])
-    assert np.array_equal(rest.coeffs, [3.0, 4.0, 1.0])
-
-
-def test_split_product_recovers_original():
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        reals = list(rng.uniform(-3, 3, 3))
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        full = Spectrum(reals + [z, z.conjugate()])
-        q = monic_from_roots(full)
-        sub = Spectrum([reals[0], z, z.conjugate()])
-        rest, part = split(q, sub, full)
-        prod = npoly.polymul(rest.coeffs, part.coeffs)
-        assert np.max(np.abs(prod - q.coeffs)) <= 1e-10 * max(
-            1.0, np.max(np.abs(q.coeffs))
-        )
-
-
-def test_split_validates_inputs():
-    q = monic_from_roots([-1.0, -2.0])
-    with pytest.raises(ValidationError):
-        split(Polynomial([2.0, 3.0, 2.0]), Spectrum([-1.0]), Spectrum([-1.0, -2.0]))
-    with pytest.raises(ValidationError):
-        split(q, Spectrum([-1.0]), Spectrum([-1.0, -2.0, -3.0]))
-    with pytest.raises(ValidationError):
-        split(q, Spectrum([-5.0]), Spectrum([-1.0, -2.0]))

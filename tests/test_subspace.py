@@ -24,7 +24,7 @@ from poleplace.errors import (
 )
 from poleplace.linalg import condition_number
 from poleplace.placement import controllability_matrix
-from poleplace.subspace import plan_targets, projected_controllability_rank
+from poleplace.subspace import plan_targets
 from poleplace.verify import spectrum_distance
 
 
@@ -42,31 +42,6 @@ def random_controllable(rng, n):
 
 def closed(sys, k):
     return sys.A + np.outer(sys.b, k)
-
-
-# ---------------------------------------------------------------------------
-# projected controllability
-
-
-def test_projected_rank_full():
-    sys = diag_system()
-    rank, kappa = projected_controllability_rank(sys, np.eye(2))
-    assert rank == 2
-    assert kappa < 10.0
-
-
-def test_projected_rank_deficient():
-    sys = StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 0.0])
-    rank, kappa = projected_controllability_rank(sys, np.array([[0.0], [1.0]]))
-    assert rank == 0
-    assert not np.isfinite(kappa)
-
-
-def test_projected_rank_validates_basis():
-    with pytest.raises(ValidationError):
-        projected_controllability_rank(diag_system(), np.zeros((3, 1)))
-    with pytest.raises(ValidationError):
-        projected_controllability_rank(diag_system(), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
