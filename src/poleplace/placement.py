@@ -62,15 +62,19 @@ class CanonicalForm:
     ``A = T @ A_c @ inv(T)`` and ``b = T @ b_c`` with ``T = C @ inv(C_c)``.
     The controllability matrices of both frames and the shared
     characteristic polynomial come along because every placement method
-    needs them anyway.
+    needs them anyway; ``T`` itself is solved for only when read, since
+    no placement method needs it.
     """
 
     A_c: np.ndarray
     b_c: np.ndarray
-    T: np.ndarray
     C: np.ndarray
     C_c: np.ndarray
     p: Polynomial
+
+    @property
+    def T(self) -> np.ndarray:
+        return solve_linear(self.C_c.T, self.C.T).T
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,9 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
 
     The companion matrix carries ones on the superdiagonal and the negated
     characteristic coefficients in its last row; its input vector is the
-    last unit vector.  T is computed through the always well-conditioned
-    canonical controllability matrix, so an uncontrollable input shows up
-    as a singular T rather than an error here.
+    last unit vector.  T is computed, on access, through the always
+    well-conditioned canonical controllability matrix, so an uncontrollable
+    input shows up as a singular T rather than an error.
     """
     n = sys.n
     q = char_poly(sys.A)
@@ -106,8 +110,7 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
     b_c[n - 1] = 1.0
     C = controllability_matrix(sys)
     C_c = krylov(A_c, b_c, n)
-    T = solve_linear(C_c.T, C.T).T
-    return CanonicalForm(A_c=A_c, b_c=b_c, T=T, C=C, C_c=C_c, p=q)
+    return CanonicalForm(A_c=A_c, b_c=b_c, C=C, C_c=C_c, p=q)
 
 
 def gamma_vector(q: Polynomial, n: int) -> np.ndarray:

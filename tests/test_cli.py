@@ -460,6 +460,33 @@ def test_verify_rejects_wrong_gain(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_accepts_exact_gain_at_n64(tmp_path, capsys):
+    # A = Q L Q^T - b k^T, so k places the spectrum of L exactly.  The
+    # closed-loop char_poly must be accurate enough at n = 64 to accept it.
+    n = 64
+    rng = np.random.default_rng(9)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    re = -rng.uniform(0.1, 3.0, n // 2)
+    im = rng.uniform(0.1, 3.0, n // 2)
+    L = np.zeros((n, n))
+    for i in range(n // 2):
+        L[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re[i], im[i]], [-im[i], re[i]]]
+    b = rng.uniform(-1.0, 1.0, n)
+    k = rng.uniform(-1.0, 1.0, n)
+    A = Q @ L @ Q.T - np.outer(b, k)
+    poles = [f"{x!r}{s}{y!r}i" for x, y in zip(re.tolist(), im.tolist()) for s in "+-"]
+    rc = main(
+        [
+            "verify",
+            "--system", write_json(tmp_path / "s.json", {"n": n, "A": A.tolist(), "b": b.tolist()}),
+            "--plan", poles_plan(tmp_path, poles),
+            "--gain=" + ",".join(repr(float(v)) for v in k),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip().endswith("ok: charpoly_residual <= 1e-06")
+
+
 def test_verify_gain_must_be_real(tmp_path, capsys):
     rc = main(
         [

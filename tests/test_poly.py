@@ -1,7 +1,9 @@
 """Polynomial and spectrum layer: construction, the trace recurrence, and
 matrix evaluation."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,16 @@ def test_char_poly_diagonal():
     assert np.array_equal(q.coeffs, [2.0, -3.0, 1.0])
 
 
+def test_char_poly_extreme_scales():
+    # Slice grids sit far below the entries; near the ends of the double
+    # range they must neither overflow nor underflow.
+    big = char_poly(np.diag([1e300, 2.0]))
+    assert np.array_equal(big.coeffs, [2e300, -float(Fraction(1e300) + 2), 1.0])
+    tiny = char_poly([[1e-300, 2e-300], [0.0, 3e-300]])
+    trace = Fraction(1e-300) + Fraction(3e-300)
+    assert np.array_equal(tiny.coeffs, [0.0, -float(trace), 1.0])
+
+
 def test_char_poly_rejects_nonsquare():
     with pytest.raises(ValidationError):
         char_poly(np.zeros((2, 3)))
@@ -185,7 +197,7 @@ def test_char_poly_exact_on_integer_matrices():
 def test_char_poly_survives_large_feedback_row():
     # A + b k^T with |k| ~ 1e3 drives the intermediates of the recurrence
     # far above the coefficients; plain double arithmetic loses them, the
-    # compensated recurrence must still round to the exact integer answer.
+    # three-word recurrence must still round to the exact integer answer.
     rng = np.random.default_rng(47)
     for _ in range(5):
         A = rng.integers(-4, 5, (6, 6))
@@ -196,6 +208,55 @@ def test_char_poly_survives_large_feedback_row():
         exact = _char_poly_rational(Abar.tolist())
         got = char_poly(Abar.astype(float)).coeffs
         assert np.array_equal(got, [float(c) for c in exact])
+
+
+def _load_oracle():
+    # perfbench's exact Berkowitz polynomial, which shares no code with
+    # the package.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_char_poly_exact_on_nonnormal_closed_loop():
+    # Q L Q^T - b k^T: a closed loop with a known spectrum, non-normal
+    # through the feedback term.  The recurrence cancels hard at n = 48;
+    # a two-word state gets three coefficients wrong here.
+    n = 48
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    L = np.zeros((n, n))
+    for i in range(0, n, 2):
+        re, im = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        L[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
+    A = Q @ L @ Q.T - np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    exact = _load_oracle().char_poly_exact(A)
+    assert np.array_equal(char_poly(A).coeffs, [float(c) for c in exact[::-1]])
+
+
+def test_char_poly_exact_on_integer_feedback_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def closed_loops(draw):
+        n = draw(st.integers(1, 8))
+        entries = st.integers(-(2**8), 2**8)
+        A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        b = np.array(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        gains = st.integers(-(2**10), 2**10)
+        k = np.array(draw(st.lists(gains, min_size=n, max_size=n)))
+        return A.reshape(n, n) + np.outer(b, k)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(closed_loops())
+    def check(M):
+        exact = _char_poly_rational(M.tolist())
+        assert np.array_equal(char_poly(M.astype(float)).coeffs, [float(c) for c in exact])
+
+    check()
 
 
 def test_char_poly_cayley_hamilton():
