@@ -219,7 +219,7 @@ def _householder(x):
 
 
 def _hessenberg_upper(B):
-    """Reduce B to upper Hessenberg form in place logic: returns (Q, H)."""
+    """Reduce B to upper Hessenberg, ``B = Q @ H @ Q.T``; Q = I if it already is."""
     n = B.shape[0]
     H = B.copy()
     Q = np.eye(n)
@@ -233,17 +233,6 @@ def _hessenberg_upper(B):
         H[k + 1, k] = alpha
         H[k + 2 :, k] = 0.0
     return Q, H
-
-
-def hessenberg(A) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal reduction ``A = Q @ H @ Q.T`` with H lower Hessenberg.
-
-    A matrix that is already lower Hessenberg comes back bitwise unchanged
-    with Q the exact identity.
-    """
-    A = _as_square(A, "A")
-    Q, Hu = _hessenberg_upper(A.T.copy())
-    return Q, Hu.T.copy()
 
 
 _CLAMP = 16.0 * EPS
@@ -573,14 +562,54 @@ def _match_values(targets, candidates, tol):
     return out
 
 
+def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> list[int]:
+    """Indices of the blocks of ``dec`` that carry ``moved``, ascending.
+
+    Each requested value is matched against the blocks' eigenvalues within
+    ``tol``.  Selecting one half of a complex pair is rejected, since no
+    real invariant subspace separates it from its conjugate.
+    """
+    flat = [(z, bi) for bi, blk in enumerate(dec.blocks) for z in blk.eigenvalues]
+    matched = _match_values(list(moved), [z for z, _ in flat], tol)
+    matched_set = set(matched)
+    per_block = Counter(flat[ci][1] for ci in matched)
+    for bi, cnt in per_block.items():
+        blk = dec.blocks[bi]
+        if cnt != blk.size:
+            missing = [z for ci, (z, owner) in enumerate(flat)
+                       if owner == bi and ci not in matched_set]
+            raise ValidationError(
+                f"selection splits the conjugate pair {blk.eigenvalues}; "
+                f"also move {missing[0]} or drop the pair"
+            )
+    return sorted(per_block)
+
+
+def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
+    """Schur form of ``Q @ T @ Q.T + b k^T`` for ``k = Q[:, :r] @ g``, r = len(g).
+
+    That adds ``(Q.T @ b) g^T`` to the leading r columns of T.  T's upper
+    right block is zero, so the trailing block and its eigenvalues stay
+    bitwise unchanged; only the leading r x r block is reduced again.
+    """
+    r = len(g)
+    T = dec.T.copy()
+    T[:, :r] += np.outer(dec.Q.T @ b, g)
+    lead = real_schur(T[:r, :r])
+    T[:r, :r] = lead.T
+    T[r:, :r] = T[r:, :r] @ lead.Q
+    Q = dec.Q.copy()
+    Q[:, :r] = Q[:, :r] @ lead.Q
+    return SchurDecomposition(Q=Q, T=T, blocks=_scan_blocks_upper(T.T))
+
+
 def invariant_split(A, moved) -> InvariantSplit:
     """Split state space along the invariant subspace of chosen eigenvalues.
 
     ``moved`` names eigenvalues of A (matched against the computed
-    spectrum within ``1e-6 * max(1, max|A|)``).  The underlying Schur form
-    is reordered so those eigenvalues lead, and the orthonormal basis is
-    cut after them.  Selecting one half of a complex pair is rejected,
-    since no real invariant subspace separates it from its conjugate.
+    spectrum within ``1e-6 * max(1, max|A|)``; see ``_select_blocks``).
+    The underlying Schur form is reordered so those eigenvalues lead, and
+    the orthonormal basis is cut after them.
     """
     A = _as_square(A, "A")
     moved = _as_spectrum(moved)
@@ -588,36 +617,16 @@ def invariant_split(A, moved) -> InvariantSplit:
     if not 1 <= len(moved) <= n:
         raise ValidationError(f"moved set has {len(moved)} values, expected 1..{n}")
     dec = real_schur(A)
-    flat = [(z, bi) for bi, blk in enumerate(dec.blocks) for z in blk.eigenvalues]
     tol = 1e-6 * max(1.0, max_abs(A))
-    matched = _match_values(list(moved), [z for z, _ in flat], tol)
-    matched_set = set(matched)
-    per_block = Counter(flat[ci][1] for ci in matched)
-    for bi, cnt in per_block.items():
-        blk = dec.blocks[bi]
-        if cnt != blk.size:
-            missing = [
-                z
-                for ci, (z, owner) in enumerate(flat)
-                if owner == bi and ci not in matched_set
-            ]
-            raise ValidationError(
-                f"selection splits the conjugate pair {blk.eigenvalues}; "
-                f"also move {missing[0]} or drop the pair"
-            )
-    re = reorder_schur(dec, sorted(per_block))
+    re = reorder_schur(dec, _select_blocks(dec, moved, tol))
     r = len(moved)
-    moved_out = []
-    kept_out = []
-    total = 0
-    for blk in re.blocks:
-        (moved_out if total < r else kept_out).extend(blk.eigenvalues)
-        total += blk.size
+    lead = [z for blk in re.blocks if blk.start < r for z in blk.eigenvalues]
+    rest = [z for blk in re.blocks if blk.start >= r for z in blk.eigenvalues]
     return InvariantSplit(
         U=re.Q[:, :r].copy(),
         V=re.Q[:, r:].copy(),
         X=re.T[:r, :r].copy(),
         Y=re.T[r:, r:].copy(),
-        moved=Spectrum(moved_out),
-        kept=Spectrum(kept_out),
+        moved=Spectrum(lead),
+        kept=Spectrum(rest),
     )

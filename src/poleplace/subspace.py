@@ -4,7 +4,8 @@ Instead of inverting the full controllability matrix, these methods
 reorder a Schur form so the eigenvalues being moved lead, compress the
 dynamics onto that subspace, and solve a placement problem of only that
 size.  Eigenvalues outside the subspace provably stay put, and the only
-inversions are as large as the largest group being moved.
+inversions are as large as the largest group being moved.  Sequential
+assignment takes the Schur form once and carries it through every step.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    InvariantSplit,
+    _feed_leading,
     _match_values,
+    _select_blocks,
     condition_number,
     eigenvalues,
     invariant_split,
     krylov,
     max_abs,
+    real_schur,
+    reorder_schur,
     solve_linear,
 )
 from .placement import Gain, StateSpace
@@ -61,7 +65,8 @@ class AssignmentPlan:
 @dataclass(frozen=True)
 class StepRecord:
     """What one sequential step did: the subspace it worked in, the small
-    solve it ran, and the spectrum it left behind."""
+    solve it ran, and the spectrum it left behind, read off the carried
+    Schur form."""
 
     step: int
     basis: np.ndarray
@@ -72,17 +77,17 @@ class StepRecord:
     spectrum_after: Spectrum
 
 
-def _gain_on_split(b, split: InvariantSplit, to: Spectrum):
-    """Gain placing the compressed spectrum of a split at ``to``.
+def _gain_on_split(b, U, X, to: Spectrum):
+    """Gain placing the spectrum of the compression X at ``to``.
 
     Solves the r-dimensional analogue of the polynomial-in-A formula on
     the compression X, then lifts the row back through the left-invariant
-    basis.  Returns the gain, the selector row, and the condition of the
-    small controllability matrix.
+    basis U.  Returns the gain, its row g in the basis (``k = U @ g``), the
+    selector row, and the condition of the small controllability matrix.
     """
-    r = split.X.shape[0]
-    bu = split.U.T @ b
-    CX = krylov(split.X, bu, r)
+    r = X.shape[0]
+    bu = U.T @ b
+    CX = krylov(X, bu, r)
     e_r = np.zeros(r)
     e_r[r - 1] = 1.0
     try:
@@ -92,9 +97,8 @@ def _gain_on_split(b, split: InvariantSplit, to: Spectrum):
             f"controllability restricted to the moved subspace has rank "
             f"{exc.column} < {r}; these eigenvalues cannot be assigned together"
         ) from exc
-    mX = eval_matrix(monic_from_roots(to), split.X)
-    k = -(split.U @ (mX.T @ eta))
-    return k, eta, condition_number(CX)
+    h = eval_matrix(monic_from_roots(to), X).T @ eta
+    return -(U @ h), -h, eta, condition_number(CX)
 
 
 def place_partial(sys: StateSpace, move, to) -> Gain:
@@ -112,7 +116,7 @@ def place_partial(sys: StateSpace, move, to) -> Gain:
             f"moving {len(move)} eigenvalues to {len(to)} values"
         )
     split = invariant_split(sys.A, move)
-    k, _, kappa = _gain_on_split(sys.b, split, to)
+    k, _, _, kappa = _gain_on_split(sys.b, split.U, split.X, to)
     full = Spectrum(tuple(to) + tuple(split.kept))
     return Gain(
         k=k,
@@ -213,43 +217,49 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
 def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[StepRecord]]:
     """Run an assignment plan one group at a time, accumulating the gain.
 
-    Each step takes a fresh Schur form of the current closed loop, moves
-    only its group's eigenvalues, and applies the feedback before the next
-    step looks at the system.  The input direction never changes, so the
-    accumulated rows sum into a single equivalent gain.  A failing step
-    raises with ``step`` and ``records`` attached for everything completed
-    before it.
+    The Schur form of A is taken once and carried through every step: a
+    step reorders its group's blocks to the front, places them with a row
+    confined to those leading coordinates and folds the feedback into the
+    form, leaving every other eigenvalue bitwise unchanged.  The input
+    direction never changes, so the step rows sum into a single equivalent
+    gain.  A failing step raises with ``step`` and ``records`` attached for
+    everything completed before it.
     """
     if not isinstance(plan, AssignmentPlan):
         plan = AssignmentPlan(tuple(plan))
     if not plan.groups:
         raise ValidationError("plan has no groups")
     expected = plan_targets(sys, plan)
-    A_now = sys.A.copy()
+    dec = real_schur(sys.A)
+    tol = 1e-6 * max(1.0, max_abs(sys.A))
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
     for step, (move, to) in enumerate(plan.groups, start=1):
+        r = len(move)
         try:
-            split = invariant_split(A_now, move)
-            k_step, eta, kappa = _gain_on_split(sys.b, split, to)
+            dec = reorder_schur(dec, _select_blocks(dec, move, tol))
+            U = dec.Q[:, :r].copy()
+            X = dec.T[:r, :r].copy()
+            k_step, g, eta, kappa = _gain_on_split(sys.b, U, X, to)
+            dec = _feed_leading(dec, sys.b, g)
         except PolePlacementError as exc:
             exc.step = step
             exc.records = tuple(records)
             raise
-        A_now = A_now + np.outer(sys.b, k_step)
+        after = Spectrum([z for blk in dec.blocks for z in blk.eigenvalues])
         k_total = k_total + k_step
         records.append(
             StepRecord(
                 step=step,
-                basis=split.U,
-                compression=split.X,
+                basis=U,
+                compression=X,
                 selector=eta,
                 gain=k_step,
                 kappa=kappa,
-                spectrum_after=eigenvalues(A_now),
+                spectrum_after=after,
             )
         )
     diag = assemble_diagnostics(
-        sys, k_total, expected, step_kappas=tuple(r.kappa for r in records)
+        sys, k_total, expected, step_kappas=tuple(rec.kappa for rec in records)
     )
     return Gain(k=k_total, method="sequential", diagnostics=diag), records

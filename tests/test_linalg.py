@@ -1,5 +1,6 @@
-"""Dense linear algebra engine: elimination, Hessenberg reduction, the
-real Schur iteration, reordering, and the invariant-subspace split.
+"""Dense linear algebra engine: elimination, the Hessenberg reduction
+inside the real Schur iteration, reordering, the invariant-subspace split
+and the leading-block feedback update.
 
 The Schur tests check structure exactly (the iteration writes hard zeros)
 and accuracy against LAPACK through numpy, which is an independent route.
@@ -21,10 +22,11 @@ from poleplace.errors import (
 )
 from poleplace.linalg import (
     EPS,
+    _feed_leading,
+    _hessenberg_upper,
     condition_number,
     determinant,
     eigenvalues,
-    hessenberg,
     invariant_split,
     krylov,
     max_abs,
@@ -140,7 +142,13 @@ def test_condition_number_chain_controllability_is_one():
 
 
 # ---------------------------------------------------------------------------
-# hessenberg
+# hessenberg reduction, as real_schur runs it: on the transpose, so the
+# lower form's H is the transpose of the upper reduction
+
+
+def hessenberg(A):
+    Q, Hu = _hessenberg_upper(A.T.copy())
+    return Q, Hu.T
 
 
 def test_hessenberg_fixed_point():
@@ -398,3 +406,27 @@ def test_invariant_split_validates_count():
         invariant_split(np.diag([1.0, 2.0]), [])
     with pytest.raises(ValidationError):
         invariant_split(np.diag([1.0, 2.0]), [1.0, 1.0, 2.0])
+
+
+def test_feed_leading_touches_only_the_leading_block():
+    # feedback confined to the leading coordinates leaves the trailing
+    # block, and its eigenvalues, exactly as they were
+    rng = np.random.default_rng(43)
+    for trial in range(20):
+        n = 3 + trial % 8
+        A = rng.uniform(-1, 1, (n, n))
+        b = rng.uniform(-1, 1, n)
+        dec = real_schur(A)
+        dec = reorder_schur(dec, [int(rng.integers(len(dec.blocks)))])
+        r = dec.blocks[0].size
+        g = rng.uniform(-3, 3, r)
+        new = _feed_leading(dec, b, g)
+        assert np.array_equal(new.T[r:, r:], dec.T[r:, r:])
+        assert [blk for blk in new.blocks if blk.start >= r] == [
+            blk for blk in dec.blocks if blk.start >= r
+        ]
+        assert np.all(new.T[:r, r:] == 0.0)
+        assert sum(blk.size for blk in new.blocks) == n
+        assert max_abs(new.Q.T @ new.Q - np.eye(n)) <= 64 * n * EPS
+        C = A + np.outer(b, dec.Q[:, :r] @ g)
+        assert max_abs(new.Q @ new.T @ new.Q.T - C) <= 1024 * n * EPS * max_abs(C)

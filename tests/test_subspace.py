@@ -22,7 +22,9 @@ from poleplace.errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from poleplace.linalg import condition_number
+from poleplace import linalg, subspace
+from poleplace.cli import _dense_system, _draw_targets
+from poleplace.linalg import condition_number, real_schur
 from poleplace.placement import controllability_matrix
 from poleplace.subspace import plan_targets
 from poleplace.verify import spectrum_distance
@@ -222,9 +224,27 @@ def test_plan_targets_replay():
 
 
 def test_plan_targets_later_group_can_remove_placed_value():
-    sys = diag_system()
-    plan = AssignmentPlan((((1.0,), (-1.0,)), ((-1.0,), (-4.0,))))
-    assert plan_targets(sys, plan) == Spectrum([-4.0, 2.0])
+    cases = [
+        (
+            diag_system(),
+            AssignmentPlan((((1.0,), (-1.0,)), ((-1.0,), (-4.0,)))),
+            Spectrum([-4.0, 2.0]),
+        ),
+        (
+            StateSpace(A=np.diag([1.0, 2.0, 3.0]), b=[1.0, 1.0, 1.0]),
+            AssignmentPlan((
+                ((1.0,), (-1.0,)),
+                ((-1.0, 2.0), (-4 + 1j, -4 - 1j)),
+                ((3.0,), (-2.0,)),
+            )),
+            Spectrum([-4 + 1j, -4 - 1j, -2.0]),
+        ),
+    ]
+    for sys, plan, want in cases:
+        assert plan_targets(sys, plan) == want
+        gain, _ = place_sequential(sys, plan)
+        assert gain.diagnostics.charpoly_residual <= 1e-8
+        assert spectrum_distance(eigenvalues(closed(sys, gain.k)), want) <= 1e-8
 
 
 def test_assignment_plan_validation():
@@ -312,3 +332,48 @@ def test_sequential_kappa_is_condition_of_step_solve():
     plan = AssignmentPlan((((1.0,), (-1.0,)),))
     _, records = place_sequential(sys, plan)
     assert records[0].kappa == condition_number(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("entropy", [[0, 16, 2], [0, 20, 4]], ids=["n16", "n20"])
+def test_sequential_completes_on_compare_draws(entropy):
+    # `compare --seed 0` draws; re-matching each step's group against a
+    # recomputed closed-loop spectrum failed here at steps 9 and 10
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    sys, _, _ = _dense_system(rng, entropy[1])
+    plan = paired_plan(sys, _draw_targets(rng, entropy[1]))
+    gain, records = place_sequential(sys, plan)
+    assert len(records) == len(plan.groups)
+    assert gain.diagnostics.charpoly_residual <= 1e-6
+
+
+def test_sequential_loop_takes_one_schur_form(monkeypatch):
+    # every step works on the Schur form of A taken once; plan_targets and
+    # the closing diagnostics take their own and are not counted
+    n = 8
+    sizes = []
+
+    def counted(A, *args, **kwargs):
+        sizes.append(np.shape(A))
+        return real_schur(A, *args, **kwargs)
+
+    def uncounted(fn):
+        def run(*args, **kwargs):
+            before = len(sizes)
+            out = fn(*args, **kwargs)
+            del sizes[before:]
+            return out
+        return run
+
+    sys = random_controllable(np.random.default_rng(239), n)
+    plan = paired_plan(sys, [-0.5 - 0.25 * i for i in range(n)])
+    assert len(plan.groups) >= 4
+    monkeypatch.setattr(linalg, "real_schur", counted)
+    monkeypatch.setattr(subspace, "real_schur", counted, raising=False)
+    monkeypatch.setattr(subspace, "plan_targets", uncounted(plan_targets))
+    monkeypatch.setattr(
+        subspace, "assemble_diagnostics", uncounted(subspace.assemble_diagnostics)
+    )
+    gain, records = place_sequential(sys, plan)
+    assert len(records) == len(plan.groups)
+    assert sizes.count((n, n)) == 1
+    assert gain.diagnostics.charpoly_residual <= 1e-6
