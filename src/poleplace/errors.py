@@ -68,7 +68,9 @@ class ConvergenceError(PolePlacementError):
     """The shifted QR iteration exceeded its sweep budget.  Exit code 4.
 
     ``partial_q`` and ``partial_t`` hold the orthogonal accumulation and
-    the partially reduced matrix at the point of failure.
+    the partially reduced matrix at the point of failure.  ``partial_q`` is
+    None when raised from ``eigenvalues`` or ``condition_number``, which do
+    not accumulate the orthogonal factor.
     """
 
     exit_code = 4

@@ -7,6 +7,12 @@ convention is the lower form ``A = Q @ T @ Q.T`` with T lower quasi
 triangular; internally the iteration runs on the transpose in the familiar
 upper form and the result is transposed back at the boundary.
 
+``eigenvalues`` and ``condition_number`` read only the diagonal blocks, so
+they run the same reduction and iteration with the orthogonal factor left
+out.  Q never feeds back into the H updates, which keep their calls,
+slices and shapes, so their values are bitwise those of ``real_schur``'s
+blocks; ``real_schur`` and ``reorder_schur`` keep Q.
+
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
 exact bitwise conjugates; a 2x2 whose discriminant is negative but within
@@ -85,7 +91,7 @@ def solve_linear(M, rhs) -> np.ndarray:
             LU[[k, j]] = LU[[j, k]]
             perm[[k, j]] = perm[[j, k]]
         LU[k + 1 :, k] /= LU[k, k]
-        LU[k + 1 :, k + 1 :] -= np.outer(LU[k + 1 :, k], LU[k, k + 1 :])
+        LU[k + 1 :, k + 1 :] -= LU[k + 1 :, k][:, None] * LU[k, k + 1 :]
     x = rhs[perm].astype(float)
     for k in range(1, n):
         x[k] -= LU[k, :k] @ x[:k]
@@ -107,7 +113,7 @@ def determinant(M) -> float:
             LU[[k, j]] = LU[[j, k]]
             det = -det
         det *= LU[k, k]
-        LU[k + 1 :, k + 1 :] -= np.outer(LU[k + 1 :, k] / LU[k, k], LU[k, k + 1 :])
+        LU[k + 1 :, k + 1 :] -= (LU[k + 1 :, k] / LU[k, k])[:, None] * LU[k, k + 1 :]
     return det
 
 
@@ -142,9 +148,8 @@ def condition_number(M) -> float:
         raise ValidationError("condition_number needs a nonempty 2-D matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError("condition_number needs finite entries")
-    G = M.T @ M
-    dec = real_schur(G)
-    vals = [z.real for blk in dec.blocks for z in blk.eigenvalues]
+    _, H = _schur_upper(M.T @ M, None, want_q=False)
+    vals = [z.real for blk in _scan_blocks_upper(H) for z in blk.eigenvalues]
     hi = max(vals)
     lo = min(vals)
     if hi <= 0.0 or lo <= 0.0:
@@ -208,28 +213,30 @@ def _householder(x):
     beta = 0 signals a skip: x is already a multiple of e1, and skipping
     keeps an already reduced matrix bitwise unchanged.
     """
-    if np.all(x[1:] == 0.0):
+    if not x[1:].any():
         return np.zeros_like(x), 0.0, float(x[0])
-    normx = float(np.linalg.norm(x))
-    alpha = -normx if x[0] >= 0.0 else normx
     v = np.array(x, dtype=float)
+    normx = math.sqrt(v.dot(v))
+    alpha = -normx if x[0] >= 0.0 else normx
     v[0] -= alpha
     beta = 2.0 / float(v @ v)
     return v, beta, alpha
 
 
-def _hessenberg_upper(B):
-    """Reduce B to upper Hessenberg, ``B = Q @ H @ Q.T``; Q = I if it already is."""
+def _hessenberg_upper(B, want_q=True):
+    """Reduce B to upper Hessenberg, ``B = Q @ H @ Q.T``; Q = I if it already
+    is, and Q = None when not wanted."""
     n = B.shape[0]
     H = B.copy()
-    Q = np.eye(n)
+    Q = np.eye(n) if want_q else None
     for k in range(n - 2):
         v, beta, alpha = _householder(H[k + 1 :, k])
         if beta == 0.0:
             continue
-        H[k + 1 :, k:] -= beta * np.outer(v, v @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= beta * np.outer(H[:, k + 1 :] @ v, v)
-        Q[:, k + 1 :] -= beta * np.outer(Q[:, k + 1 :] @ v, v)
+        H[k + 1 :, k:] -= beta * (v[:, None] * (v @ H[k + 1 :, k:]))
+        H[:, k + 1 :] -= beta * ((H[:, k + 1 :] @ v)[:, None] * v)
+        if Q is not None:
+            Q[:, k + 1 :] -= beta * ((Q[:, k + 1 :] @ v)[:, None] * v)
         H[k + 1, k] = alpha
         H[k + 2 :, k] = 0.0
     return Q, H
@@ -261,7 +268,8 @@ def _apply_g_full(H, Q, i, G):
     """Apply the 2x2 rotation G as a similarity on rows/cols i, i+1."""
     H[i : i + 2, :] = G.T @ H[i : i + 2, :]
     H[:, i : i + 2] = H[:, i : i + 2] @ G
-    Q[:, i : i + 2] = Q[:, i : i + 2] @ G
+    if Q is not None:
+        Q[:, i : i + 2] = Q[:, i : i + 2] @ G
 
 
 def _standardize_2x2(H, Q, i, allow_split=True):
@@ -318,9 +326,10 @@ def _francis_step(H, Q, l, hi, tr, det):
         col = np.array([x, y, z]) if k == l else H[k : k + 3, k - 1].copy()
         v, beta, alpha = _householder(col)
         if beta != 0.0:
-            H[k : k + 3, :] -= beta * np.outer(v, v @ H[k : k + 3, :])
-            H[:, k : k + 3] -= beta * np.outer(H[:, k : k + 3] @ v, v)
-            Q[:, k : k + 3] -= beta * np.outer(Q[:, k : k + 3] @ v, v)
+            H[k : k + 3, :] -= beta * (v[:, None] * (v @ H[k : k + 3, :]))
+            H[:, k : k + 3] -= beta * ((H[:, k : k + 3] @ v)[:, None] * v)
+            if Q is not None:
+                Q[:, k : k + 3] -= beta * ((Q[:, k : k + 3] @ v)[:, None] * v)
         if k > l:
             H[k, k - 1] = alpha
             H[k + 1, k - 1] = 0.0
@@ -328,9 +337,10 @@ def _francis_step(H, Q, l, hi, tr, det):
     col = H[hi - 1 : hi + 1, hi - 2].copy()
     v, beta, alpha = _householder(col)
     if beta != 0.0:
-        H[hi - 1 : hi + 1, :] -= beta * np.outer(v, v @ H[hi - 1 : hi + 1, :])
-        H[:, hi - 1 : hi + 1] -= beta * np.outer(H[:, hi - 1 : hi + 1] @ v, v)
-        Q[:, hi - 1 : hi + 1] -= beta * np.outer(Q[:, hi - 1 : hi + 1] @ v, v)
+        H[hi - 1 : hi + 1, :] -= beta * (v[:, None] * (v @ H[hi - 1 : hi + 1, :]))
+        H[:, hi - 1 : hi + 1] -= beta * ((H[:, hi - 1 : hi + 1] @ v)[:, None] * v)
+        if Q is not None:
+            Q[:, hi - 1 : hi + 1] -= beta * ((Q[:, hi - 1 : hi + 1] @ v)[:, None] * v)
     H[hi - 1, hi - 2] = alpha
     H[hi, hi - 2] = 0.0
 
@@ -367,7 +377,7 @@ def _francis_upper(H, Q, max_sweeps):
             raise ConvergenceError(
                 f"QR iteration did not converge within {max_sweeps} sweeps "
                 f"(active block rows {l}..{hi})",
-                partial_q=Q.copy(),
+                partial_q=None if Q is None else Q.copy(),
                 partial_t=H.T.copy(),
             )
         sweeps += 1
@@ -404,6 +414,19 @@ def _scan_blocks_upper(S) -> tuple[SchurBlock, ...]:
     return tuple(blocks)
 
 
+def _schur_upper(A, budget, want_q):
+    """Upper quasi-triangular Schur form H of ``A.T`` and its Q (None unless
+    ``want_q``); ``budget`` None means 40 sweeps per dimension.
+
+    The H arithmetic does not depend on ``want_q``, so H is bitwise the
+    same either way.
+    """
+    A = _as_square(A, "A")
+    Q, H = _hessenberg_upper(A.T.copy(), want_q)
+    _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget))
+    return Q, H
+
+
 def real_schur(A, max_sweeps=None) -> SchurDecomposition:
     """Real Schur decomposition ``A = Q @ T @ Q.T``, T lower quasi-triangular.
 
@@ -411,19 +434,15 @@ def real_schur(A, max_sweeps=None) -> SchurDecomposition:
     double-shift QR, both run on the transpose and transposed back.  The
     default sweep budget is 40 per dimension.
     """
-    A = _as_square(A, "A")
-    n = A.shape[0]
-    Q, H = _hessenberg_upper(A.T.copy())
-    budget = 40 * n if max_sweeps is None else int(max_sweeps)
-    _francis_upper(H, Q, budget)
+    Q, H = _schur_upper(A, max_sweeps, want_q=True)
     return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=_scan_blocks_upper(H))
 
 
 def eigenvalues(A) -> Spectrum:
     """Eigenvalues of a real square matrix as a self-conjugate Spectrum,
-    read off the diagonal blocks of its Schur form."""
-    dec = real_schur(A)
-    return Spectrum([z for blk in dec.blocks for z in blk.eigenvalues])
+    read off the diagonal blocks of its Schur form (computed without Q)."""
+    _, H = _schur_upper(A, None, want_q=False)
+    return Spectrum([z for blk in _scan_blocks_upper(H) for z in blk.eigenvalues])
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +458,8 @@ def _complete_qr(W):
     for k in range(min(q, m - 1)):
         v, beta, alpha = _householder(R[k:, k])
         if beta != 0.0:
-            R[k:, k:] -= beta * np.outer(v, v @ R[k:, k:])
-            G[:, k:] -= beta * np.outer(G[:, k:] @ v, v)
+            R[k:, k:] -= beta * (v[:, None] * (v @ R[k:, k:]))
+            G[:, k:] -= beta * ((G[:, k:] @ v)[:, None] * v)
         R[k, k] = alpha
         R[k + 1 :, k] = 0.0
     return G
@@ -594,7 +613,7 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     """
     r = len(g)
     T = dec.T.copy()
-    T[:, :r] += np.outer(dec.Q.T @ b, g)
+    T[:, :r] += (dec.Q.T @ b)[:, None] * g
     lead = real_schur(T[:r, :r])
     T[:r, :r] = lead.T
     T[r:, :r] = T[r:, :r] @ lead.Q

@@ -66,7 +66,12 @@ class AssignmentPlan:
 class StepRecord:
     """What one sequential step did: the subspace it worked in, the small
     solve it ran, and the spectrum it left behind, read off the carried
-    Schur form."""
+    Schur form.
+
+    ``kappa`` is the condition number of the step's r x r Krylov matrix.
+    It is exactly 1.0 for every one-value group, whatever the step's gain,
+    so it cannot flag a step whose gain explodes.
+    """
 
     step: int
     basis: np.ndarray
@@ -168,8 +173,14 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     eigenvalues of A) and replaced by its ``to`` set.  Later groups may
     re-move values placed by earlier ones.
     """
-    current = list(eigenvalues(sys.A))
     tol = 1e-6 * max(1.0, max_abs(sys.A))
+    return _play_plan(list(eigenvalues(sys.A)), plan, tol)
+
+
+def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
+    """Play ``plan`` on the value list ``current``; see ``plan_targets``.
+    ``place_sequential`` plays it on its own Schur form's block values,
+    which are bitwise ``eigenvalues(A)``."""
     for move, to in plan.groups:
         matched = _match_values(list(move), current, tol)
         current = [z for i, z in enumerate(current) if i not in set(matched)]
@@ -229,9 +240,9 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
         plan = AssignmentPlan(tuple(plan))
     if not plan.groups:
         raise ValidationError("plan has no groups")
-    expected = plan_targets(sys, plan)
     dec = real_schur(sys.A)
     tol = 1e-6 * max(1.0, max_abs(sys.A))
+    expected = _play_plan([z for blk in dec.blocks for z in blk.eigenvalues], plan, tol)
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
     for step, (move, to) in enumerate(plan.groups, start=1):

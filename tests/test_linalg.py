@@ -6,6 +6,7 @@ The Schur tests check structure exactly (the iteration writes hard zeros)
 and accuracy against LAPACK through numpy, which is an independent route.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,10 +21,13 @@ from poleplace.errors import (
     SingularMatrixError,
     ValidationError,
 )
+from poleplace import linalg
 from poleplace.linalg import (
     EPS,
     _feed_leading,
     _hessenberg_upper,
+    _householder,
+    _schur_upper,
     condition_number,
     determinant,
     eigenvalues,
@@ -253,6 +257,16 @@ def test_schur_sweep_budget_exhaustion():
     assert info.value.partial_t.shape == (5, 5)
 
 
+def test_eigenvalue_only_budget_exhaustion_has_no_q():
+    rng = np.random.default_rng(41)
+    A = rng.uniform(-1, 1, (5, 5))
+    with pytest.raises(ConvergenceError) as info:
+        _schur_upper(A, 0, want_q=False)
+    assert "0 sweeps" in str(info.value)
+    assert info.value.partial_q is None
+    assert info.value.partial_t.shape == (5, 5)
+
+
 def test_eigenvalues_examples():
     assert eigenvalues(np.diag([1.0, 2.0])).counter() == {1.0: 1, 2.0: 1}
     spec = sorted(z.real for z in eigenvalues(np.array([[9.0, -15.0], [8.0, -13.0]])))
@@ -262,6 +276,113 @@ def test_eigenvalues_examples():
 def test_eigenvalues_nilpotent():
     spec = list(eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]])))
     assert all(abs(z) <= 1e-9 for z in spec)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue-only path: eigenvalues and condition_number run the same
+# iteration as real_schur without Q, and must read bitwise the same blocks
+
+
+def _block_values(dec):
+    return [z for blk in dec.blocks for z in blk.eigenvalues]
+
+
+def _kappa_via_real_schur(M):
+    vals = [z.real for z in _block_values(real_schur(M.T @ M))]
+    hi, lo = max(vals), min(vals)
+    return math.inf if hi <= 0.0 or lo <= 0.0 else math.sqrt(hi / lo)
+
+
+def _cyclic(n):
+    # the cyclic shift stalls the double-shift sweep until the exceptional
+    # shift breaks the cycle
+    C = np.eye(n, k=-1)
+    C[0, -1] = 1.0
+    return C
+
+
+def _bitwise_inputs(kind):
+    rng = np.random.default_rng(43)
+    if kind == "dense":
+        for n in range(1, 41):
+            for scale in (1e-3, 1.0, 1e3) if n % 8 == 0 else (10.0 ** (n % 7 - 3),):
+                yield rng.uniform(-1, 1, (n, n)) * scale
+    elif kind == "triangular":
+        for n in (2, 7, 16, 31):
+            yield np.triu(rng.uniform(-1, 1, (n, n)) * 1e2)
+            yield np.tril(rng.uniform(-1, 1, (n, n)) * 1e-2)
+    elif kind == "symmetric":
+        for n in (3, 9, 20, 40):
+            B = rng.standard_normal((n, n))
+            yield B + B.T
+    elif kind == "cyclic":
+        for n in (3, 4, 7, 12):
+            yield _cyclic(n)
+    elif kind == "clamp":
+        # negative discriminant inside the clamp: a 2x2 block reported as a
+        # repeated real pair
+        yield np.array([[1.0, 1e-9], [-1e-9 * (1 + 1e-15), 1.0]])
+        yield np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 1e-9], [0.0, -1e-9, 1.0 + 1e-15]])
+
+
+@pytest.mark.parametrize("kind", ["dense", "triangular", "symmetric", "cyclic", "clamp"])
+def test_eigenvalue_only_path_is_bitwise_real_schur(kind):
+    for A in _bitwise_inputs(kind):
+        want = np.array(_block_values(real_schur(A)), dtype=complex)
+        got = np.array(list(eigenvalues(A)), dtype=complex)
+        assert got.tobytes() == want.tobytes()
+        for M in (A, A[:, : max(1, A.shape[1] // 2)]):
+            assert condition_number(M).hex() == _kappa_via_real_schur(M).hex()
+
+
+def test_bitwise_inputs_reach_the_exceptional_shift_and_the_clamp(monkeypatch):
+    his = []
+    step = linalg._francis_step
+
+    def recording(H, Q, l, hi, tr, det):
+        his.append(hi)
+        return step(H, Q, l, hi, tr, det)
+
+    monkeypatch.setattr(linalg, "_francis_step", recording)
+    for A in _bitwise_inputs("cyclic"):
+        his.clear()
+        eigenvalues(A)
+        # ten sweeps in a row on one active block: the tenth is exceptional
+        runs = [sum(1 for _ in group) for _, group in itertools.groupby(his)]
+        assert max(runs) >= 10
+    for A in _bitwise_inputs("clamp"):
+        pairs = [blk for blk in real_schur(A).blocks if blk.size == 2]
+        assert len(pairs) == 1 and pairs[0].eigenvalues[0].imag == 0.0
+
+
+def test_eigenvalue_only_path_never_calls_real_schur(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("real_schur called")
+
+    monkeypatch.setattr(linalg, "real_schur", refuse)
+    rng = np.random.default_rng(47)
+    A = rng.uniform(-1, 1, (9, 9))
+    assert len(eigenvalues(A)) == 9
+    assert math.isfinite(condition_number(A))
+
+
+def test_householder_on_strided_column_is_bitwise_the_norm_formula():
+    # the norm is taken on the contiguous copy; a dot on the strided view
+    # can change the last bit
+    rng = np.random.default_rng(53)
+    for n in (3, 8, 17, 40):
+        H = rng.uniform(-1, 1, (n, n)) * 10.0 ** rng.uniform(-3, 3)
+        for k in range(n - 2):
+            x = H[k + 1 :, k]
+            normx = float(np.linalg.norm(x))
+            alpha_want = -normx if x[0] >= 0.0 else normx
+            v_want = np.array(x, dtype=float)
+            v_want[0] -= alpha_want
+            beta_want = 2.0 / float(v_want @ v_want)
+            v, beta, alpha = _householder(x)
+            assert v.tobytes() == v_want.tobytes()
+            assert beta.hex() == beta_want.hex()
+            assert alpha.hex() == alpha_want.hex()
 
 
 # ---------------------------------------------------------------------------
