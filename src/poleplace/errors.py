@@ -56,7 +56,8 @@ class RankDeficiencyError(NumericalError):
 
 
 class BlockSwapError(NumericalError):
-    """An adjacent block swap during reordering is too ill conditioned."""
+    """An adjacent block swap during reordering was refused: the blocks
+    coincide, or the swap would not be backward stable."""
 
 
 class InvariantEigenvalueError(NumericalError):

@@ -2,7 +2,10 @@
 
 Everything here is hand rolled on top of numpy array arithmetic: pivoted
 elimination for solves, Householder reduction plus double-shift QR for the
-Schur form, and Sylvester-based adjacent swaps for reordering.  The package
+Schur form, and direct adjacent block swaps for reordering: a swap solves
+the small Sylvester equation for the coupling, applies the orthogonal
+factor of ``[X; I]``, and is accepted or refused by a backward-error test
+on the swapped local block, as LAPACK's dlaexc does.  The package
 convention is the lower form ``A = Q @ T @ Q.T`` with T lower quasi
 triangular; internally the iteration runs on the transpose in the familiar
 upper form and the result is transposed back at the boundary.
@@ -39,6 +42,7 @@ from .errors import (
 from .poly import Spectrum, _as_spectrum
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def max_abs(M) -> float:
@@ -469,30 +473,54 @@ def _swap_adjacent_upper(S, Z, i, p, q):
     """Exchange the adjacent diagonal blocks of sizes p then q at offset i
     in upper quasi-triangular S, accumulating the rotation into Z.
 
-    Solves the small Sylvester equation for the coupling, orthonormalizes
-    the moved invariant basis, and applies the resulting similarity.  An
-    ill-conditioned Sylvester system means the blocks share eigenvalues to
-    working precision and the swap is refused.
+    The coupling X solves the Sylvester equation ``A11 X - X A22 = -A12``;
+    the orthogonal factor G of ``[X; I]`` carries the moved invariant basis
+    and is applied as a similarity.  For two 1x1 blocks X is the quotient
+    ``-a12 / (a11 - a22)`` and G a plane rotation, backward stable by
+    construction, so the swap is refused only when the blocks coincide,
+    ``(a11 - a22)**2 == 0``.  A larger swap is refused when its Kronecker
+    system is singular to working precision, or when the swapped local
+    block ``E = G.T @ D @ G`` fails the backward-error test of LAPACK's
+    dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the swap
+    zeroes, and the error of rebuilding D from E without it, must both
+    stay within ``max(10 eps max|D|, tiny)``.  The test only reads G, so
+    an accepted swap's arithmetic does not depend on it.
     """
-    A11 = S[i : i + p, i : i + p].copy()
-    A12 = S[i : i + p, i + p : i + p + q].copy()
-    A22 = S[i + p : i + p + q, i + p : i + p + q].copy()
-    K = np.kron(np.eye(q), A11) - np.kron(A22.T, np.eye(p))
-    kappa = condition_number(K)
-    if not math.isfinite(kappa) or kappa > 1.0 / EPS:
-        raise BlockSwapError(
-            f"cannot swap blocks at rows {i}..{i + p - 1} and "
-            f"{i + p}..{i + p + q - 1}: coupling system condition {kappa:.3e}"
-        )
-    try:
-        X = solve_linear(K, -A12.flatten(order="F")).reshape((p, q), order="F")
-    except SingularMatrixError as exc:
-        raise BlockSwapError(
-            f"cannot swap blocks at rows {i}..{i + p - 1} and "
-            f"{i + p}..{i + p + q - 1}: coupling system is singular"
-        ) from exc
-    G = _complete_qr(np.vstack([X, np.eye(q)]))
     rows = slice(i, i + p + q)
+    where = f"rows {i}..{i + p - 1} and {i + p}..{i + p + q - 1}"
+    if p == q == 1:
+        d = S[i, i] - S[i + 1, i + 1]
+        if d * d == 0.0:
+            raise BlockSwapError(f"cannot swap blocks at {where}: the blocks coincide")
+        X = np.array([[-S[i, i + 1] / d]])
+    else:
+        A11 = S[i : i + p, i : i + p]
+        A12 = S[i : i + p, i + p : i + p + q]
+        A22 = S[i + p : i + p + q, i + p : i + p + q]
+        # I_q (x) A11 - A22.T (x) I_p by broadcasting, from the very products
+        # np.kron would form, so its bits match np.kron's, signed zeros too
+        K = (np.eye(q)[:, None, :, None] * A11[None, :, None, :]
+             - A22.T[:, None, :, None] * np.eye(p)[None, :, None, :]).reshape(p * q, p * q)
+        try:
+            X = solve_linear(K, -A12.flatten(order="F")).reshape((p, q), order="F")
+        except SingularMatrixError as exc:
+            raise BlockSwapError(
+                f"cannot swap blocks at {where}: coupling system is singular"
+            ) from exc
+    G = _complete_qr(np.vstack([X, np.eye(q)]))
+    if p + q > 2:
+        D = S[rows, rows]
+        thresh = max(10.0 * EPS * max_abs(D), TINY)
+        E = G.T @ D @ G
+        err = max_abs(E[q:, :q])
+        if err <= thresh:
+            E[q:, :q] = 0.0
+            err = max_abs(G @ E @ G.T - D)
+        if not err <= thresh:
+            raise BlockSwapError(
+                f"cannot swap blocks at {where}: the swapped form has backward "
+                f"error {err:.3e}, above the threshold {thresh:.3e}"
+            )
     S[rows, :] = G.T @ S[rows, :]
     S[:, rows] = S[:, rows] @ G
     Z[:, rows] = Z[:, rows] @ G
@@ -609,16 +637,23 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
 
     That adds ``(Q.T @ b) g^T`` to the leading r columns of T.  T's upper
     right block is zero, so the trailing block and its eigenvalues stay
-    bitwise unchanged; only the leading r x r block is reduced again.
+    bitwise unchanged; only the leading r x r block is reduced again.  A
+    1x1 leading block is already reduced and its Q is [[1.0]]; the
+    products by that Q still run, because they turn -0.0 into +0.0 as a
+    full reduction's products do.
     """
     r = len(g)
     T = dec.T.copy()
     T[:, :r] += (dec.Q.T @ b)[:, None] * g
-    lead = real_schur(T[:r, :r])
-    T[:r, :r] = lead.T
-    T[r:, :r] = T[r:, :r] @ lead.Q
+    if r == 1:
+        lead_q = np.ones((1, 1))
+    else:
+        lead = real_schur(T[:r, :r])
+        T[:r, :r] = lead.T
+        lead_q = lead.Q
+    T[r:, :r] = T[r:, :r] @ lead_q
     Q = dec.Q.copy()
-    Q[:, :r] = Q[:, :r] @ lead.Q
+    Q[:, :r] = Q[:, :r] @ lead_q
     return SchurDecomposition(Q=Q, T=T, blocks=_scan_blocks_upper(T.T))
 
 

@@ -103,7 +103,9 @@ def _gain_on_split(b, U, X, to: Spectrum):
             f"{exc.column} < {r}; these eigenvalues cannot be assigned together"
         ) from exc
     h = eval_matrix(monic_from_roots(to), X).T @ eta
-    return -(U @ h), -h, eta, condition_number(CX)
+    # a nonzero scalar, which the solve just accepted, has condition 1
+    kappa = 1.0 if r == 1 else condition_number(CX)
+    return -(U @ h), -h, eta, kappa
 
 
 def place_partial(sys: StateSpace, move, to) -> Gain:
@@ -149,7 +151,7 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
     u = split.U[:, 0]
     s = float(u @ sys.b)
     scale = float(np.linalg.norm(u) * np.linalg.norm(sys.b))
-    if abs(s) < 1e-9 * scale:
+    if abs(s) <= 1e-9 * scale:
         raise InvariantEigenvalueError(
             f"left eigenvector for {mu1} is orthogonal to b "
             f"(omega^T b = {s:.3e}); the eigenvalue cannot be moved"
@@ -157,11 +159,11 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
     omega = u / s
     k = (lam1 - mu1) * omega
     full = Spectrum((lam1,) + tuple(split.kept))
-    kappa = condition_number(np.array([[s]]))
+    # past the gate s is nonzero, and a nonzero 1x1 has condition 1
     return Gain(
         k=k,
         method="simon_mitter",
-        diagnostics=assemble_diagnostics(sys, k, full, step_kappas=(kappa,)),
+        diagnostics=assemble_diagnostics(sys, k, full, step_kappas=(1.0,)),
     )
 
 

@@ -24,9 +24,11 @@ from poleplace.errors import (
 from poleplace import linalg
 from poleplace.linalg import (
     EPS,
+    SchurDecomposition,
     _feed_leading,
     _hessenberg_upper,
     _householder,
+    _scan_blocks_upper,
     _schur_upper,
     condition_number,
     determinant,
@@ -444,6 +446,151 @@ def test_reorder_refuses_coincident_blocks():
     with pytest.raises(BlockSwapError) as info:
         reorder_schur(dec, [1])
     assert "rows 0..0 and 1..1" in str(info.value)
+
+
+_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "A, rows",
+    [
+        # two identical 2x2 blocks carrying +-i
+        (np.block([[_ROT, np.zeros((2, 2))], [np.zeros((2, 2)), _ROT]]), "rows 0..1 and 2..3"),
+        # a 1x1 block against a clamp block reporting the same value twice
+        (np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 100.0], [1.0, -1e-14, 1.0]]), "rows 0..0 and 1..2"),
+    ],
+    ids=["complex-pair", "clamp-pair"],
+)
+def test_reorder_refuses_coincident_larger_blocks(A, rows):
+    dec = real_schur(A)
+    assert dec.blocks[0].eigenvalues[0] == dec.blocks[-1].eigenvalues[0]
+    with pytest.raises(BlockSwapError) as info:
+        reorder_schur(dec, [len(dec.blocks) - 1])
+    assert rows in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "distort",
+    [
+        # a basis off the invariant subspace: the weak test, on the block the
+        # swap zeroes, fires
+        lambda W: W + 1e-3 * np.vstack([np.ones((2, 2)), np.zeros((2, 2))]),
+        # an invariant but not orthonormal factor: only the reconstruction
+        # test can see it
+        None,
+    ],
+    ids=["weak", "strong"],
+)
+def test_swap_refuses_a_swap_that_is_not_backward_stable(monkeypatch, distort):
+    factor = linalg._complete_qr
+    if distort is None:
+        monkeypatch.setattr(linalg, "_complete_qr", lambda W: factor(W) * (1.0 + 1e-6))
+    else:
+        monkeypatch.setattr(linalg, "_complete_qr", lambda W: factor(distort(W)))
+    # upper form: 2x2 blocks carrying 1 +- 1i and 3 +- 1i, coupled
+    S = np.array([
+        [1.0, 2.0, 9.0, -7.0],
+        [-0.5, 1.0, 4.0, 12.0],
+        [0.0, 0.0, 3.0, 3.0],
+        [0.0, 0.0, -1.0 / 3.0, 3.0],
+    ])
+    Z = np.eye(4)
+    S0, Z0 = S.copy(), Z.copy()
+    with pytest.raises(BlockSwapError) as info:
+        linalg._swap_adjacent_upper(S, Z, 0, 2, 2)
+    assert "rows 0..1 and 2..3" in str(info.value)
+    assert "backward error" in str(info.value)
+    # refused before anything was written
+    assert np.array_equal(S, S0) and np.array_equal(Z, Z0)
+    monkeypatch.setattr(linalg, "_complete_qr", factor)
+    linalg._swap_adjacent_upper(S, Z, 0, 2, 2)
+    assert max_abs(Z @ S @ Z.T - S0) <= 64 * EPS * max_abs(S0)
+
+
+def test_reorder_swaps_without_condition_number(monkeypatch):
+    # the coupling matrix I (x) A11 - A22.T (x) I is built without np.kron
+    # but from the same products, so the solve sees np.kron's bits, signed
+    # zeros included; no swap estimates a condition number
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition_number called")
+
+    swaps, solves = [], []
+    swap, solve = linalg._swap_adjacent_upper, linalg.solve_linear
+
+    def recording_swap(S, Z, i, p, q):
+        swaps.append((S[i : i + p, i : i + p].copy(), S[i + p : i + p + q, i + p : i + p + q].copy()))
+        return swap(S, Z, i, p, q)
+
+    def checked_solve(K, rhs):
+        A11, A22 = swaps[-1]
+        p, q = len(A11), len(A22)
+        want = np.kron(np.eye(q), A11) - np.kron(A22.T, np.eye(p))
+        assert K.tobytes() == want.tobytes()
+        solves.append((p, q))
+        return solve(K, rhs)
+
+    monkeypatch.setattr(linalg, "condition_number", refuse)
+    monkeypatch.setattr(linalg, "_swap_adjacent_upper", recording_swap)
+    monkeypatch.setattr(linalg, "solve_linear", checked_solve)
+    rng = np.random.default_rng(59)
+    for n in (3, 6, 9, 12):
+        A = rng.uniform(-1, 1, (n, n))
+        A[rng.uniform(size=(n, n)) < 0.3] *= -0.0
+        dec = real_schur(A)
+        reorder_schur(dec, list(range(len(dec.blocks)))[::-2])
+    sizes = [(len(A11), len(A22)) for A11, A22 in swaps]
+    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= set(sizes)
+    # two 1x1 blocks need no solve
+    assert solves == [size for size in sizes if size != (1, 1)]
+
+
+def test_reorder_property_on_random_forms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+
+    @st.composite
+    def forms(draw):
+        sizes = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=8))
+        # distinct centres keep every two blocks at least 0.25 apart
+        centres = draw(st.lists(st.integers(-20, 20), min_size=len(sizes),
+                                max_size=len(sizes), unique=True))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = sum(sizes)
+        T = np.tril(rng.uniform(-1, 1, (n, n)))
+        i = 0
+        for size, c in zip(sizes, centres):
+            if size == 1:
+                T[i, i] = 0.25 * c
+            else:
+                im = 0.25 * draw(st.integers(1, 8))
+                r = 2.0 ** draw(st.integers(-2, 2))
+                T[i : i + 2, i : i + 2] = [[0.25 * c, im * r], [-im / r, 0.25 * c]]
+            i += size
+        T *= scale
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        dec = SchurDecomposition(Q=Q, T=T, blocks=_scan_blocks_upper(T.T))
+        select = draw(st.lists(st.integers(0, len(sizes) - 1), unique=True))
+        return dec, select
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(forms())
+    def check(case):
+        dec, select = case
+        n = dec.n
+        A = dec.Q @ dec.T @ dec.Q.T
+        re = reorder_schur(dec, select)
+        assert max_abs(re.Q.T @ re.Q - np.eye(n)) <= 64 * n * EPS
+        assert max_abs(re.Q @ re.T @ re.Q.T - A) <= 1024 * n * EPS * max_abs(A)
+        tol = 1e-9 * max(1.0, max_abs(A))
+        for got, want in zip(re.blocks, [dec.blocks[i] for i in sorted(select)]):
+            assert got.size == want.size
+            assert _nearest_match_distance(got.eigenvalues, want.eigenvalues) <= tol
+        values = [z for blk in re.blocks for z in blk.eigenvalues]
+        assert _nearest_match_distance(values, scipy_linalg.eigvals(A)) <= tol
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,36 @@ def test_simon_mitter_rejects_complex():
 
 
 def test_simon_mitter_invariant_eigenvalue():
-    sys = StateSpace(A=np.diag([1.0, 2.0]), b=[0.0, 1.0])
-    with pytest.raises(InvariantEigenvalueError):
-        place_simon_mitter(sys, 1.0, -5.0)
+    # b = 0 is orthogonal to every left eigenvector
+    for b in ([0.0, 1.0], [0.0, 0.0]):
+        sys = StateSpace(A=np.diag([1.0, 2.0]), b=b)
+        with pytest.raises(InvariantEigenvalueError):
+            place_simon_mitter(sys, 1.0, -5.0)
+
+
+def test_one_value_steps_skip_the_condition_estimate(monkeypatch):
+    # the r x r matrix of a one-value step is a nonzero scalar, whose
+    # condition is exactly 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition_number called")
+
+    sizes = []
+
+    def counted(A, *args, **kwargs):
+        sizes.append(np.shape(A))
+        return real_schur(A, *args, **kwargs)
+
+    monkeypatch.setattr(subspace, "condition_number", refuse)
+    monkeypatch.setattr(linalg, "real_schur", counted)
+    monkeypatch.setattr(subspace, "real_schur", counted)
+    sys = diag_system()
+    assert place_partial(sys, [2.0], [-4.0]).diagnostics.step_kappas == (1.0,)
+    assert place_simon_mitter(sys, 1.0, -5.0).diagnostics.step_kappas == (1.0,)
+    sizes.clear()
+    gain, _ = place_sequential(sys, AssignmentPlan((((1.0,), (-1.0,)), ((2.0,), (-3.0,)))))
+    assert gain.diagnostics.step_kappas == (1.0, 1.0)
+    # nor do they reduce their 1x1 leading block again
+    assert sizes == [(2, 2)]
 
 
 def test_simon_mitter_agrees_with_partial():
@@ -366,3 +393,25 @@ def test_sequential_loop_takes_one_schur_form(monkeypatch):
     assert len(records) == len(plan.groups)
     assert sizes.count((n, n)) == 1
     assert gain.diagnostics.charpoly_residual <= 1e-6
+
+
+def test_sequential_steps_freeze_the_blocks_they_do_not_move():
+    # a step's reorder swaps only the blocks up to its last selected one and
+    # its feedback touches only the leading block, so every block behind
+    # them keeps its eigenvalues bitwise
+    rng = np.random.default_rng(241)
+    frozen = 0
+    for n in (4, 7, 10, 13, 16):
+        sys, _, _ = _dense_system(rng, n)
+        plan = paired_plan(sys, _draw_targets(rng, n))
+        _, records = place_sequential(sys, plan)
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(sys.A))))
+        before = list(eigenvalues(sys.A))
+        for (move, _), rec in zip(plan.groups, records):
+            last = max(linalg._match_values(list(move), before, tol))
+            tail = np.array(before[last + 1 :], dtype=complex)
+            after = np.array(list(rec.spectrum_after), dtype=complex)
+            assert after[len(after) - len(tail) :].tobytes() == tail.tobytes()
+            frozen += len(tail)
+            before = list(rec.spectrum_after)
+    assert frozen >= 50
