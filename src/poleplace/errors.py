@@ -71,7 +71,9 @@ class ConvergenceError(PolePlacementError):
     ``partial_q`` and ``partial_t`` hold the orthogonal accumulation and
     the partially reduced matrix at the point of failure.  ``partial_q`` is
     None when raised from ``eigenvalues`` or ``condition_number``, which do
-    not accumulate the orthogonal factor.
+    not accumulate the orthogonal factor; there ``partial_t`` is current
+    only on the active diagonal block named in the message, because those
+    sweeps leave the rows above it and the columns beside it as they were.
     """
 
     exit_code = 4

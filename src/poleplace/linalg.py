@@ -2,7 +2,9 @@
 
 Everything here is hand rolled on top of numpy array arithmetic: pivoted
 elimination for solves, Householder reduction plus double-shift QR for the
-Schur form, and direct adjacent block swaps for reordering: a swap solves
+Schur form (each bulge step an explicit 3x3 reflector applied to the
+active block, as LAPACK's dlahqr does, after scaling the input by a power
+of two), and direct adjacent block swaps for reordering: a swap solves
 the small Sylvester equation for the coupling, applies the orthogonal
 factor of ``[X; I]``, and is accepted or refused by a backward-error test
 on the swapped local block, as LAPACK's dlaexc does.  The package
@@ -12,9 +14,12 @@ upper form and the result is transposed back at the boundary.
 
 ``eigenvalues`` and ``condition_number`` read only the diagonal blocks, so
 they run the same reduction and iteration with the orthogonal factor left
-out.  Q never feeds back into the H updates, which keep their calls,
-slices and shapes, so their values are bitwise those of ``real_schur``'s
-blocks; ``real_schur`` and ``reorder_schur`` keep Q.
+out.  A sweep updates the active block l..hi with the same calls either
+way; only ``real_schur`` then also updates the strips beside the block
+(rows above it, columns right of it) and Q.  Nothing in the block reads
+the strips or Q, so the eigenvalue-only blocks are bitwise
+``real_schur``'s by construction; ``real_schur`` and ``reorder_schur``
+keep Q.
 
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
@@ -152,8 +157,8 @@ def condition_number(M) -> float:
         raise ValidationError("condition_number needs a nonempty 2-D matrix")
     if not np.all(np.isfinite(M)):
         raise ValidationError("condition_number needs finite entries")
-    _, H = _schur_upper(M.T @ M, None, want_q=False)
-    vals = [z.real for blk in _scan_blocks_upper(H) for z in blk.eigenvalues]
+    _, _, blocks = _schur_upper(M.T @ M, None, want_q=False)
+    vals = [z.real for blk in blocks for z in blk.eigenvalues]
     hi = max(vals)
     lo = min(vals)
     if hi <= 0.0 or lo <= 0.0:
@@ -215,16 +220,26 @@ def _householder(x):
     """Reflector ``(v, beta)`` with ``(I - beta v v^T) x = alpha e1``.
 
     beta = 0 signals a skip: x is already a multiple of e1, and skipping
-    keeps an already reduced matrix bitwise unchanged.
+    keeps an already reduced matrix bitwise unchanged.  When the squared
+    norm overflows or underflows, v is built from x scaled by a power of
+    two near its largest entry; the reflector is the same and only alpha
+    is scaled back.
     """
     if not x[1:].any():
         return np.zeros_like(x), 0.0, float(x[0])
     v = np.array(x, dtype=float)
-    normx = math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        sq = v.dot(v)
+    shift = 0
+    if not TINY <= sq < math.inf:
+        shift = int(np.frexp(max_abs(v))[1])
+        v = np.ldexp(v, -shift)
+        sq = v.dot(v)
+    normx = math.sqrt(sq)
     alpha = -normx if x[0] >= 0.0 else normx
     v[0] -= alpha
     beta = 2.0 / float(v @ v)
-    return v, beta, alpha
+    return v, beta, math.ldexp(alpha, shift)
 
 
 def _hessenberg_upper(B, want_q=True):
@@ -284,8 +299,12 @@ def _standardize_2x2(H, Q, i, allow_split=True):
     blocks (skipped when splitting is disallowed mid-reorder, where it
     would invalidate the caller's block bookkeeping).  Genuinely complex:
     rotate to equal diagonal entries so the eigenvalues read off as
-    ``m +- i*sqrt(-bc)``.  Discriminant inside the rounding clamp: leave
-    the block alone; it stands for a repeated real pair.
+    ``m +- i*sqrt(-bc)``; the rotation's tangent is the small root
+    ``-1 / (tau + sign(tau) hypot(tau, 1))``, ``tau = (b + c) / (a - d)``,
+    which does not cancel when ``|tau|`` is large, so setting both diagonal
+    entries to their mean adds only rounding error.  Discriminant inside
+    the rounding clamp: leave the block alone; it stands for a repeated
+    real pair.
     """
     a, b = H[i, i], H[i, i + 1]
     c, d = H[i + 1, i], H[i + 1, i + 1]
@@ -309,7 +328,7 @@ def _standardize_2x2(H, Q, i, allow_split=True):
     if a != d:
         tau = (b + c) / (a - d)
         off = math.hypot(tau, 1.0)
-        t = tau - off if abs(tau - off) <= abs(tau + off) else tau + off
+        t = -1.0 / (tau + math.copysign(off, tau))  # the small root, without cancellation
         cs = 1.0 / math.sqrt(1.0 + t * t)
         sn = t * cs
         G = np.array([[cs, -sn], [sn, cs]])
@@ -319,34 +338,70 @@ def _standardize_2x2(H, Q, i, allow_split=True):
     H[i + 1, i + 1] = m
 
 
+def _reflector(x, y, z):
+    """Explicit symmetric 3x3 reflector P with ``P @ (x, y, z) = (alpha, 0, 0)``,
+    returned as ``(P, alpha)``; P is None when y and z are already zero.
+
+    Built from Python floats as LAPACK's dlarfg builds ``I - tau u u^T``
+    with ``u[0] = 1``, after scaling by ``|x| + |y| + |z|`` so no square
+    overflows or underflows.  With z = 0, ``P[:2, :2]`` is the 2x2
+    reflector of (x, y).
+    """
+    if y == 0.0 and z == 0.0:
+        return None, x
+    s = abs(x) + abs(y) + abs(z)
+    x, y, z = x / s, y / s, z / s
+    norm = math.sqrt(x * x + y * y + z * z)
+    alpha = -norm if x >= 0.0 else norm
+    tau = (alpha - x) / alpha
+    u1, u2 = y / (x - alpha), z / (x - alpha)
+    t1, t2 = tau * u1, tau * u2
+    p12 = -t1 * u2
+    P = np.array([1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * u1, p12, -t2, p12, 1.0 - t2 * u2])
+    return P.reshape(3, 3), alpha * s
+
+
 def _francis_step(H, Q, l, hi, tr, det):
     """One implicit double-shift sweep on the active block l..hi of upper
     Hessenberg H.  The shift pair is given through its trace and
-    determinant, so exceptional shifts use the same path."""
-    x = H[l, l] * H[l, l] + H[l, l + 1] * H[l + 1, l] - tr * H[l, l] + det
-    y = H[l + 1, l] * (H[l, l] + H[l + 1, l + 1] - tr)
-    z = H[l + 2, l + 1] * H[l + 1, l]
-    for k in range(l, hi - 1):
-        col = np.array([x, y, z]) if k == l else H[k : k + 3, k - 1].copy()
-        v, beta, alpha = _householder(col)
-        if beta != 0.0:
-            H[k : k + 3, :] -= beta * (v[:, None] * (v @ H[k : k + 3, :]))
-            H[:, k : k + 3] -= beta * ((H[:, k : k + 3] @ v)[:, None] * v)
-            if Q is not None:
-                Q[:, k : k + 3] -= beta * ((Q[:, k : k + 3] @ v)[:, None] * v)
+    determinant, so exceptional shifts use the same path.
+
+    Each bulge step applies an explicit 3x3 reflector P (2x2 for the
+    closing step) as ``P @ H[rows, window]`` and ``H[window, cols] @ P``.
+    Those two calls touch only the active block, and they are the same
+    with or without Q: the block's values never read anything outside it,
+    so the eigenvalue-only path (Q None) is bitwise ``real_schur``'s by
+    construction.  Only with Q are the strips beside the block, rows above
+    it and columns right of it, updated as well, as LAPACK's dlahqr does
+    when it wants T.  In the step's rows, column k-1 is written directly as
+    (alpha, 0, 0) and the columns left of it hold exact zeros; rows below
+    the bulge in the step's columns hold exact zeros too.  All are skipped.
+    """
+    n = H.shape[0]
+    x = float(H[l, l] * H[l, l] + H[l, l + 1] * H[l + 1, l] - tr * H[l, l] + det)
+    y = float(H[l + 1, l] * (H[l, l] + H[l + 1, l + 1] - tr))
+    z = float(H[l + 2, l + 1] * H[l + 1, l])
+    for k in range(l, hi):
+        m = min(3, hi + 1 - k)  # the closing step reflects two rows, z = 0
+        if k > l:
+            x, y, z = (H[k : k + m, k - 1].tolist() + [0.0])[:3]
+        P, alpha = _reflector(x, y, z)
         if k > l:
             H[k, k - 1] = alpha
-            H[k + 1, k - 1] = 0.0
-            H[k + 2, k - 1] = 0.0
-    col = H[hi - 1 : hi + 1, hi - 2].copy()
-    v, beta, alpha = _householder(col)
-    if beta != 0.0:
-        H[hi - 1 : hi + 1, :] -= beta * (v[:, None] * (v @ H[hi - 1 : hi + 1, :]))
-        H[:, hi - 1 : hi + 1] -= beta * ((H[:, hi - 1 : hi + 1] @ v)[:, None] * v)
+            H[k + 1 : k + m, k - 1] = 0.0
+        if P is None:
+            continue
+        if m == 2:
+            P = P[:2, :2]
+        rows = slice(k, k + m)
+        H[rows, k : hi + 1] = P @ H[rows, k : hi + 1]
+        H[l : min(k + 4, hi + 1), rows] = H[l : min(k + 4, hi + 1), rows] @ P
         if Q is not None:
-            Q[:, hi - 1 : hi + 1] -= beta * ((Q[:, hi - 1 : hi + 1] @ v)[:, None] * v)
-    H[hi - 1, hi - 2] = alpha
-    H[hi, hi - 2] = 0.0
+            if hi + 1 < n:
+                H[rows, hi + 1 :] = P @ H[rows, hi + 1 :]
+            if l > 0:
+                H[:l, rows] = H[:l, rows] @ P
+            Q[:, rows] = Q[:, rows] @ P
 
 
 def _francis_upper(H, Q, max_sweeps):
@@ -398,8 +453,9 @@ def _francis_upper(H, Q, max_sweeps):
     return sweeps
 
 
-def _scan_blocks_upper(S) -> tuple[SchurBlock, ...]:
-    """Read the diagonal block structure off upper quasi-triangular S.
+def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
+    """Read the diagonal block structure off upper quasi-triangular S, with
+    the eigenvalues scaled by ``2**shift``.
 
     The transpose shares starts, sizes and eigenvalues, so the result
     serves the lower form as well.
@@ -410,25 +466,38 @@ def _scan_blocks_upper(S) -> tuple[SchurBlock, ...]:
     while i < n:
         if i + 1 < n and S[i + 1, i] != 0.0:
             lams = _block_eigs(S[i, i], S[i, i + 1], S[i + 1, i], S[i + 1, i + 1])
-            blocks.append(SchurBlock(i, 2, lams))
-            i += 2
+            size = 2
         else:
-            blocks.append(SchurBlock(i, 1, (complex(S[i, i]),)))
-            i += 1
+            lams = (complex(S[i, i]),)
+            size = 1
+        lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+                     for z in lams)
+        blocks.append(SchurBlock(i, size, lams))
+        i += size
     return tuple(blocks)
 
 
 def _schur_upper(A, budget, want_q):
-    """Upper quasi-triangular Schur form H of ``A.T`` and its Q (None unless
-    ``want_q``); ``budget`` None means 40 sweeps per dimension.
+    """Upper quasi-triangular Schur form H of ``A.T``, its Q (None unless
+    ``want_q``) and its blocks; ``budget`` None means 40 sweeps per
+    dimension.
 
-    The H arithmetic does not depend on ``want_q``, so H is bitwise the
-    same either way.
+    A is first scaled by the power of two that brings its largest entry
+    into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
+    squares in the shifts and in ``_block_disc`` neither overflow nor
+    underflow.  The blocks' eigenvalues are read off the scaled form, then
+    they and H are scaled back.  The active block's arithmetic does not
+    depend on ``want_q``, so the blocks are bitwise the same either way.
     """
     A = _as_square(A, "A")
-    Q, H = _hessenberg_upper(A.T.copy(), want_q)
-    _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget))
-    return Q, H
+    shift = int(np.frexp(max_abs(A))[1])
+    Q, H = _hessenberg_upper(np.ldexp(A.T, -shift), want_q)
+    try:
+        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget))
+    except ConvergenceError as exc:
+        exc.partial_t = np.ldexp(exc.partial_t, shift)
+        raise
+    return Q, np.ldexp(H, shift), _scan_blocks_upper(H, shift)
 
 
 def real_schur(A, max_sweeps=None) -> SchurDecomposition:
@@ -438,15 +507,15 @@ def real_schur(A, max_sweeps=None) -> SchurDecomposition:
     double-shift QR, both run on the transpose and transposed back.  The
     default sweep budget is 40 per dimension.
     """
-    Q, H = _schur_upper(A, max_sweeps, want_q=True)
-    return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=_scan_blocks_upper(H))
+    Q, H, blocks = _schur_upper(A, max_sweeps, want_q=True)
+    return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=blocks)
 
 
 def eigenvalues(A) -> Spectrum:
     """Eigenvalues of a real square matrix as a self-conjugate Spectrum,
     read off the diagonal blocks of its Schur form (computed without Q)."""
-    _, H = _schur_upper(A, None, want_q=False)
-    return Spectrum([z for blk in _scan_blocks_upper(H) for z in blk.eigenvalues])
+    _, _, blocks = _schur_upper(A, None, want_q=False)
+    return Spectrum([z for blk in blocks for z in blk.eigenvalues])
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,86 @@ def test_schur_eigenvalues_match_lapack():
         assert _nearest_match_distance(got, want) <= 1e-8 * max(1.0, max_abs(A))
 
 
+def test_real_schur_property_on_random_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @st.composite
+    def matrices(draw):
+        kind = draw(st.sampled_from(["dense", "triangular", "kron"]))
+        n = draw(st.integers(2, 16))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "dense":
+            A = rng.uniform(-1, 1, (n, n))
+        elif kind == "triangular":
+            # upper triangular, so the reduction of A.T has work to do, with
+            # the diagonal drawn from at most three integers
+            values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+            A = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+            A[np.diag_indices(n)] = rng.choice(values, n)
+        else:
+            # every eigenvalue of B twice, rotated
+            m = n // 2
+            Q = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))[0]
+            A = Q @ np.kron(np.eye(2), rng.uniform(-1, 1, (m, m))) @ Q.T
+        return A * scale
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(matrices())
+    def check(A):
+        n = A.shape[0]
+        dec = real_schur(A)
+        assert max_abs(dec.Q.T @ dec.Q - np.eye(n)) <= 64 * n * EPS
+        assert max_abs(dec.Q @ dec.T @ dec.Q.T - A) <= 1024 * n * EPS * max_abs(A)
+        # first-order bound: a backward error of criterion 7's size moves an
+        # eigenvalue by at most kappa times it, kappa = 1 / |y^H x| for unit
+        # left and right eigenvectors (inf for a defective one)
+        w, vl, vr = scipy_linalg.eig(A, left=True, right=True)
+        with np.errstate(divide="ignore"):
+            kappa = 1.0 / np.abs(np.sum(vl.conj() * vr, axis=0))
+        bound = 1024 * n * EPS * np.linalg.norm(A, 2) * kappa
+        ratio = np.abs(np.array(_block_values(dec))[:, None] - w[None, :]) / bound
+        rows, cols = optimize.linear_sum_assignment(ratio)
+        assert np.all(ratio[rows, cols] <= 1.0)
+
+    check()
+
+
+@pytest.mark.parametrize("k", [-900, -500, -1, 1, 500, 900])
+def test_schur_at_extreme_scales_is_bitwise_scaled(k):
+    # the driver first scales A by a power of two, so a power-of-two factor
+    # that keeps every entry normal scales every output exactly, also where
+    # the unscaled squares would overflow or underflow
+    rng = np.random.default_rng(61)
+    A = rng.uniform(-1, 1, (6, 6))
+    f = 2.0**k
+    base = np.array(list(eigenvalues(A)), dtype=complex)
+    got = np.array(list(eigenvalues(f * A)), dtype=complex)
+    assert got.real.tobytes() == np.ldexp(base.real, k).tobytes()
+    assert got.imag.tobytes() == np.ldexp(base.imag, k).tobytes()
+    dec, scaled = real_schur(A), real_schur(f * A)
+    assert scaled.Q.tobytes() == dec.Q.tobytes()
+    assert scaled.T.tobytes() == np.ldexp(dec.T, k).tobytes()
+    with pytest.raises(ConvergenceError) as info:
+        real_schur(f * A, max_sweeps=0)
+    Q, T = info.value.partial_q, info.value.partial_t
+    assert max_abs(Q @ T @ Q.T - f * A) <= 1024 * 6 * EPS * max_abs(f * A)
+
+
+@pytest.mark.parametrize("f", [1e150, 1e160, 1e-160, 1e-300])
+def test_eigenvalues_at_extreme_scales(f):
+    # without the prescale the shifts' squares overflow at 1e150 and 1e160
+    # and underflow at the small scales, down to a division by zero
+    rng = np.random.default_rng(61)
+    A = rng.uniform(-1, 1, (6, 6))
+    want = np.linalg.eigvals(A)
+    got = np.array(list(eigenvalues(f * A))) / f
+    assert _nearest_match_distance(got, want) <= 1e-13 * max_abs(np.abs(want))
+
+
 def test_schur_sweep_budget_exhaustion():
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
@@ -368,6 +448,28 @@ def test_eigenvalue_only_path_never_calls_real_schur(monkeypatch):
     assert math.isfinite(condition_number(A))
 
 
+def test_eigenvalue_only_sweep_stays_inside_its_window():
+    # without Q a sweep reads and writes only the active block l..hi; the
+    # entries outside it are NaN and infinities, since a NaN alone passes
+    # through a full-row update unchanged while an infinity turns into NaN
+    rng = np.random.default_rng(67)
+    n, l, hi = 12, 3, 9
+    H = np.triu(rng.uniform(-1, 1, (n, n)), -1)
+    outside = np.ones((n, n), dtype=bool)
+    outside[l : hi + 1, l : hi + 1] = False
+    H[outside] = rng.choice([np.nan, np.inf, -np.inf], (n, n))[outside]
+    H0 = H.copy()
+    tr = H[hi - 1, hi - 1] + H[hi, hi]
+    det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
+    linalg._francis_step(H, None, l, hi, tr, det)
+    window, window0 = H[l : hi + 1, l : hi + 1], H0[l : hi + 1, l : hi + 1]
+    assert np.all(np.isfinite(window))
+    assert np.all(np.tril(window, -2) == 0.0)
+    assert not np.array_equal(window, window0)
+    assert _nearest_match_distance(np.linalg.eigvals(window), np.linalg.eigvals(window0)) <= 1e-12
+    assert H[outside].tobytes() == H0[outside].tobytes()
+
+
 def test_householder_on_strided_column_is_bitwise_the_norm_formula():
     # the norm is taken on the contiguous copy; a dot on the strided view
     # can change the last bit
@@ -467,6 +569,19 @@ def test_reorder_refuses_coincident_larger_blocks(A, rows):
     with pytest.raises(BlockSwapError) as info:
         reorder_schur(dec, [len(dec.blocks) - 1])
     assert rows in str(info.value)
+
+
+@pytest.mark.parametrize("coupling", [1e160, -1e300])
+def test_reorder_swaps_across_a_coupling_whose_square_overflows(coupling):
+    # the reflector of [X; 1], X = coupling, is built from the vector scaled
+    # by a power of two: squaring X itself would overflow, give G = I and
+    # leave the blocks in their old order
+    S = np.array([[1.0, coupling], [0.0, 2.0]])
+    dec = SchurDecomposition(Q=np.eye(2), T=S.T.copy(), blocks=_scan_blocks_upper(S))
+    re = reorder_schur(dec, [1])
+    assert [blk.eigenvalues[0] for blk in re.blocks] == [pytest.approx(2.0), pytest.approx(1.0)]
+    assert max_abs(re.Q.T @ re.Q - np.eye(2)) <= 64 * 2 * EPS
+    assert max_abs(re.Q @ re.T @ re.Q.T - dec.T) <= 1024 * 2 * EPS * max_abs(dec.T)
 
 
 @pytest.mark.parametrize(
