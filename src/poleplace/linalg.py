@@ -265,21 +265,33 @@ _CLAMP = 16.0 * EPS
 
 
 def _block_disc(a, b, c, d):
+    """Discriminant of a 2x2 block, its rounding clamp and their scale.
+
+    The block is scaled by the power of two ``2**e`` that brings its largest
+    entry into [0.5, 1) before squaring, so the squares neither overflow nor
+    underflow whatever the block's size; the discriminant and the clamp
+    returned are those of the scaled block, so ``2**e sqrt(|disc|)`` is the
+    unscaled root.  A power of two changes no rounding in between, so on
+    blocks of moderate size the result is bitwise the unscaled arithmetic.
+    """
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    s = math.ldexp(1.0, -e)
+    a, b, c, d = float(a) * s, float(b) * s, float(c) * s, float(d) * s
     p = 0.5 * (a - d)
     scale = abs(a) + abs(b) + abs(c) + abs(d)
-    return p * p + b * c, _CLAMP * scale * scale
+    return p * p + b * c, _CLAMP * scale * scale, e
 
 
 def _block_eigs(a, b, c, d) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 block, as an exact conjugate or real pair."""
     m = 0.5 * (a + d)
-    disc, clamp = _block_disc(a, b, c, d)
+    disc, clamp, e = _block_disc(a, b, c, d)
     if disc >= 0.0:
-        sq = math.sqrt(disc)
+        sq = math.ldexp(math.sqrt(disc), e)
         return complex(m + sq), complex(m - sq)
     if disc >= -clamp:
         return complex(m), complex(m)
-    im = math.sqrt(-disc)
+    im = math.ldexp(math.sqrt(-disc), e)
     return complex(m, im), complex(m, -im)
 
 
@@ -310,12 +322,12 @@ def _standardize_2x2(H, Q, i, allow_split=True):
     c, d = H[i + 1, i], H[i + 1, i + 1]
     if c == 0.0:
         return
-    disc, clamp = _block_disc(a, b, c, d)
+    disc, clamp, e = _block_disc(a, b, c, d)
     if disc >= 0.0:
         if not allow_split:
             return
         p = 0.5 * (a - d)
-        sq = math.sqrt(disc)
+        sq = math.ldexp(math.sqrt(disc), e)
         lam = 0.5 * (a + d) + (sq if p >= 0.0 else -sq)
         v0, v1 = lam - d, c
         nv = math.hypot(v0, v1)
@@ -546,22 +558,23 @@ def _swap_adjacent_upper(S, Z, i, p, q):
     the orthogonal factor G of ``[X; I]`` carries the moved invariant basis
     and is applied as a similarity.  For two 1x1 blocks X is the quotient
     ``-a12 / (a11 - a22)`` and G a plane rotation, backward stable by
-    construction, so the swap is refused only when the blocks coincide,
-    ``(a11 - a22)**2 == 0``.  A larger swap is refused when its Kronecker
-    system is singular to working precision, or when the swapped local
-    block ``E = G.T @ D @ G`` fails the backward-error test of LAPACK's
-    dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the swap
-    zeroes, and the error of rebuilding D from E without it, must both
+    construction, so the swap is refused only when the blocks lie so close
+    that the quotient is infinite.  A larger swap is refused when its
+    Kronecker system is singular to working precision, or when the swapped
+    local block ``E = G.T @ D @ G`` fails the backward-error test of
+    LAPACK's dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the
+    swap zeroes, and the error of rebuilding D from E without it, must both
     stay within ``max(10 eps max|D|, tiny)``.  The test only reads G, so
     an accepted swap's arithmetic does not depend on it.
     """
     rows = slice(i, i + p + q)
     where = f"rows {i}..{i + p - 1} and {i + p}..{i + p + q - 1}"
     if p == q == 1:
-        d = S[i, i] - S[i + 1, i + 1]
-        if d * d == 0.0:
+        d = float(S[i, i] - S[i + 1, i + 1])
+        x = -float(S[i, i + 1]) / d if d != 0.0 else math.inf
+        if math.isinf(x):
             raise BlockSwapError(f"cannot swap blocks at {where}: the blocks coincide")
-        X = np.array([[-S[i, i + 1] / d]])
+        X = np.array([[x]])
     else:
         A11 = S[i : i + p, i : i + p]
         A12 = S[i : i + p, i + p : i + p + q]
@@ -635,6 +648,14 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
 
 # ---------------------------------------------------------------------------
 # eigenvalue matching and the invariant split
+
+
+def _match_tol(A) -> float:
+    """Tolerance within which a requested eigenvalue of A matches a computed
+    one: 1e-6 times the power of two above max|A|.  It is relative, so a
+    scaled matrix matches the same blocks, and exactly so under a power of
+    two; for max|A| in [0.5, 1) it is 1e-6."""
+    return math.ldexp(1e-6, math.frexp(max_abs(A))[1])
 
 
 def _match_values(targets, candidates, tol):
@@ -730,7 +751,8 @@ def invariant_split(A, moved) -> InvariantSplit:
     """Split state space along the invariant subspace of chosen eigenvalues.
 
     ``moved`` names eigenvalues of A (matched against the computed
-    spectrum within ``1e-6 * max(1, max|A|)``; see ``_select_blocks``).
+    spectrum within ``_match_tol(A)``, relative to max|A|; see
+    ``_select_blocks``).
     The underlying Schur form is reordered so those eigenvalues lead, and
     the orthonormal basis is cut after them.
     """
@@ -740,8 +762,7 @@ def invariant_split(A, moved) -> InvariantSplit:
     if not 1 <= len(moved) <= n:
         raise ValidationError(f"moved set has {len(moved)} values, expected 1..{n}")
     dec = real_schur(A)
-    tol = 1e-6 * max(1.0, max_abs(A))
-    re = reorder_schur(dec, _select_blocks(dec, moved, tol))
+    re = reorder_schur(dec, _select_blocks(dec, moved, _match_tol(A)))
     r = len(moved)
     lead = [z for blk in re.blocks if blk.start < r for z in blk.eigenvalues]
     rest = [z for blk in re.blocks if blk.start >= r for z in blk.eigenvalues]

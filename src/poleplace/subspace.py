@@ -23,13 +23,13 @@ from .errors import (
 )
 from .linalg import (
     _feed_leading,
+    _match_tol,
     _match_values,
     _select_blocks,
     condition_number,
     eigenvalues,
     invariant_split,
     krylov,
-    max_abs,
     real_schur,
     reorder_schur,
     solve_linear,
@@ -175,8 +175,7 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     eigenvalues of A) and replaced by its ``to`` set.  Later groups may
     re-move values placed by earlier ones.
     """
-    tol = 1e-6 * max(1.0, max_abs(sys.A))
-    return _play_plan(list(eigenvalues(sys.A)), plan, tol)
+    return _play_plan(list(eigenvalues(sys.A)), plan, _match_tol(sys.A))
 
 
 def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
@@ -243,7 +242,7 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
     if not plan.groups:
         raise ValidationError("plan has no groups")
     dec = real_schur(sys.A)
-    tol = 1e-6 * max(1.0, max_abs(sys.A))
+    tol = _match_tol(sys.A)
     expected = _play_plan([z for blk in dec.blocks for z in blk.eigenvalues], plan, tol)
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []

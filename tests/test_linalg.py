@@ -708,6 +708,96 @@ def test_reorder_property_on_random_forms():
     check()
 
 
+def test_reorder_property_on_repeated_and_near_coincident_spectra():
+    # Criterion 7's bounds on every reorder that is accepted, over the
+    # inputs that break naive swaps: rotated matrices whose eigenvalues all
+    # come twice, and rotated complex pairs a hair apart.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        kind = draw(st.sampled_from(["repeated", "near-pairs"]))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "repeated":
+            m = draw(st.integers(1, 8))
+            B = rng.uniform(-1, 1, (m, m))
+            if draw(st.booleans()):
+                B = np.triu(B)  # real and integer-free but still repeated
+            core = np.kron(np.eye(2), B)
+        else:
+            pairs = draw(st.integers(2, 6))
+            gap = 10.0 ** -draw(st.integers(6, 14))
+            core = np.triu(rng.uniform(-1, 1, (2 * pairs, 2 * pairs)))
+            for i in range(pairs):
+                c = 0.5 * (i // 2) + gap * (i % 2)  # the pairs come two by two
+                im = 1.0 + gap * rng.uniform(-1, 1)
+                r = 2.0 ** draw(st.integers(-2, 2))
+                core[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, im * r], [-im / r, c]]
+        n = core.shape[0]
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = scale * (Q @ core @ Q.T)
+        # block i is selected when flags[i] is set, and the last block
+        # always is, so most selections have a block to move forward
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return A, flags
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        A, flags = case
+        n = A.shape[0]
+        dec = real_schur(A)
+        select = [i for i in range(len(dec.blocks) - 1) if flags[i]] + [len(dec.blocks) - 1]
+        try:
+            re = reorder_schur(dec, select)
+        except BlockSwapError:
+            return  # a refusal is allowed; an accepted swap must be accurate
+        assert max_abs(re.Q.T @ re.Q - np.eye(n)) <= 64 * n * EPS
+        assert max_abs(re.Q @ re.T @ re.Q.T - A) <= 1024 * n * EPS * max_abs(A)
+
+    check()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, seed", [(1e160, 0), (1e300, 0), (1e-300, 1)])
+def test_reorder_at_extreme_scales_neither_overflows_nor_refuses(scale, seed):
+    # Block discriminants are squared after a power-of-two scaling, so a
+    # form of 1e160 * A no longer overflows in reorder_schur, and a swap
+    # of 1x1 blocks 1e-300 apart is no longer taken for coincident blocks.
+    rng = np.random.default_rng(seed)
+    A = scale * rng.uniform(-1, 1, (6, 6))
+    dec = real_schur(A)
+    for block in range(len(dec.blocks)):
+        re = reorder_schur(dec, [block])
+        assert re.blocks[0].eigenvalues == pytest.approx(dec.blocks[block].eigenvalues, rel=1e-9)
+        assert max_abs(re.Q.T @ re.Q - np.eye(6)) <= 64 * 6 * EPS
+        assert max_abs(re.Q @ re.T @ re.Q.T - A) <= 1024 * 6 * EPS * max_abs(A)
+
+
+def test_block_eigenvalues_bitwise_unchanged_by_the_scaling():
+    # on blocks of moderate size the power of two changes no rounding: the
+    # eigenvalues are the bits of the unscaled formula
+    def unscaled(a, b, c, d):
+        m = 0.5 * (a + d)
+        p = 0.5 * (a - d)
+        disc = p * p + b * c
+        s = abs(a) + abs(b) + abs(c) + abs(d)
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            return complex(m + sq), complex(m - sq)
+        if disc >= -16.0 * EPS * s * s:
+            return complex(m), complex(m)
+        im = math.sqrt(-disc)
+        return complex(m, im), complex(m, -im)
+
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        a, b, c, d = rng.uniform(-1, 1, 4) * 10.0 ** rng.integers(-100, 100, 4)
+        assert linalg._block_eigs(a, b, c, d) == unscaled(a, b, c, d)
+
+
 # ---------------------------------------------------------------------------
 # invariant_split
 
@@ -775,6 +865,26 @@ def test_invariant_split_matching_errors():
     with pytest.raises(AmbiguousMatchError) as info:
         invariant_split(np.diag([1.0, 1.0 + 1e-9, 3.0]), [1.0])
     assert "ambiguous" in str(info.value)
+
+
+def test_invariant_split_tolerance_is_relative_to_the_matrix():
+    # at max|A| ~ 1e-160 an absolute tolerance of 1e-6 took all six
+    # eigenvalues for the requested pair; a relative one moves the blocks
+    # the unscaled split moves
+    rng = np.random.default_rng(0)
+    A = rng.uniform(-1, 1, (6, 6))
+    for scale in (1e-160, 1.0, 1e160):
+        lam = [z for z in eigenvalues(scale * A) if z.imag > 0][0]
+        small = invariant_split(scale * A, [lam, lam.conjugate()])
+        lam = [z for z in eigenvalues(A) if z.imag > 0][0]
+        plain = invariant_split(A, [lam, lam.conjugate()])
+        # the same invariant subspace and the same values, scaled
+        assert max_abs(small.U @ small.U.T - plain.U @ plain.U.T) <= 1e-9
+        got = sorted(small.moved.values, key=lambda z: z.imag)
+        want = sorted((scale * z for z in plain.moved.values), key=lambda z: z.imag)
+        assert got == pytest.approx(want, rel=1e-9)
+    assert linalg._match_tol(A) == 1e-6
+    assert linalg._match_tol(np.ldexp(A, -600)) == math.ldexp(1e-6, -600)
 
 
 def test_invariant_split_rejects_half_pair():

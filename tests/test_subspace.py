@@ -405,7 +405,7 @@ def test_sequential_steps_freeze_the_blocks_they_do_not_move():
         sys, _, _ = _dense_system(rng, n)
         plan = paired_plan(sys, _draw_targets(rng, n))
         _, records = place_sequential(sys, plan)
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(sys.A))))
+        tol = linalg._match_tol(sys.A)
         before = list(eigenvalues(sys.A))
         for (move, _), rec in zip(plan.groups, records):
             last = max(linalg._match_values(list(move), before, tol))
