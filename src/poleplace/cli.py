@@ -30,7 +30,7 @@ from .subspace import (
     place_simon_mitter,
     plan_targets,
 )
-from .verify import charpoly_residual, closed_loop, spectrum_distance
+from .verify import _bottleneck, charpoly_residual, closed_loop
 
 RESIDUAL_LIMIT = 1e-6
 KAPPA_LIMIT = 1e8
@@ -273,15 +273,6 @@ def cmd_place(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _match_for_display(targets, achieved):
-    pairs = []
-    left = list(achieved)
-    for t in sorted(targets, key=lambda z: (z.real, z.imag)):
-        j = min(range(len(left)), key=lambda i: abs(t - left[i]))
-        pairs.append((t, left.pop(j)))
-    return pairs
-
-
 def cmd_verify(args) -> int:
     if args.gain == "-":
         report = _read_json("-")
@@ -317,12 +308,14 @@ def cmd_verify(args) -> int:
         )
 
     cres = charpoly_residual(sys_, k, targets)
-    achieved = eigenvalues(closed_loop(sys_, k))
-    sres = spectrum_distance(targets, achieved)
+    achieved = list(eigenvalues(closed_loop(sys_, k)))
+    # the table shows the pairing that defines spectrum_residual
+    sres, pairing = _bottleneck(targets, achieved)
     print(f"charpoly_residual  {cres:.6e}")
     print(f"spectrum_residual  {sres:.6e}")
     print(f"{'target':>24}  {'achieved':>24}  {'distance':>10}")
-    for t, a in _match_for_display(targets, achieved):
+    pairs = [(t, achieved[j]) for t, j in zip(targets, pairing)]
+    for t, a in sorted(pairs, key=lambda pair: (pair[0].real, pair[0].imag)):
         print(f"{format_pole(t):>24}  {format_pole(a):>24}  {abs(t - a):>10.3e}")
     if cres <= RESIDUAL_LIMIT:
         print(f"ok: charpoly_residual <= {RESIDUAL_LIMIT:g}")

@@ -113,44 +113,6 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
     return CanonicalForm(A_c=A_c, b_c=b_c, C=C, C_c=C_c, p=q)
 
 
-def gamma_vector(q: Polynomial, n: int) -> np.ndarray:
-    """Ascending coefficients of q padded to length n.
-
-    Coefficients beyond index n-1 must be exactly zero; a polynomial of
-    true degree n or more does not fit and is rejected.
-    """
-    c = q.coeffs
-    if c.size > n and np.any(c[n:] != 0.0):
-        raise ValidationError(
-            f"polynomial of degree {q.degree} does not fit in {n} coefficients"
-        )
-    out = np.zeros(n)
-    m = min(n, c.size)
-    out[:m] = c[:m]
-    return out
-
-
-def gamma_full(factor: Polynomial, q_n: Polynomial) -> np.ndarray:
-    """Length-n coefficient vector of ``factor`` reduced modulo ``q_n``.
-
-    ``factor`` is the monic product of the target eigenvalues that are
-    not pulled out as matrix factors.  Its degree is at most n; at exactly
-    n one copy of the monic ``q_n`` is subtracted, which cancels the
-    leading term exactly and leaves the negated Bass-Gura difference
-    vector ``factor - q_n``.
-    """
-    n = q_n.degree
-    if not (factor.is_monic and q_n.is_monic):
-        raise ValidationError("gamma_full expects monic polynomials")
-    if factor.degree > n:
-        raise ValidationError(
-            f"factor degree {factor.degree} exceeds the system degree {n}"
-        )
-    if factor.degree == n:
-        return gamma_vector(Polynomial(factor.coeffs - q_n.coeffs), n)
-    return gamma_vector(factor, n)
-
-
 def _solve_controllability(C, rhs) -> np.ndarray:
     """Solve ``C^T x = rhs`` against a controllability matrix.
 
@@ -229,8 +191,13 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
     else:
         cf = controller_canonical(sys)
         C = cf.C
+        f = monic_from_roots(rest).coeffs
+        if f.size > n:
+            # degree n: one copy of p cancels the leading 1 exactly
+            f = (f - cf.p.coeffs)[:n]
+        gamma = np.zeros(n)
         # 0.0 - x, not -x: exact zeros stay positive, as in p - f
-        gamma = 0.0 - gamma_full(monic_from_roots(rest), cf.p)
+        gamma[: f.size] = 0.0 - f
         row = cf.C_c.T @ gamma
     k = _solve_controllability(C, row)
     if len(pulled) > 0:

@@ -10,7 +10,7 @@ assignment takes the Schur form once and carries it through every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,24 +112,16 @@ def place_partial(sys: StateSpace, move, to) -> Gain:
     """Move a chosen part of the spectrum, leaving the rest untouched.
 
     ``move`` names eigenvalues of A and ``to`` their replacements, both
-    self-conjugate and of equal size.  The kept eigenvalues are protected
-    structurally, by working entirely inside the reordered invariant
-    subspace, not by cancellation.
+    self-conjugate and of equal size.  This is a one-group sequential
+    run: the kept eigenvalues are protected structurally, by working
+    entirely inside the reordered invariant subspace, not by cancellation.
+    The diagnostics score the gain against ``plan_targets`` of that group.
     """
     move = _as_spectrum(move)
-    to = _as_spectrum(to)
-    if len(move) != len(to):
-        raise ValidationError(
-            f"moving {len(move)} eigenvalues to {len(to)} values"
-        )
-    split = invariant_split(sys.A, move)
-    k, _, _, kappa = _gain_on_split(sys.b, split.U, split.X, to)
-    full = Spectrum(tuple(to) + tuple(split.kept))
-    return Gain(
-        k=k,
-        method="partial",
-        diagnostics=assemble_diagnostics(sys, k, full, step_kappas=(kappa,)),
-    )
+    if len(move) > sys.n:
+        raise ValidationError(f"moved set has {len(move)} values, expected 1..{sys.n}")
+    gain, _ = place_sequential(sys, AssignmentPlan(((move, to),)))
+    return replace(gain, method="partial")
 
 
 def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:

@@ -64,60 +64,86 @@ def charpoly_residual(sys, k, targets) -> float:
     return float(np.max(num / den))
 
 
-def _bottleneck_assign(d) -> float:
-    """Smallest achievable largest pairing distance, exactly.
+def _perfect_matching(allowed, start):
+    """Perfect matching inside the boolean matrix ``allowed``, grown from
+    the partial matching ``start`` (row -> column, -1 when free) by
+    breadth-first augmenting paths; None when there is none.
 
-    Binary search over the distinct distances; feasibility of each
-    threshold is a bipartite matching question answered by augmenting
-    paths.
+    A free row with no augmenting path proves that no perfect matching
+    exists, so the search stops at the first one.
     """
+    col_of = list(start)
+    row_of = [-1] * len(col_of)
+    for r, c in enumerate(col_of):
+        if c >= 0:
+            row_of[c] = r
+    for u in [r for r, c in enumerate(col_of) if c < 0]:
+        reached = {}  # column -> the row it was reached from
+        queue, free = [u], -1
+        for r in queue:  # the loop also visits the rows appended below
+            for c in np.flatnonzero(allowed[r]).tolist():
+                if c not in reached:
+                    reached[c] = r
+                    if row_of[c] < 0:
+                        free = c
+                        break
+                    queue.append(row_of[c])
+            if free >= 0:
+                break
+        if free < 0:
+            return None
+        while free >= 0:  # flip the path back to u
+            r = reached[free]
+            row_of[free] = r
+            col_of[r], free = free, col_of[r]
+    return col_of
+
+
+def _bottleneck(got, want):
+    """Exact bottleneck matching of two equal-size, nonempty value lists.
+
+    Returns the smallest achievable largest distance ``|got[i] - want[j]|``
+    over one-to-one pairings, and a pairing attaining it: ``pairing[i]``
+    indexes the value of ``want`` paired with ``got[i]``.  Every row and
+    column of the distance matrix must use one of its entries, so the
+    largest row or column minimum bounds the answer from below; the greedy
+    pairing, closest remaining pair first, bounds it from above.  Only the
+    distinct distances between the two bounds are bisected, each tested
+    for a perfect matching.
+    """
+    g = np.array(list(got), dtype=complex)
+    w = np.array(list(want), dtype=complex)
+    d = np.abs(g[:, None] - w[None, :])
     n = d.shape[0]
-    levels = np.unique(d)
-
-    def feasible(limit):
-        match = [-1] * n
-        allowed = d <= limit
-
-        def augment(u, seen):
-            for v in range(n):
-                if allowed[u, v] and not seen[v]:
-                    seen[v] = True
-                    if match[v] < 0 or augment(match[v], seen):
-                        match[v] = u
-                        return True
-            return False
-
-        return all(augment(u, [False] * n) for u in range(n))
-
-    lo, hi = 0, levels.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(levels[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(levels[lo])
-
-
-def _greedy_assign(d) -> float:
-    """Cheap upper bound on the bottleneck distance for larger spectra."""
-    n = d.shape[0]
+    pairing = [-1] * n
     work = d.copy()
-    out = 0.0
     for _ in range(n):
         i, j = np.unravel_index(int(np.argmin(work)), work.shape)
-        out = max(out, float(work[i, j]))
+        pairing[i] = int(j)
         work[i, :] = np.inf
         work[:, j] = np.inf
-    return out
+    best = d[np.arange(n), pairing].max()
+    floor = max(d.min(axis=0).max(), d.min(axis=1).max())
+    levels = np.unique(d[(d >= floor) & (d < best)])
+    lo, hi = 0, levels.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        limit = levels[mid]
+        start = [j if d[i, j] <= limit else -1 for i, j in enumerate(pairing)]
+        found = _perfect_matching(d <= limit, start)
+        if found is None:
+            lo = mid + 1
+        else:
+            best, pairing, hi = limit, found, mid
+    return float(best), pairing
 
 
 def spectrum_distance(got, want) -> float:
     """Bottleneck distance between two equal-size spectra.
 
     The value is the largest pointwise distance under the best one-to-one
-    pairing.  Exact (matching-based) up to 12 values, greedy beyond; the
-    greedy answer can only overestimate.
+    pairing, exact at every size; ``poleplace verify`` prints that
+    pairing.
     """
     got = _as_spectrum(got)
     want = _as_spectrum(want)
@@ -127,12 +153,7 @@ def spectrum_distance(got, want) -> float:
         )
     if len(got) == 0:
         return 0.0
-    g = np.array(list(got), dtype=complex)
-    w = np.array(list(want), dtype=complex)
-    d = np.abs(g[:, None] - w[None, :])
-    if len(got) <= 12:
-        return _bottleneck_assign(d)
-    return _greedy_assign(d)
+    return _bottleneck(got, want)[0]
 
 
 def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:

@@ -264,6 +264,19 @@ def test_place_partial_rejects_multiple_groups(tmp_path, capsys):
     assert "exactly one group" in capsys.readouterr().err
 
 
+def test_place_partial_rejects_moving_more_than_n(tmp_path, capsys):
+    rc = main(
+        [
+            "place",
+            "--system", diag_system(tmp_path),
+            "--plan", groups_plan(tmp_path, [(["1", "1", "2"], ["-1", "-2", "-3"])]),
+            "--method", "partial",
+        ]
+    )
+    assert rc == 2
+    assert "moved set has 3 values" in capsys.readouterr().err
+
+
 def test_place_simon_mitter_null_shift(tmp_path, capsys):
     rc = main(
         [
@@ -485,6 +498,32 @@ def test_verify_accepts_exact_gain_at_n64(tmp_path, capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip().endswith("ok: charpoly_residual <= 1e-06")
+
+
+def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
+    # a perturbed gain moves every eigenvalue, so nearest-first pairing in
+    # target order would overstate the largest distance
+    rng = np.random.default_rng(31)
+    for n in (6, 10, 16):
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        poles = [format_pole(complex(v)) for v in np.linspace(-2.0, -0.5, n)]
+        k = rng.uniform(-1.0, 1.0, n)
+        assert main(
+            [
+                "verify",
+                "--system", write_json(tmp_path / "s.json", {"n": n, "A": A.tolist(), "b": b.tolist()}),
+                "--plan", poles_plan(tmp_path, poles),
+                "--gain=" + ",".join(repr(float(v)) for v in k),
+            ]
+        ) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        residual = lines[1].split()
+        assert residual[0] == "spectrum_residual"
+        rows = [line.split() for line in lines[3 : 3 + n]]
+        assert [row[0] for row in rows] == poles
+        largest = max(abs(parse_pole(t) - parse_pole(a)) for t, a, _ in rows)
+        assert f"{largest:.6e}" == residual[1]
 
 
 def test_verify_gain_must_be_real(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from poleplace import (
-    Polynomial,
     Spectrum,
     StateSpace,
     controllability_matrix,
@@ -20,11 +19,7 @@ from poleplace.errors import (
     ValidationError,
 )
 from poleplace import placement
-from poleplace.placement import (
-    gamma_full,
-    gamma_vector,
-    omega_vector,
-)
+from poleplace.placement import omega_vector
 from poleplace.verify import spectrum_distance
 
 
@@ -91,37 +86,7 @@ def test_controller_canonical_similarity():
 
 
 # ---------------------------------------------------------------------------
-# coefficient vectors
-
-
-def test_gamma_vector_pads():
-    assert np.array_equal(gamma_vector(Polynomial([3.0, 1.0]), 4), [3.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(gamma_vector(Polynomial([1.0]), 3), [1.0, 0.0, 0.0])
-    assert np.array_equal(gamma_vector(Polynomial([1.0, 2.0, 0.0, 0.0]), 2), [1.0, 2.0])
-
-
-def test_gamma_vector_rejects_overflow():
-    with pytest.raises(ValidationError):
-        gamma_vector(Polynomial([0.0, 0.0, 1.0]), 2)
-
-
-def test_gamma_full_degree_n_subtracts_open_loop():
-    g = gamma_full(Polynomial([2.0, 3.0, 1.0]), Polynomial([0.0, 0.0, 1.0]))
-    assert np.array_equal(g, [2.0, 3.0])
-    g = gamma_full(Polynomial([2.0, 3.0, 1.0]), Polynomial([2.0, 3.0, 1.0]))
-    assert np.array_equal(g, [0.0, 0.0])
-
-
-def test_gamma_full_lower_degree_passes_through():
-    g = gamma_full(Polynomial([2.0, 1.0]), Polynomial([5.0, 0.0, 0.0, 1.0]))
-    assert np.array_equal(g, [2.0, 1.0, 0.0])
-
-
-def test_gamma_full_validates():
-    with pytest.raises(ValidationError):
-        gamma_full(Polynomial([1.0, 2.0]), Polynomial([0.0, 0.0, 1.0]))
-    with pytest.raises(ValidationError):
-        gamma_full(Polynomial([0.0, 0.0, 0.0, 1.0]), Polynomial([0.0, 0.0, 1.0]))
+# canonical-frame rows
 
 
 def test_omega_vector_double_integrator():

@@ -27,7 +27,7 @@ from poleplace.cli import _dense_system, _draw_targets
 from poleplace.linalg import condition_number, real_schur
 from poleplace.placement import controllability_matrix
 from poleplace.subspace import plan_targets
-from poleplace.verify import spectrum_distance
+from poleplace.verify import assemble_diagnostics, spectrum_distance
 
 
 def diag_system():
@@ -105,6 +105,30 @@ def test_partial_moves_complex_pair():
 def test_partial_validates_sizes():
     with pytest.raises(ValidationError):
         place_partial(diag_system(), [1.0], [-1.0, -2.0])
+    with pytest.raises(ValidationError):
+        place_partial(diag_system(), [], [])
+    # more values than the system has is an input error, not a failed match
+    with pytest.raises(ValidationError):
+        place_partial(diag_system(), [1.0, 1.0, 2.0], [-1.0, -2.0, -3.0])
+
+
+def test_partial_diagnostics_score_the_plan_targets():
+    rng = np.random.default_rng(229)
+    for _ in range(10):
+        sys = random_controllable(rng, 6)
+        spec = list(eigenvalues(sys.A))
+        pairs = [z for z in spec if z.imag > 0.0]
+        if pairs:
+            move, to = [pairs[0], pairs[0].conjugate()], [-1 + 2j, -1 - 2j]
+        else:
+            move, to = [spec[0]], [-4.0]
+        gain = place_partial(sys, move, to)
+        plan = AssignmentPlan(((move, to),))
+        want = assemble_diagnostics(
+            sys, gain.k, plan_targets(sys, plan),
+            step_kappas=gain.diagnostics.step_kappas,
+        )
+        assert repr(gain.diagnostics) == repr(want)
 
 
 def test_partial_rank_deficiency():

@@ -126,6 +126,57 @@ def test_spectrum_distance_greedy_tail_is_upper_bound():
     assert d >= lower - 1e-15
 
 
+def test_spectrum_distance_is_exact_above_twelve_values():
+    # nearest-first pairing takes 1 with 0.9 and is left with |0 - 2| = 2
+    pad = [100.0 * (i + 1) for i in range(12)]
+    assert spectrum_distance(Spectrum([0.0, 1.0] + pad), Spectrum([0.9, 2.0] + pad)) == 1.0
+
+
+def _random_spectrum(rng, n, grid):
+    vals = []
+    while len(vals) < n:
+        if n - len(vals) >= 2 and rng.random() < 0.5:
+            z = complex(*np.round(rng.uniform(-3, 3, 2) / grid) * grid)
+            z = complex(z.real, abs(z.imag) + grid)
+            vals += [z, z.conjugate()]
+        else:
+            vals.append(complex(np.round(rng.uniform(-3, 3) / grid) * grid))
+    return vals
+
+
+def test_spectrum_distance_property_against_scipy_matching():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+
+    def perfect(allowed):
+        match = csgraph.maximum_bipartite_matching(
+            sparse.csr_matrix(allowed), perm_type="column"
+        )
+        return bool(np.all(match >= 0))
+
+    # a coarse grid makes ties and near-ties, which is where greedy fails
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(13, 40),
+        st.sampled_from([0.5, 0.05, 1e-9]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n, grid, seed):
+        rng = np.random.default_rng(seed)
+        got = _random_spectrum(rng, n, grid)
+        want = _random_spectrum(rng, n, grid)
+        dist = spectrum_distance(Spectrum(got), Spectrum(want))
+        d = np.abs(np.array(got)[:, None] - np.array(want)[None, :])
+        assert perfect(d <= dist)
+        below = d[d < dist]
+        if below.size:
+            assert not perfect(d <= below.max())
+
+    check()
+
+
 def test_spectrum_distance_size_mismatch():
     with pytest.raises(ValidationError):
         spectrum_distance(Spectrum([-1.0]), Spectrum([-1.0, -2.0]))
