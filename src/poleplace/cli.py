@@ -7,6 +7,7 @@ JSON in, JSON or tables out, '-' for stdin/stdout.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -476,7 +477,11 @@ def cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it.  It holds no command
+    functions; ``main`` looks each up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="poleplace",
         description="Single-input pole placement: gains, verification, "
@@ -498,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated pole literals pulled into matrix factors "
              "(general method only; '' pulls none)",
     )
-    p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("verify", help="check a gain against targets")
     p.add_argument("--system", help="system JSON path ('-' stdin)")
@@ -509,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated gain entries, or '-' to read a placement "
              "report from stdin",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a test system")
     p.add_argument("--n", type=int, required=True)
@@ -519,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["dense", "integrator-chain"],
         default="dense",
     )
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("compare", help="method comparison over random systems")
     p.add_argument("--n", default="4,8,12", help="comma-separated dimensions")
@@ -530,14 +532,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["dense", "integrator-chain"],
         default="dense",
     )
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"place": cmd_place, "verify": cmd_verify, "gen": cmd_gen,
+               "compare": cmd_compare}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except PolePlacementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

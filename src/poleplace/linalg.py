@@ -21,6 +21,16 @@ the strips or Q, so the eigenvalue-only blocks are bitwise
 ``real_schur``'s by construction; ``real_schur`` and ``reorder_schur``
 keep Q.
 
+The hot loops read the matrix into Python floats once per use (the
+diagonals for deflation, shifts and block scans; three entries per bulge
+step), apply each reflector through views into a buffer made once per
+sweep, and solve a swap's Kronecker system with the unchecked elimination
+kernel behind ``solve_linear``.  A Q-free bulge step costs about 11 us at
+n = 20-64 (2-vCPU VM, one BLAS thread), of which its two BLAS products
+take 6-7 us.  Those two products are the floor: a product in another
+order, or outside this BLAS with its FMA-contracted kernels, changes the
+last bits of every result.
+
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
 exact bitwise conjugates; a 2x2 whose discriminant is negative but within
@@ -84,11 +94,16 @@ def solve_linear(M, rhs) -> np.ndarray:
         raise ValidationError(f"right-hand side has {rhs.shape[0]} rows, expected {n}")
     if not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand side must have finite entries")
-    LU = M.copy()
-    perm = np.arange(n)
-    limit = n * EPS * max_abs(M)
+    return _eliminate(M.copy(), rhs, n * EPS * max_abs(M))
+
+
+def _eliminate(LU, rhs, limit) -> np.ndarray:
+    """``solve_linear`` without its checks: overwrites the float matrix LU
+    with its factors and refuses a pivot below ``limit``."""
+    n = LU.shape[0]
+    perm = list(range(n))
     for k in range(n):
-        j = k + int(np.argmax(np.abs(LU[k:, k])))
+        j = k + int(np.abs(LU[k:, k]).argmax())
         pivot = LU[j, k]
         if abs(pivot) < limit or pivot == 0.0:
             raise SingularMatrixError(
@@ -97,11 +112,14 @@ def solve_linear(M, rhs) -> np.ndarray:
                 column=k,
             )
         if j != k:
-            LU[[k, j]] = LU[[j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        LU[k + 1 :, k] /= LU[k, k]
-        LU[k + 1 :, k + 1 :] -= LU[k + 1 :, k][:, None] * LU[k, k + 1 :]
-    x = rhs[perm].astype(float)
+            row = LU[k].copy()
+            LU[k] = LU[j]
+            LU[j] = row
+            perm[k], perm[j] = perm[j], perm[k]
+        if k + 1 < n:
+            LU[k + 1 :, k] /= LU[k, k]
+            LU[k + 1 :, k + 1 :] -= LU[k + 1 :, k][:, None] * LU[k, k + 1 :]
+    x = rhs[perm]
     for k in range(1, n):
         x[k] -= LU[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):
@@ -225,7 +243,7 @@ def _householder(x):
     two near its largest entry; the reflector is the same and only alpha
     is scaled back.
     """
-    if not x[1:].any():
+    if not np.count_nonzero(x[1:]):
         return np.zeros_like(x), 0.0, float(x[0])
     v = np.array(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -297,10 +315,13 @@ def _block_eigs(a, b, c, d) -> tuple[complex, complex]:
 
 def _apply_g_full(H, Q, i, G):
     """Apply the 2x2 rotation G as a similarity on rows/cols i, i+1."""
-    H[i : i + 2, :] = G.T @ H[i : i + 2, :]
-    H[:, i : i + 2] = H[:, i : i + 2] @ G
+    R = H[i : i + 2, :]
+    R[...] = G.T @ R
+    C = H[:, i : i + 2]
+    C[...] = C @ G
     if Q is not None:
-        Q[:, i : i + 2] = Q[:, i : i + 2] @ G
+        C = Q[:, i : i + 2]
+        C[...] = C @ G
 
 
 def _standardize_2x2(H, Q, i, allow_split=True):
@@ -318,8 +339,7 @@ def _standardize_2x2(H, Q, i, allow_split=True):
     the rounding clamp: leave the block alone; it stands for a repeated
     real pair.
     """
-    a, b = H[i, i], H[i, i + 1]
-    c, d = H[i + 1, i], H[i + 1, i + 1]
+    (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
     if c == 0.0:
         return
     disc, clamp, e = _block_disc(a, b, c, d)
@@ -352,7 +372,8 @@ def _standardize_2x2(H, Q, i, allow_split=True):
 
 def _reflector(x, y, z):
     """Explicit symmetric 3x3 reflector P with ``P @ (x, y, z) = (alpha, 0, 0)``,
-    returned as ``(P, alpha)``; P is None when y and z are already zero.
+    returned as ``(entries, alpha)``, the entries of P row by row; entries
+    is None when y and z are already zero.
 
     Built from Python floats as LAPACK's dlarfg builds ``I - tau u u^T``
     with ``u[0] = 1``, after scaling by ``|x| + |y| + |z|`` so no square
@@ -369,8 +390,7 @@ def _reflector(x, y, z):
     u1, u2 = y / (x - alpha), z / (x - alpha)
     t1, t2 = tau * u1, tau * u2
     p12 = -t1 * u2
-    P = np.array([1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * u1, p12, -t2, p12, 1.0 - t2 * u2])
-    return P.reshape(3, 3), alpha * s
+    return (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * u1, p12, -t2, p12, 1.0 - t2 * u2), alpha * s
 
 
 def _francis_step(H, Q, l, hi, tr, det):
@@ -378,42 +398,62 @@ def _francis_step(H, Q, l, hi, tr, det):
     Hessenberg H.  The shift pair is given through its trace and
     determinant, so exceptional shifts use the same path.
 
-    Each bulge step applies an explicit 3x3 reflector P (2x2 for the
-    closing step) as ``P @ H[rows, window]`` and ``H[window, cols] @ P``.
-    Those two calls touch only the active block, and they are the same
-    with or without Q: the block's values never read anything outside it,
-    so the eigenvalue-only path (Q None) is bitwise ``real_schur``'s by
-    construction.  Only with Q are the strips beside the block, rows above
-    it and columns right of it, updated as well, as LAPACK's dlahqr does
-    when it wants T.  In the step's rows, column k-1 is written directly as
-    (alpha, 0, 0) and the columns left of it hold exact zeros; rows below
-    the bulge in the step's columns hold exact zeros too.  All are skipped.
+    Each bulge step writes an explicit 3x3 reflector P (2x2 for the
+    closing step) into a buffer made once per sweep and applies it as
+    ``R[...] = P @ R`` and ``C[...] = C @ P`` on the views R of its rows
+    and C of its columns in the window.  Those two products touch only the
+    active block, and they are the same with or without Q: the block's
+    values never read anything outside it, so the eigenvalue-only path (Q
+    None) is bitwise ``real_schur``'s by construction.  Only with Q are the
+    strips beside the block, rows above it and columns right of it,
+    updated as well, as LAPACK's dlahqr does when it wants T.  In the
+    step's rows, column k-1 is written directly as (alpha, 0, 0) and the
+    columns left of it hold exact zeros; rows below the bulge in the step's
+    columns hold exact zeros too.  All are skipped.
     """
     n = H.shape[0]
-    x = float(H[l, l] * H[l, l] + H[l, l + 1] * H[l + 1, l] - tr * H[l, l] + det)
-    y = float(H[l + 1, l] * (H[l, l] + H[l + 1, l + 1] - tr))
-    z = float(H[l + 2, l + 1] * H[l + 1, l])
+    top = hi + 1
+    (a, b), (c, d), (_, e) = H[l : l + 3, l : l + 2].tolist()
+    x = a * a + b * c - tr * a + det
+    y = c * (a + d - tr)
+    z = e * c
+    flat3, flat2 = np.empty(9), np.empty(4)
+    P3, P2 = flat3.reshape(3, 3), flat2.reshape(2, 2)
     for k in range(l, hi):
-        m = min(3, hi + 1 - k)  # the closing step reflects two rows, z = 0
+        m = 3 if k + 2 < top else 2  # the closing step reflects two rows, z = 0
         if k > l:
-            x, y, z = (H[k : k + m, k - 1].tolist() + [0.0])[:3]
-        P, alpha = _reflector(x, y, z)
+            if m == 3:
+                x, y, z = H[k : k + 3, k - 1].tolist()
+            else:
+                x, y = H[k : k + 2, k - 1].tolist()
+                z = 0.0
+        entries, alpha = _reflector(x, y, z)
         if k > l:
             H[k, k - 1] = alpha
-            H[k + 1 : k + m, k - 1] = 0.0
-        if P is None:
+            H[k + 1, k - 1] = 0.0
+            if m == 3:
+                H[k + 2, k - 1] = 0.0
+        if entries is None:
             continue
-        if m == 2:
-            P = P[:2, :2]
-        rows = slice(k, k + m)
-        H[rows, k : hi + 1] = P @ H[rows, k : hi + 1]
-        H[l : min(k + 4, hi + 1), rows] = H[l : min(k + 4, hi + 1), rows] @ P
+        if m == 3:
+            flat3[:] = entries
+            P = P3
+        else:
+            flat2[:] = entries[0], entries[1], entries[3], entries[4]
+            P = P2
+        R = H[k : k + m, k:top]
+        R[...] = P @ R
+        C = H[l : min(k + 4, top), k : k + m]
+        C[...] = C @ P
         if Q is not None:
-            if hi + 1 < n:
-                H[rows, hi + 1 :] = P @ H[rows, hi + 1 :]
+            if top < n:
+                R = H[k : k + m, top:]
+                R[...] = P @ R
             if l > 0:
-                H[:l, rows] = H[:l, rows] @ P
-            Q[:, rows] = Q[:, rows] @ P
+                C = H[:l, k : k + m]
+                C[...] = C @ P
+            C = Q[:, k : k + m]
+            C[...] = C @ P
 
 
 def _francis_upper(H, Q, max_sweeps):
@@ -422,16 +462,20 @@ def _francis_upper(H, Q, max_sweeps):
     Subdiagonal entries count as converged when small against their
     diagonal neighbours; every tenth stalled sweep swaps in an exceptional
     shift to break symmetry cycles.  Exceeding the sweep budget raises
-    ConvergenceError carrying the partial factorization.
+    ConvergenceError carrying the partial factorization.  Each pass reads
+    the diagonal and subdiagonal once, as Python floats, for the deflation
+    scan and the shifts.
     """
     n = H.shape[0]
     hi = n - 1
     sweeps = 0
     stalled = 0
     while hi > 0:
+        diag = H.diagonal()[: hi + 1].tolist()
+        sub = H.diagonal(-1)[:hi].tolist()  # sub[j] is H[j + 1, j]
         l = hi
         while l > 0:
-            if abs(H[l, l - 1]) <= EPS * (abs(H[l - 1, l - 1]) + abs(H[l, l])):
+            if abs(sub[l - 1]) <= EPS * (abs(diag[l - 1]) + abs(diag[l])):
                 H[l, l - 1] = 0.0
                 break
             l -= 1
@@ -454,13 +498,13 @@ def _francis_upper(H, Q, max_sweeps):
         sweeps += 1
         stalled += 1
         if stalled % 10 == 0:
-            s = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-            a = 0.75 * s + H[hi, hi]
+            s = abs(sub[hi - 1]) + abs(sub[hi - 2])
+            a = 0.75 * s + diag[hi]
             tr = 2.0 * a
             det = a * a + 0.4375 * s * s
         else:
-            tr = H[hi - 1, hi - 1] + H[hi, hi]
-            det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
+            tr = diag[hi - 1] + diag[hi]
+            det = diag[hi - 1] * diag[hi] - float(H[hi - 1, hi]) * sub[hi - 1]
         _francis_step(H, Q, l, hi, tr, det)
     return sweeps
 
@@ -473,17 +517,19 @@ def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
     serves the lower form as well.
     """
     n = S.shape[0]
+    diag, sub, sup = (S.diagonal(j).tolist() for j in (0, -1, 1))
     blocks = []
     i = 0
     while i < n:
-        if i + 1 < n and S[i + 1, i] != 0.0:
-            lams = _block_eigs(S[i, i], S[i, i + 1], S[i + 1, i], S[i + 1, i + 1])
+        if i + 1 < n and sub[i] != 0.0:
+            lams = _block_eigs(diag[i], sup[i], sub[i], diag[i + 1])
+            if shift:
+                lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+                             for z in lams)
             size = 2
         else:
-            lams = (complex(S[i, i]),)
+            lams = (complex(math.ldexp(diag[i], shift)),)
             size = 1
-        lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-                     for z in lams)
         blocks.append(SchurBlock(i, size, lams))
         i += size
     return tuple(blocks)
@@ -534,19 +580,25 @@ def eigenvalues(A) -> Spectrum:
 # reordering
 
 
+# read-only identities for the swaps' Kronecker systems and bases
+_EYE = {m: np.eye(m) for m in range(1, 5)}
+for _eye in _EYE.values():
+    _eye.flags.writeable = False
+
+
 def _complete_qr(W):
-    """Full orthogonal factor of a tall full-rank W; first q columns span
-    the column space of W."""
+    """Full orthogonal factor of a tall full-rank W of at most four rows;
+    the first q columns span the column space of W."""
     m, q = W.shape
-    G = np.eye(m)
+    G = _EYE[m].copy()
     R = W.copy()
     for k in range(min(q, m - 1)):
         v, beta, alpha = _householder(R[k:, k])
-        if beta != 0.0:
+        if beta == 0.0:
+            continue
+        G[:, k:] -= beta * ((G[:, k:] @ v)[:, None] * v)
+        if k + 1 < q:  # only a later column reads R, and not column k
             R[k:, k:] -= beta * (v[:, None] * (v @ R[k:, k:]))
-            G[:, k:] -= beta * ((G[:, k:] @ v)[:, None] * v)
-        R[k, k] = alpha
-        R[k + 1 :, k] = 0.0
     return G
 
 
@@ -574,38 +626,42 @@ def _swap_adjacent_upper(S, Z, i, p, q):
         x = -float(S[i, i + 1]) / d if d != 0.0 else math.inf
         if math.isinf(x):
             raise BlockSwapError(f"cannot swap blocks at {where}: the blocks coincide")
-        X = np.array([[x]])
+        W = np.array([[x], [1.0]])
     else:
         A11 = S[i : i + p, i : i + p]
         A12 = S[i : i + p, i + p : i + p + q]
         A22 = S[i + p : i + p + q, i + p : i + p + q]
         # I_q (x) A11 - A22.T (x) I_p by broadcasting, from the very products
         # np.kron would form, so its bits match np.kron's, signed zeros too
-        K = (np.eye(q)[:, None, :, None] * A11[None, :, None, :]
-             - A22.T[:, None, :, None] * np.eye(p)[None, :, None, :]).reshape(p * q, p * q)
+        K = (_EYE[q][:, None, :, None] * A11[None, :, None, :]
+             - A22.T[:, None, :, None] * _EYE[p][None, :, None, :]).reshape(p * q, p * q)
         try:
-            X = solve_linear(K, -A12.flatten(order="F")).reshape((p, q), order="F")
+            X = _eliminate(K, -A12.flatten(order="F"), p * q * EPS * np.abs(K).max())
         except SingularMatrixError as exc:
             raise BlockSwapError(
                 f"cannot swap blocks at {where}: coupling system is singular"
             ) from exc
-    G = _complete_qr(np.vstack([X, np.eye(q)]))
+        W = np.concatenate((X.reshape((p, q), order="F"), _EYE[q]))
+    G = _complete_qr(W)
     if p + q > 2:
         D = S[rows, rows]
-        thresh = max(10.0 * EPS * max_abs(D), TINY)
+        thresh = max(10.0 * EPS * np.abs(D).max(), TINY)
         E = G.T @ D @ G
-        err = max_abs(E[q:, :q])
+        err = np.abs(E[q:, :q]).max()
         if err <= thresh:
             E[q:, :q] = 0.0
-            err = max_abs(G @ E @ G.T - D)
+            err = np.abs(G @ E @ G.T - D).max()
         if not err <= thresh:
             raise BlockSwapError(
                 f"cannot swap blocks at {where}: the swapped form has backward "
                 f"error {err:.3e}, above the threshold {thresh:.3e}"
             )
-    S[rows, :] = G.T @ S[rows, :]
-    S[:, rows] = S[:, rows] @ G
-    Z[:, rows] = Z[:, rows] @ G
+    R = S[rows, :]
+    R[...] = G.T @ R
+    C = S[:, rows]
+    C[...] = C @ G
+    C = Z[:, rows]
+    C[...] = C @ G
     S[i + q : i + p + q, i : i + q] = 0.0
     if q == 2:
         _standardize_2x2(S, Z, i, allow_split=False)

@@ -155,7 +155,7 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     lam1 = float(lam1)
     s = float(omega @ sys.b)
     scale = float(np.linalg.norm(omega) * np.linalg.norm(sys.b))
-    if abs(s) < 1e-9 * scale:
+    if abs(s) <= 1e-9 * scale:
         raise InvariantEigenvalueError(
             f"omega^T b = {s:.3e} is negligible against |omega||b| = {scale:.3e}; "
             "this eigenvalue is invariant under feedback through b"

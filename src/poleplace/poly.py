@@ -15,7 +15,6 @@ from collections import Counter
 from typing import Iterable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ValidationError
 
@@ -135,7 +134,7 @@ def monic_from_roots(roots) -> Polynomial:
     factors.sort()
     out = np.array([1.0])
     for f in factors:
-        out = npoly.polymul(out, np.asarray(f))
+        out = np.convolve(out, f)
     out[-1] = 1.0
     return Polynomial(out)
 

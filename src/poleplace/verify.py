@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantEigenvalueError, ValidationError
+from .errors import ValidationError
 from .linalg import condition_number, determinant, eigenvalues, krylov, solve_linear
 from .poly import _as_spectrum, char_poly, monic_from_roots
 
@@ -222,13 +222,8 @@ def adjugate_identity_report(sys, omega, lam1, samples) -> AdjugateReport:
     omega = np.asarray(omega, dtype=float)
     gain = place_eigenpair(sys, omega, lam1)
     Abar = closed_loop(sys, gain.k)
-    s_b = float(omega @ sys.b)
-    scale = float(np.linalg.norm(omega) * np.linalg.norm(sys.b))
-    if abs(s_b) < 1e-9 * scale:
-        raise InvariantEigenvalueError(
-            "omega^T b is negligible; the identity is not defined"
-        )
-    w = omega / s_b
+    # place_eigenpair has refused an omega^T b that is negligible
+    w = omega / float(omega @ sys.b)
     eye = np.eye(sys.n)
     rd = rs = 0.0
     for s in samples:

@@ -8,14 +8,19 @@ them.
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import poleplace
 from poleplace import Spectrum, StateSpace
 from poleplace.cli import (
     _COMPARE_COLUMNS,
+    _build_parser,
     _compare_row,
     _emit_json,
     format_pole,
@@ -703,4 +708,44 @@ def test_sequential_round_trip(tmp_path, capsys, monkeypatch):
     report = capsys.readouterr().out
     monkeypatch.setattr("sys.stdin", io.StringIO(report))
     assert main(["verify", "--gain", "-"]) == 0
+    capsys.readouterr()
+
+
+def test_main_runs_in_one_process_match_separate_processes(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call;
+    # runs of different subcommands, a usage error among them, print and
+    # exit exactly as they do each in a fresh interpreter
+    runs = [
+        ["gen", "--n", "3", "--seed", "4"],
+        ["place", "--system", di_system(tmp_path)],
+        ["verify", "--system", di_system(tmp_path),
+         "--plan", poles_plan(tmp_path, ["-1", "-2"]), "--gain=-2,-3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(poleplace.__file__)))
+    script = "import sys; from poleplace.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, got.out, got.err) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    assert _build_parser() is _build_parser()
+
+
+def test_main_looks_commands_up_when_it_runs(monkeypatch, capsys):
+    # the shared parser holds no command functions, so a command replaced
+    # after the parser was built, as a tracing wrapper does, is the one run
+    from poleplace import cli
+
+    assert main(["gen", "--n", "2"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: calls.append(args.n) or 0)
+    assert main(["gen", "--n", "3"]) == 0
+    assert calls == [3]
     capsys.readouterr()

@@ -8,6 +8,7 @@ and accuracy against LAPACK through numpy, which is an independent route.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -293,6 +294,47 @@ def test_real_schur_property_on_random_matrices():
         ratio = np.abs(np.array(_block_values(dec))[:, None] - w[None, :]) / bound
         rows, cols = optimize.linear_sum_assignment(ratio)
         assert np.all(ratio[rows, cols] <= 1.0)
+
+    check()
+
+
+def test_eigenvalues_property_conjugate_closed_bitwise():
+    # every complex eigenvalue comes with its conjugate bit for bit: the
+    # same real part and the negated imaginary part; the rest are real
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def matrices(draw):
+        kind = draw(st.sampled_from(["dense", "triangular", "pairs"]))
+        n = draw(st.integers(1, 24))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "dense":
+            A = rng.uniform(-1, 1, (n, n))
+        elif kind == "triangular":
+            A = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+            A[np.diag_indices(n)] = rng.integers(-2, 3, n)
+        else:
+            # rotated complex pairs, each with a twin 1e-6 to 1e-14 away
+            L = np.zeros((n, n))
+            for i in range(0, n - 1, 2):
+                a = rng.uniform(-1, 1) + (10.0 ** -rng.integers(6, 15) if i % 4 else 0.0)
+                L[i : i + 2, i : i + 2] = [[a, 0.5], [-0.5, a]]
+            L += np.triu(rng.uniform(-0.1, 0.1, (n, n)), 2)
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            A = Q @ L @ Q.T
+        return A * scale
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(matrices())
+    def check(A):
+        vals = list(eigenvalues(A))
+        assert len(vals) == A.shape[0]
+        upper = Counter((z.real.hex(), z.imag.hex()) for z in vals if z.imag > 0.0)
+        lower = Counter((z.real.hex(), (-z.imag).hex()) for z in vals if z.imag < 0.0)
+        assert upper == lower
+        assert all(z.imag.hex() == "0x0.0p+0" for z in vals if z.imag == 0.0)
 
     check()
 
@@ -625,38 +667,47 @@ def test_swap_refuses_a_swap_that_is_not_backward_stable(monkeypatch, distort):
 def test_reorder_swaps_without_condition_number(monkeypatch):
     # the coupling matrix I (x) A11 - A22.T (x) I is built without np.kron
     # but from the same products, so the solve sees np.kron's bits, signed
-    # zeros included; no swap estimates a condition number
+    # zeros included; no swap estimates a condition number, and none calls
+    # the validated solve_linear: the system is finite and square by
+    # construction, so it goes to the elimination kernel behind it, whose
+    # solution is bitwise the one solve_linear returns
     def refuse(*args, **kwargs):
-        raise AssertionError("condition_number called")
+        raise AssertionError("condition_number or solve_linear called")
 
     swaps, solves = [], []
-    swap, solve = linalg._swap_adjacent_upper, linalg.solve_linear
+    swap, solve = linalg._swap_adjacent_upper, linalg._eliminate
 
     def recording_swap(S, Z, i, p, q):
         swaps.append((S[i : i + p, i : i + p].copy(), S[i + p : i + p + q, i + p : i + p + q].copy()))
         return swap(S, Z, i, p, q)
 
-    def checked_solve(K, rhs):
+    def checked_solve(K, rhs, limit):
         A11, A22 = swaps[-1]
         p, q = len(A11), len(A22)
         want = np.kron(np.eye(q), A11) - np.kron(A22.T, np.eye(p))
         assert K.tobytes() == want.tobytes()
-        solves.append((p, q))
-        return solve(K, rhs)
+        assert limit == p * q * EPS * max_abs(want)
+        x = solve(K, rhs.copy(), limit)
+        solves.append((p, q, want, rhs, x))
+        return x
 
     monkeypatch.setattr(linalg, "condition_number", refuse)
+    monkeypatch.setattr(linalg, "solve_linear", refuse)
     monkeypatch.setattr(linalg, "_swap_adjacent_upper", recording_swap)
-    monkeypatch.setattr(linalg, "solve_linear", checked_solve)
+    monkeypatch.setattr(linalg, "_eliminate", checked_solve)
     rng = np.random.default_rng(59)
     for n in (3, 6, 9, 12):
         A = rng.uniform(-1, 1, (n, n))
         A[rng.uniform(size=(n, n)) < 0.3] *= -0.0
         dec = real_schur(A)
         reorder_schur(dec, list(range(len(dec.blocks)))[::-2])
+    monkeypatch.undo()
     sizes = [(len(A11), len(A22)) for A11, A22 in swaps]
     assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= set(sizes)
     # two 1x1 blocks need no solve
-    assert solves == [size for size in sizes if size != (1, 1)]
+    assert [(p, q) for p, q, *_ in solves] == [size for size in sizes if size != (1, 1)]
+    for *_, K, rhs, x in solves:
+        assert solve_linear(K, rhs).tobytes() == x.tobytes()
 
 
 def test_reorder_property_on_random_forms():

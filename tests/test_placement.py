@@ -158,6 +158,15 @@ def test_place_eigenpair_invariant_mode():
         place_eigenpair(sys, [1.0, 0.0], -5.0)
 
 
+@pytest.mark.parametrize("b, omega", [([0.0, 0.0], [1.0, 0.0]), ([1.0, 1.0], [0.0, 0.0])])
+def test_place_eigenpair_refuses_a_zero_scale(b, omega):
+    # b = 0 or omega = 0 makes omega^T b and its scale both zero; the gate
+    # must refuse it rather than divide by zero into a nan gain
+    sys = StateSpace(A=np.diag([1.0, 2.0]), b=b)
+    with pytest.raises(InvariantEigenvalueError):
+        place_eigenpair(sys, omega, -1.0)
+
+
 def test_place_eigenpair_validates_shape():
     with pytest.raises(ValidationError):
         place_eigenpair(diag_system(), [1.0, 0.0, 0.0], -5.0)

@@ -83,6 +83,46 @@ def test_partial_keeps_the_rest():
         done += 1
 
 
+def test_partial_property_keeps_unmoved_eigenvalues():
+    # criterion 3 over drawn systems: the eigenvalues a partial placement
+    # does not move stay within 1e-7 in the closed loop.  The closed loop
+    # A + b k^T is formed and solved in 30 digits: in doubles, its rounding
+    # alone moves a kept eigenvalue by about eps kappa(lambda) |b| |k|,
+    # which reached 3.6e-4 at |k| = 1.9e6 (n = 9, seed 1901877801) where
+    # the exact closed loop is 2.4e-9 off
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mpmath = pytest.importorskip("mpmath")
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.integers(3, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def check(n, want, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        spec = list(eigenvalues(A))
+        gap = min(abs(spec[i] - spec[j]) for i in range(n) for j in range(i + 1, n))
+        hypothesis.assume(gap >= 0.1)
+        reps = list(rng.permutation([z for z in spec if z.imag >= 0.0]))
+        moved = []
+        for z in reps:
+            if len(moved) >= min(want, n - 1):
+                break
+            moved += [z, z.conjugate()] if z.imag > 0.0 else [z]
+        hypothesis.assume(len(moved) < n)
+        to = [-1.5 - 0.35 * i for i in range(len(moved))]
+        gain = place_partial(StateSpace(A, b), Spectrum(moved), Spectrum(to))
+        with mpmath.workdps(30):
+            M = mpmath.matrix([[mpmath.mpf(A[i, j]) + mpmath.mpf(b[i]) * mpmath.mpf(gain.k[j])
+                                for j in range(n)] for i in range(n)])
+            left = [complex(z) for z in mpmath.eig(M, left=False, right=False)]
+        for z in Spectrum(spec).minus(Spectrum(moved)):
+            near = min(range(len(left)), key=lambda i: abs(left[i] - z))
+            assert abs(left.pop(near) - z) <= 1e-7
+
+    check()
+
+
 def test_partial_moving_everything_matches_full_placement():
     rng = np.random.default_rng(223)
     for _ in range(5):

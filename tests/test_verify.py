@@ -177,6 +177,29 @@ def test_spectrum_distance_property_against_scipy_matching():
     check()
 
 
+def test_spectrum_distance_property_permutation_invariant():
+    # the distance is a property of the two multisets, not of their order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 40),
+        st.sampled_from([0.5, 0.05, 1e-9]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n, grid, seed):
+        rng = np.random.default_rng(seed)
+        got = _random_spectrum(rng, n, grid)
+        want = _random_spectrum(rng, n, grid)
+        dist = spectrum_distance(Spectrum(got), Spectrum(want))
+        for a, b in ((rng.permutation(got), want), (got, rng.permutation(want)),
+                     (rng.permutation(got), rng.permutation(want))):
+            assert spectrum_distance(Spectrum(a), Spectrum(b)) == dist
+
+    check()
+
+
 def test_spectrum_distance_size_mismatch():
     with pytest.raises(ValidationError):
         spectrum_distance(Spectrum([-1.0]), Spectrum([-1.0, -2.0]))
@@ -273,6 +296,13 @@ def test_adjugate_identity_unreachable_mode():
     sys = StateSpace(A=np.diag([1.0, 2.0]), b=[0.0, 1.0])
     with pytest.raises(InvariantEigenvalueError):
         adjugate_identity_report(sys, [1.0, 0.0], -5.0, [4.0])
+
+
+def test_adjugate_identity_zero_input_is_invariant():
+    # with b = 0 the eigenpair gain is refused, not carried on as nan
+    sys = StateSpace(A=np.diag([1.0, 2.0]), b=[0.0, 0.0])
+    with pytest.raises(InvariantEigenvalueError):
+        adjugate_identity_report(sys, [1.0, 0.0], -1.0, [4.0])
 
 
 # ---------------------------------------------------------------------------
