@@ -98,19 +98,26 @@ def solve_linear(M, rhs) -> np.ndarray:
 
 
 def _eliminate(LU, rhs, limit) -> np.ndarray:
-    """``solve_linear`` without its checks: overwrites the float matrix LU
-    with its factors and refuses a pivot below ``limit``."""
+    """``solve_linear`` without its checks: may overwrite the float matrix
+    LU with its factors, and refuses a pivot below ``limit``.
+
+    A 2x2 system with a 1-D right-hand side (a swap between a 1x1 and a
+    2x2 block, a two-value sequential step) is solved in Python floats,
+    with the row loop's pivot choice and its operations in its order.
+    That is bitwise the row loop because each of its dot products has
+    length 1, one rounded product to which the BLAS adds +0.0.  Longer
+    dots stay in the row loop: this BLAS fuses multiply-adds there, so
+    their Python-float counterparts would round differently.
+    """
     n = LU.shape[0]
+    if n == 2 and rhs.ndim == 1:
+        return _eliminate_2x2(LU, rhs, limit)
     perm = list(range(n))
     for k in range(n):
         j = k + int(np.abs(LU[k:, k]).argmax())
         pivot = LU[j, k]
         if abs(pivot) < limit or pivot == 0.0:
-            raise SingularMatrixError(
-                f"matrix is singular to working precision at column {k} "
-                f"(pivot {abs(pivot):.3e}, threshold {limit:.3e})",
-                column=k,
-            )
+            raise _pivot_error(k, pivot, limit)
         if j != k:
             row = LU[k].copy()
             LU[k] = LU[j]
@@ -125,6 +132,36 @@ def _eliminate(LU, rhs, limit) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (x[k] - LU[k, k + 1 :] @ x[k + 1 :]) / LU[k, k]
     return x
+
+
+def _pivot_error(k, pivot, limit):
+    """The refusal of a pivot below ``limit`` at elimination column k."""
+    return SingularMatrixError(
+        f"matrix is singular to working precision at column {k} "
+        f"(pivot {abs(pivot):.3e}, threshold {limit:.3e})",
+        column=k,
+    )
+
+
+def _eliminate_2x2(LU, rhs, limit) -> np.ndarray:
+    """The row loop of ``_eliminate`` at n = 2 on Python floats; LU is left
+    as it is."""
+    (a00, a01), (a10, a11) = LU.tolist()
+    x0, x1 = rhs.tolist()
+    if abs(a10) > abs(a00):  # argmax keeps the first of equal magnitudes
+        a00, a01, a10, a11 = a10, a11, a00, a01
+        x0, x1 = x1, x0
+    if abs(a00) < limit or a00 == 0.0:
+        raise _pivot_error(0, a00, limit)
+    l10 = a10 / a00
+    a11 = a11 - l10 * a01
+    if abs(a11) < limit or a11 == 0.0:
+        raise _pivot_error(1, a11, limit)
+    # the row loop's dots: length 1 (the BLAS adds +0.0) and empty (0.0)
+    x1 = x1 - (l10 * x0 + 0.0)
+    x1 = (x1 - 0.0) / a11
+    x0 = (x0 - (a01 * x1 + 0.0)) / a00
+    return np.array([x0, x1])
 
 
 def determinant(M) -> float:
@@ -675,7 +712,9 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
     ``select`` holds indices into ``dec.blocks``.  Selected blocks bubble
     to the leading positions through adjacent swaps, preserving their
     relative order; a decomposition already in the requested order is
-    returned unchanged.
+    returned unchanged.  The swaps touch no row past the end of the last
+    selected block, so only those leading rows are rescanned; the blocks
+    behind them are ``dec.blocks``' own, whose entries keep their bits.
     """
     nblocks = len(dec.blocks)
     sel = set()
@@ -699,7 +738,10 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
             off = sum(size for size, _ in seq[: jj - 1])
             _swap_adjacent_upper(S, Z, off, seq[jj - 1][0], seq[jj][0])
             seq[jj - 1], seq[jj] = seq[jj], seq[jj - 1]
-    return SchurDecomposition(Q=Z, T=S.T.copy(), blocks=_scan_blocks_upper(S))
+    last = max(sel)
+    end = dec.blocks[last].start + dec.blocks[last].size
+    blocks = _scan_blocks_upper(S[:end, :end]) + dec.blocks[last + 1 :]
+    return SchurDecomposition(Q=Z, T=S.T.copy(), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +823,12 @@ def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> list[int]:
 def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     """Schur form of ``Q @ T @ Q.T + b k^T`` for ``k = Q[:, :r] @ g``, r = len(g).
 
-    That adds ``(Q.T @ b) g^T`` to the leading r columns of T.  T's upper
-    right block is zero, so the trailing block and its eigenvalues stay
-    bitwise unchanged; only the leading r x r block is reduced again.  A
-    1x1 leading block is already reduced and its Q is [[1.0]]; the
+    The leading r rows of T must hold whole blocks.  The feedback adds
+    ``(Q.T @ b) g^T`` to the leading r columns of T.  T's upper right
+    block is zero, so the trailing block and its eigenvalues stay bitwise
+    unchanged; only the leading r x r block is reduced again, and only its
+    r rows are rescanned, while the blocks behind them are ``dec.blocks``'
+    own.  A 1x1 leading block is already reduced and its Q is [[1.0]]; the
     products by that Q still run, because they turn -0.0 into +0.0 as a
     full reduction's products do.
     """
@@ -800,7 +844,10 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     T[r:, :r] = T[r:, :r] @ lead_q
     Q = dec.Q.copy()
     Q[:, :r] = Q[:, :r] @ lead_q
-    return SchurDecomposition(Q=Q, T=T, blocks=_scan_blocks_upper(T.T))
+    blocks = _scan_blocks_upper(T[:r, :r].T) + tuple(
+        blk for blk in dec.blocks if blk.start >= r
+    )
+    return SchurDecomposition(Q=Q, T=T, blocks=blocks)
 
 
 def invariant_split(A, moved) -> InvariantSplit:

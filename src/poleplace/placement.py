@@ -14,7 +14,7 @@ Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,17 +24,25 @@ from .errors import (
     UncontrollableError,
     ValidationError,
 )
-from .linalg import krylov, solve_linear
+from .linalg import SchurDecomposition, krylov, real_schur, solve_linear
 from .poly import Polynomial, _as_spectrum, char_poly, eval_matrix, monic_from_roots
 from .verify import Diagnostics, assemble_diagnostics
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Single-input system ``x' = A x + b u``."""
+    """Single-input system ``x' = A x + b u``.
+
+    A and b are read-only copies of the inputs.  The open-loop Schur form
+    is taken on first use and kept, with read-only Q and T, so that
+    planning and sequential assignment on one system share it.
+    """
 
     A: np.ndarray
     b: np.ndarray
+    _schur: SchurDecomposition | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -47,12 +55,26 @@ class StateSpace:
             )
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValidationError("system matrices must have finite entries")
-        object.__setattr__(self, "A", A.copy())
-        object.__setattr__(self, "b", b.copy())
+        A = A.copy()
+        b = b.copy()
+        A.flags.writeable = False
+        b.flags.writeable = False
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    def _open_loop_schur(self) -> SchurDecomposition:
+        """``real_schur(A)``, computed once per system; its blocks are
+        bitwise ``eigenvalues(A)``."""
+        if self._schur is None:
+            dec = real_schur(self.A)
+            dec.Q.flags.writeable = False
+            dec.T.flags.writeable = False
+            object.__setattr__(self, "_schur", dec)
+        return self._schur
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,13 @@ Instead of inverting the full controllability matrix, these methods
 reorder a Schur form so the eigenvalues being moved lead, compress the
 dynamics onto that subspace, and solve a placement problem of only that
 size.  Eigenvalues outside the subspace provably stay put, and the only
-inversions are as large as the largest group being moved.  Sequential
-assignment takes the Schur form once and carries it through every step.
+inversions are as large as the largest group being moved.
+
+The open-loop Schur form is taken once per system and kept on the
+``StateSpace``: ``paired_plan`` and ``plan_targets`` read its block values,
+which are bitwise ``eigenvalues(A)``, and ``place_sequential`` (so
+``place_partial`` too) carries it through every step.  A step's reorder
+and feedback rescan only the rows they changed.
 """
 
 from __future__ import annotations
@@ -27,10 +32,8 @@ from .linalg import (
     _match_values,
     _select_blocks,
     condition_number,
-    eigenvalues,
     invariant_split,
     krylov,
-    real_schur,
     reorder_schur,
     solve_linear,
 )
@@ -167,13 +170,19 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     eigenvalues of A) and replaced by its ``to`` set.  Later groups may
     re-move values placed by earlier ones.
     """
-    return _play_plan(list(eigenvalues(sys.A)), plan, _match_tol(sys.A))
+    return _play_plan(list(Spectrum(_open_loop_values(sys))), plan, _match_tol(sys.A))
+
+
+def _open_loop_values(sys: StateSpace) -> list[complex]:
+    """The block values of the system's stored Schur form, in block order;
+    as a Spectrum they are bitwise ``eigenvalues(sys.A)``."""
+    return [z for blk in sys._open_loop_schur().blocks for z in blk.eigenvalues]
 
 
 def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
     """Play ``plan`` on the value list ``current``; see ``plan_targets``.
-    ``place_sequential`` plays it on its own Schur form's block values,
-    which are bitwise ``eigenvalues(A)``."""
+    ``plan_targets`` and ``place_sequential`` both play it on the block
+    values of the system's stored Schur form, so they agree bitwise."""
     for move, to in plan.groups:
         matched = _match_values(list(move), current, tol)
         current = [z for i, z in enumerate(current) if i not in set(matched)]
@@ -203,7 +212,7 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
                        key=abs, reverse=True)
         return reals, pairs
 
-    o_reals, o_pairs = buckets(eigenvalues(sys.A))
+    o_reals, o_pairs = buckets(Spectrum(_open_loop_values(sys)))
     t_reals, t_pairs = buckets(targets)
     groups = []
     common = min(len(o_pairs), len(t_pairs))
@@ -221,21 +230,22 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
 def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[StepRecord]]:
     """Run an assignment plan one group at a time, accumulating the gain.
 
-    The Schur form of A is taken once and carried through every step: a
-    step reorders its group's blocks to the front, places them with a row
-    confined to those leading coordinates and folds the feedback into the
-    form, leaving every other eigenvalue bitwise unchanged.  The input
-    direction never changes, so the step rows sum into a single equivalent
-    gain.  A failing step raises with ``step`` and ``records`` attached for
-    everything completed before it.
+    The system's stored Schur form of A (taken once per system, shared
+    with ``paired_plan`` and ``plan_targets``) is carried through every
+    step: a step reorders its group's blocks to the front, places them
+    with a row confined to those leading coordinates and folds the
+    feedback into the form, leaving every other eigenvalue bitwise
+    unchanged.  The input direction never changes, so the step rows sum
+    into a single equivalent gain.  A failing step raises with ``step``
+    and ``records`` attached for everything completed before it.
     """
     if not isinstance(plan, AssignmentPlan):
         plan = AssignmentPlan(tuple(plan))
     if not plan.groups:
         raise ValidationError("plan has no groups")
-    dec = real_schur(sys.A)
+    dec = sys._open_loop_schur()
     tol = _match_tol(sys.A)
-    expected = _play_plan([z for blk in dec.blocks for z in blk.eigenvalues], plan, tol)
+    expected = _play_plan(_open_loop_values(sys), plan, tol)
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
     for step, (move, to) in enumerate(plan.groups, start=1):

@@ -43,6 +43,12 @@ from poleplace.linalg import (
 )
 
 
+def _block_bits(blocks):
+    """Starts, sizes and the exact bits of every block's eigenvalues."""
+    return [(blk.start, blk.size, [(z.real.hex(), z.imag.hex()) for z in blk.eigenvalues])
+            for blk in blocks]
+
+
 def _nearest_match_distance(got, want):
     got = list(got)
     out = 0.0
@@ -89,6 +95,49 @@ def test_solve_residual_bound():
         assert max_abs(M @ x - rhs) <= 1024 * n * EPS * max_abs(M) * max(
             1.0, max_abs(x)
         )
+
+
+def test_eliminate_2x2_scalar_path_is_bitwise_the_row_loop():
+    # a 2x2 system with a 1-D right-hand side is solved in Python floats;
+    # passed as a (2, 1) matrix the same system still takes the row loop,
+    # and both give the same bits, signed zeros included, or refuse the
+    # same pivot with the same message
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # small integers and their negatives make exact zeros of both signs,
+    # pivot ties of equal magnitude and singular pivots
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0]),
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(entries, min_size=6, max_size=6),
+                      st.sampled_from([0.0, 1.0, 1e-3]))
+    # both length-1 dots are -0.0 products subtracted from -0.0
+    @hypothesis.example([1.0, 2.0, 1.0, 3.0, -0.0, -0.0], 0.0)
+    # a pivot tie, which keeps the first row as argmax does
+    @hypothesis.example([-2.0, 1.0, 2.0, 3.0, 1.0, -0.0], 0.0)
+    # a singular second pivot
+    @hypothesis.example([1.0, 2.0, 2.0, 4.0, 1.0, 1.0], 1.0)
+    def check(values, limit_scale):
+        M = np.array(values[:4]).reshape(2, 2)
+        rhs = np.array(values[4:])
+        limit = 2 * EPS * max_abs(M) if limit_scale == 1.0 else limit_scale
+        outcomes = []
+        for b in (rhs, rhs.reshape(2, 1)):
+            try:
+                with np.errstate(all="ignore"):
+                    x = linalg._eliminate(M.copy(), b.copy(), limit)
+                outcomes.append(("x", x.reshape(-1).tobytes()))
+            except SingularMatrixError as exc:
+                outcomes.append(("singular", exc.column, str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    check()
+    with pytest.raises(SingularMatrixError) as info:
+        linalg._eliminate(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]), 1e-12)
+    assert info.value.column == 1
 
 
 def test_solve_validates_shapes():
@@ -755,6 +804,9 @@ def test_reorder_property_on_random_forms():
             assert _nearest_match_distance(got.eigenvalues, want.eigenvalues) <= tol
         values = [z for blk in re.blocks for z in blk.eigenvalues]
         assert _nearest_match_distance(values, scipy_linalg.eigvals(A)) <= tol
+        # only the rows up to the last selected block are rescanned; the
+        # blocks kept from dec are those a full rescan reads, bit for bit
+        assert _block_bits(re.blocks) == _block_bits(_scan_blocks_upper(re.T.T))
 
     check()
 
@@ -969,6 +1021,9 @@ def test_feed_leading_touches_only_the_leading_block():
         assert [blk for blk in new.blocks if blk.start >= r] == [
             blk for blk in dec.blocks if blk.start >= r
         ]
+        # only the leading r rows are rescanned; the rest is a full
+        # rescan's, bit for bit
+        assert _block_bits(new.blocks) == _block_bits(_scan_blocks_upper(new.T.T))
         assert np.all(new.T[:r, r:] == 0.0)
         assert sum(blk.size for blk in new.blocks) == n
         assert max_abs(new.Q.T @ new.Q - np.eye(n)) <= 64 * n * EPS

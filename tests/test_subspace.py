@@ -1,6 +1,8 @@
 """Partial, single-shift, and sequential placement through invariant
 subspaces, plus the planning helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +24,7 @@ from poleplace.errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from poleplace import linalg, subspace
+from poleplace import linalg, placement, subspace
 from poleplace.cli import _dense_system, _draw_targets
 from poleplace.linalg import condition_number, real_schur
 from poleplace.placement import controllability_matrix
@@ -224,12 +226,15 @@ def test_one_value_steps_skip_the_condition_estimate(monkeypatch):
 
     monkeypatch.setattr(subspace, "condition_number", refuse)
     monkeypatch.setattr(linalg, "real_schur", counted)
-    monkeypatch.setattr(subspace, "real_schur", counted)
+    monkeypatch.setattr(placement, "real_schur", counted)
     sys = diag_system()
     assert place_partial(sys, [2.0], [-4.0]).diagnostics.step_kappas == (1.0,)
     assert place_simon_mitter(sys, 1.0, -5.0).diagnostics.step_kappas == (1.0,)
     sizes.clear()
-    gain, _ = place_sequential(sys, AssignmentPlan((((1.0,), (-1.0,)), ((2.0,), (-3.0,)))))
+    # a fresh system: the open-loop form is taken once per system
+    gain, _ = place_sequential(
+        diag_system(), AssignmentPlan((((1.0,), (-1.0,)), ((2.0,), (-3.0,))))
+    )
     assert gain.diagnostics.step_kappas == (1.0, 1.0)
     # nor do they reduce their 1x1 leading block again
     assert sizes == [(2, 2)]
@@ -438,25 +443,87 @@ def test_sequential_completes_on_compare_draws(entropy):
 
 
 def test_sequential_loop_takes_one_schur_form(monkeypatch):
-    # the whole call, expected spectrum and closing diagnostics included,
-    # takes the Schur form of A once; only the r x r leading blocks of the
-    # steps are reduced again
+    # planning, the whole sequential call (expected spectrum and closing
+    # diagnostics included) and plan_targets share one Schur form of A,
+    # stored on the system; only the r x r leading blocks of the steps are
+    # reduced again, and no spectrum of A is computed beside it
     n = 8
-    sizes = []
+    schur_sizes, eig_sizes = [], []
 
-    def counted(A, *args, **kwargs):
-        sizes.append(np.shape(A))
+    def counted_schur(A, *args, **kwargs):
+        schur_sizes.append(np.shape(A))
         return real_schur(A, *args, **kwargs)
 
+    def counted_eigenvalues(A):
+        eig_sizes.append(np.shape(A))
+        return eigenvalues(A)
+
+    for mod in (linalg, placement, subspace):
+        monkeypatch.setattr(mod, "real_schur", counted_schur, raising=False)
+        monkeypatch.setattr(mod, "eigenvalues", counted_eigenvalues, raising=False)
     sys = random_controllable(np.random.default_rng(239), n)
     plan = paired_plan(sys, [-0.5 - 0.25 * i for i in range(n)])
     assert len(plan.groups) >= 4
-    monkeypatch.setattr(linalg, "real_schur", counted)
-    monkeypatch.setattr(subspace, "real_schur", counted, raising=False)
     gain, records = place_sequential(sys, plan)
+    expected = plan_targets(sys, plan)
     assert len(records) == len(plan.groups)
-    assert sizes.count((n, n)) == 1
+    assert schur_sizes.count((n, n)) == 1
+    assert eig_sizes.count((n, n)) == 0
+    assert spectrum_distance(records[-1].spectrum_after, expected) <= 1e-6
     assert gain.diagnostics.charpoly_residual <= 1e-6
+
+
+def _sequential_bytes(sys, targets):
+    """Everything a paired sequential run returns, as exact bytes."""
+    plan = paired_plan(sys, targets)
+    gain, records = place_sequential(sys, plan)
+    out = [repr(plan.groups), gain.k.tobytes(), repr(gain.diagnostics),
+           repr(plan_targets(sys, plan))]
+    for rec in records:
+        out.append((rec.step, rec.kappa, repr(rec.spectrum_after)))
+        out.extend(a.tobytes() for a in
+                   (rec.basis, rec.compression, rec.selector, rec.gain))
+    return out
+
+
+def test_stored_schur_form_gives_the_fresh_results():
+    # a system whose open-loop form is already stored gives byte-equal
+    # plans, gains, step records, diagnostics and plan targets; that form
+    # cannot go stale, since A, b and its Q and T are read-only
+    rng = np.random.default_rng(251)
+    for n in (3, 6, 9, 12):
+        sys, _, _ = _dense_system(rng, n)
+        targets = _draw_targets(rng, n)
+        first = _sequential_bytes(sys, targets)
+        assert sys._schur is not None
+        stored = sys._schur
+        assert _sequential_bytes(sys, targets) == first
+        assert sys._schur is stored
+        fresh = StateSpace(sys.A, sys.b)
+        assert fresh._schur is None
+        assert _sequential_bytes(fresh, targets) == first
+        for arr in (sys.A, sys.b, stored.Q, stored.T):
+            assert not arr.flags.writeable
+
+
+def test_state_space_arrays_are_read_only():
+    A = np.diag([1.0, 2.0])
+    sys = StateSpace(A=A, b=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        sys.A[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        sys.b[1] = 5.0
+    with pytest.raises(ValueError):
+        sys.A += 1.0
+    # the system holds copies: the caller's array stays writeable
+    A[0, 0] = 3.0
+    assert sys.A[0, 0] == 1.0
+    # the stored form is no part of the system's value
+    plan_targets(sys, AssignmentPlan((((1.0,), (-1.0,)),)))
+    assert sys._schur is not None
+    assert repr(sys) == repr(StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0]))
+    (field,) = [f for f in dataclasses.fields(StateSpace) if f.name == "_schur"]
+    assert not (field.init or field.repr or field.compare)
 
 
 def test_sequential_steps_freeze_the_blocks_they_do_not_move():
