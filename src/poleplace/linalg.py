@@ -12,14 +12,20 @@ convention is the lower form ``A = Q @ T @ Q.T`` with T lower quasi
 triangular; internally the iteration runs on the transpose in the familiar
 upper form and the result is transposed back at the boundary.
 
-``eigenvalues`` and ``condition_number`` read only the diagonal blocks, so
-they run the same reduction and iteration with the orthogonal factor left
-out.  A sweep updates the active block l..hi with the same calls either
-way; only ``real_schur`` then also updates the strips beside the block
-(rows above it, columns right of it) and Q.  Nothing in the block reads
-the strips or Q, so the eigenvalue-only blocks are bitwise
-``real_schur``'s by construction; ``real_schur`` and ``reorder_schur``
-keep Q.
+``eigenvalues`` reads only the diagonal blocks, so it runs the same
+reduction and iteration with the orthogonal factor left out.  A sweep
+updates the active block l..hi with the same calls either way; only
+``real_schur`` then also updates the strips beside the block (rows above
+it, columns right of it) and Q.  Nothing in the block reads the strips or
+Q, so the eigenvalue-only blocks are bitwise ``real_schur``'s by
+construction; ``real_schur`` and ``reorder_schur`` keep Q.
+
+``condition_number`` needs no Schur form.  It takes the Householder R of
+its matrix, inverts R by back substitution and multiplies the two
+spectral norms.  Each norm is the largest eigenvalue of a Gram matrix,
+pinned from above and below by repeated squaring.  Forming ``M.T @ M``
+and reading its smallest eigenvalue instead would square the condition
+number.
 
 The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
@@ -51,6 +57,7 @@ from .errors import (
     BlockSwapError,
     ConvergenceError,
     MatchingError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
 )
@@ -201,24 +208,115 @@ def krylov(A, b, m) -> np.ndarray:
 
 
 def condition_number(M) -> float:
-    """Spectral condition number via the eigenvalues of ``M.T @ M``.
+    """Spectral condition number ``sigma_max / sigma_min`` of M, from its
+    Householder R.
 
-    Reuses the package's own Schur iteration rather than an external SVD.
-    Returns ``inf`` when the smallest squared singular value is not
-    distinguishable from zero.
+    M is first scaled by the power of two that brings its largest entry
+    into [0.5, 1), which changes no rounding, so ``2**k M`` gives bitwise
+    the same value.  Householder QR is columnwise backward stable and R
+    has M's singular values.  Then ``kappa = ||R||_2 ||R^-1||_2``, with
+    ``R^-1`` from back substitution and each norm the square root of the
+    largest eigenvalue of its Gram matrix (``_top_eigenvalue``).  That
+    eigenvalue is well conditioned, where the smallest eigenvalue of
+    ``M.T @ M`` would square kappa.  With at most two columns the singular
+    values of the 1x1 or 2x2 R are taken in closed form, as LAPACK's dlas2
+    does.
+
+    Returns ``inf`` for a matrix of lower column rank to working precision:
+    a wide M, or a diagonal entry of R below ``n * ulp(1) * max|R|``, the
+    pivot threshold of ``solve_linear``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValidationError("condition_number needs a nonempty 2-D matrix")
-    if not np.all(np.isfinite(M)):
+    top = float(np.abs(M).max())  # nan or inf when an entry is not finite
+    if not top < math.inf:
         raise ValidationError("condition_number needs finite entries")
-    _, _, blocks = _schur_upper(M.T @ M, None, want_q=False)
-    vals = [z.real for blk in blocks for z in blk.eigenvalues]
-    hi = max(vals)
-    lo = min(vals)
-    if hi <= 0.0 or lo <= 0.0:
+    m, n = M.shape
+    if n > m or top == 0.0:
         return math.inf
-    return math.sqrt(hi / lo)
+    R = np.ldexp(M, -math.frexp(top)[1])
+    for k in range(min(n, m - 1)):
+        v, beta, alpha = _householder(R[k:, k])
+        if beta != 0.0:
+            R[k:, k + 1 :] -= beta * (v[:, None] * (v @ R[k:, k + 1 :]))
+        R[k, k] = alpha
+        R[k + 1 :, k] = 0.0
+    R = R[:n]
+    d = R.diagonal()
+    if np.abs(d).min() < n * EPS * np.abs(R).max():
+        return math.inf
+    if n == 1:
+        return 1.0
+    if n == 2:
+        (f, g), (_, h) = R.tolist()
+        return _kappa_2x2(f, g, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = R / d[:, None]  # unit upper triangular, R = D @ U
+        Y = np.eye(n)  # U^-1, row by row from the bottom
+        for k in range(n - 2, -1, -1):
+            Y[k, k + 1 :] = -(U[k, k + 1 :] @ Y[k + 1 :, k + 1 :])
+        X = Y / d  # R^-1 = U^-1 @ D^-1
+        xtop = float(np.abs(X).max())
+    if not xtop < math.inf:
+        return math.inf
+    xshift = math.frexp(xtop)[1]
+    X = np.ldexp(X, -xshift)
+    rnorm = math.sqrt(_top_eigenvalue(R.T @ R))
+    xnorm = math.sqrt(_top_eigenvalue(X.T @ X))
+    return math.ldexp(rnorm * xnorm, xshift)
+
+
+def _kappa_2x2(f, g, h) -> float:
+    """``sigma_max / sigma_min`` of the upper triangular ``[[f, g], [0, h]]``
+    with f and h nonzero, from its singular values as LAPACK's dlas2
+    computes them: no square of an entry, and both values to a few ulps."""
+    fa, ga, ha = abs(f), abs(g), abs(h)
+    fhmn, fhmx = min(fa, ha), max(fa, ha)
+    s = 1.0 + fhmn / fhmx
+    t = (fhmx - fhmn) / fhmx
+    if ga < fhmx:
+        au = (ga / fhmx) ** 2
+        c = 2.0 / (math.sqrt(s * s + au) + math.sqrt(t * t + au))
+        return (fhmx / c) / (fhmn * c)
+    au = fhmx / ga
+    c = 1.0 / (math.sqrt(1.0 + (s * au) ** 2) + math.sqrt(1.0 + (t * au) ** 2))
+    return (ga / (c + c)) / (2.0 * (fhmn * c) * au)
+
+
+_SETTLED = 1e-8
+
+
+def _top_eigenvalue(G) -> float:
+    """Largest eigenvalue of a nonzero symmetric positive semidefinite G,
+    certified to ``_SETTLED`` relative.
+
+    Repeated squaring gives ``B = G**p`` (p = 1, 2, 4, ...), scaled by a
+    power of two per step.  Two bounds pin the eigenvalue lambda:
+    ``trace(B)**(1/p) >= lambda``, and the Rayleigh quotient of G at the
+    column of B with the largest diagonal entry, ``theta <= lambda``.  That
+    quotient is returned once the two agree to ``_SETTLED``.  With a gap
+    below lambda both converge in a few squarings.  Without a gap, for a
+    top eigenvalue of multiplicity m (G = I for an orthogonal matrix), the
+    trace bound still settles once p exceeds ``ln(m) / _SETTLED``, after
+    about 30 squarings.  After 64 it pins lambda to rounding by itself,
+    and is returned.
+    """
+    B, p, shift = G, 1, 0  # B = G**p / 2**shift
+    for _ in range(64):
+        t = float(B.trace())
+        upper = 2.0 ** ((math.log2(t) + shift) / p)
+        e = math.frexp(t)[1]
+        B = B * math.ldexp(1.0, -e)
+        shift += e
+        v = B[:, int(B.diagonal().argmax())]
+        theta = float(v @ (G @ v)) / float(v @ v)
+        if upper <= theta * (1.0 + _SETTLED):
+            return theta
+        B = B @ B
+        shift *= 2
+        p *= 2
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +438,8 @@ def _block_disc(a, b, c, d):
 def _block_eigs(a, b, c, d) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 block, as an exact conjugate or real pair."""
     m = 0.5 * (a + d)
+    if math.isinf(m):  # a + d overflowed; halving first cannot, and is exact there
+        m = 0.5 * a + 0.5 * d
     disc, clamp, e = _block_disc(a, b, c, d)
     if disc >= 0.0:
         sq = math.ldexp(math.sqrt(disc), e)
@@ -558,31 +658,37 @@ def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
     blocks = []
     i = 0
     while i < n:
-        if i + 1 < n and sub[i] != 0.0:
-            lams = _block_eigs(diag[i], sup[i], sub[i], diag[i + 1])
-            if shift:
-                lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-                             for z in lams)
-            size = 2
-        else:
-            lams = (complex(math.ldexp(diag[i], shift)),)
-            size = 1
+        try:
+            if i + 1 < n and sub[i] != 0.0:
+                lams = _block_eigs(diag[i], sup[i], sub[i], diag[i + 1])
+                if shift:
+                    lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+                                 for z in lams)
+                size = 2
+            else:
+                lams = (complex(math.ldexp(diag[i], shift)),)
+                size = 1
+        except OverflowError:
+            raise NumericalError(
+                f"an eigenvalue of the diagonal block at row {i} overflows the float range"
+            ) from None
         blocks.append(SchurBlock(i, size, lams))
         i += size
     return tuple(blocks)
 
 
 def _schur_upper(A, budget, want_q):
-    """Upper quasi-triangular Schur form H of ``A.T``, its Q (None unless
-    ``want_q``) and its blocks; ``budget`` None means 40 sweeps per
+    """Upper quasi-triangular Schur form H of ``A.T`` and its Q (both None
+    unless ``want_q``), and its blocks; ``budget`` None means 40 sweeps per
     dimension.
 
     A is first scaled by the power of two that brings its largest entry
     into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
     squares in the shifts and in ``_block_disc`` neither overflow nor
     underflow.  The blocks' eigenvalues are read off the scaled form, then
-    they and H are scaled back.  The active block's arithmetic does not
-    depend on ``want_q``, so the blocks are bitwise the same either way.
+    they and H are scaled back; an eigenvalue or an entry of H beyond the
+    float range raises NumericalError.  The active block's arithmetic does
+    not depend on ``want_q``, so the blocks are bitwise the same either way.
     """
     A = _as_square(A, "A")
     shift = int(np.frexp(max_abs(A))[1])
@@ -592,7 +698,14 @@ def _schur_upper(A, budget, want_q):
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
-    return Q, np.ldexp(H, shift), _scan_blocks_upper(H, shift)
+    blocks = _scan_blocks_upper(H, shift)
+    if not want_q:
+        return None, None, blocks
+    with np.errstate(over="ignore"):
+        H = np.ldexp(H, shift)
+    if not np.isfinite(H).all():
+        raise NumericalError("the Schur form has entries beyond the float range")
+    return Q, H, blocks
 
 
 def real_schur(A, max_sweeps=None) -> SchurDecomposition:

@@ -164,6 +164,24 @@ def test_gen_dense_meets_conditioning_contract(capsys):
     sys_ = StateSpace(np.array(out["A"]), np.array(out["b"]))
     assert condition_number(controllability_matrix(sys_)) <= 1e8
     assert "dense n=6 seed=3" in out["provenance"]
+    # the gate seen by numpy's SVD, independent of the estimator: each draw
+    # gen rejected lies above 1e8 and the one it kept below, to within
+    # numpy's own error (a few n eps kappa); at n = 20 seed 25, an estimator
+    # that squares kappa rejects draw 50 (kappa 8.8e7) and keeps draw 83
+    cases = [(n, seed) for n in (6, 12, 20) for seed in (1, 2, 3, 4)] + [(20, 25)]
+    for n, seed in cases:
+        assert main(["gen", "--n", str(n), "--seed", str(seed)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        attempt = int(out["provenance"].split("attempt=")[1].split()[0])
+        rng = np.random.default_rng(seed)
+        for i in range(1, attempt + 1):
+            A, b = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+            s = np.linalg.svd(controllability_matrix(StateSpace(A, b)), compute_uv=False)
+            if i < attempt:
+                assert s[0] >= 1e8 * (1 - 1e-6) * s[-1]
+            else:
+                assert s[0] <= 1e8 * (1 + 1e-6) * s[-1]
+                assert np.array_equal(A, out["A"]) and np.array_equal(b, out["b"])
 
 
 def test_gen_rejects_bad_dimension(capsys):

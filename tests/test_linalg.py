@@ -19,6 +19,7 @@ from poleplace.errors import (
     BlockSwapError,
     ConvergenceError,
     MatchingError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
 )
@@ -175,7 +176,8 @@ def test_krylov_validates_column_count():
 
 
 def test_condition_number_identity():
-    assert abs(condition_number(np.eye(4)) - 1.0) <= 1e-12
+    assert condition_number(np.eye(4)) == 1.0
+    assert condition_number(np.eye(7)) == 1.0
 
 
 def test_condition_number_diagonal():
@@ -184,7 +186,13 @@ def test_condition_number_diagonal():
 
 
 def test_condition_number_singular_is_inf():
-    assert math.isinf(condition_number(np.ones((2, 2))))
+    rng = np.random.default_rng(79)
+    B = rng.standard_normal((6, 3))
+    for M in (np.ones((2, 2)), np.ones((3, 3)), np.zeros((4, 4)),
+              np.outer(rng.standard_normal(5), rng.standard_normal(5)),
+              np.column_stack([B, B @ rng.standard_normal(3)]),
+              np.array([[1.0, 2.0], [0.0, 0.0]])):
+        assert condition_number(M) == math.inf
 
 
 def test_condition_number_chain_controllability_is_one():
@@ -194,7 +202,102 @@ def test_condition_number_chain_controllability_is_one():
     b = np.zeros(n)
     b[-1] = 1.0
     kappa = condition_number(krylov(A, b, n))
-    assert abs(kappa - 1.0) <= 1e-12
+    assert kappa == 1.0
+
+
+def _kappa_oracle(M):
+    """sigma_max / sigma_min from mpmath's SVD at 40 digits, inf when the
+    matrix has fewer rows than columns or a zero singular value."""
+    mpmath = pytest.importorskip("mpmath")
+    if M.shape[1] > M.shape[0]:
+        return math.inf
+    with mpmath.workdps(40):
+        s = mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)
+        return math.inf if min(s) == 0 else float(max(s) / min(s))
+
+
+def _kappa_corpus():
+    """Seeded Krylov matrices ``[b, Ab, ..., A**(n-1) b]``, n = 2-16, one per
+    decade of kappa from 1 to 1e8 and three per decade from 1e8 to 1e12.
+    Above n = 10 half the draws take A on [-2, 2], whose graded columns
+    reach the top decades at these sizes."""
+    rng = np.random.default_rng(12)
+    quota = {d: 3 if d >= 8 else 1 for d in range(12)}
+    out = []
+    while any(quota.values()):
+        n = int(rng.integers(2, 17))
+        scale = 2.0 if n > 10 and rng.integers(2) else 1.0
+        C = krylov(rng.uniform(-scale, scale, (n, n)), rng.uniform(-1, 1, n), n)
+        decade = math.floor(math.log10(np.linalg.cond(C)))
+        if quota.get(decade, 0):
+            quota[decade] -= 1
+            out.append(C)
+    return out
+
+
+def test_condition_number_against_40_digit_svd():
+    # the 1e8 gate and the conditioning warning read this estimator, so it
+    # must hold 1e-6 relative well past 1e8: up to kappa = 1e12
+    wants = []
+    for C in _kappa_corpus():
+        want = _kappa_oracle(C)
+        assert 1.0 <= want <= 1e12
+        assert abs(condition_number(C) - want) <= 1e-6 * want
+        wants.append(want)
+    assert sum(1 for want in wants if want >= 1e8) >= 10
+
+
+def test_condition_number_equal_singular_values_is_one():
+    rng = np.random.default_rng(71)
+    for n in (3, 8, 20):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        assert abs(condition_number(Q) - 1.0) <= 1e-13
+        assert abs(condition_number(Q[:, : n // 2]) - 1.0) <= 1e-13
+
+
+def test_condition_number_repeated_top_singular_value():
+    rng = np.random.default_rng(73)
+    for n, sigmas in ((3, [4.0, 4.0, 0.5]), (6, [3.0, 3.0, 3.0, 2.0, 1e-3, 1e-3]),
+                      (9, [2.0] * 4 + [1.0] * 3 + [1e-5, 1e-6])):
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = U @ np.diag(sigmas) @ V.T
+        want = _kappa_oracle(M)
+        assert abs(want - max(sigmas) / min(sigmas)) <= 1e-9 * want
+        assert abs(condition_number(M) - want) <= 1e-6 * want
+
+
+def test_condition_number_shapes():
+    rng = np.random.default_rng(83)
+    for m, n in ((7, 3), (5, 2), (9, 1), (30, 12)):
+        M = rng.uniform(-1, 1, (m, n))
+        want = _kappa_oracle(M)
+        assert abs(condition_number(M) - want) <= 1e-9 * want
+    # wide: its columns are dependent
+    assert condition_number(rng.uniform(-1, 1, (2, 3))) == math.inf
+    assert condition_number(rng.uniform(-1, 1, (1, 4))) == math.inf
+    assert condition_number(np.array([[-3.5]])) == 1.0
+    assert condition_number(np.array([[0.0]])) == math.inf
+    with pytest.raises(ValidationError):
+        condition_number(np.zeros((0, 3)))
+    with pytest.raises(ValidationError):
+        condition_number(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_condition_number_is_exact_under_powers_of_two():
+    rng = np.random.default_rng(89)
+    mats = [rng.uniform(-1, 1, (m, n)) for m, n in ((1, 1), (2, 2), (3, 3), (8, 8), (12, 5))]
+    mats.append(krylov(rng.uniform(-1, 1, (10, 10)), rng.uniform(-1, 1, 10), 10))
+    for M in mats:
+        want = condition_number(M).hex()
+        for k in (-600, -599, -301, -1, 1, 2, 77, 512, 600):
+            assert condition_number(np.ldexp(M, k)).hex() == want
+    # not a power of two, and far outside the range of squares
+    M = np.array([[2.0, 1.0], [0.5, 3.0]])
+    want = _kappa_oracle(M)
+    assert abs(want - 2.119) <= 1e-3
+    for scale in (1e200, 1e-200, 1e300, 1e-300):
+        assert abs(condition_number(scale * M) - want) <= 1e-14 * want
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +523,28 @@ def test_eigenvalues_at_extreme_scales(f):
     assert _nearest_match_distance(got, want) <= 1e-13 * max_abs(np.abs(want))
 
 
+def test_block_rescan_reads_a_mean_whose_sum_overflows():
+    # the diagonal sum of the 2x2 block overflows; its mean does not, and a
+    # rescan of the unscaled form must read what real_schur read scaled
+    T = np.array([[1.0, 0.0, 0.0], [0.5, 1.5e308, -1e308], [0.25, 1e308, 1.5e308]])
+    dec = real_schur(T)
+    assert dec.blocks[1].eigenvalues == (1.5e308 + 1e308j, 1.5e308 - 1e308j)
+    assert _block_bits(_scan_blocks_upper(dec.T.T)) == _block_bits(dec.blocks)
+
+
+def test_eigenvalues_beyond_the_float_range_raise_a_typed_error():
+    A = 8e307 * np.random.default_rng(2).uniform(-1, 1, (10, 10))
+    for entry in (eigenvalues, real_schur):
+        with pytest.raises(NumericalError, match="overflows the float range"):
+            entry(A)
+    # eigenvalues near zero, but the Schur form keeps the Frobenius norm
+    # 3e308 in one entry
+    A = 1.5e308 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    assert max(abs(z) for z in eigenvalues(A)) <= 1e300
+    with pytest.raises(NumericalError, match="beyond the float range"):
+        real_schur(A)
+
+
 def test_schur_sweep_budget_exhaustion():
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
@@ -452,18 +577,12 @@ def test_eigenvalues_nilpotent():
 
 
 # ---------------------------------------------------------------------------
-# the eigenvalue-only path: eigenvalues and condition_number run the same
-# iteration as real_schur without Q, and must read bitwise the same blocks
+# the eigenvalue-only path: eigenvalues runs the same iteration as
+# real_schur without Q, and must read bitwise the same blocks
 
 
 def _block_values(dec):
     return [z for blk in dec.blocks for z in blk.eigenvalues]
-
-
-def _kappa_via_real_schur(M):
-    vals = [z.real for z in _block_values(real_schur(M.T @ M))]
-    hi, lo = max(vals), min(vals)
-    return math.inf if hi <= 0.0 or lo <= 0.0 else math.sqrt(hi / lo)
 
 
 def _cyclic(n):
@@ -498,6 +617,15 @@ def _bitwise_inputs(kind):
         yield np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 1e-9], [0.0, -1e-9, 1.0 + 1e-15]])
 
 
+def _kappa_reference(M):
+    """kappa to about 1e-10 relative: numpy's SVD where its error bound,
+    a modest multiple of n eps kappa, is that small, else the 40-digit SVD
+    (which costs seconds on the 40 x 40 inputs)."""
+    s = np.linalg.svd(M, compute_uv=False)
+    kappa = s[0] / s[-1]
+    return kappa if M.shape[1] * EPS * kappa <= 1e-10 else _kappa_oracle(M)
+
+
 @pytest.mark.parametrize("kind", ["dense", "triangular", "symmetric", "cyclic", "clamp"])
 def test_eigenvalue_only_path_is_bitwise_real_schur(kind):
     for A in _bitwise_inputs(kind):
@@ -505,7 +633,8 @@ def test_eigenvalue_only_path_is_bitwise_real_schur(kind):
         got = np.array(list(eigenvalues(A)), dtype=complex)
         assert got.tobytes() == want.tobytes()
         for M in (A, A[:, : max(1, A.shape[1] // 2)]):
-            assert condition_number(M).hex() == _kappa_via_real_schur(M).hex()
+            kappa = _kappa_reference(M)
+            assert abs(condition_number(M) - kappa) <= 1e-6 * kappa
 
 
 def test_bitwise_inputs_reach_the_exceptional_shift_and_the_clamp(monkeypatch):
