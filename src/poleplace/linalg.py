@@ -5,12 +5,14 @@ elimination for solves, Householder reduction plus double-shift QR for the
 Schur form (each bulge step an explicit 3x3 reflector applied to the
 active block, as LAPACK's dlahqr does, after scaling the input by a power
 of two), and direct adjacent block swaps for reordering: a swap solves
-the small Sylvester equation for the coupling, applies the orthogonal
-factor of ``[X; I]``, and is accepted or refused by a backward-error test
-on the swapped local block, as LAPACK's dlaexc does.  The package
-convention is the lower form ``A = Q @ T @ Q.T`` with T lower quasi
-triangular; internally the iteration runs on the transpose in the familiar
-upper form and the result is transposed back at the boundary.
+the small Sylvester equation for the coupling, builds the orthogonal
+factor of ``[X; I]`` from explicit reflectors, is accepted or refused by
+a backward-error test on the swapped local block, as LAPACK's dlaexc
+does, and applies one combined factor that also standardizes the swapped
+2x2 blocks.  The package convention is the lower form
+``A = Q @ T @ Q.T`` with T lower quasi triangular; internally the
+iteration runs on the transpose in the familiar upper form and the result
+is transposed back at the boundary.
 
 ``eigenvalues`` reads only the diagonal blocks, so it runs the same
 reduction and iteration with the orthogonal factor left out.  A sweep
@@ -29,13 +31,13 @@ number.
 
 The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
-step), apply each reflector through views into a buffer made once per
-sweep, and solve a swap's Kronecker system with the unchecked elimination
-kernel behind ``solve_linear``.  A Q-free bulge step costs about 11 us at
-n = 20-64 (2-vCPU VM, one BLAS thread), of which its two BLAS products
-take 6-7 us.  Those two products are the floor: a product in another
-order, or outside this BLAS with its FMA-contracted kernels, changes the
-last bits of every result.
+step; a swap's window), apply each reflector through views into a buffer
+made once per sweep, and solve a swap's Kronecker system, at most 4x4,
+on Python floats with the row loop of ``solve_linear``.  A Q-free bulge
+step costs about 11 us at n = 20-64 (2-vCPU VM, one BLAS thread), of
+which its two BLAS products take 6-7 us.  Those two products are the
+floor: a product in another order, or outside this BLAS with its
+FMA-contracted kernels, changes the last bits of every result.
 
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
@@ -46,6 +48,7 @@ pair, because splitting it would not be backward stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -106,19 +109,8 @@ def solve_linear(M, rhs) -> np.ndarray:
 
 def _eliminate(LU, rhs, limit) -> np.ndarray:
     """``solve_linear`` without its checks: may overwrite the float matrix
-    LU with its factors, and refuses a pivot below ``limit``.
-
-    A 2x2 system with a 1-D right-hand side (a swap between a 1x1 and a
-    2x2 block, a two-value sequential step) is solved in Python floats,
-    with the row loop's pivot choice and its operations in its order.
-    That is bitwise the row loop because each of its dot products has
-    length 1, one rounded product to which the BLAS adds +0.0.  Longer
-    dots stay in the row loop: this BLAS fuses multiply-adds there, so
-    their Python-float counterparts would round differently.
-    """
+    LU with its factors, and refuses a pivot below ``limit``."""
     n = LU.shape[0]
-    if n == 2 and rhs.ndim == 1:
-        return _eliminate_2x2(LU, rhs, limit)
     perm = list(range(n))
     for k in range(n):
         j = k + int(np.abs(LU[k:, k]).argmax())
@@ -150,25 +142,47 @@ def _pivot_error(k, pivot, limit):
     )
 
 
-def _eliminate_2x2(LU, rhs, limit) -> np.ndarray:
-    """The row loop of ``_eliminate`` at n = 2 on Python floats; LU is left
-    as it is."""
-    (a00, a01), (a10, a11) = LU.tolist()
-    x0, x1 = rhs.tolist()
-    if abs(a10) > abs(a00):  # argmax keeps the first of equal magnitudes
-        a00, a01, a10, a11 = a10, a11, a00, a01
-        x0, x1 = x1, x0
-    if abs(a00) < limit or a00 == 0.0:
-        raise _pivot_error(0, a00, limit)
-    l10 = a10 / a00
-    a11 = a11 - l10 * a01
-    if abs(a11) < limit or a11 == 0.0:
-        raise _pivot_error(1, a11, limit)
-    # the row loop's dots: length 1 (the BLAS adds +0.0) and empty (0.0)
-    x1 = x1 - (l10 * x0 + 0.0)
-    x1 = (x1 - 0.0) / a11
-    x0 = (x0 - (a01 * x1 + 0.0)) / a00
-    return np.array([x0, x1])
+def _eliminate_scalars(a, x, limit) -> list:
+    """The row loop of ``_eliminate`` on Python floats, for the small
+    systems of block swaps and sequential steps: ``a`` is a list of row
+    lists and ``x`` the right-hand side, both overwritten; returns the
+    solution as a list.
+
+    Pivot choice, refusals and elimination updates are the row loop's.
+    Each substitution dot is summed from 0.0, so at n = 2, where every dot
+    has length 1 (one rounded product to which the BLAS adds +0.0) or 0,
+    this is bitwise the row loop, signed zeros included.  Longer dots
+    differ in their last bits: this BLAS fuses multiply-adds there.
+    """
+    n = len(x)
+    for k in range(n):
+        j = k
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[j][k]):  # argmax keeps the first of equal magnitudes
+                j = r
+        pivot = a[j][k]
+        if abs(pivot) < limit or pivot == 0.0:
+            raise _pivot_error(k, pivot, limit)
+        if j != k:
+            a[k], a[j] = a[j], a[k]
+            x[k], x[j] = x[j], x[k]
+        top = a[k]
+        for r in range(k + 1, n):
+            row = a[r]
+            l = row[k] = row[k] / pivot
+            for c in range(k + 1, n):
+                row[c] = row[c] - l * top[c]
+    for k in range(1, n):
+        s = 0.0
+        for c in range(k):
+            s += a[k][c] * x[c]
+        x[k] = x[k] - s
+    for k in range(n - 1, -1, -1):
+        s = 0.0
+        for c in range(k + 1, n):
+            s += a[k][c] * x[c]
+        x[k] = (x[k] - s) / a[k][k]
+    return x
 
 
 def determinant(M) -> float:
@@ -376,18 +390,18 @@ def _householder(x):
     keeps an already reduced matrix bitwise unchanged.  When the squared
     norm overflows or underflows, v is built from x scaled by a power of
     two near its largest entry; the reflector is the same and only alpha
-    is scaled back.
+    is scaled back.  ``np.vdot`` is the same BLAS dot as ``v @ v``, and
+    being no ufunc it raises no overflow warning.
     """
     if not np.count_nonzero(x[1:]):
         return np.zeros_like(x), 0.0, float(x[0])
     v = np.array(x, dtype=float)
-    with np.errstate(over="ignore"):
-        sq = v.dot(v)
+    sq = np.vdot(v, v)
     shift = 0
     if not TINY <= sq < math.inf:
         shift = int(np.frexp(max_abs(v))[1])
         v = np.ldexp(v, -shift)
-        sq = v.dot(v)
+        sq = np.vdot(v, v)
     normx = math.sqrt(sq)
     alpha = -normx if x[0] >= 0.0 else normx
     v[0] -= alpha
@@ -435,11 +449,16 @@ def _block_disc(a, b, c, d):
     return p * p + b * c, _CLAMP * scale * scale, e
 
 
+def _mean(x, y) -> float:
+    """``0.5 * (x + y)``; where the sum overflows, ``0.5 * x + 0.5 * y``,
+    which cannot, and is exact there."""
+    m = 0.5 * (x + y)
+    return 0.5 * x + 0.5 * y if math.isinf(m) else m
+
+
 def _block_eigs(a, b, c, d) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 block, as an exact conjugate or real pair."""
-    m = 0.5 * (a + d)
-    if math.isinf(m):  # a + d overflowed; halving first cannot, and is exact there
-        m = 0.5 * a + 0.5 * d
+    m = _mean(a, d)
     disc, clamp, e = _block_disc(a, b, c, d)
     if disc >= 0.0:
         sq = math.ldexp(math.sqrt(disc), e)
@@ -461,50 +480,71 @@ def _apply_g_full(H, Q, i, G):
         C[...] = C @ G
 
 
-def _standardize_2x2(H, Q, i, allow_split=True):
-    """Bring the 2x2 block at (i, i) of upper quasi-triangular H to standard
-    form.
+def _standard_rotation(a, b, c, d, split=True):
+    """How to bring the upper 2x2 block ``[[a, b], [c, d]]`` to standard
+    form: ``(rot, finish)``, with ``rot = (cs, sn)`` the rotation
+    ``[[cs, -sn], [sn, cs]]`` to apply as a similarity, or None, and
+    ``finish`` what to write after it: "split" (zero the subdiagonal),
+    "equal" (set both diagonal entries to their mean) or None.
 
     Real discriminant: rotate onto an eigenvector and split into two 1x1
-    blocks (skipped when splitting is disallowed mid-reorder, where it
-    would invalidate the caller's block bookkeeping).  Genuinely complex:
-    rotate to equal diagonal entries so the eigenvalues read off as
+    blocks, unless ``split`` is false (mid-reorder, where splitting would
+    invalidate the caller's block bookkeeping).  Genuinely complex: rotate
+    to equal diagonal entries, so the eigenvalues read off as
     ``m +- i*sqrt(-bc)``; the rotation's tangent is the small root
     ``-1 / (tau + sign(tau) hypot(tau, 1))``, ``tau = (b + c) / (a - d)``,
-    which does not cancel when ``|tau|`` is large, so setting both diagonal
-    entries to their mean adds only rounding error.  Discriminant inside
-    the rounding clamp: leave the block alone; it stands for a repeated
-    real pair.
+    which does not cancel when ``|tau|`` is large, so setting both
+    diagonal entries to their mean adds only rounding error.  Discriminant
+    inside the rounding clamp, or c = 0: leave the block alone; the former
+    stands for a repeated real pair.
     """
-    (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
     if c == 0.0:
-        return
+        return None, None
     disc, clamp, e = _block_disc(a, b, c, d)
     if disc >= 0.0:
-        if not allow_split:
-            return
+        if not split:
+            return None, None
         p = 0.5 * (a - d)
         sq = math.ldexp(math.sqrt(disc), e)
         lam = 0.5 * (a + d) + (sq if p >= 0.0 else -sq)
         v0, v1 = lam - d, c
         nv = math.hypot(v0, v1)
-        G = np.array([[v0 / nv, -v1 / nv], [v1 / nv, v0 / nv]])
-        _apply_g_full(H, Q, i, G)
-        H[i + 1, i] = 0.0
-        return
+        return (v0 / nv, v1 / nv), "split"
     if disc >= -clamp:
-        return
-    if a != d:
-        tau = (b + c) / (a - d)
-        off = math.hypot(tau, 1.0)
-        t = -1.0 / (tau + math.copysign(off, tau))  # the small root, without cancellation
-        cs = 1.0 / math.sqrt(1.0 + t * t)
-        sn = t * cs
-        G = np.array([[cs, -sn], [sn, cs]])
-        _apply_g_full(H, Q, i, G)
-    m = 0.5 * (H[i, i] + H[i + 1, i + 1])
-    H[i, i] = m
-    H[i + 1, i + 1] = m
+        return None, None
+    if a == d:
+        return None, "equal"
+    tau = (b + c) / (a - d)
+    off = math.hypot(tau, 1.0)
+    t = -1.0 / (tau + math.copysign(off, tau))  # the small root, without cancellation
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    return (cs, t * cs), "equal"
+
+
+def _scaled(*entries) -> list:
+    """The entries of a block of an unscaled form, scaled by the power of
+    two that brings the largest into [0.5, 1), as ``real_schur`` reads its
+    blocks: no rounding changes, and no sum or square of them overflows."""
+    e = math.frexp(max(map(abs, entries)))[1]
+    return [math.ldexp(v, -e) for v in entries]
+
+
+def _rotation(cs, sn) -> np.ndarray:
+    """The plane rotation ``[[cs, -sn], [sn, cs]]``."""
+    return np.array([[cs, -sn], [sn, cs]])
+
+
+def _standardize_2x2(H, Q, i):
+    """Bring the 2x2 block at (i, i) of upper quasi-triangular H to standard
+    form (see ``_standard_rotation``), accumulating the rotation into Q."""
+    (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
+    rot, finish = _standard_rotation(a, b, c, d)
+    if rot is not None:
+        _apply_g_full(H, Q, i, _rotation(*rot))
+    if finish == "split":
+        H[i + 1, i] = 0.0
+    elif finish == "equal":
+        H[i, i] = H[i + 1, i + 1] = _mean(float(H[i, i]), float(H[i + 1, i + 1]))
 
 
 def _reflector(x, y, z):
@@ -730,72 +770,104 @@ def eigenvalues(A) -> Spectrum:
 # reordering
 
 
-# read-only identities for the swaps' Kronecker systems and bases
-_EYE = {m: np.eye(m) for m in range(1, 5)}
-for _eye in _EYE.values():
-    _eye.flags.writeable = False
+def _sylvester(w, p, q, where) -> list:
+    """The coupling X (p x q, as a list in column order) of the window w
+    of two adjacent blocks, solving ``A11 X - X A22 = -A12``.
+
+    The Kronecker system ``(I_q (x) A11 - A22.T (x) I_p) vec(X) =
+    -vec(A12)``, 2x2 or 4x4, is written out entry by entry and solved on
+    Python floats by ``_eliminate_scalars``, which refuses a pivot below
+    ``p q eps max|K|``.
+    """
+    if p == 1:  # A11 = a, A22 = B
+        (a, c0, c1), (_, b00, b01), (_, b10, b11) = w
+        K = [[a - b00, -b10], [-b01, a - b11]]
+        rhs = [-c0, -c1]
+    elif q == 1:  # A11 = A, A22 = b
+        (a00, a01, c0), (a10, a11, c1), (_, _, b) = w
+        K = [[a00 - b, a01], [a10, a11 - b]]
+        rhs = [-c0, -c1]
+    else:
+        (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = w
+        K = [[a00 - b00, a01, -b10, 0.0],
+             [a10, a11 - b00, 0.0, -b10],
+             [-b01, 0.0, a00 - b11, a01],
+             [0.0, -b01, a10, a11 - b11]]
+        rhs = [-c00, -c10, -c01, -c11]
+    limit = p * q * EPS * max(max(map(abs, row)) for row in K)
+    try:
+        return _eliminate_scalars(K, rhs, limit)
+    except SingularMatrixError as exc:
+        raise BlockSwapError(
+            f"cannot swap blocks at {where}: coupling system is singular"
+        ) from exc
 
 
-def _complete_qr(W):
-    """Full orthogonal factor of a tall full-rank W of at most four rows;
-    the first q columns span the column space of W."""
-    m, q = W.shape
-    G = _EYE[m].copy()
-    R = W.copy()
-    for k in range(min(q, m - 1)):
-        v, beta, alpha = _householder(R[k:, k])
-        if beta == 0.0:
-            continue
-        G[:, k:] -= beta * ((G[:, k:] @ v)[:, None] * v)
-        if k + 1 < q:  # only a later column reads R, and not column k
-            R[k:, k:] -= beta * (v[:, None] * (v @ R[k:, k:]))
-    return G
+def _coupling_basis(X, p, q) -> list:
+    """Orthogonal G, as a flat row-major list, whose first q columns span
+    ``[X; I_q]``, for a swap with p + q = 3 or 4 (X as ``_sylvester``
+    returns it).
+
+    G is a product of explicit reflectors from ``_reflector``, as LAPACK's
+    dlaexc builds it: 2<->1 reflects ``(x0, x1, 1)`` onto e1; 1<->2
+    reflects the normal ``(1, -x0, -x1)`` of the basis onto e3 (the
+    reflector of the reversed vector, reversed); 2<->2 is the Householder
+    QR of ``[X; I_2]``, a reflector on rows 0..2 and then one on rows 1..3.
+    """
+    if q == 1:
+        return list(_reflector(X[0], X[1], 1.0)[0])
+    if p == 1:
+        return list(_reflector(-X[1], -X[0], 1.0)[0][::-1])
+    x00, x10, x01, x11 = X
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = _reflector(x00, x10, 1.0)[0]
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = _reflector(
+        e10 * x01 + e11 * x11, e20 * x01 + e21 * x11, 1.0)[0]
+    return [e00, e01 * f00 + e02 * f10, e01 * f01 + e02 * f11, e01 * f02 + e02 * f12,
+            e10, e11 * f00 + e12 * f10, e11 * f01 + e12 * f11, e11 * f02 + e12 * f12,
+            e20, e21 * f00 + e22 * f10, e21 * f01 + e22 * f11, e21 * f02 + e22 * f12,
+            0.0, f20, f21, f22]
 
 
 def _swap_adjacent_upper(S, Z, i, p, q):
     """Exchange the adjacent diagonal blocks of sizes p then q at offset i
     in upper quasi-triangular S, accumulating the rotation into Z.
 
-    The coupling X solves the Sylvester equation ``A11 X - X A22 = -A12``;
-    the orthogonal factor G of ``[X; I]`` carries the moved invariant basis
-    and is applied as a similarity.  For two 1x1 blocks X is the quotient
-    ``-a12 / (a11 - a22)`` and G a plane rotation, backward stable by
-    construction, so the swap is refused only when the blocks lie so close
-    that the quotient is infinite.  A larger swap is refused when its
-    Kronecker system is singular to working precision, or when the swapped
+    The (p+q)-square window D is read once, as Python floats.  Two 1x1
+    blocks ``[[a, c], [0, d]]`` swap by the plane rotation onto
+    ``(x, 1)``, ``x = -c / (a - d)``, which is backward stable by
+    construction, and the window is written as ``[[d, c], [0, a]]``, its
+    exact rotated form, as LAPACK's dlaexc does; the swap is refused only
+    when the blocks lie so close that x is infinite.  A larger swap solves
+    the Sylvester equation ``A11 X - X A22 = -A12`` in scalars
+    (``_sylvester``) and takes the orthogonal factor G of ``[X; I]`` from
+    explicit reflectors (``_coupling_basis``).  It is refused when the
+    coupling system is singular to working precision, or when the swapped
     local block ``E = G.T @ D @ G`` fails the backward-error test of
-    LAPACK's dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the
-    swap zeroes, and the error of rebuilding D from E without it, must both
-    stay within ``max(10 eps max|D|, tiny)``.  The test only reads G, so
-    an accepted swap's arithmetic does not depend on it.
+    dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the swap
+    zeroes, and the error of rebuilding D from E without it, must both
+    stay within ``max(10 eps max|D|, tiny)``.  E's 2x2 blocks are then
+    brought to standard form on the window, and the one combined factor
+    ``G diag(R1, R2)`` is applied to S's rows, S's columns and Z: three
+    products.  Nothing is written before a refusal.
     """
-    rows = slice(i, i + p + q)
-    where = f"rows {i}..{i + p - 1} and {i + p}..{i + p + q - 1}"
-    if p == q == 1:
-        d = float(S[i, i] - S[i + 1, i + 1])
-        x = -float(S[i, i + 1]) / d if d != 0.0 else math.inf
+    m = p + q
+    rows = slice(i, i + m)
+    where = f"rows {i}..{i + p - 1} and {i + p}..{i + m - 1}"
+    D = S[rows, rows]
+    w = D.tolist()
+    equal = []
+    if m == 2:
+        (a, c), (_, d) = w
+        diff = a - d
+        x = -c / diff if diff != 0.0 else math.inf
         if math.isinf(x):
             raise BlockSwapError(f"cannot swap blocks at {where}: the blocks coincide")
-        W = np.array([[x], [1.0]])
+        r = math.hypot(x, 1.0)
+        F = _rotation(x / r, 1.0 / r)
     else:
-        A11 = S[i : i + p, i : i + p]
-        A12 = S[i : i + p, i + p : i + p + q]
-        A22 = S[i + p : i + p + q, i + p : i + p + q]
-        # I_q (x) A11 - A22.T (x) I_p by broadcasting, from the very products
-        # np.kron would form, so its bits match np.kron's, signed zeros too
-        K = (_EYE[q][:, None, :, None] * A11[None, :, None, :]
-             - A22.T[:, None, :, None] * _EYE[p][None, :, None, :]).reshape(p * q, p * q)
-        try:
-            X = _eliminate(K, -A12.flatten(order="F"), p * q * EPS * np.abs(K).max())
-        except SingularMatrixError as exc:
-            raise BlockSwapError(
-                f"cannot swap blocks at {where}: coupling system is singular"
-            ) from exc
-        W = np.concatenate((X.reshape((p, q), order="F"), _EYE[q]))
-    G = _complete_qr(W)
-    if p + q > 2:
-        D = S[rows, rows]
-        thresh = max(10.0 * EPS * np.abs(D).max(), TINY)
+        flat = _coupling_basis(_sylvester(w, p, q, where), p, q)
+        G = np.array(flat).reshape(m, m)
+        thresh = max(10.0 * EPS * max(map(abs, itertools.chain(*w))), TINY)
         E = G.T @ D @ G
         err = np.abs(E[q:, :q]).max()
         if err <= thresh:
@@ -806,17 +878,33 @@ def _swap_adjacent_upper(S, Z, i, p, q):
                 f"cannot swap blocks at {where}: the swapped form has backward "
                 f"error {err:.3e}, above the threshold {thresh:.3e}"
             )
+        # standardize E's 2x2 blocks: F = G diag(R1, R2), column pairs of G
+        # turned on the flat list
+        e = E.tolist()
+        for j, size in ((0, q), (q, p)):
+            if size == 2:
+                block = _scaled(e[j][j], e[j][j + 1], e[j + 1][j], e[j + 1][j + 1])
+                rot, finish = _standard_rotation(*block, split=False)
+                if rot is not None:
+                    cs, sn = rot
+                    for k in range(j, m * m, m):
+                        g0, g1 = flat[k], flat[k + 1]
+                        flat[k], flat[k + 1] = cs * g0 + sn * g1, cs * g1 - sn * g0
+                if finish:
+                    equal.append(i + j)
+        F = np.array(flat).reshape(m, m)
     R = S[rows, :]
-    R[...] = G.T @ R
+    R[...] = F.T @ R
     C = S[:, rows]
-    C[...] = C @ G
+    C[...] = C @ F
     C = Z[:, rows]
-    C[...] = C @ G
-    S[i + q : i + p + q, i : i + q] = 0.0
-    if q == 2:
-        _standardize_2x2(S, Z, i, allow_split=False)
-    if p == 2:
-        _standardize_2x2(S, Z, i + q, allow_split=False)
+    C[...] = C @ F
+    if m == 2:
+        S[i, i], S[i, i + 1], S[i + 1, i], S[i + 1, i + 1] = d, c, 0.0, a
+        return
+    S[i + q : i + m, i : i + q] = 0.0
+    for j in equal:
+        S[j, j] = S[j + 1, j + 1] = _mean(float(S[j, j]), float(S[j + 1, j + 1]))
 
 
 def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
@@ -941,22 +1029,41 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     block is zero, so the trailing block and its eigenvalues stay bitwise
     unchanged; only the leading r x r block is reduced again, and only its
     r rows are rescanned, while the blocks behind them are ``dec.blocks``'
-    own.  A 1x1 leading block is already reduced and its Q is [[1.0]]; the
-    products by that Q still run, because they turn -0.0 into +0.0 as a
-    full reduction's products do.
+    own.  A 1x1 leading block is already reduced.  A 2x2 one is reduced
+    as ``real_schur`` reduces a 2x2, without its pipeline: read after a
+    power-of-two scaling, it deflates when its off-diagonal entry is
+    negligible against its diagonal, and is otherwise brought to standard
+    form by one rotation (``_standard_rotation``), applied to the leading
+    columns of T and Q.
     """
     r = len(g)
     T = dec.T.copy()
     T[:, :r] += (dec.Q.T @ b)[:, None] * g
-    if r == 1:
-        lead_q = np.ones((1, 1))
-    else:
+    Q = dec.Q
+    if r == 2:
+        (t00, t01), (t10, t11) = T[:2, :2].tolist()
+        t00, t01, t10, t11 = _scaled(t00, t01, t10, t11)
+        if abs(t01) <= EPS * (abs(t00) + abs(t11)):
+            T[0, 1] = 0.0
+        else:
+            # the upper form's block is the transpose
+            rot, finish = _standard_rotation(t00, t10, t01, t11)
+            if rot is not None:
+                G = _rotation(*rot)
+                T[:2, :2] = G.T @ T[:2, :2] @ G
+                T[2:, :2] = T[2:, :2] @ G
+                Q = Q.copy()
+                Q[:, :2] = Q[:, :2] @ G
+            if finish == "split":
+                T[0, 1] = 0.0
+            elif finish == "equal":
+                T[0, 0] = T[1, 1] = _mean(float(T[0, 0]), float(T[1, 1]))
+    elif r > 2:
         lead = real_schur(T[:r, :r])
         T[:r, :r] = lead.T
-        lead_q = lead.Q
-    T[r:, :r] = T[r:, :r] @ lead_q
-    Q = dec.Q.copy()
-    Q[:, :r] = Q[:, :r] @ lead_q
+        T[r:, :r] = T[r:, :r] @ lead.Q
+        Q = Q.copy()
+        Q[:, :r] = Q[:, :r] @ lead.Q
     blocks = _scan_blocks_upper(T[:r, :r].T) + tuple(
         blk for blk in dec.blocks if blk.start >= r
     )

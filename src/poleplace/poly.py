@@ -61,7 +61,7 @@ class Spectrum:
     def __init__(self, values: Iterable[complex]):
         vals = tuple(complex(v) for v in values)
         for v in vals:
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValidationError("spectrum values must be finite")
         counts = Counter(vals)
         for z, c in counts.items():

@@ -15,6 +15,7 @@ and feedback rescan only the rows they changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    EPS,
+    _eliminate_scalars,
     _feed_leading,
+    _kappa_2x2,
     _match_tol,
     _match_values,
     _select_blocks,
@@ -92,23 +96,83 @@ def _gain_on_split(b, U, X, to: Spectrum):
     the compression X, then lifts the row back through the left-invariant
     basis U.  Returns the gain, its row g in the basis (``k = U @ g``), the
     selector row, and the condition of the small controllability matrix.
+    Groups of one or two values, all a paired plan makes, take
+    ``_small_step`` on Python floats.
     """
     r = X.shape[0]
     bu = U.T @ b
-    CX = krylov(X, bu, r)
-    e_r = np.zeros(r)
-    e_r[r - 1] = 1.0
-    try:
-        eta = solve_linear(CX.T, e_r)
-    except SingularMatrixError as exc:
-        raise RankDeficiencyError(
-            f"controllability restricted to the moved subspace has rank "
-            f"{exc.column} < {r}; these eigenvalues cannot be assigned together"
-        ) from exc
-    h = eval_matrix(monic_from_roots(to), X).T @ eta
-    # a nonzero scalar, which the solve just accepted, has condition 1
-    kappa = 1.0 if r == 1 else condition_number(CX)
+    if r <= 2:
+        h, eta, kappa = _small_step(bu.tolist(), X.tolist(), to)
+        h, eta = np.array(h), np.array(eta)
+    else:
+        CX = krylov(X, bu, r)
+        e_r = np.zeros(r)
+        e_r[r - 1] = 1.0
+        try:
+            eta = solve_linear(CX.T, e_r)
+        except SingularMatrixError as exc:
+            raise _rank_error(exc, r) from exc
+        h = eval_matrix(monic_from_roots(to), X).T @ eta
+        kappa = condition_number(CX)
     return -(U @ h), -h, eta, kappa
+
+
+def _rank_error(exc, r):
+    return RankDeficiencyError(
+        f"controllability restricted to the moved subspace has rank "
+        f"{exc.column} < {r}; these eigenvalues cannot be assigned together"
+    )
+
+
+def _small_step(u, x, to: Spectrum):
+    """``_gain_on_split``'s h, eta and kappa for r = 1 or 2, on Python
+    floats: u is ``U.T @ b`` and x the compression, as lists.
+
+    The Krylov matrix ``[u, X u]`` is solved for eta by
+    ``_eliminate_scalars`` with ``solve_linear``'s pivot threshold, and
+    ``h = p(X).T @ eta`` takes p(X) by Horner's rule from the
+    coefficients ``monic_from_roots(to)`` has, bitwise.  A nonzero scalar,
+    which the solve just accepted, has condition 1; two columns take the
+    R of a plane rotation and LAPACK's dlas2 closed form
+    (``_kappa_2x2``).
+    """
+    t = list(to)
+    if len(u) == 1:
+        (u0,), ((x00,),) = u, x
+        try:
+            (eta0,) = _eliminate_scalars([[u0]], [1.0], EPS * abs(u0))
+        except SingularMatrixError as exc:
+            raise _rank_error(exc, 1) from exc
+        return [(x00 + -t[0].real) * eta0], [eta0], 1.0
+    (u0, u1), ((x00, x01), (x10, x11)) = u, x
+    v0 = x00 * u0 + x01 * u1
+    v1 = x10 * u0 + x11 * u1
+    limit = 2 * EPS * max(abs(u0), abs(u1), abs(v0), abs(v1))
+    try:
+        eta0, eta1 = _eliminate_scalars([[u0, u1], [v0, v1]], [0.0, 1.0], limit)
+    except SingularMatrixError as exc:
+        raise _rank_error(exc, 2) from exc
+    z = max(t, key=lambda w: w.imag)
+    if z.imag > 0.0:  # a conjugate pair: the factor (|z|^2, -2 Re z, 1)
+        c0, c1 = z.real * z.real + z.imag * z.imag, -2.0 * z.real
+    else:  # two reals: the product of (-t0, 1) and (-t1, 1)
+        c0, c1 = (-t[0].real) * (-t[1].real), -t[0].real + -t[1].real
+    # Horner: p(X) = (X + c1 I) X + c0 I
+    p00, p11 = x00 + c1, x11 + c1
+    q00 = p00 * x00 + x01 * x10 + c0
+    q01 = p00 * x01 + x01 * x11
+    q10 = x10 * x00 + p11 * x10
+    q11 = x10 * x01 + p11 * x11 + c0
+    h = [q00 * eta0 + q10 * eta1, q01 * eta0 + q11 * eta1]
+    # R = [[r00, r01], [0, r11]] of the Krylov matrix, by a plane rotation
+    r00 = math.hypot(u0, u1)
+    cs, sn = u0 / r00, u1 / r00
+    r01, r11 = cs * v0 + sn * v1, cs * v1 - sn * v0
+    if min(r00, abs(r11)) < 2 * EPS * max(r00, abs(r01), abs(r11)):
+        kappa = math.inf  # condition_number's rank test
+    else:
+        kappa = _kappa_2x2(r00, r01, r11)
+    return h, [eta0, eta1], kappa
 
 
 def place_partial(sys: StateSpace, move, to) -> Gain:

@@ -7,6 +7,7 @@ deliberately seeded so a regression reproduces exactly.
 
 import time
 
+import mpmath
 import numpy as np
 
 from poleplace import AssignmentPlan, Spectrum, StateSpace
@@ -173,16 +174,24 @@ def test_criterion_3_partial_preservation():
         to = [-1.5 - 0.35 * i for i in range(len(moved))]
 
         gain = place_partial(sys_, Spectrum(moved), Spectrum(to))
-        closed = list(eigenvalues(sys_.A + np.outer(sys_.b, gain.k)).values)
+        # the closed loop A + b k^T formed and solved in 30 digits: formed
+        # in doubles, its rounding alone moves an eigenvalue by about
+        # eps kappa(lambda) |b| |k|, which measures the rounding, not the
+        # placement
+        with mpmath.workdps(30):
+            M = mpmath.matrix([[mpmath.mpf(A[i, j]) + mpmath.mpf(b[i]) * mpmath.mpf(gain.k[j])
+                                for j in range(8)] for i in range(8)])
+            closed = [complex(z) for z in mpmath.eig(M, left=False, right=False)]
         kept = [z for z in spec if not any(z == m for m in moved)]
-        # strike the kept eigenvalues off the closed-loop spectrum first
+        # strike the kept eigenvalues off the closed-loop spectrum first,
+        # then the targets; mpmath's real eigenvalues carry imaginary parts
+        # of rounding size, so the values are matched, not made a Spectrum
         for z in kept:
             near = min(range(len(closed)), key=lambda i: abs(closed[i] - z))
-            worst_kept = max(worst_kept, abs(closed[near] - z))
-            closed.pop(near)
-        worst_moved = max(
-            worst_moved, spectrum_distance(Spectrum(closed), Spectrum(to))
-        )
+            worst_kept = max(worst_kept, abs(closed.pop(near) - z))
+        for z in to:
+            near = min(range(len(closed)), key=lambda i: abs(closed[i] - z))
+            worst_moved = max(worst_moved, abs(closed.pop(near) - z))
         done += 1
 
     dt = time.perf_counter() - t0

@@ -99,10 +99,10 @@ def test_solve_residual_bound():
 
 
 def test_eliminate_2x2_scalar_path_is_bitwise_the_row_loop():
-    # a 2x2 system with a 1-D right-hand side is solved in Python floats;
-    # passed as a (2, 1) matrix the same system still takes the row loop,
-    # and both give the same bits, signed zeros included, or refuse the
-    # same pivot with the same message
+    # _eliminate_scalars, which solves the 2x2 systems of block swaps and
+    # two-value steps on Python floats, gives the bits of the row loop of
+    # _eliminate, signed zeros included, or refuses the same pivot with
+    # the same message
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     # small integers and their negatives make exact zeros of both signs,
@@ -126,18 +126,18 @@ def test_eliminate_2x2_scalar_path_is_bitwise_the_row_loop():
         rhs = np.array(values[4:])
         limit = 2 * EPS * max_abs(M) if limit_scale == 1.0 else limit_scale
         outcomes = []
-        for b in (rhs, rhs.reshape(2, 1)):
+        for solve in (lambda: np.array(linalg._eliminate_scalars(M.tolist(), rhs.tolist(), limit)),
+                      lambda: linalg._eliminate(M.copy(), rhs.copy(), limit)):
             try:
                 with np.errstate(all="ignore"):
-                    x = linalg._eliminate(M.copy(), b.copy(), limit)
-                outcomes.append(("x", x.reshape(-1).tobytes()))
+                    outcomes.append(("x", solve().tobytes()))
             except SingularMatrixError as exc:
                 outcomes.append(("singular", exc.column, str(exc)))
         assert outcomes[0] == outcomes[1]
 
     check()
     with pytest.raises(SingularMatrixError) as info:
-        linalg._eliminate(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]), 1e-12)
+        linalg._eliminate_scalars([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], 1e-12)
     assert info.value.column == 1
 
 
@@ -809,19 +809,16 @@ def test_reorder_swaps_across_a_coupling_whose_square_overflows(coupling):
     [
         # a basis off the invariant subspace: the weak test, on the block the
         # swap zeroes, fires
-        lambda W: W + 1e-3 * np.vstack([np.ones((2, 2)), np.zeros((2, 2))]),
+        lambda basis: lambda X, p, q: basis([x + 1e-3 for x in X], p, q),
         # an invariant but not orthonormal factor: only the reconstruction
         # test can see it
-        None,
+        lambda basis: lambda X, p, q: [g * (1.0 + 1e-6) for g in basis(X, p, q)],
     ],
     ids=["weak", "strong"],
 )
 def test_swap_refuses_a_swap_that_is_not_backward_stable(monkeypatch, distort):
-    factor = linalg._complete_qr
-    if distort is None:
-        monkeypatch.setattr(linalg, "_complete_qr", lambda W: factor(W) * (1.0 + 1e-6))
-    else:
-        monkeypatch.setattr(linalg, "_complete_qr", lambda W: factor(distort(W)))
+    basis = linalg._coupling_basis
+    monkeypatch.setattr(linalg, "_coupling_basis", distort(basis))
     # upper form: 2x2 blocks carrying 1 +- 1i and 3 +- 1i, coupled
     S = np.array([
         [1.0, 2.0, 9.0, -7.0],
@@ -837,42 +834,39 @@ def test_swap_refuses_a_swap_that_is_not_backward_stable(monkeypatch, distort):
     assert "backward error" in str(info.value)
     # refused before anything was written
     assert np.array_equal(S, S0) and np.array_equal(Z, Z0)
-    monkeypatch.setattr(linalg, "_complete_qr", factor)
+    monkeypatch.setattr(linalg, "_coupling_basis", basis)
     linalg._swap_adjacent_upper(S, Z, 0, 2, 2)
     assert max_abs(Z @ S @ Z.T - S0) <= 64 * EPS * max_abs(S0)
 
 
 def test_reorder_swaps_without_condition_number(monkeypatch):
-    # the coupling matrix I (x) A11 - A22.T (x) I is built without np.kron
-    # but from the same products, so the solve sees np.kron's bits, signed
-    # zeros included; no swap estimates a condition number, and none calls
-    # the validated solve_linear: the system is finite and square by
-    # construction, so it goes to the elimination kernel behind it, whose
-    # solution is bitwise the one solve_linear returns
+    # a swap solves its coupling system I (x) A11 - A22.T (x) I, the very
+    # matrix np.kron forms, on Python floats with solve_linear's pivot
+    # threshold; no swap estimates a condition number or calls either
+    # numpy elimination route.  Two 1x1 blocks need no solve.  The 2x2
+    # systems are solved bitwise as solve_linear solves them, the 4x4 ones
+    # to rounding, and every coupling solves its Sylvester equation.
     def refuse(*args, **kwargs):
-        raise AssertionError("condition_number or solve_linear called")
+        raise AssertionError("condition_number, solve_linear or _eliminate called")
 
     swaps, solves = [], []
-    swap, solve = linalg._swap_adjacent_upper, linalg._eliminate
+    swap, solve = linalg._swap_adjacent_upper, linalg._eliminate_scalars
 
     def recording_swap(S, Z, i, p, q):
-        swaps.append((S[i : i + p, i : i + p].copy(), S[i + p : i + p + q, i + p : i + p + q].copy()))
+        swaps.append((p, q, S[i : i + p + q, i : i + p + q].copy()))
         return swap(S, Z, i, p, q)
 
     def checked_solve(K, rhs, limit):
-        A11, A22 = swaps[-1]
-        p, q = len(A11), len(A22)
-        want = np.kron(np.eye(q), A11) - np.kron(A22.T, np.eye(p))
-        assert K.tobytes() == want.tobytes()
-        assert limit == p * q * EPS * max_abs(want)
-        x = solve(K, rhs.copy(), limit)
-        solves.append((p, q, want, rhs, x))
+        K0, rhs0 = np.array(K), np.array(rhs)
+        x = solve(K, rhs, limit)
+        solves.append((*swaps[-1], K0, rhs0, limit, np.array(x)))
         return x
 
     monkeypatch.setattr(linalg, "condition_number", refuse)
     monkeypatch.setattr(linalg, "solve_linear", refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
     monkeypatch.setattr(linalg, "_swap_adjacent_upper", recording_swap)
-    monkeypatch.setattr(linalg, "_eliminate", checked_solve)
+    monkeypatch.setattr(linalg, "_eliminate_scalars", checked_solve)
     rng = np.random.default_rng(59)
     for n in (3, 6, 9, 12):
         A = rng.uniform(-1, 1, (n, n))
@@ -880,12 +874,103 @@ def test_reorder_swaps_without_condition_number(monkeypatch):
         dec = real_schur(A)
         reorder_schur(dec, list(range(len(dec.blocks)))[::-2])
     monkeypatch.undo()
-    sizes = [(len(A11), len(A22)) for A11, A22 in swaps]
+    sizes = [(p, q) for p, q, _ in swaps]
     assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= set(sizes)
-    # two 1x1 blocks need no solve
     assert [(p, q) for p, q, *_ in solves] == [size for size in sizes if size != (1, 1)]
-    for *_, K, rhs, x in solves:
-        assert solve_linear(K, rhs).tobytes() == x.tobytes()
+    for p, q, D, K, rhs, limit, x in solves:
+        A11, A12, A22 = D[:p, :p], D[:p, p:], D[p:, p:]
+        want = np.kron(np.eye(q), A11) - np.kron(A22.T, np.eye(p))
+        assert np.array_equal(K, want)
+        assert rhs.tobytes() == (-A12.flatten(order="F")).tobytes()
+        assert limit == p * q * EPS * max_abs(want)
+        if p * q == 2:
+            assert solve_linear(K, rhs).tobytes() == x.tobytes()
+        else:
+            assert max_abs(solve_linear(K, rhs) - x) <= 64 * EPS * max_abs(x)
+        X = x.reshape((p, q), order="F")
+        assert max_abs(A11 @ X - X @ A22 + A12) <= 64 * EPS * max_abs(D) * max(1.0, max_abs(X))
+
+
+def test_swap_property_against_scipy_on_all_four_shapes():
+    # one swap of two adjacent blocks inside a larger upper quasi-triangular
+    # form, for each of the shapes 1<->1, 2<->1, 1<->2 and 2<->2: the form
+    # is rebuilt to rounding by an orthogonal Z, keeps its structure, holds
+    # the two blocks in swapped order with their eigenvalues (scipy's
+    # eigvals of the original blocks are the oracle), its 2x2 blocks in
+    # standard form, and Z's leading columns span an invariant subspace
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+
+    def block(draw, size, centre):
+        if size == 1:
+            return np.array([[centre]])
+        im = 0.25 * draw(st.integers(1, 8))
+        r = 2.0 ** draw(st.integers(-2, 2))
+        # a complex block, turned by a random rotation out of standard form
+        B = np.array([[centre, im * r], [-im / r, centre]])
+        phi = draw(st.floats(0.0, 3.0))
+        G = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        return G.T @ B @ G
+
+    @st.composite
+    def cases(draw):
+        p, q = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+        before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        c1, c2 = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=2, unique=True))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = before + p + q + after
+        S = np.triu(rng.uniform(-2, 2, (n, n)))
+        i = before
+        S[i : i + p, i : i + p] = block(draw, p, 0.25 * c1)
+        S[i + p : i + p + q, i + p : i + p + q] = block(draw, q, 0.25 * c2)
+        return scale * S, i, p, q
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        S0, i, p, q = case
+        n = S0.shape[0]
+        S, Z = S0.copy(), np.eye(n)
+        linalg._swap_adjacent_upper(S, Z, i, p, q)
+        m = p + q
+        assert max_abs(Z.T @ Z - np.eye(n)) <= 64 * n * EPS
+        assert max_abs(Z @ S @ Z.T - S0) <= 64 * n * EPS * max_abs(S0)
+        # rows and columns outside the window are untouched, and below the
+        # window's diagonal blocks there are hard zeros
+        assert np.array_equal(S[:i, :i], S0[:i, :i])
+        assert np.array_equal(S[i + m :, i + m :], S0[i + m :, i + m :])
+        assert np.all(np.tril(S, -2) == 0.0)
+        assert np.all(S[i + q : i + m, i : i + q] == 0.0)
+        lead, trail = S[i : i + q, i : i + q], S[i + q : i + m, i + q : i + m]
+        tol = 1e-9 * max_abs(S0)
+        old22 = scipy_linalg.eigvals(S0[i + p : i + m, i + p : i + m])
+        old11 = scipy_linalg.eigvals(S0[i : i + p, i : i + p])
+        assert _nearest_match_distance(scipy_linalg.eigvals(lead), old22) <= tol
+        assert _nearest_match_distance(scipy_linalg.eigvals(trail), old11) <= tol
+        for B in (lead, trail):
+            if len(B) == 2:  # standard form: equal diagonal entries
+                assert B[0, 0] == B[1, 1] and B[0, 1] * B[1, 0] < 0.0
+        # the leading i + q columns of Z span S0's invariant subspace
+        Z1 = Z[:, : i + q]
+        assert max_abs(S0 @ Z1 - Z1 @ S[: i + q, : i + q]) <= 64 * n * EPS * max_abs(S0)
+
+    check()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_swap_standardizes_a_block_whose_diagonal_sum_overflows():
+    # the 2x2 block carries 1.5e308 +- 1e308 i; its diagonal sum overflows,
+    # so its standardized diagonal is the mean taken halves first
+    T = np.array([[1.0, 0.0, 0.0], [0.5, 1.5e308, -1e308], [0.25, 1e308, 1.5e308]])
+    re = reorder_schur(real_schur(T), [1])
+    assert np.all(np.isfinite(re.T))
+    assert re.blocks[0].size == 2 and re.blocks[1].size == 1
+    for blk in re.blocks:
+        assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in blk.eigenvalues)
+    assert re.blocks[0].eigenvalues[0] == pytest.approx(1.5e308 + 1e308j, rel=1e-12)
+    assert re.blocks[1].eigenvalues[0] == pytest.approx(1.0, rel=1e-3)
 
 
 def test_reorder_property_on_random_forms():

@@ -26,7 +26,7 @@ from poleplace.errors import (
 )
 from poleplace import linalg, placement, subspace
 from poleplace.cli import _dense_system, _draw_targets
-from poleplace.linalg import condition_number, real_schur
+from poleplace.linalg import condition_number, max_abs, real_schur
 from poleplace.placement import controllability_matrix
 from poleplace.subspace import plan_targets
 from poleplace.verify import assemble_diagnostics, spectrum_distance
@@ -180,6 +180,64 @@ def test_partial_rank_deficiency():
     with pytest.raises(RankDeficiencyError) as info:
         place_partial(sys, [2.0, 3.0], [-2.0, -3.0])
     assert "rank" in str(info.value)
+
+
+def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
+    # a one- or two-value step solves, evaluates p(X) and estimates kappa
+    # on Python floats, and calls none of the matrix routines; it agrees
+    # with them (krylov, solve_linear, eval_matrix of monic_from_roots,
+    # condition_number) to rounding, and refuses a rank-deficient step
+    # with the same error
+    rng = np.random.default_rng(257)
+    cases = []
+    for trial in range(300):
+        r = 1 + trial % 2
+        U = np.linalg.qr(rng.standard_normal((6, r)))[0]
+        b = rng.uniform(-1, 1, 6)
+        X = rng.uniform(-2, 2, (r, r))
+        if r == 1:
+            to = Spectrum([rng.uniform(-3, 0)])
+        elif trial % 4 == 1:
+            z = complex(rng.uniform(-3, 0), rng.uniform(0.1, 2))
+            to = Spectrum([z, z.conjugate()])
+        else:
+            to = Spectrum(list(rng.uniform(-3, 0, 2)))
+        cases.append((b, U, X, to))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix routine was called")
+
+    for name in ("krylov", "solve_linear", "eval_matrix", "monic_from_roots", "condition_number"):
+        monkeypatch.setattr(subspace, name, refuse)
+    got = [subspace._gain_on_split(*case) for case in cases]
+    singular = []
+    for b, r in (([1.0, 0.0], 2), ([0.0, 1.0], 1)):
+        with pytest.raises(RankDeficiencyError) as info:
+            subspace._gain_on_split(np.array(b), np.eye(2)[:, :r], np.diag([1.0, 2.0])[:r, :r],
+                                    Spectrum([-1.0, -2.0][:r]))
+        singular.append(str(info.value))
+    monkeypatch.undo()
+    assert singular == [
+        "controllability restricted to the moved subspace has rank 1 < 2; "
+        "these eigenvalues cannot be assigned together",
+        "controllability restricted to the moved subspace has rank 0 < 1; "
+        "these eigenvalues cannot be assigned together",
+    ]
+    for (b, U, X, to), (k, g, eta, kappa) in zip(cases, got):
+        r = len(X)
+        CX = linalg.krylov(X, U.T @ b, r)
+        eta_want = linalg.solve_linear(CX.T, np.eye(r)[r - 1])
+        P = subspace.eval_matrix(subspace.monic_from_roots(to), X)
+        h_want = P.T @ eta_want
+        kappa_want = condition_number(CX)
+        tol = 64 * linalg.EPS * kappa_want
+        assert max_abs(eta - eta_want) <= tol * max_abs(eta_want)
+        assert max_abs(-g - h_want) <= tol * max_abs(P) * max_abs(eta_want)
+        assert k.tobytes() == (U @ g).tobytes()
+        if r == 1:
+            assert kappa == 1.0
+        else:
+            assert abs(kappa - kappa_want) <= tol * kappa_want
 
 
 # ---------------------------------------------------------------------------
