@@ -14,10 +14,9 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, PolePlacementError, ValidationError
-from .linalg import condition_number, eigenvalues
+from .linalg import eigenvalues
 from .placement import (
     StateSpace,
-    controllability_matrix,
     place_ackermann,
     place_bass_gura,
     place_general,
@@ -339,7 +338,7 @@ def _dense_system(rng, n: int):
         A = rng.uniform(-1.0, 1.0, (n, n))
         b = rng.uniform(-1.0, 1.0, n)
         sys_ = StateSpace(A, b)
-        kappa = condition_number(controllability_matrix(sys_))
+        kappa = sys_._controllability_kappa()
         if kappa <= KAPPA_LIMIT:
             return sys_, attempt, kappa
     raise NumericalError(

@@ -14,6 +14,7 @@ Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,25 +25,58 @@ from .errors import (
     UncontrollableError,
     ValidationError,
 )
-from .linalg import SchurDecomposition, krylov, real_schur, solve_linear
+from .linalg import (
+    SchurDecomposition,
+    condition_number,
+    krylov,
+    real_schur,
+    solve_linear,
+)
 from .poly import Polynomial, _as_spectrum, char_poly, eval_matrix, monic_from_roots
 from .verify import Diagnostics, assemble_diagnostics
+
+
+def _stored(slot: str):
+    """Decorate a system method so that it runs once: its first result is
+    kept in the field ``slot`` and returned by every later call."""
+
+    def decorate(compute):
+        @functools.wraps(compute)
+        def get(self):
+            value = getattr(self, slot)
+            if value is None:
+                value = compute(self)
+                object.__setattr__(self, slot, value)
+            return value
+
+        return get
+
+    return decorate
+
+
+def _store():
+    """A field for one stored open-loop quantity: filled on first use and
+    no part of the system's value."""
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class StateSpace:
     """Single-input system ``x' = A x + b u``.
 
-    A and b are read-only copies of the inputs.  The open-loop Schur form
-    is taken on first use and kept, with read-only Q and T, so that
-    planning and sequential assignment on one system share it.
+    A and b are read-only copies of the inputs.  The system also keeps its
+    open-loop record: the real Schur form of A, the controller canonical
+    form and the condition number of the controllability matrix.  Each is
+    computed on first use and kept, with its arrays read-only, so every
+    placement method, the diagnostics and the CLI's gate on one system
+    share one computation of each.
     """
 
     A: np.ndarray
     b: np.ndarray
-    _schur: SchurDecomposition | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _schur: SchurDecomposition | None = _store()
+    _canonical: CanonicalForm | None = _store()
+    _kappa: float | None = _store()
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -66,15 +100,37 @@ class StateSpace:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @_stored("_schur")
     def _open_loop_schur(self) -> SchurDecomposition:
-        """``real_schur(A)``, computed once per system; its blocks are
-        bitwise ``eigenvalues(A)``."""
-        if self._schur is None:
-            dec = real_schur(self.A)
-            dec.Q.flags.writeable = False
-            dec.T.flags.writeable = False
-            object.__setattr__(self, "_schur", dec)
-        return self._schur
+        """``real_schur(A)``; its blocks are bitwise ``eigenvalues(A)``."""
+        dec = real_schur(self.A)
+        dec.Q.flags.writeable = False
+        dec.T.flags.writeable = False
+        return dec
+
+    @_stored("_canonical")
+    def _canonical_form(self) -> CanonicalForm:
+        """The controller canonical form; ``controller_canonical`` says how
+        it is built."""
+        n = self.n
+        q = char_poly(self.A)
+        A_c = np.zeros((n, n))
+        for i in range(n - 1):
+            A_c[i, i + 1] = 1.0
+        A_c[n - 1, :] = -q.coeffs[:n]
+        b_c = np.zeros(n)
+        b_c[n - 1] = 1.0
+        C = controllability_matrix(self)
+        C_c = krylov(A_c, b_c, n)
+        for arr in (A_c, b_c, C, C_c):
+            arr.flags.writeable = False
+        return CanonicalForm(A_c=A_c, b_c=b_c, C=C, C_c=C_c, p=q)
+
+    @_stored("_kappa")
+    def _controllability_kappa(self) -> float:
+        """``condition_number`` of the controllability matrix, taken on its
+        own: Ackermann's formula reads it without a canonical form."""
+        return condition_number(controllability_matrix(self))
 
 
 @dataclass(frozen=True)
@@ -85,7 +141,9 @@ class CanonicalForm:
     The controllability matrices of both frames and the shared
     characteristic polynomial come along because every placement method
     needs them anyway; ``T`` itself is solved for only when read, since
-    no placement method needs it.
+    no placement method needs it.  The system stores the form it builds
+    and shares it with every caller, so its arrays, ``p.coeffs`` included,
+    are read-only.
     """
 
     A_c: np.ndarray
@@ -120,19 +178,11 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
     characteristic coefficients in its last row; its input vector is the
     last unit vector.  T is computed, on access, through the always
     well-conditioned canonical controllability matrix, so an uncontrollable
-    input shows up as a singular T rather than an error.
+    input shows up as a singular T rather than an error.  The form is
+    built once per system and stored on it, so every call on one system
+    returns the same read-only object.
     """
-    n = sys.n
-    q = char_poly(sys.A)
-    A_c = np.zeros((n, n))
-    for i in range(n - 1):
-        A_c[i, i + 1] = 1.0
-    A_c[n - 1, :] = -q.coeffs[:n]
-    b_c = np.zeros(n)
-    b_c[n - 1] = 1.0
-    C = controllability_matrix(sys)
-    C_c = krylov(A_c, b_c, n)
-    return CanonicalForm(A_c=A_c, b_c=b_c, C=C, C_c=C_c, p=q)
+    return sys._canonical_form()
 
 
 def _solve_controllability(C, rhs) -> np.ndarray:

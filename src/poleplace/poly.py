@@ -20,7 +20,8 @@ from .errors import ValidationError
 
 
 class Polynomial:
-    """Dense real polynomial with ascending coefficients."""
+    """Dense real polynomial with ascending coefficients, held in a
+    read-only copy of the input."""
 
     __slots__ = ("coeffs",)
 
@@ -30,6 +31,7 @@ class Polynomial:
             raise ValidationError("polynomial needs a nonempty 1-D coefficient array")
         if not np.all(np.isfinite(c)):
             raise ValidationError("polynomial coefficients must be finite")
+        c.flags.writeable = False
         self.coeffs = c
 
     @property

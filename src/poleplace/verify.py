@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import condition_number, determinant, eigenvalues, krylov, solve_linear
+from .linalg import determinant, eigenvalues, solve_linear
 from .poly import _as_spectrum, char_poly, monic_from_roots
 
 ILL_CONDITIONED = 1e8
@@ -159,12 +159,15 @@ def spectrum_distance(got, want) -> float:
 def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     """Build the Diagnostics record for a gain on a given system.
 
-    Residuals are filled only when the full target spectrum is known.
-    An ill-conditioned controllability matrix earns a warning rather than
-    an error: the gain is still returned, with notice that its digits may
-    not survive closed-loop arithmetic.
+    The controllability condition number is the one the system stores,
+    computed on its first use, so every gain on one system reads the same
+    value; the residuals are computed afresh for each gain, and filled
+    only when the full target spectrum is known.  An ill-conditioned
+    controllability matrix earns a warning rather than an error: the gain
+    is still returned, with notice that its digits may not survive
+    closed-loop arithmetic.
     """
-    kap = condition_number(krylov(sys.A, sys.b, sys.n))
+    kap = sys._controllability_kappa()
     warnings = ()
     if not kap <= ILL_CONDITIONED:
         warnings = (

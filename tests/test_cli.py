@@ -671,6 +671,29 @@ def test_compare_chain_family(capsys):
             assert abs(float(row["kappa_controllability"]) - 1.0) <= 1e-9
 
 
+def test_compare_takes_each_kappa_once(monkeypatch, capsys):
+    # the gate, Bass-Gura, Ackermann and sequential assignment on one drawn
+    # system all read the condition number the system stores: one
+    # computation per controllability matrix, rejected draws included
+    from poleplace import cli, linalg, placement, subspace, verify
+
+    seen = []
+    condition_number = linalg.condition_number
+
+    def counted(M):
+        if M.shape[0] >= 4:  # the n x n matrix, not a sequential step's
+            seen.append(M.tobytes())
+        return condition_number(M)
+
+    for mod in (cli, linalg, placement, subspace, verify):
+        monkeypatch.setattr(mod, "condition_number", counted, raising=False)
+    assert main(["compare", "--n", "4,6", "--trials", "2", "--seed", "3"]) == 0
+    _, _, rows = _split_compare_output(capsys.readouterr().out)
+    assert len(rows) == 2 * 2 * 3
+    assert len(seen) >= 2 * 2
+    assert len(set(seen)) == len(seen)
+
+
 def test_compare_validates_arguments(capsys):
     assert main(["compare", "--n", "2,x"]) == 2
     capsys.readouterr()

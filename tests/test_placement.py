@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,8 @@ from poleplace.errors import (
     UncontrollableError,
     ValidationError,
 )
-from poleplace import placement
+from poleplace import linalg, placement, subspace, verify
+from poleplace.cli import _dense_system, _draw_targets
 from poleplace.placement import omega_vector
 from poleplace.verify import spectrum_distance
 
@@ -83,6 +86,29 @@ def test_controller_canonical_similarity():
             1.0, np.max(np.abs(cf.T))
         )
         assert_allclose(cf.T @ cf.b_c, sys.b, atol=1e-10)
+
+
+def test_stored_canonical_form_is_read_only():
+    # the system keeps one canonical form and hands it to every caller, so
+    # no caller can write into it, and a gain after an attempt is unchanged
+    sys = random_controllable(np.random.default_rng(269), 5)
+    targets = Spectrum([-1.0, -2.0, -3.0, -1 + 1j, -1 - 1j])
+    pulled = Spectrum([-1 + 1j, -1 - 1j])
+    before = [place_bass_gura(sys, targets).k.tobytes(),
+              place_general(sys, targets, pulled).k.tobytes()]
+    cf = controller_canonical(sys)
+    assert controller_canonical(sys) is cf
+    for arr in (cf.A_c, cf.b_c, cf.C, cf.C_c, cf.p.coeffs):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        cf.C[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        cf.p.coeffs[0] = 5.0
+    with pytest.raises(ValueError):
+        cf.C_c += 1.0
+    after = [place_bass_gura(sys, targets).k.tobytes(),
+             place_general(sys, targets, pulled).k.tobytes()]
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +315,88 @@ def test_full_methods_place_complex_pairs():
         ):
             closed = sys.A + np.outer(sys.b, gain.k)
             assert spectrum_distance(eigenvalues(closed), targets) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the open-loop record stored on the system
+
+
+def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
+    # Bass-Gura, Ackermann and a split between them on one system take the
+    # open-loop char_poly and the controllability condition number once;
+    # each gain still gets its own closed-loop char_poly and spectrum
+    sys = random_controllable(np.random.default_rng(271), 6)
+    targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
+    pulled = Spectrum([-1 + 1j, -1 - 1j])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(M, *args, **kwargs):
+            # char_poly and eigenvalues see A (open loop) or A + b k^T;
+            # condition_number sees only the controllability matrix
+            loop = "open-loop " if np.array_equal(M, sys.A) else "closed-loop "
+            calls[name if name == "condition_number" else loop + name] += 1
+            return fn(M, *args, **kwargs)
+
+        return wrapped
+
+    for name, fn in (("char_poly", placement.char_poly),
+                     ("condition_number", linalg.condition_number),
+                     ("eigenvalues", linalg.eigenvalues)):
+        for mod in (linalg, placement, subspace, verify):
+            monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
+    for rounds in (1, 2):
+        place_bass_gura(sys, targets)
+        place_ackermann(sys, targets)
+        place_general(sys, targets, pulled)
+        assert calls == {
+            "open-loop char_poly": 1,
+            "condition_number": 1,
+            "closed-loop char_poly": 3 * rounds,
+            "closed-loop eigenvalues": 3 * rounds,
+        }
+
+
+def _full_spectrum_bytes(make, targets, pulled):
+    """The three full-spectrum gains and their diagnostics as exact bytes,
+    each on the system ``make()`` returns."""
+    gains = (place_bass_gura(make(), targets), place_ackermann(make(), targets),
+             place_general(make(), targets, pulled))
+    return [(g.k.tobytes(), repr(g.diagnostics)) for g in gains]
+
+
+def test_stored_open_loop_record_gives_the_fresh_results():
+    # a system that already holds its canonical form and kappa gives gains
+    # and diagnostics byte-equal to a fresh system for every call
+    rng = np.random.default_rng(263)
+    for n in (3, 4, 6, 8, 11, 14, 17, 20):
+        sys, _, _ = _dense_system(rng, n)
+        targets = _draw_targets(rng, n)
+        # conjugates share their real part, so this subset is self-conjugate
+        pulled = Spectrum([z for z in targets if z.real > -1.5])
+        fresh = _full_spectrum_bytes(lambda: StateSpace(sys.A, sys.b), targets, pulled)
+        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == fresh
+        stored = (sys._canonical, sys._kappa)
+        assert stored[0] is not None and stored[1] is not None
+        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == fresh
+        assert (sys._canonical, sys._kappa) == stored
+
+
+def test_stored_open_loop_record_keeps_the_uncontrollable_message():
+    # an uncontrollable system raises the same error on a second call,
+    # with its canonical form stored, as on a fresh system
+    A, b = np.diag([1.0, 1.0, 2.0]), [1.0, 1.0, 1.0]
+    targets = Spectrum([-1.0, -2.0, -3.0])
+    sys = StateSpace(A, b)
+    for place in (
+        lambda s: place_bass_gura(s, targets),
+        lambda s: place_ackermann(s, targets),
+        lambda s: place_general(s, targets, Spectrum([-2.0])),
+    ):
+        messages = []
+        for s in (sys, sys, StateSpace(A, b)):
+            with pytest.raises(UncontrollableError) as info:
+                place(s)
+            messages.append(str(info.value))
+        assert messages == [messages[0]] * 3
+    assert sys._canonical is not None

@@ -14,6 +14,7 @@ from poleplace import (
     eigenvalues,
     paired_plan,
     place_ackermann,
+    place_bass_gura,
     place_partial,
     place_sequential,
     place_simon_mitter,
@@ -576,12 +577,17 @@ def test_state_space_arrays_are_read_only():
     # the system holds copies: the caller's array stays writeable
     A[0, 0] = 3.0
     assert sys.A[0, 0] == 1.0
-    # the stored form is no part of the system's value
+    # the stored open-loop record is no part of the system's value
     plan_targets(sys, AssignmentPlan((((1.0,), (-1.0,)),)))
+    place_bass_gura(sys, [-1.0, -2.0])
     assert sys._schur is not None
+    assert sys._canonical is not None
+    assert sys._kappa is not None
     assert repr(sys) == repr(StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0]))
-    (field,) = [f for f in dataclasses.fields(StateSpace) if f.name == "_schur"]
-    assert not (field.init or field.repr or field.compare)
+    stored = [f for f in dataclasses.fields(StateSpace) if f.name.startswith("_")]
+    assert [f.name for f in stored] == ["_schur", "_canonical", "_kappa"]
+    for field in stored:
+        assert not (field.init or field.repr or field.compare)
 
 
 def test_sequential_steps_freeze_the_blocks_they_do_not_move():
