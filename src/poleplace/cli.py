@@ -1,7 +1,8 @@
 """Command-line front end: place, verify, gen, compare.
 
 JSON in, JSON or tables out, '-' for stdin/stdout.  Exit codes: 0 success,
-1 verification failure, 2 validation, 3 numerical failure, 4 non-convergence.
+1 verification failure, 2 validation, 3 numerical failure, 4 non-convergence,
+141 stdout closed before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -9,12 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
 
 from .errors import NumericalError, PolePlacementError, ValidationError
-from .linalg import eigenvalues
 from .placement import (
     StateSpace,
     place_ackermann,
@@ -30,7 +31,7 @@ from .subspace import (
     place_simon_mitter,
     plan_targets,
 )
-from .verify import _bottleneck, charpoly_residual, closed_loop
+from .verify import _bottleneck, _closed_loop_spectrum, charpoly_residual
 
 RESIDUAL_LIMIT = 1e-6
 KAPPA_LIMIT = 1e8
@@ -308,7 +309,7 @@ def cmd_verify(args) -> int:
         )
 
     cres = charpoly_residual(sys_, k, targets)
-    achieved = list(eigenvalues(closed_loop(sys_, k)))
+    achieved = list(_closed_loop_spectrum(sys_, k, targets))
     # the table shows the pairing that defines spectrum_residual
     sres, pairing = _bottleneck(targets, achieved)
     print(f"charpoly_residual  {cres:.6e}")
@@ -539,10 +540,24 @@ def main(argv=None) -> int:
     command = {"place": cmd_place, "verify": cmd_verify, "gen": cmd_gen,
                "compare": cmd_compare}[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
     except PolePlacementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader left early (`poleplace compare | head`): end quietly,
+        # as a process killed by SIGPIPE would, with stdout pointed at the
+        # null device so that the interpreter's last flush cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not a file: the interpreter flushes nothing
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
 
 
 def run() -> None:

@@ -22,6 +22,16 @@ it, columns right of it) and Q.  Nothing in the block reads the strips or
 Q, so the eigenvalue-only blocks are bitwise ``real_schur``'s by
 construction; ``real_schur`` and ``reorder_schur`` keep Q.
 
+``eigenvalues`` may also be told which values to expect (``near``), as a
+closed-loop check knows the spectrum it asked for.  The first sweep, and
+the first after each deflation at the bottom, then shifts by the
+requested pair nearest the standard one; an exact shift deflates in
+about one sweep (Watkins, "The transmission of shifts and shift blurring
+in the QR algorithm", LAA 241-243, 1996).  The other sweeps, the
+exceptional shifts, the deflation test and the sweep budget are the
+plain iteration's, and each sweep is an orthogonal similarity whatever
+its shifts, so a wrong request costs sweeps, not accuracy.
+
 ``condition_number`` needs no Schur form.  It takes the Householder R of
 its matrix, inverts R by back substitution and multiplies the two
 spectral norms.  Each norm is the largest eigenvalue of a Gram matrix,
@@ -633,7 +643,40 @@ def _francis_step(H, Q, l, hi, tr, det):
             C[...] = C @ P
 
 
-def _francis_upper(H, Q, max_sweeps):
+def _nearest(values, z) -> int:
+    """Index of the first of ``values`` nearest z."""
+    dist = [abs(v - z) for v in values]
+    return dist.index(min(dist))
+
+
+def _requested_shifts(near, tr, det, corner):
+    """The shift pair, as trace and determinant, that the requested values
+    offer in place of the standard pair ``(tr, det)``.
+
+    Of the standard pair's roots the one nearer the corner entry is about
+    to deflate; the requested value nearest it is taken with its conjugate
+    if it is complex, and otherwise with the requested real nearest the
+    other root (or with itself when no other real is left).
+    """
+    half = 0.5 * tr
+    disc = half * half - det
+    if disc < 0.0:
+        first = second = complex(half, math.sqrt(-disc))
+    else:
+        root = math.sqrt(disc)
+        first, second = half + root, half - root
+        if abs(second - corner) < abs(first - corner):
+            first, second = second, first
+    i = _nearest(near, first)
+    z = near[i]
+    if z.imag != 0.0:
+        return 2.0 * z.real, z.real * z.real + z.imag * z.imag
+    reals = [v for j, v in enumerate(near) if j != i and v.imag == 0.0]
+    w = reals[_nearest(reals, second)] if reals else z
+    return z.real + w.real, z.real * w.real
+
+
+def _francis_upper(H, Q, max_sweeps, near=()):
     """Drive upper Hessenberg H to upper quasi-triangular form in place.
 
     Subdiagonal entries count as converged when small against their
@@ -642,11 +685,21 @@ def _francis_upper(H, Q, max_sweeps):
     ConvergenceError carrying the partial factorization.  Each pass reads
     the diagonal and subdiagonal once, as Python floats, for the deflation
     scan and the shifts.
+
+    ``near`` holds requested eigenvalues, already scaled as H is.  While
+    any are left, the first sweep, and the first after each deflation at
+    the bottom, shifts by the requested pair nearest the standard one
+    (``_requested_shifts``): an exact shift deflates in about one sweep.
+    Each deflated eigenvalue retires the requested value nearest it.
+    Every other sweep, and the deflation test, are those without ``near``;
+    with ``near`` empty the iteration is bitwise the plain one.
     """
     n = H.shape[0]
     hi = n - 1
     sweeps = 0
     stalled = 0
+    near = list(near)
+    seeded = bool(near)  # the next standard sweep takes requested shifts
     while hi > 0:
         diag = H.diagonal()[: hi + 1].tolist()
         sub = H.diagonal(-1)[:hi].tolist()  # sub[j] is H[j + 1, j]
@@ -657,10 +710,18 @@ def _francis_upper(H, Q, max_sweeps):
                 break
             l -= 1
         if l == hi:
+            if near:  # retire the requested value nearest the deflated one
+                near.pop(_nearest(near, diag[hi]))
+                seeded = bool(near)
             hi -= 1
             stalled = 0
             continue
         if l == hi - 1:
+            if near:
+                for lam in _block_eigs(diag[l], float(H[l, hi]), sub[l], diag[hi]):
+                    if near:
+                        near.pop(_nearest(near, lam))
+                seeded = bool(near)
             _standardize_2x2(H, Q, l)
             hi -= 2
             stalled = 0
@@ -682,6 +743,9 @@ def _francis_upper(H, Q, max_sweeps):
         else:
             tr = diag[hi - 1] + diag[hi]
             det = diag[hi - 1] * diag[hi] - float(H[hi - 1, hi]) * sub[hi - 1]
+            if seeded:
+                tr, det = _requested_shifts(near, tr, det, diag[hi])
+                seeded = False
         _francis_step(H, Q, l, hi, tr, det)
     return sweeps
 
@@ -717,7 +781,21 @@ def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
     return tuple(blocks)
 
 
-def _schur_upper(A, budget, want_q):
+def _scaled_request(near, B, shift) -> list:
+    """The requested values that can be eigenvalues of ``2**-shift A``,
+    scaled as it is (B is its transpose): a value that is not finite after
+    the scaling, or whose modulus exceeds ``||2**-shift A||_inf``, the
+    largest column sum of B and a bound on every eigenvalue, is dropped,
+    so no shift formed from the rest overflows."""
+    z = np.array(near, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = np.ldexp(z.real, -shift), np.ldexp(z.imag, -shift)
+        keep = np.isfinite(re) & np.isfinite(im)
+        keep &= np.hypot(re, im) <= np.abs(B).sum(axis=0).max()
+    return [complex(x, y) for x, y in zip(re[keep].tolist(), im[keep].tolist())]
+
+
+def _schur_upper(A, budget, want_q, near=()):
     """Upper quasi-triangular Schur form H of ``A.T`` and its Q (both None
     unless ``want_q``), and its blocks; ``budget`` None means 40 sweeps per
     dimension.
@@ -725,16 +803,21 @@ def _schur_upper(A, budget, want_q):
     A is first scaled by the power of two that brings its largest entry
     into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
     squares in the shifts and in ``_block_disc`` neither overflow nor
-    underflow.  The blocks' eigenvalues are read off the scaled form, then
-    they and H are scaled back; an eigenvalue or an entry of H beyond the
-    float range raises NumericalError.  The active block's arithmetic does
-    not depend on ``want_q``, so the blocks are bitwise the same either way.
+    underflow.  The requested values ``near`` are scaled alike and seed
+    the shifts (``_francis_upper``).  The blocks' eigenvalues are read off
+    the scaled form, then they and H are scaled back; an eigenvalue or an
+    entry of H beyond the float range raises NumericalError.  The active
+    block's arithmetic does not depend on ``want_q``, so the blocks are
+    bitwise the same either way.
     """
     A = _as_square(A, "A")
     shift = int(np.frexp(max_abs(A))[1])
-    Q, H = _hessenberg_upper(np.ldexp(A.T, -shift), want_q)
+    B = np.ldexp(A.T, -shift)
+    if near:
+        near = _scaled_request(near, B, shift)
+    Q, H = _hessenberg_upper(B, want_q)
     try:
-        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget))
+        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget), near)
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
@@ -759,10 +842,20 @@ def real_schur(A, max_sweeps=None) -> SchurDecomposition:
     return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=blocks)
 
 
-def eigenvalues(A) -> Spectrum:
+def eigenvalues(A, *, near=()) -> Spectrum:
     """Eigenvalues of a real square matrix as a self-conjugate Spectrum,
-    read off the diagonal blocks of its Schur form (computed without Q)."""
-    _, _, blocks = _schur_upper(A, None, want_q=False)
+    read off the diagonal blocks of its Schur form (computed without Q).
+
+    ``near`` may name values the eigenvalues are expected to lie close to,
+    such as the spectrum a gain was asked to place.  They only choose the
+    shifts of some QR sweeps (see ``_francis_upper``); every sweep is an
+    orthogonal similarity whatever its shifts, and deflation is tested as
+    without them, so the result is as accurate however wrong the request,
+    which then costs sweeps, not digits.  Values that cannot be
+    eigenvalues (not finite, or above ``||A||_inf``) are dropped first.
+    Without ``near`` the result is bitwise ``real_schur(A)``'s blocks.
+    """
+    _, _, blocks = _schur_upper(A, None, want_q=False, near=tuple(near))
     return Spectrum([z for blk in blocks for z in blk.eigenvalues])
 
 

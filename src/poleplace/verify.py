@@ -5,6 +5,13 @@ characteristic polynomial of the closed loop computed by the trace
 recurrence (no eigenvalue solver involved), and the closed-loop spectrum
 from the Schur iteration matched against the request.  Agreement of both
 is strong evidence; disagreement points at which half went wrong.
+
+The Schur iteration takes the request as a hint: the first QR sweep
+after each deflation shifts by the requested values nearest the ones
+about to converge, which deflates a placed pole in about one sweep.  The
+hint chooses shifts only.  Every sweep is an orthogonal similarity and
+deflation is tested as without it, so the spectrum reported is that of a
+nearby closed loop however wrong the request; a wrong one costs sweeps.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ def closed_loop(sys, k) -> np.ndarray:
     if not np.all(np.isfinite(k)):
         raise ValidationError("gain must have finite entries")
     return sys.A + np.outer(sys.b, k)
+
+
+def _closed_loop_spectrum(sys, k, targets):
+    """Eigenvalues of ``A + b k^T``, with the QR shifts seeded from the
+    requested spectrum (``eigenvalues(..., near=targets)``)."""
+    return eigenvalues(closed_loop(sys, k), near=targets)
 
 
 def charpoly_residual(sys, k, targets) -> float:
@@ -162,10 +175,11 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     The controllability condition number is the one the system stores,
     computed on its first use, so every gain on one system reads the same
     value; the residuals are computed afresh for each gain, and filled
-    only when the full target spectrum is known.  An ill-conditioned
-    controllability matrix earns a warning rather than an error: the gain
-    is still returned, with notice that its digits may not survive
-    closed-loop arithmetic.
+    only when the full target spectrum is known, the closed-loop spectrum
+    with its QR shifts seeded from the targets (``_closed_loop_spectrum``).
+    An ill-conditioned controllability matrix earns a warning rather than
+    an error: the gain is still returned, with notice that its digits may
+    not survive closed-loop arithmetic.
     """
     kap = sys._controllability_kappa()
     warnings = ()
@@ -177,7 +191,7 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     cres = sres = None
     if targets is not None:
         cres = charpoly_residual(sys, k, targets)
-        sres = spectrum_distance(eigenvalues(closed_loop(sys, k)), targets)
+        sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
     return Diagnostics(
         kappa_controllability=kap,
         step_kappas=tuple(float(x) for x in step_kappas),

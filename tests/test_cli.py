@@ -549,6 +549,55 @@ def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
         assert f"{largest:.6e}" == residual[1]
 
 
+def test_verify_spectrum_does_not_lean_on_the_request(tmp_path, capsys):
+    # the request seeds the shifts of the closed-loop Schur iteration, yet a
+    # gain off by 1e-4 relative still fails, and the achieved values it
+    # prints are the spectrum computed without the request, to 1e-12
+    from poleplace.linalg import eigenvalues
+    from poleplace.verify import closed_loop, spectrum_distance
+
+    n = 16
+    rng = np.random.default_rng(37)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    re, im = -rng.uniform(0.1, 3.0, n // 2), rng.uniform(0.1, 3.0, n // 2)
+    L = np.tril(rng.uniform(-0.5, 0.5, (n, n)), -2)
+    for i in range(n // 2):
+        L[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re[i], im[i]], [-im[i], re[i]]]
+    b, k = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    A = Q @ L @ Q.T - np.outer(b, k)
+    system = write_json(tmp_path / "s.json", {"n": n, "A": A.tolist(), "b": b.tolist()})
+    plan = poles_plan(tmp_path, [f"{x!r}{s}{y!r}i" for x, y in zip(re.tolist(), im.tolist())
+                                 for s in "+-"])
+    sys_ = StateSpace(A, b)
+    bad = k * (1.0 + 1e-4 * rng.choice([-1.0, 1.0], n))
+    for gain, code in ((k, 0), (bad, 1)):
+        assert main(["verify", "--system", system, "--plan", plan,
+                     "--gain=" + ",".join(repr(float(v)) for v in gain)]) == code
+        rows = capsys.readouterr().out.splitlines()[3 : 3 + n]
+        achieved = [parse_pole(row.split()[1]) for row in rows]
+        plain = eigenvalues(closed_loop(sys_, gain))
+        scale = max(abs(z) for z in plain)
+        assert spectrum_distance(achieved, plain) <= 1e-12 * scale
+
+
+def test_closed_stdout_ends_quietly_with_exit_141():
+    # `poleplace compare ... | head -3`: a reader that leaves early is no
+    # failure of the program, so no traceback, and the shell's code for a
+    # process ended by SIGPIPE (128 + 13), not verify's 1
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(poleplace.__file__)))
+    script = "import sys; from poleplace.cli import run; run()"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, "compare", "--n", "4,8", "--trials", "5", "--seed", "0"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 def test_verify_gain_must_be_real(tmp_path, capsys):
     rc = main(
         [

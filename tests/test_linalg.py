@@ -24,6 +24,7 @@ from poleplace.errors import (
     ValidationError,
 )
 from poleplace import linalg
+from poleplace.verify import spectrum_distance
 from poleplace.linalg import (
     EPS,
     SchurDecomposition,
@@ -626,12 +627,24 @@ def _kappa_reference(M):
     return kappa if M.shape[1] * EPS * kappa <= 1e-10 else _kappa_oracle(M)
 
 
+# not finite, or far above any eigenvalue of a matrix with entries of
+# moderate size: eigenvalues drops them before iterating
+_IMPOSSIBLE_REQUESTS = (
+    [1e300] * 8,
+    [complex(1e200, 1e200), complex(1e200, -1e200)] * 4,
+    [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)],
+)
+
+
 @pytest.mark.parametrize("kind", ["dense", "triangular", "symmetric", "cyclic", "clamp"])
 def test_eigenvalue_only_path_is_bitwise_real_schur(kind):
     for A in _bitwise_inputs(kind):
         want = np.array(_block_values(real_schur(A)), dtype=complex)
-        got = np.array(list(eigenvalues(A)), dtype=complex)
-        assert got.tobytes() == want.tobytes()
+        # an empty request, or one whose values cannot be eigenvalues, is
+        # no request at all
+        for near in ((), *_IMPOSSIBLE_REQUESTS):
+            got = np.array(list(eigenvalues(A, near=near)), dtype=complex)
+            assert got.tobytes() == want.tobytes()
         for M in (A, A[:, : max(1, A.shape[1] // 2)]):
             kappa = _kappa_reference(M)
             assert abs(condition_number(M) - kappa) <= 1e-6 * kappa
@@ -666,6 +679,116 @@ def test_eigenvalue_only_path_never_calls_real_schur(monkeypatch):
     A = rng.uniform(-1, 1, (9, 9))
     assert len(eigenvalues(A)) == 9
     assert math.isfinite(condition_number(A))
+
+
+# ---------------------------------------------------------------------------
+# requested shifts: eigenvalues(A, near=...) takes the shifts of the first
+# sweep after each deflation from the request, and nothing else
+
+
+def _known_spectrum(rng, n):
+    """``Q L Q^T`` for a random orthogonal Q and lower quasi-triangular L
+    with conjugate pairs in its 2x2 blocks (and one real value when n is
+    odd), and L's spectrum."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    L = np.tril(rng.uniform(-0.5, 0.5, (n, n)), -2)
+    values = []
+    for i in range(0, n - 1, 2):
+        re, im = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        L[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
+        values += [complex(re, im), complex(re, -im)]
+    if n % 2:
+        L[-1, -1] = -rng.uniform(0.1, 3.0)
+        values.append(complex(L[-1, -1]))
+    return Q @ L @ Q.T, values
+
+
+def test_impossible_requests_change_nothing():
+    # unguarded, such shifts turn into inf and nan and the iteration runs
+    # out of its 40 n sweeps
+    A = np.random.default_rng(83).standard_normal((8, 8))
+    want = np.array(list(eigenvalues(A)), dtype=complex).tobytes()
+    for near in _IMPOSSIBLE_REQUESTS:
+        assert np.array(list(eigenvalues(A, near=near)), dtype=complex).tobytes() == want
+    # a matrix of tiny entries scales a huge request beyond the float range
+    got = eigenvalues(np.ldexp(A, -1000), near=[1e300, complex(1e300, 1e300)])
+    assert np.array(list(got), dtype=complex).tobytes() == np.array(
+        list(eigenvalues(np.ldexp(A, -1000))), dtype=complex).tobytes()
+
+
+def test_requested_shifts_cut_the_sweeps(monkeypatch):
+    # an exact shift deflates in about one sweep: on closed loops whose
+    # spectrum is requested exactly, each call sweeps at most 0.7x as often
+    # as without the request, and agrees with it to rounding
+    calls = []
+    step = linalg._francis_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(linalg, "_francis_step", counting)
+    rng = np.random.default_rng(89)
+    for _ in range(10):
+        A, values = _known_spectrum(rng, 32)
+        calls.clear()
+        plain = eigenvalues(A)
+        without = len(calls)
+        calls.clear()
+        seeded = eigenvalues(A, near=values)
+        assert len(calls) <= 0.7 * without
+        assert spectrum_distance(seeded, plain) <= 1e-12
+
+
+def test_eigenvalues_with_a_request_property():
+    # whatever the request holds (the exact spectrum, a perturbed or an
+    # unrelated one, too few or too many values, none), the result is a
+    # complete, conjugate-closed spectrum as close to LAPACK's as without it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 30))
+        e = draw(st.integers(-60, 60))
+        kind = draw(st.sampled_from(
+            ["exact", "perturbed", "unrelated", "short", "long", "empty"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        A = rng.uniform(-1, 1, (n, n))
+        exact = scipy_linalg.eigvals(A)
+        if kind == "exact":
+            near = exact
+        elif kind == "perturbed":
+            # the spectrum of a nearby matrix, so still conjugate closed
+            delta = 10.0 ** rng.uniform(-8, -1)
+            near = scipy_linalg.eigvals(A + delta * rng.uniform(-1, 1, (n, n)))
+        elif kind == "unrelated":
+            near = scipy_linalg.eigvals(rng.uniform(-1, 1, (n, n)))
+        elif kind == "short":
+            near = exact[: rng.integers(0, n)]
+        elif kind == "long":
+            near = np.concatenate([exact, rng.uniform(-1, 1, rng.integers(1, 6))])
+        else:
+            near = []
+        scale = 2.0**e  # exact: no scaled value leaves the normal range
+        return A * scale, [z * scale for z in near]
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        A, near = case
+        n = A.shape[0]
+        got = list(eigenvalues(A, near=near))
+        assert len(got) == n
+        upper = Counter((z.real.hex(), z.imag.hex()) for z in got if z.imag > 0.0)
+        lower = Counter((z.real.hex(), (-z.imag).hex()) for z in got if z.imag < 0.0)
+        assert upper == lower
+        want = scipy_linalg.eigvals(A)
+        plain = spectrum_distance(eigenvalues(A), want)
+        assert spectrum_distance(got, want) <= 4.0 * plain + 64 * n * EPS * max_abs(A)
+
+    check()
 
 
 def test_eigenvalue_only_sweep_stays_inside_its_window():

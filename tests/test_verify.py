@@ -225,6 +225,36 @@ def test_diagnostics_with_targets_fills_residuals():
     assert d.spectrum_residual <= 1e-8
 
 
+def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch, tmp_path, capsys):
+    # assemble_diagnostics and `poleplace verify` compute the closed-loop
+    # spectrum through one helper, which hands the request to eigenvalues
+    import json
+
+    from poleplace import cli, verify
+
+    seen = []
+
+    def recording(M, *, near=()):
+        seen.append(list(near))
+        return eigenvalues(M, near=near)
+
+    monkeypatch.setattr(verify, "eigenvalues", recording)
+    sys = random_controllable(np.random.default_rng(41), 6)
+    targets = Spectrum([-1.0, -2.0, complex(-1.0, 1.0), complex(-1.0, -1.0), -3.0, -4.0])
+    gain = place_bass_gura(sys, targets)
+    assert seen == [list(targets)]
+    assert gain.diagnostics.spectrum_residual == spectrum_distance(
+        eigenvalues(closed_loop(sys, gain.k), near=targets), targets)
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 6, "A": sys.A.tolist(), "b": sys.b.tolist()}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": [cli.format_pole(z) for z in targets]}))
+    assert cli.main(["verify", "--system", str(system), "--plan", str(plan),
+                     "--gain=" + ",".join(repr(float(v)) for v in gain.k)]) == 0
+    assert seen[1] == list(targets)
+    capsys.readouterr()
+
+
 def test_diagnostics_warns_on_ill_conditioned_controllability():
     sys = StateSpace(A=np.diag(np.arange(1.0, 9.0)), b=np.ones(8))
     d = assemble_diagnostics(sys, np.zeros(8))
