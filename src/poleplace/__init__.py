@@ -44,10 +44,8 @@ from .subspace import (
     place_simon_mitter,
 )
 from .verify import (
-    adjugate_identity_check,
     charpoly_residual,
     closed_loop,
-    diagnostics,
     spectrum_distance,
 )
 
@@ -69,13 +67,11 @@ __all__ = [
     "StateSpace",
     "UncontrollableError",
     "ValidationError",
-    "adjugate_identity_check",
     "char_poly",
     "charpoly_residual",
     "closed_loop",
     "controllability_matrix",
     "controller_canonical",
-    "diagnostics",
     "eigenvalues",
     "invariant_split",
     "monic_from_roots",

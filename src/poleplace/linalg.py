@@ -213,7 +213,8 @@ def determinant(M) -> float:
 
 
 def krylov(A, b, m) -> np.ndarray:
-    """Columns ``[b, Ab, ..., A**(m-1) b]``."""
+    """Columns ``[b, Ab, ..., A**(m-1) b]``; NumericalError when one of
+    them leaves the float range."""
     A = _as_square(A, "A")
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -225,9 +226,16 @@ def krylov(A, b, m) -> np.ndarray:
         raise ValidationError(f"column count {m} out of range")
     C = np.empty((n, int(m)))
     v = b.copy()
-    for j in range(int(m)):
-        C[:, j] = v
-        v = A @ v
+    C[:, 0] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, int(m)):
+            v = A @ v
+            C[:, j] = v
+    finite = np.isfinite(C).all(axis=0)
+    if not finite.all():
+        raise NumericalError(
+            f"Krylov column A**{int(np.argmin(finite))} b overflows the float range"
+        )
     return C
 
 
@@ -1163,6 +1171,15 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     return SchurDecomposition(Q=Q, T=T, blocks=blocks)
 
 
+def _lead(dec: SchurDecomposition, moved: Spectrum, tol):
+    """Reorder ``dec`` so the blocks carrying ``moved`` (``_select_blocks``
+    within ``tol``) come first.  Returns the new form and contiguous copies
+    of its ``Q[:, :r]`` and ``T[:r, :r]``, r = len(moved)."""
+    dec = reorder_schur(dec, _select_blocks(dec, moved, tol))
+    r = len(moved)
+    return dec, dec.Q[:, :r].copy(), dec.T[:r, :r].copy()
+
+
 def invariant_split(A, moved) -> InvariantSplit:
     """Split state space along the invariant subspace of chosen eigenvalues.
 
@@ -1170,22 +1187,21 @@ def invariant_split(A, moved) -> InvariantSplit:
     spectrum within ``_match_tol(A)``, relative to max|A|; see
     ``_select_blocks``).
     The underlying Schur form is reordered so those eigenvalues lead, and
-    the orthonormal basis is cut after them.
+    the orthonormal basis is cut after them (``_lead``).
     """
     A = _as_square(A, "A")
     moved = _as_spectrum(moved)
     n = A.shape[0]
     if not 1 <= len(moved) <= n:
         raise ValidationError(f"moved set has {len(moved)} values, expected 1..{n}")
-    dec = real_schur(A)
-    re = reorder_schur(dec, _select_blocks(dec, moved, _match_tol(A)))
+    re, U, X = _lead(real_schur(A), moved, _match_tol(A))
     r = len(moved)
     lead = [z for blk in re.blocks if blk.start < r for z in blk.eigenvalues]
     rest = [z for blk in re.blocks if blk.start >= r for z in blk.eigenvalues]
     return InvariantSplit(
-        U=re.Q[:, :r].copy(),
+        U=U,
         V=re.Q[:, r:].copy(),
-        X=re.T[:r, :r].copy(),
+        X=X,
         Y=re.T[r:, r:].copy(),
         moved=Spectrum(lead),
         kept=Spectrum(rest),

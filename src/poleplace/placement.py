@@ -135,15 +135,14 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Controller canonical companion pair and the similarity onto it.
+    """Controller canonical companion pair with the controllability
+    matrices of both frames and the shared characteristic polynomial.
 
-    ``A = T @ A_c @ inv(T)`` and ``b = T @ b_c`` with ``T = C @ inv(C_c)``.
-    The controllability matrices of both frames and the shared
-    characteristic polynomial come along because every placement method
-    needs them anyway; ``T`` itself is solved for only when read, since
-    no placement method needs it.  The system stores the form it builds
-    and shares it with every caller, so its arrays, ``p.coeffs`` included,
-    are read-only.
+    The similarity onto the pair is ``T = C @ inv(C_c)``, with
+    ``A = T @ A_c @ inv(T)`` and ``b = T @ b_c``; no placement method
+    needs T itself, so it is not formed.  The system stores the form it
+    builds and shares it with every caller, so its arrays, ``p.coeffs``
+    included, are read-only.
     """
 
     A_c: np.ndarray
@@ -151,10 +150,6 @@ class CanonicalForm:
     C: np.ndarray
     C_c: np.ndarray
     p: Polynomial
-
-    @property
-    def T(self) -> np.ndarray:
-        return solve_linear(self.C_c.T, self.C.T).T
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,8 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
 
     The companion matrix carries ones on the superdiagonal and the negated
     characteristic coefficients in its last row; its input vector is the
-    last unit vector.  T is computed, on access, through the always
-    well-conditioned canonical controllability matrix, so an uncontrollable
-    input shows up as a singular T rather than an error.  The form is
-    built once per system and stored on it, so every call on one system
-    returns the same read-only object.
+    last unit vector.  The form is built once per system and stored on
+    it, so every call on one system returns the same read-only object.
     """
     return sys._canonical_form()
 
@@ -225,6 +217,16 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     if omega.shape != (sys.n,):
         raise ValidationError(f"omega has shape {omega.shape}, expected ({sys.n},)")
     lam1 = float(lam1)
+    w = _selector(sys, omega)
+    k = lam1 * w - w @ sys.A
+    return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
+
+
+def _selector(sys: StateSpace, omega) -> np.ndarray:
+    """``omega / (omega^T b)``: the rank-one selector of the eigenpair,
+    Simon-Mitter and adjugate-identity formulas.  An omega whose
+    ``omega^T b`` is negligible against ``|omega||b|`` names a mode that
+    feedback through b cannot move, and raises InvariantEigenvalueError."""
     s = float(omega @ sys.b)
     scale = float(np.linalg.norm(omega) * np.linalg.norm(sys.b))
     if abs(s) <= 1e-9 * scale:
@@ -232,9 +234,7 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
             f"omega^T b = {s:.3e} is negligible against |omega||b| = {scale:.3e}; "
             "this eigenvalue is invariant under feedback through b"
         )
-    w = omega / s
-    k = lam1 * w - w @ sys.A
-    return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
+    return omega / s
 
 
 def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
@@ -257,12 +257,11 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
     if len(rest) == 0:
         # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
         # -e_n: the canonical form, and its char_poly, are not needed.
-        C = controllability_matrix(sys)
         row = np.zeros(n)
         row[n - 1] = -1.0
+        k = _solve_controllability(controllability_matrix(sys), row)
     else:
         cf = controller_canonical(sys)
-        C = cf.C
         f = monic_from_roots(rest).coeffs
         if f.size > n:
             # degree n: one copy of p cancels the leading 1 exactly
@@ -270,8 +269,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         gamma = np.zeros(n)
         # 0.0 - x, not -x: exact zeros stay positive, as in p - f
         gamma[: f.size] = 0.0 - f
-        row = cf.C_c.T @ gamma
-    k = _solve_controllability(C, row)
+        k = omega_vector(sys, gamma)
     if len(pulled) > 0:
         k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
     return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))

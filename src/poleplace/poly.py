@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 class Polynomial:
@@ -33,14 +33,6 @@ class Polynomial:
             raise ValidationError("polynomial coefficients must be finite")
         c.flags.writeable = False
         self.coeffs = c
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1.0
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -283,7 +275,8 @@ def char_poly(A) -> Polynomial:
     closed loops (seeds 1-6, n = 24-64) and on its dense systems.  The
     matrix is scaled by a power of two first, which changes no rounding;
     since the digits are integers with a grid per column, only the trace's
-    terms and the final coefficients meet the ends of the double range.
+    terms and the final coefficients meet the ends of the double range; a
+    coefficient beyond it raises NumericalError.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
@@ -411,7 +404,15 @@ def char_poly(A) -> Polynomial:
         np.take(T.reshape(-1, n), reads + (first * n)[:, None], axis=0,
                 out=Epad.reshape(n, blocks, n), mode="clip")
     # undo the scaling: the coefficient of x**(n-k) scales by 2**(shift k)
-    return Polynomial(np.ldexp(desc[::-1], shift * np.arange(n, -1, -1)))
+    with np.errstate(over="ignore"):
+        coeffs = np.ldexp(desc[::-1], shift * np.arange(n, -1, -1))
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        raise NumericalError(
+            f"characteristic polynomial coefficient of x**{int(np.argmin(finite))} "
+            "overflows the float range"
+        )
+    return Polynomial(coeffs)
 
 
 def eval_matrix(q: Polynomial, A) -> np.ndarray:

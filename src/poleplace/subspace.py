@@ -8,9 +8,10 @@ inversions are as large as the largest group being moved.
 
 The open-loop Schur form is taken once per system and kept on the
 ``StateSpace``: ``paired_plan`` and ``plan_targets`` read its block values,
-which are bitwise ``eigenvalues(A)``, and ``place_sequential`` (so
-``place_partial`` too) carries it through every step.  A step's reorder
-and feedback rescan only the rows they changed.
+which are bitwise ``eigenvalues(A)``, ``place_sequential`` (so
+``place_partial`` too) carries it through every step, and
+``place_simon_mitter`` reorders it once.  A step's reorder and feedback
+rescan only the rows they changed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    InvariantEigenvalueError,
     PolePlacementError,
     RankDeficiencyError,
     SingularMatrixError,
@@ -32,16 +32,14 @@ from .linalg import (
     _eliminate_scalars,
     _feed_leading,
     _kappa_2x2,
+    _lead,
     _match_tol,
     _match_values,
-    _select_blocks,
     condition_number,
-    invariant_split,
     krylov,
-    reorder_schur,
     solve_linear,
 )
-from .placement import Gain, StateSpace
+from .placement import Gain, StateSpace, _selector
 from .poly import Spectrum, _as_spectrum, eval_matrix, monic_from_roots
 from .verify import assemble_diagnostics
 
@@ -196,9 +194,10 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
     eigenvector.
 
     ``k = (lam1 - mu1) * omega`` with omega the left eigenvector of
-    ``mu1`` scaled to ``omega^T b = 1``.  Requesting ``lam1 == mu1``
-    returns an exactly zero gain, since the difference multiplies
-    everything else out.
+    ``mu1`` scaled to ``omega^T b = 1``, read off the system's stored
+    Schur form with ``mu1``'s block moved to the front.  Requesting
+    ``lam1 == mu1`` returns an exactly zero gain, since the difference
+    multiplies everything else out.
     """
     mu1 = complex(mu1)
     lam1 = complex(lam1)
@@ -206,18 +205,10 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
         raise ValidationError("the single-shift method moves a real eigenvalue "
                               "to a real target")
     mu1, lam1 = mu1.real, lam1.real
-    split = invariant_split(sys.A, [mu1])
-    u = split.U[:, 0]
-    s = float(u @ sys.b)
-    scale = float(np.linalg.norm(u) * np.linalg.norm(sys.b))
-    if abs(s) <= 1e-9 * scale:
-        raise InvariantEigenvalueError(
-            f"left eigenvector for {mu1} is orthogonal to b "
-            f"(omega^T b = {s:.3e}); the eigenvalue cannot be moved"
-        )
-    omega = u / s
-    k = (lam1 - mu1) * omega
-    full = Spectrum((lam1,) + tuple(split.kept))
+    dec, U, _ = _lead(sys._open_loop_schur(), Spectrum([mu1]), _match_tol(sys.A))
+    # U[:, 0], not dec.Q[:, 0]: a dot with the strided column rounds differently
+    k = (lam1 - mu1) * _selector(sys, U[:, 0])
+    full = Spectrum([lam1] + [z for blk in dec.blocks[1:] for z in blk.eigenvalues])
     # past the gate s is nonzero, and a nonzero 1x1 has condition 1
     return Gain(
         k=k,
@@ -313,11 +304,8 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
     for step, (move, to) in enumerate(plan.groups, start=1):
-        r = len(move)
         try:
-            dec = reorder_schur(dec, _select_blocks(dec, move, tol))
-            U = dec.Q[:, :r].copy()
-            X = dec.T[:r, :r].copy()
+            dec, U, X = _lead(dec, move, tol)
             k_step, g, eta, kappa = _gain_on_split(sys.b, U, X, to)
             dec = _feed_leading(dec, sys.b, g)
         except PolePlacementError as exc:

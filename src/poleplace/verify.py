@@ -201,14 +201,6 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     )
 
 
-def diagnostics(sys, gain, targets) -> Diagnostics:
-    """Recompute diagnostics for an existing gain against a target spectrum,
-    keeping the per-step conditioning the gain was computed with."""
-    return assemble_diagnostics(
-        sys, gain.k, targets, step_kappas=gain.diagnostics.step_kappas
-    )
-
-
 @dataclass(frozen=True)
 class AdjugateReport:
     """Residuals of the rank-one update determinant identity, both ways.
@@ -231,7 +223,7 @@ def adjugate_identity_report(sys, omega, lam1, samples) -> AdjugateReport:
     eigenpair method.  Each sample must stay away from the open-loop
     spectrum so the adjugate is formed from a well-defined inverse.
     """
-    from .placement import place_eigenpair
+    from .placement import _selector, place_eigenpair
 
     samples = tuple(float(s) for s in samples)
     if not samples:
@@ -239,8 +231,7 @@ def adjugate_identity_report(sys, omega, lam1, samples) -> AdjugateReport:
     omega = np.asarray(omega, dtype=float)
     gain = place_eigenpair(sys, omega, lam1)
     Abar = closed_loop(sys, gain.k)
-    # place_eigenpair has refused an omega^T b that is negligible
-    w = omega / float(omega @ sys.b)
+    w = _selector(sys, omega)
     eye = np.eye(sys.n)
     rd = rs = 0.0
     for s in samples:
@@ -264,9 +255,3 @@ def adjugate_identity_report(sys, omega, lam1, samples) -> AdjugateReport:
         consistent="direct" if rd <= rs else "swapped",
         samples=samples,
     )
-
-
-def adjugate_identity_check(sys, omega, lam1, samples) -> float:
-    """Best residual of the determinant identity over both orientations."""
-    rep = adjugate_identity_report(sys, omega, lam1, samples)
-    return min(rep.residual_direct, rep.residual_swapped)

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,37 @@ def test_place_simon_mitter_null_shift(tmp_path, capsys):
     assert report["k"] == [0.0, 0.0]
 
 
+def test_place_simon_mitter_takes_the_schur_form_once(tmp_path, monkeypatch, capsys):
+    # the rank-one move and the report's targets both read the Schur form
+    # the system stores: one computation per system
+    from poleplace import linalg, placement, subspace
+
+    seen = []
+    real_schur = linalg.real_schur
+
+    def counted(A, *args, **kwargs):
+        seen.append(np.shape(A))
+        return real_schur(A, *args, **kwargs)
+
+    for mod in (linalg, placement, subspace):
+        monkeypatch.setattr(mod, "real_schur", counted, raising=False)
+    system = write_json(
+        tmp_path / "lower.json",
+        {"n": 3, "A": [[1, 0, 0], [1, 2, 0], [0, 1, 3]], "b": [1, 1, 1]},
+    )
+    rc = main(
+        [
+            "place",
+            "--system", system,
+            "--plan", groups_plan(tmp_path, [(["1"], ["-1"])]),
+            "--method", "simon-mitter",
+        ]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "simon_mitter"
+    assert seen == [(3, 3)]
+
+
 def test_place_simon_mitter_rejects_pair_group(tmp_path, capsys):
     rc = main(
         [
@@ -385,6 +417,32 @@ def test_place_uncontrollable_is_numerical_failure(tmp_path, capsys):
     )
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [100, 200])
+@pytest.mark.parametrize(
+    "method, quantity",
+    [("bass-gura", "characteristic polynomial coefficient"),
+     ("ackermann", "Krylov column")],
+)
+def test_place_out_of_range_system_is_numerical_failure(tmp_path, capsys, scale,
+                                                       method, quantity):
+    # valid input whose characteristic coefficients and Krylov columns
+    # leave the float range: exit 3 with the quantity named, and no
+    # RuntimeWarning on the way
+    rng = np.random.default_rng(12)
+    A = np.ldexp(rng.uniform(-1.0, 1.0, (12, 12)), scale)
+    b = rng.uniform(-1.0, 1.0, 12)
+    system = write_json(tmp_path / "big.json", {"n": 12, "A": A.tolist(), "b": b.tolist()})
+    poles = [format_pole(np.ldexp(-1.0 - 0.1 * j, scale)) for j in range(12)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["place", "--system", system, "--plan", poles_plan(tmp_path, poles),
+                   "--method", method])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert quantity in err
+    assert "overflows the float range" in err
 
 
 def test_place_validates_plan_files(tmp_path, capsys):

@@ -8,6 +8,7 @@ and accuracy against LAPACK through numpy, which is an independent route.
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -167,6 +168,30 @@ def test_determinant_2x2_formula():
 def test_krylov_columns():
     C = krylov(np.diag([1.0, 2.0]), np.array([1.0, 1.0]), 3)
     assert np.array_equal(C, [[1.0, 1.0, 1.0], [1.0, 2.0, 4.0]])
+
+
+def test_krylov_columns_are_the_products_of_the_column_before():
+    rng = np.random.default_rng(167)
+    for n in (1, 3, 8):
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        C = krylov(A, b, n + 2)
+        assert C[:, 0].tobytes() == b.tobytes()
+        for j in range(1, n + 2):
+            assert C[:, j].tobytes() == (A @ C[:, j - 1].copy()).tobytes()
+
+
+def test_krylov_column_overflow_is_a_numerical_error():
+    # a column past the float range is named, with no RuntimeWarning
+    A = np.ldexp(np.eye(3), 600)
+    assert krylov(A, np.ones(3), 2)[0, 1] == 2.0**600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"column A\*\*2 b overflows"):
+            krylov(A, np.ones(3), 3)
+        # the later columns, inf and nan, do not hide the first one
+        with pytest.raises(NumericalError, match=r"column A\*\*2 b overflows"):
+            krylov(A, np.ones(3), 6)
 
 
 def test_krylov_validates_column_count():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from poleplace import (
 )
 from poleplace.errors import (
     InvariantEigenvalueError,
+    NumericalError,
     UncontrollableError,
     ValidationError,
 )
@@ -32,6 +34,11 @@ def double_integrator():
 
 def diag_system():
     return StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0])
+
+
+def similarity(cf):
+    """``T = C @ inv(C_c)``, the similarity onto the canonical pair."""
+    return linalg.solve_linear(cf.C_c.T, cf.C.T).T
 
 
 def random_controllable(rng, n):
@@ -66,14 +73,14 @@ def test_controller_canonical_fixed_point():
     cf = controller_canonical(double_integrator())
     assert np.array_equal(cf.A_c, [[0.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(cf.b_c, [0.0, 1.0])
-    assert np.array_equal(cf.T, np.eye(2))
+    assert np.array_equal(similarity(cf), np.eye(2))
     assert np.array_equal(cf.p.coeffs, [0.0, 0.0, 1.0])
 
 
 def test_controller_canonical_diagonal():
     cf = controller_canonical(diag_system())
     assert np.array_equal(cf.A_c, [[0.0, 1.0], [-2.0, 3.0]])
-    assert np.array_equal(cf.T, [[-2.0, 1.0], [-1.0, 1.0]])
+    assert np.array_equal(similarity(cf), [[-2.0, 1.0], [-1.0, 1.0]])
 
 
 def test_controller_canonical_similarity():
@@ -81,11 +88,12 @@ def test_controller_canonical_similarity():
     for n in (2, 4, 6):
         sys = random_controllable(rng, n)
         cf = controller_canonical(sys)
+        T = similarity(cf)
         # A T = T A_c and b = T b_c pin down the similarity
-        assert np.max(np.abs(sys.A @ cf.T - cf.T @ cf.A_c)) <= 1e-8 * max(
-            1.0, np.max(np.abs(cf.T))
+        assert np.max(np.abs(sys.A @ T - T @ cf.A_c)) <= 1e-8 * max(
+            1.0, np.max(np.abs(T))
         )
-        assert_allclose(cf.T @ cf.b_c, sys.b, atol=1e-10)
+        assert_allclose(T @ cf.b_c, sys.b, atol=1e-10)
 
 
 def test_stored_canonical_form_is_read_only():
@@ -301,6 +309,25 @@ def test_full_pull_skips_canonical_form(monkeypatch):
 def test_general_validates_pulled_subset():
     with pytest.raises(ValidationError):
         place_general(double_integrator(), [-1.0, -2.0], [-3.0])
+
+
+@pytest.mark.parametrize("scale", [100, 200])
+def test_out_of_range_systems_raise_named_numerical_errors(scale):
+    # a valid n = 12 system and its targets scaled by 2**scale: the
+    # characteristic coefficients and the Krylov columns leave the float
+    # range, and each method says which, with no RuntimeWarning
+    rng = np.random.default_rng(12)
+    sys = StateSpace(np.ldexp(rng.uniform(-1.0, 1.0, (12, 12)), scale),
+                     rng.uniform(-1.0, 1.0, 12))
+    targets = Spectrum([np.ldexp(-1.0 - 0.1 * j, scale) for j in range(12)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for place in (place_bass_gura,
+                      lambda s, t: place_general(s, t, t.values[:4])):
+            with pytest.raises(NumericalError, match="characteristic polynomial"):
+                place(sys, targets)
+        with pytest.raises(NumericalError, match="Krylov column"):
+            place_ackermann(sys, targets)
 
 
 def test_full_methods_place_complex_pairs():

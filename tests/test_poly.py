@@ -3,6 +3,7 @@ matrix evaluation."""
 
 import importlib.util
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from poleplace import Polynomial, Spectrum, char_poly, monic_from_roots
-from poleplace.errors import ValidationError
+from poleplace.errors import NumericalError, ValidationError
 from poleplace import poly
 from poleplace.poly import eval_matrix
 
@@ -21,10 +22,12 @@ from poleplace.poly import eval_matrix
 
 
 def test_polynomial_degree_and_monic():
-    q = Polynomial([2.0, 3.0, 1.0])
-    assert q.degree == 2
-    assert q.is_monic
-    assert not Polynomial([1.0, 2.0]).is_monic
+    # ascending storage: coeffs[j] multiplies x**j, so the degree is
+    # size - 1 and a monic polynomial ends in an exact 1.0
+    assert Polynomial([2.0, 3.0, 1.0]).coeffs.tolist() == [2.0, 3.0, 1.0]
+    q = monic_from_roots([0.1, 0.3, -0.7])
+    assert q.coeffs.size == 4
+    assert q.coeffs[-1] == 1.0
 
 
 def test_polynomial_equality_is_exact():
@@ -109,7 +112,7 @@ def test_monic_from_roots_residual_at_roots():
         if not roots:
             continue
         q = monic_from_roots(roots)
-        bound = 1e-9 * (1.0 + max(abs(z) for z in roots)) ** q.degree
+        bound = 1e-9 * (1.0 + max(abs(z) for z in roots)) ** len(roots)
         for z in roots:
             assert abs(npoly.polyval(z, q.coeffs)) <= bound
 
@@ -136,6 +139,20 @@ def test_char_poly_extreme_scales():
     tiny = char_poly([[1e-300, 2e-300], [0.0, 3e-300]])
     trace = Fraction(1e-300) + Fraction(3e-300)
     assert np.array_equal(tiny.coeffs, [0.0, -float(trace), 1.0])
+
+
+def test_char_poly_coefficient_overflow_is_a_numerical_error():
+    # a coefficient past the float range is named, with no RuntimeWarning
+    # on the way: at n = 12 and scale 2**100 the constant one is ~2**1200
+    A = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (100, 200):
+            with pytest.raises(NumericalError, match=r"coefficient of x\*\*0 overflows"):
+                char_poly(np.ldexp(A, scale))
+        # 1e300 squared is past the range as well
+        with pytest.raises(NumericalError, match=r"coefficient of x\*\*0 overflows"):
+            char_poly(np.diag([1e300, 1e300]))
 
 
 def test_char_poly_rejects_nonsquare():

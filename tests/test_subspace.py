@@ -15,6 +15,7 @@ from poleplace import (
     paired_plan,
     place_ackermann,
     place_bass_gura,
+    place_eigenpair,
     place_partial,
     place_sequential,
     place_simon_mitter,
@@ -22,6 +23,7 @@ from poleplace import (
 from poleplace.errors import (
     InvariantEigenvalueError,
     MatchingError,
+    PolePlacementError,
     RankDeficiencyError,
     ValidationError,
 )
@@ -269,6 +271,42 @@ def test_simon_mitter_invariant_eigenvalue():
         sys = StateSpace(A=np.diag([1.0, 2.0]), b=b)
         with pytest.raises(InvariantEigenvalueError):
             place_simon_mitter(sys, 1.0, -5.0)
+
+
+def test_simon_mitter_is_one_split_and_one_gate():
+    # the Simon-Mitter gain is bitwise (lam - mu) u / (u^T b), with u the
+    # leading column of invariant_split's basis; and an omega orthogonal
+    # to b meets one gate, which Simon-Mitter and the eigenpair method
+    # pass with the same message
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+                      st.floats(-4.0, 4.0))
+    def check(n, seed, lam):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        reals = [z.real for z in eigenvalues(A) if z.imag == 0.0]
+        hypothesis.assume(reals)
+        mu = reals[0]
+        try:
+            u = linalg.invariant_split(A, [mu]).U[:, 0]
+        except PolePlacementError as exc:
+            with pytest.raises(type(exc)):
+                place_simon_mitter(StateSpace(A, b), mu, lam)
+            return
+        gain = place_simon_mitter(StateSpace(A, b), mu, lam)
+        assert gain.k.tobytes() == ((lam - mu) * (u / float(u @ b))).tobytes()
+        unreachable = StateSpace(A, b - (b @ u) * u)
+        with pytest.raises(InvariantEigenvalueError) as shifted:
+            place_simon_mitter(unreachable, mu, lam)
+        with pytest.raises(InvariantEigenvalueError) as paired:
+            place_eigenpair(unreachable, u, lam)
+        assert str(shifted.value) == str(paired.value)
+
+    check()
 
 
 def test_one_value_steps_skip_the_condition_estimate(monkeypatch):
