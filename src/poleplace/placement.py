@@ -32,7 +32,14 @@ from .linalg import (
     real_schur,
     solve_linear,
 )
-from .poly import Polynomial, _as_spectrum, char_poly, eval_matrix, monic_from_roots
+from .poly import (
+    OpenLoopRecord,
+    Polynomial,
+    _as_spectrum,
+    eval_matrix,
+    monic_from_roots,
+    open_loop_record,
+)
 from .verify import Diagnostics, assemble_diagnostics
 
 
@@ -65,16 +72,20 @@ class StateSpace:
     """Single-input system ``x' = A x + b u``.
 
     A and b are read-only copies of the inputs.  The system also keeps its
-    open-loop record: the real Schur form of A, the controller canonical
-    form and the condition number of the controllability matrix.  Each is
-    computed on first use and kept, with its arrays read-only, so every
-    placement method, the diagnostics and the CLI's gate on one system
-    share one computation of each.
+    open-loop record: the real Schur form of A, the polynomial record (one
+    run of the trace recurrence on ``(A, b)``: ``char_poly(A)`` and what the
+    closed-loop polynomial of any gain needs, ``OpenLoopRecord``), the
+    controller canonical form and the condition number of the
+    controllability matrix.  Each is computed on first use and kept, with
+    its arrays read-only, so every placement method, the diagnostics and
+    the CLI's gate on one system share one computation of each; no
+    closed loop runs the trace recurrence again.
     """
 
     A: np.ndarray
     b: np.ndarray
     _schur: SchurDecomposition | None = _store()
+    _polynomial: OpenLoopRecord | None = _store()
     _canonical: CanonicalForm | None = _store()
     _kappa: float | None = _store()
 
@@ -108,12 +119,18 @@ class StateSpace:
         dec.T.flags.writeable = False
         return dec
 
+    @_stored("_polynomial")
+    def _open_loop_record(self) -> OpenLoopRecord:
+        """``open_loop_record(A, b)``; its ``p`` is bitwise ``char_poly(A)``
+        and its ``closed_loop(k)`` is the polynomial of ``A + b k^T``."""
+        return open_loop_record(self.A, self.b)
+
     @_stored("_canonical")
     def _canonical_form(self) -> CanonicalForm:
         """The controller canonical form; ``controller_canonical`` says how
         it is built."""
         n = self.n
-        q = char_poly(self.A)
+        q = self._open_loop_record().p
         A_c = np.zeros((n, n))
         for i in range(n - 1):
             A_c[i, i + 1] = 1.0

@@ -117,6 +117,7 @@ def monic_from_roots(roots) -> Polynomial:
     multiplying, so the coefficients are real by construction.  Factors are
     multiplied in a canonical sorted order to make the result reproducible
     regardless of input ordering.  An empty multiset gives the constant 1.
+    A coefficient beyond the float range raises NumericalError.
     """
     spec = _as_spectrum(roots)
     factors = []
@@ -127,8 +128,15 @@ def monic_from_roots(roots) -> Polynomial:
             factors.extend([(z.real * z.real + z.imag * z.imag, -2.0 * z.real, 1.0)] * c)
     factors.sort()
     out = np.array([1.0])
-    for f in factors:
-        out = np.convolve(out, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in factors:
+            out = np.convolve(out, f)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NumericalError(
+            f"target polynomial coefficient of x**{int(np.argmin(finite))} "
+            "overflows the float range"
+        )
     out[-1] = 1.0
     return Polynomial(out)
 
@@ -182,6 +190,14 @@ def monic_from_roots(roots) -> Polynomial:
 #   digit kept, at most about 2**-((L-1) beta) of the column's largest
 #   entry.  A column that c_k lands more than (L+1) beta + log2(n) + 3 bits
 #   above, or an all-zero one, therefore keeps only c_k, on c_k's grid.
+# * With b (``open_loop_record``) the state has one more column, x, run one
+#   step behind M: step k forms x_k = A x_{k-1} + c_{k-1} b, so
+#   x_k = M_{k-1} b.  b is cut once, until nothing is left, into slices on
+#   the grids 2**-((i+1) beta); c_{k-1}'s digits, already cut for the
+#   diagonal, times those slices are exact integers on x's grids, and they
+#   join x's group sums before the carry rounds, still below 2**53.  x
+#   keeps its own window, top padding and far rule, and adds nothing to
+#   M's columns, so c_k is the same bits with or without it.
 
 _WINDOW_BITS = 168  # a column keeps (L - 1) beta >= this many bits below its top digit
 _QUOTIENT_WORDS = 4  # words of c_k, about 212 bits
@@ -248,35 +264,12 @@ def _quotient(values, k: int) -> list:
     return words
 
 
-def char_poly(A) -> Polynomial:
-    """Characteristic polynomial of a square matrix, ascending and monic.
+def _trace_recurrence(A, b=None):
+    """The trace recurrence on A; with b, also on the column x_k = M_{k-1} b.
 
-    Runs the trace recurrence with every product A M formed exactly from
-    beta-bit slices on BLAS (beta is 22 at n = 64), and M carried as L
-    integer digits per entry on power-of-two grids of its column (L = 9 at
-    n = 64); the comment above has the details.  Each coefficient is
-    rounded once, from about 212 bits of c_k.
-
-    Precision contract:
-
-    * Window: after every step each column of M keeps the L digits from its
-      top nonzero one, so an entry is off by less than one unit of the
-      last, about 2**-((L-1) beta) <= 2**-168 of its column's largest entry.
-    * Row spread: a row of A whose largest entry lies b bits below A's
-      largest gets b // beta more group levels, so its products keep as
-      many digits below the row's own scale as the largest row's do.
-    * Exactness: every group sum and carry is exact, the group sums because
-      ``n (G+1) 2**(2 beta - 2) (1 + 2**-5) <= 2**52`` for the plan
-      ``_slice_plan`` picks, the carries because they move integers below
-      2**53 by powers of two.
-
-    The result matched the exact Berkowitz polynomial of
-    ``perfbench/oracle.py`` bit for bit on the benchmark's verify-large
-    closed loops (seeds 1-6, n = 24-64) and on its dense systems.  The
-    matrix is scaled by a power of two first, which changes no rounding;
-    since the digits are integers with a grid per column, only the trace's
-    terms and the final coefficients meet the ends of the double range; a
-    coefficient beyond it raises NumericalError.
+    Returns A's characteristic polynomial, or with b the ``OpenLoopRecord``
+    that holds it.  The column x changes nothing in M's columns, so the
+    polynomial is the same bits with or without it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
@@ -300,25 +293,27 @@ def char_poly(A) -> Polynomial:
             break
     depth = len(a_slices)
     # The state is kept transposed, column c of M in row c, so that a column
-    # and its digits are contiguous.  Epad is depth - 1 zero blocks, the
-    # digits D_0^T | ... | D_{L-1}^T, and zeros; A_stack is A_{depth-1}^T
-    # over ... over A_0^T.  Group s, transposed, is then the window of
-    # columns s n .. (s + depth) n of Epad times A_stack, one product for
-    # every s.
+    # and its digits are contiguous; with b, row n holds x.  Epad is
+    # depth - 1 zero blocks, the digits D_0^T | ... | D_{L-1}^T, and zeros;
+    # A_stack is A_{depth-1}^T over ... over A_0^T.  Group s, transposed, is
+    # then the window of columns s n .. (s + depth) n of Epad times A_stack,
+    # one product for every s.
     A_stack = np.concatenate(a_slices[::-1], axis=1).T.copy()
     blocks = levels + depth - 1
-    Epad = np.zeros((n, blocks * n))
-    Epad[:, (depth - 1) * n : depth * n] = np.ldexp(np.eye(n), beta - 1)
+    cols = n if b is None else n + 1  # columns of the state
+    Epad = np.zeros((cols, blocks * n))
+    Epad[:n, (depth - 1) * n : depth * n] = np.ldexp(np.eye(n), beta - 1)
     # the first depth - 1 windows start in the zero blocks; at large n the
     # products that skip those blocks are worth their extra calls
     skip = depth - 1 if n >= 32 else 0
     item = Epad.itemsize
-    windows = np.ndarray((levels - skip, n, depth * n), Epad.dtype, Epad, skip * n * item,
+    windows = np.ndarray((levels - skip, cols, depth * n), Epad.dtype, Epad, skip * n * item,
                          (n * item, blocks * n * item, item))
     # Column c's digit j stands on the grid 2**(1 + beta (lift[c] - j - 1)),
     # so the grids of all columns are of the one family 2**(1 + beta m).
-    lift = np.zeros(n, dtype=np.int64)
-    found = np.ones(n, dtype=bool)  # columns of M with a nonzero digit
+    lift = np.zeros(cols, dtype=np.int64)
+    diag_lift = lift[:n]  # a view: the columns of M
+    found = np.ones(cols, dtype=bool)  # columns with a nonzero digit
     all_found = True
     pad0 = _top_padding(math.log2(n), beta)  # |N[:, c]| < n 2**e_c
     # a column this far below c_k's grid falls wholly below the window
@@ -326,55 +321,110 @@ def char_poly(A) -> Polynomial:
     far_bits = (window + 1) * beta + math.ceil(math.log2(n)) + 3
     height = pad0 + levels
     # window - 1 zero levels at the bottom let any window be read
-    buffer = np.zeros((height + window - 1, n, n))
-    up = np.empty((height - 1, n, n))
+    buffer = np.zeros((height + window - 1, cols, n))
+    up = np.empty((height - 1, cols, n))
     levels_down = np.arange(height)[:, None]
     cut = np.arange(2 + math.ceil(54 / beta))
-    # Block b of row c of Epad is read from row (first[c] + b - depth + 1) n
+    cut_steps = beta * cut
+    grid_steps = beta * np.arange(height + window)  # beta times a place
+    # Block b of row c of Epad is read from row (first[c] + b - depth + 1) cols
     # + c of T.reshape(-1, n); a block outside the window reads past the
     # end, which np.take clips to the last row, a zero one.
     digit = np.arange(blocks) - (depth - 1)
-    reads = np.where((digit >= 0) & (digit < window), digit, 2**40) * n + np.arange(n)[:, None]
+    reads = (np.where((digit >= 0) & (digit < window), digit, 2**40) * cols
+             + np.arange(cols)[:, None])
     full = buffer[:height]
-    full_diagonal = full.reshape(height, n * n)[:, :: n + 1]  # a view
+    full_diagonal = full.reshape(height, cols * n)[:, : n * n : n + 1]  # a view
+    record = held = None
+    pad_x = pad0
+    if b is not None:
+        # Row n of the state is x, one step behind M: step k forms
+        # x_k = A x_{k-1} + c_{k-1} b from x_0 = 0 and c_0 = 1.  ``held`` is
+        # c_{k-1}'s digits, on the grids 2**(1 + beta (g - p)) for place p,
+        # and g; b, scaled by 2**-b_shift into [0.5, 1), is cut until
+        # nothing is left into slices on the grids 2**-((i+1) beta), kept in
+        # reverse order.
+        b_shift = int(np.frexp(np.max(np.abs(b)))[1])
+        rest = np.ldexp(b, -b_shift)
+        b_slices = []
+        while rest.any():
+            b_slices.append(np.rint(np.ldexp(rest, (len(b_slices) + 1) * beta)))
+            rest -= np.ldexp(b_slices[-1], -len(b_slices) * beta)
+        b_slices = np.array(b_slices[::-1]).reshape(-1, n)
+        held = (np.array([2.0 ** (beta - 1)]), -1)
+        x_digits = Epad[n, (depth - 1) * n : (depth - 1 + window) * n].reshape(window, n)
+        # c_k's words (of 2**-shift A), x_k's digits and x_k's unscaled top grid
+        record = (np.empty((n, _QUOTIENT_WORDS)), np.empty((n, window, n)),
+                  np.empty(n, dtype=np.int64))
     desc = [1.0]
     for k in range(1, n + 1):
-        T, pad, body, dg = buffer, pad0, full, full_diagonal
-        T[:pad] = 0.0
+        if pad_x > pad0:  # c_{k-1} b lies far above x_{k-1}'s grid
+            T = np.zeros((pad_x + levels + window - 1, cols, n))
+            pad = pad_x
+            body = T[: pad + levels]
+            dg = body.reshape(pad + levels, cols * n)[:, : n * n : n + 1]
+            down = np.arange(pad + levels)[:, None]
+        else:
+            T, pad, body, dg, down = buffer, pad0, full, full_diagonal, levels_down
+            T[:pad] = 0.0
         np.matmul(windows, A_stack, out=T[pad + skip : pad + levels])
         for s in range(skip):
             np.matmul(Epad[:, (depth - 1) * n : (depth + s) * n],
                       A_stack[(depth - 1 - s) * n :], out=T[pad + s])
-        _carry(body, beta, rounds, up)
+        if held is not None and b_slices.size:
+            # c_{k-1} b joins x's group sums before they are carried.  Level
+            # l of x takes c_{k-1}'s digit at place l - i - offset times b's
+            # slice i: a Hankel matrix of the digits, read off a zero-padded
+            # copy, times the slices in reverse.  A product is below
+            # 2**(2 beta + 1.4), and a row of b has at most ceil(53 / beta)
+            # + 1 nonzero slices, so with the group sum below 2**52 every
+            # level stays below 2**53, exactly.
+            c_digits, grid = held
+            count, width = pad + levels, b_slices.shape[0]
+            offset = int(lift[n]) + pad - 1 - grid
+            lo = max(0, 1 - width - offset)
+            hi = min(c_digits.size, count - offset)
+            if lo < hi:
+                padded = np.zeros(count + width - 1)
+                padded[lo + width - 1 + offset : hi + width - 1 + offset] = c_digits[lo:hi]
+                hankel = np.ndarray((count, width), padded.dtype, padded, 0, (item, item))
+                body[:, n] += hankel @ b_slices
+        _carry(body, beta, rounds, up if pad == pad0 else None)
         # the trace: place the diagonal's digits in the family of grids,
         # from the top one, 2**(1 + beta (max lift + pad - 2)), down, and sum
         # place by place, exactly: a place takes at most n digits within h
-        lift_max = int(lift.max())
-        places = (lift_max - lift) + levels_down
+        lift_max = int(diag_lift.max())
+        places = (lift_max - diag_lift) + down
         sums = np.bincount(places.ravel(), dg.ravel())
         top_grid = 1 + beta * (lift_max + pad - 2)
-        terms = np.ldexp(-sums, top_grid - beta * np.arange(sums.size))
+        if sums.size > grid_steps.size:
+            grid_steps = beta * np.arange(sums.size)
+        terms = np.ldexp(-sums, top_grid - grid_steps[: sums.size])
         c = _quotient(terms.tolist(), k)
         desc.append(math.fsum(c))
-        if k == n:
+        if record is not None:
+            record[0][k - 1] = c
+        elif k == n:
             break
-        if c[0] != 0.0:
+        held = None
+        if k < n and c[0] != 0.0:
             # M_k = N_k + c_k I
             top = math.frexp(c[0])[1]
-            lift_min = int(lift.min())
-            if 1 + beta * lift_min < top - far_bits or not all_found:
+            lift_min = int(diag_lift.min())
+            if 1 + beta * lift_min < top - far_bits or not (all_found or found[:n].all()):
                 far = ~found | (1 + beta * lift < top - far_bits)
+                far[n:] = False
                 body[:, far] = 0.0
                 lift[far] = -((1 - top) // beta)
-                lift_min, lift_max = int(lift.min()), int(lift.max())
-                places = (lift_max - lift) + levels_down
+                lift_min, lift_max = int(diag_lift.min()), int(diag_lift.max())
+                places = (lift_max - diag_lift) + down
             need = _top_padding(top - (1 + beta * lift_min), beta)  # |c_k| < 2**top
             if need > pad:
-                T = np.concatenate((np.zeros((need - pad, n, n)), T))
+                T = np.concatenate((np.zeros((need - pad, cols, n)), T))
                 pad = need
                 body = T[: pad + levels]
-                dg = body.reshape(pad + levels, n * n)[:, :: n + 1]
-                places = (lift_max - lift) + np.arange(pad + levels)[:, None]
+                dg = body.reshape(pad + levels, cols * n)[:, : n * n : n + 1]
+                places = (lift_max - diag_lift) + np.arange(pad + levels)[:, None]
             # c_k's words in the family of grids.  A word's 53 bits span the
             # places from the one just above it (place 0 at most) down
             # ``len(cut)`` places; Q[w, i] counts the steps of the i-th of
@@ -383,11 +433,15 @@ def char_poly(A) -> Polynomial:
             top_grid = 1 + beta * (lift_max + pad - 2)
             start = [max(0, (top_grid - math.frexp(w)[1] - 1) // beta) for w in c]
             place = np.add.outer(start, cut)
-            Q = np.rint(np.ldexp(np.array(c)[:, None], beta * place - top_grid))
+            steps = np.add.outer([beta * s - top_grid for s in start], cut_steps)
+            Q = np.rint(np.ldexp(np.array(c)[:, None], steps))
             Q[:, 1:] -= Q[:, :-1] * 2.0**beta
             count = lift_max - lift_min + pad + levels
-            dg += np.bincount(place.ravel(), Q.ravel(), minlength=count)[places]
+            c_digits = np.bincount(place.ravel(), Q.ravel(), minlength=count)
+            dg += c_digits[places]
             _carry(dg, beta, 1)
+            if record is not None:
+                held = (c_digits, lift_max + pad - 2)
         # each column keeps the window of digits from its top nonzero one,
         # which is almost always within the first pad + 1 levels
         nonzero = body[: pad + 1].any(axis=2)
@@ -401,8 +455,24 @@ def char_poly(A) -> Polynomial:
         if not all_found:
             first[~found] = pad - 1
         lift -= first - (pad - 1)
-        np.take(T.reshape(-1, n), reads + (first * n)[:, None], axis=0,
-                out=Epad.reshape(n, blocks, n), mode="clip")
+        np.take(T.reshape(-1, n), reads + (first * cols)[:, None], axis=0,
+                out=Epad.reshape(cols, blocks, n), mode="clip")
+        if record is not None:
+            lift_x = int(lift[n])
+            record[1][k - 1] = x_digits
+            record[2][k - 1] = 1 + beta * lift_x + shift * (k - 1) + b_shift
+            pad_x = pad0
+            if held is not None:
+                # c_k b is added at step k + 1.  An x_k that lies wholly
+                # below the window it opens is dropped, as a column of M is
+                # (``far_bits``); else the top padding grows to hold it.
+                top = math.frexp(c[0])[1]
+                if 1 + beta * lift_x < top - far_bits or not found[n]:
+                    Epad[n] = 0.0
+                    lift_x = lift[n] = -((1 - top) // beta)
+                pad_x = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
+        if k == n:
+            break
     # undo the scaling: the coefficient of x**(n-k) scales by 2**(shift k)
     with np.errstate(over="ignore"):
         coeffs = np.ldexp(desc[::-1], shift * np.arange(n, -1, -1))
@@ -412,7 +482,140 @@ def char_poly(A) -> Polynomial:
             f"characteristic polynomial coefficient of x**{int(np.argmin(finite))} "
             "overflows the float range"
         )
-    return Polynomial(coeffs)
+    p = Polynomial(coeffs)
+    if record is None:
+        return p
+    words, digits, grids = record
+    return OpenLoopRecord(p, words, shift, digits, grids, beta)
+
+
+def char_poly(A) -> Polynomial:
+    """Characteristic polynomial of a square matrix, ascending and monic.
+
+    Runs the trace recurrence with every product A M formed exactly from
+    beta-bit slices on BLAS (beta is 22 at n = 64), and M carried as L
+    integer digits per entry on power-of-two grids of its column (L = 9 at
+    n = 64); the comment above has the details.  Each coefficient is
+    rounded once, from about 212 bits of c_k.  A system's stored
+    ``OpenLoopRecord`` runs the same recurrence once with one more column,
+    and its ``p`` is this polynomial bit for bit; the package checks closed
+    loops from that record, not with this function.
+
+    Precision contract:
+
+    * Window: after every step each column of M keeps the L digits from its
+      top nonzero one, so an entry is off by less than one unit of the
+      last, about 2**-((L-1) beta) <= 2**-168 of its column's largest entry.
+    * Row spread: a row of A whose largest entry lies b bits below A's
+      largest gets b // beta more group levels, so its products keep as
+      many digits below the row's own scale as the largest row's do.
+    * Exactness: every group sum and carry is exact, the group sums because
+      ``n (G+1) 2**(2 beta - 2) (1 + 2**-5) <= 2**52`` for the plan
+      ``_slice_plan`` picks, the carries because they move integers below
+      2**53 by powers of two.
+
+    The result matched the exact Berkowitz polynomial of
+    ``perfbench/oracle.py`` bit for bit on the benchmark's verify-large
+    closed loops (seeds 1-6, n = 24-64) and on its dense systems.  It does
+    not on companion matrices with large last rows: on the Bass-Gura closed
+    loop of an integrator chain with targets spread over [-2, -1], 2 of the
+    coefficients are wrong at n = 30 and 31 at n = 48, most of them 0.0.  The
+    matrix is scaled by a power of two first, which changes no rounding;
+    since the digits are integers with a grid per column, only the trace's
+    terms and the final coefficients meet the ends of the double range; a
+    coefficient beyond it raises NumericalError.
+    """
+    return _trace_recurrence(A)
+
+
+class OpenLoopRecord:
+    """A's characteristic polynomial with what the closed-loop polynomial of
+    any gain needs: one run of the trace recurrence on ``(A, b)``.
+
+    The rank-one determinant identity
+    ``det(sI - A - b k^T) = det(sI - A) - k^T adj(sI - A) b`` and
+    ``adj(sI - A) = sum_j s**(n-1-j) M_j`` give the closed-loop coefficient
+    of ``s**(n-k)`` as ``c_k - k^T x_k`` with ``x_k = M_{k-1} b``.  The run
+    carries x as one more column of M, ``x_{k+1} = A x_k + c_k b`` with
+    ``c_k b`` cut exactly onto its grids, and keeps:
+
+    * ``p``: ``char_poly(A)``, bit for bit;
+    * ``words``: the four words of each c_k of ``2**-shift A``, so c_k is
+      their sum times ``2**(shift k)``;
+    * ``digits``, ``grids``: x_k is ``sum_j digits[k-1, j] 2**(grids[k-1]
+      - (j+1) beta)``, L integer digits within ``2**(beta-1) (1 + 2**-5)``.
+
+    The arrays are read-only.
+    """
+
+    __slots__ = ("p", "words", "shift", "digits", "grids", "beta", "_word_lead")
+
+    def __init__(self, p, words, shift, digits, grids, beta):
+        for arr in (words, digits, grids):
+            arr.flags.writeable = False
+        self.p, self.words, self.shift = p, words, shift
+        self.digits, self.grids, self.beta = digits, grids, beta
+        # the exponent just above c_k, the scale of each row's terms when
+        # k^T x_k is smaller; a zero c_k sets no scale
+        lead = np.frexp(words[:, 0])[1] + shift * np.arange(1, words.shape[0] + 1)
+        self._word_lead = np.where(words[:, 0] != 0.0, lead, np.iinfo(np.int64).min)
+
+    def closed_loop(self, k) -> Polynomial:
+        """Characteristic polynomial of the exactly formed ``A + b k^T``.
+
+        k is cut exactly into beta-bit slices on the grids
+        ``2**(top - (i+1) beta)``; each ``digits[k-1, j] . K_i`` is one
+        exact integer of one BLAS product, under the plan's bound (a sum of
+        n products below ``2**(2 beta - 1) (1 + 2**-5)``).  Each coefficient
+        ``c_k - k^T x_k`` is then one ``math.fsum`` of c_k's words and those
+        integers, rounded once.  Its error before that rounding is c_k's
+        own (``char_poly``'s contract) plus ``|k|^T`` times what x_k lost:
+        the window's drops, less than ``2**-((L-1) beta)`` of x's largest
+        entry at each step, carried on by A.  A coefficient beyond the
+        float range raises NumericalError.
+        """
+        k = np.asarray(k, dtype=float)
+        n, window = self.digits.shape[:2]
+        if k.shape != (n,):
+            raise ValidationError(f"gain has shape {k.shape}, expected ({n},)")
+        if not np.isfinite(k).all():
+            raise ValidationError("gain must have finite entries")
+        beta = self.beta
+        top = math.frexp(float(np.abs(k).max()))[1]
+        # rest - rint(rest) is exact, and so is scaling it up by 2**beta
+        rest, slices = np.ldexp(k, beta - top), []
+        while rest.any():
+            slices.append(np.rint(rest))
+            rest -= slices[-1]
+            rest *= 2.0**beta
+        dots = self.digits @ np.array(slices).reshape(-1, n).T  # (n, L, slices)
+        # each row is summed scaled by a power of two at or above its
+        # largest term, so no term overflows on the way
+        dot_lead = self.grids + (top + math.ceil(math.log2(n)) + 1)
+        lead = np.maximum(self._word_lead, dot_lead)
+        steps = beta * (np.arange(window)[:, None] + np.arange(len(slices)) + 2)
+        words = np.ldexp(self.words, (self.shift * np.arange(1, n + 1) - lead)[:, None])
+        dots = np.ldexp(-dots, (self.grids + top - lead)[:, None, None] - steps)
+        desc = []
+        for j, (w, d, e) in enumerate(zip(words.tolist(), dots.reshape(n, -1).tolist(),
+                                          lead.tolist())):
+            try:
+                desc.append(math.ldexp(math.fsum(w + d), e))
+            except OverflowError:
+                raise NumericalError(
+                    f"closed-loop characteristic polynomial coefficient of x**{n - 1 - j} "
+                    "overflows the float range"
+                ) from None
+        return Polynomial(desc[::-1] + [1.0])
+
+
+def open_loop_record(A, b) -> OpenLoopRecord:
+    """The trace recurrence on A run once with ``x_k = M_{k-1} b`` as an
+    extra column; ``OpenLoopRecord`` says what it keeps."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if b.shape != (np.shape(A)[0],) or not np.all(np.isfinite(b)):
+        raise ValidationError("open_loop_record needs a finite b of A's order")
+    return _trace_recurrence(A, b)
 
 
 def eval_matrix(q: Polynomial, A) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Verification oracles for computed feedback gains.
 
 Two deliberately independent routes check every placement: the
-characteristic polynomial of the closed loop computed by the trace
-recurrence (no eigenvalue solver involved), and the closed-loop spectrum
-from the Schur iteration matched against the request.  Agreement of both
+characteristic polynomial of the exactly formed closed loop, read off the
+system's one run of the trace recurrence (no eigenvalue solver involved),
+and the closed-loop spectrum from the Schur iteration matched against the
+request.  Agreement of both
 is strong evidence; disagreement points at which half went wrong.
 
 The Schur iteration takes the request as a hint: the first QR sweep
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import determinant, eigenvalues, solve_linear
-from .poly import _as_spectrum, char_poly, monic_from_roots
+from .poly import _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
 
@@ -61,16 +62,26 @@ def _closed_loop_spectrum(sys, k, targets):
 
 
 def charpoly_residual(sys, k, targets) -> float:
-    """Coefficient-level placement error, via the trace recurrence.
+    """Coefficient-level placement error of the exactly formed closed loop.
 
-    Compares the characteristic polynomial of ``A + b k^T`` against the
-    monic polynomial built from the targets, coefficient by coefficient,
-    each scaled by ``max(1, |coefficient|)``.
+    Compares the characteristic polynomial of ``A + b k^T``, formed without
+    rounding, against the monic polynomial built from the targets,
+    coefficient by coefficient, each scaled by ``max(1, |coefficient|)``.
+    The closed-loop coefficient of ``s**(n-j)`` is ``c_j - k^T x_j``, read
+    off the system's stored open-loop record (``OpenLoopRecord``): the
+    coefficients c_j of A and ``x_j = M_{j-1} b`` from the one run of the
+    trace recurrence, so no closed-loop matrix is formed or recurred.
+
+    Error bound: each achieved coefficient is ``c_j - k^T x_j`` rounded
+    once, where c_j carries ``char_poly``'s contract and x_j the dropped
+    window of the record, less than ``2**-((L-1) beta)`` (about 2**-168)
+    of x's largest entry at each step, carried on by A; so it is off by at
+    most half an ulp plus ``|c_j error| + ||k||_1 ||x_j error||_inf``.
     """
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    achieved = char_poly(closed_loop(sys, k))
+    achieved = sys._open_loop_record().closed_loop(k)
     wanted = monic_from_roots(targets)
     num = np.abs(achieved.coeffs - wanted.coeffs)
     den = np.maximum(1.0, np.abs(wanted.coeffs))

@@ -581,6 +581,50 @@ def test_verify_accepts_exact_gain_at_n64(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("ok: charpoly_residual <= 1e-06")
 
 
+@pytest.mark.parametrize("n", [32, 48])
+def test_verify_accepts_bass_gura_on_integrator_chain(tmp_path, capsys, monkeypatch, n):
+    # the closed loop is a companion matrix whose float-formed char_poly
+    # reads 0.0 for trailing coefficients from n = 30 on; the residual of
+    # the exactly formed loop, from the stored open-loop record, accepts
+    # the gain, and a copy perturbed by 1e-4 still fails
+    assert main(["gen", "--family", "integrator-chain", "--n", str(n)]) == 0
+    system = write_json(tmp_path / "chain.json", json.loads(capsys.readouterr().out))
+    poles = [format_pole(complex(v)) for v in np.linspace(-2.0, -1.0, n)]
+    plan = poles_plan(tmp_path, poles)
+    assert main(["place", "--system", system, "--plan", plan, "--method", "bass-gura"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(report)))
+    assert main(["verify", "--gain", "-"]) == 0
+    assert capsys.readouterr().out.strip().endswith("ok: charpoly_residual <= 1e-06")
+    report["k"] = [v * (1 + 1e-4) for v in report["k"]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(report)))
+    assert main(["verify", "--gain", "-"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_place_targets_beyond_float_range_are_numerical_failure(tmp_path, capsys):
+    # 48 targets at -1e30 on a valid system: the target polynomial's
+    # constant term, 1e1440, leaves the float range; exit 3, not 2
+    assert main(["gen", "--family", "integrator-chain", "--n", "48"]) == 0
+    system = write_json(tmp_path / "chain.json", json.loads(capsys.readouterr().out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["place", "--system", system, "--plan", poles_plan(tmp_path, ["-1e30"] * 48),
+                   "--method", "bass-gura"])
+    assert rc == 3
+    assert "target polynomial coefficient of x**0 overflows" in capsys.readouterr().err
+
+
+def test_verify_closed_loop_beyond_float_range_is_numerical_failure(tmp_path, capsys):
+    # the exactly formed loop's constant coefficient is -k . b = -3.4e308
+    system = write_json(tmp_path / "one.json", {"n": 1, "A": [[0.0]], "b": [2.0]})
+    rc = main(["verify", "--system", system, "--plan", poles_plan(tmp_path, ["-1"]),
+               "--gain", "1.7e308"])
+    assert rc == 3
+    assert "closed-loop characteristic polynomial coefficient of x**0" in (
+        capsys.readouterr().err)
+
+
 def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
     # a perturbed gain moves every eigenvalue, so nearest-first pairing in
     # target order would overstate the largest distance

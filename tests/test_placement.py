@@ -22,7 +22,7 @@ from poleplace.errors import (
     UncontrollableError,
     ValidationError,
 )
-from poleplace import linalg, placement, subspace, verify
+from poleplace import linalg, placement, poly, subspace, verify
 from poleplace.cli import _dense_system, _draw_targets
 from poleplace.placement import omega_vector
 from poleplace.verify import spectrum_distance
@@ -292,13 +292,14 @@ def test_general_intermediate_pull_agrees():
 
 def test_full_pull_skips_canonical_form(monkeypatch):
     # with every target pulled the coefficient-level factor is 1, whose
-    # canonical row is -e_n without the canonical form or char_poly
+    # canonical row is -e_n without the canonical form or its polynomial;
+    # only the diagnostics read the open-loop polynomial record
     def refuse(*args):
         raise AssertionError("a full pull built the canonical form")
 
     targets = Spectrum([-1.0, -2.0])
     monkeypatch.setattr(placement, "controller_canonical", refuse)
-    monkeypatch.setattr(placement, "char_poly", refuse)
+    monkeypatch.setattr(placement.StateSpace, "_canonical_form", refuse)
     for gain in (
         place_ackermann(diag_system(), targets),
         place_general(diag_system(), targets, targets),
@@ -349,9 +350,10 @@ def test_full_methods_place_complex_pairs():
 
 
 def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
-    # Bass-Gura, Ackermann and a split between them on one system take the
-    # open-loop char_poly and the controllability condition number once;
-    # each gain still gets its own closed-loop char_poly and spectrum
+    # Bass-Gura, Ackermann and a split between them on one system run the
+    # trace recurrence once, on (A, b), and take the controllability
+    # condition number once; each gain's charpoly_residual is read off that
+    # record, and only its closed-loop spectrum is computed afresh
     sys = random_controllable(np.random.default_rng(271), 6)
     targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
     pulled = Spectrum([-1 + 1j, -1 - 1j])
@@ -359,7 +361,7 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
 
     def counted(name, fn):
         def wrapped(M, *args, **kwargs):
-            # char_poly and eigenvalues see A (open loop) or A + b k^T;
+            # the recurrence and eigenvalues see A (open loop) or A + b k^T;
             # condition_number sees only the controllability matrix
             loop = "open-loop " if np.array_equal(M, sys.A) else "closed-loop "
             calls[name if name == "condition_number" else loop + name] += 1
@@ -367,7 +369,9 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
 
         return wrapped
 
-    for name, fn in (("char_poly", placement.char_poly),
+    monkeypatch.setattr(poly, "_trace_recurrence",
+                        counted("trace recurrence", poly._trace_recurrence))
+    for name, fn in (("char_poly", poly.char_poly),
                      ("condition_number", linalg.condition_number),
                      ("eigenvalues", linalg.eigenvalues)):
         for mod in (linalg, placement, subspace, verify):
@@ -377,9 +381,8 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
         place_ackermann(sys, targets)
         place_general(sys, targets, pulled)
         assert calls == {
-            "open-loop char_poly": 1,
+            "open-loop trace recurrence": 1,
             "condition_number": 1,
-            "closed-loop char_poly": 3 * rounds,
             "closed-loop eigenvalues": 3 * rounds,
         }
 

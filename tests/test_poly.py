@@ -94,6 +94,17 @@ def test_monic_from_roots_order_independent():
     assert a == b
 
 
+def test_monic_from_roots_beyond_float_range_is_numerical_error():
+    # valid targets whose polynomial leaves the float range: a typed
+    # numerical failure naming the coefficient, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"coefficient of x\*\*0 overflows"):
+            monic_from_roots([1e30] * 12)
+        with pytest.raises(NumericalError, match="overflows the float range"):
+            monic_from_roots([1e200 + 1e200j, 1e200 - 1e200j])
+
+
 def test_monic_from_roots_rejects_unpaired_complex():
     with pytest.raises(ValidationError):
         monic_from_roots([-1 + 1j])
@@ -391,6 +402,99 @@ def test_char_poly_open_loops_at_n64_against_the_exact_polynomial(seed, index, p
         assert np.array_equal(got, exact)
     else:
         assert error <= 2e-9
+
+
+def _record_cases():
+    # dense, graded by 2**+-60 (similar to the dense one), block-scaled,
+    # companion and zero matrices
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 9, 16, 33):
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        grade = np.ldexp(1.0, rng.integers(-60, 61, n))
+        block = A.copy()
+        block[n // 2 :] *= 2.0**-100
+        chain = np.eye(n, k=1)
+        chain[-1] = rng.integers(-5, 6, n)
+        yield A, b
+        yield grade[:, None] * A / grade, grade * b
+        yield block, b
+        yield chain, np.eye(n)[-1]
+        yield np.zeros((n, n)), b
+
+
+def test_open_loop_record_polynomial_is_char_poly():
+    # the extra column changes nothing in M's columns: p is char_poly(A)
+    # bit for bit, and the stored arrays are read-only
+    for A, b in _record_cases():
+        record = poly.open_loop_record(A, b)
+        assert np.array_equal(record.p.coeffs, char_poly(A).coeffs)
+        for arr in (record.words, record.digits, record.grids):
+            assert not arr.flags.writeable
+
+
+def test_record_closed_loop_rounds_its_record_once():
+    # each closed-loop coefficient is the record's c_j - k^T x_j, exactly,
+    # rounded once: the sliced dot of k with x_j's digits is exact however
+    # k's entries spread, and a zero gain gives p itself
+    rng = np.random.default_rng(23)
+    for trial, (A, b) in enumerate(_record_cases()):
+        record = poly.open_loop_record(A, b)
+        n = b.size
+        assert record.closed_loop(np.zeros(n)) == record.p
+        k = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2.0, 8.0)
+        k[0] *= 2.0 ** (-500 if trial % 2 else 300)
+        got = record.closed_loop(k).coeffs[::-1]
+        window = record.digits.shape[1]
+        for j in range(1, n + 1):
+            c = sum(Fraction(w) for w in record.words[j - 1].tolist())
+            c *= Fraction(2) ** (record.shift * j)
+            unit = Fraction(2) ** int(record.grids[j - 1] - window * record.beta)
+            x = [unit * sum(int(d) << ((window - 1 - l) * record.beta)
+                            for l, d in enumerate(record.digits[j - 1, :, i].tolist()))
+                 for i in range(n)]
+            exact = c - sum(Fraction(v) * xi for v, xi in zip(k.tolist(), x))
+            assert got[j] == float(exact)
+
+
+def test_record_closed_loop_validates_and_names_overflow():
+    record = poly.open_loop_record([[0.0]], [2.0])
+    with pytest.raises(ValidationError):
+        record.closed_loop([1.0, 2.0])
+    with pytest.raises(ValidationError):
+        record.closed_loop([np.inf])
+    with pytest.raises(ValidationError):
+        poly.open_loop_record([[0.0]], [np.nan])
+    # -k b = -3.4e308 is beyond the float range
+    with pytest.raises(NumericalError, match=r"closed-loop .* coefficient of x\*\*0 overflows"):
+        record.closed_loop([1.7e308])
+
+
+def test_record_closed_loop_matches_char_poly_on_dyadic_loops_property():
+    # where A + b k^T is formed exactly in floats, the record's closed loop
+    # and char_poly of the float-formed loop are the same bits
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from poleplace import StateSpace
+    from poleplace.verify import closed_loop
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 8))
+        A = np.array(draw(st.lists(st.integers(-32, 32), min_size=n * n, max_size=n * n)))
+        b = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        k = np.array(draw(st.lists(st.integers(-(2**10), 2**10), min_size=n, max_size=n)))
+        return StateSpace(A.reshape(n, n) / 4.0, b), k / 8.0
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(systems())
+    def check(case):
+        sys, k = case
+        M = closed_loop(sys, k)
+        assert np.array_equal(M - sys.A - np.outer(sys.b, k), np.zeros_like(M))
+        assert sys._open_loop_record().closed_loop(k) == char_poly(M)
+
+    check()
 
 
 def test_char_poly_cayley_hamilton():

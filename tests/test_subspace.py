@@ -619,11 +619,17 @@ def test_state_space_arrays_are_read_only():
     plan_targets(sys, AssignmentPlan((((1.0,), (-1.0,)),)))
     place_bass_gura(sys, [-1.0, -2.0])
     assert sys._schur is not None
+    assert sys._polynomial is not None
     assert sys._canonical is not None
     assert sys._kappa is not None
     assert repr(sys) == repr(StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0]))
     stored = [f for f in dataclasses.fields(StateSpace) if f.name.startswith("_")]
-    assert [f.name for f in stored] == ["_schur", "_canonical", "_kappa"]
+    assert [f.name for f in stored] == ["_schur", "_polynomial", "_canonical", "_kappa"]
+    # the polynomial record's arrays are shared by every gain on the system
+    record = sys._polynomial
+    for arr in (record.p.coeffs, record.words, record.digits, record.grids):
+        with pytest.raises(ValueError):
+            arr[0] = 0
     for field in stored:
         assert not (field.init or field.repr or field.compare)
 

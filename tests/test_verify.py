@@ -1,8 +1,11 @@
 """Verification oracles: the two independent residual routes, the
 bottleneck spectrum metric, and the determinant identity probe."""
 
+import importlib.util
 import itertools
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from poleplace import (
 )
 from poleplace.errors import (
     InvariantEigenvalueError,
+    PolePlacementError,
     ValidationError,
 )
+from poleplace.poly import monic_from_roots
 from poleplace.placement import controllability_matrix, omega_vector
 from poleplace.verify import adjugate_identity_report, assemble_diagnostics
 
@@ -66,6 +71,106 @@ def test_charpoly_residual_zero_gain_against_shifted_targets():
 def test_charpoly_residual_small_coefficients_use_absolute_scale():
     sys = StateSpace(A=[[0.0]], b=[1.0])
     assert charpoly_residual(sys, [0.0], [-0.5]) == 0.5
+
+
+def _load_oracle():
+    # perfbench's exact Berkowitz polynomial, which shares no code with
+    # the package.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def _exact_loop(A, b, k, berkowitz):
+    """Descending exact coefficients of det(sI - A - b k^T), the loop formed
+    without rounding and scaled to integers for Berkowitz, and the exact
+    c_j and x_j = M_{j-1} b of the open loop (x_1 = b,
+    x_{j+1} = A x_j + c_j b)."""
+
+    def as_integers(M):
+        # M = ints / 2**e, exactly
+        e = max(Fraction(v).denominator for row in M for v in row).bit_length() - 1
+        return [[int(Fraction(v) * 2**e) for v in row] for row in M], e
+
+    n = len(b)
+    fa, fb, fk = ([Fraction(v) for v in row] for row in (A.ravel(), b, k))
+    loop, e = as_integers([[fa[i * n + j] + fb[i] * fk[j] for j in range(n)] for i in range(n)])
+    loop = [Fraction(c, 2 ** (e * j)) for j, c in enumerate(berkowitz(loop))]
+    (A_int, b_int), (ea, eb) = zip(*(as_integers(M) for M in (A.tolist(), [b.tolist()])))
+    b_int = b_int[0]
+    C = berkowitz(A_int)  # c_j = C[j] / 2**(ea j)
+    X = [b_int]  # x_j = X[j-1] / 2**(ea (j-1) + eb)
+    for j in range(1, n):
+        X.append([sum(a * v for a, v in zip(row, X[-1])) + C[j] * bi
+                  for row, bi in zip(A_int, b_int)])
+    c = [Fraction(v, 2 ** (ea * j)) for j, v in enumerate(C)]
+    xs = [[Fraction(v, 2 ** (ea * j + eb)) for v in x] for j, x in enumerate(X)]
+    return loop, c, xs
+
+
+def test_charpoly_residual_is_the_exact_loop_residual_property():
+    # charpoly_residual against the same residual of the exactly formed loop
+    # (Berkowitz on A + b k^T in integers) and the same float targets'
+    # polynomial, within its docstring's bound: per coefficient half an ulp
+    # plus |c_j error| + ||k||_1 ||x_j error||_inf, the errors of the
+    # stored record against the exact open loop
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 10))
+        grade = np.ldexp(1.0, draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)))
+        entries = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n)))
+        A = grade[:, None] * entries.reshape(n, n)
+        b = grade * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        targets = draw(st.lists(st.floats(-3.0, -0.1), min_size=n, max_size=n))
+        k = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        k *= 10.0 ** draw(st.floats(-2.0, 8.0))
+        if draw(st.booleans()):
+            try:
+                k = place_bass_gura(StateSpace(A, b), targets).k
+            except PolePlacementError:
+                pass
+        hypothesis.assume(np.any(b != 0.0))
+        return A, b, k, targets
+
+    berkowitz = _load_oracle().berkowitz
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        A, b, k, targets = case
+        sys = StateSpace(A, b)
+        got = charpoly_residual(sys, k, targets)
+        loop, c, xs = _exact_loop(A, b, k, berkowitz)
+        want = monic_from_roots(targets).coeffs[::-1]
+        record = sys._open_loop_record()
+        achieved = record.closed_loop(k).coeffs[::-1]
+        norm_k = sum(abs(Fraction(v)) for v in k.tolist())
+        exact, tol = Fraction(0), Fraction(0)
+        for j in range(1, len(b) + 1):
+            den = max(Fraction(1), abs(Fraction(want[j])))
+            exact = max(exact, abs(loop[j] - Fraction(want[j])) / den)
+            c_rec = sum(Fraction(w) for w in record.words[j - 1].tolist())
+            c_rec *= Fraction(2) ** (record.shift * j)
+            window = record.digits.shape[1]
+            unit = Fraction(2) ** int(record.grids[j - 1] - window * record.beta)
+            x_rec = [unit * sum(int(d) << ((window - 1 - l) * record.beta)
+                                for l, d in enumerate(record.digits[j - 1, :, i].tolist()))
+                     for i in range(len(b))]
+            x_err = max(abs(u - v) for u, v in zip(x_rec, xs[j - 1]))
+            bound = abs(c_rec - c[j]) + norm_k * x_err
+            # half an ulp of the coefficient, and of the residual's own
+            # subtraction and division
+            ulps = Fraction(2.0**-52) * (abs(Fraction(achieved[j])) + abs(Fraction(want[j])))
+            tol = max(tol, (bound + ulps) / den)
+        assert abs(Fraction(got) - exact) <= tol + Fraction(2.0**-51) * exact
+
+    check()
 
 
 def test_charpoly_residual_validates_count():
