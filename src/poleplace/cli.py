@@ -31,10 +31,9 @@ from .subspace import (
     place_simon_mitter,
     plan_targets,
 )
-from .verify import _bottleneck, _closed_loop_spectrum, charpoly_residual
+from .verify import ILL_CONDITIONED, _bottleneck, _closed_loop_spectrum, charpoly_residual
 
 RESIDUAL_LIMIT = 1e-6
-KAPPA_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------- literals
@@ -131,6 +130,28 @@ def _read_json(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_poles(value, where: str) -> Spectrum:
+    """A JSON list of pole literals; any other JSON value is refused, so a
+    string is not read as one pole per character."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a JSON list of poles")
+    return Spectrum([parse_pole(p) for p in value])
+
+
+def _json_gain(value, where: str) -> np.ndarray:
+    """A JSON list of finite numbers as a 1-D float array."""
+    problem = ValidationError(f"{where} must be a JSON list of finite numbers")
+    if not isinstance(value, list):
+        raise problem
+    try:
+        k = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise problem from exc
+    if k.ndim != 1 or not np.isfinite(k).all():
+        raise problem
+    return k
+
+
 def _system_from_dict(data, where: str) -> StateSpace:
     if not isinstance(data, dict):
         raise ValidationError(f"{where}: expected a JSON object")
@@ -166,7 +187,7 @@ def _load_plan(path: str):
     if has_poles:
         if not isinstance(data["poles"], list) or not data["poles"]:
             raise ValidationError(f"{path}: 'poles' must be a nonempty list")
-        return "poles", Spectrum([parse_pole(p) for p in data["poles"]])
+        return "poles", _json_poles(data["poles"], f"{path}: 'poles'")
     groups = data["groups"]
     if not isinstance(groups, list) or not groups:
         raise ValidationError(f"{path}: 'groups' must be a nonempty list")
@@ -176,8 +197,8 @@ def _load_plan(path: str):
             raise ValidationError(
                 f"{path}: group {gi + 1} needs 'move' and 'to' lists"
             )
-        move = Spectrum([parse_pole(p) for p in grp["move"]])
-        to = Spectrum([parse_pole(p) for p in grp["to"]])
+        move = _json_poles(grp["move"], f"{path}: group {gi + 1} 'move'")
+        to = _json_poles(grp["to"], f"{path}: group {gi + 1} 'to'")
         parsed.append((move, to))
     return "groups", AssignmentPlan(tuple(parsed))
 
@@ -279,7 +300,7 @@ def cmd_verify(args) -> int:
         report = _read_json("-")
         if not isinstance(report, dict) or "k" not in report:
             raise ValidationError("stdin: expected a placement report with 'k'")
-        k = np.array(report["k"], dtype=float)
+        k = _json_gain(report["k"], "stdin report 'k'")
         if args.system is not None:
             sys_ = _system_from_dict(_read_json(args.system), args.system)
         elif "system" in report:
@@ -290,7 +311,7 @@ def cmd_verify(args) -> int:
             kind, plan = _load_plan(args.plan)
             targets = plan if kind == "poles" else plan_targets(sys_, plan)
         elif "targets" in report:
-            targets = Spectrum([parse_pole(p) for p in report["targets"]])
+            targets = _json_poles(report["targets"], "stdin report 'targets'")
         else:
             raise ValidationError("stdin report has no targets; pass --plan")
     else:
@@ -339,11 +360,11 @@ def _dense_system(rng, n: int):
         A = rng.uniform(-1.0, 1.0, (n, n))
         b = rng.uniform(-1.0, 1.0, n)
         sys_ = StateSpace(A, b)
-        kappa = sys_._controllability_kappa()
-        if kappa <= KAPPA_LIMIT:
+        kappa = sys_._kappa
+        if kappa <= ILL_CONDITIONED:
             return sys_, attempt, kappa
     raise NumericalError(
-        f"no controllable draw with kappa <= {KAPPA_LIMIT:g} in 100 attempts"
+        f"no controllable draw with kappa <= {ILL_CONDITIONED:g} in 100 attempts"
     )
 
 

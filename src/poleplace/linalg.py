@@ -212,9 +212,9 @@ def determinant(M) -> float:
     return det
 
 
-def krylov(A, b, m) -> np.ndarray:
-    """Columns ``[b, Ab, ..., A**(m-1) b]``; NumericalError when one of
-    them leaves the float range."""
+def krylov(A, b) -> np.ndarray:
+    """Columns ``[b, Ab, ..., A**(n-1) b]`` for A of order n;
+    NumericalError when one of them leaves the float range."""
     A = _as_square(A, "A")
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -222,13 +222,11 @@ def krylov(A, b, m) -> np.ndarray:
         raise ValidationError(f"vector has shape {b.shape}, expected ({n},)")
     if not np.all(np.isfinite(b)):
         raise ValidationError("vector must have finite entries")
-    if not 1 <= int(m) <= 10 * n:
-        raise ValidationError(f"column count {m} out of range")
-    C = np.empty((n, int(m)))
+    C = np.empty((n, n))
     v = b.copy()
     C[:, 0] = v
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, int(m)):
+        for j in range(1, n):
             v = A @ v
             C[:, j] = v
     finite = np.isfinite(C).all(axis=0)

@@ -14,8 +14,8 @@ Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,30 +43,6 @@ from .poly import (
 from .verify import Diagnostics, assemble_diagnostics
 
 
-def _stored(slot: str):
-    """Decorate a system method so that it runs once: its first result is
-    kept in the field ``slot`` and returned by every later call."""
-
-    def decorate(compute):
-        @functools.wraps(compute)
-        def get(self):
-            value = getattr(self, slot)
-            if value is None:
-                value = compute(self)
-                object.__setattr__(self, slot, value)
-            return value
-
-        return get
-
-    return decorate
-
-
-def _store():
-    """A field for one stored open-loop quantity: filled on first use and
-    no part of the system's value."""
-    return field(default=None, init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Single-input system ``x' = A x + b u``.
@@ -75,19 +51,17 @@ class StateSpace:
     open-loop record: the real Schur form of A, the polynomial record (one
     run of the trace recurrence on ``(A, b)``: ``char_poly(A)`` and what the
     closed-loop polynomial of any gain needs, ``OpenLoopRecord``), the
-    controller canonical form and the condition number of the
-    controllability matrix.  Each is computed on first use and kept, with
-    its arrays read-only, so every placement method, the diagnostics and
-    the CLI's gate on one system share one computation of each; no
-    closed loop runs the trace recurrence again.
+    controllability matrix C, the controller canonical form and the
+    condition number of C.  Each is a ``functools.cached_property``:
+    computed on first use and kept in the instance ``__dict__``, outside
+    the system's repr and equality, with its arrays read-only.  So every
+    placement method, the diagnostics and the CLI's gate on one system
+    share one computation of each; no closed loop runs the trace
+    recurrence again.
     """
 
     A: np.ndarray
     b: np.ndarray
-    _schur: SchurDecomposition | None = _store()
-    _polynomial: OpenLoopRecord | None = _store()
-    _canonical: CanonicalForm | None = _store()
-    _kappa: float | None = _store()
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -111,43 +85,49 @@ class StateSpace:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @_stored("_schur")
-    def _open_loop_schur(self) -> SchurDecomposition:
+    @cached_property
+    def _schur(self) -> SchurDecomposition:
         """``real_schur(A)``; its blocks are bitwise ``eigenvalues(A)``."""
         dec = real_schur(self.A)
         dec.Q.flags.writeable = False
         dec.T.flags.writeable = False
         return dec
 
-    @_stored("_polynomial")
-    def _open_loop_record(self) -> OpenLoopRecord:
+    @cached_property
+    def _polynomial(self) -> OpenLoopRecord:
         """``open_loop_record(A, b)``; its ``p`` is bitwise ``char_poly(A)``
         and its ``closed_loop(k)`` is the polynomial of ``A + b k^T``."""
         return open_loop_record(self.A, self.b)
 
-    @_stored("_canonical")
-    def _canonical_form(self) -> CanonicalForm:
+    @cached_property
+    def _controllability(self) -> np.ndarray:
+        """``krylov(A, b)``, the controllability matrix C."""
+        C = krylov(self.A, self.b)
+        C.flags.writeable = False
+        return C
+
+    @cached_property
+    def _canonical(self) -> CanonicalForm:
         """The controller canonical form; ``controller_canonical`` says how
         it is built."""
         n = self.n
-        q = self._open_loop_record().p
+        q = self._polynomial.p
         A_c = np.zeros((n, n))
         for i in range(n - 1):
             A_c[i, i + 1] = 1.0
         A_c[n - 1, :] = -q.coeffs[:n]
         b_c = np.zeros(n)
         b_c[n - 1] = 1.0
-        C = controllability_matrix(self)
-        C_c = krylov(A_c, b_c, n)
-        for arr in (A_c, b_c, C, C_c):
+        C_c = krylov(A_c, b_c)
+        for arr in (A_c, b_c, C_c):
             arr.flags.writeable = False
-        return CanonicalForm(A_c=A_c, b_c=b_c, C=C, C_c=C_c, p=q)
+        return CanonicalForm(A_c=A_c, b_c=b_c, C=self._controllability, C_c=C_c, p=q)
 
-    @_stored("_kappa")
-    def _controllability_kappa(self) -> float:
-        """``condition_number`` of the controllability matrix, taken on its
-        own: Ackermann's formula reads it without a canonical form."""
-        return condition_number(controllability_matrix(self))
+    @cached_property
+    def _kappa(self) -> float:
+        """``condition_number`` of C, taken on its own: Ackermann's formula
+        reads C without a canonical form."""
+        return condition_number(self._controllability)
 
 
 @dataclass(frozen=True)
@@ -179,8 +159,8 @@ class Gain:
 
 
 def controllability_matrix(sys: StateSpace) -> np.ndarray:
-    """``[b, Ab, ..., A**(n-1) b]``."""
-    return krylov(sys.A, sys.b, sys.n)
+    """``[b, Ab, ..., A**(n-1) b]``: the system's stored, read-only C."""
+    return sys._controllability
 
 
 def controller_canonical(sys: StateSpace) -> CanonicalForm:
@@ -191,7 +171,7 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
     last unit vector.  The form is built once per system and stored on
     it, so every call on one system returns the same read-only object.
     """
-    return sys._canonical_form()
+    return sys._canonical
 
 
 def _solve_controllability(C, rhs) -> np.ndarray:

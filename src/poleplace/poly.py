@@ -264,19 +264,19 @@ def _quotient(values, k: int) -> list:
     return words
 
 
-def _trace_recurrence(A, b=None):
-    """The trace recurrence on A; with b, also on the column x_k = M_{k-1} b.
-
-    Returns A's characteristic polynomial, or with b the ``OpenLoopRecord``
-    that holds it.  The column x changes nothing in M's columns, so the
-    polynomial is the same bits with or without it.
-    """
+def open_loop_record(A, b) -> OpenLoopRecord:
+    """The trace recurrence on A, run once with ``x_k = M_{k-1} b`` as an
+    extra column; ``OpenLoopRecord`` says what it keeps, ``char_poly`` what
+    its polynomial's precision is."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValidationError("char_poly needs a nonempty square matrix")
     if not np.all(np.isfinite(A)):
         raise ValidationError("char_poly needs finite entries")
     n = A.shape[0]
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if b.shape != (n,) or not np.all(np.isfinite(b)):
+        raise ValidationError("open_loop_record needs a finite b of A's order")
     shift = int(np.frexp(np.max(np.abs(A)))[1])
     A = np.ldexp(A, -shift)
     row_max = np.max(np.abs(A), axis=1)
@@ -292,15 +292,15 @@ def _trace_recurrence(A, b=None):
         if not rest.any():
             break
     depth = len(a_slices)
-    # The state is kept transposed, column c of M in row c, so that a column
-    # and its digits are contiguous; with b, row n holds x.  Epad is
-    # depth - 1 zero blocks, the digits D_0^T | ... | D_{L-1}^T, and zeros;
-    # A_stack is A_{depth-1}^T over ... over A_0^T.  Group s, transposed, is
-    # then the window of columns s n .. (s + depth) n of Epad times A_stack,
-    # one product for every s.
+    # The state is kept transposed, column c of M in row c and x in row n,
+    # so that a column and its digits are contiguous.  Epad is depth - 1
+    # zero blocks, the digits D_0^T | ... | D_{L-1}^T, and zeros; A_stack is
+    # A_{depth-1}^T over ... over A_0^T.  Group s, transposed, is then the
+    # window of columns s n .. (s + depth) n of Epad times A_stack, one
+    # product for every s.
     A_stack = np.concatenate(a_slices[::-1], axis=1).T.copy()
     blocks = levels + depth - 1
-    cols = n if b is None else n + 1  # columns of the state
+    cols = n + 1
     Epad = np.zeros((cols, blocks * n))
     Epad[:n, (depth - 1) * n : depth * n] = np.ldexp(np.eye(n), beta - 1)
     # the first depth - 1 windows start in the zero blocks; at large n the
@@ -335,27 +335,25 @@ def _trace_recurrence(A, b=None):
              + np.arange(cols)[:, None])
     full = buffer[:height]
     full_diagonal = full.reshape(height, cols * n)[:, : n * n : n + 1]  # a view
-    record = held = None
     pad_x = pad0
-    if b is not None:
-        # Row n of the state is x, one step behind M: step k forms
-        # x_k = A x_{k-1} + c_{k-1} b from x_0 = 0 and c_0 = 1.  ``held`` is
-        # c_{k-1}'s digits, on the grids 2**(1 + beta (g - p)) for place p,
-        # and g; b, scaled by 2**-b_shift into [0.5, 1), is cut until
-        # nothing is left into slices on the grids 2**-((i+1) beta), kept in
-        # reverse order.
-        b_shift = int(np.frexp(np.max(np.abs(b)))[1])
-        rest = np.ldexp(b, -b_shift)
-        b_slices = []
-        while rest.any():
-            b_slices.append(np.rint(np.ldexp(rest, (len(b_slices) + 1) * beta)))
-            rest -= np.ldexp(b_slices[-1], -len(b_slices) * beta)
-        b_slices = np.array(b_slices[::-1]).reshape(-1, n)
-        held = (np.array([2.0 ** (beta - 1)]), -1)
-        x_digits = Epad[n, (depth - 1) * n : (depth - 1 + window) * n].reshape(window, n)
-        # c_k's words (of 2**-shift A), x_k's digits and x_k's unscaled top grid
-        record = (np.empty((n, _QUOTIENT_WORDS)), np.empty((n, window, n)),
-                  np.empty(n, dtype=np.int64))
+    # x runs one step behind M: step k forms x_k = A x_{k-1} + c_{k-1} b
+    # from x_0 = 0 and c_0 = 1.  ``held`` is c_{k-1}'s digits, on the grids
+    # 2**(1 + beta (g - p)) for place p, and g; b, scaled by 2**-b_shift
+    # into [0.5, 1), is cut until nothing is left into slices on the grids
+    # 2**-((i+1) beta), kept in reverse order.
+    b_shift = int(np.frexp(np.max(np.abs(b)))[1])
+    rest = np.ldexp(b, -b_shift)
+    b_slices = []
+    while rest.any():
+        b_slices.append(np.rint(np.ldexp(rest, (len(b_slices) + 1) * beta)))
+        rest -= np.ldexp(b_slices[-1], -len(b_slices) * beta)
+    b_slices = np.array(b_slices[::-1]).reshape(-1, n)
+    held = (np.array([2.0 ** (beta - 1)]), -1)
+    x_digits = Epad[n, (depth - 1) * n : (depth - 1 + window) * n].reshape(window, n)
+    # c_k's words (of 2**-shift A), x_k's digits and x_k's unscaled top grid
+    words = np.empty((n, _QUOTIENT_WORDS))
+    digits = np.empty((n, window, n))
+    grids = np.empty(n, dtype=np.int64)
     desc = [1.0]
     for k in range(1, n + 1):
         if pad_x > pad0:  # c_{k-1} b lies far above x_{k-1}'s grid
@@ -402,10 +400,7 @@ def _trace_recurrence(A, b=None):
         terms = np.ldexp(-sums, top_grid - grid_steps[: sums.size])
         c = _quotient(terms.tolist(), k)
         desc.append(math.fsum(c))
-        if record is not None:
-            record[0][k - 1] = c
-        elif k == n:
-            break
+        words[k - 1] = c
         held = None
         if k < n and c[0] != 0.0:
             # M_k = N_k + c_k I
@@ -440,8 +435,7 @@ def _trace_recurrence(A, b=None):
             c_digits = np.bincount(place.ravel(), Q.ravel(), minlength=count)
             dg += c_digits[places]
             _carry(dg, beta, 1)
-            if record is not None:
-                held = (c_digits, lift_max + pad - 2)
+            held = (c_digits, lift_max + pad - 2)
         # each column keeps the window of digits from its top nonzero one,
         # which is almost always within the first pad + 1 levels
         nonzero = body[: pad + 1].any(axis=2)
@@ -457,22 +451,19 @@ def _trace_recurrence(A, b=None):
         lift -= first - (pad - 1)
         np.take(T.reshape(-1, n), reads + (first * cols)[:, None], axis=0,
                 out=Epad.reshape(cols, blocks, n), mode="clip")
-        if record is not None:
-            lift_x = int(lift[n])
-            record[1][k - 1] = x_digits
-            record[2][k - 1] = 1 + beta * lift_x + shift * (k - 1) + b_shift
-            pad_x = pad0
-            if held is not None:
-                # c_k b is added at step k + 1.  An x_k that lies wholly
-                # below the window it opens is dropped, as a column of M is
-                # (``far_bits``); else the top padding grows to hold it.
-                top = math.frexp(c[0])[1]
-                if 1 + beta * lift_x < top - far_bits or not found[n]:
-                    Epad[n] = 0.0
-                    lift_x = lift[n] = -((1 - top) // beta)
-                pad_x = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
-        if k == n:
-            break
+        lift_x = int(lift[n])
+        digits[k - 1] = x_digits
+        grids[k - 1] = 1 + beta * lift_x + shift * (k - 1) + b_shift
+        pad_x = pad0
+        if held is not None:
+            # c_k b is added at step k + 1.  An x_k that lies wholly below
+            # the window it opens is dropped, as a column of M is
+            # (``far_bits``); else the top padding grows to hold it.
+            top = math.frexp(c[0])[1]
+            if 1 + beta * lift_x < top - far_bits or not found[n]:
+                Epad[n] = 0.0
+                lift_x = lift[n] = -((1 - top) // beta)
+            pad_x = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
     # undo the scaling: the coefficient of x**(n-k) scales by 2**(shift k)
     with np.errstate(over="ignore"):
         coeffs = np.ldexp(desc[::-1], shift * np.arange(n, -1, -1))
@@ -482,11 +473,7 @@ def _trace_recurrence(A, b=None):
             f"characteristic polynomial coefficient of x**{int(np.argmin(finite))} "
             "overflows the float range"
         )
-    p = Polynomial(coeffs)
-    if record is None:
-        return p
-    words, digits, grids = record
-    return OpenLoopRecord(p, words, shift, digits, grids, beta)
+    return OpenLoopRecord(Polynomial(coeffs), words, shift, digits, grids, beta)
 
 
 def char_poly(A) -> Polynomial:
@@ -496,10 +483,11 @@ def char_poly(A) -> Polynomial:
     beta-bit slices on BLAS (beta is 22 at n = 64), and M carried as L
     integer digits per entry on power-of-two grids of its column (L = 9 at
     n = 64); the comment above has the details.  Each coefficient is
-    rounded once, from about 212 bits of c_k.  A system's stored
-    ``OpenLoopRecord`` runs the same recurrence once with one more column,
-    and its ``p`` is this polynomial bit for bit; the package checks closed
-    loops from that record, not with this function.
+    rounded once, from about 212 bits of c_k.  This is the ``p`` of
+    ``open_loop_record(A, e_1)``: the recurrence always carries one more
+    column, x_k = M_{k-1} b, which adds nothing to M's columns, so p is the
+    same bits for every b.  The package checks closed loops from a system's
+    stored record, not with this function.
 
     Precision contract:
 
@@ -525,7 +513,10 @@ def char_poly(A) -> Polynomial:
     terms and the final coefficients meet the ends of the double range; a
     coefficient beyond it raises NumericalError.
     """
-    return _trace_recurrence(A)
+    A = np.asarray(A, dtype=float)
+    e1 = np.zeros(A.shape[0] if A.ndim else 0)
+    e1[:1] = 1.0
+    return open_loop_record(A, e1).p
 
 
 class OpenLoopRecord:
@@ -607,15 +598,6 @@ class OpenLoopRecord:
                     "overflows the float range"
                 ) from None
         return Polynomial(desc[::-1] + [1.0])
-
-
-def open_loop_record(A, b) -> OpenLoopRecord:
-    """The trace recurrence on A run once with ``x_k = M_{k-1} b`` as an
-    extra column; ``OpenLoopRecord`` says what it keeps."""
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape != (np.shape(A)[0],) or not np.all(np.isfinite(b)):
-        raise ValidationError("open_loop_record needs a finite b of A's order")
-    return _trace_recurrence(A, b)
 
 
 def eval_matrix(q: Polynomial, A) -> np.ndarray:

@@ -103,7 +103,7 @@ def _gain_on_split(b, U, X, to: Spectrum):
         h, eta, kappa = _small_step(bu.tolist(), X.tolist(), to)
         h, eta = np.array(h), np.array(eta)
     else:
-        CX = krylov(X, bu, r)
+        CX = krylov(X, bu)
         e_r = np.zeros(r)
         e_r[r - 1] = 1.0
         try:
@@ -205,7 +205,7 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
         raise ValidationError("the single-shift method moves a real eigenvalue "
                               "to a real target")
     mu1, lam1 = mu1.real, lam1.real
-    dec, U, _ = _lead(sys._open_loop_schur(), Spectrum([mu1]), _match_tol(sys.A))
+    dec, U, _ = _lead(sys._schur, Spectrum([mu1]), _match_tol(sys.A))
     # U[:, 0], not dec.Q[:, 0]: a dot with the strided column rounds differently
     k = (lam1 - mu1) * _selector(sys, U[:, 0])
     full = Spectrum([lam1] + [z for blk in dec.blocks[1:] for z in blk.eigenvalues])
@@ -231,7 +231,7 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
 def _open_loop_values(sys: StateSpace) -> list[complex]:
     """The block values of the system's stored Schur form, in block order;
     as a Spectrum they are bitwise ``eigenvalues(sys.A)``."""
-    return [z for blk in sys._open_loop_schur().blocks for z in blk.eigenvalues]
+    return [z for blk in sys._schur.blocks for z in blk.eigenvalues]
 
 
 def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
@@ -298,7 +298,7 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
         plan = AssignmentPlan(tuple(plan))
     if not plan.groups:
         raise ValidationError("plan has no groups")
-    dec = sys._open_loop_schur()
+    dec = sys._schur
     tol = _match_tol(sys.A)
     expected = _play_plan(_open_loop_values(sys), plan, tol)
     k_total = np.zeros(sys.n)

@@ -81,7 +81,7 @@ def charpoly_residual(sys, k, targets) -> float:
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    achieved = sys._open_loop_record().closed_loop(k)
+    achieved = sys._polynomial.closed_loop(k)
     wanted = monic_from_roots(targets)
     num = np.abs(achieved.coeffs - wanted.coeffs)
     den = np.maximum(1.0, np.abs(wanted.coeffs))
@@ -192,7 +192,7 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.
     """
-    kap = sys._controllability_kappa()
+    kap = sys._kappa
     warnings = ()
     if not kap <= ILL_CONDITIONED:
         warnings = (

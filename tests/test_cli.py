@@ -775,6 +775,53 @@ def test_verify_stdin_report_must_carry_gain(capsys, monkeypatch):
     assert "'k'" in capsys.readouterr().err
 
 
+def _single_error_line(err, field):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:") and repr(field) in lines[0]
+
+
+# the double integrator's report for the gain that places -1 and -2
+_DI_REPORT = {
+    "k": [-2.0, -3.0],
+    "system": {"n": 2, "A": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, 1.0]},
+    "targets": ["-1", "-2"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", "abc"), ("k", {"a": 1}), ("k", [1, "x"]), ("k", [1, None]), ("k", 5),
+     ("k", [[-2.0, -3.0]]), ("targets", 5), ("targets", "12")],
+)
+def test_verify_stdin_report_rejects_malformed_fields(field, value, capsys, monkeypatch):
+    # a report field of the wrong JSON type is malformed input: exit 2 with
+    # one error line naming the field, not a traceback, and a string is
+    # not read as one pole per character
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(_DI_REPORT, **{field: value}))))
+    assert main(["verify", "--gain", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_error_line(captured.err, field)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_DI_REPORT)))
+    assert main(["verify", "--gain", "-"]) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("move", 5), ("move", "12"), ("move", {"a": 1}), ("to", "13")],
+)
+def test_groups_plan_rejects_pole_fields_that_are_not_lists(field, value, tmp_path, capsys):
+    # "12" would otherwise read as the two poles 1 and 2, which this system has
+    group = dict({"move": ["1", "2"], "to": ["-1", "-3"]}, **{field: value})
+    plan = write_json(tmp_path / "groups.json", {"groups": [group]})
+    rc = main(["place", "--system", diag_system(tmp_path), "--plan", plan,
+               "--method", "partial"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_error_line(captured.err, field)
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -299,7 +299,7 @@ def test_full_pull_skips_canonical_form(monkeypatch):
 
     targets = Spectrum([-1.0, -2.0])
     monkeypatch.setattr(placement, "controller_canonical", refuse)
-    monkeypatch.setattr(placement.StateSpace, "_canonical_form", refuse)
+    monkeypatch.setattr(placement.StateSpace, "_canonical", property(refuse))
     for gain in (
         place_ackermann(diag_system(), targets),
         place_general(diag_system(), targets, targets),
@@ -350,40 +350,50 @@ def test_full_methods_place_complex_pairs():
 
 
 def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
-    # Bass-Gura, Ackermann and a split between them on one system run the
-    # trace recurrence once, on (A, b), and take the controllability
-    # condition number once; each gain's charpoly_residual is read off that
-    # record, and only its closed-loop spectrum is computed afresh
-    sys = random_controllable(np.random.default_rng(271), 6)
+    # Bass-Gura, Ackermann and a split between them on one system, over two
+    # rounds, run the trace recurrence once, on (A, b), form the
+    # controllability matrix once and take its condition number once; each
+    # gain's charpoly_residual is read off that record, and only its
+    # closed-loop spectrum is computed afresh
+    drawn = random_controllable(np.random.default_rng(271), 6)
+    sys = StateSpace(drawn.A, drawn.b)  # nothing stored yet
     targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
     pulled = Spectrum([-1 + 1j, -1 - 1j])
     calls = Counter()
 
     def counted(name, fn):
         def wrapped(M, *args, **kwargs):
-            # the recurrence and eigenvalues see A (open loop) or A + b k^T;
-            # condition_number sees only the controllability matrix
-            loop = "open-loop " if np.array_equal(M, sys.A) else "closed-loop "
-            calls[name if name == "condition_number" else loop + name] += 1
+            # condition_number sees only the controllability matrix; the
+            # others see A (open loop) or another matrix: A + b k^T, or the
+            # companion matrix whose Krylov matrix is the canonical C_c
+            if name != "condition_number":
+                loop = "open-loop " if np.array_equal(M, sys.A) else "other "
+                if name == "krylov" and loop == "open-loop ":
+                    assert np.array_equal(args[0], sys.b)
+                calls[loop + name] += 1
+            else:
+                calls[name] += 1
             return fn(M, *args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(poly, "_trace_recurrence",
-                        counted("trace recurrence", poly._trace_recurrence))
-    for name, fn in (("char_poly", poly.char_poly),
+    for name, fn in (("open_loop_record", poly.open_loop_record),
+                     ("char_poly", poly.char_poly),
+                     ("krylov", linalg.krylov),
                      ("condition_number", linalg.condition_number),
                      ("eigenvalues", linalg.eigenvalues)):
-        for mod in (linalg, placement, subspace, verify):
+        for mod in (poly, linalg, placement, subspace, verify):
             monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
     for rounds in (1, 2):
         place_bass_gura(sys, targets)
         place_ackermann(sys, targets)
         place_general(sys, targets, pulled)
         assert calls == {
-            "open-loop trace recurrence": 1,
+            "open-loop open_loop_record": 1,
+            "open-loop krylov": 1,
+            "other krylov": 1,
             "condition_number": 1,
-            "closed-loop eigenvalues": 3 * rounds,
+            "other eigenvalues": 3 * rounds,
         }
 
 
@@ -395,21 +405,31 @@ def _full_spectrum_bytes(make, targets, pulled):
     return [(g.k.tobytes(), repr(g.diagnostics)) for g in gains]
 
 
+_STORED = ("_schur", "_polynomial", "_controllability", "_canonical", "_kappa")
+
+
 def test_stored_open_loop_record_gives_the_fresh_results():
-    # a system that already holds its canonical form and kappa gives gains
-    # and diagnostics byte-equal to a fresh system for every call
+    # a system that already holds its open-loop record gives gains and
+    # diagnostics byte-equal to a fresh system for every call; each stored
+    # value is computed on first use, then read back as the same object
     rng = np.random.default_rng(263)
     for n in (3, 4, 6, 8, 11, 14, 17, 20):
         sys, _, _ = _dense_system(rng, n)
         targets = _draw_targets(rng, n)
         # conjugates share their real part, so this subset is self-conjugate
         pulled = Spectrum([z for z in targets if z.real > -1.5])
-        fresh = _full_spectrum_bytes(lambda: StateSpace(sys.A, sys.b), targets, pulled)
-        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == fresh
-        stored = (sys._canonical, sys._kappa)
-        assert stored[0] is not None and stored[1] is not None
-        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == fresh
-        assert (sys._canonical, sys._kappa) == stored
+        fresh = StateSpace(sys.A, sys.b)
+        assert not set(_STORED) & set(vars(fresh))
+        want = _full_spectrum_bytes(lambda: StateSpace(sys.A, sys.b), targets, pulled)
+        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == want
+        stored = {name: vars(sys)[name] for name in ("_polynomial", "_controllability",
+                                                     "_canonical", "_kappa")}
+        assert _full_spectrum_bytes(lambda: sys, targets, pulled) == want
+        for name, value in stored.items():
+            assert getattr(sys, name) is value
+        assert controllability_matrix(sys) is stored["_controllability"]
+        assert stored["_canonical"].C is stored["_controllability"]
+        assert repr(sys) == repr(fresh)
 
 
 def test_stored_open_loop_record_keeps_the_uncontrollable_message():
@@ -429,4 +449,4 @@ def test_stored_open_loop_record_keeps_the_uncontrollable_message():
                 place(s)
             messages.append(str(info.value))
         assert messages == [messages[0]] * 3
-    assert sys._canonical is not None
+    assert {"_controllability", "_canonical"} <= set(vars(sys))

@@ -424,8 +424,10 @@ def _record_cases():
 
 
 def test_open_loop_record_polynomial_is_char_poly():
-    # the extra column changes nothing in M's columns: p is char_poly(A)
-    # bit for bit, and the stored arrays are read-only
+    # char_poly(A) is the polynomial of the record of (A, e_1); the column
+    # x_k = M_{k-1} b changes nothing in M's columns, so the record of
+    # (A, b) for any other b has p bit for bit the same, and the stored
+    # arrays are read-only
     for A, b in _record_cases():
         record = poly.open_loop_record(A, b)
         assert np.array_equal(record.p.coeffs, char_poly(A).coeffs)
@@ -492,7 +494,7 @@ def test_record_closed_loop_matches_char_poly_on_dyadic_loops_property():
         sys, k = case
         M = closed_loop(sys, k)
         assert np.array_equal(M - sys.A - np.outer(sys.b, k), np.zeros_like(M))
-        assert sys._open_loop_record().closed_loop(k) == char_poly(M)
+        assert sys._polynomial.closed_loop(k) == char_poly(M)
 
     check()
 

@@ -148,7 +148,7 @@ def test_charpoly_residual_is_the_exact_loop_residual_property():
         got = charpoly_residual(sys, k, targets)
         loop, c, xs = _exact_loop(A, b, k, berkowitz)
         want = monic_from_roots(targets).coeffs[::-1]
-        record = sys._open_loop_record()
+        record = sys._polynomial
         achieved = record.closed_loop(k).coeffs[::-1]
         norm_k = sum(abs(Fraction(v)) for v in k.tolist())
         exact, tol = Fraction(0), Fraction(0)
