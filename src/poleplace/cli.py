@@ -138,10 +138,19 @@ def _json_poles(value, where: str) -> Spectrum:
     return Spectrum([parse_pole(p) for p in value])
 
 
+def _holds_boolean(value) -> bool:
+    """Whether a JSON value is a boolean, or a list holding one at any
+    depth: numpy would read true as 1.0 where a number belongs."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(map(_holds_boolean, value)))
+
+
 def _json_gain(value, where: str) -> np.ndarray:
     """A JSON list of finite numbers as a 1-D float array."""
     problem = ValidationError(f"{where} must be a JSON list of finite numbers")
-    if not isinstance(value, list):
+    if not isinstance(value, list) or _holds_boolean(value):
         raise problem
     try:
         k = np.array(value, dtype=float)
@@ -159,8 +168,11 @@ def _system_from_dict(data, where: str) -> StateSpace:
         if key not in data:
             raise ValidationError(f"{where}: missing field {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"{where}: n must be a positive integer, got {n!r}")
+    for key in ("A", "b"):
+        if _holds_boolean(data[key]):
+            raise ValidationError(f"{where}: {key} must hold numbers, not JSON booleans")
     try:
         A = np.array(data["A"], dtype=float)
         b = np.array(data["b"], dtype=float)

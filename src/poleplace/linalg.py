@@ -195,23 +195,6 @@ def _eliminate_scalars(a, x, limit) -> list:
     return x
 
 
-def determinant(M) -> float:
-    """Determinant by elimination.  Tolerates singular input, returning 0."""
-    LU = _as_square(M).copy()
-    n = LU.shape[0]
-    det = 1.0
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(LU[k:, k])))
-        if LU[j, k] == 0.0:
-            return 0.0
-        if j != k:
-            LU[[k, j]] = LU[[j, k]]
-            det = -det
-        det *= LU[k, k]
-        LU[k + 1 :, k + 1 :] -= (LU[k + 1 :, k] / LU[k, k])[:, None] * LU[k, k + 1 :]
-    return det
-
-
 def krylov(A, b) -> np.ndarray:
     """Columns ``[b, Ab, ..., A**(n-1) b]`` for A of order n;
     NumericalError when one of them leaves the float range."""

@@ -43,18 +43,20 @@ from .poly import (
 from .verify import Diagnostics, assemble_diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Single-input system ``x' = A x + b u``.
 
-    A and b are read-only copies of the inputs.  The system also keeps its
-    open-loop record: the real Schur form of A, the polynomial record (one
-    run of the trace recurrence on ``(A, b)``: ``char_poly(A)`` and what the
-    closed-loop polynomial of any gain needs, ``OpenLoopRecord``), the
-    controllability matrix C, the controller canonical form and the
-    condition number of C.  Each is a ``functools.cached_property``:
-    computed on first use and kept in the instance ``__dict__``, outside
-    the system's repr and equality, with its arrays read-only.  So every
+    A and b are read-only copies of the inputs.  Two systems are equal, and
+    hash alike, when their A and b are equal entry by entry (so -0.0
+    equals 0.0).  The system also keeps its open-loop record: the real
+    Schur form of A, the polynomial record (one run of the trace recurrence
+    on ``(A, b)``: ``char_poly(A)`` and what the closed-loop polynomial of
+    any gain needs, ``OpenLoopRecord``), the controllability matrix C, the
+    controller canonical form and the condition number of C.  Each is a
+    ``functools.cached_property``: computed on first use and kept in the
+    instance ``__dict__``, outside the system's repr, equality and hash,
+    with its arrays read-only.  So every
     placement method, the diagnostics and the CLI's gate on one system
     share one computation of each; no closed loop runs the trace
     recurrence again.
@@ -80,6 +82,15 @@ class StateSpace:
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b)
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash(((self.A + 0.0).tobytes(), (self.b + 0.0).tobytes()))
 
     @property
     def n(self) -> int:
@@ -220,8 +231,8 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
 
 
 def _selector(sys: StateSpace, omega) -> np.ndarray:
-    """``omega / (omega^T b)``: the rank-one selector of the eigenpair,
-    Simon-Mitter and adjugate-identity formulas.  An omega whose
+    """``omega / (omega^T b)``: the rank-one selector of the eigenpair and
+    Simon-Mitter formulas.  An omega whose
     ``omega^T b`` is negligible against ``|omega||b|`` names a mode that
     feedback through b cannot move, and raises InvariantEigenvalueError."""
     s = float(omega @ sys.b)

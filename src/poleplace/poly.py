@@ -198,6 +198,11 @@ def monic_from_roots(roots) -> Polynomial:
 #   join x's group sums before the carry rounds, still below 2**53.  x
 #   keeps its own window, top padding and far rule, and adds nothing to
 #   M's columns, so c_k is the same bits with or without it.
+# * The far rule leaves no column and no x more than far_bits = (L+1) beta
+#   + ceil(log2(n)) + 3 bits below c_k's grid, so P <= P_max =
+#   ``_top_padding(far_bits, beta)``, and a larger P raises NumericalError.
+#   The state is one buffer with P_max top levels, and a step works on its
+#   view from P_max - P levels down, zeroing the levels a grown P takes in.
 
 _WINDOW_BITS = 168  # a column keeps (L - 1) beta >= this many bits below its top digit
 _QUOTIENT_WORDS = 4  # words of c_k, about 212 bits
@@ -319,23 +324,32 @@ def open_loop_record(A, b) -> OpenLoopRecord:
     # a column this far below c_k's grid falls wholly below the window
     # that c_k opens on its diagonal
     far_bits = (window + 1) * beta + math.ceil(math.log2(n)) + 3
-    height = pad0 + levels
-    # window - 1 zero levels at the bottom let any window be read
-    buffer = np.zeros((height + window - 1, cols, n))
+    # a step's state is T = store[pad_max - pad:]: the body, pad + levels
+    # levels, then window - 1 zero levels that let any window be read
+    pad_max = _top_padding(far_bits, beta)
+    height = pad_max + levels
+    store = np.zeros((height + window - 1, cols, n))
+    store_diagonal = store[:height].reshape(height, cols * n)[:, : n * n : n + 1]  # a view
     up = np.empty((height - 1, cols, n))
     levels_down = np.arange(height)[:, None]
     cut = np.arange(2 + math.ceil(54 / beta))
     cut_steps = beta * cut
-    grid_steps = beta * np.arange(height + window)  # beta times a place
     # Block b of row c of Epad is read from row (first[c] + b - depth + 1) cols
     # + c of T.reshape(-1, n); a block outside the window reads past the
     # end, which np.take clips to the last row, a zero one.
     digit = np.arange(blocks) - (depth - 1)
     reads = (np.where((digit >= 0) & (digit < window), digit, 2**40) * cols
              + np.arange(cols)[:, None])
-    full = buffer[:height]
-    full_diagonal = full.reshape(height, cols * n)[:, : n * n : n + 1]  # a view
-    pad_x = pad0
+
+    def state(pad):
+        """T, its body, the body's diagonal and its levels at top padding
+        pad; past ``pad_max`` the view would wrap to the store's end."""
+        if pad > pad_max:
+            raise NumericalError(f"top padding {pad} exceeds the {pad_max} levels held")
+        T = store[pad_max - pad :]
+        return T, T[: pad + levels], store_diagonal[pad_max - pad :], levels_down[: pad + levels]
+
+    pad = pad0  # more for a step whose x lies far below c_{k-1} b
     # x runs one step behind M: step k forms x_k = A x_{k-1} + c_{k-1} b
     # from x_0 = 0 and c_0 = 1.  ``held`` is c_{k-1}'s digits, on the grids
     # 2**(1 + beta (g - p)) for place p, and g; b, scaled by 2**-b_shift
@@ -348,6 +362,7 @@ def open_loop_record(A, b) -> OpenLoopRecord:
         b_slices.append(np.rint(np.ldexp(rest, (len(b_slices) + 1) * beta)))
         rest -= np.ldexp(b_slices[-1], -len(b_slices) * beta)
     b_slices = np.array(b_slices[::-1]).reshape(-1, n)
+    padded_store = np.empty(height + b_slices.shape[0] - 1)
     held = (np.array([2.0 ** (beta - 1)]), -1)
     x_digits = Epad[n, (depth - 1) * n : (depth - 1 + window) * n].reshape(window, n)
     # c_k's words (of 2**-shift A), x_k's digits and x_k's unscaled top grid
@@ -356,15 +371,8 @@ def open_loop_record(A, b) -> OpenLoopRecord:
     grids = np.empty(n, dtype=np.int64)
     desc = [1.0]
     for k in range(1, n + 1):
-        if pad_x > pad0:  # c_{k-1} b lies far above x_{k-1}'s grid
-            T = np.zeros((pad_x + levels + window - 1, cols, n))
-            pad = pad_x
-            body = T[: pad + levels]
-            dg = body.reshape(pad + levels, cols * n)[:, : n * n : n + 1]
-            down = np.arange(pad + levels)[:, None]
-        else:
-            T, pad, body, dg, down = buffer, pad0, full, full_diagonal, levels_down
-            T[:pad] = 0.0
+        T, body, dg, down = state(pad)
+        T[:pad] = 0.0
         np.matmul(windows, A_stack, out=T[pad + skip : pad + levels])
         for s in range(skip):
             np.matmul(Epad[:, (depth - 1) * n : (depth + s) * n],
@@ -383,11 +391,12 @@ def open_loop_record(A, b) -> OpenLoopRecord:
             lo = max(0, 1 - width - offset)
             hi = min(c_digits.size, count - offset)
             if lo < hi:
-                padded = np.zeros(count + width - 1)
+                padded = padded_store[: count + width - 1]
+                padded.fill(0.0)
                 padded[lo + width - 1 + offset : hi + width - 1 + offset] = c_digits[lo:hi]
                 hankel = np.ndarray((count, width), padded.dtype, padded, 0, (item, item))
                 body[:, n] += hankel @ b_slices
-        _carry(body, beta, rounds, up if pad == pad0 else None)
+        _carry(body, beta, rounds, up[pad_max - pad :])
         # the trace: place the diagonal's digits in the family of grids,
         # from the top one, 2**(1 + beta (max lift + pad - 2)), down, and sum
         # place by place, exactly: a place takes at most n digits within h
@@ -395,9 +404,7 @@ def open_loop_record(A, b) -> OpenLoopRecord:
         places = (lift_max - diag_lift) + down
         sums = np.bincount(places.ravel(), dg.ravel())
         top_grid = 1 + beta * (lift_max + pad - 2)
-        if sums.size > grid_steps.size:
-            grid_steps = beta * np.arange(sums.size)
-        terms = np.ldexp(-sums, top_grid - grid_steps[: sums.size])
+        terms = np.ldexp(-sums, top_grid - beta * np.arange(sums.size))
         c = _quotient(terms.tolist(), k)
         desc.append(math.fsum(c))
         words[k - 1] = c
@@ -415,11 +422,10 @@ def open_loop_record(A, b) -> OpenLoopRecord:
                 places = (lift_max - diag_lift) + down
             need = _top_padding(top - (1 + beta * lift_min), beta)  # |c_k| < 2**top
             if need > pad:
-                T = np.concatenate((np.zeros((need - pad, cols, n)), T))
+                store[pad_max - need : pad_max - pad] = 0.0
                 pad = need
-                body = T[: pad + levels]
-                dg = body.reshape(pad + levels, cols * n)[:, : n * n : n + 1]
-                places = (lift_max - diag_lift) + np.arange(pad + levels)[:, None]
+                T, body, dg, down = state(pad)
+                places = (lift_max - diag_lift) + down
             # c_k's words in the family of grids.  A word's 53 bits span the
             # places from the one just above it (place 0 at most) down
             # ``len(cut)`` places; Q[w, i] counts the steps of the i-th of
@@ -454,7 +460,7 @@ def open_loop_record(A, b) -> OpenLoopRecord:
         lift_x = int(lift[n])
         digits[k - 1] = x_digits
         grids[k - 1] = 1 + beta * lift_x + shift * (k - 1) + b_shift
-        pad_x = pad0
+        pad = pad0
         if held is not None:
             # c_k b is added at step k + 1.  An x_k that lies wholly below
             # the window it opens is dropped, as a column of M is
@@ -463,7 +469,7 @@ def open_loop_record(A, b) -> OpenLoopRecord:
             if 1 + beta * lift_x < top - far_bits or not found[n]:
                 Epad[n] = 0.0
                 lift_x = lift[n] = -((1 - top) // beta)
-            pad_x = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
+            pad = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
     # undo the scaling: the coefficient of x**(n-k) scales by 2**(shift k)
     with np.errstate(over="ignore"):
         coeffs = np.ldexp(desc[::-1], shift * np.arange(n, -1, -1))

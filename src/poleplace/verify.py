@@ -4,8 +4,10 @@ Two deliberately independent routes check every placement: the
 characteristic polynomial of the exactly formed closed loop, read off the
 system's one run of the trace recurrence (no eigenvalue solver involved),
 and the closed-loop spectrum from the Schur iteration matched against the
-request.  Agreement of both
-is strong evidence; disagreement points at which half went wrong.
+request.  Agreement of both is strong evidence; disagreement points at
+which half went wrong.  The first route is the paper's rank-one
+determinant identity, applied exactly by the system's stored
+``OpenLoopRecord.closed_loop``.
 
 The Schur iteration takes the request as a hint: the first QR sweep
 after each deflation shifts by the requested values nearest the ones
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import determinant, eigenvalues, solve_linear
+from .linalg import eigenvalues
 from .poly import _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
@@ -211,58 +213,3 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
         warnings=warnings,
     )
 
-
-@dataclass(frozen=True)
-class AdjugateReport:
-    """Residuals of the rank-one update determinant identity, both ways.
-
-    ``direct`` tests ``det(sI - Abar) = (s - lam1) * w^T adj(sI - A) b``
-    and ``swapped`` the same with the adjugate transposed.  Only one of
-    the two can hold for a generic system; ``consistent`` names it.
-    """
-
-    residual_direct: float
-    residual_swapped: float
-    consistent: str
-    samples: tuple[float, ...]
-
-
-def adjugate_identity_report(sys, omega, lam1, samples) -> AdjugateReport:
-    """Probe the closed-loop determinant identity at real sample points.
-
-    ``omega`` and ``lam1`` describe a single-eigenvalue move as in the
-    eigenpair method.  Each sample must stay away from the open-loop
-    spectrum so the adjugate is formed from a well-defined inverse.
-    """
-    from .placement import _selector, place_eigenpair
-
-    samples = tuple(float(s) for s in samples)
-    if not samples:
-        raise ValidationError("at least one sample point is required")
-    omega = np.asarray(omega, dtype=float)
-    gain = place_eigenpair(sys, omega, lam1)
-    Abar = closed_loop(sys, gain.k)
-    w = _selector(sys, omega)
-    eye = np.eye(sys.n)
-    rd = rs = 0.0
-    for s in samples:
-        M = s * eye - sys.A
-        det_open = determinant(M)
-        if abs(det_open) < 1e-9:
-            raise ValidationError(
-                f"sample point {s} is too close to the open-loop spectrum "
-                f"(|det| = {abs(det_open):.3e})"
-            )
-        adj = det_open * solve_linear(M, eye)
-        det_closed = determinant(s * eye - Abar)
-        ref = max(1.0, abs(det_closed))
-        direct = (s - lam1) * float(w @ adj @ sys.b)
-        swapped = (s - lam1) * float(sys.b @ adj @ w)
-        rd = max(rd, abs(det_closed - direct) / ref)
-        rs = max(rs, abs(det_closed - swapped) / ref)
-    return AdjugateReport(
-        residual_direct=rd,
-        residual_swapped=rs,
-        consistent="direct" if rd <= rs else "swapped",
-        samples=samples,
-    )

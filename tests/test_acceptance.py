@@ -28,7 +28,7 @@ from poleplace.subspace import (
     place_sequential,
     place_simon_mitter,
 )
-from poleplace.verify import adjugate_identity_report, spectrum_distance
+from poleplace.verify import spectrum_distance
 
 EPS = np.finfo(float).eps
 
@@ -336,7 +336,13 @@ def test_criterion_5_degenerate_identities():
 
 
 def test_criterion_6_adjugate_identity():
+    # The rank-one identity det(sI - A - b k^T) = det(sI - A) - k^T adj(sI - A) b
+    # for the eigenpair gain k^T = w^T (lam1 I - A), w = omega / (omega^T b),
+    # reads det(sI - A - b k^T) = (s - lam1) det(sI - A) w^T (sI - A)^-1 b:
+    # the system's stored closed-loop polynomial at each sample against
+    # that right-hand side from numpy
     rng = np.random.default_rng(61)
+    lam1 = -1.5
     worst = 0.0
     done = 0
     draws = 0
@@ -353,17 +359,22 @@ def test_criterion_6_adjugate_identity():
         omega = omega_vector(sys_, gamma)
         rad = max(abs(z) for z in eigenvalues(A)) + 1.0
         samples = [rad + 0.5, -(rad + 1.0), rad + 2.5]
-        rep = adjugate_identity_report(sys_, omega, -1.5, samples)
-        # the orientation the identity holds in
-        worst = max(worst, min(rep.residual_direct, rep.residual_swapped))
+        closed = sys_._polynomial.closed_loop(place_eigenpair(sys_, omega, lam1).k)
+        w = omega / (omega @ b)
+        for s in samples:
+            M = s * np.eye(n) - A
+            got = np.polyval(closed.coeffs[::-1], s)
+            want = (s - lam1) * np.linalg.det(M) * (w @ np.linalg.solve(M, b))
+            worst = max(worst, abs(got - want) / max(1.0, abs(got)))
         done += 1
 
     ok = worst <= 1e-8
     report(
         6,
         ok,
-        f"resolvent adjugate identity over 50 systems, 3 samples each: "
-        f"worst residual {worst:.3e} (<=1e-8)",
+        f"rank-one determinant identity over 50 eigenpair gains, 3 samples "
+        f"each: stored closed-loop polynomial against (s - lam1) det(sI - A) "
+        f"w^T (sI - A)^-1 b, worst residual {worst:.3e} (<=1e-8)",
     )
 
 

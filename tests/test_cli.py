@@ -503,6 +503,26 @@ def test_place_validates_system_shape(tmp_path, capsys):
     assert "expected (3, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, system",
+    [("n", {"n": True, "A": [[1.0]], "b": [1.0]}),
+     ("A", {"n": 1, "A": [[True]], "b": [1.0]}),
+     ("A", {"n": 2, "A": [[0.0, 1.0], [False, 0.0]], "b": [0.0, 1.0]}),
+     ("b", {"n": 1, "A": [[1.0]], "b": [True]}),
+     ("b", {"n": 2, "A": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, True]})],
+)
+def test_place_refuses_json_booleans_where_numbers_belong(field, system, tmp_path, capsys):
+    # isinstance(True, int) holds and numpy reads true as 1.0, so each of
+    # these systems would place; a boolean is malformed input instead
+    path = write_json(tmp_path / "bool.json", system)
+    plan = poles_plan(tmp_path, ["-1", "-2"][: len(system["b"])])
+    assert main(["place", "--system", path, "--plan", plan, "--method", "bass-gura"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {field} "), captured.err
+
+
 def test_place_reads_system_from_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         "sys.stdin",
@@ -792,7 +812,8 @@ _DI_REPORT = {
 @pytest.mark.parametrize(
     "field, value",
     [("k", "abc"), ("k", {"a": 1}), ("k", [1, "x"]), ("k", [1, None]), ("k", 5),
-     ("k", [[-2.0, -3.0]]), ("targets", 5), ("targets", "12")],
+     ("k", [[-2.0, -3.0]]), ("k", [True, -3.0]), ("k", [-2.0, False]), ("targets", 5),
+     ("targets", "12")],
 )
 def test_verify_stdin_report_rejects_malformed_fields(field, value, capsys, monkeypatch):
     # a report field of the wrong JSON type is malformed input: exit 2 with

@@ -35,7 +35,6 @@ from poleplace.linalg import (
     _scan_blocks_upper,
     _schur_upper,
     condition_number,
-    determinant,
     eigenvalues,
     invariant_split,
     krylov,
@@ -62,7 +61,7 @@ def _nearest_match_distance(got, want):
 
 
 # ---------------------------------------------------------------------------
-# solves, determinant, krylov, conditioning
+# solves, krylov, conditioning
 
 
 def test_solve_identity_is_exact():
@@ -148,21 +147,6 @@ def test_solve_validates_shapes():
         solve_linear(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValidationError):
         solve_linear(np.eye(2), np.zeros(3))
-
-
-def test_determinant_values():
-    assert determinant(np.diag([2.0, 3.0, 4.0])) == 24.0
-    assert determinant(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
-    assert determinant(np.ones((3, 3))) == 0.0
-
-
-def test_determinant_2x2_formula():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        a, b, c, d = rng.uniform(-5, 5, 4)
-        assert_allclose(
-            determinant(np.array([[a, b], [c, d]])), a * d - b * c, rtol=1e-12
-        )
 
 
 def test_krylov_columns():

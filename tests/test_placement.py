@@ -63,6 +63,32 @@ def test_state_space_validation():
         StateSpace(A=[[np.inf, 0.0], [0.0, 1.0]], b=[1.0, 0.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_state_space_equality_and_hash_follow_a_and_b(n):
+    # value equality on A and b, with -0.0 equal to 0.0 in both ==
+    # and hash; the stored record, filled on one side only, is in neither
+    rng = np.random.default_rng(n)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    b = rng.uniform(-1.0, 1.0, n)
+    A[0, 0] = 0.0
+    flipped = A.copy()
+    flipped[0, 0] = -0.0
+    sys, twin = StateSpace(A, b), StateSpace(flipped, b.copy())
+    other_A, other_b = A.copy(), b.copy()
+    other_A[-1, -1] += 1.0
+    other_b[-1] += 1.0
+    for filled in (False, True):
+        if filled:
+            sys._schur, sys._canonical, sys._kappa  # fill the record
+            assert {"_schur", "_polynomial", "_canonical", "_kappa"} <= set(vars(sys))
+        assert sys == twin and twin == sys
+        assert hash(sys) == hash(twin)
+        assert len({sys, twin}) == 1
+        assert sys != StateSpace(other_A, b)
+        assert sys != StateSpace(A, other_b)
+        assert sys != (A, b)
+
+
 def test_controllability_matrix_double_integrator():
     C = controllability_matrix(double_integrator())
     assert np.array_equal(C, [[0.0, 1.0], [1.0, 0.0]])

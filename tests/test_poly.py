@@ -2,6 +2,7 @@
 matrix evaluation."""
 
 import importlib.util
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -338,23 +339,51 @@ def test_slice_plan_keeps_every_group_and_carry_exact():
                      for col in digits.T]
 
 
-def test_char_poly_pads_the_top_when_c_k_lies_far_above_a_column(monkeypatch):
+def _far_column_matrix():
     # x (x**2 - 2**-60 x + 1): M_1's first column is -2**-60 e_0, while
     # c_2 = 1 lies 60 bits above it, beyond the two levels of top padding
-    padding = []
-    top_padding = poly._top_padding
-
-    def recorded(bits, beta):
-        padding.append(top_padding(bits, beta))
-        return padding[-1]
-
-    monkeypatch.setattr(poly, "_top_padding", recorded)
     A = np.zeros((3, 3))
     A[1:, 1:] = [[2.0**-60, 1.0], [-1.0, 0.0]]
+    return A
+
+
+def test_char_poly_pads_the_top_when_c_k_lies_far_above_a_column(monkeypatch):
+    # Every carry runs over the levels of the state its step works on, pad
+    # + levels of them: the group sums' carry (3-D) at the start of a step,
+    # c_k's carry-in on the diagonal (2-D) after it.  The first step has
+    # pad0 = 2.  c_2 must be carried into a state grown mid-step, and step
+    # 3 must start padded, since x_2 = M_1 e_0 = -2**-60 e_0 lies as far
+    # below c_2 b.
+    carries = []
+    carry = poly._carry
+
+    def recorded(digits, *args):
+        carries.append((digits.ndim, digits.shape[0]))
+        return carry(digits, *args)
+
+    monkeypatch.setattr(poly, "_carry", recorded)
+    A = _far_column_matrix()
     got = char_poly(A).coeffs
-    assert max(padding[1:]) > padding[0] == 2
+    beta, _, levels, _ = poly._slice_plan(3, 0)
+    assert poly._top_padding(math.log2(3), beta) == 2
+    assert carries[0] == (3, levels + 2)
+    assert max(h for ndim, h in carries if ndim == 2) > levels + 2
+    assert max(h for ndim, h in carries[1:] if ndim == 3) > levels + 2
     assert np.array_equal(got, [0.0, 1.0, -(2.0**-60), 1.0])
     assert np.array_equal(got, _exact_coeffs(A))
+
+
+def test_char_poly_refuses_top_padding_beyond_its_state(monkeypatch):
+    # the state holds the top padding of a column far_bits below c_k's
+    # grid; a smaller bound must make the far column's step raise rather
+    # than read the state from its far end
+    beta, window, _, _ = poly._slice_plan(3, 0)
+    far_bits = (window + 1) * beta + math.ceil(math.log2(3)) + 3
+    top_padding = poly._top_padding
+    monkeypatch.setattr(poly, "_top_padding", lambda bits, beta: (
+        top_padding(0, beta) if bits == far_bits else top_padding(bits, beta)))
+    with pytest.raises(NumericalError, match="top padding"):
+        char_poly(_far_column_matrix())
 
 
 def test_char_poly_keeps_rows_2_to_the_200_below_the_largest(monkeypatch):

@@ -1,5 +1,7 @@
-"""Verification oracles: the two independent residual routes, the
-bottleneck spectrum metric, and the determinant identity probe."""
+"""Verification oracles: the two independent residual routes and the
+bottleneck spectrum metric.  The rank-one determinant identity behind the
+polynomial route is checked by acceptance criterion 6 and by the record
+tests in test_poly."""
 
 import importlib.util
 import itertools
@@ -21,13 +23,12 @@ from poleplace import (
     spectrum_distance,
 )
 from poleplace.errors import (
-    InvariantEigenvalueError,
     PolePlacementError,
     ValidationError,
 )
 from poleplace.poly import monic_from_roots
-from poleplace.placement import controllability_matrix, omega_vector
-from poleplace.verify import adjugate_identity_report, assemble_diagnostics
+from poleplace.placement import controllability_matrix
+from poleplace.verify import assemble_diagnostics
 
 
 def double_integrator():
@@ -363,63 +364,6 @@ def test_diagnostics_warns_on_ill_conditioned_controllability():
     assert d.kappa_controllability > 1e8
     assert len(d.warnings) == 1
     assert "condition number" in d.warnings[0]
-
-
-# ---------------------------------------------------------------------------
-# determinant identity probe
-
-
-def test_adjugate_identity_scalar_system_is_exact():
-    sys = StateSpace(A=[[2.0]], b=[1.0])
-    rep = adjugate_identity_report(sys, [1.0], -3.0, [5.0])
-    assert rep.residual_direct == 0.0
-    assert rep.consistent == "direct"
-
-
-def test_adjugate_identity_orientation_on_double_integrator():
-    rep = adjugate_identity_report(double_integrator(), [2.0, 1.0], -1.0, [1.0, 3.0])
-    assert rep.residual_direct <= 1e-12
-    assert rep.residual_swapped >= 0.1
-    assert rep.consistent == "direct"
-    assert rep.samples == (1.0, 3.0)
-
-
-def test_adjugate_identity_random_systems():
-    rng = np.random.default_rng(313)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        sys = random_controllable(rng, n)
-        gamma = np.append(rng.uniform(-1, 1, n - 1), 1.0)
-        omega = omega_vector(sys, gamma)
-        rad = max(abs(z) for z in eigenvalues(sys.A)) + 1.0
-        samples = [rad + 0.5, -(rad + 1.0), rad + 2.5]
-        rep = adjugate_identity_report(sys, omega, -1.5, samples)
-        assert rep.consistent == "direct"
-        assert rep.residual_direct <= 1e-8
-
-
-def test_adjugate_identity_rejects_samples_on_spectrum():
-    with pytest.raises(ValidationError) as info:
-        adjugate_identity_report(double_integrator(), [2.0, 1.0], -1.0, [0.0])
-    assert "open-loop spectrum" in str(info.value)
-
-
-def test_adjugate_identity_requires_samples():
-    with pytest.raises(ValidationError):
-        adjugate_identity_report(double_integrator(), [2.0, 1.0], -1.0, [])
-
-
-def test_adjugate_identity_unreachable_mode():
-    sys = StateSpace(A=np.diag([1.0, 2.0]), b=[0.0, 1.0])
-    with pytest.raises(InvariantEigenvalueError):
-        adjugate_identity_report(sys, [1.0, 0.0], -5.0, [4.0])
-
-
-def test_adjugate_identity_zero_input_is_invariant():
-    # with b = 0 the eigenpair gain is refused, not carried on as nan
-    sys = StateSpace(A=np.diag([1.0, 2.0]), b=[0.0, 0.0])
-    with pytest.raises(InvariantEigenvalueError):
-        adjugate_identity_report(sys, [1.0, 0.0], -1.0, [4.0])
 
 
 # ---------------------------------------------------------------------------
