@@ -30,7 +30,11 @@ about one sweep (Watkins, "The transmission of shifts and shift blurring
 in the QR algorithm", LAA 241-243, 1996).  The other sweeps, the
 exceptional shifts, the deflation test and the sweep budget are the
 plain iteration's, and each sweep is an orthogonal similarity whatever
-its shifts, so a wrong request costs sweeps, not accuracy.
+its shifts, so a wrong request costs sweeps, not accuracy.  A closed-loop
+check forms its loop in the controller-Hessenberg coordinates of its
+system (``ControllerHessenberg``), where the loop is Hessenberg already;
+``_hessenberg_eigenvalues`` skips the reduction and runs the same scaling,
+seeded iteration and block scan as ``eigenvalues``.
 
 ``condition_number`` needs no Schur form.  It takes the Householder R of
 its matrix, inverts R by back substitution and multiplies the two
@@ -408,9 +412,11 @@ def _householder(x):
     return v, beta, math.ldexp(alpha, shift)
 
 
-def _hessenberg_upper(B, want_q=True):
+def _hessenberg_upper(B, want_q=True, reflectors=None):
     """Reduce B to upper Hessenberg, ``B = Q @ H @ Q.T``; Q = I if it already
-    is, and Q = None when not wanted."""
+    is, and Q = None when not wanted.  Each reflector applied, ``I - beta v
+    v^T`` on entries k+1.., is appended to the list ``reflectors`` as
+    ``(k + 1, v, beta)`` when one is given."""
     n = B.shape[0]
     H = B.copy()
     Q = np.eye(n) if want_q else None
@@ -422,9 +428,86 @@ def _hessenberg_upper(B, want_q=True):
         H[:, k + 1 :] -= beta * ((H[:, k + 1 :] @ v)[:, None] * v)
         if Q is not None:
             Q[:, k + 1 :] -= beta * ((Q[:, k + 1 :] @ v)[:, None] * v)
+        if reflectors is not None:
+            reflectors.append((k + 1, v, beta))
         H[k + 1, k] = alpha
         H[k + 2 :, k] = 0.0
     return Q, H
+
+
+@dataclass(frozen=True)
+class ControllerHessenberg:
+    """Controller-Hessenberg form of a single-input pair ``(A, b)``: an
+    orthogonal W with ``W.T @ b = beta e1`` and ``H = W.T @ A @ W`` upper
+    Hessenberg (Miminis & Paige, Int. J. Control 35(2), 1982).
+
+    W is kept as the Householder reflectors whose product it is, each
+    ``(start, v, tau)`` acting as ``I - tau v v^T`` on entries start..,
+    listed in the order ``W.T`` applies them.  Every reflector after the
+    first leaves e1 alone, so a feedback through b changes only H's first
+    row: ``W.T (A + b k^T) W = H + beta e1 (W.T k)^T`` is upper Hessenberg
+    as it stands (``closed_loop``).
+    """
+
+    reflectors: tuple[tuple[int, np.ndarray, float], ...]
+    H: np.ndarray
+    beta: float
+
+    def closed_loop(self, k) -> np.ndarray:
+        """``W.T (A + b k^T) W``: a copy of H whose first row gains
+        ``beta (W.T k)^T``.
+
+        k is scaled by a power of two before the reflectors act on it, and
+        beta is taken as mantissa and exponent, so only a closed loop with
+        an entry beyond the float range raises NumericalError, without a
+        RuntimeWarning.  Beside the rounding of W itself, the formation
+        rounds only ``W.T k`` and the sums in that first row, so its error
+        is a perturbation of k, where forming ``A + b k^T`` in doubles
+        perturbs every entry by about ``eps |b| |k|``.
+        """
+        top = math.frexp(max_abs(k))[1]
+        g = np.ldexp(k, -top)
+        for start, v, tau in self.reflectors:
+            g[start:] -= (tau * (v @ g[start:])) * v
+        mant, exp = math.frexp(self.beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = self.H[0] + np.ldexp(mant * g, top + exp)
+        if not np.isfinite(row).all():
+            raise NumericalError("the closed loop A + b k^T has entries beyond the float range")
+        M = self.H.copy()
+        M[0] = row
+        return M
+
+
+def _controller_hessenberg(A, b) -> ControllerHessenberg:
+    """The controller-Hessenberg form of ``(A, b)``: one ``_householder``
+    takes b to ``beta e1``, and ``_hessenberg_upper`` reduces the reflected
+    A, whose reflectors act on entries 1.. only.
+
+    A is scaled by the power of two that brings its largest entry into
+    [0.5, 1) for the reduction, as ``_schur_upper`` does, and H is scaled
+    back; an entry of H or a beta beyond the float range raises
+    NumericalError.
+    """
+    A = _as_square(A, "A")
+    shift = int(np.frexp(max_abs(A))[1])
+    B = np.ldexp(A, -shift)
+    try:
+        v, tau, beta = _householder(np.asarray(b, dtype=float))
+    except OverflowError:
+        raise NumericalError("the norm of b overflows the float range") from None
+    reflectors = []
+    if tau != 0.0:
+        B -= tau * (v[:, None] * (v @ B))
+        B -= tau * ((B @ v)[:, None] * v)
+        reflectors.append((0, v, tau))
+    _, H = _hessenberg_upper(B, want_q=False, reflectors=reflectors)
+    with np.errstate(over="ignore"):
+        H = np.ldexp(H, shift)
+    if not np.isfinite(H).all():
+        raise NumericalError(
+            "the controller-Hessenberg form has entries beyond the float range")
+    return ControllerHessenberg(reflectors=tuple(reflectors), H=H, beta=beta)
 
 
 _CLAMP = 16.0 * EPS
@@ -774,8 +857,8 @@ def _scaled_request(near, B, shift) -> list:
     """The requested values that can be eigenvalues of ``2**-shift A``,
     scaled as it is (B is its transpose): a value that is not finite after
     the scaling, or whose modulus exceeds ``||2**-shift A||_inf``, the
-    largest column sum of B and a bound on every eigenvalue, is dropped,
-    so no shift formed from the rest overflows."""
+    largest column sum of B and a bound on every eigenvalue of B, is
+    dropped, so no shift formed from the rest overflows."""
     z = np.array(near, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = np.ldexp(z.real, -shift), np.ldexp(z.imag, -shift)
@@ -784,10 +867,12 @@ def _scaled_request(near, B, shift) -> list:
     return [complex(x, y) for x, y in zip(re[keep].tolist(), im[keep].tolist())]
 
 
-def _schur_upper(A, budget, want_q, near=()):
+def _schur_upper(A, budget, want_q, near=(), reduced=False):
     """Upper quasi-triangular Schur form H of ``A.T`` and its Q (both None
     unless ``want_q``), and its blocks; ``budget`` None means 40 sweeps per
-    dimension.
+    dimension.  With ``reduced``, ``A.T`` is upper Hessenberg already, as
+    a closed loop in controller-Hessenberg coordinates is, and only the
+    scaling and the iteration below run on it, without Q.
 
     A is first scaled by the power of two that brings its largest entry
     into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
@@ -804,7 +889,7 @@ def _schur_upper(A, budget, want_q, near=()):
     B = np.ldexp(A.T, -shift)
     if near:
         near = _scaled_request(near, B, shift)
-    Q, H = _hessenberg_upper(B, want_q)
+    Q, H = (None, B) if reduced else _hessenberg_upper(B, want_q)
     try:
         _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget), near)
     except ConvergenceError as exc:
@@ -845,6 +930,13 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     Without ``near`` the result is bitwise ``real_schur(A)``'s blocks.
     """
     _, _, blocks = _schur_upper(A, None, want_q=False, near=tuple(near))
+    return Spectrum([z for blk in blocks for z in blk.eigenvalues])
+
+
+def _hessenberg_eigenvalues(H, near) -> Spectrum:
+    """``eigenvalues(H, near=near)`` of an upper Hessenberg H, which is not
+    reduced again: the same scaling, seeded iteration and block scan."""
+    _, _, blocks = _schur_upper(H.T, None, want_q=False, near=tuple(near), reduced=True)
     return Spectrum([z for blk in blocks for z in blk.eigenvalues])
 
 

@@ -26,7 +26,9 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    ControllerHessenberg,
     SchurDecomposition,
+    _controller_hessenberg,
     condition_number,
     krylov,
     real_schur,
@@ -40,7 +42,7 @@ from .poly import (
     monic_from_roots,
     open_loop_record,
 )
-from .verify import Diagnostics, assemble_diagnostics
+from .verify import Diagnostics, _diagnostics, assemble_diagnostics
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,16 +52,17 @@ class StateSpace:
     A and b are read-only copies of the inputs.  Two systems are equal, and
     hash alike, when their A and b are equal entry by entry (so -0.0
     equals 0.0).  The system also keeps its open-loop record: the real
-    Schur form of A, the polynomial record (one run of the trace recurrence
-    on ``(A, b)``: ``char_poly(A)`` and what the closed-loop polynomial of
-    any gain needs, ``OpenLoopRecord``), the controllability matrix C, the
-    controller canonical form and the condition number of C.  Each is a
-    ``functools.cached_property``: computed on first use and kept in the
-    instance ``__dict__``, outside the system's repr, equality and hash,
-    with its arrays read-only.  So every
-    placement method, the diagnostics and the CLI's gate on one system
-    share one computation of each; no closed loop runs the trace
-    recurrence again.
+    Schur form of A, the controller-Hessenberg form of ``(A, b)``
+    (``ControllerHessenberg``), the polynomial record (one run of the trace
+    recurrence on ``(A, b)``: ``char_poly(A)`` and what the closed-loop
+    polynomial of any gain needs, ``OpenLoopRecord``), the controllability
+    matrix C, the controller canonical form and the condition number of
+    C.  Each is a ``functools.cached_property``: computed on first use and
+    kept in the instance ``__dict__``, outside the system's repr, equality
+    and hash, with its arrays read-only.  So every placement method, the
+    diagnostics and the CLI's gate on one system share one computation of
+    each; no closed loop runs the trace recurrence or a Hessenberg
+    reduction again.
     """
 
     A: np.ndarray
@@ -103,6 +106,16 @@ class StateSpace:
         dec.Q.flags.writeable = False
         dec.T.flags.writeable = False
         return dec
+
+    @cached_property
+    def _hessenberg(self) -> ControllerHessenberg:
+        """The controller-Hessenberg form of ``(A, b)``, in which the closed
+        loop of every gain is Hessenberg without a reduction of its own."""
+        form = _controller_hessenberg(self.A, self.b)
+        form.H.flags.writeable = False
+        for _, v, _ in form.reflectors:
+            v.flags.writeable = False
+        return form
 
     @cached_property
     def _polynomial(self) -> OpenLoopRecord:
@@ -262,6 +275,8 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
     if not targets.contains(pulled):
         raise ValidationError("pulled values must be a sub-multiset of the targets")
     rest = targets.minus(pulled)
+    # the part that holds every target builds the residual's polynomial too
+    wanted = None
     if len(rest) == 0:
         # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
         # -e_n: the canonical form, and its char_poly, are not needed.
@@ -270,7 +285,10 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         k = _solve_controllability(controllability_matrix(sys), row)
     else:
         cf = controller_canonical(sys)
-        f = monic_from_roots(rest).coeffs
+        f_rest = monic_from_roots(rest)
+        if len(pulled) == 0:
+            wanted = f_rest
+        f = f_rest.coeffs
         if f.size > n:
             # degree n: one copy of p cancels the leading 1 exactly
             f = (f - cf.p.coeffs)[:n]
@@ -279,8 +297,11 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         gamma[: f.size] = 0.0 - f
         k = omega_vector(sys, gamma)
     if len(pulled) > 0:
-        k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
-    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
+        f_pulled = monic_from_roots(pulled)
+        if len(rest) == 0:
+            wanted = f_pulled
+        k = eval_matrix(f_pulled, sys.A).T @ k
+    return Gain(k=k, method=method, diagnostics=_diagnostics(sys, k, targets, wanted=wanted))
 
 
 def place_bass_gura(sys: StateSpace, targets) -> Gain:

@@ -9,6 +9,14 @@ which half went wrong.  The first route is the paper's rank-one
 determinant identity, applied exactly by the system's stored
 ``OpenLoopRecord.closed_loop``.
 
+The second route forms the closed loop in the system's stored
+controller-Hessenberg coordinates (``ControllerHessenberg``): with
+``W.T b = beta e1`` and ``H = W.T A W`` upper Hessenberg, the loop is
+``H + beta e1 (W.T k)^T``, Hessenberg as it stands, so no gain pays for a
+reduction.  Its rounding is that of ``W.T k`` and of H's first row, so it
+perturbs k, where ``A + b k^T`` formed in doubles would perturb every
+entry by about ``eps |b| |k|``.
+
 The Schur iteration takes the request as a hint: the first QR sweep
 after each deflation shifts by the requested values nearest the ones
 about to converge, which deflates a placed pole in about one sweep.  The
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import eigenvalues
-from .poly import _as_spectrum, monic_from_roots
+from .linalg import _hessenberg_eigenvalues
+from .poly import Polynomial, _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
 
@@ -47,20 +55,27 @@ class Diagnostics:
     warnings: tuple[str, ...] = ()
 
 
-def closed_loop(sys, k) -> np.ndarray:
-    """Closed-loop matrix ``A + b k^T``."""
+def _gain_row(sys, k) -> np.ndarray:
+    """k as a float row of the system's order, with finite entries."""
     k = np.asarray(k, dtype=float)
     if k.shape != (sys.n,):
         raise ValidationError(f"gain has shape {k.shape}, expected ({sys.n},)")
     if not np.all(np.isfinite(k)):
         raise ValidationError("gain must have finite entries")
-    return sys.A + np.outer(sys.b, k)
+    return k
+
+
+def closed_loop(sys, k) -> np.ndarray:
+    """Closed-loop matrix ``A + b k^T``, rounded to doubles."""
+    return sys.A + np.outer(sys.b, _gain_row(sys, k))
 
 
 def _closed_loop_spectrum(sys, k, targets):
-    """Eigenvalues of ``A + b k^T``, with the QR shifts seeded from the
-    requested spectrum (``eigenvalues(..., near=targets)``)."""
-    return eigenvalues(closed_loop(sys, k), near=targets)
+    """Eigenvalues of ``A + b k^T``, formed in the system's stored
+    controller-Hessenberg coordinates, with the QR shifts seeded from the
+    requested spectrum.  A closed loop with an entry beyond the float range
+    there raises NumericalError."""
+    return _hessenberg_eigenvalues(sys._hessenberg.closed_loop(_gain_row(sys, k)), targets)
 
 
 def charpoly_residual(sys, k, targets) -> float:
@@ -83,8 +98,12 @@ def charpoly_residual(sys, k, targets) -> float:
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
+    return _residual(sys, k, monic_from_roots(targets))
+
+
+def _residual(sys, k, wanted: Polynomial) -> float:
+    """``charpoly_residual`` against the target polynomial ``wanted``."""
     achieved = sys._polynomial.closed_loop(k)
-    wanted = monic_from_roots(targets)
     num = np.abs(achieved.coeffs - wanted.coeffs)
     den = np.maximum(1.0, np.abs(wanted.coeffs))
     return float(np.max(num / den))
@@ -194,6 +213,12 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.
     """
+    return _diagnostics(sys, k, targets, step_kappas)
+
+
+def _diagnostics(sys, k, targets, step_kappas=(), wanted=None) -> Diagnostics:
+    """``assemble_diagnostics``, with ``wanted`` the targets' monic
+    polynomial when the caller has built it already (None: build it)."""
     kap = sys._kappa
     warnings = ()
     if not kap <= ILL_CONDITIONED:
@@ -203,7 +228,10 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
         )
     cres = sres = None
     if targets is not None:
-        cres = charpoly_residual(sys, k, targets)
+        if wanted is None:
+            cres = charpoly_residual(sys, k, targets)
+        else:
+            cres = _residual(sys, k, wanted)
         sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
     return Diagnostics(
         kappa_controllability=kap,

@@ -645,6 +645,21 @@ def test_verify_closed_loop_beyond_float_range_is_numerical_failure(tmp_path, ca
         capsys.readouterr().err)
 
 
+def test_verify_closed_loop_matrix_beyond_float_range_is_numerical_failure(tmp_path, capsys):
+    # k is orthogonal to b, so every k^T x_j is 0 and the polynomial route
+    # passes; the loop's entries b_i k_j = 2e308 do not fit a double, and the
+    # spectrum route says so: exit 3, one error line, no RuntimeWarning
+    system = write_json(tmp_path / "s.json",
+                        {"n": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "b": [2.0, 2.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--system", system, "--plan", poles_plan(tmp_path, ["1", "1"]),
+                   "--gain=1e308,-1e308"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: the closed loop A + b k^T has entries beyond the float range\n"
+
+
 def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
     # a perturbed gain moves every eigenvalue, so nearest-first pairing in
     # target order would overstate the largest distance

@@ -350,6 +350,106 @@ def test_hessenberg_reconstruction():
 
 
 # ---------------------------------------------------------------------------
+# controller-Hessenberg form: W^T b = beta e1, H = W^T A W upper Hessenberg
+
+
+def _dense_w(form, n):
+    """W accumulated from the form's reflectors: ``W.T`` applies them in
+    order, so W is their product in that order."""
+    W = np.eye(n)
+    for start, v, tau in form.reflectors:
+        W[:, start:] -= tau * ((W[:, start:] @ v)[:, None] * v)
+    return W
+
+
+def test_controller_hessenberg_property():
+    # n = 1-12 with b = e1, b with zero entries, and A and b scaled by
+    # powers of two: W is orthogonal, W^T b = beta e1 to rounding, H has
+    # exact zeros below its subdiagonal and W H W^T is A to c n eps ||A||;
+    # the closed loop changes only H's first row, which is W^T (A + b k^T) W
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # entries below 2**-60 become zeros, so that the norms the check takes
+    # in numpy neither underflow nor overflow at the scales drawn
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False).map(
+        lambda x: x if abs(x) >= 2.0**-60 else 0.0)
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.integers(1, 12))
+        A = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+        kind = draw(st.sampled_from(["dense", "e1", "zeros"]))
+        if kind == "e1":
+            b = np.eye(n)[0]
+        else:
+            b = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+            if kind == "zeros":
+                b[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+        k = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        k *= 10.0 ** draw(st.floats(-3.0, 6.0))
+        scale = np.ldexp(1.0, draw(st.integers(-200, 200)))
+        return A * scale, b * np.ldexp(1.0, draw(st.integers(-200, 200))), k
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(pairs())
+    def check(case):
+        A, b, k = case
+        n = b.size
+        form = linalg._controller_hessenberg(A, b)
+        H, beta = form.H, form.beta
+        W = _dense_w(form, n)
+        tol = 4.0 * n * EPS
+        assert max_abs(W.T @ W - np.eye(n)) <= tol
+        assert abs(abs(beta) - np.linalg.norm(b)) <= tol * np.linalg.norm(b)
+        e1 = np.eye(n)[0]
+        assert np.linalg.norm(W.T @ b - beta * e1) <= tol * np.linalg.norm(b)
+        assert not np.tril(H, -2).any()
+        assert np.linalg.norm(W @ H @ W.T - A) <= tol * np.linalg.norm(A)
+        M = form.closed_loop(k)
+        assert np.array_equal(M[1:], H[1:])
+        loop = W.T @ (A + np.outer(b, k)) @ W
+        bound = tol * (np.linalg.norm(A) + np.linalg.norm(b) * np.linalg.norm(k))
+        assert np.linalg.norm(M - loop) <= bound
+
+    check()
+
+
+def test_controller_hessenberg_edge_pairs_are_exact():
+    # b = e1 and n = 1 need no reflector on b: W = I at n <= 2, and the
+    # closed loop is A + e1 k^T exactly
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    form = linalg._controller_hessenberg(A, [1.0, 0.0])
+    assert form.reflectors == () and form.beta == 1.0
+    assert np.array_equal(form.H, A)
+    assert np.array_equal(form.closed_loop(np.array([5.0, 6.0])), [[6.0, 8.0], [3.0, 4.0]])
+    form = linalg._controller_hessenberg([[2.0]], [-3.0])
+    assert form.reflectors == () and form.beta == -3.0
+    assert np.array_equal(form.closed_loop(np.array([0.5])), [[0.5]])
+    # b = 0 has no controller form to speak of, but the loop is still A
+    form = linalg._controller_hessenberg(A, [0.0, 0.0])
+    assert form.beta == 0.0
+    assert np.array_equal(form.closed_loop(np.array([5.0, 6.0])), A)
+
+
+def test_controller_hessenberg_closed_loop_beyond_the_float_range():
+    # b k^T has entries 2e308: a typed error, no RuntimeWarning; a k whose
+    # loop fits is formed although k's norm alone would overflow
+    form = linalg._controller_hessenberg(np.eye(2), [2.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="closed loop"):
+            form.closed_loop(np.array([1e308, -1e308]))
+        small = linalg._controller_hessenberg(np.eye(2), [2.0**-60, 2.0**-60])
+        M = small.closed_loop(np.array([1.7e308, -1.7e308]))
+        # a beta or an H beyond the float range has no form to store
+        with pytest.raises(NumericalError, match="norm of b"):
+            linalg._controller_hessenberg(np.eye(4), [1e308] * 4)
+        with pytest.raises(NumericalError, match="controller-Hessenberg form"):
+            linalg._controller_hessenberg(np.full((3, 3), 1e308), [1.0, 0.0, 0.0])
+    assert np.isfinite(M).all()
+
+
+# ---------------------------------------------------------------------------
 # real_schur
 
 

@@ -379,8 +379,10 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
     # Bass-Gura, Ackermann and a split between them on one system, over two
     # rounds, run the trace recurrence once, on (A, b), form the
     # controllability matrix once and take its condition number once; each
-    # gain's charpoly_residual is read off that record, and only its
-    # closed-loop spectrum is computed afresh
+    # gain's charpoly_residual is read off that record.  The system's one
+    # Hessenberg reduction builds its controller-Hessenberg form, and each
+    # gain's closed-loop spectrum iterates on that form's closed loop with
+    # no reduction of its own
     drawn = random_controllable(np.random.default_rng(271), 6)
     sys = StateSpace(drawn.A, drawn.b)  # nothing stored yet
     targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
@@ -390,11 +392,12 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
     def counted(name, fn):
         def wrapped(M, *args, **kwargs):
             # condition_number sees only the controllability matrix; the
-            # others see A (open loop) or another matrix: A + b k^T, or the
-            # companion matrix whose Krylov matrix is the canonical C_c
+            # others see A (open loop) or another matrix: a closed loop,
+            # the reflected A, or the companion matrix whose Krylov matrix
+            # is the canonical C_c
             if name != "condition_number":
                 loop = "open-loop " if np.array_equal(M, sys.A) else "other "
-                if name == "krylov" and loop == "open-loop ":
+                if name in ("krylov", "_controller_hessenberg") and loop == "open-loop ":
                     assert np.array_equal(args[0], sys.b)
                 calls[loop + name] += 1
             else:
@@ -407,7 +410,10 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
                      ("char_poly", poly.char_poly),
                      ("krylov", linalg.krylov),
                      ("condition_number", linalg.condition_number),
-                     ("eigenvalues", linalg.eigenvalues)):
+                     ("eigenvalues", linalg.eigenvalues),
+                     ("_controller_hessenberg", linalg._controller_hessenberg),
+                     ("_hessenberg_upper", linalg._hessenberg_upper),
+                     ("_hessenberg_eigenvalues", linalg._hessenberg_eigenvalues)):
         for mod in (poly, linalg, placement, subspace, verify):
             monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
     for rounds in (1, 2):
@@ -419,7 +425,9 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
             "open-loop krylov": 1,
             "other krylov": 1,
             "condition_number": 1,
-            "other eigenvalues": 3 * rounds,
+            "open-loop _controller_hessenberg": 1,
+            "other _hessenberg_upper": 1,
+            "other _hessenberg_eigenvalues": 3 * rounds,
         }
 
 

@@ -618,7 +618,8 @@ def test_state_space_arrays_are_read_only():
     # the open-loop record is stored on first use, read-only, and no part
     # of the system's value: the only fields, which repr and == read, are
     # A and b
-    stored = ("_schur", "_polynomial", "_controllability", "_canonical", "_kappa")
+    stored = ("_schur", "_hessenberg", "_polynomial", "_controllability", "_canonical",
+              "_kappa")
     assert set(vars(sys)) == {"A", "b"}
     plan_targets(sys, AssignmentPlan((((1.0,), (-1.0,)),)))
     place_bass_gura(sys, [-1.0, -2.0])
@@ -627,14 +628,17 @@ def test_state_space_arrays_are_read_only():
     assert repr(sys) == repr(StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0]))
     scalar = StateSpace([[2.0]], [1.0])
     place_bass_gura(scalar, [-1.0])
-    assert "_polynomial" in vars(scalar)
+    assert {"_polynomial", "_hessenberg"} <= set(vars(scalar))
     assert scalar == StateSpace([[2.0]], [1.0])
     # the stored arrays are shared by every gain on the system
-    record, cf = sys._polynomial, sys._canonical
+    record, cf, form = sys._polynomial, sys._canonical, sys._hessenberg
     for arr in (record.p.coeffs, record.words, record.digits, record.grids,
-                sys._controllability, sys._schur.Q, sys._schur.T, cf.A_c, cf.C_c):
+                sys._controllability, sys._schur.Q, sys._schur.T, cf.A_c, cf.C_c,
+                form.H, *(v for _, v, _ in form.reflectors)):
         with pytest.raises(ValueError):
             arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.H = np.zeros((2, 2))
 
 
 def test_sequential_steps_freeze_the_blocks_they_do_not_move():

@@ -74,14 +74,23 @@ def test_charpoly_residual_small_coefficients_use_absolute_scale():
     assert charpoly_residual(sys, [0.0], [-0.5]) == 0.5
 
 
+def _load_perfbench(name):
+    # a module of perfbench, which shares no code with the package: the
+    # exact Berkowitz polynomial (oracle) or the seeded pools (inputs)
+    import sys
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    if f"perfbench_{name}" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        # registered first: a dataclass looks its module up while it is built
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[f"perfbench_{name}"]
+
+
 def _load_oracle():
-    # perfbench's exact Berkowitz polynomial, which shares no code with
-    # the package.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
-    return oracle
+    return _load_perfbench("oracle")
 
 
 def _exact_loop(A, b, k, berkowitz):
@@ -330,32 +339,119 @@ def test_diagnostics_with_targets_fills_residuals():
 
 def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch, tmp_path, capsys):
     # assemble_diagnostics and `poleplace verify` compute the closed-loop
-    # spectrum through one helper, which hands the request to eigenvalues
+    # spectrum through one helper, which hands the request, scaled as the
+    # closed loop is, to the QR iteration; the loop comes from the
+    # system's controller-Hessenberg form, so the iteration runs without a
+    # reduction of its own
     import json
 
-    from poleplace import cli, verify
+    from poleplace import cli, linalg
+    from poleplace.linalg import _hessenberg_eigenvalues
 
-    seen = []
+    seen, reductions = [], []
+    francis, hessenberg = linalg._francis_upper, linalg._hessenberg_upper
 
-    def recording(M, *, near=()):
+    def recording(H, Q, max_sweeps, near=()):
         seen.append(list(near))
-        return eigenvalues(M, near=near)
+        return francis(H, Q, max_sweeps, near)
 
-    monkeypatch.setattr(verify, "eigenvalues", recording)
+    def reducing(B, *args, **kwargs):
+        reductions.append(B.shape[0])
+        return hessenberg(B, *args, **kwargs)
+
+    def scaled_back(near):
+        shift = math.frexp(list(targets)[0].real)[1] - math.frexp(near[0].real)[1]
+        return [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in near]
+
+    monkeypatch.setattr(linalg, "_francis_upper", recording)
+    monkeypatch.setattr(linalg, "_hessenberg_upper", reducing)
     sys = random_controllable(np.random.default_rng(41), 6)
     targets = Spectrum([-1.0, -2.0, complex(-1.0, 1.0), complex(-1.0, -1.0), -3.0, -4.0])
     gain = place_bass_gura(sys, targets)
-    assert seen == [list(targets)]
+    assert len(seen) == 1 and scaled_back(seen[0]) == list(targets)
+    assert reductions == [6]  # the form's, once per system
+    place_bass_gura(sys, targets)
+    assert len(seen) == 2 and reductions == [6]
     assert gain.diagnostics.spectrum_residual == spectrum_distance(
-        eigenvalues(closed_loop(sys, gain.k), near=targets), targets)
+        _hessenberg_eigenvalues(sys._hessenberg.closed_loop(gain.k), targets), targets)
     system = tmp_path / "s.json"
     system.write_text(json.dumps({"n": 6, "A": sys.A.tolist(), "b": sys.b.tolist()}))
     plan = tmp_path / "p.json"
     plan.write_text(json.dumps({"poles": [cli.format_pole(z) for z in targets]}))
     assert cli.main(["verify", "--system", str(system), "--plan", str(plan),
                      "--gain=" + ",".join(repr(float(v)) for v in gain.k)]) == 0
-    assert seen[1] == list(targets)
-    capsys.readouterr()
+    assert len(seen) == 4 and scaled_back(seen[3]) == list(targets)
+    assert reductions == [6, 6]  # the CLI's fresh system builds its own form
+    printed = capsys.readouterr().out
+    assert f"spectrum_residual  {gain.diagnostics.spectrum_residual:.6e}" in printed
+
+
+@pytest.mark.parametrize("n, index", [(12, 6), (12, 12), (16, 5)])
+def test_spectrum_residual_tracks_the_exactly_formed_loop(n, index):
+    # seed-1 benchmark systems whose Bass-Gura loop, formed in doubles,
+    # reads a spectrum_residual 2e4-2e5 times that of the exactly formed
+    # loop (30-digit mpmath eigenvalues of A + b k^T); formed in
+    # controller-Hessenberg coordinates, where the rounding perturbs k
+    # only, the check reads within 4x of the exact loop's
+    mpmath = pytest.importorskip("mpmath")
+    from poleplace.verify import _bottleneck
+
+    case = _load_perfbench("inputs").dense_case(1, n, index)
+    sys = StateSpace(case.A, case.b)
+    targets = Spectrum(case.targets)
+    gain = place_bass_gura(sys, targets)
+    with mpmath.workdps(30):
+        M = mpmath.matrix([[mpmath.mpf(case.A[i, j]) + mpmath.mpf(case.b[i]) * mpmath.mpf(gain.k[j])
+                            for j in range(n)] for i in range(n)])
+        exact = [complex(z) for z in mpmath.eig(M, left=False, right=False)]
+    # mpmath's real eigenvalues carry imaginary parts near 1e-30, which the
+    # matching reads as distance
+    truth = _bottleneck(exact, list(targets))[0]
+    rounded = spectrum_distance(eigenvalues(closed_loop(sys, gain.k), near=targets), targets)
+    assert rounded >= 100.0 * truth
+    assert truth / 4.0 <= gain.diagnostics.spectrum_residual <= 4.0 * truth
+
+
+def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeypatch):
+    # on the seed 1-3 benchmark pools (the first 6 dense cases per size),
+    # every gain and charpoly_residual hashes to the same bytes as with the
+    # closed loop formed in doubles for the spectrum and each target
+    # polynomial built afresh for the residual; only spectrum_residual moves
+    import hashlib
+
+    from poleplace import linalg, placement, verify
+    from poleplace import place_ackermann, place_general
+
+    inputs = _load_perfbench("inputs")
+    pools = [inputs.dense_pool(seed, 6) for seed in (1, 2, 3)]
+
+    def digests():
+        gains, spectra = hashlib.sha256(), hashlib.sha256()
+        for case in itertools.chain(*pools):
+            sys = StateSpace(case.A, case.b)
+            targets, pulled = Spectrum(case.targets), Spectrum(case.pulled)
+            for place in (lambda: place_bass_gura(sys, targets),
+                          lambda: place_ackermann(sys, targets),
+                          lambda: place_general(sys, targets, pulled)):
+                try:
+                    gain = place()
+                except PolePlacementError as exc:
+                    gains.update(repr(exc).encode())
+                    continue
+                gains.update(gain.k.tobytes())
+                gains.update(gain.diagnostics.charpoly_residual.hex().encode())
+                spectra.update(gain.diagnostics.spectrum_residual.hex().encode())
+        return gains.hexdigest(), spectra.hexdigest()
+
+    stored_route = digests()
+    monkeypatch.setattr(verify, "_closed_loop_spectrum", lambda sys, k, targets:
+                        linalg.eigenvalues(closed_loop(sys, k), near=targets))
+    monkeypatch.setattr(placement, "_diagnostics",
+                        lambda sys, k, targets, step_kappas=(), wanted=None:
+                        verify._diagnostics(sys, k, targets, step_kappas))
+    rounded_route = digests()
+    assert stored_route[0] == rounded_route[0]
+    assert stored_route[1] != rounded_route[1]
 
 
 def test_diagnostics_warns_on_ill_conditioned_controllability():
