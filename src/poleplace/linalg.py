@@ -32,9 +32,9 @@ exceptional shifts, the deflation test and the sweep budget are the
 plain iteration's, and each sweep is an orthogonal similarity whatever
 its shifts, so a wrong request costs sweeps, not accuracy.  A closed-loop
 check forms its loop in the controller-Hessenberg coordinates of its
-system (``ControllerHessenberg``), where the loop is Hessenberg already;
-``_hessenberg_eigenvalues`` skips the reduction and runs the same scaling,
-seeded iteration and block scan as ``eigenvalues``.
+system (``ControllerHessenberg``), where the loop is Hessenberg already,
+so the reduction in ``eigenvalues`` finds no entry to annihilate and
+applies no reflector.
 
 ``condition_number`` needs no Schur form.  It takes the Householder R of
 its matrix, inverts R by back substitution and multiplies the two
@@ -438,45 +438,49 @@ def _hessenberg_upper(B, want_q=True, reflectors=None):
 @dataclass(frozen=True)
 class ControllerHessenberg:
     """Controller-Hessenberg form of a single-input pair ``(A, b)``: an
-    orthogonal W with ``W.T @ b = beta e1`` and ``H = W.T @ A @ W`` upper
-    Hessenberg (Miminis & Paige, Int. J. Control 35(2), 1982).
+    orthogonal W with ``W.T @ b = 2**beta_shift beta e1`` and
+    ``W.T @ A @ W = 2**shift H``, H upper Hessenberg (Miminis & Paige, Int.
+    J. Control 35(2), 1982).
 
-    W is kept as the Householder reflectors whose product it is, each
-    ``(start, v, tau)`` acting as ``I - tau v v^T`` on entries start..,
+    The form is kept in scaled coordinates, so that every finite pair has
+    one: H is the reduction of A scaled by the power of two that brings
+    its largest entry into [0.5, 1), and beta the norm of b scaled alike,
+    while ``W.T A W`` and ``||b||`` themselves may lie beyond the float
+    range.  W is kept as the Householder reflectors whose product it is,
+    each ``(start, v, tau)`` acting as ``I - tau v v^T`` on entries start..,
     listed in the order ``W.T`` applies them.  Every reflector after the
-    first leaves e1 alone, so a feedback through b changes only H's first
-    row: ``W.T (A + b k^T) W = H + beta e1 (W.T k)^T`` is upper Hessenberg
-    as it stands (``closed_loop``).
+    first leaves e1 alone, so a feedback through b changes only the first
+    row: ``W.T (A + b k^T) W`` is upper Hessenberg as it stands
+    (``closed_loop``).
     """
 
     reflectors: tuple[tuple[int, np.ndarray, float], ...]
     H: np.ndarray
+    shift: int
     beta: float
+    beta_shift: int
 
-    def closed_loop(self, k) -> np.ndarray:
-        """``W.T (A + b k^T) W``: a copy of H whose first row gains
-        ``beta (W.T k)^T``.
+    def closed_loop(self, k) -> tuple[np.ndarray, int]:
+        """``(M, e)`` with ``W.T (A + b k^T) W = 2**e M``: H at the scale
+        ``2**-e``, whose first row gains ``beta (W.T k)^T`` scaled alike.
 
-        k is scaled by a power of two before the reflectors act on it, and
-        beta is taken as mantissa and exponent, so only a closed loop with
-        an entry beyond the float range raises NumericalError, without a
-        RuntimeWarning.  Beside the rounding of W itself, the formation
-        rounds only ``W.T k`` and the sums in that first row, so its error
-        is a perturbation of k, where forming ``A + b k^T`` in doubles
-        perturbs every entry by about ``eps |b| |k|``.
+        Every entry of H, and of ``beta (W.T k)^T`` at k's own scale, is
+        below n, so e is 0 unless the loop could reach the float range in
+        these coordinates, and then the least that keeps every entry of M
+        in it.  Beside the rounding of W itself, the formation rounds only
+        ``W.T k`` and the sums in that first row, so its error is a
+        perturbation of k, where forming ``A + b k^T`` in doubles perturbs
+        every entry by about ``eps |b| |k|``.
         """
         top = math.frexp(max_abs(k))[1]
         g = np.ldexp(k, -top)
         for start, v, tau in self.reflectors:
             g[start:] -= (tau * (v @ g[start:])) * v
-        mant, exp = math.frexp(self.beta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = self.H[0] + np.ldexp(mant * g, top + exp)
-        if not np.isfinite(row).all():
-            raise NumericalError("the closed loop A + b k^T has entries beyond the float range")
-        M = self.H.copy()
-        M[0] = row
-        return M
+        lift = self.beta_shift + top
+        e = max(0, max(self.shift, lift) + (2 * self.H.shape[0]).bit_length() - 1024)
+        M = np.ldexp(self.H, self.shift - e)
+        M[0] += np.ldexp(self.beta * g, lift - e)
+        return M, e
 
 
 def _controller_hessenberg(A, b) -> ControllerHessenberg:
@@ -484,30 +488,24 @@ def _controller_hessenberg(A, b) -> ControllerHessenberg:
     takes b to ``beta e1``, and ``_hessenberg_upper`` reduces the reflected
     A, whose reflectors act on entries 1.. only.
 
-    A is scaled by the power of two that brings its largest entry into
-    [0.5, 1) for the reduction, as ``_schur_upper`` does, and H is scaled
-    back; an entry of H or a beta beyond the float range raises
-    NumericalError.
+    A and b are each scaled by the power of two that brings their largest
+    entry into [0.5, 1), as ``_schur_upper`` scales A, and the form keeps
+    those scales (``ControllerHessenberg``), so any finite pair has one.
     """
     A = _as_square(A, "A")
+    b = np.asarray(b, dtype=float)
     shift = int(np.frexp(max_abs(A))[1])
+    beta_shift = int(np.frexp(max_abs(b))[1])
     B = np.ldexp(A, -shift)
-    try:
-        v, tau, beta = _householder(np.asarray(b, dtype=float))
-    except OverflowError:
-        raise NumericalError("the norm of b overflows the float range") from None
+    v, tau, beta = _householder(np.ldexp(b, -beta_shift))
     reflectors = []
     if tau != 0.0:
         B -= tau * (v[:, None] * (v @ B))
         B -= tau * ((B @ v)[:, None] * v)
         reflectors.append((0, v, tau))
     _, H = _hessenberg_upper(B, want_q=False, reflectors=reflectors)
-    with np.errstate(over="ignore"):
-        H = np.ldexp(H, shift)
-    if not np.isfinite(H).all():
-        raise NumericalError(
-            "the controller-Hessenberg form has entries beyond the float range")
-    return ControllerHessenberg(reflectors=tuple(reflectors), H=H, beta=beta)
+    return ControllerHessenberg(reflectors=tuple(reflectors), H=H, shift=shift,
+                                beta=beta, beta_shift=beta_shift)
 
 
 _CLAMP = 16.0 * EPS
@@ -867,12 +865,10 @@ def _scaled_request(near, B, shift) -> list:
     return [complex(x, y) for x, y in zip(re[keep].tolist(), im[keep].tolist())]
 
 
-def _schur_upper(A, budget, want_q, near=(), reduced=False):
+def _schur_upper(A, budget, want_q, near=()):
     """Upper quasi-triangular Schur form H of ``A.T`` and its Q (both None
     unless ``want_q``), and its blocks; ``budget`` None means 40 sweeps per
-    dimension.  With ``reduced``, ``A.T`` is upper Hessenberg already, as
-    a closed loop in controller-Hessenberg coordinates is, and only the
-    scaling and the iteration below run on it, without Q.
+    dimension.
 
     A is first scaled by the power of two that brings its largest entry
     into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
@@ -889,7 +885,7 @@ def _schur_upper(A, budget, want_q, near=(), reduced=False):
     B = np.ldexp(A.T, -shift)
     if near:
         near = _scaled_request(near, B, shift)
-    Q, H = (None, B) if reduced else _hessenberg_upper(B, want_q)
+    Q, H = _hessenberg_upper(B, want_q)
     try:
         _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget), near)
     except ConvergenceError as exc:
@@ -930,13 +926,6 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     Without ``near`` the result is bitwise ``real_schur(A)``'s blocks.
     """
     _, _, blocks = _schur_upper(A, None, want_q=False, near=tuple(near))
-    return Spectrum([z for blk in blocks for z in blk.eigenvalues])
-
-
-def _hessenberg_eigenvalues(H, near) -> Spectrum:
-    """``eigenvalues(H, near=near)`` of an upper Hessenberg H, which is not
-    reduced again: the same scaling, seeded iteration and block scan."""
-    _, _, blocks = _schur_upper(H.T, None, want_q=False, near=tuple(near), reduced=True)
     return Spectrum([z for blk in blocks for z in blk.eigenvalues])
 
 

@@ -42,7 +42,7 @@ from .poly import (
     monic_from_roots,
     open_loop_record,
 )
-from .verify import Diagnostics, _diagnostics, assemble_diagnostics
+from .verify import Diagnostics, assemble_diagnostics
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +274,11 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         raise ValidationError(f"{len(targets)} targets for an order-{n} system")
     if not targets.contains(pulled):
         raise ValidationError("pulled values must be a sub-multiset of the targets")
-    rest = targets.minus(pulled)
-    # the part that holds every target builds the residual's polynomial too
-    wanted = None
+    # the targets themselves when nothing is pulled or everything is, so
+    # the monic polynomial stored on them serves the residual too
+    rest = targets.minus(pulled) if len(pulled) else targets
     if len(rest) == 0:
+        pulled = targets
         # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
         # -e_n: the canonical form, and its char_poly, are not needed.
         row = np.zeros(n)
@@ -285,10 +286,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         k = _solve_controllability(controllability_matrix(sys), row)
     else:
         cf = controller_canonical(sys)
-        f_rest = monic_from_roots(rest)
-        if len(pulled) == 0:
-            wanted = f_rest
-        f = f_rest.coeffs
+        f = monic_from_roots(rest).coeffs
         if f.size > n:
             # degree n: one copy of p cancels the leading 1 exactly
             f = (f - cf.p.coeffs)[:n]
@@ -297,11 +295,8 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         gamma[: f.size] = 0.0 - f
         k = omega_vector(sys, gamma)
     if len(pulled) > 0:
-        f_pulled = monic_from_roots(pulled)
-        if len(rest) == 0:
-            wanted = f_pulled
-        k = eval_matrix(f_pulled, sys.A).T @ k
-    return Gain(k=k, method=method, diagnostics=_diagnostics(sys, k, targets, wanted=wanted))
+        k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
+    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
 
 
 def place_bass_gura(sys: StateSpace, targets) -> Gain:

@@ -47,10 +47,11 @@ class Spectrum:
     """Self-conjugate multiset of complex values, in stored order.
 
     Values compare and hash exactly; ``1+2j`` pairs only with a stored
-    ``1-2j``.  Real values are their own partners.
+    ``1-2j``.  Real values are their own partners.  The spectrum keeps its
+    monic polynomial once ``monic_from_roots`` has built it.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_monic")
 
     def __init__(self, values: Iterable[complex]):
         vals = tuple(complex(v) for v in values)
@@ -66,6 +67,7 @@ class Spectrum:
                     f"but its conjugate appears {partner}"
                 )
         self.values = vals
+        self._monic = None
 
     def __len__(self):
         return len(self.values)
@@ -117,9 +119,13 @@ def monic_from_roots(roots) -> Polynomial:
     multiplying, so the coefficients are real by construction.  Factors are
     multiplied in a canonical sorted order to make the result reproducible
     regardless of input ordering.  An empty multiset gives the constant 1.
-    A coefficient beyond the float range raises NumericalError.
+    A coefficient beyond the float range raises NumericalError.  The
+    polynomial of a Spectrum is built once and kept on it, so every caller
+    handed the same Spectrum shares one.
     """
     spec = _as_spectrum(roots)
+    if spec._monic is not None:
+        return spec._monic
     factors = []
     for z, c in spec.counter().items():
         if z.imag == 0.0:
@@ -138,7 +144,8 @@ def monic_from_roots(roots) -> Polynomial:
             "overflows the float range"
         )
     out[-1] = 1.0
-    return Polynomial(out)
+    spec._monic = Polynomial(out)
+    return spec._monic
 
 
 # The characteristic polynomial comes from the trace recurrence

@@ -27,13 +27,14 @@ nearby closed loop however wrong the request; a wrong one costs sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import _hessenberg_eigenvalues
-from .poly import Polynomial, _as_spectrum, monic_from_roots
+from .errors import NumericalError, ValidationError
+from .linalg import eigenvalues
+from .poly import Spectrum, _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
 
@@ -73,9 +74,28 @@ def closed_loop(sys, k) -> np.ndarray:
 def _closed_loop_spectrum(sys, k, targets):
     """Eigenvalues of ``A + b k^T``, formed in the system's stored
     controller-Hessenberg coordinates, with the QR shifts seeded from the
-    requested spectrum.  A closed loop with an entry beyond the float range
-    there raises NumericalError."""
-    return _hessenberg_eigenvalues(sys._hessenberg.closed_loop(_gain_row(sys, k)), targets)
+    requested spectrum.
+
+    A loop whose entries may come near the float range in those
+    coordinates is handed to the iteration scaled by ``2**-e``, its request
+    alike, and its eigenvalues scaled back; such a loop is first formed in
+    doubles, and one with an entry beyond the float range there raises
+    NumericalError, as does an eigenvalue beyond it.
+    """
+    k = _gain_row(sys, k)
+    M, e = sys._hessenberg.closed_loop(k)
+    if not e:
+        # then every entry of A + b k^T is at most 2**1023
+        return eigenvalues(M.T, near=targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(sys.A + np.outer(sys.b, k)).all():
+            raise NumericalError("the closed loop A + b k^T has entries beyond the float range")
+    near = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in map(complex, targets)]
+    try:
+        return Spectrum([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                         for z in eigenvalues(M.T, near=near)])
+    except OverflowError:
+        raise NumericalError("an eigenvalue of the closed loop overflows the float range") from None
 
 
 def charpoly_residual(sys, k, targets) -> float:
@@ -98,12 +118,8 @@ def charpoly_residual(sys, k, targets) -> float:
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
         raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
-    return _residual(sys, k, monic_from_roots(targets))
-
-
-def _residual(sys, k, wanted: Polynomial) -> float:
-    """``charpoly_residual`` against the target polynomial ``wanted``."""
     achieved = sys._polynomial.closed_loop(k)
+    wanted = monic_from_roots(targets)
     num = np.abs(achieved.coeffs - wanted.coeffs)
     den = np.maximum(1.0, np.abs(wanted.coeffs))
     return float(np.max(num / den))
@@ -213,12 +229,6 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.
     """
-    return _diagnostics(sys, k, targets, step_kappas)
-
-
-def _diagnostics(sys, k, targets, step_kappas=(), wanted=None) -> Diagnostics:
-    """``assemble_diagnostics``, with ``wanted`` the targets' monic
-    polynomial when the caller has built it already (None: build it)."""
     kap = sys._kappa
     warnings = ()
     if not kap <= ILL_CONDITIONED:
@@ -228,10 +238,7 @@ def _diagnostics(sys, k, targets, step_kappas=(), wanted=None) -> Diagnostics:
         )
     cres = sres = None
     if targets is not None:
-        if wanted is None:
-            cres = charpoly_residual(sys, k, targets)
-        else:
-            cres = _residual(sys, k, wanted)
+        cres = charpoly_residual(sys, k, targets)
         sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
     return Diagnostics(
         kappa_controllability=kap,

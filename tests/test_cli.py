@@ -660,6 +660,25 @@ def test_verify_closed_loop_matrix_beyond_float_range_is_numerical_failure(tmp_p
     assert err == "error: the closed loop A + b k^T has entries beyond the float range\n"
 
 
+@pytest.mark.parametrize("A, b, poles, gain", [
+    ([[0.5, 0.0], [0.0, 0.25]], [1.5e308, 1.5e308], ["0.5", "0.25"], "0,0"),
+    ([[0.0, 0.0, 0.0], [1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]], [1.0, 0.0, 0.0],
+     ["0", "0", "0"], "1e-300,0,0"),
+])
+def test_verify_closed_loop_near_the_float_range_is_checked(tmp_path, capsys, A, b, poles, gain):
+    # ||b|| = 2.1e308, and a nilpotent A whose controller-Hessenberg form
+    # has the entry 2.1e308: each loop A + b k^T has finite entries and
+    # spectrum, and the spectrum route checks it in scaled coordinates
+    system = write_json(tmp_path / "s.json", {"n": len(b), "A": A, "b": b})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--system", system, "--plan", poles_plan(tmp_path, poles),
+                   "--gain=" + gain])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert float(out.split("spectrum_residual")[1].split()[0]) <= 1e-15
+
+
 def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
     # a perturbed gain moves every eigenvalue, so nearest-first pairing in
     # target order would overstate the largest distance

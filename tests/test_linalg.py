@@ -396,7 +396,7 @@ def test_controller_hessenberg_property():
         A, b, k = case
         n = b.size
         form = linalg._controller_hessenberg(A, b)
-        H, beta = form.H, form.beta
+        H, beta = np.ldexp(form.H, form.shift), math.ldexp(form.beta, form.beta_shift)
         W = _dense_w(form, n)
         tol = 4.0 * n * EPS
         assert max_abs(W.T @ W - np.eye(n)) <= tol
@@ -405,7 +405,8 @@ def test_controller_hessenberg_property():
         assert np.linalg.norm(W.T @ b - beta * e1) <= tol * np.linalg.norm(b)
         assert not np.tril(H, -2).any()
         assert np.linalg.norm(W @ H @ W.T - A) <= tol * np.linalg.norm(A)
-        M = form.closed_loop(k)
+        M, e = form.closed_loop(k)
+        assert e == 0
         assert np.array_equal(M[1:], H[1:])
         loop = W.T @ (A + np.outer(b, k)) @ W
         bound = tol * (np.linalg.norm(A) + np.linalg.norm(b) * np.linalg.norm(k))
@@ -419,34 +420,47 @@ def test_controller_hessenberg_edge_pairs_are_exact():
     # closed loop is A + e1 k^T exactly
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     form = linalg._controller_hessenberg(A, [1.0, 0.0])
-    assert form.reflectors == () and form.beta == 1.0
-    assert np.array_equal(form.H, A)
-    assert np.array_equal(form.closed_loop(np.array([5.0, 6.0])), [[6.0, 8.0], [3.0, 4.0]])
+    assert form.reflectors == () and math.ldexp(form.beta, form.beta_shift) == 1.0
+    assert np.array_equal(np.ldexp(form.H, form.shift), A)
+    M, e = form.closed_loop(np.array([5.0, 6.0]))
+    assert e == 0 and np.array_equal(M, [[6.0, 8.0], [3.0, 4.0]])
     form = linalg._controller_hessenberg([[2.0]], [-3.0])
-    assert form.reflectors == () and form.beta == -3.0
-    assert np.array_equal(form.closed_loop(np.array([0.5])), [[0.5]])
+    assert form.reflectors == () and math.ldexp(form.beta, form.beta_shift) == -3.0
+    M, e = form.closed_loop(np.array([0.5]))
+    assert e == 0 and np.array_equal(M, [[0.5]])
     # b = 0 has no controller form to speak of, but the loop is still A
     form = linalg._controller_hessenberg(A, [0.0, 0.0])
     assert form.beta == 0.0
-    assert np.array_equal(form.closed_loop(np.array([5.0, 6.0])), A)
+    M, e = form.closed_loop(np.array([5.0, 6.0]))
+    assert e == 0 and np.array_equal(M, A)
 
 
-def test_controller_hessenberg_closed_loop_beyond_the_float_range():
-    # b k^T has entries 2e308: a typed error, no RuntimeWarning; a k whose
-    # loop fits is formed although k's norm alone would overflow
-    form = linalg._controller_hessenberg(np.eye(2), [2.0, 2.0])
+def test_controller_hessenberg_keeps_pairs_beyond_the_float_range():
+    # ||b|| = 2e308, and the nilpotent A whose H has the subdiagonal entry
+    # -sqrt(2) 1.5e308: each pair has its form, in scaled coordinates, and
+    # each closed loop is handed back finite, scaled by the least power of
+    # two that keeps it so, without a RuntimeWarning
+    nilpotent = np.zeros((3, 3))
+    nilpotent[1:, 0] = 1.5e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="closed loop"):
-            form.closed_loop(np.array([1e308, -1e308]))
-        small = linalg._controller_hessenberg(np.eye(2), [2.0**-60, 2.0**-60])
-        M = small.closed_loop(np.array([1.7e308, -1.7e308]))
-        # a beta or an H beyond the float range has no form to store
-        with pytest.raises(NumericalError, match="norm of b"):
-            linalg._controller_hessenberg(np.eye(4), [1e308] * 4)
-        with pytest.raises(NumericalError, match="controller-Hessenberg form"):
-            linalg._controller_hessenberg(np.full((3, 3), 1e308), [1.0, 0.0, 0.0])
-    assert np.isfinite(M).all()
+        form = linalg._controller_hessenberg(np.diag([0.5, 0.25]), [1.5e308, 1.5e308])
+        assert form.beta_shift == 1024
+        assert math.isclose(abs(form.beta), math.sqrt(2.0) * math.ldexp(1.5e308, -1024))
+        M, e = form.closed_loop(np.array([1e-300, 0.0]))
+        assert e == 0 and np.isfinite(M).all()
+        form = linalg._controller_hessenberg(nilpotent, [1.0, 0.0, 0.0])
+        M, e = form.closed_loop(np.zeros(3))
+        assert e == 3 and np.isfinite(M).all()
+        assert math.isclose(abs(M[1, 0]), math.sqrt(2.0) * (1.5e308 / 8.0))
+        with pytest.raises(OverflowError):
+            math.ldexp(M[1, 0], e)
+        # b k^T has entries 2e308: the form hands the loop back scaled
+        form = linalg._controller_hessenberg(np.eye(2), [2.0, 2.0])
+        M, e = form.closed_loop(np.array([1e308, -1e308]))
+        assert e > 0 and np.isfinite(M).all()
+        M, e = form.closed_loop(np.array([1e300, -1e300]))
+        assert e == 0
 
 
 # ---------------------------------------------------------------------------

@@ -380,21 +380,22 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
     # rounds, run the trace recurrence once, on (A, b), form the
     # controllability matrix once and take its condition number once; each
     # gain's charpoly_residual is read off that record.  The system's one
-    # Hessenberg reduction builds its controller-Hessenberg form, and each
-    # gain's closed-loop spectrum iterates on that form's closed loop with
-    # no reduction of its own
+    # Hessenberg reduction builds its controller-Hessenberg form, n - 1
+    # reflectors on (A, b), and each gain's closed-loop spectrum iterates
+    # on that form's closed loop: its reduction applies no reflector
     drawn = random_controllable(np.random.default_rng(271), 6)
     sys = StateSpace(drawn.A, drawn.b)  # nothing stored yet
     targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
     pulled = Spectrum([-1 + 1j, -1 - 1j])
-    calls = Counter()
+    calls, applied = Counter(), Counter()
+    inside = []
+    householder = linalg._householder
 
     def counted(name, fn):
         def wrapped(M, *args, **kwargs):
             # condition_number sees only the controllability matrix; the
-            # others see A (open loop) or another matrix: a closed loop,
-            # the reflected A, or the companion matrix whose Krylov matrix
-            # is the canonical C_c
+            # others see A (open loop) or another matrix: a closed loop, or
+            # the companion matrix whose Krylov matrix is the canonical C_c
             if name != "condition_number":
                 loop = "open-loop " if np.array_equal(M, sys.A) else "other "
                 if name in ("krylov", "_controller_hessenberg") and loop == "open-loop ":
@@ -402,20 +403,30 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
                 calls[loop + name] += 1
             else:
                 calls[name] += 1
-            return fn(M, *args, **kwargs)
+            inside.append(name)
+            try:
+                return fn(M, *args, **kwargs)
+            finally:
+                inside.pop()
 
         return wrapped
+
+    def reflecting(x):
+        # beta = 0 is a skip: the column has nothing to annihilate
+        v, beta, alpha = householder(x)
+        if beta != 0.0 and inside and inside[-1] in ("_controller_hessenberg", "eigenvalues"):
+            applied[inside[-1]] += 1
+        return v, beta, alpha
 
     for name, fn in (("open_loop_record", poly.open_loop_record),
                      ("char_poly", poly.char_poly),
                      ("krylov", linalg.krylov),
                      ("condition_number", linalg.condition_number),
                      ("eigenvalues", linalg.eigenvalues),
-                     ("_controller_hessenberg", linalg._controller_hessenberg),
-                     ("_hessenberg_upper", linalg._hessenberg_upper),
-                     ("_hessenberg_eigenvalues", linalg._hessenberg_eigenvalues)):
+                     ("_controller_hessenberg", linalg._controller_hessenberg)):
         for mod in (poly, linalg, placement, subspace, verify):
             monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
+    monkeypatch.setattr(linalg, "_householder", reflecting)
     for rounds in (1, 2):
         place_bass_gura(sys, targets)
         place_ackermann(sys, targets)
@@ -426,9 +437,9 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
             "other krylov": 1,
             "condition_number": 1,
             "open-loop _controller_hessenberg": 1,
-            "other _hessenberg_upper": 1,
-            "other _hessenberg_eigenvalues": 3 * rounds,
+            "other eigenvalues": 3 * rounds,
         }
+        assert applied == {"_controller_hessenberg": 5}
 
 
 def _full_spectrum_bytes(make, targets, pulled):

@@ -341,39 +341,45 @@ def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch,
     # assemble_diagnostics and `poleplace verify` compute the closed-loop
     # spectrum through one helper, which hands the request, scaled as the
     # closed loop is, to the QR iteration; the loop comes from the
-    # system's controller-Hessenberg form, so the iteration runs without a
-    # reduction of its own
+    # system's controller-Hessenberg form, so the reduction before the
+    # iteration applies no reflector of its own
     import json
 
     from poleplace import cli, linalg
-    from poleplace.linalg import _hessenberg_eigenvalues
 
-    seen, reductions = [], []
-    francis, hessenberg = linalg._francis_upper, linalg._hessenberg_upper
+    seen, applied = [], []
+    francis, householder = linalg._francis_upper, linalg._householder
 
     def recording(H, Q, max_sweeps, near=()):
         seen.append(list(near))
         return francis(H, Q, max_sweeps, near)
 
-    def reducing(B, *args, **kwargs):
-        reductions.append(B.shape[0])
-        return hessenberg(B, *args, **kwargs)
+    def reflecting(x):
+        v, beta, alpha = householder(x)
+        if beta != 0.0:
+            applied.append(x.size)
+        return v, beta, alpha
 
     def scaled_back(near):
         shift = math.frexp(list(targets)[0].real)[1] - math.frexp(near[0].real)[1]
         return [complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in near]
 
     monkeypatch.setattr(linalg, "_francis_upper", recording)
-    monkeypatch.setattr(linalg, "_hessenberg_upper", reducing)
+    monkeypatch.setattr(linalg, "_householder", reflecting)
     sys = random_controllable(np.random.default_rng(41), 6)
     targets = Spectrum([-1.0, -2.0, complex(-1.0, 1.0), complex(-1.0, -1.0), -3.0, -4.0])
     gain = place_bass_gura(sys, targets)
     assert len(seen) == 1 and scaled_back(seen[0]) == list(targets)
-    assert reductions == [6]  # the form's, once per system
+    # once per system: the condition number's QR of C, then the form's
+    # reflector on b and its reduction of the reflected A
+    per_system = [6, 5, 4, 3, 2] * 2
+    assert applied == per_system
     place_bass_gura(sys, targets)
-    assert len(seen) == 2 and reductions == [6]
+    assert len(seen) == 2 and applied == per_system
+    M, e = sys._hessenberg.closed_loop(gain.k)
+    assert e == 0
     assert gain.diagnostics.spectrum_residual == spectrum_distance(
-        _hessenberg_eigenvalues(sys._hessenberg.closed_loop(gain.k), targets), targets)
+        eigenvalues(M.T, near=targets), targets)
     system = tmp_path / "s.json"
     system.write_text(json.dumps({"n": 6, "A": sys.A.tolist(), "b": sys.b.tolist()}))
     plan = tmp_path / "p.json"
@@ -381,7 +387,9 @@ def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch,
     assert cli.main(["verify", "--system", str(system), "--plan", str(plan),
                      "--gain=" + ",".join(repr(float(v)) for v in gain.k)]) == 0
     assert len(seen) == 4 and scaled_back(seen[3]) == list(targets)
-    assert reductions == [6, 6]  # the CLI's fresh system builds its own form
+    # the CLI's fresh system builds its own form, and verify takes no
+    # condition number: no reflector per gain
+    assert applied == per_system + [6, 5, 4, 3, 2]
     printed = capsys.readouterr().out
     assert f"spectrum_residual  {gain.diagnostics.spectrum_residual:.6e}" in printed
 
@@ -419,7 +427,7 @@ def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeyp
     # polynomial built afresh for the residual; only spectrum_residual moves
     import hashlib
 
-    from poleplace import linalg, placement, verify
+    from poleplace import linalg, placement, poly, verify
     from poleplace import place_ackermann, place_general
 
     inputs = _load_perfbench("inputs")
@@ -446,9 +454,9 @@ def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeyp
     stored_route = digests()
     monkeypatch.setattr(verify, "_closed_loop_spectrum", lambda sys, k, targets:
                         linalg.eigenvalues(closed_loop(sys, k), near=targets))
-    monkeypatch.setattr(placement, "_diagnostics",
-                        lambda sys, k, targets, step_kappas=(), wanted=None:
-                        verify._diagnostics(sys, k, targets, step_kappas))
+    for mod in (placement, verify):
+        monkeypatch.setattr(mod, "monic_from_roots",
+                            lambda roots: poly.monic_from_roots(Spectrum(roots)))
     rounded_route = digests()
     assert stored_route[0] == rounded_route[0]
     assert stored_route[1] != rounded_route[1]
