@@ -45,7 +45,6 @@ from .subspace import (
 )
 from .verify import (
     charpoly_residual,
-    closed_loop,
     spectrum_distance,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "ValidationError",
     "char_poly",
     "charpoly_residual",
-    "closed_loop",
     "controllability_matrix",
     "controller_canonical",
     "eigenvalues",

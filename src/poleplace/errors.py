@@ -30,7 +30,7 @@ class SingularMatrixError(NumericalError):
     """Linear solve hit a pivot below the singularity threshold.
 
     ``column`` is the elimination column where the pivot search failed,
-    which doubles as a rank estimate for the matrix.
+    a lower bound on the rank of the matrix, not an estimate of it.
     """
 
     def __init__(self, message, column=None):
@@ -39,7 +39,9 @@ class SingularMatrixError(NumericalError):
 
 
 class UncontrollableError(NumericalError):
-    """The controllability matrix is singular to working precision."""
+    """The controllability matrix is singular to working precision.  The
+    message's rank estimate is the dimension of the controllable subspace
+    as the system's controller-Hessenberg form shows it."""
 
 
 class MatchingError(NumericalError):

@@ -109,21 +109,31 @@ def solve_linear(M, rhs) -> np.ndarray:
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.  A
     pivot below ``n * ulp(1) * max|M|`` raises SingularMatrixError whose
     ``column`` attribute is the elimination column that failed; that column
-    index is also a rank estimate.
+    index is a lower bound on the rank of M, not an estimate of it.
     """
     M = _as_square(M)
-    n = M.shape[0]
+    return _eliminate(M.copy(), _rhs(rhs, M.shape[0]), M.shape[0] * EPS * max_abs(M))
+
+
+def _rhs(rhs, n) -> np.ndarray:
+    """``solve_linear``'s checks of a right-hand side for n rows."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != n:
         raise ValidationError(f"right-hand side has {rhs.shape[0]} rows, expected {n}")
     if not np.all(np.isfinite(rhs)):
         raise ValidationError("right-hand side must have finite entries")
-    return _eliminate(M.copy(), rhs, n * EPS * max_abs(M))
+    return rhs
 
 
 def _eliminate(LU, rhs, limit) -> np.ndarray:
     """``solve_linear`` without its checks: may overwrite the float matrix
     LU with its factors, and refuses a pivot below ``limit``."""
+    return _substitute(LU, _factor(LU, limit), rhs)
+
+
+def _factor(LU, limit) -> list:
+    """Overwrite the float matrix LU with its row-pivoted factors and
+    return the pivot order; refuses a pivot below ``limit``."""
     n = LU.shape[0]
     perm = list(range(n))
     for k in range(n):
@@ -139,6 +149,12 @@ def _eliminate(LU, rhs, limit) -> np.ndarray:
         if k + 1 < n:
             LU[k + 1 :, k] /= LU[k, k]
             LU[k + 1 :, k + 1 :] -= LU[k + 1 :, k][:, None] * LU[k, k + 1 :]
+    return perm
+
+
+def _substitute(LU, perm, rhs) -> np.ndarray:
+    """Solve against the factors ``_factor`` left in LU, reading LU only."""
+    n = LU.shape[0]
     x = rhs[perm]
     for k in range(1, n):
         x[k] -= LU[k, :k] @ x[:k]
@@ -416,10 +432,14 @@ def _hessenberg_upper(B, want_q=True, reflectors=None):
     """Reduce B to upper Hessenberg, ``B = Q @ H @ Q.T``; Q = I if it already
     is, and Q = None when not wanted.  Each reflector applied, ``I - beta v
     v^T`` on entries k+1.., is appended to the list ``reflectors`` as
-    ``(k + 1, v, beta)`` when one is given."""
+    ``(k + 1, v, beta)`` when one is given.  A B with nothing below its
+    subdiagonal, such as a closed loop in controller-Hessenberg coordinates,
+    returns at once, without a reflector to skip per column."""
     n = B.shape[0]
     H = B.copy()
     Q = np.eye(n) if want_q else None
+    if not np.tril(H, -2).any():
+        return Q, H
     for k in range(n - 2):
         v, beta, alpha = _householder(H[k + 1 :, k])
         if beta == 0.0:

@@ -26,13 +26,17 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    EPS,
     ControllerHessenberg,
     SchurDecomposition,
     _controller_hessenberg,
+    _factor,
+    _rhs,
+    _substitute,
     condition_number,
     krylov,
+    max_abs,
     real_schur,
-    solve_linear,
 )
 from .poly import (
     OpenLoopRecord,
@@ -56,13 +60,14 @@ class StateSpace:
     (``ControllerHessenberg``), the polynomial record (one run of the trace
     recurrence on ``(A, b)``: ``char_poly(A)`` and what the closed-loop
     polynomial of any gain needs, ``OpenLoopRecord``), the controllability
-    matrix C, the controller canonical form and the condition number of
-    C.  Each is a ``functools.cached_property``: computed on first use and
-    kept in the instance ``__dict__``, outside the system's repr, equality
-    and hash, with its arrays read-only.  So every placement method, the
-    diagnostics and the CLI's gate on one system share one computation of
-    each; no closed loop runs the trace recurrence or a Hessenberg
-    reduction again.
+    matrix C with the row-pivoted factors of ``C^T`` (or the refusal of an
+    uncontrollable C), the controller canonical form and the condition
+    number of C.  Each is a ``functools.cached_property``: computed on
+    first use and kept in the instance ``__dict__``, outside the system's
+    repr, equality and hash, with its arrays read-only.  So every placement
+    method, the diagnostics and the CLI's gate on one system share one
+    computation of each; no gain factors C, and no closed loop runs the
+    trace recurrence or a Hessenberg reduction again.
     """
 
     A: np.ndarray
@@ -131,6 +136,27 @@ class StateSpace:
         return C
 
     @cached_property
+    def _factored(self) -> tuple[np.ndarray, np.ndarray] | str:
+        """The factors and pivot order ``solve_linear(C.T, .)`` computes, or
+        the message refusing a C singular to working precision.  Its rank
+        is read off the controller-Hessenberg form (Paige, IEEE TAC 26(1),
+        1981): the index of the first of ``|beta|, |H[1, 0]|, ...`` at or
+        below ``n eps max|H|``, else the failed column, a lower bound."""
+        C = self._controllability
+        LU = C.T.copy()
+        try:
+            perm = np.array(_factor(LU, self.n * EPS * max_abs(C)))
+        except SingularMatrixError as exc:
+            form = self._hessenberg
+            lead = np.abs(np.append(form.beta, np.diagonal(form.H, -1)))
+            small = np.flatnonzero(lead <= self.n * EPS * max_abs(form.H))
+            rank = int(small[0]) if small.size else exc.column
+            return ("controllability matrix is singular to working precision; "
+                    f"rank estimate {rank} < {self.n}")
+        LU.flags.writeable = perm.flags.writeable = False
+        return LU, perm
+
+    @cached_property
     def _canonical(self) -> CanonicalForm:
         """The controller canonical form; ``controller_canonical`` says how
         it is built."""
@@ -140,12 +166,9 @@ class StateSpace:
         for i in range(n - 1):
             A_c[i, i + 1] = 1.0
         A_c[n - 1, :] = -q.coeffs[:n]
-        b_c = np.zeros(n)
-        b_c[n - 1] = 1.0
-        C_c = krylov(A_c, b_c)
-        for arr in (A_c, b_c, C_c):
-            arr.flags.writeable = False
-        return CanonicalForm(A_c=A_c, b_c=b_c, C=self._controllability, C_c=C_c, p=q)
+        C_c = krylov(A_c, np.eye(n)[n - 1])
+        C_c.flags.writeable = False
+        return CanonicalForm(C=self._controllability, C_c=C_c, p=q)
 
     @cached_property
     def _kappa(self) -> float:
@@ -156,18 +179,16 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Controller canonical companion pair with the controllability
-    matrices of both frames and the shared characteristic polynomial.
+    """Controllability matrices of both frames, C and the ``C_c`` of the
+    companion pair ``(A_c, e_n)``, and the shared characteristic polynomial.
 
     The similarity onto the pair is ``T = C @ inv(C_c)``, with
-    ``A = T @ A_c @ inv(T)`` and ``b = T @ b_c``; no placement method
-    needs T itself, so it is not formed.  The system stores the form it
+    ``A = T @ A_c @ inv(T)``; no placement method needs T or A_c beyond
+    ``C_c``, so neither is kept.  The system stores the form it
     builds and shares it with every caller, so its arrays, ``p.coeffs``
     included, are read-only.
     """
 
-    A_c: np.ndarray
-    b_c: np.ndarray
     C: np.ndarray
     C_c: np.ndarray
     p: Polynomial
@@ -198,20 +219,18 @@ def controller_canonical(sys: StateSpace) -> CanonicalForm:
     return sys._canonical
 
 
-def _solve_controllability(C, rhs) -> np.ndarray:
-    """Solve ``C^T x = rhs`` against a controllability matrix.
+def _solve_controllability(sys: StateSpace, rhs) -> np.ndarray:
+    """Solve ``C^T x = rhs`` against the system's controllability matrix.
 
-    The one place the original controllability matrix gets inverted, so
-    an uncontrollable system surfaces here with the rank estimate from
-    the failed elimination column.
+    The one place C gets inverted: only the substitutions against the
+    factors the system stores, bitwise ``solve_linear(C.T, rhs)``.  A C it
+    would refuse raises UncontrollableError, the same on every call.
     """
-    try:
-        return solve_linear(C.T, rhs)
-    except SingularMatrixError as exc:
-        raise UncontrollableError(
-            f"controllability matrix is singular to working precision; "
-            f"rank estimate {exc.column} < {C.shape[0]}"
-        ) from exc
+    rhs = _rhs(rhs, sys.n)
+    factored = sys._factored
+    if isinstance(factored, str):
+        raise UncontrollableError(factored)
+    return _substitute(*factored, rhs)
 
 
 def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
@@ -222,8 +241,7 @@ def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (sys.n,):
         raise ValidationError(f"gamma has shape {gamma.shape}, expected ({sys.n},)")
-    cf = controller_canonical(sys)
-    return _solve_controllability(cf.C, cf.C_c.T @ gamma)
+    return _solve_controllability(sys, controller_canonical(sys).C_c.T @ gamma)
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -283,7 +301,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         # -e_n: the canonical form, and its char_poly, are not needed.
         row = np.zeros(n)
         row[n - 1] = -1.0
-        k = _solve_controllability(controllability_matrix(sys), row)
+        k = _solve_controllability(sys, row)
     else:
         cf = controller_canonical(sys)
         f = monic_from_roots(rest).coeffs

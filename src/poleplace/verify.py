@@ -66,11 +66,6 @@ def _gain_row(sys, k) -> np.ndarray:
     return k
 
 
-def closed_loop(sys, k) -> np.ndarray:
-    """Closed-loop matrix ``A + b k^T``, rounded to doubles."""
-    return sys.A + np.outer(sys.b, _gain_row(sys, k))
-
-
 def _closed_loop_spectrum(sys, k, targets):
     """Eigenvalues of ``A + b k^T``, formed in the system's stored
     controller-Hessenberg coordinates, with the QR shifts seeded from the
@@ -171,11 +166,17 @@ def _bottleneck(got, want):
     pairing, closest remaining pair first, bounds it from above.  Only the
     distinct distances between the two bounds are bisected, each tested
     for a perfect matching.
+    Nearest values of ``want`` (first row minima) that are all different
+    are the greedy pairing, whose distance then meets the lower bound, so
+    they are returned at once, bitwise what the bisection would return.
     """
     g = np.array(list(got), dtype=complex)
     w = np.array(list(want), dtype=complex)
     d = np.abs(g[:, None] - w[None, :])
     n = d.shape[0]
+    nearest = d.argmin(axis=1)
+    if np.unique(nearest).size == n:
+        return float(d[np.arange(n), nearest].max()), nearest.tolist()
     pairing = [-1] * n
     work = d.copy()
     for _ in range(n):

@@ -419,6 +419,23 @@ def test_place_uncontrollable_is_numerical_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["bass-gura", "ackermann"])
+@pytest.mark.parametrize("diagonal, dimension", [([1, 1, 1, 2, 3], 3), ([1, 1, 2], 2)])
+def test_place_uncontrollable_reports_the_controllable_dimension(tmp_path, capsys, method,
+                                                                 diagonal, dimension):
+    # b = ones reaches one mode per distinct eigenvalue; elimination breaks
+    # down at column 1, but the refusal names the controllable dimension
+    n = len(diagonal)
+    system = write_json(tmp_path / "s.json", {"n": n, "A": np.diag(diagonal).tolist(),
+                                              "b": [1] * n})
+    plan = poles_plan(tmp_path, [str(-i - 1) for i in range(n)])
+    assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: controllability matrix is singular to working precision; "
+                   f"rank estimate {dimension} < {n}\n")
+
+
 @pytest.mark.parametrize("scale", [100, 200])
 @pytest.mark.parametrize(
     "method, quantity",
@@ -710,7 +727,7 @@ def test_verify_spectrum_does_not_lean_on_the_request(tmp_path, capsys):
     # gain off by 1e-4 relative still fails, and the achieved values it
     # prints are the spectrum computed without the request, to 1e-12
     from poleplace.linalg import eigenvalues
-    from poleplace.verify import closed_loop, spectrum_distance
+    from poleplace.verify import spectrum_distance
 
     n = 16
     rng = np.random.default_rng(37)
@@ -724,14 +741,13 @@ def test_verify_spectrum_does_not_lean_on_the_request(tmp_path, capsys):
     system = write_json(tmp_path / "s.json", {"n": n, "A": A.tolist(), "b": b.tolist()})
     plan = poles_plan(tmp_path, [f"{x!r}{s}{y!r}i" for x, y in zip(re.tolist(), im.tolist())
                                  for s in "+-"])
-    sys_ = StateSpace(A, b)
     bad = k * (1.0 + 1e-4 * rng.choice([-1.0, 1.0], n))
     for gain, code in ((k, 0), (bad, 1)):
         assert main(["verify", "--system", system, "--plan", plan,
                      "--gain=" + ",".join(repr(float(v)) for v in gain)]) == code
         rows = capsys.readouterr().out.splitlines()[3 : 3 + n]
         achieved = [parse_pole(row.split()[1]) for row in rows]
-        plain = eigenvalues(closed_loop(sys_, gain))
+        plain = eigenvalues(A + np.outer(b, gain))
         scale = max(abs(z) for z in plain)
         assert spectrum_distance(achieved, plain) <= 1e-12 * scale
 

@@ -41,6 +41,14 @@ def similarity(cf):
     return linalg.solve_linear(cf.C_c.T, cf.C.T).T
 
 
+def companion_pair(cf):
+    """The canonical pair ``(A_c, b_c)`` whose Krylov matrix is ``C_c``."""
+    n = cf.C.shape[0]
+    A_c = np.eye(n, k=1)
+    A_c[n - 1] = -cf.p.coeffs[:n]
+    return A_c, np.eye(n)[n - 1]
+
+
 def random_controllable(rng, n):
     for _ in range(50):
         sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
@@ -97,15 +105,14 @@ def test_controllability_matrix_double_integrator():
 def test_controller_canonical_fixed_point():
     # the double integrator already is its own canonical form
     cf = controller_canonical(double_integrator())
-    assert np.array_equal(cf.A_c, [[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(cf.b_c, [0.0, 1.0])
+    assert np.array_equal(cf.C_c, [[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(similarity(cf), np.eye(2))
     assert np.array_equal(cf.p.coeffs, [0.0, 0.0, 1.0])
 
 
 def test_controller_canonical_diagonal():
     cf = controller_canonical(diag_system())
-    assert np.array_equal(cf.A_c, [[0.0, 1.0], [-2.0, 3.0]])
+    assert np.array_equal(cf.C_c, [[0.0, 1.0], [1.0, 3.0]])
     assert np.array_equal(similarity(cf), [[-2.0, 1.0], [-1.0, 1.0]])
 
 
@@ -115,11 +122,13 @@ def test_controller_canonical_similarity():
         sys = random_controllable(rng, n)
         cf = controller_canonical(sys)
         T = similarity(cf)
+        A_c, b_c = companion_pair(cf)
+        assert np.array_equal(linalg.krylov(A_c, b_c), cf.C_c)
         # A T = T A_c and b = T b_c pin down the similarity
-        assert np.max(np.abs(sys.A @ T - T @ cf.A_c)) <= 1e-8 * max(
+        assert np.max(np.abs(sys.A @ T - T @ A_c)) <= 1e-8 * max(
             1.0, np.max(np.abs(T))
         )
-        assert_allclose(T @ cf.b_c, sys.b, atol=1e-10)
+        assert_allclose(T @ b_c, sys.b, atol=1e-10)
 
 
 def test_stored_canonical_form_is_read_only():
@@ -132,7 +141,7 @@ def test_stored_canonical_form_is_read_only():
               place_general(sys, targets, pulled).k.tobytes()]
     cf = controller_canonical(sys)
     assert controller_canonical(sys) is cf
-    for arr in (cf.A_c, cf.b_c, cf.C, cf.C_c, cf.p.coeffs):
+    for arr in (cf.C, cf.C_c, cf.p.coeffs):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         cf.C[0, 0] = 5.0
@@ -495,3 +504,77 @@ def test_stored_open_loop_record_keeps_the_uncontrollable_message():
             messages.append(str(info.value))
         assert messages == [messages[0]] * 3
     assert {"_controllability", "_canonical"} <= set(vars(sys))
+
+
+def test_uncontrollable_refusal_reports_the_controllable_dimension():
+    # elimination breaks down at column 1 on both diagonal systems, a lower
+    # bound; the controller-Hessenberg form shows the controllable
+    # subspace, of dimension 3 and 2.  Every formula that inverts C, on
+    # every call, raises the same message.  b = e1 reaches one mode, and
+    # b = 0 none.
+    cases = [((1.0, 1.0, 1.0, 2.0, 3.0), np.ones(5), 3), ((1.0, 1.0, 2.0), np.ones(3), 2),
+             ((1.0, 2.0, 3.0), [1.0, 0.0, 0.0], 1), ((1.0, 2.0, 3.0), np.zeros(3), 0)]
+    for diagonal, b, dimension in cases:
+        n = len(diagonal)
+        sys = StateSpace(np.diag(diagonal), b)
+        targets = Spectrum([-float(i + 1) for i in range(n)])
+        messages = set()
+        for _ in range(2):
+            for call in (lambda: place_bass_gura(sys, targets),
+                         lambda: place_ackermann(sys, targets),
+                         lambda: place_general(sys, targets, Spectrum([-1.0])),
+                         lambda: omega_vector(sys, np.ones(n))):
+                with pytest.raises(UncontrollableError) as info:
+                    call()
+                messages.add(str(info.value))
+        assert messages == {"controllability matrix is singular to working precision; "
+                            f"rank estimate {dimension} < {n}"}
+        with pytest.raises(linalg.SingularMatrixError) as info:
+            linalg.solve_linear(controllability_matrix(sys).T, np.ones(n))
+        assert info.value.column <= dimension
+
+
+def test_full_spectrum_methods_factor_C_once_per_system(monkeypatch):
+    # Bass-Gura, Ackermann and general, twice each on one system, solve
+    # against the one factorization of C^T the system stores
+    factored = []
+    factor = placement._factor
+
+    def counted(LU, limit):
+        factored.append(LU.shape)
+        return factor(LU, limit)
+
+    monkeypatch.setattr(placement, "_factor", counted)
+    sys = random_controllable(np.random.default_rng(331), 6)
+    targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
+    pulled = Spectrum([-1 + 1j, -1 - 1j])
+    for _ in range(2):
+        place_bass_gura(sys, targets)
+        place_ackermann(sys, targets)
+        place_general(sys, targets, pulled)
+    assert factored == [(6, 6)]
+
+
+def test_stored_factor_solves_are_bitwise_solve_linear():
+    # every solve against the stored factors is bitwise solve_linear(C.T,
+    # rhs), for one right-hand side or several, refusals and checks alike
+    rng = np.random.default_rng(337)
+    systems = [StateSpace(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))
+               for n in range(1, 21) for _ in range(3)]
+    systems.append(StateSpace(np.diag([1.0, 1.0, 2.0]), np.ones(3)))
+    outcomes = Counter()
+    for sys in systems:
+        n, C = sys.n, controllability_matrix(sys)
+        for rhs in (rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, 3)), np.eye(n)[n - 1]):
+            try:
+                want = linalg.solve_linear(C.T, rhs)
+            except linalg.SingularMatrixError:
+                with pytest.raises(UncontrollableError):
+                    placement._solve_controllability(sys, rhs)
+                outcomes["refused"] += 1
+                continue
+            assert placement._solve_controllability(sys, rhs).tobytes() == want.tobytes()
+            outcomes["solved"] += 1
+        with pytest.raises(ValidationError):
+            placement._solve_controllability(sys, np.full(n, np.nan))
+    assert outcomes == {"solved": 180, "refused": 3}

@@ -618,8 +618,8 @@ def test_state_space_arrays_are_read_only():
     # the open-loop record is stored on first use, read-only, and no part
     # of the system's value: the only fields, which repr and == read, are
     # A and b
-    stored = ("_schur", "_hessenberg", "_polynomial", "_controllability", "_canonical",
-              "_kappa")
+    stored = ("_schur", "_hessenberg", "_polynomial", "_controllability", "_factored",
+              "_canonical", "_kappa")
     assert set(vars(sys)) == {"A", "b"}
     plan_targets(sys, AssignmentPlan((((1.0,), (-1.0,)),)))
     place_bass_gura(sys, [-1.0, -2.0])
@@ -633,7 +633,7 @@ def test_state_space_arrays_are_read_only():
     # the stored arrays are shared by every gain on the system
     record, cf, form = sys._polynomial, sys._canonical, sys._hessenberg
     for arr in (record.p.coeffs, record.words, record.digits, record.grids,
-                sys._controllability, sys._schur.Q, sys._schur.T, cf.A_c, cf.C_c,
+                sys._controllability, *sys._factored, sys._schur.Q, sys._schur.T, cf.C_c,
                 form.H, *(v for _, v, _ in form.reflectors)):
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -17,7 +17,6 @@ from poleplace import (
     Spectrum,
     StateSpace,
     charpoly_residual,
-    closed_loop,
     eigenvalues,
     place_bass_gura,
     spectrum_distance,
@@ -48,15 +47,22 @@ def random_controllable(rng, n):
 
 
 def test_closed_loop_double_integrator():
-    M = closed_loop(double_integrator(), [-2.0, -3.0])
-    assert np.array_equal(M, [[0.0, 1.0], [-2.0, -3.0]])
+    # with W = [[0, -1], [-1, 0]], the loop A + b k^T = [[0, 1], [-2, -3]]
+    # reads W^T (A + b k^T) W = [[-3, -2], [1, 0]] in controller-Hessenberg
+    # coordinates, formed without rounding
+    M, e = double_integrator()._hessenberg.closed_loop(np.array([-2.0, -3.0]))
+    assert e == 0
+    assert np.array_equal(M, [[-3.0, -2.0], [1.0, 0.0]])
 
 
 def test_closed_loop_validates_gain():
+    from poleplace.verify import _closed_loop_spectrum
+
+    targets = Spectrum([-1.0, -2.0])
     with pytest.raises(ValidationError):
-        closed_loop(double_integrator(), [1.0, 2.0, 3.0])
+        _closed_loop_spectrum(double_integrator(), [1.0, 2.0, 3.0], targets)
     with pytest.raises(ValidationError):
-        closed_loop(double_integrator(), [np.nan, 0.0])
+        _closed_loop_spectrum(double_integrator(), [np.nan, 0.0], targets)
 
 
 def test_charpoly_residual_exact_placement():
@@ -317,6 +323,53 @@ def test_spectrum_distance_size_mismatch():
         spectrum_distance(Spectrum([-1.0]), Spectrum([-1.0, -2.0]))
 
 
+def test_bottleneck_property_against_every_pairing():
+    # at n <= 6 every one-to-one pairing can be tried: the matcher's
+    # distance is the least largest distance over all of them, its pairing
+    # attains it, and when each value's nearest request (its first row
+    # minimum) is a different one, the pairing is the greedy one, closest
+    # remaining pair first
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from poleplace.verify import _bottleneck
+
+    def greedy(d):
+        n = d.shape[0]
+        work, pairing = d.copy(), [-1] * n
+        for _ in range(n):
+            i, j = divmod(int(np.argmin(work)), n)
+            pairing[i] = j
+            work[i, :] = np.inf
+            work[:, j] = np.inf
+        return pairing
+
+    # a coarse grid gives repeated values and exact ties; a value with an
+    # imaginary part brings its conjugate along
+    grid = st.builds(complex, st.integers(-3, 3), st.integers(0, 2))
+    values = st.lists(grid, min_size=1, max_size=4).map(
+        lambda zs: [w for z in zs for w in ((z, z.conjugate()) if z.imag else (z,))][:6])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(values, values, st.sampled_from([1.0, 0.5, 1e-9]))
+    @hypothesis.example([1.0, 2.0], [1.0, 2.0], 1.0)
+    @hypothesis.example([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], 1.0)
+    def check(got, want, scale):
+        n = min(len(got), len(want))
+        got = [z * scale for z in got[:n]]
+        want = [z * scale for z in want[:n]]
+        d = np.abs(np.array(got)[:, None] - np.array(want)[None, :])
+        best = min(max(d[i, j] for i, j in enumerate(perm))
+                   for perm in itertools.permutations(range(n)))
+        distance, pairing = _bottleneck(got, want)
+        assert distance == best
+        assert sorted(pairing) == list(range(n))
+        assert max(d[i, j] for i, j in enumerate(pairing)) == best
+        if len(set(d.argmin(axis=1).tolist())) == n:
+            assert pairing == greedy(d)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # diagnostics assembly
 
@@ -394,6 +447,34 @@ def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch,
     assert f"spectrum_residual  {gain.diagnostics.spectrum_residual:.6e}" in printed
 
 
+def test_closed_loop_check_reduces_nothing(monkeypatch):
+    # a loop formed in controller-Hessenberg coordinates is Hessenberg, so
+    # its check computes no reflector at all, not even one to skip; any
+    # other matrix is still reduced, and eigenvalues stays bitwise
+    # real_schur's blocks either way
+    from poleplace import linalg, real_schur
+    from poleplace.verify import _closed_loop_spectrum
+
+    rng = np.random.default_rng(347)
+    sys = random_controllable(rng, 8)
+    targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -1 + 1j, -1 - 1j])
+    gain = place_bass_gura(sys, targets)
+    calls = []
+    householder = linalg._householder
+    monkeypatch.setattr(linalg, "_householder", lambda x: calls.append(x.size) or householder(x))
+    spectrum = _closed_loop_spectrum(sys, gain.k, targets)
+    assert calls == []
+    assert spectrum_distance(spectrum, targets) == gain.diagnostics.spectrum_residual
+    M, _ = sys._hessenberg.closed_loop(gain.k)
+    for A in (M.T, rng.uniform(-1, 1, (7, 7)), np.triu(rng.uniform(-1, 1, (6, 6)), -1)):
+        calls.clear()
+        values = list(eigenvalues(A))
+        reduced = bool(calls)
+        assert reduced == bool(np.tril(A.T, -2).any())
+        blocks = [z for blk in real_schur(A).blocks for z in blk.eigenvalues]
+        assert np.array(values).tobytes() == np.array(blocks).tobytes()
+
+
 @pytest.mark.parametrize("n, index", [(12, 6), (12, 12), (16, 5)])
 def test_spectrum_residual_tracks_the_exactly_formed_loop(n, index):
     # seed-1 benchmark systems whose Bass-Gura loop, formed in doubles,
@@ -415,7 +496,8 @@ def test_spectrum_residual_tracks_the_exactly_formed_loop(n, index):
     # mpmath's real eigenvalues carry imaginary parts near 1e-30, which the
     # matching reads as distance
     truth = _bottleneck(exact, list(targets))[0]
-    rounded = spectrum_distance(eigenvalues(closed_loop(sys, gain.k), near=targets), targets)
+    rounded = spectrum_distance(eigenvalues(sys.A + np.outer(sys.b, gain.k), near=targets),
+                                targets)
     assert rounded >= 100.0 * truth
     assert truth / 4.0 <= gain.diagnostics.spectrum_residual <= 4.0 * truth
 
@@ -453,7 +535,7 @@ def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeyp
 
     stored_route = digests()
     monkeypatch.setattr(verify, "_closed_loop_spectrum", lambda sys, k, targets:
-                        linalg.eigenvalues(closed_loop(sys, k), near=targets))
+                        linalg.eigenvalues(sys.A + np.outer(sys.b, k), near=targets))
     for mod in (placement, verify):
         monkeypatch.setattr(mod, "monic_from_roots",
                             lambda roots: poly.monic_from_roots(Spectrum(roots)))
@@ -484,6 +566,84 @@ def test_routes_agree_on_random_placements():
         targets = Spectrum([complex(v) for v in base])
         gain = place_bass_gura(sys, targets)
         cres = charpoly_residual(sys, gain.k, targets)
-        sres = spectrum_distance(eigenvalues(closed_loop(sys, gain.k)), targets)
+        sres = spectrum_distance(eigenvalues(sys.A + np.outer(sys.b, gain.k)), targets)
         assert cres <= 1e-7
         assert sres <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# forward error against the exact gain
+
+
+def _exact_gain(A, b, targets, dps):
+    """Ackermann's ``k* = -e_n^T C^-1 p(A)`` for the double data, in mpmath
+    at ``dps`` digits, with no code of the package: the Krylov matrix,
+    the target polynomial, its Horner evaluation at A and the solve."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        n = len(b)
+        Am = mpmath.matrix(A.tolist())
+        C, v = mpmath.matrix(n, n), mpmath.matrix(b.tolist())
+        for j in range(n):
+            C[:, j] = v
+            v = Am * v
+        p = [mpmath.mpc(1)]
+        for z in targets:
+            z = mpmath.mpc(z.real, z.imag)
+            p = [hi - z * lo for hi, lo in zip(p + [0], [0] + p)]
+        P = mpmath.eye(n)
+        for c in p[1:]:
+            P = P * Am + mpmath.re(c) * mpmath.eye(n)
+        e_n = mpmath.matrix(n, 1)
+        e_n[n - 1] = 1
+        return -(mpmath.lu_solve(C.T, e_n).T * P)
+
+
+def _forward_error(k, exact) -> float:
+    """``||k - k*|| / ||k*||``, taken at the working precision of k*."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        diff = [mpmath.mpf(float(x)) - y for x, y in zip(k, exact)]
+        return float(mpmath.norm(mpmath.matrix(diff)) / mpmath.norm(exact))
+
+
+# median forward error per method and size on the seed-1 dense pool (six
+# cases at n = 4, 8 and 12, one at n = 20), as measured when the gains
+# were last changed; the test allows ten times as much
+FORWARD_ERRORS = {
+    "bass_gura": {4: 3.55e-16, 8: 1.10e-14, 12: 1.43e-13, 20: 2.35e-13},
+    "ackermann": {4: 4.31e-16, 8: 6.16e-15, 12: 1.73e-13, 20: 3.92e-13},
+    "general": {4: 4.67e-16, 8: 2.69e-15, 12: 1.85e-14, 20: 5.85e-15},
+    "sequential": {4: 1.35e-15, 8: 2.47e-14, 12: 2.68e-13, 20: 6.67e-13},
+}
+
+
+def test_forward_error_against_the_exact_gain():
+    mpmath = pytest.importorskip("mpmath")
+    from poleplace import paired_plan, place_ackermann, place_general, place_sequential
+
+    inputs = _load_perfbench("inputs")
+    cases = [inputs.dense_case(1, n, i) for n in (4, 8, 12) for i in range(6)]
+    cases.append(inputs.dense_case(1, 20, 0))
+    # 60 digits are far more than the data needs: a 100-digit run agrees
+    probe = cases[12]
+    k60 = _exact_gain(probe.A, probe.b, probe.targets, 60)
+    k100 = _exact_gain(probe.A, probe.b, probe.targets, 100)
+    with mpmath.workdps(100):
+        assert mpmath.norm(k60 - k100) <= mpmath.mpf(10) ** -50 * mpmath.norm(k100)
+    errors = {method: {} for method in FORWARD_ERRORS}
+    for case in cases:
+        sys, targets = StateSpace(case.A, case.b), Spectrum(case.targets)
+        exact = _exact_gain(case.A, case.b, case.targets, 60)
+        gains = {
+            "bass_gura": place_bass_gura(sys, targets).k,
+            "ackermann": place_ackermann(sys, targets).k,
+            "general": place_general(sys, targets, Spectrum(case.pulled)).k,
+            "sequential": place_sequential(sys, paired_plan(sys, targets))[0].k,
+        }
+        for method, k in gains.items():
+            errors[method].setdefault(case.n, []).append(_forward_error(k, exact))
+    for method, by_size in FORWARD_ERRORS.items():
+        for n, reading in by_size.items():
+            assert np.median(errors[method][n]) <= 10.0 * reading, (method, n)
