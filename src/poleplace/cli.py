@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, PolePlacementError, ValidationError
+from .errors import NumericalError, PolePlacementError, ValidationError, _as_vector, _floats
 from .placement import (
     StateSpace,
     place_ackermann,
@@ -69,12 +69,9 @@ def parse_pole(text: str) -> complex:
 
 
 def format_pole(z) -> str:
-    z = complex(z)
-    re = f"{z.real:.17g}"
     if z.imag == 0.0:
-        return re
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{abs(z.imag):.17g}i"
+        return f"{z.real:.17g}"
+    return f"{z.real:.17g}{'+' if z.imag > 0 else '-'}{abs(z.imag):.17g}i"
 
 
 def _parse_pole_list(text: str, what: str) -> list[complex]:
@@ -149,16 +146,12 @@ def _holds_boolean(value) -> bool:
 
 def _json_gain(value, where: str) -> np.ndarray:
     """A JSON list of finite numbers as a 1-D float array."""
-    problem = ValidationError(f"{where} must be a JSON list of finite numbers")
-    if not isinstance(value, list) or _holds_boolean(value):
-        raise problem
     try:
-        k = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise problem from exc
-    if k.ndim != 1 or not np.isfinite(k).all():
-        raise problem
-    return k
+        if isinstance(value, list) and not _holds_boolean(value):
+            return _as_vector(value, len(value), where)
+    except ValidationError:
+        pass
+    raise ValidationError(f"{where} must be a JSON list of finite numbers")
 
 
 def _system_from_dict(data, where: str) -> StateSpace:
@@ -173,11 +166,7 @@ def _system_from_dict(data, where: str) -> StateSpace:
     for key in ("A", "b"):
         if _holds_boolean(data[key]):
             raise ValidationError(f"{where}: {key} must hold numbers, not JSON booleans")
-    try:
-        A = np.array(data["A"], dtype=float)
-        b = np.array(data["b"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: A and b must be numeric arrays") from exc
+    A, b = (_floats(data[key], f"{where}: {key}") for key in ("A", "b"))
     if A.shape != (n, n):
         raise ValidationError(f"{where}: A has shape {A.shape}, expected ({n}, {n})")
     if b.shape != (n,):
@@ -218,8 +207,8 @@ def _load_plan(path: str):
 def _system_dict(sys_: StateSpace) -> dict:
     return {
         "n": sys_.n,
-        "A": [[float(v) for v in row] for row in sys_.A],
-        "b": [float(v) for v in sys_.b],
+        "A": sys_.A.tolist(),
+        "b": sys_.b.tolist(),
     }
 
 
@@ -229,7 +218,7 @@ def _gain_report(sys_: StateSpace, gain, expected, steps=None) -> dict:
     diag = gain.diagnostics
     report = {
         "method": gain.method,
-        "k": [float(v) for v in gain.k],
+        "k": gain.k.tolist(),
         "system": _system_dict(sys_),
         "targets": [format_pole(z) for z in expected],
         "diagnostics": {
@@ -245,7 +234,7 @@ def _gain_report(sys_: StateSpace, gain, expected, steps=None) -> dict:
             {
                 "step": rec.step,
                 "subspace_dimension": rec.basis.shape[1],
-                "gain": [float(v) for v in rec.gain],
+                "gain": rec.gain.tolist(),
                 "kappa": rec.kappa,
                 "spectrum_after": [format_pole(z) for z in rec.spectrum_after],
             }
@@ -336,10 +325,6 @@ def cmd_verify(args) -> int:
         sys_ = _system_from_dict(_read_json(args.system), args.system)
         kind, plan = _load_plan(args.plan)
         targets = plan if kind == "poles" else plan_targets(sys_, plan)
-    if k.shape != (sys_.n,):
-        raise ValidationError(
-            f"gain has length {k.shape[0]}, system has dimension {sys_.n}"
-        )
 
     cres = charpoly_residual(sys_, k, targets)
     achieved = list(_closed_loop_spectrum(sys_, k, targets))

@@ -78,6 +78,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+from .errors import _as_real, _as_square, _as_vector, _complexes, _finite, _floats
 from .poly import Spectrum, _as_spectrum
 
 EPS = float(np.finfo(float).eps)
@@ -85,18 +86,8 @@ TINY = float(np.finfo(float).tiny)
 
 
 def max_abs(M) -> float:
-    """Largest entry magnitude, 0.0 for an empty array."""
-    M = np.asarray(M, dtype=float)
+    """Largest entry magnitude of a float array, 0.0 for an empty one."""
     return float(np.max(np.abs(M))) if M.size else 0.0
-
-
-def _as_square(A, name="matrix") -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValidationError(f"{name} must be square and nonempty, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValidationError(f"{name} must have finite entries")
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +102,16 @@ def solve_linear(M, rhs) -> np.ndarray:
     ``column`` attribute is the elimination column that failed; that column
     index is a lower bound on the rank of M, not an estimate of it.
     """
-    M = _as_square(M)
+    M = _as_square(M, "matrix")
     return _eliminate(M.copy(), _rhs(rhs, M.shape[0]), M.shape[0] * EPS * max_abs(M))
 
 
 def _rhs(rhs, n) -> np.ndarray:
-    """``solve_linear``'s checks of a right-hand side for n rows."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        raise ValidationError(f"right-hand side has {rhs.shape[0]} rows, expected {n}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValidationError("right-hand side must have finite entries")
-    return rhs
+    """A right-hand side of ``solve_linear``: finite, 1-D or 2-D, n rows."""
+    rhs = _floats(rhs, "right-hand side")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValidationError(f"right-hand side has shape {rhs.shape}, expected {n} rows")
+    return _finite(rhs, "right-hand side")
 
 
 def _eliminate(LU, rhs, limit) -> np.ndarray:
@@ -219,12 +208,8 @@ def krylov(A, b) -> np.ndarray:
     """Columns ``[b, Ab, ..., A**(n-1) b]`` for A of order n;
     NumericalError when one of them leaves the float range."""
     A = _as_square(A, "A")
-    b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    if b.shape != (n,):
-        raise ValidationError(f"vector has shape {b.shape}, expected ({n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("vector must have finite entries")
+    b = _as_vector(b, n, "vector")
     C = np.empty((n, n))
     v = b.copy()
     C[:, 0] = v
@@ -259,12 +244,10 @@ def condition_number(M) -> float:
     a wide M, or a diagonal entry of R below ``n * ulp(1) * max|R|``, the
     pivot threshold of ``solve_linear``.
     """
-    M = np.asarray(M, dtype=float)
+    M = _floats(M, "matrix")
     if M.ndim != 2 or M.size == 0:
-        raise ValidationError("condition_number needs a nonempty 2-D matrix")
-    top = float(np.abs(M).max())  # nan or inf when an entry is not finite
-    if not top < math.inf:
-        raise ValidationError("condition_number needs finite entries")
+        raise ValidationError(f"matrix must be 2-D and nonempty, got shape {M.shape}")
+    top = float(np.abs(_finite(M, "matrix")).max())
     m, n = M.shape
     if n > m or top == 0.0:
         return math.inf
@@ -414,7 +397,7 @@ def _householder(x):
     """
     if not np.count_nonzero(x[1:]):
         return np.zeros_like(x), 0.0, float(x[0])
-    v = np.array(x, dtype=float)
+    v = x.copy()
     sq = np.vdot(v, v)
     shift = 0
     if not TINY <= sq < math.inf:
@@ -513,7 +496,7 @@ def _controller_hessenberg(A, b) -> ControllerHessenberg:
     those scales (``ControllerHessenberg``), so any finite pair has one.
     """
     A = _as_square(A, "A")
-    b = np.asarray(b, dtype=float)
+    b = _as_vector(b, A.shape[0], "b")
     shift = int(np.frexp(max_abs(A))[1])
     beta_shift = int(np.frexp(max_abs(b))[1])
     B = np.ldexp(A, -shift)
@@ -818,7 +801,7 @@ def _francis_upper(H, Q, max_sweeps, near=()):
             continue
         if sweeps >= max_sweeps:
             raise ConvergenceError(
-                f"QR iteration did not converge within {max_sweeps} sweeps "
+                f"QR iteration did not converge within {max_sweeps:.0f} sweeps "
                 f"(active block rows {l}..{hi})",
                 partial_q=None if Q is None else Q.copy(),
                 partial_t=H.T.copy(),
@@ -907,7 +890,7 @@ def _schur_upper(A, budget, want_q, near=()):
         near = _scaled_request(near, B, shift)
     Q, H = _hessenberg_upper(B, want_q)
     try:
-        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else int(budget), near)
+        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else budget, near)
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
@@ -926,9 +909,12 @@ def real_schur(A, max_sweeps=None) -> SchurDecomposition:
 
     Householder reduction to Hessenberg form followed by implicit
     double-shift QR, both run on the transpose and transposed back.  The
-    default sweep budget is 40 per dimension.
+    sweep budget is ``max_sweeps``, a whole number, or 40 per dimension.
     """
-    Q, H, blocks = _schur_upper(A, max_sweeps, want_q=True)
+    budget = None if max_sweeps is None else _as_real(max_sweeps, "max_sweeps")
+    if budget is not None and (budget < 0 or budget % 1):
+        raise ValidationError(f"max_sweeps must be a whole number >= 0, got {max_sweeps!r}")
+    Q, H, blocks = _schur_upper(A, budget, want_q=True)
     return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=blocks)
 
 
@@ -945,7 +931,7 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     eigenvalues (not finite, or above ``||A||_inf``) are dropped first.
     Without ``near`` the result is bitwise ``real_schur(A)``'s blocks.
     """
-    _, _, blocks = _schur_upper(A, None, want_q=False, near=tuple(near))
+    _, _, blocks = _schur_upper(A, None, want_q=False, near=_complexes(near, "near"))
     return Spectrum([z for blk in blocks for z in blk.eigenvalues])
 
 
@@ -1093,22 +1079,22 @@ def _swap_adjacent_upper(S, Z, i, p, q):
 def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
     """Reorder a Schur decomposition so the selected blocks come first.
 
-    ``select`` holds indices into ``dec.blocks``.  Selected blocks bubble
-    to the leading positions through adjacent swaps, preserving their
+    ``select`` holds indices into ``dec.blocks`` (a set, or any array-like
+    of whole numbers).  Selected blocks bubble to the leading positions
+    through adjacent swaps, preserving their
     relative order; a decomposition already in the requested order is
     returned unchanged.  The swaps touch no row past the end of the last
     selected block, so only those leading rows are rescanned; the blocks
     behind them are ``dec.blocks``' own, whose entries keep their bits.
     """
     nblocks = len(dec.blocks)
-    sel = set()
-    for s in select:
-        s = int(s)
-        if not 0 <= s < nblocks:
-            raise ValidationError(f"block index {s} out of range 0..{nblocks - 1}")
-        if s in sel:
-            raise ValidationError(f"block index {s} selected twice")
-        sel.add(s)
+    index = _floats(list(select) if isinstance(select, (set, frozenset)) else select, "select")
+    picked = index.reshape(-1).tolist()
+    if index.ndim > 1 or not all(0 <= s < nblocks and s % 1 == 0 for s in picked):
+        raise ValidationError(f"select must list block indices in 0..{nblocks - 1}")
+    sel = set(index.astype(np.int64).tolist())
+    if len(sel) < index.size:
+        raise ValidationError("select names a block twice")
     if not sel or sel == set(range(len(sel))):
         return dec
     S = dec.T.T.copy()

@@ -25,6 +25,7 @@ from .errors import (
     UncontrollableError,
     ValidationError,
 )
+from .errors import _as_real, _as_square, _as_vector, _floats
 from .linalg import (
     EPS,
     ControllerHessenberg,
@@ -53,7 +54,8 @@ from .verify import Diagnostics, assemble_diagnostics
 class StateSpace:
     """Single-input system ``x' = A x + b u``.
 
-    A and b are read-only copies of the inputs.  Two systems are equal, and
+    A and b are read-only copies of the inputs, b flattened (so b of shape
+    (n,), (n, 1) or (1, n) is one vector).  Two systems are equal, and
     hash alike, when their A and b are equal entry by entry (so -0.0
     equals 0.0).  The system also keeps its open-loop record: the real
     Schur form of A, the controller-Hessenberg form of ``(A, b)``
@@ -74,18 +76,8 @@ class StateSpace:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-            raise ValidationError(f"A must be square and nonempty, got shape {A.shape}")
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if b.shape[0] != A.shape[0]:
-            raise ValidationError(
-                f"b has length {b.shape[0]}, expected {A.shape[0]}"
-            )
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValidationError("system matrices must have finite entries")
-        A = A.copy()
-        b = b.copy()
+        A = _as_square(self.A, "A").copy()
+        b = _as_vector(_floats(self.b, "b").reshape(-1), A.shape[0], "b").copy()
         A.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -141,7 +133,8 @@ class StateSpace:
         the message refusing a C singular to working precision.  Its rank
         is read off the controller-Hessenberg form (Paige, IEEE TAC 26(1),
         1981): the index of the first of ``|beta|, |H[1, 0]|, ...`` at or
-        below ``n eps max|H|``, else the failed column, a lower bound."""
+        below ``n eps max|H|``; with none, the message says the pair is
+        controllable and names the failed column instead."""
         C = self._controllability
         LU = C.T.copy()
         try:
@@ -150,9 +143,12 @@ class StateSpace:
             form = self._hessenberg
             lead = np.abs(np.append(form.beta, np.diagonal(form.H, -1)))
             small = np.flatnonzero(lead <= self.n * EPS * max_abs(form.H))
-            rank = int(small[0]) if small.size else exc.column
-            return ("controllability matrix is singular to working precision; "
-                    f"rank estimate {rank} < {self.n}")
+            if small.size:
+                return ("controllability matrix is singular to working precision; "
+                        f"rank estimate {small[0]} < {self.n}")
+            return (f"controllability matrix fails its pivot test at column {exc.column} of "
+                    f"{self.n}, yet the controller-Hessenberg form shows all {self.n} states "
+                    "controllable: the pair is too badly scaled for the Krylov route")
         LU.flags.writeable = perm.flags.writeable = False
         return LU, perm
 
@@ -162,10 +158,8 @@ class StateSpace:
         it is built."""
         n = self.n
         q = self._polynomial.p
-        A_c = np.zeros((n, n))
-        for i in range(n - 1):
-            A_c[i, i + 1] = 1.0
-        A_c[n - 1, :] = -q.coeffs[:n]
+        A_c = np.eye(n, k=1)
+        A_c[n - 1] = -q.coeffs[:n]
         C_c = krylov(A_c, np.eye(n)[n - 1])
         C_c.flags.writeable = False
         return CanonicalForm(C=self._controllability, C_c=C_c, p=q)
@@ -238,9 +232,7 @@ def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
 
     Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (sys.n,):
-        raise ValidationError(f"gamma has shape {gamma.shape}, expected ({sys.n},)")
+    gamma = _as_vector(gamma, sys.n, "gamma")
     return _solve_controllability(sys, controller_canonical(sys).C_c.T @ gamma)
 
 
@@ -252,10 +244,8 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     ``lam1`` and provably leaves every other eigenvalue fixed.  An omega
     orthogonal to b means feedback cannot reach the mode at all.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (sys.n,):
-        raise ValidationError(f"omega has shape {omega.shape}, expected ({sys.n},)")
-    lam1 = float(lam1)
+    omega = _as_vector(omega, sys.n, "omega")
+    lam1 = _as_real(lam1, "lam1")
     w = _selector(sys, omega)
     k = lam1 * w - w @ sys.A
     return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
@@ -285,8 +275,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
     product of the targets left at the coefficient level: ``p - f``
     itself when nothing is pulled and ``-f`` otherwise.
     """
-    targets = _as_spectrum(targets)
-    pulled = _as_spectrum(pulled)
+    targets, pulled = _as_spectrum(targets), _as_spectrum(pulled)
     n = sys.n
     if len(targets) != n:
         raise ValidationError(f"{len(targets)} targets for an order-{n} system")

@@ -10,6 +10,7 @@ tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from typing import Iterable
@@ -17,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .errors import _as_square, _as_vector, _complexes, _finite, _floats
 
 
 class Polynomial:
@@ -26,11 +28,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
+        c = np.atleast_1d(_floats(coeffs, "polynomial coefficients")).copy()
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("polynomial needs a nonempty 1-D coefficient array")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("polynomial coefficients must be finite")
+        _finite(c, "polynomial coefficients")
         c.flags.writeable = False
         self.coeffs = c
 
@@ -54,10 +55,9 @@ class Spectrum:
     __slots__ = ("values", "_monic")
 
     def __init__(self, values: Iterable[complex]):
-        vals = tuple(complex(v) for v in values)
-        for v in vals:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValidationError("spectrum values must be finite")
+        vals = _complexes(values, "spectrum")
+        if not all(map(cmath.isfinite, vals)):
+            raise ValidationError("spectrum values must be finite")
         counts = Counter(vals)
         for z, c in counts.items():
             partner = counts.get(z.conjugate(), 0)
@@ -88,11 +88,7 @@ class Spectrum:
 
     def contains(self, other: "Spectrum") -> bool:
         """Multiset containment, by exact value."""
-        have = self.counter()
-        for z, c in other.counter().items():
-            if have.get(z, 0) < c:
-                return False
-        return True
+        return not other.counter() - self.counter()
 
     def minus(self, other: "Spectrum") -> "Spectrum":
         """Multiset difference.  ``other`` must be contained in ``self``."""
@@ -280,15 +276,9 @@ def open_loop_record(A, b) -> OpenLoopRecord:
     """The trace recurrence on A, run once with ``x_k = M_{k-1} b`` as an
     extra column; ``OpenLoopRecord`` says what it keeps, ``char_poly`` what
     its polynomial's precision is."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValidationError("char_poly needs a nonempty square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValidationError("char_poly needs finite entries")
+    A = _as_square(A, "A")
     n = A.shape[0]
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape != (n,) or not np.all(np.isfinite(b)):
-        raise ValidationError("open_loop_record needs a finite b of A's order")
+    b = _as_vector(b, n, "b")
     shift = int(np.frexp(np.max(np.abs(A)))[1])
     A = np.ldexp(A, -shift)
     row_max = np.max(np.abs(A), axis=1)
@@ -526,10 +516,8 @@ def char_poly(A) -> Polynomial:
     terms and the final coefficients meet the ends of the double range; a
     coefficient beyond it raises NumericalError.
     """
-    A = np.asarray(A, dtype=float)
-    e1 = np.zeros(A.shape[0] if A.ndim else 0)
-    e1[:1] = 1.0
-    return open_loop_record(A, e1).p
+    A = _as_square(A, "A")
+    return open_loop_record(A, np.eye(A.shape[0])[0]).p
 
 
 class OpenLoopRecord:
@@ -578,12 +566,8 @@ class OpenLoopRecord:
         entry at each step, carried on by A.  A coefficient beyond the
         float range raises NumericalError.
         """
-        k = np.asarray(k, dtype=float)
         n, window = self.digits.shape[:2]
-        if k.shape != (n,):
-            raise ValidationError(f"gain has shape {k.shape}, expected ({n},)")
-        if not np.isfinite(k).all():
-            raise ValidationError("gain must have finite entries")
+        k = _as_vector(k, n, "gain")
         beta = self.beta
         top = math.frexp(float(np.abs(k).max()))[1]
         # rest - rint(rest) is exact, and so is scaling it up by 2**beta
@@ -614,10 +598,10 @@ class OpenLoopRecord:
 
 
 def eval_matrix(q: Polynomial, A) -> np.ndarray:
-    """Evaluate at a square matrix by Horner's rule."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("eval_matrix needs a square matrix")
+    """Evaluate a Polynomial at a square matrix by Horner's rule."""
+    if not isinstance(q, Polynomial):
+        raise ValidationError(f"eval_matrix needs a Polynomial, got {type(q).__name__}")
+    A = _as_square(A, "A")
     eye = np.eye(A.shape[0])
     out = q.coeffs[-1] * eye
     for c in q.coeffs[-2::-1]:

@@ -27,6 +27,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+from .errors import _as_real
 from .linalg import (
     EPS,
     _eliminate_scalars,
@@ -52,10 +53,14 @@ class AssignmentPlan:
 
     def __post_init__(self):
         groups = []
-        for gi, pair in enumerate(self.groups):
-            move, to = pair
-            move = _as_spectrum(move)
-            to = _as_spectrum(to)
+        try:
+            pairs = [tuple(pair) for pair in self.groups]
+        except TypeError:
+            raise ValidationError("plan groups must be (move, to) pairs") from None
+        for gi, pair in enumerate(pairs):
+            if len(pair) != 2:
+                raise ValidationError(f"group {gi + 1} must be a (move, to) pair")
+            move, to = map(_as_spectrum, pair)
             if len(move) == 0:
                 raise ValidationError(f"group {gi + 1} is empty")
             if len(move) != len(to):
@@ -197,14 +202,13 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
     ``mu1`` scaled to ``omega^T b = 1``, read off the system's stored
     Schur form with ``mu1``'s block moved to the front.  Requesting
     ``lam1 == mu1`` returns an exactly zero gain, since the difference
-    multiplies everything else out.
+    multiplies everything else out.  Complex values with zero imaginary
+    parts, as a Spectrum holds them, count as real.
     """
-    mu1 = complex(mu1)
-    lam1 = complex(lam1)
-    if mu1.imag != 0.0 or lam1.imag != 0.0:
-        raise ValidationError("the single-shift method moves a real eigenvalue "
-                              "to a real target")
-    mu1, lam1 = mu1.real, lam1.real
+    if any(isinstance(z, complex) and z.imag != 0.0 for z in (mu1, lam1)):
+        raise ValidationError("the single-shift method moves a real eigenvalue to a real target")
+    mu1, lam1 = (_as_real(z.real if isinstance(z, complex) else z, name)
+                 for z, name in ((mu1, "mu1"), (lam1, "lam1")))
     dec, U, _ = _lead(sys._schur, Spectrum([mu1]), _match_tol(sys.A))
     # U[:, 0], not dec.Q[:, 0]: a dot with the strided column rounds differently
     k = (lam1 - mu1) * _selector(sys, U[:, 0])
@@ -295,7 +299,7 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
     and ``records`` attached for everything completed before it.
     """
     if not isinstance(plan, AssignmentPlan):
-        plan = AssignmentPlan(tuple(plan))
+        plan = AssignmentPlan(plan)
     if not plan.groups:
         raise ValidationError("plan has no groups")
     dec = sys._schur

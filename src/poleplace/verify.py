@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _as_vector, _floats
 from .linalg import eigenvalues
 from .poly import Spectrum, _as_spectrum, monic_from_roots
 
@@ -56,16 +56,6 @@ class Diagnostics:
     warnings: tuple[str, ...] = ()
 
 
-def _gain_row(sys, k) -> np.ndarray:
-    """k as a float row of the system's order, with finite entries."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (sys.n,):
-        raise ValidationError(f"gain has shape {k.shape}, expected ({sys.n},)")
-    if not np.all(np.isfinite(k)):
-        raise ValidationError("gain must have finite entries")
-    return k
-
-
 def _closed_loop_spectrum(sys, k, targets):
     """Eigenvalues of ``A + b k^T``, formed in the system's stored
     controller-Hessenberg coordinates, with the QR shifts seeded from the
@@ -77,7 +67,7 @@ def _closed_loop_spectrum(sys, k, targets):
     doubles, and one with an entry beyond the float range there raises
     NumericalError, as does an eigenvalue beyond it.
     """
-    k = _gain_row(sys, k)
+    k = _as_vector(k, sys.n, "gain")
     M, e = sys._hessenberg.closed_loop(k)
     if not e:
         # then every entry of A + b k^T is at most 2**1023
@@ -85,7 +75,7 @@ def _closed_loop_spectrum(sys, k, targets):
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(sys.A + np.outer(sys.b, k)).all():
             raise NumericalError("the closed loop A + b k^T has entries beyond the float range")
-    near = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in map(complex, targets)]
+    near = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in targets]
     try:
         return Spectrum([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
                          for z in eigenvalues(M.T, near=near)])
@@ -207,19 +197,16 @@ def spectrum_distance(got, want) -> float:
     pairing, exact at every size; ``poleplace verify`` prints that
     pairing.
     """
-    got = _as_spectrum(got)
-    want = _as_spectrum(want)
+    got, want = _as_spectrum(got), _as_spectrum(want)
     if len(got) != len(want):
-        raise ValidationError(
-            f"cannot compare spectra of sizes {len(got)} and {len(want)}"
-        )
+        raise ValidationError(f"cannot compare spectra of sizes {len(got)} and {len(want)}")
     if len(got) == 0:
         return 0.0
     return _bottleneck(got, want)[0]
 
 
 def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
-    """Build the Diagnostics record for a gain on a given system.
+    """Build the Diagnostics record for a gain k, checked first, on a system.
 
     The controllability condition number is the one the system stores,
     computed on its first use, so every gain on one system reads the same
@@ -230,6 +217,7 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.
     """
+    k = _as_vector(k, sys.n, "gain")
     kap = sys._kappa
     warnings = ()
     if not kap <= ILL_CONDITIONED:
@@ -243,7 +231,7 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
         sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
     return Diagnostics(
         kappa_controllability=kap,
-        step_kappas=tuple(float(x) for x in step_kappas),
+        step_kappas=tuple(_floats(step_kappas, "step_kappas").reshape(-1).tolist()),
         charpoly_residual=cres,
         spectrum_residual=sres,
         warnings=warnings,

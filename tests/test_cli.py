@@ -793,7 +793,7 @@ def test_verify_gain_length_mismatch(tmp_path, capsys):
         ]
     )
     assert rc == 2
-    assert "length 3" in capsys.readouterr().err
+    assert "gain has shape (3,), expected (2,)" in capsys.readouterr().err
 
 
 def test_verify_requires_system_and_plan_with_values(capsys):

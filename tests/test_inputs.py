@@ -1,0 +1,341 @@
+"""One way to coerce inputs: every public entry point converts caller data
+through the helpers of ``poleplace.errors``, so malformed input of any
+kind raises ValidationError (exit code 2 on the command line), and the
+same finite numbers give the same bits whatever container holds them."""
+
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from poleplace import (
+    Polynomial,
+    Spectrum,
+    StateSpace,
+    char_poly,
+    charpoly_residual,
+    eigenvalues,
+    invariant_split,
+    place_ackermann,
+    place_bass_gura,
+    place_eigenpair,
+    place_general,
+    place_sequential,
+    place_simon_mitter,
+    real_schur,
+    reorder_schur,
+)
+from poleplace.cli import main
+from poleplace.errors import UncontrollableError, ValidationError
+from poleplace.linalg import condition_number, krylov, solve_linear
+from poleplace.placement import omega_vector
+from poleplace.poly import eval_matrix, open_loop_record
+from poleplace.verify import assemble_diagnostics
+
+NAN = float("nan")
+HUGE = 10**400  # an integer no double can hold
+
+
+def system():
+    """A controllable order-3 pair; 3 is no square, so no wrong shape of b
+    flattens to the right length."""
+    return StateSpace(np.diag([1.0, 2.0, 3.0]) + np.eye(3, k=1), [0.0, 0.0, 1.0])
+
+
+TARGETS = Spectrum([-1.0, -2.0, -3.0])
+LINEAR = Polynomial([1.0, 1.0])
+
+# Malformed calls, each of which must raise ValidationError: not a bare
+# ValueError, TypeError, IndexError or OverflowError, not a ComplexWarning
+# that drops an imaginary part, and not a result.
+PROBES = {
+    "StateSpace ragged A": lambda: StateSpace([[1, 2], [3]], [1, 1]),
+    "StateSpace complex A": lambda: StateSpace(1j * np.eye(2), [1, 1]),
+    "StateSpace text A": lambda: StateSpace("ab", [1.0]),
+    "StateSpace 400-digit integer in b": lambda: StateSpace(np.eye(2), [HUGE, 1]),
+    "solve_linear 0-d rhs": lambda: solve_linear(np.eye(2), 5.0),
+    "solve_linear ragged matrix": lambda: solve_linear([[1, 2], [3]], [1, 1]),
+    "solve_linear complex rhs": lambda: solve_linear(np.eye(2), [1j, 0]),
+    "krylov complex b": lambda: krylov(np.eye(2), np.array([1j, 1.0])),
+    "condition_number text": lambda: condition_number("abc"),
+    "condition_number complex": lambda: condition_number(1j * np.eye(2)),
+    "Polynomial text": lambda: Polynomial(["a"]),
+    "Polynomial complex": lambda: Polynomial([1, 2j]),
+    "Spectrum None": lambda: Spectrum(None),
+    "Spectrum text": lambda: Spectrum(["x"]),
+    "char_poly ragged": lambda: char_poly([[1, 2], [3]]),
+    "char_poly complex": lambda: char_poly(1j * np.eye(2)),
+    "open_loop_record text b": lambda: open_loop_record(np.eye(2), ["a", "b"]),
+    "charpoly_residual text gain": lambda: charpoly_residual(system(), "abc", TARGETS),
+    "eval_matrix NaN matrix": lambda: eval_matrix(LINEAR, np.full((2, 2), NAN)),
+    "eval_matrix empty matrix": lambda: eval_matrix(LINEAR, np.zeros((0, 0))),
+    "omega_vector None": lambda: omega_vector(system(), None),
+    "place_eigenpair NaN omega": lambda: place_eigenpair(system(), [NAN, 0, 0], -1.0),
+    "place_eigenpair text lam1": lambda: place_eigenpair(system(), [0, 0, 1], "x"),
+    "assemble_diagnostics NaN gain": lambda: assemble_diagnostics(system(), [NAN] * 3),
+    "place_bass_gura None targets": lambda: place_bass_gura(system(), None),
+    "place_simon_mitter None mu1": lambda: place_simon_mitter(system(), None, -1.0),
+    "reorder_schur text select": lambda: reorder_schur(real_schur(np.diag([1.0, 2.0])), ["a"]),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_malformed_input_raises_validation_error(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning is no refusal
+        with pytest.raises(ValidationError):
+            PROBES[name]()
+
+
+def test_scalar_arguments_are_finite_real_numbers():
+    sys_ = system()
+    omega = [0.0, 0.0, 1.0]
+    for bad in (None, "x", NAN, np.inf, 1j, [1.0], np.ones((1, 1)), HUGE):
+        with pytest.raises(ValidationError):
+            place_eigenpair(sys_, omega, bad)
+        with pytest.raises(ValidationError):
+            place_simon_mitter(sys_, bad, -1.0)
+        with pytest.raises(ValidationError):
+            place_simon_mitter(sys_, 1.0, bad)
+        if bad is not None:  # None asks for the default budget
+            with pytest.raises(ValidationError):
+                real_schur(np.eye(2), max_sweeps=bad)
+    for bad in (-1, 2.5):
+        with pytest.raises(ValidationError):
+            real_schur(np.eye(2), max_sweeps=bad)
+    # a Spectrum's values are complex: a zero imaginary part is real
+    want = place_simon_mitter(sys_, 1.0, -1.0).k
+    assert place_simon_mitter(sys_, 1 + 0j, -1 + 0j).k.tobytes() == want.tobytes()
+
+
+def test_sequences_of_values_and_indices_are_refused_alike():
+    A = np.diag([1.0, 2.0, 3.0])
+    dec = real_schur(A)
+    for bad in (None, "ab", [0.5], [[0, 1]], [NAN], [HUGE]):
+        with pytest.raises(ValidationError):
+            reorder_schur(dec, bad)
+    assert reorder_schur(dec, {2, 1}).blocks == reorder_schur(dec, [1, 2]).blocks
+    for bad in (None, 5, "ab", [None]):
+        with pytest.raises(ValidationError):
+            eigenvalues(A, near=bad)
+        with pytest.raises(ValidationError):
+            place_sequential(system(), bad)
+    with pytest.raises(ValidationError):
+        place_sequential(system(), [((1.0,),)])
+
+
+def test_assemble_diagnostics_checks_the_gain_without_targets():
+    sys_ = system()
+    for bad in ([1.0, 2.0], [1.0, 2.0, np.inf], "abc", None):
+        with pytest.raises(ValidationError):
+            assemble_diagnostics(sys_, bad)
+        with pytest.raises(ValidationError):
+            assemble_diagnostics(sys_, bad, TARGETS)
+
+
+# ---------------------------------------------------------------------------
+# the property: every kind of malformed array, at every array argument
+
+N = 3
+
+
+def _valid(shape):
+    return np.arange(1.0, 1.0 + np.prod(shape, dtype=int)).reshape(shape)
+
+
+KINDS = ("ragged", "text", "none", "complex", "nonfinite", "shape", "scalar", "empty", "huge")
+
+# name -> (call taking the argument, valid shape, shapes it must refuse);
+# a Polynomial of one coefficient may be given as a scalar
+ARGUMENTS = {
+    "StateSpace A": (lambda x: StateSpace(x, np.ones(N)), (N, N), [(N,), (N, N + 1), (1, 1, N)]),
+    "StateSpace b": (lambda x: StateSpace(np.eye(N), x), (N,), [(N + 1,), (2, N), (N - 1, 1)]),
+    "solve_linear M": (lambda x: solve_linear(x, np.ones(N)), (N, N), [(N,), (N, N + 1)]),
+    "solve_linear rhs": (lambda x: solve_linear(np.eye(N), x), (N,), [(N + 1,), (N + 1, 2)]),
+    "krylov A": (lambda x: krylov(x, np.ones(N)), (N, N), [(N,), (N + 1, N)]),
+    "krylov b": (lambda x: krylov(np.eye(N), x), (N,), [(N + 1,), (N, 1)]),
+    "condition_number": (condition_number, (N, N), [(N,), (1, 1, N)]),
+    "char_poly": (char_poly, (N, N), [(N,), (N, N + 1)]),
+    "eval_matrix": (lambda x: eval_matrix(LINEAR, x), (N, N), [(N,), (N, N + 1)]),
+    "real_schur": (real_schur, (N, N), [(N,), (N, N + 1)]),
+    "eigenvalues": (eigenvalues, (N, N), [(N,), (N, N + 1)]),
+    "invariant_split": (lambda x: invariant_split(x, [1.0]), (N, N), [(N,), (N, N + 1)]),
+    "Polynomial": (Polynomial, (N,), [(N, N), (1, 1, N)], ("scalar",)),
+    "omega_vector": (lambda x: omega_vector(system(), x), (N,), [(N + 1,), (N, N)]),
+    "place_eigenpair": (lambda x: place_eigenpair(system(), x, -1.0), (N,), [(N + 1,), (N, 1)]),
+    "charpoly_residual": (lambda x: charpoly_residual(system(), x, TARGETS), (N,),
+                          [(N + 1,), (N, 1)]),
+    "assemble_diagnostics": (lambda x: assemble_diagnostics(system(), x), (N,),
+                             [(N - 1,), (1, N)]),
+}
+
+
+def test_malformed_arrays_raise_validation_error_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def malformed(draw, shape, wrong_shapes, allowed=()):
+        kind = draw(st.sampled_from([kind for kind in KINDS if kind not in allowed]))
+        if kind == "ragged":
+            rows = [list(_valid((N,))), list(_valid((N - 1,)))]
+            return rows if len(shape) == 2 else rows[::-1]
+        if kind == "text":
+            return draw(st.one_of(st.text(), st.lists(st.text(), min_size=1, max_size=N)))
+        if kind == "none":
+            return draw(st.sampled_from([None, [None] * N, [1.0, None, 2.0]]))
+        x = _valid(shape)
+        flat = x.reshape(-1)
+        where = draw(st.integers(0, flat.size - 1))
+        if kind == "complex":
+            x = x.astype(complex)
+            x.reshape(-1)[where] += 1j * draw(st.sampled_from([1.0, -0.5, 1e-300]))
+            return x if draw(st.booleans()) else x.tolist()
+        if kind == "nonfinite":
+            flat[where] = draw(st.sampled_from([NAN, np.inf, -np.inf]))
+            return x if draw(st.booleans()) else x.tolist()
+        if kind == "huge":
+            rows = x.astype(int).tolist()
+            if len(shape) == 2:
+                rows[where // shape[1]][where % shape[1]] = HUGE
+            else:
+                rows[where] = HUGE
+            return rows
+        if kind == "shape":
+            return _valid(draw(st.sampled_from(wrong_shapes)))
+        if kind == "scalar":
+            return draw(st.sampled_from([2.0, np.float64(2.0), np.array(2.0)]))
+        return draw(st.sampled_from([[], np.zeros(0), np.zeros((0, 0))]))
+
+    for call, shape, *refused in ARGUMENTS.values():
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(malformed(shape, *refused))
+        def check(x):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError):
+                    call(x)
+
+        check()
+
+
+def _outcome(call):
+    """The bytes of what a call returns, or the repr of its error."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+        return repr(exc)
+    if hasattr(value, "k"):
+        value = (value.k, repr(value.diagnostics))
+    if hasattr(value, "blocks"):
+        value = (value.Q, value.T, value.blocks)
+    parts = value if isinstance(value, tuple) else (value,)
+    return tuple(p.tobytes() if isinstance(p, np.ndarray) else repr(p) for p in parts)
+
+
+def test_containers_give_the_bits_of_float64_input_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def integer_data(draw):
+        n = draw(st.integers(1, 5))
+        entries = st.integers(-8, 8)
+        A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), float)
+        b = np.array(draw(st.lists(entries, min_size=n, max_size=n)), float)
+        k = np.array(draw(st.lists(entries, min_size=n, max_size=n)), float)
+        return A.reshape(n, n), b, k
+
+    def forms(x):
+        """x as nested lists, nested tuples, int64 and float32 arrays."""
+        as_tuple = tuple(map(tuple, x.tolist())) if x.ndim == 2 else tuple(x.tolist())
+        return [x.astype(int).tolist(), as_tuple, x.astype(np.int64), x.astype(np.float32)]
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(integer_data())
+    def check(data):
+        A, b, k = data
+        n = b.size
+        targets = Spectrum([-1.0 - i for i in range(n)])
+        sys_ = StateSpace(A, b)
+        calls = [
+            lambda A, b, k: (StateSpace(A, b).A, StateSpace(A, b).b),
+            lambda A, b, k: place_bass_gura(StateSpace(A, b), targets),
+            lambda A, b, k: place_ackermann(StateSpace(A, b), targets),
+            lambda A, b, k: place_general(StateSpace(A, b), targets, targets),
+            lambda A, b, k: solve_linear(A, b),
+            lambda A, b, k: krylov(A, b),
+            lambda A, b, k: condition_number(A),
+            lambda A, b, k: char_poly(A).coeffs,
+            lambda A, b, k: eval_matrix(Polynomial(b), A),
+            lambda A, b, k: real_schur(A),
+            lambda A, b, k: eigenvalues(A, near=k),
+            lambda A, b, k: open_loop_record(A, b).closed_loop(k).coeffs,
+            lambda A, b, k: charpoly_residual(sys_, k, targets),
+            lambda A, b, k: assemble_diagnostics(sys_, k, targets),
+            lambda A, b, k: omega_vector(sys_, k),
+            lambda A, b, k: place_eigenpair(sys_, k, k[0]),
+        ]
+        for call in calls:
+            want = _outcome(lambda: call(A, b, k))
+            for A_, b_, k_ in zip(forms(A), forms(b), forms(k)):
+                assert _outcome(lambda: call(A_, b_, k_)) == want
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the command line: an integer no double holds is malformed input
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_refuses_a_400_digit_integer_in_a_system(tmp_path, capsys):
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 2, "A": [[HUGE, 0], [0, 1]], "b": [1, 1]}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": ["-1", "-2"]}))
+    code, out, err = _run(["place", "--system", str(system), "--plan", str(plan),
+                           "--method", "bass-gura"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and ": A must hold" in err
+
+
+def test_cli_refuses_a_400_digit_integer_in_a_report_gain(capsys, monkeypatch):
+    report = {"k": [HUGE, 1], "system": {"n": 2, "A": [[0, 1], [0, 0]], "b": [0, 1]},
+              "targets": ["-1", "-2"]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(report)))
+    code, out, err = _run(["verify", "--gain", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: stdin report 'k' must be a JSON list of finite numbers\n"
+
+
+# ---------------------------------------------------------------------------
+# the refusal of a controllable pair too badly scaled for the Krylov route
+
+
+@pytest.mark.parametrize("s", [20, 40])
+def test_badly_scaled_refusal_says_the_form_is_controllable(s):
+    # a random n = 12 pair, A and the targets scaled by 2**s: the Krylov
+    # pivot fails at a low column, while the controller-Hessenberg form's
+    # min(|beta|, |h_{i+1,i}|) / max|H| reads 0.18 at every scale
+    rng = np.random.default_rng(0)
+    A = rng.uniform(-1, 1, (12, 12))
+    b = rng.uniform(-1, 1, 12)
+    sys_ = StateSpace(np.ldexp(A, s), b)
+    targets = Spectrum([np.ldexp(-1.0 - 0.1 * i, s) for i in range(12)])
+    column = {20: 3, 40: 2}[s]
+    for place in (place_bass_gura, place_ackermann):
+        with pytest.raises(UncontrollableError) as info:
+            place(sys_, targets)
+        assert str(info.value) == (
+            f"controllability matrix fails its pivot test at column {column} of 12, yet the "
+            "controller-Hessenberg form shows all 12 states controllable: the pair is too "
+            "badly scaled for the Krylov route")

@@ -10,6 +10,12 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   bytes, or the repr of the error it raised;
 - ``diagnostics``: the repr of each gain's Diagnostics;
 - ``steps``: every field of each sequential StepRecord, arrays as bytes;
+- ``partial``: each ``place_partial`` gain's bytes and Diagnostics repr,
+  or the repr of its error, moving 3 and then 4 open-loop eigenvalues
+  (a conjugate-closed choice, to as many of the case's targets) on every
+  dense case with n >= 6: the r > 2 step route;
+- ``simon_mitter``: the same of ``place_simon_mitter`` moving each dense
+  case's first real eigenvalue to its first real target (or -1);
 - ``place``: exit code, stdout and stderr of ``poleplace place`` with
   each full-spectrum method on every dense case;
 - ``verify``: the same of ``poleplace verify`` on every verify case.
@@ -33,7 +39,7 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 SEEDS = [int(s) for s in sys.argv[2:]] or [1, 2, 3]
 sys.path.insert(0, str(ROOT / "src"))
 
-from poleplace import cli, placement, subspace  # noqa: E402
+from poleplace import cli, linalg, placement, subspace  # noqa: E402
 from poleplace.errors import PolePlacementError  # noqa: E402
 from poleplace.poly import Spectrum  # noqa: E402
 
@@ -43,7 +49,8 @@ spec.loader.exec_module(inputs)
 
 DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
-digests = {kind: hashlib.sha256() for kind in ("gains", "diagnostics", "steps", "place", "verify")}
+KINDS = ("gains", "diagnostics", "steps", "place", "verify", "partial", "simon_mitter")
+digests = {kind: hashlib.sha256() for kind in KINDS}
 
 
 def update(kind, *parts):
@@ -58,14 +65,41 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record(kind, call):
+def record(kind, call, gains="gains", diagnostics="diagnostics"):
     try:
         gain = call()
     except PolePlacementError as exc:
-        update("gains", kind, repr(exc))
+        update(gains, kind, repr(exc))
         return
-    update("gains", kind, gain.k.tobytes())
-    update("diagnostics", kind, repr(gain.diagnostics))
+    update(gains, kind, gain.k.tobytes())
+    update(diagnostics, kind, repr(gain.diagnostics))
+
+
+def conjugate_closed(values, count):
+    """The first of ``values``, in order, that make a conjugate-closed set
+    of ``count``, a pair counting two; None when there are too few reals."""
+    chosen = []
+    for z in values:
+        group = [z] if z.imag == 0.0 else [z, z.conjugate()] if z.imag > 0.0 else []
+        if len(chosen) + len(group) <= count:
+            chosen += group
+    return chosen if len(chosen) == count else None
+
+
+def partial_and_simon_mitter(sys_, case):
+    values = list(linalg.eigenvalues(case.A))
+    if case.n >= 6:
+        for count in (3, 4):
+            move = conjugate_closed(values, count)
+            to = conjugate_closed(case.targets, count)
+            if move is not None and to is not None:
+                record("partial", lambda: subspace.place_partial(sys_, move, to),
+                       "partial", "partial")
+    reals = [z.real for z in values if z.imag == 0.0]
+    if reals:
+        lam1 = next((z.real for z in case.targets if z.imag == 0.0), -1.0)
+        record("simon_mitter", lambda: subspace.place_simon_mitter(sys_, reals[0], lam1),
+               "simon_mitter", "simon_mitter")
 
 
 def record_steps(steps):
@@ -90,6 +124,7 @@ def dense(seed, workdir):
             update("gains", "sequential", gain.k.tobytes())
             update("diagnostics", "sequential", repr(gain.diagnostics))
             record_steps(steps)
+        partial_and_simon_mitter(sys_, case)
         system, plan = workdir / f"d{i}.json", workdir / f"p{i}.json"
         system.write_text(inputs.system_json(case))
         plan.write_text(inputs.plan_json(case))
