@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _as_vector, _floats
+from .errors import ConvergenceError, NumericalError, ValidationError, _as_vector, _floats
 from .linalg import eigenvalues
 from .poly import Spectrum, _as_spectrum, monic_from_roots
 
@@ -215,7 +215,10 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     with its QR shifts seeded from the targets (``_closed_loop_spectrum``).
     An ill-conditioned controllability matrix earns a warning rather than
     an error: the gain is still returned, with notice that its digits may
-    not survive closed-loop arithmetic.
+    not survive closed-loop arithmetic.  So does a closed-loop spectrum
+    check whose QR iteration runs out of its sweeps, as it can on a loop
+    placed far beyond what doubles resolve: ``spectrum_residual`` stays
+    None and the warning names the check and its sweep budget.
     """
     k = _as_vector(k, sys.n, "gain")
     kap = sys._kappa
@@ -228,7 +231,11 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     cres = sres = None
     if targets is not None:
         cres = charpoly_residual(sys, k, targets)
-        sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
+        try:
+            sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
+        except ConvergenceError as exc:
+            warnings += (f"the closed-loop spectrum check ran out of sweeps: {exc}; "
+                         "spectrum_residual is unknown",)
     return Diagnostics(
         kappa_controllability=kap,
         step_kappas=tuple(_floats(step_kappas, "step_kappas").reshape(-1).tolist()),

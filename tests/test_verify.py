@@ -544,6 +544,48 @@ def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeyp
     assert stored_route[1] != rounded_route[1]
 
 
+@pytest.mark.parametrize("m", [1e13, 1e16])
+def test_far_targets_return_the_gain_when_the_check_cannot_converge(m, tmp_path, capsys):
+    # targets -m (1 + 0.01 i) on a dense n = 12 pair: the gain is computed,
+    # but the closed-loop check's QR iteration runs out of its 480 sweeps;
+    # the gain comes back with spectrum_residual None and a warning naming
+    # the check and its budget, from the library and from `poleplace place`
+    # (exit 0), and compare calls the row "warn", not "ok"
+    import json
+
+    from poleplace import cli
+    from poleplace.errors import ConvergenceError
+    from poleplace.verify import _closed_loop_spectrum
+
+    rng = np.random.default_rng(3)
+    A, b = rng.uniform(-1, 1, (12, 12)), rng.uniform(-1, 1, 12)
+    sys = StateSpace(A, b)
+    targets = Spectrum([-m * (1 + 0.01 * i) for i in range(12)])
+    gain = place_bass_gura(sys, targets)
+    diag = gain.diagnostics
+    assert diag.spectrum_residual is None
+    assert diag.charpoly_residual is not None
+    assert len(diag.warnings) == 1
+    assert "closed-loop spectrum check ran out of sweeps" in diag.warnings[0]
+    assert "within 480 sweeps" in diag.warnings[0]
+    # the check itself still raises; only the diagnostics take it as a warning
+    with pytest.raises(ConvergenceError):
+        _closed_loop_spectrum(sys, gain.k, targets)
+    assert cli._compare_row(12, 0, "bass-gura", sys, targets)["status"] == "warn"
+
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 12, "A": A.tolist(), "b": b.tolist()}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": [repr(z.real) for z in targets]}))
+    capsys.readouterr()
+    assert cli.main(["place", "--system", str(system), "--plan", str(plan),
+                     "--method", "bass-gura"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert np.array(report["k"]).tobytes() == gain.k.tobytes()
+    assert report["diagnostics"]["spectrum_residual"] is None
+    assert report["diagnostics"]["warnings"] == list(diag.warnings)
+
+
 def test_diagnostics_warns_on_ill_conditioned_controllability():
     sys = StateSpace(A=np.diag(np.arange(1.0, 9.0)), b=np.ones(8))
     d = assemble_diagnostics(sys, np.zeros(8))

@@ -8,9 +8,13 @@ draws the dense and verify pools of each seed (default 1 2 3) with
 
 - ``gains``: every Bass-Gura, Ackermann, general and sequential gain's
   bytes, or the repr of the error it raised;
-- ``diagnostics``: the repr of each gain's Diagnostics;
+- ``diagnostics``: the repr of each gain's Diagnostics with its
+  ``spectrum_residual`` set to None;
+- ``spectrum``: each gain's ``spectrum_residual``, the one diagnostic the
+  seeded closed-loop check computes with its own rounding;
 - ``steps``: every field of each sequential StepRecord, arrays as bytes;
-- ``partial``: each ``place_partial`` gain's bytes and Diagnostics repr,
+- ``partial``: each ``place_partial`` gain's bytes and Diagnostics repr
+  (``spectrum_residual`` None, as above),
   or the repr of its error, moving 3 and then 4 open-loop eigenvalues
   (a conjugate-closed choice, to as many of the case's targets) on every
   dense case with n >= 6: the r > 2 step route;
@@ -20,7 +24,9 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   each full-spectrum method on every dense case;
 - ``verify``: the same of ``poleplace verify`` on every verify case.
 
-Two checkouts whose lines agree produce those outputs byte for byte.
+Two checkouts whose lines agree produce those outputs byte for byte;
+``place`` and ``verify`` print the seeded check's residual and poles, so
+they move with ``spectrum``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import importlib.util
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -49,7 +56,8 @@ spec.loader.exec_module(inputs)
 
 DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
-KINDS = ("gains", "diagnostics", "steps", "place", "verify", "partial", "simon_mitter")
+KINDS = ("gains", "diagnostics", "spectrum", "steps", "place", "verify", "partial",
+         "simon_mitter")
 digests = {kind: hashlib.sha256() for kind in KINDS}
 
 
@@ -65,6 +73,11 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def update_diagnostics(kind, label, diag):
+    update(kind, label, repr(replace(diag, spectrum_residual=None)))
+    update("spectrum", label, repr(diag.spectrum_residual))
+
+
 def record(kind, call, gains="gains", diagnostics="diagnostics"):
     try:
         gain = call()
@@ -72,7 +85,7 @@ def record(kind, call, gains="gains", diagnostics="diagnostics"):
         update(gains, kind, repr(exc))
         return
     update(gains, kind, gain.k.tobytes())
-    update(diagnostics, kind, repr(gain.diagnostics))
+    update_diagnostics(diagnostics, kind, gain.diagnostics)
 
 
 def conjugate_closed(values, count):
@@ -122,7 +135,7 @@ def dense(seed, workdir):
             record_steps(getattr(exc, "records", ()))
         else:
             update("gains", "sequential", gain.k.tobytes())
-            update("diagnostics", "sequential", repr(gain.diagnostics))
+            update_diagnostics("diagnostics", "sequential", gain.diagnostics)
             record_steps(steps)
         partial_and_simon_mitter(sys_, case)
         system, plan = workdir / f"d{i}.json", workdir / f"p{i}.json"
