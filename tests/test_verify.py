@@ -22,6 +22,7 @@ from poleplace import (
     spectrum_distance,
 )
 from poleplace.errors import (
+    ConvergenceError,
     PolePlacementError,
     ValidationError,
 )
@@ -554,7 +555,6 @@ def test_far_targets_return_the_gain_when_the_check_cannot_converge(m, tmp_path,
     import json
 
     from poleplace import cli
-    from poleplace.errors import ConvergenceError
     from poleplace.verify import _closed_loop_spectrum
 
     rng = np.random.default_rng(3)

@@ -36,8 +36,8 @@ import importlib.util
 import io
 import sys
 import tempfile
-from dataclasses import replace
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
