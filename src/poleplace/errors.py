@@ -77,10 +77,10 @@ class ConvergenceError(PolePlacementError):
 
     ``partial_q`` and ``partial_t`` hold the orthogonal accumulation and
     the partially reduced matrix at the point of failure.  ``partial_q`` is
-    None when raised from ``eigenvalues``, which does not accumulate the
-    orthogonal factor; there ``partial_t`` is current only on the active
-    diagonal block named in the message, because those sweeps leave the
-    rows above it and the columns beside it as they were.
+    None when raised from ``eigenvalues`` or the closed-loop check, which
+    do not accumulate the orthogonal factor; there ``partial_t`` is current
+    only on the active diagonal block named in the message, because those
+    sweeps leave the rows above it and the columns beside it as they were.
     ``condition_number`` runs no Schur iteration and never raises it.
     """
 

@@ -33,12 +33,15 @@ plain iteration's, and each sweep is an orthogonal similarity whatever
 its shifts, so a wrong request costs sweeps, not accuracy.  A closed-loop
 check forms its loop in the controller-Hessenberg coordinates of its
 system (``ControllerHessenberg``), where the loop is Hessenberg already,
-so the reduction in ``eigenvalues`` finds no entry to annihilate and
-applies no reflector.  A seeded iteration also chases its bulge two
-positions at a time, one 4x4 product per side where the plain chase makes
-two 3x3 ones (``_francis_step``), so its eigenvalues differ from the
-plain iteration's in their trailing digits; ``real_schur`` and
-``eigenvalues`` without ``near`` keep the plain chase and its bits.
+and hands it straight to the engine's core, ``_hessenberg_eigenvalues``,
+which ``eigenvalues`` runs after its validation and reduction.  A seeded
+iteration also chases its bulge two positions at a time, one 4x4 product
+per side where the plain chase makes two 3x3 ones (``_francis_step``),
+and reads each block's eigenvalues as it deflates, standardizing a 2x2
+block on Python floats (``_standard_eigs``), so its eigenvalues differ
+from the plain iteration's in their trailing digits; ``real_schur`` and
+``eigenvalues`` without ``near`` keep the plain chase, the numpy
+standardization and their bits.
 
 ``condition_number`` needs no Schur form.  It takes the Householder R of
 its matrix, inverts R by back substitution and multiplies the two
@@ -50,7 +53,7 @@ number.
 The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
 step; a swap's window), apply each reflector through views into a buffer
-made once per sweep, and solve a swap's Kronecker system, at most 4x4,
+made once per iteration, and solve a swap's Kronecker system, at most 4x4,
 on Python floats with the row loop of ``solve_linear``.  A Q-free bulge
 step costs about 11 us at n = 20-64 (2-vCPU VM, one BLAS thread), of
 which its two BLAS products take 6-7 us.  Where bits must be kept those
@@ -424,8 +427,7 @@ def _hessenberg_upper(B, want_q=True, reflectors=None):
     Hessenberg, and Q = None when not wanted.  Each reflector applied, ``I -
     beta v v^T`` on entries k+1.., is appended to the list ``reflectors`` as
     ``(k + 1, v, beta)`` when one is given.  A B with nothing below its
-    subdiagonal, such as a closed loop in controller-Hessenberg coordinates,
-    returns at once, without a reflector to skip per column."""
+    subdiagonal returns at once, without a reflector to skip per column."""
     n = B.shape[0]
     H = B
     Q = np.eye(n) if want_q else None
@@ -500,7 +502,7 @@ def _controller_hessenberg(A, b) -> ControllerHessenberg:
     A, whose reflectors act on entries 1.. only.
 
     A and b are each scaled by the power of two that brings their largest
-    entry into [0.5, 1), as ``_schur_upper`` scales A, and the form keeps
+    entry into [0.5, 1), as ``_scaled_transpose`` scales A, and the form keeps
     those scales (``ControllerHessenberg``), so any finite pair has one.
     """
     A = _as_square(A, "A")
@@ -641,6 +643,35 @@ def _standardize_2x2(H, Q, i):
         H[i, i] = H[i + 1, i + 1] = _mean(float(H[i, i]), float(H[i + 1, i + 1]))
 
 
+def _standard_eigs(a, b, c, d) -> tuple[tuple, tuple]:
+    """The eigenvalues ``_standardize_2x2`` leaves readable in the upper
+    2x2 block ``[[a, b], [c, d]]``, computed on Python floats without a
+    matrix: the rotation of ``_standard_rotation`` applied to the four
+    entries (rows first, then columns, as the numpy products go), then its
+    finish.  Returns the readings of the block's two rows as
+    ``_scan_blocks_upper`` takes them: ``((l1,), (l2,))`` after a split or
+    when c = 0, else ``((z1, z2), ())``, z2 the exact conjugate of z1 or,
+    inside the discriminant clamp, equal to it.  The products round as
+    numpy's 2x2 products do not always, so the values may differ from the
+    numpy standardization's in their last bits.
+    """
+    rot, finish = _standard_rotation(a, b, c, d)
+    if rot is not None:
+        cs, sn = rot
+        # G.T @ B, then that times G, for G = [[cs, -sn], [sn, cs]]
+        r00, r01 = cs * a + sn * c, cs * b + sn * d
+        r10, r11 = cs * c - sn * a, cs * d - sn * b
+        a, b = r00 * cs + r01 * sn, r01 * cs - r00 * sn
+        c, d = r10 * cs + r11 * sn, r11 * cs - r10 * sn
+    if finish == "split":
+        c = 0.0
+    elif finish == "equal":
+        a = d = _mean(a, d)
+    if c == 0.0:
+        return (complex(a),), (complex(d),)
+    return _block_eigs(a, b, c, d), ()
+
+
 def _reflector(x, y, z):
     """Explicit symmetric 3x3 reflector P with ``P @ (x, y, z) = (alpha, 0, 0)``,
     returned as ``(entries, alpha)``, the entries of P row by row; entries
@@ -664,14 +695,22 @@ def _reflector(x, y, z):
     return (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * u1, p12, -t2, p12, 1.0 - t2 * u2), alpha * s
 
 
-def _francis_step(H, Q, l, hi, tr, det, paired=False) -> int:
+def _step_scratch() -> tuple:
+    """The reflector buffers of ``_francis_step``, each flat and as its
+    square view: 3x3, 2x2 and the paired chase's 4x4."""
+    flat3, flat2, flat4 = np.empty(9), np.empty(4), np.empty(16)
+    return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, flat4.reshape(4, 4)
+
+
+def _francis_step(H, Q, l, hi, tr, det, paired=False, scratch=None) -> int:
     """One implicit double-shift sweep on the active block l..hi of upper
     Hessenberg H; returns the number of row and column products it made
     on the active block.  The shift pair is given through its trace and
     determinant, so exceptional shifts use the same path.
 
     Each bulge step writes an explicit 3x3 reflector P (2x2 for the
-    closing step) into a buffer made once per sweep and applies it as
+    closing step) into a buffer from ``scratch`` (``_step_scratch``, made
+    once per ``_francis_upper`` call, or here when None) and applies it as
     ``R[...] = P @ R`` and ``C[...] = C @ P`` on the views R of its rows
     and C of its columns in the window.  Those two products touch only the
     active block, and they are the same with or without Q: the block's
@@ -700,11 +739,7 @@ def _francis_step(H, Q, l, hi, tr, det, paired=False) -> int:
     x = a * a + b * c - tr * a + det
     y = c * (a + d - tr)
     z = e * c
-    flat3, flat2 = np.empty(9), np.empty(4)
-    P3, P2 = flat3.reshape(3, 3), flat2.reshape(2, 2)
-    if paired:
-        flat4 = np.empty(16)
-        G = flat4.reshape(4, 4)
+    flat3, P3, flat2, P2, flat4, G = scratch or _step_scratch()
     products = 0
     k = l
     while k < hi:
@@ -813,22 +848,31 @@ def _francis_upper(H, Q, max_sweeps, near=()):
     shift to break symmetry cycles.  Exceeding the sweep budget raises
     ConvergenceError carrying the partial factorization.  Each pass reads
     the diagonal and subdiagonal once, as Python floats, for the deflation
-    scan and the shifts.
+    scan and the shifts.  A deflated 2x2 block is brought to standard form
+    (``_standardize_2x2``); returns None.
 
-    ``near`` holds requested eigenvalues, already scaled as H is.  While
-    any are left, the first sweep, and the first after each deflation at
-    the bottom, shifts by the requested pair nearest the standard one
-    (``_requested_shifts``): an exact shift deflates in about one sweep.
-    Each deflated eigenvalue retires the requested value nearest it.
-    Every other sweep, and the deflation test, are those without ``near``;
-    with ``near`` empty the iteration is bitwise the plain one.
+    ``near`` holds requested eigenvalues, already scaled as H is, and is
+    only given without Q.  While any are left, the first sweep, and the
+    first after each deflation at the bottom, shifts by the requested pair
+    nearest the standard one (``_requested_shifts``): an exact shift
+    deflates in about one sweep.  Each deflated eigenvalue retires the
+    requested value nearest it.  Every other sweep, and the deflation
+    test, are those without ``near``; with ``near`` empty the iteration is
+    bitwise the plain one.
 
-    With ``near`` (and no Q) every sweep also chases its bulge in pairs,
+    With ``near`` every sweep also chases its bulge in pairs,
     ``_francis_step``'s paired mode: the shifts, the deflation test and the
     budget are as above, and each pair of bulge positions makes one row
     and one column product where the plain chase makes two of each.  Its
     eigenvalues move against the plain chase's in their trailing digits
-    only.  The sweep count is already at its floor.  On the 360 seed-1
+    only.  Nothing reads a deflated block again, so such a run reads each
+    block's eigenvalues as it deflates and returns them: a list with, at
+    each row, the eigenvalues of the block starting there (``()`` on the
+    second row of a 2x2 one), as ``_scan_blocks_upper`` would read the
+    standardized form.  A 2x2 block is standardized on Python floats
+    (``_standard_eigs``) and H keeps the block as it deflated.
+
+    The sweep count is already at its floor.  On the 360 seed-1
     full-dense closed-loop checks of perfbench (mean n 12, 4229 sweeps,
     4221 paired) 68% of the runs of sweeps between deflations take two
     sweeps, 23% three and 4% more.  After the seeded sweep the coupling
@@ -848,7 +892,8 @@ def _francis_upper(H, Q, max_sweeps, near=()):
     stalled = 0
     near = list(near)
     seeded = bool(near)  # the next standard sweep takes requested shifts
-    paired = seeded and Q is None
+    read = [()] * n if seeded else None  # a paired run's eigenvalues, by row
+    scratch = _step_scratch()
     while hi > 0:
         diag = H.diagonal()[: hi + 1].tolist()
         sub = H.diagonal(-1)[:hi].tolist()  # sub[j] is H[j + 1, j]
@@ -858,21 +903,21 @@ def _francis_upper(H, Q, max_sweeps, near=()):
                 H[l, l - 1] = 0.0
                 break
             l -= 1
-        if l == hi:
-            if near:  # retire the requested value nearest the deflated one
-                near.pop(_nearest(near, diag[hi]))
-                seeded = bool(near)
-            hi -= 1
-            stalled = 0
-            continue
-        if l == hi - 1:
-            if near:
-                for lam in _block_eigs(diag[l], float(H[l, hi]), sub[l], diag[hi]):
-                    if near:
+        if l >= hi - 1:  # a 1x1 or 2x2 block deflates at the bottom
+            if read is None:
+                if l < hi:
+                    _standardize_2x2(H, Q, l)
+            else:
+                if l == hi:
+                    read[hi] = block = (complex(diag[hi]),)
+                else:
+                    read[l], read[hi] = _standard_eigs(diag[l], float(H[l, hi]), sub[l], diag[hi])
+                    block = read[l] + read[hi]
+                for lam in block:
+                    if near:  # retire the requested value nearest the deflated one
                         near.pop(_nearest(near, lam))
                 seeded = bool(near)
-            _standardize_2x2(H, Q, l)
-            hi -= 2
+            hi = l - 1
             stalled = 0
             continue
         if sweeps >= max_sweeps:
@@ -895,8 +940,10 @@ def _francis_upper(H, Q, max_sweeps, near=()):
             if seeded:
                 tr, det = _requested_shifts(near, tr, det, diag[hi])
                 seeded = False
-        _francis_step(H, Q, l, hi, tr, det, paired)
-    return sweeps
+        _francis_step(H, Q, l, hi, tr, det, read is not None, scratch)
+    if read is not None and hi == 0:
+        read[0] = (complex(H[0, 0]),)
+    return read
 
 
 def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
@@ -911,92 +958,121 @@ def _scan_blocks_upper(S, shift=0) -> tuple[SchurBlock, ...]:
     blocks = []
     i = 0
     while i < n:
+        size = 2 if i + 1 < n and sub[i] != 0.0 else 1
         try:
-            if i + 1 < n and sub[i] != 0.0:
-                lams = _block_eigs(diag[i], sup[i], sub[i], diag[i + 1])
-                if shift:
-                    lams = tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-                                 for z in lams)
-                size = 2
+            if size == 2:
+                lams = _unscaled(_block_eigs(diag[i], sup[i], sub[i], diag[i + 1]), shift)
             else:
                 lams = (complex(math.ldexp(diag[i], shift)),)
-                size = 1
         except OverflowError:
-            raise NumericalError(
-                f"an eigenvalue of the diagonal block at row {i} overflows the float range"
-            ) from None
+            raise _overflow(i) from None
         blocks.append(SchurBlock(i, size, lams))
         i += size
     return tuple(blocks)
 
 
-def _scaled_request(near, B, shift) -> list:
-    """The requested values that can be eigenvalues of ``2**-shift A``,
-    scaled as it is (B is its transpose): a value that is not finite after
-    the scaling, or whose modulus exceeds ``||2**-shift A||_inf``, the
-    largest column sum of B and a bound on every eigenvalue of B, is
-    dropped, so no shift formed from the rest overflows."""
+def _unscaled(lams, shift) -> tuple:
+    """The values ``lams`` times ``2**shift``; OverflowError when one
+    leaves the float range."""
+    if not shift:
+        return lams
+    return tuple(complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in lams)
+
+
+def _overflow(row) -> NumericalError:
+    """The error for an eigenvalue of the block at ``row`` beyond the float range."""
+    return NumericalError(
+        f"an eigenvalue of the diagonal block at row {row} overflows the float range")
+
+
+def _scaled_request(near, H, shift) -> list:
+    """The requested values that can be eigenvalues of ``2**shift H``,
+    scaled as H is: a value that is not finite after the scaling, or whose
+    modulus exceeds the largest column sum of H, a bound on every
+    eigenvalue of H, is dropped, so no shift formed from the rest
+    overflows."""
     z = np.array(near, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = np.ldexp(z.real, -shift), np.ldexp(z.imag, -shift)
         keep = np.isfinite(re) & np.isfinite(im)
-        keep &= np.hypot(re, im) <= np.abs(B).sum(axis=0).max()
+        keep &= np.hypot(re, im) <= np.abs(H).sum(axis=0).max()
     return [complex(x, y) for x, y in zip(re[keep].tolist(), im[keep].tolist())]
 
 
-def _schur_upper(A, budget, want_q, near=()):
-    """Upper quasi-triangular Schur form H of ``A.T`` and its Q (both None
-    unless ``want_q``), and its blocks; ``budget`` None means 40 sweeps per
-    dimension.
-
-    A is first scaled by the power of two that brings its largest entry
-    into [0.5, 1), as ``char_poly`` does: no rounding changes, while the
+def _scaled_transpose(A):
+    """``(B, shift)``: B a fresh row-major copy of ``A.T`` scaled by
+    ``2**-shift``, the power of two that brings its largest entry into
+    [0.5, 1), as ``char_poly`` scales.  No rounding changes, while the
     squares in the shifts and in ``_block_disc`` neither overflow nor
-    underflow.  The requested values ``near`` are scaled alike and seed
-    the shifts (``_francis_upper``).  The blocks' eigenvalues are read off
-    the scaled form, then they and H are scaled back; an eigenvalue or an
-    entry of H beyond the float range raises NumericalError.  The active
-    block's arithmetic does not depend on ``want_q``, so the blocks are
-    bitwise the same either way.
-    """
+    underflow."""
     A = _as_square(A, "A")
     shift = int(np.frexp(max_abs(A))[1])
-    B = np.ldexp(A.T, -shift, order="C")  # a fresh row-major copy, reduced in place
+    return np.ldexp(A.T, -shift, order="C"), shift
+
+
+def _hessenberg_eigenvalues(H, shift, near=()) -> Spectrum:
+    """Eigenvalues of ``2**shift H`` for an upper Hessenberg float H scaled
+    as ``_scaled_transpose`` scales, which the iteration overwrites: the
+    one engine behind ``eigenvalues`` and the closed-loop check, run
+    without Q on 40 sweeps per dimension.
+
+    The requested values ``near`` are scaled alike (``_scaled_request``)
+    and seed the shifts (``_francis_upper``).  A seeded run reads each
+    block's eigenvalues as it deflates; any other reads them off the
+    standardized form (``_scan_blocks_upper``), so that they are bitwise
+    ``real_schur``'s blocks.  Either way they come in row order and are
+    scaled back; one beyond the float range raises NumericalError.
+    """
     if near:
-        near = _scaled_request(near, B, shift)
-    Q, H = _hessenberg_upper(B, want_q)
+        near = _scaled_request(near, H, shift)
     try:
-        _francis_upper(H, Q, 40 * A.shape[0] if budget is None else budget, near)
+        read = _francis_upper(H, None, 40 * H.shape[0], near)
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
-    blocks = _scan_blocks_upper(H, shift)
-    if not want_q:
-        return None, None, blocks
-    with np.errstate(over="ignore"):
-        H = np.ldexp(H, shift)
-    if not np.isfinite(H).all():
-        raise NumericalError("the Schur form has entries beyond the float range")
-    return Q, H, blocks
+    if read is None:
+        return Spectrum([z for blk in _scan_blocks_upper(H, shift) for z in blk.eigenvalues])
+    values = []
+    for row, lams in enumerate(read):
+        try:
+            values += _unscaled(lams, shift)
+        except OverflowError:
+            raise _overflow(row) from None
+    return Spectrum._of(tuple(values))
 
 
 def real_schur(A, max_sweeps=None) -> SchurDecomposition:
     """Real Schur decomposition ``A = Q @ T @ Q.T``, T lower quasi-triangular.
 
     Householder reduction to Hessenberg form followed by implicit
-    double-shift QR, both run on the transpose and transposed back.  The
+    double-shift QR, both run on the transpose, scaled by a power of two
+    (``_scaled_transpose``), and transposed and scaled back; an eigenvalue
+    or an entry of T beyond the float range raises NumericalError.  The
     sweep budget is ``max_sweeps``, a whole number, or 40 per dimension.
     """
     budget = None if max_sweeps is None else _as_real(max_sweeps, "max_sweeps")
     if budget is not None and (budget < 0 or budget % 1):
         raise ValidationError(f"max_sweeps must be a whole number >= 0, got {max_sweeps!r}")
-    Q, H, blocks = _schur_upper(A, budget, want_q=True)
+    B, shift = _scaled_transpose(A)
+    Q, H = _hessenberg_upper(B)
+    try:
+        _francis_upper(H, Q, 40 * H.shape[0] if budget is None else budget)
+    except ConvergenceError as exc:
+        exc.partial_t = np.ldexp(exc.partial_t, shift)
+        raise
+    blocks = _scan_blocks_upper(H, shift)
+    with np.errstate(over="ignore"):
+        H = np.ldexp(H, shift)
+    if not np.isfinite(H).all():
+        raise NumericalError("the Schur form has entries beyond the float range")
     return SchurDecomposition(Q=Q, T=H.T.copy(), blocks=blocks)
 
 
 def eigenvalues(A, *, near=()) -> Spectrum:
     """Eigenvalues of a real square matrix as a self-conjugate Spectrum,
-    read off the diagonal blocks of its Schur form (computed without Q).
+    read off the diagonal blocks of its Schur form (computed without Q):
+    A is transposed and scaled (``_scaled_transpose``), reduced to
+    Hessenberg form and handed to ``_hessenberg_eigenvalues``.
 
     ``near`` may name values the eigenvalues are expected to lie close to,
     such as the spectrum a gain was asked to place.  They only choose the
@@ -1004,14 +1080,18 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     orthogonal similarity whatever its shifts, and deflation is tested as
     without them, so the result is as accurate however wrong the request,
     which then costs sweeps, not digits.  Values that cannot be
-    eigenvalues (not finite, or above ``||A||_inf``) are dropped first.
-    A request also makes every sweep chase its bulge two positions at a
-    time, with half the row and column products (``_francis_upper``), so
-    the values move against those without it in their trailing digits.
-    Without ``near`` the result is bitwise ``real_schur(A)``'s blocks.
+    eigenvalues (not finite, or above the 1-norm of the Hessenberg form)
+    are dropped first.  A request also makes every sweep chase its bulge
+    two positions at a time, with half the row and column products, and
+    each 2x2 block be standardized on Python floats as it deflates
+    (``_francis_upper``), so the values move against those without it in
+    their trailing digits.  Without ``near`` the result is bitwise
+    ``real_schur(A)``'s blocks.
     """
-    _, _, blocks = _schur_upper(A, None, want_q=False, near=_complexes(near, "near"))
-    return Spectrum([z for blk in blocks for z in blk.eigenvalues])
+    near = _complexes(near, "near")
+    B, shift = _scaled_transpose(A)
+    _hessenberg_upper(B, want_q=False)
+    return _hessenberg_eigenvalues(B, shift, near)
 
 
 # ---------------------------------------------------------------------------

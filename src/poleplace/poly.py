@@ -69,6 +69,15 @@ class Spectrum:
         self.values = vals
         self._monic = None
 
+    @classmethod
+    def _of(cls, values: tuple) -> "Spectrum":
+        """A Spectrum of ``values``, a tuple of finite complex values that
+        is self-conjugate by construction, taken over without the checks."""
+        spec = cls.__new__(cls)
+        spec.values = values
+        spec._monic = None
+        return spec
+
     def __len__(self):
         return len(self.values)
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError, _as_vector, _floats
-from .linalg import eigenvalues
-from .poly import Spectrum, _as_spectrum, monic_from_roots
+from .linalg import _hessenberg_eigenvalues, max_abs
+from .poly import _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
 
@@ -61,26 +61,26 @@ def _closed_loop_spectrum(sys, k, targets):
     controller-Hessenberg coordinates, with the QR shifts seeded from the
     requested spectrum.
 
-    A loop whose entries may come near the float range in those
-    coordinates is handed to the iteration scaled by ``2**-e``, its request
-    alike, and its eigenvalues scaled back; such a loop is first formed in
-    doubles, and one with an entry beyond the float range there raises
-    NumericalError, as does an eigenvalue beyond it.
+    The loop is Hessenberg as formed, so it goes straight to the Schur
+    engine's core (``linalg._hessenberg_eigenvalues``), scaled by its power
+    of two as ``eigenvalues`` would scale its transpose, with no
+    validation, transpose or reduction; for a loop M formed at e = 0
+    (below) the result is bitwise ``eigenvalues(M.T, near=targets)``.  A
+    loop whose entries may come near the float range in those coordinates
+    is formed at ``2**-e`` and its eigenvalues scaled back; such a loop is
+    first formed in doubles, and one with an entry beyond the float range
+    there raises NumericalError, as does an eigenvalue beyond it.
     """
     k = _as_vector(k, sys.n, "gain")
     M, e = sys._hessenberg.closed_loop(k)
-    if not e:
-        # then every entry of A + b k^T is at most 2**1023
-        return eigenvalues(M.T, near=targets)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(sys.A + np.outer(sys.b, k)).all():
-            raise NumericalError("the closed loop A + b k^T has entries beyond the float range")
-    near = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in targets]
-    try:
-        return Spectrum([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-                         for z in eigenvalues(M.T, near=near)])
-    except OverflowError:
-        raise NumericalError("an eigenvalue of the closed loop overflows the float range") from None
+    if e:
+        # otherwise every entry of A + b k^T is at most 2**1023
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(sys.A + np.outer(sys.b, k)).all():
+                raise NumericalError(
+                    "the closed loop A + b k^T has entries beyond the float range")
+    shift = math.frexp(max_abs(M))[1]
+    return _hessenberg_eigenvalues(np.ldexp(M, -shift), shift + e, _as_spectrum(targets).values)
 
 
 def charpoly_residual(sys, k, targets) -> float:
@@ -164,9 +164,9 @@ def _bottleneck(got, want):
     w = np.array(list(want), dtype=complex)
     d = np.abs(g[:, None] - w[None, :])
     n = d.shape[0]
-    nearest = d.argmin(axis=1)
-    if np.unique(nearest).size == n:
-        return float(d[np.arange(n), nearest].max()), nearest.tolist()
+    nearest = d.argmin(axis=1).tolist()
+    if len(set(nearest)) == n:
+        return float(d.min(axis=1).max()), nearest
     pairing = [-1] * n
     work = d.copy()
     for _ in range(n):

@@ -696,6 +696,27 @@ def test_verify_closed_loop_near_the_float_range_is_checked(tmp_path, capsys, A,
     assert float(out.split("spectrum_residual")[1].split()[0]) <= 1e-15
 
 
+def test_verify_reports_a_check_that_cannot_converge(tmp_path, capsys, monkeypatch):
+    # targets -1e13 (1 + 0.01 i) on default_rng(3)'s n = 12 pair: place
+    # returns the gain, but the closed-loop check's QR iteration runs out
+    # of its 480 sweeps; verify says so on the spectrum_residual line,
+    # prints no pole table, and keeps charpoly_residual's verdict (exit 1)
+    rng = np.random.default_rng(3)
+    A, b = rng.uniform(-1, 1, (12, 12)), rng.uniform(-1, 1, 12)
+    system = write_json(tmp_path / "far.json", {"n": 12, "A": A.tolist(), "b": b.tolist()})
+    plan = poles_plan(tmp_path, [repr(-1e13 * (1 + 0.01 * i)) for i in range(12)])
+    assert main(["place", "--system", system, "--plan", plan, "--method", "bass-gura"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", "--gain", "-"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("charpoly_residual  ")
+    assert lines[1].startswith("spectrum_residual  unknown: QR iteration did not converge "
+                               "within 480 sweeps (active block rows ")
+    assert lines[2] == "FAIL: charpoly_residual > 1e-06"
+    assert captured.err == ""
+
+
 def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
     # a perturbed gain moves every eigenvalue, so nearest-first pairing in
     # target order would overstate the largest distance

@@ -33,7 +33,7 @@ from poleplace.linalg import (
     _hessenberg_upper,
     _householder,
     _scan_blocks_upper,
-    _schur_upper,
+    _scaled_transpose,
     condition_number,
     eigenvalues,
     invariant_split,
@@ -675,8 +675,9 @@ def test_schur_sweep_budget_exhaustion():
 def test_eigenvalue_only_budget_exhaustion_has_no_q():
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
+    _, H = _hessenberg_upper(_scaled_transpose(A)[0], want_q=False)
     with pytest.raises(ConvergenceError) as info:
-        _schur_upper(A, 0, want_q=False)
+        linalg._francis_upper(H, None, 0)
     assert "0 sweeps" in str(info.value)
     assert info.value.partial_q is None
     assert info.value.partial_t.shape == (5, 5)
@@ -887,6 +888,92 @@ def test_seeded_sweeps_chase_the_bulge_in_pairs(monkeypatch):
         plain.clear()
         eigenvalues(A)
         assert paired == plain
+
+
+# the 2x2 blocks a seeded run deflates, one per finish of
+# _standard_rotation: (finish, whether a rotation comes first)
+_FINISHES = {
+    "split": ([[0.5, 0.25], [0.125, -0.25]], ("split", True)),
+    "equal": ([[0.5, 0.75], [-0.5, -0.25]], ("equal", True)),
+    "equal, a = d": ([[0.25, 0.75], [-0.5, 0.25]], ("equal", False)),
+    # negative discriminant inside the rounding clamp: a repeated real pair
+    "clamp": ([[0.0, 1.0], [-1e-17, 0.0]], (None, False)),
+}
+
+
+@pytest.mark.parametrize("finish", sorted(_FINISHES))
+def test_seeded_run_reads_each_2x2_finish_as_it_deflates(monkeypatch, finish):
+    # a seeded run standardizes each deflating 2x2 block on Python floats
+    # (_standard_eigs) and reads it there.  On upper quasi-triangular H
+    # with the block on rows 0-1 and n-2..n-1 (a 1x1 on row 0 at odd n),
+    # every block deflates without a sweep; on a Hessenberg H whose
+    # leading block is split off by a zero subdiagonal, it deflates after
+    # the sweeps that converge the rows below it.  Either way pairs are
+    # exact conjugates and each value lies within 4 n eps
+    # kappa(lambda) ||H||_2 of LAPACK's (kappa from its left and right
+    # eigenvectors); without sweeps the values come in real_schur's row
+    # order and block sizes
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    block, (how, rotated) = _FINISHES[finish]
+    entries = tuple(np.ravel(block).tolist())
+    rot, got_how = linalg._standard_rotation(*entries)
+    assert (got_how, rot is not None) == (how, rotated)
+    read = []
+    standard_eigs = linalg._standard_eigs
+    monkeypatch.setattr(linalg, "_standard_eigs",
+                        lambda *e: read.append(e) or standard_eigs(*e))
+    rng = np.random.default_rng(449)
+    for n, swept in ((2, False), (4, False), (5, False), (5, True), (9, True)):
+        if swept:
+            H = np.triu(rng.uniform(-1, 1, (n, n)), -1)
+            H[:2, :2] = block
+            H[2, 1] = 0.0
+        else:
+            H = np.triu(rng.uniform(-1, 1, (n, n)))
+            H[n % 2 : n % 2 + 2, n % 2 : n % 2 + 2] = block
+            H[n - 2 :, n - 2 :] = block
+        exact = scipy_linalg.eigvals(H)
+        read.clear()
+        got = list(eigenvalues(H.T, near=list(exact)))
+        shift = math.frexp(np.abs(H).max())[1]  # as eigenvalues scales H
+        assert tuple(np.ldexp(entries, -shift).tolist()) in read
+        for z in got:
+            assert got.count(z.conjugate()) == got.count(z)
+        w, left, right = scipy_linalg.eig(H, left=True, right=True)
+        kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+        bound = 4 * n * EPS * np.linalg.norm(H, 2)
+        for z in got:
+            j = int(np.argmin(np.abs(w - z)))
+            assert abs(z - w[j]) <= bound * kappa[j]
+        if not swept:
+            plain = real_schur(H.T)
+            tail = [1, 1] if how == "split" else [2]
+            assert [blk.size for blk in plain.blocks][-len(tail) :] == tail
+            want = _block_values(plain)
+            assert len(read) == (n - n % 2) // 2
+            for z, v in zip(got, want, strict=True):
+                assert abs(z - v) <= 8 * EPS * max_abs(H)
+
+
+def test_standard_eigs_reads_the_block_the_numpy_standardization_leaves():
+    # each finish, and c = 0, which no deflated 2x2 block has (its
+    # subdiagonal passed the deflation test): the float standardization
+    # reads the rows _scan_blocks_upper reads after _standardize_2x2, to a
+    # few ulps, the pairs as exact conjugates
+    blocks = [block for block, _ in _FINISHES.values()] + [[[0.5, 0.25], [0.0, -0.25]]]
+    rng = np.random.default_rng(457)
+    blocks += [rng.uniform(-1, 1, (2, 2)).tolist() for _ in range(200)]
+    for block in blocks:
+        H = np.array(block)
+        linalg._standardize_2x2(H, None, 0)
+        want = [blk.eigenvalues for blk in _scan_blocks_upper(H)]
+        first, second = linalg._standard_eigs(*np.ravel(block).tolist())
+        rows = [first, second] if second else [first]
+        assert [len(r) for r in rows] == [len(v) for v in want]
+        for r, v in zip(rows, want):
+            assert all(abs(x - y) <= 8 * EPS for x, y in zip(r, v))
+        if len(first) == 2:
+            assert first[1] == first[0].conjugate()
 
 
 def test_paired_chase_is_backward_stable_property():

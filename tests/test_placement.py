@@ -390,8 +390,9 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
     # controllability matrix once and take its condition number once; each
     # gain's charpoly_residual is read off that record.  The system's one
     # Hessenberg reduction builds its controller-Hessenberg form, n - 1
-    # reflectors on (A, b), and each gain's closed-loop spectrum iterates
-    # on that form's closed loop: its reduction applies no reflector
+    # reflectors on (A, b), and each gain's closed-loop spectrum hands that
+    # form's closed loop, Hessenberg already, to the Schur engine's core
+    # once, with no reflector applied on the way
     drawn = random_controllable(np.random.default_rng(271), 6)
     sys = StateSpace(drawn.A, drawn.b)  # nothing stored yet
     targets = Spectrum([-1.0, -2.0, -3.0, -4.0, -1 + 1j, -1 - 1j])
@@ -423,7 +424,8 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
     def reflecting(x):
         # beta = 0 is a skip: the column has nothing to annihilate
         v, beta, alpha = householder(x)
-        if beta != 0.0 and inside and inside[-1] in ("_controller_hessenberg", "eigenvalues"):
+        if beta != 0.0 and inside and inside[-1] in ("_controller_hessenberg",
+                                                     "_hessenberg_eigenvalues"):
             applied[inside[-1]] += 1
         return v, beta, alpha
 
@@ -432,6 +434,7 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
                      ("krylov", linalg.krylov),
                      ("condition_number", linalg.condition_number),
                      ("eigenvalues", linalg.eigenvalues),
+                     ("_hessenberg_eigenvalues", linalg._hessenberg_eigenvalues),
                      ("_controller_hessenberg", linalg._controller_hessenberg)):
         for mod in (poly, linalg, placement, subspace, verify):
             monkeypatch.setattr(mod, name, counted(name, fn), raising=False)
@@ -446,7 +449,7 @@ def test_full_spectrum_methods_share_one_open_loop_record(monkeypatch):
             "other krylov": 1,
             "condition_number": 1,
             "open-loop _controller_hessenberg": 1,
-            "other eigenvalues": 3 * rounds,
+            "other _hessenberg_eigenvalues": 3 * rounds,
         }
         assert applied == {"_controller_hessenberg": 5}
 

@@ -476,6 +476,30 @@ def test_closed_loop_check_reduces_nothing(monkeypatch):
         assert np.array(values).tobytes() == np.array(blocks).tobytes()
 
 
+def test_closed_loop_check_runs_the_engine_of_eigenvalues():
+    # the check hands its loop M, Hessenberg as formed, straight to the
+    # Schur engine's core; eigenvalues validates, transposes and scales M,
+    # finds nothing to reduce and runs the same core, so on dense loops at
+    # n = 4-20 the two spectra are bitwise equal, value for value in order
+    from poleplace.verify import _closed_loop_spectrum
+
+    rng = np.random.default_rng(1)
+    for n in (4, 8, 12, 16, 20):
+        for _ in range(3):
+            sys = random_controllable(rng, n)
+            pairs = n // 4
+            values = [complex(re, s * im) for re, im in zip(-rng.uniform(0.1, 3.0, pairs),
+                                                            rng.uniform(0.1, 3.0, pairs))
+                      for s in (1, -1)]
+            targets = Spectrum(values + list(-rng.uniform(0.1, 3.0, n - 2 * pairs)))
+            gain = place_bass_gura(sys, targets)
+            M, e = sys._hessenberg.closed_loop(gain.k)
+            assert e == 0
+            got = _closed_loop_spectrum(sys, gain.k, targets)
+            want = eigenvalues(M.T, near=targets)
+            assert np.array(list(got)).tobytes() == np.array(list(want)).tobytes()
+
+
 @pytest.mark.parametrize("n, index", [(12, 6), (12, 12), (16, 5)])
 def test_spectrum_residual_tracks_the_exactly_formed_loop(n, index):
     # seed-1 benchmark systems whose Bass-Gura loop, formed in doubles,
