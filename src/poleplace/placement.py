@@ -246,18 +246,18 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     """
     omega = _as_vector(omega, sys.n, "omega")
     lam1 = _as_real(lam1, "lam1")
-    w = _selector(sys, omega)
+    w = _selector(sys.b, omega)
     k = lam1 * w - w @ sys.A
     return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
 
 
-def _selector(sys: StateSpace, omega) -> np.ndarray:
-    """``omega / (omega^T b)``: the rank-one selector of the eigenpair and
-    Simon-Mitter formulas.  An omega whose
+def _selector(b, omega) -> np.ndarray:
+    """``omega / (omega^T b)``: the rank-one selector of the eigenpair
+    formula, and the gate of every one-value step.  An omega whose
     ``omega^T b`` is negligible against ``|omega||b|`` names a mode that
     feedback through b cannot move, and raises InvariantEigenvalueError."""
-    s = float(omega @ sys.b)
-    scale = float(np.linalg.norm(omega) * np.linalg.norm(sys.b))
+    s = float(omega @ b)
+    scale = float(np.linalg.norm(omega) * np.linalg.norm(b))
     if abs(s) <= 1e-9 * scale:
         raise InvariantEigenvalueError(
             f"omega^T b = {s:.3e} is negligible against |omega||b| = {scale:.3e}; "
@@ -267,13 +267,21 @@ def _selector(sys: StateSpace, omega) -> np.ndarray:
 
 
 def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
+    """``_row`` with its diagnostics."""
+    targets = _as_spectrum(targets)
+    k = _row(sys, targets, pulled)
+    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
+
+
+def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     """The generalized formula ``k^T = gamma^T C_c C^{-1} M``.
 
     ``M`` is the product ``prod(A - lam I)`` over the pulled roots and
     ``gamma`` holds the coefficients of ``p - f`` reduced modulo the
     open-loop characteristic polynomial ``p``, where ``f`` is the monic
     product of the targets left at the coefficient level: ``p - f``
-    itself when nothing is pulled and ``-f`` otherwise.
+    itself when nothing is pulled and ``-f`` otherwise.  An uncontrollable
+    pair raises UncontrollableError.
     """
     targets, pulled = _as_spectrum(targets), _as_spectrum(pulled)
     n = sys.n
@@ -303,7 +311,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
         k = omega_vector(sys, gamma)
     if len(pulled) > 0:
         k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
-    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
+    return k
 
 
 def place_bass_gura(sys: StateSpace, targets) -> Gain:

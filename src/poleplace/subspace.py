@@ -6,18 +6,23 @@ dynamics onto that subspace, and solve a placement problem of only that
 size.  Eigenvalues outside the subspace provably stay put, and the only
 inversions are as large as the largest group being moved.
 
+Every gain here is the placement core's: a step of r > 2 values runs
+``placement._row`` on the compressed pair, Ackermann's endpoint of the
+generalized formula, and steps of one or two values compute the same row
+on Python floats.  Partial assignment is a one-group sequential run, and
+Simon-Mitter its one-value case behind the ``omega^T b`` gate.
+
 The open-loop Schur form is taken once per system and kept on the
 ``StateSpace``: ``paired_plan`` and ``plan_targets`` read its block values,
-which are bitwise ``eigenvalues(A)``, ``place_sequential`` (so
-``place_partial`` too) carries it through every step, and
-``place_simon_mitter`` reorders it once.  A step's reorder and feedback
-rescan only the rows they changed.
+which are bitwise ``eigenvalues(A)``, and the sequential loop carries it
+through every step.  A step's reorder and feedback rescan only the rows
+they changed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .errors import (
     PolePlacementError,
     RankDeficiencyError,
     SingularMatrixError,
+    UncontrollableError,
     ValidationError,
 )
 from .errors import _as_real
@@ -36,12 +42,9 @@ from .linalg import (
     _lead,
     _match_tol,
     _match_values,
-    condition_number,
-    krylov,
-    solve_linear,
 )
-from .placement import Gain, StateSpace, _selector
-from .poly import Spectrum, _as_spectrum, eval_matrix, monic_from_roots
+from .placement import Gain, StateSpace, _row, _selector, _solve_controllability
+from .poly import Spectrum, _as_spectrum
 from .verify import assemble_diagnostics
 
 
@@ -93,59 +96,49 @@ class StepRecord:
 
 
 def _gain_on_split(b, U, X, to: Spectrum):
-    """Gain placing the spectrum of the compression X at ``to``.
+    """Gain placing the spectrum of the compression X at ``to``: the
+    placement core on the pair ``(X, U^T b)`` with every target pulled,
+    lifted back through the left-invariant basis U.
 
-    Solves the r-dimensional analogue of the polynomial-in-A formula on
-    the compression X, then lifts the row back through the left-invariant
-    basis U.  Returns the gain, its row g in the basis (``k = U @ g``), the
-    selector row, and the condition of the small controllability matrix.
-    Groups of one or two values, all a paired plan makes, take
-    ``_small_step`` on Python floats.
+    Returns the gain, its row g (``k = U @ g``), the selector ``eta`` with
+    ``C_X^T eta = e_r`` and the condition of ``C_X``, the pair's Krylov
+    matrix.  Groups of one or two values, all a paired plan makes, take
+    ``_small_step``; a one-value step refuses only an exactly zero
+    ``U^T b``, at ``_selector``'s gate.  The core's UncontrollableError
+    becomes RankDeficiencyError with the core's rank estimate.
     """
     r = X.shape[0]
     bu = U.T @ b
+    if r == 1 and bu[0] == 0.0:
+        _selector(b, U[:, 0])  # an exact zero is far below the gate: it raises
     if r <= 2:
         h, eta, kappa = _small_step(bu.tolist(), X.tolist(), to)
-        h, eta = np.array(h), np.array(eta)
+        g, eta = -np.array(h), np.array(eta)
     else:
-        CX = krylov(X, bu)
-        e_r = np.zeros(r)
-        e_r[r - 1] = 1.0
+        step = StateSpace(X, bu)
         try:
-            eta = solve_linear(CX.T, e_r)
-        except SingularMatrixError as exc:
-            raise _rank_error(exc, r) from exc
-        h = eval_matrix(monic_from_roots(to), X).T @ eta
-        kappa = condition_number(CX)
-    return -(U @ h), -h, eta, kappa
-
-
-def _rank_error(exc, r):
-    return RankDeficiencyError(
-        f"controllability restricted to the moved subspace has rank "
-        f"{exc.column} < {r}; these eigenvalues cannot be assigned together"
-    )
+            g = _row(step, to, to)
+            eta = _solve_controllability(step, np.eye(r)[r - 1])
+        except UncontrollableError as exc:
+            raise RankDeficiencyError(f"the moved subspace's {exc}") from exc
+        kappa = step._kappa
+    return U @ g, g, eta, kappa
 
 
 def _small_step(u, x, to: Spectrum):
-    """``_gain_on_split``'s h, eta and kappa for r = 1 or 2, on Python
-    floats: u is ``U.T @ b`` and x the compression, as lists.
-
-    The Krylov matrix ``[u, X u]`` is solved for eta by
-    ``_eliminate_scalars`` with ``solve_linear``'s pivot threshold, and
-    ``h = p(X).T @ eta`` takes p(X) by Horner's rule from the
-    coefficients ``monic_from_roots(to)`` has, bitwise.  A nonzero scalar,
-    which the solve just accepted, has condition 1; two columns take the
-    R of a plane rotation and LAPACK's dlas2 closed form
-    (``_kappa_2x2``).
+    """``h = -g``, eta and kappa of ``_gain_on_split`` for r = 1 or 2, on
+    Python floats (u is ``U.T @ b``, nonzero when r = 1, and x is X, as
+    lists); they agree with the core's to rounding.  A scalar u gives
+    ``eta = 1 / u`` of condition 1.  Two values solve ``[u, X u]`` for eta
+    by ``_eliminate_scalars`` with ``solve_linear``'s pivot threshold and
+    take kappa from a plane rotation's R and LAPACK's dlas2 closed form
+    (``_kappa_2x2``).  ``h = p(X).T @ eta``, p(X) by Horner's rule from
+    the coefficients ``monic_from_roots(to)`` has, bitwise.
     """
     t = list(to)
     if len(u) == 1:
         (u0,), ((x00,),) = u, x
-        try:
-            (eta0,) = _eliminate_scalars([[u0]], [1.0], EPS * abs(u0))
-        except SingularMatrixError as exc:
-            raise _rank_error(exc, 1) from exc
+        eta0 = 1.0 / u0
         return [(x00 + -t[0].real) * eta0], [eta0], 1.0
     (u0, u1), ((x00, x01), (x10, x11)) = u, x
     v0 = x00 * u0 + x01 * u1
@@ -154,7 +147,10 @@ def _small_step(u, x, to: Spectrum):
     try:
         eta0, eta1 = _eliminate_scalars([[u0, u1], [v0, v1]], [0.0, 1.0], limit)
     except SingularMatrixError as exc:
-        raise _rank_error(exc, 2) from exc
+        raise RankDeficiencyError(
+            f"controllability restricted to the moved subspace has rank "
+            f"{exc.column} < 2; these eigenvalues cannot be assigned together"
+        ) from exc
     z = max(t, key=lambda w: w.imag)
     if z.imag > 0.0:  # a conjugate pair: the factor (|z|^2, -2 Re z, 1)
         c0, c1 = z.real * z.real + z.imag * z.imag, -2.0 * z.real
@@ -190,35 +186,27 @@ def place_partial(sys: StateSpace, move, to) -> Gain:
     move = _as_spectrum(move)
     if len(move) > sys.n:
         raise ValidationError(f"moved set has {len(move)} values, expected 1..{sys.n}")
-    gain, _ = place_sequential(sys, AssignmentPlan(((move, to),)))
-    return replace(gain, method="partial")
+    return _scored(sys, *_run_plan(sys, AssignmentPlan(((move, to),))), "partial")
 
 
 def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
     """Shift one real eigenvalue by a rank-one update along its left
-    eigenvector.
+    eigenvector: bitwise ``place_partial(sys, [mu1], [lam1])``.
 
-    ``k = (lam1 - mu1) * omega`` with omega the left eigenvector of
-    ``mu1`` scaled to ``omega^T b = 1``, read off the system's stored
-    Schur form with ``mu1``'s block moved to the front.  Requesting
-    ``lam1 == mu1`` returns an exactly zero gain, since the difference
-    multiplies everything else out.  Complex values with zero imaginary
-    parts, as a Spectrum holds them, count as real.
+    ``k = (lam1 - mu) omega / (omega^T b)``, with omega the step's basis
+    and mu the computed eigenvalue ``mu1`` matches, so the eigenvalue lands
+    at ``lam1`` however ``mu1`` was rounded.  An omega that fails
+    ``_selector``'s gate raises its InvariantEigenvalueError, as
+    ``place_eigenpair`` does.  Complex values with zero imaginary parts
+    count as real.
     """
     if any(isinstance(z, complex) and z.imag != 0.0 for z in (mu1, lam1)):
         raise ValidationError("the single-shift method moves a real eigenvalue to a real target")
     mu1, lam1 = (_as_real(z.real if isinstance(z, complex) else z, name)
                  for z, name in ((mu1, "mu1"), (lam1, "lam1")))
-    dec, U, _ = _lead(sys._schur, Spectrum([mu1]), _match_tol(sys.A))
-    # U[:, 0], not dec.Q[:, 0]: a dot with the strided column rounds differently
-    k = (lam1 - mu1) * _selector(sys, U[:, 0])
-    full = Spectrum([lam1] + [z for blk in dec.blocks[1:] for z in blk.eigenvalues])
-    # past the gate s is nonzero, and a nonzero 1x1 has condition 1
-    return Gain(
-        k=k,
-        method="simon_mitter",
-        diagnostics=assemble_diagnostics(sys, k, full, step_kappas=(1.0,)),
-    )
+    k, records, expected = _run_plan(sys, AssignmentPlan((((mu1,), (lam1,)),)))
+    _selector(sys.b, records[0].basis[:, 0])
+    return _scored(sys, k, records, expected, "simon_mitter")
 
 
 def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
@@ -298,6 +286,13 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
     into a single equivalent gain.  A failing step raises with ``step``
     and ``records`` attached for everything completed before it.
     """
+    k, records, expected = _run_plan(sys, plan)
+    return _scored(sys, k, records, expected, "sequential"), records
+
+
+def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spectrum]:
+    """``place_sequential``'s loop: the summed gain, the step records and
+    the spectrum the plan expects (``plan_targets``)."""
     if not isinstance(plan, AssignmentPlan):
         plan = AssignmentPlan(plan)
     if not plan.groups:
@@ -318,18 +313,14 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
             raise
         after = Spectrum([z for blk in dec.blocks for z in blk.eigenvalues])
         k_total = k_total + k_step
-        records.append(
-            StepRecord(
-                step=step,
-                basis=U,
-                compression=X,
-                selector=eta,
-                gain=k_step,
-                kappa=kappa,
-                spectrum_after=after,
-            )
-        )
+        records.append(StepRecord(step=step, basis=U, compression=X, selector=eta,
+                                  gain=k_step, kappa=kappa, spectrum_after=after))
+    return k_total, records, expected
+
+
+def _scored(sys: StateSpace, k, records, expected, method: str) -> Gain:
+    """``_run_plan``'s gain with diagnostics against the expected spectrum."""
     diag = assemble_diagnostics(
-        sys, k_total, expected, step_kappas=tuple(rec.kappa for rec in records)
+        sys, k, expected, step_kappas=tuple(rec.kappa for rec in records)
     )
-    return Gain(k=k_total, method="sequential", diagnostics=diag), records
+    return Gain(k=k, method=method, diagnostics=diag)

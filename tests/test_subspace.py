@@ -187,10 +187,10 @@ def test_partial_rank_deficiency():
 
 def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
     # a one- or two-value step solves, evaluates p(X) and estimates kappa
-    # on Python floats, and calls none of the matrix routines; it agrees
-    # with them (krylov, solve_linear, eval_matrix of monic_from_roots,
-    # condition_number) to rounding, and refuses a rank-deficient step
-    # with the same error
+    # on Python floats, and calls none of the matrix routines the
+    # placement core runs on the compressed pair (X, U^T b); it agrees
+    # with the core to rounding, and refuses a rank-deficient step: a
+    # zero U^T b at the omega^T b gate, two values with their rank
     rng = np.random.default_rng(257)
     cases = []
     for trial in range(300):
@@ -210,12 +210,14 @@ def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix routine was called")
 
-    for name in ("krylov", "solve_linear", "eval_matrix", "monic_from_roots", "condition_number"):
-        monkeypatch.setattr(subspace, name, refuse)
+    for name in ("krylov", "_factor", "_substitute", "eval_matrix", "monic_from_roots",
+                 "condition_number"):
+        monkeypatch.setattr(placement, name, refuse)
     got = [subspace._gain_on_split(*case) for case in cases]
     singular = []
-    for b, r in (([1.0, 0.0], 2), ([0.0, 1.0], 1)):
-        with pytest.raises(RankDeficiencyError) as info:
+    for b, r, error in (([1.0, 0.0], 2, RankDeficiencyError),
+                        ([0.0, 1.0], 1, InvariantEigenvalueError)):
+        with pytest.raises(error) as info:
             subspace._gain_on_split(np.array(b), np.eye(2)[:, :r], np.diag([1.0, 2.0])[:r, :r],
                                     Spectrum([-1.0, -2.0][:r]))
         singular.append(str(info.value))
@@ -223,24 +225,54 @@ def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
     assert singular == [
         "controllability restricted to the moved subspace has rank 1 < 2; "
         "these eigenvalues cannot be assigned together",
-        "controllability restricted to the moved subspace has rank 0 < 1; "
-        "these eigenvalues cannot be assigned together",
+        "omega^T b = 0.000e+00 is negligible against |omega||b| = 1.000e+00; "
+        "this eigenvalue is invariant under feedback through b",
     ]
     for (b, U, X, to), (k, g, eta, kappa) in zip(cases, got):
         r = len(X)
-        CX = linalg.krylov(X, U.T @ b)
-        eta_want = linalg.solve_linear(CX.T, np.eye(r)[r - 1])
-        P = subspace.eval_matrix(subspace.monic_from_roots(to), X)
-        h_want = P.T @ eta_want
-        kappa_want = condition_number(CX)
+        step = StateSpace(X, U.T @ b)
+        g_want = placement._row(step, to, to)
+        eta_want = placement._solve_controllability(step, np.eye(r)[r - 1])
+        P = placement.eval_matrix(placement.monic_from_roots(to), X)
+        kappa_want = step._kappa
         tol = 64 * linalg.EPS * kappa_want
         assert max_abs(eta - eta_want) <= tol * max_abs(eta_want)
-        assert max_abs(-g - h_want) <= tol * max_abs(P) * max_abs(eta_want)
+        assert max_abs(g - g_want) <= tol * max_abs(P) * max_abs(eta_want)
         assert k.tobytes() == (U @ g).tobytes()
         if r == 1:
             assert kappa == 1.0
         else:
             assert abs(kappa - kappa_want) <= tol * kappa_want
+
+
+def test_steps_of_more_than_two_values_run_the_placement_core():
+    # an r > 2 step is placement._row on the compressed pair (X, U^T b),
+    # with every target pulled: gain, row, selector and kappa bitwise
+    rng = np.random.default_rng(263)
+    for trial in range(40):
+        n, r = 4 + trial % 5, 3 + trial % 3
+        r = min(r, n)
+        U = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        b = rng.uniform(-1, 1, n)
+        X = rng.uniform(-2, 2, (r, r))
+        to = Spectrum(list(rng.uniform(-3, 0, r)))
+        k, g, eta, kappa = subspace._gain_on_split(b, U, X, to)
+        step = StateSpace(X, U.T @ b)
+        assert g.tobytes() == placement._row(step, to, to).tobytes()
+        assert k.tobytes() == (U @ g).tobytes()
+        assert eta.tobytes() == placement._solve_controllability(step, np.eye(r)[r - 1]).tobytes()
+        assert kappa == step._kappa
+
+
+def test_rank_deficient_step_carries_the_core_rank_estimate():
+    # moving {2, 3, 4} of diag(1, 2, 3, 4) with b = (1, 1, 1, 0): b cannot
+    # reach the mode at 4, and the compressed pair's controller-Hessenberg
+    # form shows two controllable states
+    sys = StateSpace(A=np.diag([1.0, 2.0, 3.0, 4.0]), b=[1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(RankDeficiencyError) as info:
+        place_partial(sys, [2.0, 3.0, 4.0], [-2.0, -3.0, -4.0])
+    assert "rank estimate 2 < 3" in str(info.value)
+    assert info.value.step == 1 and info.value.records == ()
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +306,9 @@ def test_simon_mitter_invariant_eigenvalue():
 
 
 def test_simon_mitter_is_one_split_and_one_gate():
-    # the Simon-Mitter gain is bitwise (lam - mu) u / (u^T b), with u the
-    # leading column of invariant_split's basis; and an omega orthogonal
-    # to b meets one gate, which Simon-Mitter and the eigenpair method
-    # pass with the same message
+    # the Simon-Mitter gain is bitwise place_partial's one-value step; and
+    # an omega orthogonal to b meets one gate, which Simon-Mitter and the
+    # eigenpair method pass with the same message
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -298,7 +329,8 @@ def test_simon_mitter_is_one_split_and_one_gate():
                 place_simon_mitter(StateSpace(A, b), mu, lam)
             return
         gain = place_simon_mitter(StateSpace(A, b), mu, lam)
-        assert gain.k.tobytes() == ((lam - mu) * (u / float(u @ b))).tobytes()
+        partial = place_partial(StateSpace(A, b), [mu], [lam])
+        assert gain.k.tobytes() == partial.k.tobytes()
         unreachable = StateSpace(A, b - (b @ u) * u)
         with pytest.raises(InvariantEigenvalueError) as shifted:
             place_simon_mitter(unreachable, mu, lam)
@@ -321,20 +353,53 @@ def test_one_value_steps_skip_the_condition_estimate(monkeypatch):
         sizes.append(np.shape(A))
         return real_schur(A, *args, **kwargs)
 
-    monkeypatch.setattr(subspace, "condition_number", refuse)
+    sys, fresh = diag_system(), diag_system()
+    sys._kappa, fresh._kappa  # the diagnostics' kappa of C, stored per system
+    monkeypatch.setattr(placement, "condition_number", refuse)
     monkeypatch.setattr(linalg, "real_schur", counted)
     monkeypatch.setattr(placement, "real_schur", counted)
-    sys = diag_system()
     assert place_partial(sys, [2.0], [-4.0]).diagnostics.step_kappas == (1.0,)
     assert place_simon_mitter(sys, 1.0, -5.0).diagnostics.step_kappas == (1.0,)
     sizes.clear()
     # a fresh system: the open-loop form is taken once per system
     gain, _ = place_sequential(
-        diag_system(), AssignmentPlan((((1.0,), (-1.0,)), ((2.0,), (-3.0,))))
+        fresh, AssignmentPlan((((1.0,), (-1.0,)), ((2.0,), (-3.0,))))
     )
     assert gain.diagnostics.step_kappas == (1.0, 1.0)
     # nor do they reduce their 1x1 leading block again
     assert sizes == [(2, 2)]
+
+
+def test_simon_mitter_lands_on_the_target_from_a_rounded_request():
+    # mu1 = 1.0 matches the computed eigenvalue 1 + 3e-7 within the
+    # matching tolerance; the shift starts from the computed value, so the
+    # exactly formed closed loop has -4 to 1e-12, not -4 + 3e-7
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    A = Q @ np.diag([1.0 + 3e-7, -2.0, 0.5, 3.0]) @ Q.T
+    b = rng.standard_normal(4)
+    k = place_simon_mitter(StateSpace(A, b), 1.0, -4.0).k
+    with mpmath.workdps(40):
+        M = mpmath.matrix(A.tolist()) + mpmath.matrix(b.tolist()) * mpmath.matrix(k.tolist()).T
+        landed = min(mpmath.eig(M, left=False, right=False), key=lambda z: abs(z + 4))
+        assert abs(landed + 4) <= 1e-12
+
+
+def test_one_value_step_that_b_cannot_reach_names_the_gate():
+    # the ill-conditioned pool at n = 48 (A = Q diag(-u) Q^T, u uniform on
+    # [0.5, 2], b standard normal, real targets on [-3, -1]): after 20
+    # steps the carried form's U^T b is exactly 0 for the next value
+    n = 48
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ Q.T
+    b = rng.standard_normal(n)
+    sys = StateSpace(A, b)
+    with pytest.raises(InvariantEigenvalueError) as info:
+        place_sequential(sys, paired_plan(sys, rng.uniform(-3.0, -1.0, n)))
+    assert info.value.step == 21 and len(info.value.records) == 20
+    assert str(info.value).startswith("omega^T b = 0.000e+00 is negligible")
 
 
 def test_simon_mitter_agrees_with_partial():

@@ -713,3 +713,47 @@ def test_forward_error_against_the_exact_gain():
     for method, by_size in FORWARD_ERRORS.items():
         for n, reading in by_size.items():
             assert np.median(errors[method][n]) <= 10.0 * reading, (method, n)
+
+
+def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_pulled():
+    # the paper's identities: pulling the kept open-loop values mu into
+    # prod(A - mu I) annihilates their right eigenvectors, so
+    # place_general(kept + to, pulled=kept) keeps them, and its exact gain
+    # is that of place_partial(move, to); Simon-Mitter is the case of one
+    # real value, n - 1 pulled.  Each side's forward error against that
+    # exact gain (taken with the kept values as computed) stays within
+    # 100 times the general gain's, or n eps when that is smaller
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from poleplace import place_general, place_partial, place_simon_mitter
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.booleans())
+    def check(n, seed, pair):
+        rng = np.random.default_rng(seed)
+        sys = StateSpace(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))
+        hypothesis.assume(sys._kappa <= 1e8)
+        values = list(eigenvalues(sys.A))
+        if pair:
+            upper = [z for z in values if z.imag > 0.0]
+            hypothesis.assume(upper)
+            w = complex(rng.uniform(-3, 0), rng.uniform(0.1, 2))
+            move, to = [upper[0], upper[0].conjugate()], [w, w.conjugate()]
+        else:
+            reals = [z for z in values if z.imag == 0.0]
+            hypothesis.assume(reals)
+            move, to = [reals[0]], [complex(rng.uniform(-3, 0))]
+        kept = list(Spectrum(values).minus(Spectrum(move)))
+        try:
+            general = place_general(sys, kept + to, kept).k
+            sides = [place_partial(sys, move, to).k]
+            if not pair:
+                sides.append(place_simon_mitter(sys, move[0].real, to[0].real).k)
+        except PolePlacementError:
+            hypothesis.assume(False)
+        exact = _exact_gain(sys.A, sys.b, Spectrum(kept + to), 60)
+        bound = 100.0 * max(_forward_error(general, exact), n * np.finfo(float).eps)
+        for k in sides:
+            assert _forward_error(k, exact) <= bound
+
+    check()

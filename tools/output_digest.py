@@ -17,9 +17,11 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   (``spectrum_residual`` None, as above),
   or the repr of its error, moving 3 and then 4 open-loop eigenvalues
   (a conjugate-closed choice, to as many of the case's targets) on every
-  dense case with n >= 6: the r > 2 step route;
+  dense case with n >= 6: the r > 2 step route, which runs the placement
+  core (``placement._row``) on the compressed pair;
 - ``simon_mitter``: the same of ``place_simon_mitter`` moving each dense
-  case's first real eigenvalue to its first real target (or -1);
+  case's first real eigenvalue to its first real target (or -1); it is
+  the one-value partial step, so its gain is ``place_partial``'s, bitwise;
 - ``place``: exit code, stdout and stderr of ``poleplace place`` with
   each full-spectrum method on every dense case;
 - ``verify``: the same of ``poleplace verify`` on every verify case.
