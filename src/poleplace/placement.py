@@ -7,7 +7,8 @@ as a polynomial whose coefficients are reduced modulo the open-loop
 characteristic polynomial and mapped back through the controllability
 matrices.  Bass-Gura pulls nothing and Ackermann pulls everything;
 ``place_general`` takes any self-conjugate pulled set between those two
-endpoints, which gives the same gain with different rounding.
+endpoints, which gives the same gain with different rounding.  Each
+gain's closed-loop check is ``verify``'s (``assemble_diagnostics``).
 
 Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 """
@@ -41,7 +42,6 @@ from .linalg import (
 )
 from .poly import (
     OpenLoopRecord,
-    Polynomial,
     _as_spectrum,
     eval_matrix,
     monic_from_roots,
@@ -63,13 +63,14 @@ class StateSpace:
     recurrence on ``(A, b)``: ``char_poly(A)`` and what the closed-loop
     polynomial of any gain needs, ``OpenLoopRecord``), the controllability
     matrix C with the row-pivoted factors of ``C^T`` (or the refusal of an
-    uncontrollable C), the controller canonical form and the condition
+    uncontrollable C), the canonical pair's ``C_c`` and the condition
     number of C.  Each is a ``functools.cached_property``: computed on
     first use and kept in the instance ``__dict__``, outside the system's
     repr, equality and hash, with its arrays read-only.  So every placement
     method, the diagnostics and the CLI's gate on one system share one
     computation of each; no gain factors C, and no closed loop runs the
-    trace recurrence or a Hessenberg reduction again.
+    trace recurrence or a Hessenberg reduction again.  The closed-loop
+    check that reads the record is ``verify``'s.
     """
 
     A: np.ndarray
@@ -133,8 +134,9 @@ class StateSpace:
         the message refusing a C singular to working precision.  Its rank
         is read off the controller-Hessenberg form (Paige, IEEE TAC 26(1),
         1981): the index of the first of ``|beta|, |H[1, 0]|, ...`` at or
-        below ``n eps max|H|``; with none, the message says the pair is
-        controllable and names the failed column instead."""
+        below ``sqrt(eps) max|H|``, which covers the reduction's own
+        rounding; with none, the message says the pair is controllable and
+        names the failed column instead."""
         C = self._controllability
         LU = C.T.copy()
         try:
@@ -142,7 +144,7 @@ class StateSpace:
         except SingularMatrixError as exc:
             form = self._hessenberg
             lead = np.abs(np.append(form.beta, np.diagonal(form.H, -1)))
-            small = np.flatnonzero(lead <= self.n * EPS * max_abs(form.H))
+            small = np.flatnonzero(lead <= EPS ** 0.5 * max_abs(form.H))
             if small.size:
                 return ("controllability matrix is singular to working precision; "
                         f"rank estimate {small[0]} < {self.n}")
@@ -153,39 +155,20 @@ class StateSpace:
         return LU, perm
 
     @cached_property
-    def _canonical(self) -> CanonicalForm:
-        """The controller canonical form; ``controller_canonical`` says how
-        it is built."""
+    def _canonical(self) -> np.ndarray:
+        """``C_c``; ``controller_canonical`` says how it is built."""
         n = self.n
-        q = self._polynomial.p
         A_c = np.eye(n, k=1)
-        A_c[n - 1] = -q.coeffs[:n]
+        A_c[n - 1] = -self._polynomial.p.coeffs[:n]
         C_c = krylov(A_c, np.eye(n)[n - 1])
         C_c.flags.writeable = False
-        return CanonicalForm(C=self._controllability, C_c=C_c, p=q)
+        return C_c
 
     @cached_property
     def _kappa(self) -> float:
         """``condition_number`` of C, taken on its own: Ackermann's formula
         reads C without a canonical form."""
         return condition_number(self._controllability)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Controllability matrices of both frames, C and the ``C_c`` of the
-    companion pair ``(A_c, e_n)``, and the shared characteristic polynomial.
-
-    The similarity onto the pair is ``T = C @ inv(C_c)``, with
-    ``A = T @ A_c @ inv(T)``; no placement method needs T or A_c beyond
-    ``C_c``, so neither is kept.  The system stores the form it
-    builds and shares it with every caller, so its arrays, ``p.coeffs``
-    included, are read-only.
-    """
-
-    C: np.ndarray
-    C_c: np.ndarray
-    p: Polynomial
 
 
 @dataclass(frozen=True)
@@ -202,13 +185,14 @@ def controllability_matrix(sys: StateSpace) -> np.ndarray:
     return sys._controllability
 
 
-def controller_canonical(sys: StateSpace) -> CanonicalForm:
-    """Controller canonical form of a controllable pair.
+def controller_canonical(sys: StateSpace) -> np.ndarray:
+    """``C_c``, the controllability matrix of the controller canonical
+    pair ``(A_c, e_n)``: ``A_c`` carries ones on the superdiagonal and the
+    negated coefficients of ``sys._polynomial.p`` in its last row.
 
-    The companion matrix carries ones on the superdiagonal and the negated
-    characteristic coefficients in its last row; its input vector is the
-    last unit vector.  The form is built once per system and stored on
-    it, so every call on one system returns the same read-only object.
+    The similarity onto the pair is ``T = C @ inv(C_c)``; the placement
+    formula needs only ``C_c``.  It is built once per system and stored
+    on it, so every call on one system returns the same read-only array.
     """
     return sys._canonical
 
@@ -233,7 +217,7 @@ def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
     Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.
     """
     gamma = _as_vector(gamma, sys.n, "gamma")
-    return _solve_controllability(sys, controller_canonical(sys).C_c.T @ gamma)
+    return _solve_controllability(sys, controller_canonical(sys).T @ gamma)
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -300,11 +284,13 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
         row[n - 1] = -1.0
         k = _solve_controllability(sys, row)
     else:
-        cf = controller_canonical(sys)
+        # C_c before the targets' polynomial: building it reads the open-loop
+        # record, whose refusal of an out-of-range A comes first
+        controller_canonical(sys)
         f = monic_from_roots(rest).coeffs
         if f.size > n:
             # degree n: one copy of p cancels the leading 1 exactly
-            f = (f - cf.p.coeffs)[:n]
+            f = (f - sys._polynomial.p.coeffs)[:n]
         gamma = np.zeros(n)
         # 0.0 - x, not -x: exact zeros stay positive, as in p - f
         gamma[: f.size] = 0.0 - f

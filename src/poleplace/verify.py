@@ -5,9 +5,10 @@ characteristic polynomial of the exactly formed closed loop, read off the
 system's one run of the trace recurrence (no eigenvalue solver involved),
 and the closed-loop spectrum from the Schur iteration matched against the
 request.  Agreement of both is strong evidence; disagreement points at
-which half went wrong.  The first route is the paper's rank-one
-determinant identity, applied exactly by the system's stored
-``OpenLoopRecord.closed_loop``.
+which half went wrong.  Both run in ``_closed_loop_check``, the one check
+that the diagnostics and ``poleplace verify`` share.  The first route is
+the paper's rank-one determinant identity, applied exactly by the system's
+stored ``OpenLoopRecord.closed_loop``.
 
 The second route forms the closed loop in the system's stored
 controller-Hessenberg coordinates (``ControllerHessenberg``): with
@@ -108,6 +109,18 @@ def charpoly_residual(sys, k, targets) -> float:
     num = np.abs(achieved.coeffs - wanted.coeffs)
     den = np.maximum(1.0, np.abs(wanted.coeffs))
     return float(np.max(num / den))
+
+
+def _closed_loop_check(sys, k, targets):
+    """``(charpoly_residual, achieved, unknown)`` of a gain: the achieved
+    spectrum from ``_closed_loop_spectrum``, or, when its QR iteration runs
+    out of sweeps on a loop placed beyond what doubles resolve, None and
+    the reason the spectrum is unknown."""
+    cres = charpoly_residual(sys, k, targets)
+    try:
+        return cres, _closed_loop_spectrum(sys, k, targets), None
+    except ConvergenceError as exc:
+        return cres, None, str(exc)
 
 
 def _perfect_matching(allowed, start):
@@ -211,8 +224,8 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     The controllability condition number is the one the system stores,
     computed on its first use, so every gain on one system reads the same
     value; the residuals are computed afresh for each gain, and filled
-    only when the full target spectrum is known, the closed-loop spectrum
-    with its QR shifts seeded from the targets (``_closed_loop_spectrum``).
+    only when the full target spectrum is known, by the one closed-loop
+    check (``_closed_loop_check``), its QR shifts seeded from the targets.
     An ill-conditioned controllability matrix earns a warning rather than
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.  So does a closed-loop spectrum
@@ -230,12 +243,12 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
         )
     cres = sres = None
     if targets is not None:
-        cres = charpoly_residual(sys, k, targets)
-        try:
-            sres = spectrum_distance(_closed_loop_spectrum(sys, k, targets), targets)
-        except ConvergenceError as exc:
-            warnings += (f"the closed-loop spectrum check ran out of sweeps: {exc}; "
+        cres, achieved, unknown = _closed_loop_check(sys, k, targets)
+        if achieved is None:
+            warnings += (f"the closed-loop spectrum check ran out of sweeps: {unknown}; "
                          "spectrum_residual is unknown",)
+        else:
+            sres = spectrum_distance(achieved, targets)
     return Diagnostics(
         kappa_controllability=kap,
         step_kappas=tuple(_floats(step_kappas, "step_kappas").reshape(-1).tolist()),

@@ -6,6 +6,7 @@ the exit codes and output formats are tested exactly as a shell would see
 them.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from poleplace.cli import (
     parse_pole,
 )
 from poleplace.errors import ValidationError
+from poleplace.verify import Diagnostics
 
 
 def write_json(path, obj):
@@ -377,6 +379,20 @@ def test_place_sequential_reports_steps(tmp_path, capsys):
     assert_allclose(steps[0]["gain"], [-2.0, 0.0], atol=1e-12)
     after = sorted(parse_pole(t).real for t in steps[1]["spectrum_after"])
     assert_allclose(after, [-3.0, -1.0], atol=1e-8)
+
+
+def test_place_reports_every_diagnostics_field_in_order(tmp_path, capsys):
+    # the report's "diagnostics" is the Diagnostics record itself: its
+    # fields, in order, tuples as lists
+    fields = [f.name for f in dataclasses.fields(Diagnostics)]
+    for plan, method in ((poles_plan(tmp_path, ["-1", "-2"]), "bass-gura"),
+                         (groups_plan(tmp_path, [(["1"], ["-1"]), (["2"], ["-3"])]),
+                          "sequential")):
+        assert main(["place", "--system", diag_system(tmp_path), "--plan", plan,
+                     "--method", method]) == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert list(diag) == fields
+        assert len(diag["step_kappas"]) == (2 if method == "sequential" else 0)
 
 
 def test_place_method_plan_kind_mismatch(tmp_path, capsys):

@@ -36,16 +36,16 @@ def diag_system():
     return StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0])
 
 
-def similarity(cf):
+def similarity(sys):
     """``T = C @ inv(C_c)``, the similarity onto the canonical pair."""
-    return linalg.solve_linear(cf.C_c.T, cf.C.T).T
+    return linalg.solve_linear(controller_canonical(sys).T, sys._controllability.T).T
 
 
-def companion_pair(cf):
+def companion_pair(sys):
     """The canonical pair ``(A_c, b_c)`` whose Krylov matrix is ``C_c``."""
-    n = cf.C.shape[0]
+    n = sys.n
     A_c = np.eye(n, k=1)
-    A_c[n - 1] = -cf.p.coeffs[:n]
+    A_c[n - 1] = -sys._polynomial.p.coeffs[:n]
     return A_c, np.eye(n)[n - 1]
 
 
@@ -104,26 +104,25 @@ def test_controllability_matrix_double_integrator():
 
 def test_controller_canonical_fixed_point():
     # the double integrator already is its own canonical form
-    cf = controller_canonical(double_integrator())
-    assert np.array_equal(cf.C_c, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(similarity(cf), np.eye(2))
-    assert np.array_equal(cf.p.coeffs, [0.0, 0.0, 1.0])
+    sys = double_integrator()
+    assert np.array_equal(controller_canonical(sys), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(similarity(sys), np.eye(2))
+    assert np.array_equal(sys._polynomial.p.coeffs, [0.0, 0.0, 1.0])
 
 
 def test_controller_canonical_diagonal():
-    cf = controller_canonical(diag_system())
-    assert np.array_equal(cf.C_c, [[0.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(similarity(cf), [[-2.0, 1.0], [-1.0, 1.0]])
+    sys = diag_system()
+    assert np.array_equal(controller_canonical(sys), [[0.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(similarity(sys), [[-2.0, 1.0], [-1.0, 1.0]])
 
 
 def test_controller_canonical_similarity():
     rng = np.random.default_rng(101)
     for n in (2, 4, 6):
         sys = random_controllable(rng, n)
-        cf = controller_canonical(sys)
-        T = similarity(cf)
-        A_c, b_c = companion_pair(cf)
-        assert np.array_equal(linalg.krylov(A_c, b_c), cf.C_c)
+        T = similarity(sys)
+        A_c, b_c = companion_pair(sys)
+        assert np.array_equal(linalg.krylov(A_c, b_c), controller_canonical(sys))
         # A T = T A_c and b = T b_c pin down the similarity
         assert np.max(np.abs(sys.A @ T - T @ A_c)) <= 1e-8 * max(
             1.0, np.max(np.abs(T))
@@ -139,16 +138,16 @@ def test_stored_canonical_form_is_read_only():
     pulled = Spectrum([-1 + 1j, -1 - 1j])
     before = [place_bass_gura(sys, targets).k.tobytes(),
               place_general(sys, targets, pulled).k.tobytes()]
-    cf = controller_canonical(sys)
-    assert controller_canonical(sys) is cf
-    for arr in (cf.C, cf.C_c, cf.p.coeffs):
+    C_c = controller_canonical(sys)
+    assert controller_canonical(sys) is C_c
+    for arr in (sys._controllability, C_c, sys._polynomial.p.coeffs):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        cf.C[0, 0] = 5.0
+        sys._controllability[0, 0] = 5.0
     with pytest.raises(ValueError):
-        cf.p.coeffs[0] = 5.0
+        sys._polynomial.p.coeffs[0] = 5.0
     with pytest.raises(ValueError):
-        cf.C_c += 1.0
+        C_c += 1.0
     after = [place_bass_gura(sys, targets).k.tobytes(),
              place_general(sys, targets, pulled).k.tobytes()]
     assert after == before
@@ -485,7 +484,7 @@ def test_stored_open_loop_record_gives_the_fresh_results():
         for name, value in stored.items():
             assert getattr(sys, name) is value
         assert controllability_matrix(sys) is stored["_controllability"]
-        assert stored["_canonical"].C is stored["_controllability"]
+        assert controller_canonical(sys) is stored["_canonical"]
         assert repr(sys) == repr(fresh)
 
 
@@ -514,12 +513,17 @@ def test_uncontrollable_refusal_reports_the_controllable_dimension():
     # bound; the controller-Hessenberg form shows the controllable
     # subspace, of dimension 3 and 2.  Every formula that inverts C, on
     # every call, raises the same message.  b = e1 reaches one mode, and
-    # b = 0 none.
-    cases = [((1.0, 1.0, 1.0, 2.0, 3.0), np.ones(5), 3), ((1.0, 1.0, 2.0), np.ones(3), 2),
-             ((1.0, 2.0, 3.0), [1.0, 0.0, 0.0], 1), ((1.0, 2.0, 3.0), np.zeros(3), 0)]
-    for diagonal, b, dimension in cases:
-        n = len(diagonal)
-        sys = StateSpace(np.diag(diagonal), b)
+    # b = 0 none.  In the lower triangular pair e1^T A = -0.5 e1^T and
+    # e1^T b = 0, so one mode is exactly out of reach; the reduction leaves
+    # its coupling at 2.8e-15 max|H|, rounding of its own, not a mode.
+    cases = [(np.diag([1.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5), 3),
+             (np.diag([1.0, 1.0, 2.0]), np.ones(3), 2),
+             (np.diag([1.0, 2.0, 3.0]), [1.0, 0.0, 0.0], 1),
+             (np.diag([1.0, 2.0, 3.0]), np.zeros(3), 0),
+             ([[-0.5, 0.0, 0.0], [0.3, 0.2, 0.0], [0.1, -0.4, 0.6]], [0.0, 0.4, 1.0], 2)]
+    for A, b, dimension in cases:
+        sys = StateSpace(A, b)
+        n = sys.n
         targets = Spectrum([-float(i + 1) for i in range(n)])
         messages = set()
         for _ in range(2):

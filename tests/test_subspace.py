@@ -696,9 +696,9 @@ def test_state_space_arrays_are_read_only():
     assert {"_polynomial", "_hessenberg"} <= set(vars(scalar))
     assert scalar == StateSpace([[2.0]], [1.0])
     # the stored arrays are shared by every gain on the system
-    record, cf, form = sys._polynomial, sys._canonical, sys._hessenberg
+    record, form = sys._polynomial, sys._hessenberg
     for arr in (record.p.coeffs, record.words, record.digits, record.grids,
-                sys._controllability, *sys._factored, sys._schur.Q, sys._schur.T, cf.C_c,
+                sys._controllability, *sys._factored, sys._schur.Q, sys._schur.T, sys._canonical,
                 form.H, *(v for _, v, _ in form.reflectors)):
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -24,11 +24,18 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   the one-value partial step, so its gain is ``place_partial``'s, bitwise;
 - ``place``: exit code, stdout and stderr of ``poleplace place`` with
   each full-spectrum method on every dense case;
-- ``verify``: the same of ``poleplace verify`` on every verify case.
+- ``verify``: the same of ``poleplace verify`` on every verify case;
+- ``cli``: the same of ``poleplace place`` with the group methods on every
+  dense case: ``sequential`` on the case's ``paired_plan`` written as
+  groups, ``partial`` on that plan's first group and ``simon-mitter`` on
+  the one-value group the ``simon_mitter`` kind places; then of
+  ``poleplace compare --n 4,8,12 --trials 3 --seed 0`` once.  It covers
+  the group methods' JSON (``steps``, ``step_kappas``) and ``compare``'s
+  table and CSV.
 
 Two checkouts whose lines agree produce those outputs byte for byte;
-``place`` and ``verify`` print the seeded check's residual and poles, so
-they move with ``spectrum``.
+``place``, ``verify`` and ``cli`` print the seeded check's residual and
+poles, so they move with ``spectrum``.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -59,7 +67,7 @@ spec.loader.exec_module(inputs)
 DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
 KINDS = ("gains", "diagnostics", "spectrum", "steps", "place", "verify", "partial",
-         "simon_mitter")
+         "simon_mitter", "cli")
 digests = {kind: hashlib.sha256() for kind in KINDS}
 
 
@@ -101,8 +109,16 @@ def conjugate_closed(values, count):
     return chosen if len(chosen) == count else None
 
 
-def partial_and_simon_mitter(sys_, case):
-    values = list(linalg.eigenvalues(case.A))
+def simon_mitter_choice(case, values):
+    """The dense case's first real eigenvalue and its first real target
+    (or -1); None when the case has no real eigenvalue."""
+    reals = [z.real for z in values if z.imag == 0.0]
+    if not reals:
+        return None
+    return reals[0], next((z.real for z in case.targets if z.imag == 0.0), -1.0)
+
+
+def partial_and_simon_mitter(sys_, case, values):
     if case.n >= 6:
         for count in (3, 4):
             move = conjugate_closed(values, count)
@@ -110,11 +126,29 @@ def partial_and_simon_mitter(sys_, case):
             if move is not None and to is not None:
                 record("partial", lambda: subspace.place_partial(sys_, move, to),
                        "partial", "partial")
-    reals = [z.real for z in values if z.imag == 0.0]
-    if reals:
-        lam1 = next((z.real for z in case.targets if z.imag == 0.0), -1.0)
-        record("simon_mitter", lambda: subspace.place_simon_mitter(sys_, reals[0], lam1),
+    choice = simon_mitter_choice(case, values)
+    if choice is not None:
+        record("simon_mitter", lambda: subspace.place_simon_mitter(sys_, *choice),
                "simon_mitter", "simon_mitter")
+
+
+def place_groups(sys_, case, values, system, plan):
+    """``poleplace place`` with the group methods on one dense case."""
+    try:
+        groups = subspace.paired_plan(sys_, Spectrum(case.targets)).groups
+    except PolePlacementError as exc:
+        update("cli", "paired_plan", repr(exc))
+        groups = ()
+    runs = [("sequential", groups), ("partial", groups[:1])] if groups else []
+    choice = simon_mitter_choice(case, values)
+    if choice is not None:
+        runs.append(("simon-mitter", [((choice[0],), (choice[1],))]))
+    for method, chosen in runs:
+        plan.write_text(json.dumps({"groups": [
+            {"move": [inputs.pole_literal(z) for z in move],
+             "to": [inputs.pole_literal(z) for z in to]} for move, to in chosen]}))
+        update("cli", method, *run_cli(["place", "--system", str(system), "--plan", str(plan),
+                                        "--method", method]))
 
 
 def record_steps(steps):
@@ -139,7 +173,8 @@ def dense(seed, workdir):
             update("gains", "sequential", gain.k.tobytes())
             update_diagnostics("diagnostics", "sequential", gain.diagnostics)
             record_steps(steps)
-        partial_and_simon_mitter(sys_, case)
+        values = list(linalg.eigenvalues(case.A))
+        partial_and_simon_mitter(sys_, case, values)
         system, plan = workdir / f"d{i}.json", workdir / f"p{i}.json"
         system.write_text(inputs.system_json(case))
         plan.write_text(inputs.plan_json(case))
@@ -148,6 +183,7 @@ def dense(seed, workdir):
             if method == "general":
                 argv.append("--pulled=" + ",".join(inputs.pole_literal(z) for z in case.pulled))
             update("place", *run_cli(argv))
+        place_groups(sys_, case, values, system, workdir / f"g{i}.json")
 
 
 def verify(seed, workdir):
@@ -163,5 +199,6 @@ with tempfile.TemporaryDirectory() as tmp:
     for seed in SEEDS:
         dense(seed, Path(tmp))
         verify(seed, Path(tmp))
+update("cli", "compare", *run_cli(["compare", "--n", "4,8,12", "--trials", "3", "--seed", "0"]))
 for kind, h in digests.items():
     print(f"{kind:12s} {h.hexdigest()}")
