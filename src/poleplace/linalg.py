@@ -113,15 +113,11 @@ def solve_linear(M, rhs) -> np.ndarray:
     index is a lower bound on the rank of M, not an estimate of it.
     """
     M = _as_square(M, "matrix")
-    return _eliminate(M.copy(), _rhs(rhs, M.shape[0]), M.shape[0] * EPS * max_abs(M))
-
-
-def _rhs(rhs, n) -> np.ndarray:
-    """A right-hand side of ``solve_linear``: finite, 1-D or 2-D, n rows."""
+    n = M.shape[0]
     rhs = _floats(rhs, "right-hand side")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValidationError(f"right-hand side has shape {rhs.shape}, expected {n} rows")
-    return _finite(rhs, "right-hand side")
+    return _eliminate(M.copy(), _finite(rhs, "right-hand side"), n * EPS * max_abs(M))
 
 
 def _eliminate(LU, rhs, limit) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     InvariantEigenvalueError,
+    NumericalError,
     SingularMatrixError,
     UncontrollableError,
     ValidationError,
@@ -33,7 +34,6 @@ from .linalg import (
     SchurDecomposition,
     _controller_hessenberg,
     _factor,
-    _rhs,
     _substitute,
     condition_number,
     krylov,
@@ -62,15 +62,16 @@ class StateSpace:
     (``ControllerHessenberg``), the polynomial record (one run of the trace
     recurrence on ``(A, b)``: ``char_poly(A)`` and what the closed-loop
     polynomial of any gain needs, ``OpenLoopRecord``), the controllability
-    matrix C with the row-pivoted factors of ``C^T`` (or the refusal of an
-    uncontrollable C), the canonical pair's ``C_c`` and the condition
-    number of C.  Each is a ``functools.cached_property``: computed on
-    first use and kept in the instance ``__dict__``, outside the system's
-    repr, equality and hash, with its arrays read-only.  So every placement
-    method, the diagnostics and the CLI's gate on one system share one
-    computation of each; no gain factors C, and no closed loop runs the
-    trace recurrence or a Hessenberg reduction again.  The closed-loop
-    check that reads the record is ``verify``'s.
+    matrix C with the row-pivoted factors of ``C^T``, the canonical pair's
+    ``C_c`` and the condition number of C.  Each is a
+    ``functools.cached_property``: computed on first use and kept in the
+    instance ``__dict__``, outside the system's repr, equality and hash,
+    with its arrays read-only.  So every placement method, the diagnostics
+    and the CLI's gate on one system share one computation of each; no
+    gain factors C, and no closed loop runs the trace recurrence or a
+    Hessenberg reduction again.  A refused C stores no factors: each read
+    raises anew.  The closed-loop check that reads the record is
+    ``verify``'s.
     """
 
     A: np.ndarray
@@ -129,12 +130,12 @@ class StateSpace:
         return C
 
     @cached_property
-    def _factored(self) -> tuple[np.ndarray, np.ndarray] | str:
-        """The factors and pivot order ``solve_linear(C.T, .)`` computes, or
-        the message refusing a C singular to working precision.  Its rank
-        is read off the controller-Hessenberg form (Paige, IEEE TAC 26(1),
-        1981): the index of the first of ``|beta|, |H[1, 0]|, ...`` at or
-        below ``sqrt(eps) max|H|``, which covers the reduction's own
+    def _factored(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors and pivot order ``solve_linear(C.T, .)`` computes; a
+        C singular to working precision raises UncontrollableError.  Its
+        rank is read off the controller-Hessenberg form (Paige, IEEE TAC
+        26(1), 1981): the index of the first of ``|beta|, |H[1, 0]|, ...``
+        at or below ``sqrt(eps) max|H|``, which covers the reduction's own
         rounding; with none, the message says the pair is controllable and
         names the failed column instead."""
         C = self._controllability
@@ -146,11 +147,13 @@ class StateSpace:
             lead = np.abs(np.append(form.beta, np.diagonal(form.H, -1)))
             small = np.flatnonzero(lead <= EPS ** 0.5 * max_abs(form.H))
             if small.size:
-                return ("controllability matrix is singular to working precision; "
-                        f"rank estimate {small[0]} < {self.n}")
-            return (f"controllability matrix fails its pivot test at column {exc.column} of "
-                    f"{self.n}, yet the controller-Hessenberg form shows all {self.n} states "
-                    "controllable: the pair is too badly scaled for the Krylov route")
+                raise UncontrollableError(
+                    "controllability matrix is singular to working precision; "
+                    f"rank estimate {small[0]} < {self.n}") from None
+            raise UncontrollableError(
+                f"controllability matrix fails its pivot test at column {exc.column} of "
+                f"{self.n}, yet the controller-Hessenberg form shows all {self.n} states "
+                "controllable: the pair is too badly scaled for the Krylov route") from None
         LU.flags.writeable = perm.flags.writeable = False
         return LU, perm
 
@@ -197,27 +200,19 @@ def controller_canonical(sys: StateSpace) -> np.ndarray:
     return sys._canonical
 
 
-def _solve_controllability(sys: StateSpace, rhs) -> np.ndarray:
-    """Solve ``C^T x = rhs`` against the system's controllability matrix.
-
-    The one place C gets inverted: only the substitutions against the
-    factors the system stores, bitwise ``solve_linear(C.T, rhs)``.  A C it
-    would refuse raises UncontrollableError, the same on every call.
-    """
-    rhs = _rhs(rhs, sys.n)
-    factored = sys._factored
-    if isinstance(factored, str):
-        raise UncontrollableError(factored)
-    return _substitute(*factored, rhs)
-
-
 def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
     """Map a canonical-frame coefficient row back to original coordinates.
 
-    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.
+    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.  An omega
+    beyond the float range raises NumericalError.
     """
     gamma = _as_vector(gamma, sys.n, "gamma")
-    return _solve_controllability(sys, controller_canonical(sys).T @ gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = controller_canonical(sys).T @ gamma
+        omega = _substitute(*sys._factored, rhs)
+    if not np.isfinite(omega).all():
+        raise NumericalError("omega has entries beyond the float range")
+    return omega
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -230,9 +225,10 @@ def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
     """
     omega = _as_vector(omega, sys.n, "omega")
     lam1 = _as_real(lam1, "lam1")
-    w = _selector(sys.b, omega)
-    k = lam1 * w - w @ sys.A
-    return Gain(k=k, method="eigenpair", diagnostics=assemble_diagnostics(sys, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _selector(sys.b, omega)
+        k = lam1 * w - w @ sys.A
+    return _gain(sys, k, "eigenpair")
 
 
 def _selector(b, omega) -> np.ndarray:
@@ -250,11 +246,18 @@ def _selector(b, omega) -> np.ndarray:
     return omega / s
 
 
+def _gain(sys: StateSpace, k, method: str, targets=None, step_kappas=()) -> Gain:
+    """The computed row k as a Gain, with ``assemble_diagnostics`` against
+    ``targets``; a k beyond the float range raises NumericalError."""
+    if not np.isfinite(k).all():
+        raise NumericalError("the gain has entries beyond the float range")
+    return Gain(k, method, assemble_diagnostics(sys, k, targets, step_kappas))
+
+
 def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
     """``_row`` with its diagnostics."""
     targets = _as_spectrum(targets)
-    k = _row(sys, targets, pulled)
-    return Gain(k=k, method=method, diagnostics=assemble_diagnostics(sys, k, targets))
+    return _gain(sys, _row(sys, targets, pulled), method, targets)
 
 
 def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
@@ -265,7 +268,7 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     open-loop characteristic polynomial ``p``, where ``f`` is the monic
     product of the targets left at the coefficient level: ``p - f``
     itself when nothing is pulled and ``-f`` otherwise.  An uncontrollable
-    pair raises UncontrollableError.
+    pair raises UncontrollableError; overflow leaves inf or nan in k.
     """
     targets, pulled = _as_spectrum(targets), _as_spectrum(pulled)
     n = sys.n
@@ -276,27 +279,28 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     # the targets themselves when nothing is pulled or everything is, so
     # the monic polynomial stored on them serves the residual too
     rest = targets.minus(pulled) if len(pulled) else targets
-    if len(rest) == 0:
-        pulled = targets
-        # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
-        # -e_n: the canonical form, and its char_poly, are not needed.
-        row = np.zeros(n)
-        row[n - 1] = -1.0
-        k = _solve_controllability(sys, row)
-    else:
-        # C_c before the targets' polynomial: building it reads the open-loop
-        # record, whose refusal of an out-of-range A comes first
-        controller_canonical(sys)
-        f = monic_from_roots(rest).coeffs
-        if f.size > n:
-            # degree n: one copy of p cancels the leading 1 exactly
-            f = (f - sys._polynomial.p.coeffs)[:n]
-        gamma = np.zeros(n)
-        # 0.0 - x, not -x: exact zeros stay positive, as in p - f
-        gamma[: f.size] = 0.0 - f
-        k = omega_vector(sys, gamma)
-    if len(pulled) > 0:
-        k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(rest) == 0:
+            pulled = targets
+            # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
+            # -e_n: the canonical form, and its char_poly, are not needed.
+            row = np.zeros(n)
+            row[n - 1] = -1.0
+            k = _substitute(*sys._factored, row)
+        else:
+            # C_c before the targets' polynomial: building it reads the open-loop
+            # record, whose refusal of an out-of-range A comes first
+            C_c = controller_canonical(sys)
+            f = monic_from_roots(rest).coeffs
+            if f.size > n:
+                # degree n: one copy of p cancels the leading 1 exactly
+                f = (f - sys._polynomial.p.coeffs)[:n]
+            gamma = np.zeros(n)
+            # 0.0 - x, not -x: exact zeros stay positive, as in p - f
+            gamma[: f.size] = 0.0 - f
+            k = _substitute(*sys._factored, C_c.T @ gamma)
+        if len(pulled) > 0:
+            k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
     return k
 
 

@@ -43,9 +43,8 @@ from .linalg import (
     _match_tol,
     _match_values,
 )
-from .placement import Gain, StateSpace, _row, _selector, _solve_controllability
+from .placement import Gain, StateSpace, _gain, _row, _selector
 from .poly import Spectrum, _as_spectrum
-from .verify import assemble_diagnostics
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,8 @@ class AssignmentPlan:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What one sequential step did: the subspace it worked in, the small
-    solve it ran, and the spectrum it left behind, read off the carried
+    """What one sequential step did: the left-invariant basis it worked
+    in, its gain, and the spectrum it left behind, read off the carried
     Schur form.
 
     ``kappa`` is the condition number of the step's r x r Krylov matrix.
@@ -88,8 +87,6 @@ class StepRecord:
 
     step: int
     basis: np.ndarray
-    compression: np.ndarray
-    selector: np.ndarray
     gain: np.ndarray
     kappa: float
     spectrum_after: Spectrum
@@ -100,46 +97,45 @@ def _gain_on_split(b, U, X, to: Spectrum):
     placement core on the pair ``(X, U^T b)`` with every target pulled,
     lifted back through the left-invariant basis U.
 
-    Returns the gain, its row g (``k = U @ g``), the selector ``eta`` with
-    ``C_X^T eta = e_r`` and the condition of ``C_X``, the pair's Krylov
-    matrix.  Groups of one or two values, all a paired plan makes, take
-    ``_small_step``; a one-value step refuses only an exactly zero
-    ``U^T b``, at ``_selector``'s gate.  The core's UncontrollableError
-    becomes RankDeficiencyError with the core's rank estimate.
+    Returns the gain, its row g (``k = U @ g``) and the condition of
+    ``C_X``, the pair's Krylov matrix.  Groups of one or two values, all a
+    paired plan makes, take ``_small_step``; a one-value step refuses only
+    an exactly zero ``U^T b``, at ``_selector``'s gate.  The core's
+    UncontrollableError becomes RankDeficiencyError with the core's rank
+    estimate.
     """
     r = X.shape[0]
     bu = U.T @ b
     if r == 1 and bu[0] == 0.0:
         _selector(b, U[:, 0])  # an exact zero is far below the gate: it raises
     if r <= 2:
-        h, eta, kappa = _small_step(bu.tolist(), X.tolist(), to)
-        g, eta = -np.array(h), np.array(eta)
+        h, kappa = _small_step(bu.tolist(), X.tolist(), to)
+        g = -np.array(h)
     else:
         step = StateSpace(X, bu)
         try:
             g = _row(step, to, to)
-            eta = _solve_controllability(step, np.eye(r)[r - 1])
         except UncontrollableError as exc:
             raise RankDeficiencyError(f"the moved subspace's {exc}") from exc
         kappa = step._kappa
-    return U @ g, g, eta, kappa
+    return U @ g, g, kappa
 
 
 def _small_step(u, x, to: Spectrum):
-    """``h = -g``, eta and kappa of ``_gain_on_split`` for r = 1 or 2, on
+    """``h = -g`` and kappa of ``_gain_on_split`` for r = 1 or 2, on
     Python floats (u is ``U.T @ b``, nonzero when r = 1, and x is X, as
-    lists); they agree with the core's to rounding.  A scalar u gives
+    lists); they agree with the core's to rounding.  The core's row is
+    ``h = p(X).T @ eta`` with ``C_X^T eta = e_r``.  A scalar u gives
     ``eta = 1 / u`` of condition 1.  Two values solve ``[u, X u]`` for eta
     by ``_eliminate_scalars`` with ``solve_linear``'s pivot threshold and
     take kappa from a plane rotation's R and LAPACK's dlas2 closed form
-    (``_kappa_2x2``).  ``h = p(X).T @ eta``, p(X) by Horner's rule from
-    the coefficients ``monic_from_roots(to)`` has, bitwise.
+    (``_kappa_2x2``).  p(X) is Horner's rule from the coefficients
+    ``monic_from_roots(to)`` has, bitwise.
     """
     t = list(to)
     if len(u) == 1:
         (u0,), ((x00,),) = u, x
-        eta0 = 1.0 / u0
-        return [(x00 + -t[0].real) * eta0], [eta0], 1.0
+        return [(x00 + -t[0].real) * (1.0 / u0)], 1.0
     (u0, u1), ((x00, x01), (x10, x11)) = u, x
     v0 = x00 * u0 + x01 * u1
     v1 = x10 * u0 + x11 * u1
@@ -171,7 +167,7 @@ def _small_step(u, x, to: Spectrum):
         kappa = math.inf  # condition_number's rank test
     else:
         kappa = _kappa_2x2(r00, r01, r11)
-    return h, [eta0, eta1], kappa
+    return h, kappa
 
 
 def place_partial(sys: StateSpace, move, to) -> Gain:
@@ -186,7 +182,8 @@ def place_partial(sys: StateSpace, move, to) -> Gain:
     move = _as_spectrum(move)
     if len(move) > sys.n:
         raise ValidationError(f"moved set has {len(move)} values, expected 1..{sys.n}")
-    return _scored(sys, *_run_plan(sys, AssignmentPlan(((move, to),))), "partial")
+    k, records, expected = _run_plan(sys, AssignmentPlan(((move, to),)))
+    return _gain(sys, k, "partial", expected, tuple(rec.kappa for rec in records))
 
 
 def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
@@ -206,7 +203,7 @@ def place_simon_mitter(sys: StateSpace, mu1, lam1) -> Gain:
                  for z, name in ((mu1, "mu1"), (lam1, "lam1")))
     k, records, expected = _run_plan(sys, AssignmentPlan((((mu1,), (lam1,)),)))
     _selector(sys.b, records[0].basis[:, 0])
-    return _scored(sys, k, records, expected, "simon_mitter")
+    return _gain(sys, k, "simon_mitter", expected, tuple(rec.kappa for rec in records))
 
 
 def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
@@ -287,7 +284,7 @@ def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[
     and ``records`` attached for everything completed before it.
     """
     k, records, expected = _run_plan(sys, plan)
-    return _scored(sys, k, records, expected, "sequential"), records
+    return _gain(sys, k, "sequential", expected, tuple(rec.kappa for rec in records)), records
 
 
 def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spectrum]:
@@ -305,7 +302,7 @@ def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spec
     for step, (move, to) in enumerate(plan.groups, start=1):
         try:
             dec, U, X = _lead(dec, move, tol)
-            k_step, g, eta, kappa = _gain_on_split(sys.b, U, X, to)
+            k_step, g, kappa = _gain_on_split(sys.b, U, X, to)
             dec = _feed_leading(dec, sys.b, g)
         except PolePlacementError as exc:
             exc.step = step
@@ -313,14 +310,7 @@ def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spec
             raise
         after = Spectrum([z for blk in dec.blocks for z in blk.eigenvalues])
         k_total = k_total + k_step
-        records.append(StepRecord(step=step, basis=U, compression=X, selector=eta,
-                                  gain=k_step, kappa=kappa, spectrum_after=after))
+        records.append(StepRecord(step=step, basis=U, gain=k_step, kappa=kappa,
+                                  spectrum_after=after))
     return k_total, records, expected
 
-
-def _scored(sys: StateSpace, k, records, expected, method: str) -> Gain:
-    """``_run_plan``'s gain with diagnostics against the expected spectrum."""
-    diag = assemble_diagnostics(
-        sys, k, expected, step_kappas=tuple(rec.kappa for rec in records)
-    )
-    return Gain(k=k, method=method, diagnostics=diag)

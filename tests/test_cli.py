@@ -1085,6 +1085,25 @@ def test_main_runs_in_one_process_match_separate_processes(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
+@pytest.mark.parametrize("module", ["poleplace", "poleplace.cli"])
+def test_module_forms_run_the_command(module, capsys):
+    # `python -m poleplace` and `python -m poleplace.cli` are the command:
+    # the same gen JSON as main, and main's exit code on a bad argument
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(poleplace.__file__)))
+    codes = []
+    for argv in (["gen", "--n", "2"], ["gen", "--n", "2", "--bogus"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, got.out, got.err)
+        codes.append(code)
+    assert codes == [0, 2]
+
+
 def test_main_looks_commands_up_when_it_runs(monkeypatch, capsys):
     # the shared parser holds no command functions, so a command replaced
     # after the parser was built, as a tracing wrapper does, is the one run

@@ -1,7 +1,9 @@
 """One way to coerce inputs: every public entry point converts caller data
 through the helpers of ``poleplace.errors``, so malformed input of any
 kind raises ValidationError (exit code 2 on the command line), and the
-same finite numbers give the same bits whatever container holds them."""
+same finite numbers give the same bits whatever container holds them.
+Valid input whose gain leaves the float range raises NumericalError
+(exit code 3) instead."""
 
 import io
 import json
@@ -18,6 +20,7 @@ from poleplace import (
     charpoly_residual,
     eigenvalues,
     invariant_split,
+    paired_plan,
     place_ackermann,
     place_bass_gura,
     place_eigenpair,
@@ -28,7 +31,12 @@ from poleplace import (
     reorder_schur,
 )
 from poleplace.cli import main
-from poleplace.errors import UncontrollableError, ValidationError
+from poleplace.errors import (
+    NumericalError,
+    PolePlacementError,
+    UncontrollableError,
+    ValidationError,
+)
 from poleplace.linalg import condition_number, krylov, solve_linear
 from poleplace.placement import omega_vector
 from poleplace.poly import eval_matrix, open_loop_record
@@ -339,3 +347,121 @@ def test_badly_scaled_refusal_says_the_form_is_controllable(s):
             f"controllability matrix fails its pivot test at column {column} of 12, yet the "
             "controller-Hessenberg form shows all 12 states controllable: the pair is too "
             "badly scaled for the Krylov route")
+
+
+# ---------------------------------------------------------------------------
+# valid input whose gain leaves the float range: a NumericalError (exit
+# code 3), not a RuntimeWarning and a ValidationError blaming the input
+
+OVERFLOWS = {
+    # 1/(C^T)'s pivot times the coefficient gap overflows in the substitution
+    "gain": (np.diag([1.0, 1.001]), [1.0, 1.0], [1e153, -1e153]),
+    # the target polynomial's coefficients minus p(A)'s overflow
+    "gamma": (np.diag([1e154, 1.5e154]), [1.0, 1.0], [1e154, -1.5e154]),
+    # C_c^T gamma overflows
+    "rhs": ([[1e155, 0.0], [0.0, 1.0]], [1.0, 1.0], [-1e155, 0.5]),
+}
+
+
+def _strict(call):
+    """call() with every RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return call()
+
+
+@pytest.mark.parametrize("place", [place_bass_gura, place_ackermann,
+                                   lambda sys_, t: place_general(sys_, t, [])],
+                         ids=["bass_gura", "ackermann", "general"])
+def test_gain_beyond_the_float_range_is_a_numerical_error(place):
+    A, b, targets = OVERFLOWS["gain"]
+    with pytest.raises(NumericalError, match="^the gain has entries beyond the float range$"):
+        _strict(lambda: place(StateSpace(A, b), targets))
+
+
+@pytest.mark.parametrize("name", ["gamma", "rhs"])
+def test_bass_gura_past_the_float_range_is_a_numerical_error(name):
+    # the pair's Krylov pivot already refuses both, as Ackermann says
+    A, b, targets = OVERFLOWS[name]
+    with pytest.raises(UncontrollableError) as info:
+        _strict(lambda: place_bass_gura(StateSpace(A, b), targets))
+    with pytest.raises(UncontrollableError) as same:
+        place_ackermann(StateSpace(A, b), targets)
+    assert str(info.value) == str(same.value)
+
+
+def test_eigenpair_gain_beyond_the_float_range_is_a_numerical_error():
+    sys_ = StateSpace(np.diag([1.0, 2.0]), [1e-300, 1e-300])
+    with pytest.raises(NumericalError, match="^the gain has entries beyond the float range$"):
+        _strict(lambda: place_eigenpair(sys_, [1.0, 0.0], 1e10))
+
+
+def test_omega_beyond_the_float_range_is_a_numerical_error():
+    A, b, _ = OVERFLOWS["gain"]
+    with pytest.raises(NumericalError, match="^omega has entries beyond the float range$"):
+        _strict(lambda: omega_vector(StateSpace(A, b), [1e308, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["gain", "gamma"])
+def test_cli_place_beyond_the_float_range_exits_3(name, tmp_path, capsys):
+    A, b, targets = OVERFLOWS[name]
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 2, "A": np.asarray(A).tolist(), "b": b}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": [repr(t) for t in targets]}))
+    code, out, err = _strict(lambda: _run(["place", "--system", str(system), "--plan",
+                                           str(plan), "--method", "bass-gura"], capsys))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_scaled_pairs_get_a_gain_or_a_numerical_error_property():
+    # dense pairs of order n <= 8 with A scaled by 2**s (|s| <= 600), b by
+    # 2**t (|t| <= 300) and targets within 2**40 of A's scale: each method
+    # returns a finite gain or raises a PolePlacementError that does not
+    # blame the input, with no RuntimeWarning on the way
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def scaled_pairs(draw):
+        n = draw(st.integers(1, 8))
+        s, t = draw(st.integers(-600, 600)), draw(st.integers(-300, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        A = np.ldexp(rng.uniform(-1, 1, (n, n)), s)
+        b = np.ldexp(rng.uniform(-1, 1, n), t)
+        targets = []
+        while len(targets) < n:
+            e = s + draw(st.integers(-40, 40))
+            if n - len(targets) >= 2 and draw(st.booleans()):
+                z = complex(np.ldexp(rng.uniform(-1, 1), e), np.ldexp(rng.uniform(0.1, 1), e))
+                targets += [z, z.conjugate()]
+            else:
+                targets.append(float(np.ldexp(rng.uniform(-1, 1), e)))
+        return A, b, targets
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(scaled_pairs())
+    @hypothesis.example(OVERFLOWS["gain"])
+    @hypothesis.example(OVERFLOWS["gamma"])
+    @hypothesis.example(OVERFLOWS["rhs"])
+    def check(pair):
+        A, b, values = pair
+        sys_, targets = StateSpace(A, b), Spectrum(values)
+        # the first real target, or the first pair: a self-conjugate part
+        pulled = values[:1] if isinstance(values[0], float) else values[:2]
+        methods = {
+            "bass_gura": lambda: place_bass_gura(sys_, targets),
+            "ackermann": lambda: place_ackermann(sys_, targets),
+            "general": lambda: place_general(sys_, targets, pulled),
+            "sequential": lambda: place_sequential(sys_, paired_plan(sys_, targets))[0],
+        }
+        for name, call in methods.items():
+            try:
+                gain = _strict(call)
+            except PolePlacementError as exc:
+                assert not isinstance(exc, ValidationError), (name, exc)
+            else:
+                assert np.isfinite(gain.k).all(), name
+
+    check()

@@ -564,7 +564,9 @@ def test_full_spectrum_methods_factor_C_once_per_system(monkeypatch):
 
 def test_stored_factor_solves_are_bitwise_solve_linear():
     # every solve against the stored factors is bitwise solve_linear(C.T,
-    # rhs), for one right-hand side or several, refusals and checks alike
+    # rhs), for one right-hand side or several; a system whose C it
+    # refuses raises UncontrollableError on each read of the factors,
+    # with the same message every time
     rng = np.random.default_rng(337)
     systems = [StateSpace(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))
                for n in range(1, 21) for _ in range(3)]
@@ -576,12 +578,14 @@ def test_stored_factor_solves_are_bitwise_solve_linear():
             try:
                 want = linalg.solve_linear(C.T, rhs)
             except linalg.SingularMatrixError:
-                with pytest.raises(UncontrollableError):
-                    placement._solve_controllability(sys, rhs)
+                messages = []
+                for _ in range(2):
+                    with pytest.raises(UncontrollableError) as info:
+                        sys._factored
+                    messages.append(str(info.value))
+                assert messages[0] == messages[1]
                 outcomes["refused"] += 1
                 continue
-            assert placement._solve_controllability(sys, rhs).tobytes() == want.tobytes()
+            assert linalg._substitute(*sys._factored, rhs).tobytes() == want.tobytes()
             outcomes["solved"] += 1
-        with pytest.raises(ValidationError):
-            placement._solve_controllability(sys, np.full(n, np.nan))
     assert outcomes == {"solved": 180, "refused": 3}

@@ -228,15 +228,15 @@ def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
         "omega^T b = 0.000e+00 is negligible against |omega||b| = 1.000e+00; "
         "this eigenvalue is invariant under feedback through b",
     ]
-    for (b, U, X, to), (k, g, eta, kappa) in zip(cases, got):
+    for (b, U, X, to), (k, g, kappa) in zip(cases, got):
         r = len(X)
         step = StateSpace(X, U.T @ b)
         g_want = placement._row(step, to, to)
-        eta_want = placement._solve_controllability(step, np.eye(r)[r - 1])
+        # eta with C_X^T eta = e_r, the core's selector: the scale of g
+        eta_want = linalg.solve_linear(step._controllability.T, np.eye(r)[r - 1])
         P = placement.eval_matrix(placement.monic_from_roots(to), X)
         kappa_want = step._kappa
         tol = 64 * linalg.EPS * kappa_want
-        assert max_abs(eta - eta_want) <= tol * max_abs(eta_want)
         assert max_abs(g - g_want) <= tol * max_abs(P) * max_abs(eta_want)
         assert k.tobytes() == (U @ g).tobytes()
         if r == 1:
@@ -247,7 +247,7 @@ def test_small_steps_on_scalars_agree_with_the_matrix_route(monkeypatch):
 
 def test_steps_of_more_than_two_values_run_the_placement_core():
     # an r > 2 step is placement._row on the compressed pair (X, U^T b),
-    # with every target pulled: gain, row, selector and kappa bitwise
+    # with every target pulled: gain, row and kappa bitwise
     rng = np.random.default_rng(263)
     for trial in range(40):
         n, r = 4 + trial % 5, 3 + trial % 3
@@ -256,11 +256,10 @@ def test_steps_of_more_than_two_values_run_the_placement_core():
         b = rng.uniform(-1, 1, n)
         X = rng.uniform(-2, 2, (r, r))
         to = Spectrum(list(rng.uniform(-3, 0, r)))
-        k, g, eta, kappa = subspace._gain_on_split(b, U, X, to)
+        k, g, kappa = subspace._gain_on_split(b, U, X, to)
         step = StateSpace(X, U.T @ b)
         assert g.tobytes() == placement._row(step, to, to).tobytes()
         assert k.tobytes() == (U @ g).tobytes()
-        assert eta.tobytes() == placement._solve_controllability(step, np.eye(r)[r - 1]).tobytes()
         assert kappa == step._kappa
 
 
@@ -537,8 +536,6 @@ def test_sequential_record_shapes():
     _, records = place_sequential(sys, plan)
     rec = records[0]
     assert rec.basis.shape == (2, 1)
-    assert rec.compression.shape == (1, 1)
-    assert rec.selector.shape == (1,)
     assert rec.gain.shape == (2,)
     assert rec.kappa >= 1.0
     assert len(rec.spectrum_after) == 2
@@ -643,8 +640,7 @@ def _sequential_bytes(sys, targets):
            repr(plan_targets(sys, plan))]
     for rec in records:
         out.append((rec.step, rec.kappa, repr(rec.spectrum_after)))
-        out.extend(a.tobytes() for a in
-                   (rec.basis, rec.compression, rec.selector, rec.gain))
+        out.extend(a.tobytes() for a in (rec.basis, rec.gain))
     return out
 
 

@@ -12,7 +12,9 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   ``spectrum_residual`` set to None;
 - ``spectrum``: each gain's ``spectrum_residual``, the one diagnostic the
   seeded closed-loop check computes with its own rounding;
-- ``steps``: every field of each sequential StepRecord, arrays as bytes;
+- ``steps``: the fields of each sequential StepRecord (``STEP_FIELDS``:
+  step, basis, gain, kappa and spectrum_after), arrays as bytes; records
+  that carry more fields, as older checkouts' do, hash the same;
 - ``partial``: each ``place_partial`` gain's bytes and Diagnostics repr
   (``spectrum_residual`` None, as above),
   or the repr of its error, moving 3 and then 4 open-loop eigenvalues
@@ -66,6 +68,7 @@ spec.loader.exec_module(inputs)
 
 DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
+STEP_FIELDS = ("step", "basis", "gain", "kappa", "spectrum_after")
 KINDS = ("gains", "diagnostics", "spectrum", "steps", "place", "verify", "partial",
          "simon_mitter", "cli")
 digests = {kind: hashlib.sha256() for kind in KINDS}
@@ -153,8 +156,8 @@ def place_groups(sys_, case, values, system, plan):
 
 def record_steps(steps):
     for rec in steps:
-        update("steps", *(v.tobytes() if isinstance(v, np.ndarray) else v
-                          for v in vars(rec).values()))
+        values = (getattr(rec, name) for name in STEP_FIELDS)
+        update("steps", *(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
 
 def dense(seed, workdir):
