@@ -177,7 +177,7 @@ def _system_from_dict(data, where: str) -> StateSpace:
     if A.shape != (n, n):
         raise ValidationError(f"{where}: A has shape {A.shape}, expected ({n}, {n})")
     if b.shape != (n,):
-        raise ValidationError(f"{where}: b has length {b.shape}, expected {n}")
+        raise ValidationError(f"{where}: b has shape {b.shape}, expected ({n},)")
     return StateSpace(A, b)
 
 

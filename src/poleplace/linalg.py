@@ -14,34 +14,34 @@ does, and applies one combined factor that also standardizes the swapped
 iteration runs on the transpose in the familiar upper form and the result
 is transposed back at the boundary.
 
-``eigenvalues`` reads only the diagonal blocks, so it runs the same
-reduction and iteration with the orthogonal factor left out.  A sweep
-updates the active block l..hi with the same calls either way; only
-``real_schur`` then also updates the strips beside the block (rows above
-it, columns right of it) and Q.  Nothing in the block reads the strips or
-Q, so the eigenvalue-only blocks are bitwise ``real_schur``'s by
-construction; ``real_schur`` and ``reorder_schur`` keep Q.
+``real_schur`` keeps the orthogonal factor Q; ``eigenvalues`` and the
+closed-loop check read only the diagonal blocks and run without it, and
+"Q is None" is the engine's one switch between the two.  With Q a sweep
+chases its bulge one position at a time, updating the active block, the
+strips beside it and Q, and the blocks are read off the standardized
+form at the end; ``real_schur``, ``reorder_schur`` and the leading-block
+update of ``_feed_leading`` keep that chase and its bits.  Without Q a
+sweep updates the active block alone and chases its bulge two positions
+at a time, one 4x4 product per side where the plain chase makes two 3x3
+ones (``_francis_step``), and each block's eigenvalues are read as it
+deflates, a 2x2 block standardized on Python floats (``_standard_eigs``).
+Its eigenvalues agree with ``real_schur``'s to rounding of the same size,
+not bitwise.
 
 ``eigenvalues`` may also be told which values to expect (``near``), as a
 closed-loop check knows the spectrum it asked for.  The first sweep, and
 the first after each deflation at the bottom, then shifts by the
 requested pair nearest the standard one; an exact shift deflates in
 about one sweep (Watkins, "The transmission of shifts and shift blurring
-in the QR algorithm", LAA 241-243, 1996).  The other sweeps, the
-exceptional shifts, the deflation test and the sweep budget are the
-plain iteration's, and each sweep is an orthogonal similarity whatever
-its shifts, so a wrong request costs sweeps, not accuracy.  A closed-loop
-check forms its loop in the controller-Hessenberg coordinates of its
-system (``ControllerHessenberg``), where the loop is Hessenberg already,
-and hands it straight to the engine's core, ``_hessenberg_eigenvalues``,
-which ``eigenvalues`` runs after its validation and reduction.  A seeded
-iteration also chases its bulge two positions at a time, one 4x4 product
-per side where the plain chase makes two 3x3 ones (``_francis_step``),
-and reads each block's eigenvalues as it deflates, standardizing a 2x2
-block on Python floats (``_standard_eigs``), so its eigenvalues differ
-from the plain iteration's in their trailing digits; ``real_schur`` and
-``eigenvalues`` without ``near`` keep the plain chase, the numpy
-standardization and their bits.
+in the QR algorithm", LAA 241-243, 1996).  A request picks shifts and
+nothing else: the other sweeps, the exceptional shifts, the deflation
+test and the budget of 40 sweeps per dimension are those without it,
+and each sweep is an orthogonal similarity whatever its shifts, so a
+wrong request costs sweeps, not accuracy.  A closed-loop check forms its
+loop in the controller-Hessenberg coordinates of its system
+(``ControllerHessenberg``), where the loop is Hessenberg already, and
+hands it straight to the engine's core, ``_hessenberg_eigenvalues``,
+which ``eigenvalues`` runs after its validation and reduction.
 
 ``condition_number`` needs no Schur form.  It takes the Householder R of
 its matrix, inverts R by back substitution and multiplies the two
@@ -54,14 +54,14 @@ The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
 step; a swap's window), apply each reflector through views into a buffer
 made once per iteration, and solve a swap's Kronecker system, at most 4x4,
-on Python floats with the row loop of ``solve_linear``.  A Q-free bulge
-step costs about 11 us at n = 20-64 (2-vCPU VM, one BLAS thread), of
-which its two BLAS products take 6-7 us.  Where bits must be kept those
-two products are the floor: a product in another order, or outside this
-BLAS with its FMA-contracted kernels, changes the last bits of every
-result.  The seeded iteration, whose bits no gain depends on, fuses two
-bulge steps into two 4x4 products, and its sweep takes 0.73-0.77x the
-plain one's time at n = 8-64.
+on Python floats with the row loop of ``solve_linear``.  A plain bulge
+step costs about 11 us on its active block at n = 20-64 (2-vCPU VM, one
+BLAS thread), of which its two BLAS products take 6-7 us.  Where bits
+must be kept those two products are the floor: a product in another
+order, or outside this BLAS with its FMA-contracted kernels, changes the
+last bits of every result.  Without Q no gain depends on the bits, and
+the paired chase's sweep takes 0.73-0.77x the plain one's time at n =
+8-64.
 
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
@@ -88,7 +88,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .errors import _as_real, _as_square, _as_vector, _complexes, _finite, _floats
+from .errors import _as_square, _as_vector, _complexes, _finite, _floats
 from .poly import Spectrum, _as_spectrum
 
 EPS = float(np.finfo(float).eps)
@@ -614,25 +614,19 @@ def _rotation(cs, sn) -> np.ndarray:
 
 def _standardize_2x2(H, Q, i):
     """Bring the 2x2 block at (i, i) of upper quasi-triangular H to standard
-    form (see ``_standard_rotation``), accumulating the rotation into Q.
-
-    The rotation is a similarity on rows and columns i, i+1.  With Q None
-    it turns the block alone: only its eigenvalues are read again, and each
-    entry of a 2-row product is the same two-term dot however many columns
-    the product spans, so the block keeps ``real_schur``'s bits.
-    """
+    form (see ``_standard_rotation``) by a similarity on rows and columns
+    i, i+1, accumulating the rotation into Q.  A run without Q reads the
+    block's eigenvalues as it deflates instead (``_standard_eigs``)."""
     (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
     rot, finish = _standard_rotation(a, b, c, d)
     if rot is not None:
         G = _rotation(*rot)
-        span = slice(i, i + 2) if Q is None else slice(None)
-        R = H[i : i + 2, span]
+        R = H[i : i + 2, :]
         R[...] = G.T @ R
-        C = H[span, i : i + 2]
+        C = H[:, i : i + 2]
         C[...] = C @ G
-        if Q is not None:
-            C = Q[:, i : i + 2]
-            C[...] = C @ G
+        C = Q[:, i : i + 2]
+        C[...] = C @ G
     if finish == "split":
         H[i + 1, i] = 0.0
     elif finish == "equal":
@@ -648,8 +642,8 @@ def _standard_eigs(a, b, c, d) -> tuple[tuple, tuple]:
     ``_scan_blocks_upper`` takes them: ``((l1,), (l2,))`` after a split or
     when c = 0, else ``((z1, z2), ())``, z2 the exact conjugate of z1 or,
     inside the discriminant clamp, equal to it.  The products round as
-    numpy's 2x2 products do not always, so the values may differ from the
-    numpy standardization's in their last bits.
+    numpy's 2x2 products do not always, so the values may differ from
+    ``_standardize_2x2``'s in their last bits.
     """
     rot, finish = _standard_rotation(a, b, c, d)
     if rot is not None:
@@ -698,7 +692,7 @@ def _step_scratch() -> tuple:
     return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, flat4.reshape(4, 4)
 
 
-def _francis_step(H, Q, l, hi, tr, det, paired=False, scratch=None) -> int:
+def _francis_step(H, Q, l, hi, tr, det, scratch=None) -> int:
     """One implicit double-shift sweep on the active block l..hi of upper
     Hessenberg H; returns the number of row and column products it made
     on the active block.  The shift pair is given through its trace and
@@ -708,26 +702,23 @@ def _francis_step(H, Q, l, hi, tr, det, paired=False, scratch=None) -> int:
     closing step) into a buffer from ``scratch`` (``_step_scratch``, made
     once per ``_francis_upper`` call, or here when None) and applies it as
     ``R[...] = P @ R`` and ``C[...] = C @ P`` on the views R of its rows
-    and C of its columns in the window.  Those two products touch only the
-    active block, and they are the same with or without Q: the block's
-    values never read anything outside it, so the eigenvalue-only path (Q
-    None) is bitwise ``real_schur``'s by construction.  Only with Q are the
-    strips beside the block, rows above it and columns right of it,
-    updated as well, as LAPACK's dlahqr does when it wants T.  In the
-    step's rows, column k-1 is written directly as (alpha, 0, 0) and the
-    columns left of it hold exact zeros; rows below the bulge in the step's
-    columns hold exact zeros too.  All are skipped.
+    and C of its columns in the window.  With Q the strips beside the
+    block, rows above it and columns right of it, are updated as well, as
+    LAPACK's dlahqr does when it wants T.  In the step's rows, column k-1
+    is written directly as (alpha, 0, 0) and the columns left of it hold
+    exact zeros; rows below the bulge in the step's columns hold exact
+    zeros too.  All are skipped.
 
-    ``paired`` (Q None only) chases the bulge two positions at a time
-    wherever positions k and k+1 are both full 3x3 steps (k + 3 <= hi).
-    The input of the second reflector, column k at rows k+1..k+3 once the
-    first has acted from both sides, is computed on Python floats from the
-    4x3 block ``H[k:k+4, k:k+3]``; then ``G = diag(1, P_{k+1}) diag(P_k,
-    1)`` goes to rows k..k+3 as one 4x4 product and ``G.T`` to columns
-    k..k+3 as another, and both annihilated columns are written as
-    (alpha, 0, 0).  That is two products where the plain chase makes four.
-    Every transform stays local to the bulge, so the rounding is of the
-    plain chase's size and place, but not its bits.
+    Without Q, where only the block's eigenvalues are read, the bulge is
+    chased two positions at a time wherever positions k and k+1 are both
+    full 3x3 steps (k + 3 <= hi).  The input of the second reflector,
+    column k at rows k+1..k+3 once the first has acted from both sides, is
+    computed on Python floats from the 4x3 block ``H[k:k+4, k:k+3]``; then
+    ``G = diag(1, P_{k+1}) diag(P_k, 1)`` goes to rows k..k+3 as one 4x4
+    product and ``G.T`` to columns k..k+3 as another, and both annihilated
+    columns are written as (alpha, 0, 0).  That is two products where the
+    plain chase makes four.  Every transform stays local to the bulge, so
+    the rounding is of the plain chase's size and place, but not its bits.
     """
     n = H.shape[0]
     top = hi + 1
@@ -756,7 +747,7 @@ def _francis_step(H, Q, l, hi, tr, det, paired=False, scratch=None) -> int:
             k += 1
             continue
         products += 2
-        if paired and k + 3 <= hi:
+        if Q is None and k + 3 <= hi:
             p00, p01, p02, p10, p11, p12, p20, p21, p22 = entries
             (b00, b01, b02), (b10, b11, b12), (b20, b21, b22), (_, _, b32) = (
                 H[k : k + 4, k : k + 3].tolist())
@@ -836,16 +827,26 @@ def _requested_shifts(near, tr, det, corner):
     return z.real + w.real, z.real * w.real
 
 
-def _francis_upper(H, Q, max_sweeps, near=()):
+def _francis_upper(H, Q, near=()):
     """Drive upper Hessenberg H to upper quasi-triangular form in place.
 
     Subdiagonal entries count as converged when small against their
     diagonal neighbours; every tenth stalled sweep swaps in an exceptional
-    shift to break symmetry cycles.  Exceeding the sweep budget raises
-    ConvergenceError carrying the partial factorization.  Each pass reads
-    the diagonal and subdiagonal once, as Python floats, for the deflation
-    scan and the shifts.  A deflated 2x2 block is brought to standard form
-    (``_standardize_2x2``); returns None.
+    shift to break symmetry cycles.  More than 40 sweeps per dimension
+    raise ConvergenceError carrying the partial factorization.  Each pass
+    reads the diagonal and subdiagonal once, as Python floats, for the
+    deflation scan and the shifts.
+
+    With Q a deflated 2x2 block is brought to standard form
+    (``_standardize_2x2``), and the result is None.  Without Q nothing
+    reads a deflated block again, so each block's eigenvalues are read as
+    it deflates and returned: a list with, at each row, the eigenvalues of
+    the block starting there (``()`` on the second row of a 2x2 one), as
+    ``_scan_blocks_upper`` would read the standardized form.  A 2x2 block
+    is standardized on Python floats (``_standard_eigs``) and H keeps the
+    block as it deflated.  Such a run also chases its bulge in pairs
+    (``_francis_step``), so its eigenvalues move against those of a run
+    with Q in their trailing digits.
 
     ``near`` holds requested eigenvalues, already scaled as H is, and is
     only given without Q.  While any are left, the first sweep, and the
@@ -854,19 +855,7 @@ def _francis_upper(H, Q, max_sweeps, near=()):
     deflates in about one sweep.  Each deflated eigenvalue retires the
     requested value nearest it.  Every other sweep, and the deflation
     test, are those without ``near``; with ``near`` empty the iteration is
-    bitwise the plain one.
-
-    With ``near`` every sweep also chases its bulge in pairs,
-    ``_francis_step``'s paired mode: the shifts, the deflation test and the
-    budget are as above, and each pair of bulge positions makes one row
-    and one column product where the plain chase makes two of each.  Its
-    eigenvalues move against the plain chase's in their trailing digits
-    only.  Nothing reads a deflated block again, so such a run reads each
-    block's eigenvalues as it deflates and returns them: a list with, at
-    each row, the eigenvalues of the block starting there (``()`` on the
-    second row of a 2x2 one), as ``_scan_blocks_upper`` would read the
-    standardized form.  A 2x2 block is standardized on Python floats
-    (``_standard_eigs``) and H keeps the block as it deflated.
+    bitwise one without it.
 
     The sweep count is already at its floor.  On the 360 seed-1
     full-dense closed-loop checks of perfbench (mean n 12, 4229 sweeps,
@@ -884,11 +873,12 @@ def _francis_upper(H, Q, max_sweeps, near=()):
     """
     n = H.shape[0]
     hi = n - 1
+    max_sweeps = 40 * n
     sweeps = 0
     stalled = 0
     near = list(near)
     seeded = bool(near)  # the next standard sweep takes requested shifts
-    read = [()] * n if seeded else None  # a paired run's eigenvalues, by row
+    read = [()] * n if Q is None else None  # a Q-less run's eigenvalues, by row
     scratch = _step_scratch()
     while hi > 0:
         diag = H.diagonal()[: hi + 1].tolist()
@@ -900,7 +890,7 @@ def _francis_upper(H, Q, max_sweeps, near=()):
                 break
             l -= 1
         if l >= hi - 1:  # a 1x1 or 2x2 block deflates at the bottom
-            if read is None:
+            if Q is not None:
                 if l < hi:
                     _standardize_2x2(H, Q, l)
             else:
@@ -918,7 +908,7 @@ def _francis_upper(H, Q, max_sweeps, near=()):
             continue
         if sweeps >= max_sweeps:
             raise ConvergenceError(
-                f"QR iteration did not converge within {max_sweeps:.0f} sweeps "
+                f"QR iteration did not converge within {max_sweeps} sweeps "
                 f"(active block rows {l}..{hi})",
                 partial_q=None if Q is None else Q.copy(),
                 partial_t=H.T.copy(),
@@ -936,8 +926,8 @@ def _francis_upper(H, Q, max_sweeps, near=()):
             if seeded:
                 tr, det = _requested_shifts(near, tr, det, diag[hi])
                 seeded = False
-        _francis_step(H, Q, l, hi, tr, det, read is not None, scratch)
-    if read is not None and hi == 0:
+        _francis_step(H, Q, l, hi, tr, det, scratch)
+    if Q is None and hi == 0:
         read[0] = (complex(H[0, 0]),)
     return read
 
@@ -1010,24 +1000,20 @@ def _hessenberg_eigenvalues(H, shift, near=()) -> Spectrum:
     """Eigenvalues of ``2**shift H`` for an upper Hessenberg float H scaled
     as ``_scaled_transpose`` scales, which the iteration overwrites: the
     one engine behind ``eigenvalues`` and the closed-loop check, run
-    without Q on 40 sweeps per dimension.
+    without Q (``_francis_upper``), so each block's eigenvalues are read
+    as it deflates.
 
     The requested values ``near`` are scaled alike (``_scaled_request``)
-    and seed the shifts (``_francis_upper``).  A seeded run reads each
-    block's eigenvalues as it deflates; any other reads them off the
-    standardized form (``_scan_blocks_upper``), so that they are bitwise
-    ``real_schur``'s blocks.  Either way they come in row order and are
-    scaled back; one beyond the float range raises NumericalError.
+    and pick the shifts of some sweeps.  The eigenvalues come in row order
+    and are scaled back; one beyond the float range raises NumericalError.
     """
     if near:
         near = _scaled_request(near, H, shift)
     try:
-        read = _francis_upper(H, None, 40 * H.shape[0], near)
+        read = _francis_upper(H, None, near)
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
-    if read is None:
-        return Spectrum([z for blk in _scan_blocks_upper(H, shift) for z in blk.eigenvalues])
     values = []
     for row, lams in enumerate(read):
         try:
@@ -1037,22 +1023,19 @@ def _hessenberg_eigenvalues(H, shift, near=()) -> Spectrum:
     return Spectrum._of(tuple(values))
 
 
-def real_schur(A, max_sweeps=None) -> SchurDecomposition:
+def real_schur(A) -> SchurDecomposition:
     """Real Schur decomposition ``A = Q @ T @ Q.T``, T lower quasi-triangular.
 
     Householder reduction to Hessenberg form followed by implicit
-    double-shift QR, both run on the transpose, scaled by a power of two
-    (``_scaled_transpose``), and transposed and scaled back; an eigenvalue
-    or an entry of T beyond the float range raises NumericalError.  The
-    sweep budget is ``max_sweeps``, a whole number, or 40 per dimension.
+    double-shift QR on 40 sweeps per dimension, both run on the transpose,
+    scaled by a power of two (``_scaled_transpose``), and transposed and
+    scaled back; an eigenvalue or an entry of T beyond the float range
+    raises NumericalError.
     """
-    budget = None if max_sweeps is None else _as_real(max_sweeps, "max_sweeps")
-    if budget is not None and (budget < 0 or budget % 1):
-        raise ValidationError(f"max_sweeps must be a whole number >= 0, got {max_sweeps!r}")
     B, shift = _scaled_transpose(A)
     Q, H = _hessenberg_upper(B)
     try:
-        _francis_upper(H, Q, 40 * H.shape[0] if budget is None else budget)
+        _francis_upper(H, Q)
     except ConvergenceError as exc:
         exc.partial_t = np.ldexp(exc.partial_t, shift)
         raise
@@ -1077,12 +1060,11 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     without them, so the result is as accurate however wrong the request,
     which then costs sweeps, not digits.  Values that cannot be
     eigenvalues (not finite, or above the 1-norm of the Hessenberg form)
-    are dropped first.  A request also makes every sweep chase its bulge
-    two positions at a time, with half the row and column products, and
-    each 2x2 block be standardized on Python floats as it deflates
-    (``_francis_upper``), so the values move against those without it in
-    their trailing digits.  Without ``near`` the result is bitwise
-    ``real_schur(A)``'s blocks.
+    are dropped first, so a request of only such values is bitwise no
+    request.  With or without ``near`` the bulge is chased two positions
+    at a time and each block read as it deflates (``_francis_upper``), so
+    the values agree with ``real_schur(A)``'s blocks to rounding, not
+    bitwise.
     """
     near = _complexes(near, "near")
     B, shift = _scaled_transpose(A)

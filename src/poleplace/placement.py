@@ -100,7 +100,7 @@ class StateSpace:
 
     @cached_property
     def _schur(self) -> SchurDecomposition:
-        """``real_schur(A)``; its blocks are bitwise ``eigenvalues(A)``."""
+        """``real_schur(A)``, the one Schur form every subspace method reads."""
         dec = real_schur(self.A)
         dec.Q.flags.writeable = False
         dec.T.flags.writeable = False
@@ -235,15 +235,25 @@ def _selector(b, omega) -> np.ndarray:
     """``omega / (omega^T b)``: the rank-one selector of the eigenpair
     formula, and the gate of every one-value step.  An omega whose
     ``omega^T b`` is negligible against ``|omega||b|`` names a mode that
-    feedback through b cannot move, and raises InvariantEigenvalueError."""
-    s = float(omega @ b)
-    scale = float(np.linalg.norm(omega) * np.linalg.norm(b))
+    feedback through b cannot move, and raises InvariantEigenvalueError.
+
+    Gate and quotient are taken on omega and b each scaled by the power
+    of two that brings its largest entry into [0.5, 1), so no product or
+    norm overflows whatever their size, and the selector is bitwise
+    ``omega / (omega^T b)`` wherever that neither overflows nor
+    underflows."""
+    ew, eb = (int(np.frexp(max_abs(v))[1]) for v in (omega, b))
+    w, c = np.ldexp(omega, -ew), np.ldexp(b, -eb)
+    s = float(w @ c)
+    scale = float(np.linalg.norm(w) * np.linalg.norm(c))
     if abs(s) <= 1e-9 * scale:
+        with np.errstate(over="ignore"):
+            s, scale = np.ldexp([s, scale], ew + eb).tolist()
         raise InvariantEigenvalueError(
             f"omega^T b = {s:.3e} is negligible against |omega||b| = {scale:.3e}; "
             "this eigenvalue is invariant under feedback through b"
         )
-    return omega / s
+    return np.ldexp(w / s, -eb)
 
 
 def _gain(sys: StateSpace, k, method: str, targets=None, step_kappas=()) -> Gain:

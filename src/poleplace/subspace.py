@@ -14,9 +14,9 @@ Simon-Mitter its one-value case behind the ``omega^T b`` gate.
 
 The open-loop Schur form is taken once per system and kept on the
 ``StateSpace``: ``paired_plan`` and ``plan_targets`` read its block values,
-which are bitwise ``eigenvalues(A)``, and the sequential loop carries it
-through every step.  A step's reorder and feedback rescan only the rows
-they changed.
+which agree with ``eigenvalues(A)`` to rounding, and the sequential loop
+carries it through every step.  A step's reorder and feedback rescan only
+the rows they changed.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
 
 
 def _open_loop_values(sys: StateSpace) -> list[complex]:
-    """The block values of the system's stored Schur form, in block order;
-    as a Spectrum they are bitwise ``eigenvalues(sys.A)``."""
+    """The block values of the system's stored Schur form, in block order:
+    the open-loop spectrum every plan is matched against."""
     return [z for blk in sys._schur.blocks for z in blk.eigenvalues]
 
 

@@ -536,6 +536,19 @@ def test_place_validates_system_shape(tmp_path, capsys):
     assert "expected (3, 3)" in capsys.readouterr().err
 
 
+def test_place_names_the_shape_of_a_short_b(tmp_path, capsys):
+    # b's refusal reads as A's and StateSpace's do: shape against shape
+    system = write_json(
+        tmp_path / "short-b.json",
+        {"n": 3, "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], "b": [0.0, 1.0]},
+    )
+    plan = poles_plan(tmp_path, ["-1", "-2", "-3"])
+    assert main(["place", "--system", system, "--plan", plan, "--method", "bass-gura"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {system}: b has shape (2,), expected (3,)"]
+
+
 @pytest.mark.parametrize(
     "field, system",
     [("n", {"n": True, "A": [[1.0]], "b": [1.0]}),

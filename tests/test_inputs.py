@@ -25,6 +25,7 @@ from poleplace import (
     place_bass_gura,
     place_eigenpair,
     place_general,
+    place_partial,
     place_sequential,
     place_simon_mitter,
     real_schur,
@@ -107,12 +108,6 @@ def test_scalar_arguments_are_finite_real_numbers():
             place_simon_mitter(sys_, bad, -1.0)
         with pytest.raises(ValidationError):
             place_simon_mitter(sys_, 1.0, bad)
-        if bad is not None:  # None asks for the default budget
-            with pytest.raises(ValidationError):
-                real_schur(np.eye(2), max_sweeps=bad)
-    for bad in (-1, 2.5):
-        with pytest.raises(ValidationError):
-            real_schur(np.eye(2), max_sweeps=bad)
     # a Spectrum's values are complex: a zero imaginary part is real
     want = place_simon_mitter(sys_, 1.0, -1.0).k
     assert place_simon_mitter(sys_, 1 + 0j, -1 + 0j).k.tobytes() == want.tobytes()
@@ -463,5 +458,109 @@ def test_scaled_pairs_get_a_gain_or_a_numerical_error_property():
                 assert not isinstance(exc, ValidationError), (name, exc)
             else:
                 assert np.isfinite(gain.k).all(), name
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# b at any scale: k(A, 2**t b, T) = 2**-t k(A, b, T), bit for bit
+
+
+# A = diag(1, 2, 3), b = 2**t (1, 1, 1): the one-value gate once formed
+# |omega||b| by squaring b's entries, which overflows at t = 520
+ONE_VALUE_REPRO = (np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0], [-1.0, -2.0, -3.0])
+
+
+@pytest.mark.parametrize("t", [0, 520, 1000])
+def test_one_value_gate_takes_b_at_its_own_scale(t):
+    A, b, _ = ONE_VALUE_REPRO
+    base = StateSpace(A, b)
+    sys_ = StateSpace(A, np.ldexp(b, t))
+    simon_mitter = _strict(lambda: place_simon_mitter(sys_, 1.0, -1.0)).k
+    partial = _strict(lambda: place_partial(sys_, [1.0], [-1.0])).k
+    assert simon_mitter.tobytes() == partial.tobytes()
+    want = np.ldexp(place_simon_mitter(base, 1.0, -1.0).k, -t)
+    assert simon_mitter.tobytes() == want.tobytes()
+    # the eigenpair gain scales alike, and omega's own scale drops out
+    eigenpair = _strict(lambda: place_eigenpair(sys_, [1e200, 0.0, 0.0], -1.0)).k
+    assert eigenpair.tobytes() == np.ldexp(
+        place_eigenpair(base, [1.0, 0.0, 0.0], -1.0).k, -t).tobytes()
+    assert eigenpair.tobytes() == _strict(
+        lambda: place_eigenpair(sys_, np.ldexp([1e200, 0.0, 0.0], 200), -1.0)).k.tobytes()
+
+
+def _gain_or_error(call):
+    """``("gain", k)`` of call() under ``_strict``, or ``("error", class)``."""
+    try:
+        return "gain", _strict(call).k
+    except PolePlacementError as exc:
+        return "error", type(exc)
+
+
+def _normal(k) -> bool:
+    """Every entry of k is zero or a normal float."""
+    a = np.abs(k)
+    return bool(np.all((a == 0.0) | ((a >= np.finfo(float).tiny) & np.isfinite(a))))
+
+
+def test_scaling_b_scales_every_gain_by_the_inverse_power_property():
+    # dense pairs of order n <= 8 with b scaled by 2**t (-300 <= t <= 1000):
+    # each method's gain is bitwise 2**-t times its gain at t = 0, or both
+    # raise the same error class, with no RuntimeWarning on the way; draws
+    # whose gain leaves the normal range at either scale compare nothing
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def scaled_b(draw):
+        n = draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        targets = []
+        while len(targets) < n:
+            if n - len(targets) >= 2 and draw(st.booleans()):
+                z = complex(-rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+                targets += [z, z.conjugate()]
+            else:
+                targets.append(-rng.uniform(0.1, 3.0))
+        return (rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n), targets,
+                draw(st.integers(-300, 1000)))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(scaled_b())
+    @hypothesis.example((*ONE_VALUE_REPRO, 520))
+    @hypothesis.example((*ONE_VALUE_REPRO, 1000))
+    def check(case):
+        A, b, values, t = case
+        targets = Spectrum(values)
+        pulled = values[:1] if isinstance(values[0], float) else values[:2]
+        blocks = StateSpace(A, b)._schur.blocks
+        first = blocks[0].eigenvalues
+        reals = [z.real for blk in blocks for z in blk.eigenvalues if z.imag == 0.0]
+
+        def methods(sys_):
+            calls = {
+                "bass_gura": lambda: place_bass_gura(sys_, targets),
+                "ackermann": lambda: place_ackermann(sys_, targets),
+                "general": lambda: place_general(sys_, targets, pulled),
+                "sequential": lambda: place_sequential(sys_, paired_plan(sys_, targets))[0],
+                "partial": lambda: place_partial(sys_, first, [-1.0, -2.0][: len(first)]),
+            }
+            if reals:
+                calls["simon_mitter"] = lambda: place_simon_mitter(sys_, reals[0], -1.0)
+            return calls
+
+        base = methods(StateSpace(A, b))
+        scaled = methods(StateSpace(A, np.ldexp(b, t)))
+        for name in base:
+            kind, got = _gain_or_error(base[name])
+            kind_t, got_t = _gain_or_error(scaled[name])
+            if kind == "error":
+                assert (kind_t, got_t) == (kind, got), name
+                continue
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.ldexp(got, -t)
+            if _normal(got) and _normal(want):
+                assert kind_t == "gain", (name, got_t)
+                assert got_t.tobytes() == want.tobytes(), name
 
     check()

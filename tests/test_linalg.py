@@ -51,6 +51,29 @@ def _block_bits(blocks):
             for blk in blocks]
 
 
+def _no_sweeps(monkeypatch):
+    """Make every QR sweep a no-op, so the iteration runs out of its budget
+    of 40 sweeps per dimension with nothing deflated by sweeping."""
+    monkeypatch.setattr(linalg, "_francis_step", lambda *args: 0)
+
+
+def _assert_first_order_bound(A, values):
+    """Each of ``values`` is within the first-order bound of one eigenvalue
+    of A, one to one: a backward error of criterion 7's size, 1024 n eps
+    ||A||_2, moves an eigenvalue by at most kappa times it, kappa = 1 /
+    |y^H x| for unit left and right eigenvectors (inf for a defective
+    one), from scipy's LAPACK."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    optimize = pytest.importorskip("scipy.optimize")
+    w, vl, vr = scipy_linalg.eig(A, left=True, right=True)
+    with np.errstate(divide="ignore"):
+        kappa = 1.0 / np.abs(np.sum(vl.conj() * vr, axis=0))
+    bound = 1024 * A.shape[0] * EPS * np.linalg.norm(A, 2) * kappa
+    ratio = np.abs(np.array(values, dtype=complex)[:, None] - w[None, :]) / bound
+    rows, cols = optimize.linear_sum_assignment(ratio)
+    assert len(rows) == A.shape[0] and np.all(ratio[rows, cols] <= 1.0)
+
+
 def _nearest_match_distance(got, want):
     got = list(got)
     out = 0.0
@@ -522,8 +545,6 @@ def test_schur_eigenvalues_match_lapack():
 def test_real_schur_property_on_random_matrices():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    optimize = pytest.importorskip("scipy.optimize")
 
     @st.composite
     def matrices(draw):
@@ -553,16 +574,9 @@ def test_real_schur_property_on_random_matrices():
         dec = real_schur(A)
         assert max_abs(dec.Q.T @ dec.Q - np.eye(n)) <= 64 * n * EPS
         assert max_abs(dec.Q @ dec.T @ dec.Q.T - A) <= 1024 * n * EPS * max_abs(A)
-        # first-order bound: a backward error of criterion 7's size moves an
-        # eigenvalue by at most kappa times it, kappa = 1 / |y^H x| for unit
-        # left and right eigenvectors (inf for a defective one)
-        w, vl, vr = scipy_linalg.eig(A, left=True, right=True)
-        with np.errstate(divide="ignore"):
-            kappa = 1.0 / np.abs(np.sum(vl.conj() * vr, axis=0))
-        bound = 1024 * n * EPS * np.linalg.norm(A, 2) * kappa
-        ratio = np.abs(np.array(_block_values(dec))[:, None] - w[None, :]) / bound
-        rows, cols = optimize.linear_sum_assignment(ratio)
-        assert np.all(ratio[rows, cols] <= 1.0)
+        _assert_first_order_bound(A, _block_values(dec))
+        # eigenvalues runs without Q, on the paired chase, to the same bound
+        _assert_first_order_bound(A, list(eigenvalues(A)))
 
     check()
 
@@ -609,7 +623,7 @@ def test_eigenvalues_property_conjugate_closed_bitwise():
 
 
 @pytest.mark.parametrize("k", [-900, -500, -1, 1, 500, 900])
-def test_schur_at_extreme_scales_is_bitwise_scaled(k):
+def test_schur_at_extreme_scales_is_bitwise_scaled(k, monkeypatch):
     # the driver first scales A by a power of two, so a power-of-two factor
     # that keeps every entry normal scales every output exactly, also where
     # the unscaled squares would overflow or underflow
@@ -623,8 +637,9 @@ def test_schur_at_extreme_scales_is_bitwise_scaled(k):
     dec, scaled = real_schur(A), real_schur(f * A)
     assert scaled.Q.tobytes() == dec.Q.tobytes()
     assert scaled.T.tobytes() == np.ldexp(dec.T, k).tobytes()
+    _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        real_schur(f * A, max_sweeps=0)
+        real_schur(f * A)
     Q, T = info.value.partial_q, info.value.partial_t
     assert max_abs(Q @ T @ Q.T - f * A) <= 1024 * 6 * EPS * max_abs(f * A)
 
@@ -662,23 +677,25 @@ def test_eigenvalues_beyond_the_float_range_raise_a_typed_error():
         real_schur(A)
 
 
-def test_schur_sweep_budget_exhaustion():
+def test_schur_sweep_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
+    _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        real_schur(A, max_sweeps=0)
-    assert "0 sweeps" in str(info.value)
+        real_schur(A)
+    assert "within 200 sweeps" in str(info.value)
     assert info.value.partial_q.shape == (5, 5)
     assert info.value.partial_t.shape == (5, 5)
 
 
-def test_eigenvalue_only_budget_exhaustion_has_no_q():
+def test_eigenvalue_only_budget_exhaustion_has_no_q(monkeypatch):
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
     _, H = _hessenberg_upper(_scaled_transpose(A)[0], want_q=False)
+    _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        linalg._francis_upper(H, None, 0)
-    assert "0 sweeps" in str(info.value)
+        linalg._francis_upper(H, None)
+    assert "within 200 sweeps" in str(info.value)
     assert info.value.partial_q is None
     assert info.value.partial_t.shape == (5, 5)
 
@@ -695,8 +712,8 @@ def test_eigenvalues_nilpotent():
 
 
 # ---------------------------------------------------------------------------
-# the eigenvalue-only path: eigenvalues runs the same iteration as
-# real_schur without Q, and must read bitwise the same blocks
+# the eigenvalue-only path: eigenvalues runs the iteration without Q, which
+# chases the bulge in pairs and reads each block as it deflates
 
 
 def _block_values(dec):
@@ -729,8 +746,7 @@ def _bitwise_inputs(kind):
         for n in (3, 4, 7, 12):
             yield _cyclic(n)
     elif kind == "pairs":
-        # conjugate pairs only: nearly every deflation standardizes a 2x2,
-        # which turns the block alone when Q is not wanted
+        # conjugate pairs only: nearly every deflation reads a 2x2 block
         for n in (3, 4, 7, 12, 20, 33, 64):
             yield _known_spectrum(rng, n)[0]
     elif kind == "clamp":
@@ -760,13 +776,27 @@ _IMPOSSIBLE_REQUESTS = (
 
 @pytest.mark.parametrize("kind", ["dense", "triangular", "symmetric", "cyclic", "clamp", "pairs"])
 def test_eigenvalue_only_path_is_bitwise_real_schur(kind):
+    # eigenvalues without a request runs the paired chase, so it meets
+    # real_schur's accuracy, not its bits: each value lies within the
+    # first-order bound real_schur's blocks meet, complex values come in
+    # exact conjugate pairs, and the clamp family reports the repeated real
+    # pair of real_schur's 2x2 block; a request whose values cannot be
+    # eigenvalues is bitwise no request
     for A in _bitwise_inputs(kind):
-        want = np.array(_block_values(real_schur(A)), dtype=complex)
-        # an empty request, or one whose values cannot be eigenvalues, is
-        # no request at all
-        for near in ((), *_IMPOSSIBLE_REQUESTS):
-            got = np.array(list(eigenvalues(A, near=near)), dtype=complex)
-            assert got.tobytes() == want.tobytes()
+        values = list(eigenvalues(A))
+        got = np.array(values, dtype=complex)
+        for near in _IMPOSSIBLE_REQUESTS:
+            assert np.array(list(eigenvalues(A, near=near)), dtype=complex).tobytes() == (
+                got.tobytes())
+        upper = Counter((z.real.hex(), z.imag.hex()) for z in values if z.imag > 0.0)
+        lower = Counter((z.real.hex(), (-z.imag).hex()) for z in values if z.imag < 0.0)
+        assert upper == lower
+        if kind == "clamp":
+            (pair,) = [blk for blk in real_schur(A).blocks if blk.size == 2]
+            z, w = pair.eigenvalues
+            assert z == w and z.imag == 0.0 and values.count(z) == 2
+        else:
+            _assert_first_order_bound(A, values)
         for M in (A, A[:, : max(1, A.shape[1] // 2)]):
             kappa = _kappa_reference(M)
             assert abs(condition_number(M) - kappa) <= 1e-6 * kappa
@@ -863,31 +893,28 @@ def test_requested_shifts_cut_the_sweeps(monkeypatch):
 
 
 def test_seeded_sweeps_chase_the_bulge_in_pairs(monkeypatch):
-    # a seeded iteration fuses bulge positions k and k+1 into one 4x4
-    # product per side: on n = 32 loops whose spectrum is requested
-    # exactly, a check makes at most 0.55x the row and column products the
-    # plain chase makes on the same matrices and shifts (0.53x measured);
-    # without a request every sweep is the plain chase
+    # a run without Q fuses bulge positions k and k+1 into one 4x4 product
+    # per side: on n = 32 loops, with their spectrum requested exactly or
+    # without a request, it makes at most 0.55x the row and column products
+    # the plain chase of a run with Q makes on the same matrices and shifts
+    # (0.53x measured)
     step = linalg._francis_step
     paired, plain = [], []
 
-    def counting(H, Q, l, hi, tr, det, *mode):
-        plain.append(step(H.copy(), Q, l, hi, tr, det))
-        paired.append(step(H, Q, l, hi, tr, det, *mode))
+    def counting(H, Q, l, hi, tr, det, *scratch):
+        plain.append(step(H.copy(), np.eye(H.shape[0]), l, hi, tr, det))
+        paired.append(step(H, Q, l, hi, tr, det, *scratch))
         return paired[-1]
 
     monkeypatch.setattr(linalg, "_francis_step", counting)
     rng = np.random.default_rng(89)
     for _ in range(10):
         A, values = _known_spectrum(rng, 32)
-        paired.clear()
-        plain.clear()
-        eigenvalues(A, near=values)
-        assert sum(paired) <= 0.55 * sum(plain)
-        paired.clear()
-        plain.clear()
-        eigenvalues(A)
-        assert paired == plain
+        for near in (values, ()):
+            paired.clear()
+            plain.clear()
+            eigenvalues(A, near=near)
+            assert sum(paired) <= 0.55 * sum(plain)
 
 
 # the 2x2 blocks a seeded run deflates, one per finish of
@@ -957,15 +984,16 @@ def test_seeded_run_reads_each_2x2_finish_as_it_deflates(monkeypatch, finish):
 
 def test_standard_eigs_reads_the_block_the_numpy_standardization_leaves():
     # each finish, and c = 0, which no deflated 2x2 block has (its
-    # subdiagonal passed the deflation test): the float standardization
-    # reads the rows _scan_blocks_upper reads after _standardize_2x2, to a
-    # few ulps, the pairs as exact conjugates
+    # subdiagonal passed the deflation test): the float standardization of
+    # a run without Q reads the rows _scan_blocks_upper reads after
+    # real_schur's _standardize_2x2, to a few ulps, the pairs as exact
+    # conjugates
     blocks = [block for block, _ in _FINISHES.values()] + [[[0.5, 0.25], [0.0, -0.25]]]
     rng = np.random.default_rng(457)
     blocks += [rng.uniform(-1, 1, (2, 2)).tolist() for _ in range(200)]
     for block in blocks:
         H = np.array(block)
-        linalg._standardize_2x2(H, None, 0)
+        linalg._standardize_2x2(H, np.eye(2), 0)
         want = [blk.eigenvalues for blk in _scan_blocks_upper(H)]
         first, second = linalg._standard_eigs(*np.ravel(block).tolist())
         rows = [first, second] if second else [first]
@@ -1085,10 +1113,10 @@ def test_eigenvalues_with_a_request_property():
 
 
 def test_eigenvalue_only_sweep_stays_inside_its_window():
-    # without Q a sweep, plain or paired, reads and writes only the active
-    # block l..hi; the entries outside it are NaN and infinities, since a
-    # NaN alone passes through a full-row update unchanged while an
-    # infinity turns into NaN
+    # without Q a sweep, which chases its bulge in pairs, reads and writes
+    # only the active block l..hi; the entries outside it are NaN and
+    # infinities, since a NaN alone passes through a full-row update
+    # unchanged while an infinity turns into NaN
     rng = np.random.default_rng(67)
     n, l, hi = 12, 3, 9
     H = np.triu(rng.uniform(-1, 1, (n, n)), -1)
@@ -1098,16 +1126,15 @@ def test_eigenvalue_only_sweep_stays_inside_its_window():
     H0 = H.copy()
     tr = H[hi - 1, hi - 1] + H[hi, hi]
     det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
-    for paired in (False, True):
-        H = H0.copy()
-        linalg._francis_step(H, None, l, hi, tr, det, paired)
-        window, window0 = H[l : hi + 1, l : hi + 1], H0[l : hi + 1, l : hi + 1]
-        assert np.all(np.isfinite(window))
-        assert np.all(np.tril(window, -2) == 0.0)
-        assert not np.array_equal(window, window0)
-        assert _nearest_match_distance(np.linalg.eigvals(window),
-                                       np.linalg.eigvals(window0)) <= 1e-12
-        assert H[outside].tobytes() == H0[outside].tobytes()
+    H = H0.copy()
+    linalg._francis_step(H, None, l, hi, tr, det)
+    window, window0 = H[l : hi + 1, l : hi + 1], H0[l : hi + 1, l : hi + 1]
+    assert np.all(np.isfinite(window))
+    assert np.all(np.tril(window, -2) == 0.0)
+    assert not np.array_equal(window, window0)
+    assert _nearest_match_distance(np.linalg.eigvals(window),
+                                   np.linalg.eigvals(window0)) <= 1e-12
+    assert H[outside].tobytes() == H0[outside].tobytes()
 
 
 def test_householder_on_strided_column_is_bitwise_the_norm_formula():
