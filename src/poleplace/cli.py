@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -91,7 +92,8 @@ def _parse_pole_list(text: str, what: str) -> list[complex]:
 # ---------------------------------------------------------------- JSON io
 
 def _emit_json(obj, indent: int = 0) -> str:
-    # floats at 17 significant digits so every value round-trips in decimal
+    # floats at 17 significant digits so every value round-trips in decimal;
+    # a non-finite float, which JSON cannot hold, is written as null
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -114,7 +116,7 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.17g}"
+        return f"{float(obj):.17g}" if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 

@@ -43,12 +43,11 @@ loop in the controller-Hessenberg coordinates of its system
 hands it straight to the engine's core, ``_hessenberg_eigenvalues``,
 which ``eigenvalues`` runs after its validation and reduction.
 
-``condition_number`` needs no Schur form.  It takes the Householder R of
-its matrix, inverts R by back substitution and multiplies the two
-spectral norms.  Each norm is the largest eigenvalue of a Gram matrix,
-pinned from above and below by repeated squaring.  Forming ``M.T @ M``
-and reading its smallest eigenvalue instead would square the condition
-number.
+``condition_number`` needs no Schur form.  It takes the R of its matrix
+from numpy's QR, inverts R here by back substitution and multiplies the
+two spectral norms, both numpy's.  The inverse is the step that keeps
+kappa accurate up to 1/eps: the smallest singular value read off an SVD
+carries an absolute error of about eps times the largest.
 
 The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
@@ -232,23 +231,17 @@ def krylov(A, b) -> np.ndarray:
 
 
 def condition_number(M) -> float:
-    """Spectral condition number ``sigma_max / sigma_min`` of M, from its
-    Householder R.
+    """Spectral condition number ``sigma_max / sigma_min`` of M, as
+    ``||R||_2 ||R^-1||_2`` for the R of its QR factorization.
 
     M is first scaled by the power of two that brings its largest entry
     into [0.5, 1), which changes no rounding, so ``2**k M`` gives bitwise
-    the same value.  Householder QR is columnwise backward stable and R
-    has M's singular values.  Then ``kappa = ||R||_2 ||R^-1||_2``, with
-    ``R^-1`` from back substitution and each norm the square root of the
-    largest eigenvalue of its Gram matrix (``_top_eigenvalue``).  That
-    eigenvalue is well conditioned, where the smallest eigenvalue of
-    ``M.T @ M`` would square kappa.  With at most two columns the singular
-    values of the 1x1 or 2x2 R are taken in closed form, as LAPACK's dlas2
-    does.
-
-    Returns ``inf`` for a matrix of lower column rank to working precision:
-    a wide M, or a diagonal entry of R below ``n * ulp(1) * max|R|``, the
-    pivot threshold of ``solve_linear``.
+    the same value.  R and both 2-norms come from numpy's LAPACK; ``R^-1``
+    is formed here by back substitution, so sigma_min is never read off an
+    SVD of M, whose absolute error would swamp it.  Returns ``inf`` for a
+    wide M, a diagonal entry of R below ``n * ulp(1) * max|R|`` (the pivot
+    threshold of ``solve_linear``), or an ``R^-1`` or product past the
+    float range.  A LAPACK failure raises NumericalError.
     """
     M = _floats(M, "matrix")
     if M.ndim != 2 or M.size == 0:
@@ -257,36 +250,24 @@ def condition_number(M) -> float:
     m, n = M.shape
     if n > m or top == 0.0:
         return math.inf
-    R = np.ldexp(M, -math.frexp(top)[1])
-    for k in range(min(n, m - 1)):
-        v, beta, alpha = _householder(R[k:, k])
-        if beta != 0.0:
-            R[k:, k + 1 :] -= beta * (v[:, None] * (v @ R[k:, k + 1 :]))
-        R[k, k] = alpha
-        R[k + 1 :, k] = 0.0
-    R = R[:n]
-    d = R.diagonal()
-    if np.abs(d).min() < n * EPS * np.abs(R).max():
-        return math.inf
-    if n == 1:
-        return 1.0
-    if n == 2:
-        (f, g), (_, h) = R.tolist()
-        return _kappa_2x2(f, g, h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = R / d[:, None]  # unit upper triangular, R = D @ U
-        Y = np.eye(n)  # U^-1, row by row from the bottom
-        for k in range(n - 2, -1, -1):
-            Y[k, k + 1 :] = -(U[k, k + 1 :] @ Y[k + 1 :, k + 1 :])
-        X = Y / d  # R^-1 = U^-1 @ D^-1
-        xtop = float(np.abs(X).max())
-    if not xtop < math.inf:
-        return math.inf
-    xshift = math.frexp(xtop)[1]
-    X = np.ldexp(X, -xshift)
-    rnorm = math.sqrt(_top_eigenvalue(R.T @ R))
-    xnorm = math.sqrt(_top_eigenvalue(X.T @ X))
-    return math.ldexp(rnorm * xnorm, xshift)
+    try:
+        R = np.linalg.qr(np.ldexp(M, -math.frexp(top)[1]), mode="r")
+        d = R.diagonal()
+        if np.abs(d).min() < n * EPS * np.abs(R).max():
+            return math.inf
+        if n == 1:
+            return 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = R / d[:, None]  # unit upper triangular, R = D @ U
+            Y = np.eye(n)  # U^-1, row by row from the bottom
+            for k in range(n - 2, -1, -1):
+                Y[k, k + 1 :] = -(U[k, k + 1 :] @ Y[k + 1 :, k + 1 :])
+            X = Y / d  # R^-1 = U^-1 @ D^-1
+        if not np.isfinite(X).all():
+            return math.inf
+        return float(np.linalg.norm(R, 2)) * float(np.linalg.norm(X, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"condition number: {exc}") from None
 
 
 def _kappa_2x2(f, g, h) -> float:
@@ -304,41 +285,6 @@ def _kappa_2x2(f, g, h) -> float:
     au = fhmx / ga
     c = 1.0 / (math.sqrt(1.0 + (s * au) ** 2) + math.sqrt(1.0 + (t * au) ** 2))
     return (ga / (c + c)) / (2.0 * (fhmn * c) * au)
-
-
-_SETTLED = 1e-8
-
-
-def _top_eigenvalue(G) -> float:
-    """Largest eigenvalue of a nonzero symmetric positive semidefinite G,
-    certified to ``_SETTLED`` relative.
-
-    Repeated squaring gives ``B = G**p`` (p = 1, 2, 4, ...), scaled by a
-    power of two per step.  Two bounds pin the eigenvalue lambda:
-    ``trace(B)**(1/p) >= lambda``, and the Rayleigh quotient of G at the
-    column of B with the largest diagonal entry, ``theta <= lambda``.  That
-    quotient is returned once the two agree to ``_SETTLED``.  With a gap
-    below lambda both converge in a few squarings.  Without a gap, for a
-    top eigenvalue of multiplicity m (G = I for an orthogonal matrix), the
-    trace bound still settles once p exceeds ``ln(m) / _SETTLED``, after
-    about 30 squarings.  After 64 it pins lambda to rounding by itself,
-    and is returned.
-    """
-    B, p, shift = G, 1, 0  # B = G**p / 2**shift
-    for _ in range(64):
-        t = float(B.trace())
-        upper = 2.0 ** ((math.log2(t) + shift) / p)
-        e = math.frexp(t)[1]
-        B = B * math.ldexp(1.0, -e)
-        shift += e
-        v = B[:, int(B.diagonal().argmax())]
-        theta = float(v @ (G @ v)) / float(v @ v)
-        if upper <= theta * (1.0 + _SETTLED):
-            return theta
-        B = B @ B
-        shift *= 2
-        p *= 2
-    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +638,16 @@ def _step_scratch() -> tuple:
     return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, flat4.reshape(4, 4)
 
 
-def _francis_step(H, Q, l, hi, tr, det, scratch=None) -> int:
+def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
     """One implicit double-shift sweep on the active block l..hi of upper
-    Hessenberg H; returns the number of row and column products it made
-    on the active block.  The shift pair is given through its trace and
+    Hessenberg H.  The shift pair is given through its trace and
     determinant, so exceptional shifts use the same path.
 
     Each bulge step writes an explicit 3x3 reflector P (2x2 for the
     closing step) into a buffer from ``scratch`` (``_step_scratch``, made
-    once per ``_francis_upper`` call, or here when None) and applies it as
-    ``R[...] = P @ R`` and ``C[...] = C @ P`` on the views R of its rows
-    and C of its columns in the window.  With Q the strips beside the
+    once per ``_francis_upper`` call) and applies it as ``R[...] = P @ R``
+    and ``C[...] = C @ P`` on the views R of its rows and C of its columns
+    in the window.  With Q the strips beside the
     block, rows above it and columns right of it, are updated as well, as
     LAPACK's dlahqr does when it wants T.  In the step's rows, column k-1
     is written directly as (alpha, 0, 0) and the columns left of it hold
@@ -726,8 +671,7 @@ def _francis_step(H, Q, l, hi, tr, det, scratch=None) -> int:
     x = a * a + b * c - tr * a + det
     y = c * (a + d - tr)
     z = e * c
-    flat3, P3, flat2, P2, flat4, G = scratch or _step_scratch()
-    products = 0
+    flat3, P3, flat2, P2, flat4, G = scratch
     k = l
     while k < hi:
         m = 3 if k + 2 < top else 2  # the closing step reflects two rows, z = 0
@@ -746,7 +690,6 @@ def _francis_step(H, Q, l, hi, tr, det, scratch=None) -> int:
         if entries is None:
             k += 1
             continue
-        products += 2
         if Q is None and k + 3 <= hi:
             p00, p01, p02, p10, p11, p12, p20, p21, p22 = entries
             (b00, b01, b02), (b10, b11, b12), (b20, b21, b22), (_, _, b32) = (
@@ -791,7 +734,6 @@ def _francis_step(H, Q, l, hi, tr, det, scratch=None) -> int:
             C = Q[:, k : k + m]
             C[...] = C @ P
         k += 1
-    return products
 
 
 def _nearest(values, z) -> int:

@@ -866,6 +866,32 @@ def test_verify_reads_report_from_stdin(tmp_path, capsys, monkeypatch):
     assert "ok:" in capsys.readouterr().out
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_place_writes_an_infinite_diagnostic_as_null(tmp_path, capsys, monkeypatch):
+    # b = (1, 1e-20) is uncontrollable to working precision, so kappa of C
+    # is inf; the partial step still places the one moved value, and the
+    # report stays strict JSON that verify reads back from stdin
+    system = write_json(tmp_path / "tiny.json",
+                        {"n": 2, "A": [[1, 0], [0, 2]], "b": [1, 1e-20]})
+    plan = groups_plan(tmp_path, [(["1"], ["-1"])])
+    assert main(["place", "--system", system, "--plan", plan, "--method", "partial"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_refuse_constant)
+    assert report["diagnostics"]["kappa_controllability"] is None
+    assert "condition number inf" in report["diagnostics"]["warnings"][0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(captured.out))
+    assert main(["verify", "--gain", "-"]) == 0
+
+
+def test_emit_json_writes_non_finite_floats_as_null():
+    obj = {"x": float("inf"), "row": [float("-inf"), np.float64("nan"), 1.5]}
+    assert json.loads(_emit_json(obj), parse_constant=_refuse_constant) == {
+        "x": None, "row": [None, None, 1.5]}
+
+
 def test_verify_stdin_report_with_plan_override(tmp_path, capsys, monkeypatch):
     main(
         [
