@@ -215,6 +215,10 @@ def monic_from_roots(roots) -> Polynomial:
 #   ``_top_padding(far_bits, beta)``, and a larger P raises NumericalError.
 #   The state is one buffer with P_max top levels, and a step works on its
 #   view from P_max - P levels down, zeroing the levels a grown P takes in.
+# * A step's views and scratch are made once per top padding, the gather's
+#   reads once per pattern of top rows; the trace and c_k's carry-in work on
+#   a contiguous copy of the diagonal, whose places change only when the
+#   columns of M move unevenly, and c_k is cut on Python floats.
 
 _WINDOW_BITS = 168  # a column keeps (L - 1) beta >= this many bits below its top digit
 _QUOTIENT_WORDS = 4  # words of c_k, about 212 bits
@@ -250,12 +254,13 @@ def _carry(digits, beta: int, rounds: int, up=None):
     ``up`` is scratch shaped like ``digits[1:]``."""
     if up is None:
         up = np.empty_like(digits[1:])
+    upper, lower = digits[:-1], digits[1:]
     for _ in range(rounds):
-        np.multiply(digits[1:], 2.0**-beta, out=up)
+        np.multiply(lower, 2.0**-beta, out=up)
         np.rint(up, out=up)
-        digits[:-1] += up
+        upper += up
         up *= 2.0**beta
-        digits[1:] -= up
+        lower -= up
 
 
 def _top_padding(bits: float, beta: int) -> int:
@@ -273,11 +278,10 @@ def _quotient(values, k: int) -> list:
     each power of two that makes up k.  ``values`` is extended in place.
     """
     powers = [-math.ldexp(1.0, b) for b in range(k.bit_length()) if k >> b & 1]
-    words = []
-    for _ in range(_QUOTIENT_WORDS):
-        q = math.fsum(values) / k
-        words.append(q)
-        values.extend(q * p for p in powers)
+    words = [math.fsum(values) / k]
+    while len(words) < _QUOTIENT_WORDS:
+        values += [words[-1] * p for p in powers]
+        words.append(math.fsum(values) / k)
     return words
 
 
@@ -288,19 +292,18 @@ def open_loop_record(A, b) -> OpenLoopRecord:
     A = _as_square(A, "A")
     n = A.shape[0]
     b = _as_vector(b, n, "b")
-    shift = int(np.frexp(np.max(np.abs(A)))[1])
-    A = np.ldexp(A, -shift)
-    row_max = np.max(np.abs(A), axis=1)
-    row_exp = np.frexp(row_max[row_max > 0.0])[1]
-    spread = -int(row_exp.min()) if row_exp.size else 0
+    magnitude = np.abs(A)
+    shift = math.frexp(magnitude.max())[1]
+    # a zero row reads exponent 0, at or above every other row's
+    spread = -int(np.frexp(np.ldexp(magnitude.max(axis=1), -shift))[1].min())
     beta, window, levels, rounds = _slice_plan(n, spread)
 
-    rest = A.copy()
+    rest = np.ldexp(A, -shift)
     a_slices = []
     for i in range(1, levels + 1):
         a_slices.append(np.rint(np.ldexp(rest, i * beta)))
         rest -= np.ldexp(a_slices[-1], -i * beta)
-        if not rest.any():
+        if not np.count_nonzero(rest):
             break
     depth = len(a_slices)
     # The state is kept transposed, column c of M in row c and x in row n,
@@ -310,80 +313,95 @@ def open_loop_record(A, b) -> OpenLoopRecord:
     # window of columns s n .. (s + depth) n of Epad times A_stack, one
     # product for every s.
     A_stack = np.concatenate(a_slices[::-1], axis=1).T.copy()
-    blocks = levels + depth - 1
-    cols = n + 1
+    blocks, cols = levels + depth - 1, n + 1
     Epad = np.zeros((cols, blocks * n))
-    Epad[:n, (depth - 1) * n : depth * n] = np.ldexp(np.eye(n), beta - 1)
+    np.fill_diagonal(Epad[:n, (depth - 1) * n : depth * n], 2.0 ** (beta - 1))
     # the first depth - 1 windows start in the zero blocks; at large n the
     # products that skip those blocks are worth their extra calls
     skip = depth - 1 if n >= 32 else 0
     item = Epad.itemsize
     windows = np.ndarray((levels - skip, cols, depth * n), Epad.dtype, Epad, skip * n * item,
                          (n * item, blocks * n * item, item))
-    # Column c's digit j stands on the grid 2**(1 + beta (lift[c] - j - 1)),
+    # Column c's digit j stands on the grid 2**(1 + beta (lift_c - j - 1)),
     # so the grids of all columns are of the one family 2**(1 + beta m).
-    lift = np.zeros(cols, dtype=np.int64)
-    diag_lift = lift[:n]  # a view: the columns of M
-    found = np.ones(cols, dtype=bool)  # columns with a nonzero digit
-    all_found = True
+    # The columns of M lie ``below[c]`` lifts under the top one, ``lift_top``,
+    # ``deepest`` at most; these change only where a step moves them unevenly.
+    lift_top, below, deepest, lift_x = 0, [0] * n, 0, 0
+    found, all_found = None, True  # every column has a nonzero digit
     pad0 = _top_padding(math.log2(n), beta)  # |N[:, c]| < n 2**e_c
     # a column this far below c_k's grid falls wholly below the window
     # that c_k opens on its diagonal
     far_bits = (window + 1) * beta + math.ceil(math.log2(n)) + 3
     # a step's state is T = store[pad_max - pad:]: the body, pad + levels
-    # levels, then window - 1 zero levels that let any window be read
+    # levels, then window - 1 zero levels that let any window be read; a
+    # level above T is zeroed when a grown pad takes it in
     pad_max = _top_padding(far_bits, beta)
     height = pad_max + levels
-    store = np.zeros((height + window - 1, cols, n))
+    store = np.empty((height + window - 1, cols, n))
+    store[height:] = 0.0
     store_diagonal = store[:height].reshape(height, cols * n)[:, : n * n : n + 1]  # a view
-    up = np.empty((height - 1, cols, n))
+    up, diagonal = np.empty((height - 1, cols, n)), np.empty((2 * height - 1, n))
     levels_down = np.arange(height)[:, None]
-    cut = np.arange(2 + math.ceil(54 / beta))
-    cut_steps = beta * cut
     # Block b of row c of Epad is read from row (first[c] + b - depth + 1) cols
     # + c of T.reshape(-1, n); a block outside the window reads past the
     # end, which np.take clips to the last row, a zero one.
-    digit = np.arange(blocks) - (depth - 1)
-    reads = (np.where((digit >= 0) & (digit < window), digit, 2**40) * cols
-             + np.arange(cols)[:, None])
+    reads = np.full((cols, blocks), 2**40)
+    reads[:, depth - 1 : depth - 1 + window] = np.arange(window * cols).reshape(window, cols).T
+    views, gathers = {}, {}  # by top padding and by the first rows read
 
     def state(pad):
-        """T, its body, the body's diagonal and its levels at top padding
-        pad; past ``pad_max`` the view would wrap to the store's end."""
+        """At top padding pad: T, its rows, the body and x's levels in it,
+        the group carry's scratch, the body's diagonal, a contiguous copy of
+        it and that copy's carry scratch, the levels, the Hankel matrix and a
+        row-wise "any" of the top pad + 1 levels with a true row below; past
+        ``pad_max`` the view would wrap to the store's end."""
         if pad > pad_max:
             raise NumericalError(f"top padding {pad} exceeds the {pad_max} levels held")
-        T = store[pad_max - pad :]
-        return T, T[: pad + levels], store_diagonal[pad_max - pad :], levels_down[: pad + levels]
+        if pad not in views:
+            T, count = store[pad_max - pad :], pad + levels
+            views[pad] = (T, T.reshape(-1, n), T[:count], T[:count, n], up[pad_max - pad :],
+                          store_diagonal[pad_max - pad :], diagonal[:count],
+                          diagonal[height : height + count - 1], levels_down[:count],
+                          np.ndarray((count, width), float, padded, 0, (item, item)),
+                          np.ones((pad + 2, cols), dtype=bool))
+        return views[pad]
 
-    pad = pad0  # more for a step whose x lies far below c_{k-1} b
+    def lifted(lifts):
+        """lift_top, below and deepest of the columns of M at ``lifts``."""
+        top = max(lifts)
+        return top, [top - v for v in lifts], top - min(lifts)
+
     # x runs one step behind M: step k forms x_k = A x_{k-1} + c_{k-1} b
     # from x_0 = 0 and c_0 = 1.  ``held`` is c_{k-1}'s digits, on the grids
     # 2**(1 + beta (g - p)) for place p, and g; b, scaled by 2**-b_shift
     # into [0.5, 1), is cut until nothing is left into slices on the grids
     # 2**-((i+1) beta), kept in reverse order.
-    b_shift = int(np.frexp(np.max(np.abs(b)))[1])
+    b_shift = math.frexp(np.abs(b).max())[1]
     rest = np.ldexp(b, -b_shift)
     b_slices = []
-    while rest.any():
+    while np.count_nonzero(rest):
         b_slices.append(np.rint(np.ldexp(rest, (len(b_slices) + 1) * beta)))
         rest -= np.ldexp(b_slices[-1], -len(b_slices) * beta)
     b_slices = np.array(b_slices[::-1]).reshape(-1, n)
-    padded_store = np.empty(height + b_slices.shape[0] - 1)
+    width = b_slices.shape[0]
+    padded = np.empty(height + width - 1)
     held = (np.array([2.0 ** (beta - 1)]), -1)
     x_digits = Epad[n, (depth - 1) * n : (depth - 1 + window) * n].reshape(window, n)
-    # c_k's words (of 2**-shift A), x_k's digits and x_k's unscaled top grid
-    words = np.empty((n, _QUOTIENT_WORDS))
-    digits = np.empty((n, window, n))
-    grids = np.empty(n, dtype=np.int64)
-    desc = [1.0]
+    Epad_blocks = Epad.reshape(cols, blocks, n)
+    # c_k's words (of 2**-shift A), x_k's digits, x_k's unscaled top grid and c_k
+    words, digits, grids, desc = [], np.empty((n, window, n)), [], [1.0]
+    places_cut, scale, remainder = 2 + math.ceil(54 / beta), 2.0**beta, math.remainder
+    pad, step_pad, placed_pad = pad0, None, None  # pad grows for an x far below c_{k-1} b
     for k in range(1, n + 1):
-        T, body, dg, down = state(pad)
+        if pad != step_pad:
+            T, rows, body, x_levels, scratch, dg, dc, dc_up, down, hankel, nonzero = state(pad)
+            step_pad = pad
         T[:pad] = 0.0
         np.matmul(windows, A_stack, out=T[pad + skip : pad + levels])
         for s in range(skip):
             np.matmul(Epad[:, (depth - 1) * n : (depth + s) * n],
                       A_stack[(depth - 1 - s) * n :], out=T[pad + s])
-        if held is not None and b_slices.size:
+        if held is not None and width:
             # c_{k-1} b joins x's group sums before they are carried.  Level
             # l of x takes c_{k-1}'s digit at place l - i - offset times b's
             # slice i: a Hankel matrix of the digits, read off a zero-padded
@@ -392,100 +410,110 @@ def open_loop_record(A, b) -> OpenLoopRecord:
             # + 1 nonzero slices, so with the group sum below 2**52 every
             # level stays below 2**53, exactly.
             c_digits, grid = held
-            count, width = pad + levels, b_slices.shape[0]
-            offset = int(lift[n]) + pad - 1 - grid
+            offset = lift_x + pad - 1 - grid
             lo = max(0, 1 - width - offset)
-            hi = min(c_digits.size, count - offset)
+            hi = min(c_digits.size, pad + levels - offset)
             if lo < hi:
-                padded = padded_store[: count + width - 1]
                 padded.fill(0.0)
                 padded[lo + width - 1 + offset : hi + width - 1 + offset] = c_digits[lo:hi]
-                hankel = np.ndarray((count, width), padded.dtype, padded, 0, (item, item))
-                body[:, n] += hankel @ b_slices
-        _carry(body, beta, rounds, up[pad_max - pad :])
-        # the trace: place the diagonal's digits in the family of grids,
-        # from the top one, 2**(1 + beta (max lift + pad - 2)), down, and sum
-        # place by place, exactly: a place takes at most n digits within h
-        lift_max = int(diag_lift.max())
-        places = (lift_max - diag_lift) + down
-        sums = np.bincount(places.ravel(), dg.ravel())
-        top_grid = 1 + beta * (lift_max + pad - 2)
-        terms = np.ldexp(-sums, top_grid - beta * np.arange(sums.size))
+                x_levels += hankel @ b_slices
+        _carry(body, beta, rounds, scratch)
+        # the trace: place the diagonal's digits in the family of grids, from
+        # the top one down, and sum place by place, exactly: a place takes at
+        # most n digits within h
+        if placed_pad != pad:
+            placed, placed_pad = np.add(below, down), pad
+        np.copyto(dc, dg)
+        sums = np.bincount(placed.ravel(), dc.ravel())
+        top_grid = 1 + beta * (lift_top + pad - 2)
+        terms = np.ldexp(-sums, np.arange(top_grid, top_grid - beta * sums.size, -beta))
         c = _quotient(terms.tolist(), k)
         desc.append(math.fsum(c))
-        words[k - 1] = c
+        words += c
         held = None
         if k < n and c[0] != 0.0:
             # M_k = N_k + c_k I
             top = math.frexp(c[0])[1]
-            lift_min = int(diag_lift.min())
+            lift_min = lift_top - deepest
             if 1 + beta * lift_min < top - far_bits or not (all_found or found[:n].all()):
-                far = ~found | (1 + beta * lift < top - far_bits)
-                far[n:] = False
-                body[:, far] = 0.0
+                lift = lift_top - np.array(below)
+                far = 1 + beta * lift < top - far_bits
+                if not all_found:
+                    far |= ~found[:n]
+                body[:, :n][:, far] = 0.0
                 lift[far] = -((1 - top) // beta)
-                lift_min, lift_max = int(diag_lift.min()), int(diag_lift.max())
-                places = (lift_max - diag_lift) + down
+                lift_top, below, deepest = lifted(lift.tolist())
+                lift_min, placed = lift_top - deepest, np.add(below, down)
+                np.copyto(dc, dg)
             need = _top_padding(top - (1 + beta * lift_min), beta)  # |c_k| < 2**top
             if need > pad:
                 store[pad_max - need : pad_max - pad] = 0.0
-                pad = need
-                T, body, dg, down = state(pad)
-                places = (lift_max - diag_lift) + down
+                pad = step_pad = placed_pad = need
+                T, rows, body, x_levels, scratch, dg, dc, dc_up, down, hankel, nonzero = state(pad)
+                placed = np.add(below, down)
+                np.copyto(dc, dg)
             # c_k's words in the family of grids.  A word's 53 bits span the
             # places from the one just above it (place 0 at most) down
-            # ``len(cut)`` places; Q[w, i] counts the steps of the i-th of
-            # them in word w, so its digit is Q[w, i] - 2**beta Q[w, i-1],
-            # exactly (by Sterbenz where both are large).
-            top_grid = 1 + beta * (lift_max + pad - 2)
+            # ``places_cut`` places.  Its digit at a place is the rounded
+            # rest; what is left, rest - rint(rest), is exact, and so is
+            # scaling that by 2**beta onto the next place.
+            top_grid = 1 + beta * (lift_top + pad - 2)
             start = [max(0, (top_grid - math.frexp(w)[1] - 1) // beta) for w in c]
-            place = np.add.outer(start, cut)
-            steps = np.add.outer([beta * s - top_grid for s in start], cut_steps)
-            Q = np.rint(np.ldexp(np.array(c)[:, None], steps))
-            Q[:, 1:] -= Q[:, :-1] * 2.0**beta
-            count = lift_max - lift_min + pad + levels
-            c_digits = np.bincount(place.ravel(), Q.ravel(), minlength=count)
-            dg += c_digits[places]
-            _carry(dg, beta, 1)
-            held = (c_digits, lift_max + pad - 2)
+            c_list = [0.0] * max(lift_top - lift_min + pad + levels, max(start) + places_cut)
+            for w, p in zip(c, start):
+                rest = math.ldexp(w, beta * p - top_grid)
+                while rest:
+                    left = remainder(rest, 1.0)
+                    c_list[p] += rest - left
+                    rest, p = left * scale, p + 1
+            c_digits = np.array(c_list)
+            dc += c_digits[placed]
+            _carry(dc, beta, 1, dc_up)
+            dg[...] = dc
+            held = (c_digits, lift_top + pad - 2)
         # each column keeps the window of digits from its top nonzero one,
-        # which is almost always within the first pad + 1 levels
-        nonzero = body[: pad + 1].any(axis=2)
-        found = nonzero.any(axis=0)
-        all_found = bool(found.all())
+        # which is almost always within the first pad + 1 levels: the row
+        # below them reads true, so a column with none there reads pad + 1
+        np.logical_or.reduce(body[: pad + 1], axis=2, out=nonzero[: pad + 1])
+        first = nonzero.argmax(axis=0).tolist()
+        all_found = max(first) <= pad
         if not all_found:
-            nonzero = body.any(axis=2)
-            found = nonzero.any(axis=0)
+            found_levels = body.any(axis=2)
+            found = found_levels.any(axis=0)
             all_found = bool(found.all())
-        first = nonzero.argmax(axis=0)
-        if not all_found:
-            first[~found] = pad - 1
-        lift -= first - (pad - 1)
-        np.take(T.reshape(-1, n), reads + (first * cols)[:, None], axis=0,
-                out=Epad.reshape(cols, blocks, n), mode="clip")
-        lift_x = int(lift[n])
+            first = np.where(found, found_levels.argmax(axis=0), pad - 1).tolist()
+        if first[:n].count(first[0]) == n:
+            lift_top += pad - 1 - first[0]
+        else:
+            lift_top, below, deepest = lifted(
+                [lift_top - v + pad - 1 - f for v, f in zip(below, first)])
+            placed_pad = None
+        lift_x += pad - 1 - first[n]
+        key = tuple(first)
+        if key not in gathers:
+            gathers[key] = reads + np.multiply(first, cols)[:, None]
+        np.take(rows, gathers[key], axis=0, out=Epad_blocks, mode="clip")
         digits[k - 1] = x_digits
-        grids[k - 1] = 1 + beta * lift_x + shift * (k - 1) + b_shift
+        grids.append(1 + beta * lift_x + shift * (k - 1) + b_shift)
         pad = pad0
         if held is not None:
             # c_k b is added at step k + 1.  An x_k that lies wholly below
             # the window it opens is dropped, as a column of M is
             # (``far_bits``); else the top padding grows to hold it.
-            top = math.frexp(c[0])[1]
-            if 1 + beta * lift_x < top - far_bits or not found[n]:
+            if 1 + beta * lift_x < top - far_bits or not (all_found or found[n]):
                 Epad[n] = 0.0
-                lift_x = lift[n] = -((1 - top) // beta)
+                lift_x = -((1 - top) // beta)
             pad = max(pad0, _top_padding(top - (1 + beta * lift_x), beta))
-    # undo the scaling: the coefficient of x**(n-k) scales by 2**(shift k)
-    with np.errstate(over="ignore"):
-        coeffs = np.ldexp(desc[::-1], shift * np.arange(n, -1, -1))
-    finite = np.isfinite(coeffs)
-    if not finite.all():
-        raise NumericalError(
-            f"characteristic polynomial coefficient of x**{int(np.argmin(finite))} "
-            "overflows the float range"
-        )
-    return OpenLoopRecord(Polynomial(coeffs), words, shift, digits, grids, beta)
+    # undo the scaling: the coefficient of x**j scales by 2**(shift (n - j))
+    coeffs = []
+    for j, d in enumerate(desc[::-1]):
+        try:
+            coeffs.append(math.ldexp(d, shift * (n - j)))
+        except OverflowError:
+            raise NumericalError(f"characteristic polynomial coefficient of x**{j} "
+                                 "overflows the float range") from None
+    return OpenLoopRecord(Polynomial(coeffs), np.array(words).reshape(n, -1), shift, digits,
+                          np.array(grids, dtype=np.int64), beta)
 
 
 def char_poly(A) -> Polynomial:

@@ -1,6 +1,7 @@
 """Polynomial and spectrum layer: construction, the trace recurrence, and
 matrix evaluation."""
 
+import hashlib
 import importlib.util
 import math
 import sys
@@ -525,6 +526,50 @@ def test_record_closed_loop_matches_char_poly_on_dyadic_loops_property():
         assert sys._polynomial.closed_loop(k) == char_poly(M)
 
     check()
+
+
+def _pinned_record_cases():
+    # perfbench's seed-1 dense and verify pools, then the edge cases of
+    # this file, each with a generic b and with b = e_1
+    inputs = _load_inputs()
+    for case in inputs.dense_pool(1, 24) + inputs.verify_pool(1):
+        yield case.A, case.b
+    rng = np.random.default_rng(31)
+    blocks = np.zeros((6, 6))
+    blocks[:3, :3] = rng.uniform(-1.0, 1.0, (3, 3))
+    blocks[3:, 3:] = np.ldexp(rng.uniform(-1.0, 1.0, (3, 3)), -200)
+    spread = np.random.default_rng(17)
+    draws = [np.ldexp(spread.uniform(-1, 1, (2, 2)), [[0], [-200]]) for _ in range(6)]
+    extra = [_far_column_matrix(), *draws, *(M[::-1, ::-1] for M in draws),
+             np.diag([1.0, 1e-45, 2.0]), blocks, np.zeros((4, 4)), np.array([[0.7]]),
+             np.ldexp(rng.uniform(-1.0, 1.0, (5, 5)), 400)]  # the last overflows
+    for n in (30, 48):
+        # the Bass-Gura closed loop of an integrator chain with targets on
+        # [-2, -1]: its polynomial is known to be wrong at these sizes
+        chain = np.eye(n, k=1)
+        chain[-1] = -monic_from_roots(np.linspace(-2.0, -1.0, n)).coeffs[:-1]
+        extra.append(chain)
+    for A in extra:
+        yield A, rng.uniform(-1.0, 1.0, A.shape[0])
+        yield A, np.eye(A.shape[0])[0]
+
+
+def test_open_loop_record_bits_are_pinned():
+    # every array of the record, or the message of its NumericalError, on
+    # a fixed corpus; a faster recurrence must keep all of them bit for bit
+    digest = hashlib.sha256()
+    for A, b in _pinned_record_cases():
+        try:
+            record = poly.open_loop_record(A, b)
+        except NumericalError as exc:
+            digest.update(str(exc).encode())
+            continue
+        for arr in (record.p.coeffs, record.words, record.digits, record.grids):
+            digest.update(repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+        digest.update(repr((record.shift, record.beta)).encode())
+    # the digest at the commit before the step loop was rewritten
+    assert digest.hexdigest() == (
+        "1a29cb5ecf5197920abd265441587f1ce7bbdef3b936ae72f46426f068bf25f4")
 
 
 def test_char_poly_cayley_hamilton():

@@ -88,6 +88,33 @@ def test_partial_keeps_the_rest():
         done += 1
 
 
+def _check_partial_keeps_unmoved(n, want, seed, assume):
+    # one draw of the property below; ``assume`` rejects an invalid draw
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    b = rng.uniform(-1.0, 1.0, n)
+    spec = list(eigenvalues(A))
+    gap = min(abs(spec[i] - spec[j]) for i in range(n) for j in range(i + 1, n))
+    assume(gap >= 0.1)
+    reps = list(rng.permutation([z for z in spec if z.imag >= 0.0]))
+    moved = []
+    for z in reps:
+        if len(moved) >= min(want, n - 1):
+            break
+        moved += [z, z.conjugate()] if z.imag > 0.0 else [z]
+    assume(len(moved) < n)
+    to = [-1.5 - 0.35 * i for i in range(len(moved))]
+    gain = place_partial(StateSpace(A, b), Spectrum(moved), Spectrum(to))
+    with mpmath.workdps(30):
+        M = mpmath.matrix([[mpmath.mpf(A[i, j]) + mpmath.mpf(b[i]) * mpmath.mpf(gain.k[j])
+                            for j in range(n)] for i in range(n)])
+        left = [complex(z) for z in mpmath.eig(M, left=False, right=False)]
+    for z in Spectrum(spec).minus(Spectrum(moved)):
+        near = min(range(len(left)), key=lambda i: abs(left[i] - z))
+        assert abs(left.pop(near) - z) <= 1e-7
+
+
 def test_partial_property_keeps_unmoved_eigenvalues():
     # criterion 3 over drawn systems: the eigenvalues a partial placement
     # does not move stay within 1e-7 in the closed loop.  The closed loop
@@ -97,35 +124,29 @@ def test_partial_property_keeps_unmoved_eigenvalues():
     # the exact closed loop is 2.4e-9 off
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
 
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(st.integers(3, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def check(n, want, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.uniform(-1.0, 1.0, (n, n))
-        b = rng.uniform(-1.0, 1.0, n)
-        spec = list(eigenvalues(A))
-        gap = min(abs(spec[i] - spec[j]) for i in range(n) for j in range(i + 1, n))
-        hypothesis.assume(gap >= 0.1)
-        reps = list(rng.permutation([z for z in spec if z.imag >= 0.0]))
-        moved = []
-        for z in reps:
-            if len(moved) >= min(want, n - 1):
-                break
-            moved += [z, z.conjugate()] if z.imag > 0.0 else [z]
-        hypothesis.assume(len(moved) < n)
-        to = [-1.5 - 0.35 * i for i in range(len(moved))]
-        gain = place_partial(StateSpace(A, b), Spectrum(moved), Spectrum(to))
-        with mpmath.workdps(30):
-            M = mpmath.matrix([[mpmath.mpf(A[i, j]) + mpmath.mpf(b[i]) * mpmath.mpf(gain.k[j])
-                                for j in range(n)] for i in range(n)])
-            left = [complex(z) for z in mpmath.eig(M, left=False, right=False)]
-        for z in Spectrum(spec).minus(Spectrum(moved)):
-            near = min(range(len(left)), key=lambda i: abs(left[i] - z))
-            assert abs(left.pop(near) - z) <= 1e-7
+        _check_partial_keeps_unmoved(n, want, seed, hypothesis.assume)
 
     check()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 26: a kept eigenvalue with kappa(lambda) near 1e9 "
+                          "drifts past the fixed 1e-7 bound")
+@pytest.mark.parametrize("n, want, seed", [(10, 5, 442397033), (8, 6, 3585876319),
+                                           (10, 6, 37399284)])
+def test_partial_property_recorded_draws(n, want, seed):
+    # draws of the property above that break its bound, by 2.4e-6, 1.9e-7
+    # and 1.1e-6, so the known defect shows on every run
+    def assume(valid):
+        if not valid:
+            pytest.fail("not a valid draw of the property")
+
+    _check_partial_keeps_unmoved(n, want, seed, assume)
 
 
 def test_partial_moving_everything_matches_full_placement():

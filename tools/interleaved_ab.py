@@ -13,9 +13,12 @@ perfbench.
 
 Prints, per seed and over all seeds, each side's total thread time, its
 operations per second and the ratio NEW / OLD of the totals, and each
-side's count of operations that raised the package's error.  Two runs of
-the same checkout read 1.000 within a few tenths of a percent, where
-separate perfbench runs minutes apart drift by several percent.
+side's count of operations that raised the package's error.  Under each
+of those lines, one line per system size n gives each side's thread time
+on the ops of that size and their ratio, so a change shows where its
+time goes.  Two runs of the same checkout read 1.000 within a few tenths
+of a percent, where separate perfbench runs minutes apart drift by
+several percent.
 """
 
 from __future__ import annotations
@@ -53,18 +56,21 @@ def load(checkout: Path, name: str) -> dict:
 
 def timed_passes(sides, passes: int) -> None:
     """Run every side's ops ``passes`` times, op by op, alternating the
-    side that goes first; adds each side's thread seconds and failures."""
+    side that goes first; adds each side's thread seconds, in total and by
+    size, and failures."""
     count = len(sides[0]["ops"])
     for p in range(passes):
         for i in range(count):
             for side in (sides if (i + p) % 2 == 0 else sides[::-1]):
-                call = side["ops"][i].call
+                op = side["ops"][i]
                 start = thread_time()
                 try:
-                    call()
+                    op.call()
                 except side["error"]:
                     side["failed"] += 1
-                side["seconds"] += thread_time() - start
+                seconds = thread_time() - start
+                side["seconds"] += seconds
+                side["by_n"][op.n] = side["by_n"].get(op.n, 0.0) + seconds
 
 
 def main(argv=None) -> int:
@@ -81,7 +87,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(PERFBENCH))
     run = importlib.import_module("run")
     packages = [load(args.old, "poleplace_old"), load(args.new, "poleplace_new")]
-    totals = [[0.0, 0, 0] for _ in packages]  # seconds, ops, failed
+    totals = [[0.0, 0, 0, {}] for _ in packages]  # seconds, ops, failed, seconds by n
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             sides = []
@@ -90,24 +96,30 @@ def main(argv=None) -> int:
                 workdir.mkdir()
                 ops, _ = run.PREPARE[args.workload](pp, seed, args.workload, workdir)
                 sides.append({"ops": ops, "error": pp["errors"].PolePlacementError,
-                              "seconds": 0.0, "failed": 0})
+                              "seconds": 0.0, "failed": 0, "by_n": {}})
             timed_passes(sides, args.passes)
         ops = len(sides[0]["ops"]) * args.passes
         for side, total in zip(sides, totals):
             total[0] += side["seconds"]
             total[1] += ops
             total[2] += side["failed"]
-        report(f"seed {seed}", [(s["seconds"], ops, s["failed"]) for s in sides])
+            for n, seconds in side["by_n"].items():
+                total[3][n] = total[3].get(n, 0.0) + seconds
+        report(f"seed {seed}", [(s["seconds"], ops, s["failed"], s["by_n"]) for s in sides])
     if len(args.seeds) > 1:
         report("all seeds", totals)
     return 0
 
 
 def report(title: str, rows) -> None:
-    (old_s, ops, old_failed), (new_s, _, new_failed) = rows
+    (old_s, ops, old_failed, old_by_n), (new_s, _, new_failed, new_by_n) = rows
     print(f"{title}: old {old_s:.3f} s ({ops / old_s:.2f} ops/s, {old_failed} failed), "
           f"new {new_s:.3f} s ({ops / new_s:.2f} ops/s, {new_failed} failed), "
-          f"new/old {new_s / old_s:.4f}", flush=True)
+          f"new/old {new_s / old_s:.4f}")
+    for n in sorted(old_by_n):
+        print(f"  n={n}: old {old_by_n[n]:.3f} s, new {new_by_n[n]:.3f} s, "
+              f"new/old {new_by_n[n] / old_by_n[n]:.4f}")
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -27,6 +27,9 @@ draws the dense and verify pools of each seed (default 1 2 3) with
 - ``place``: exit code, stdout and stderr of ``poleplace place`` with
   each full-spectrum method on every dense case;
 - ``verify``: the same of ``poleplace verify`` on every verify case;
+- ``record``: the open-loop record of every dense and verify system's
+  ``(A, b)``: its polynomial's coefficients, ``words``, ``shift``,
+  ``digits``, ``grids`` and ``beta``, or the repr of the error it raised;
 - ``cli``: the same of ``poleplace place`` with the group methods on every
   dense case: ``sequential`` on the case's ``paired_plan`` written as
   groups, ``partial`` on that plan's first group and ``simon-mitter`` on
@@ -58,7 +61,7 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 SEEDS = [int(s) for s in sys.argv[2:]] or [1, 2, 3]
 sys.path.insert(0, str(ROOT / "src"))
 
-from poleplace import cli, linalg, placement, subspace  # noqa: E402
+from poleplace import cli, linalg, placement, poly, subspace  # noqa: E402
 from poleplace.errors import PolePlacementError  # noqa: E402
 from poleplace.poly import Spectrum  # noqa: E402
 
@@ -70,7 +73,7 @@ DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
 STEP_FIELDS = ("step", "basis", "gain", "kappa", "spectrum_after")
 KINDS = ("gains", "diagnostics", "spectrum", "steps", "place", "verify", "partial",
-         "simon_mitter", "cli")
+         "simon_mitter", "record", "cli")
 digests = {kind: hashlib.sha256() for kind in KINDS}
 
 
@@ -154,6 +157,16 @@ def place_groups(sys_, case, values, system, plan):
                                         "--method", method]))
 
 
+def record_arrays(A, b):
+    try:
+        rec = poly.open_loop_record(A, b)
+    except PolePlacementError as exc:
+        update("record", repr(exc))
+        return
+    update("record", *(arr.tobytes() for arr in (rec.p.coeffs, rec.words, rec.digits, rec.grids)),
+           rec.shift, rec.beta)
+
+
 def record_steps(steps):
     for rec in steps:
         values = (getattr(rec, name) for name in STEP_FIELDS)
@@ -163,6 +176,7 @@ def record_steps(steps):
 def dense(seed, workdir):
     for i, case in enumerate(inputs.dense_pool(seed, DENSE_PER_SIZE)):
         sys_ = placement.StateSpace(case.A, case.b)
+        record_arrays(case.A, case.b)
         targets, pulled = Spectrum(case.targets), Spectrum(case.pulled)
         record("bass_gura", lambda: placement.place_bass_gura(sys_, targets))
         record("ackermann", lambda: placement.place_ackermann(sys_, targets))
@@ -191,6 +205,7 @@ def dense(seed, workdir):
 
 def verify(seed, workdir):
     for i, case in enumerate(inputs.verify_pool(seed)):
+        record_arrays(case.A, case.b)
         system, plan = workdir / f"v{i}.json", workdir / f"q{i}.json"
         system.write_text(inputs.system_json(case))
         plan.write_text(inputs.plan_json(case))
