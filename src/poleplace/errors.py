@@ -75,21 +75,12 @@ class InvariantEigenvalueError(NumericalError):
 class ConvergenceError(PolePlacementError):
     """The shifted QR iteration exceeded its sweep budget.  Exit code 4.
 
-    ``partial_q`` and ``partial_t`` hold the orthogonal accumulation and
-    the partially reduced matrix at the point of failure.  ``partial_q`` is
-    None when raised from ``eigenvalues`` or the closed-loop check, which
-    do not accumulate the orthogonal factor; there ``partial_t`` is current
-    only on the active diagonal block named in the message, because those
-    sweeps leave the rows above it and the columns beside it as they were.
+    The message names the budget, 40 sweeps per dimension, and the rows
+    of the active diagonal block that had not converged.
     ``condition_number`` runs no Schur iteration and never raises it.
     """
 
     exit_code = 4
-
-    def __init__(self, message, partial_q=None, partial_t=None):
-        super().__init__(message)
-        self.partial_q = partial_q
-        self.partial_t = partial_t
 
 
 # Every public entry point converts caller data through these, so all of

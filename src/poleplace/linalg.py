@@ -43,11 +43,11 @@ loop in the controller-Hessenberg coordinates of its system
 hands it straight to the engine's core, ``_hessenberg_eigenvalues``,
 which ``eigenvalues`` runs after its validation and reduction.
 
-``condition_number`` needs no Schur form.  It takes the R of its matrix
-from numpy's QR, inverts R here by back substitution and multiplies the
-two spectral norms, both numpy's.  The inverse is the step that keeps
-kappa accurate up to 1/eps: the smallest singular value read off an SVD
-carries an absolute error of about eps times the largest.
+``condition_number`` needs no Schur form.  It multiplies the 2-norms of
+the R of its matrix and of R's inverse, all numpy's; LAPACK inverts a
+triangle by back substitution, which keeps kappa accurate up to 1/eps,
+where sigma_min read off an SVD carries an absolute error of about eps
+times the largest singular value.
 
 The hot loops read the matrix into Python floats once per use (the
 diagonals for deflation, shifts and block scans; three entries per bulge
@@ -236,12 +236,13 @@ def condition_number(M) -> float:
 
     M is first scaled by the power of two that brings its largest entry
     into [0.5, 1), which changes no rounding, so ``2**k M`` gives bitwise
-    the same value.  R and both 2-norms come from numpy's LAPACK; ``R^-1``
-    is formed here by back substitution, so sigma_min is never read off an
-    SVD of M, whose absolute error would swamp it.  Returns ``inf`` for a
-    wide M, a diagonal entry of R below ``n * ulp(1) * max|R|`` (the pivot
-    threshold of ``solve_linear``), or an ``R^-1`` or product past the
-    float range.  A LAPACK failure raises NumericalError.
+    the same value.  R, ``R^-1`` and both 2-norms come from numpy's
+    LAPACK; its inverse of a triangle is back substitution, so sigma_min
+    is never read off an SVD of M, whose absolute error would swamp it.
+    One column gives 1.0.  Returns ``inf`` for a wide M, a diagonal entry
+    of R below ``n * ulp(1) * max|R|`` (the pivot threshold of
+    ``solve_linear``), or an ``R^-1`` or product past the float range.  A
+    LAPACK failure raises NumericalError.
     """
     M = _floats(M, "matrix")
     if M.ndim != 2 or M.size == 0:
@@ -252,17 +253,11 @@ def condition_number(M) -> float:
         return math.inf
     try:
         R = np.linalg.qr(np.ldexp(M, -math.frexp(top)[1]), mode="r")
-        d = R.diagonal()
-        if np.abs(d).min() < n * EPS * np.abs(R).max():
+        if np.abs(R.diagonal()).min() < n * EPS * np.abs(R).max():
             return math.inf
         if n == 1:
-            return 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            U = R / d[:, None]  # unit upper triangular, R = D @ U
-            Y = np.eye(n)  # U^-1, row by row from the bottom
-            for k in range(n - 2, -1, -1):
-                Y[k, k + 1 :] = -(U[k, k + 1 :] @ Y[k + 1 :, k + 1 :])
-            X = Y / d  # R^-1 = U^-1 @ D^-1
+            return 1.0  # r * fl(1/r) is not always 1
+        X = np.linalg.inv(R)
         if not np.isfinite(X).all():
             return math.inf
         return float(np.linalg.norm(R, 2)) * float(np.linalg.norm(X, 2))
@@ -775,7 +770,7 @@ def _francis_upper(H, Q, near=()):
     Subdiagonal entries count as converged when small against their
     diagonal neighbours; every tenth stalled sweep swaps in an exceptional
     shift to break symmetry cycles.  More than 40 sweeps per dimension
-    raise ConvergenceError carrying the partial factorization.  Each pass
+    raise ConvergenceError naming the rows of the active block.  Each pass
     reads the diagonal and subdiagonal once, as Python floats, for the
     deflation scan and the shifts.
 
@@ -851,10 +846,7 @@ def _francis_upper(H, Q, near=()):
         if sweeps >= max_sweeps:
             raise ConvergenceError(
                 f"QR iteration did not converge within {max_sweeps} sweeps "
-                f"(active block rows {l}..{hi})",
-                partial_q=None if Q is None else Q.copy(),
-                partial_t=H.T.copy(),
-            )
+                f"(active block rows {l}..{hi})")
         sweeps += 1
         stalled += 1
         if stalled % 10 == 0:
@@ -951,11 +943,7 @@ def _hessenberg_eigenvalues(H, shift, near=()) -> Spectrum:
     """
     if near:
         near = _scaled_request(near, H, shift)
-    try:
-        read = _francis_upper(H, None, near)
-    except ConvergenceError as exc:
-        exc.partial_t = np.ldexp(exc.partial_t, shift)
-        raise
+    read = _francis_upper(H, None, near)
     values = []
     for row, lams in enumerate(read):
         try:
@@ -976,11 +964,7 @@ def real_schur(A) -> SchurDecomposition:
     """
     B, shift = _scaled_transpose(A)
     Q, H = _hessenberg_upper(B)
-    try:
-        _francis_upper(H, Q)
-    except ConvergenceError as exc:
-        exc.partial_t = np.ldexp(exc.partial_t, shift)
-        raise
+    _francis_upper(H, Q)
     blocks = _scan_blocks_upper(H, shift)
     with np.errstate(over="ignore"):
         H = np.ldexp(H, shift)

@@ -249,11 +249,9 @@ def _slice_plan(n: int, spread: int):
     return beta, window, levels, rounds
 
 
-def _carry(digits, beta: int, rounds: int, up=None):
+def _carry(digits, beta: int, rounds: int, up):
     """Carry rounds over the levels (axis 0) of integer digits, in place;
     ``up`` is scratch shaped like ``digits[1:]``."""
-    if up is None:
-        up = np.empty_like(digits[1:])
     upper, lower = digits[:-1], digits[1:]
     for _ in range(rounds):
         np.multiply(lower, 2.0**-beta, out=up)

@@ -746,6 +746,25 @@ def test_verify_reports_a_check_that_cannot_converge(tmp_path, capsys, monkeypat
     assert captured.err == ""
 
 
+def test_place_reports_a_schur_form_that_cannot_converge(tmp_path, capsys, monkeypatch):
+    # every QR sweep a no-op, so the Schur form of default_rng(3)'s dense
+    # n = 6 pair runs out of its 240 sweeps with nothing deflated: exit 4,
+    # nothing on stdout and the message as the one error line
+    rng = np.random.default_rng(3)
+    A, b = rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, 6)
+    system = write_json(tmp_path / "dense.json", {"n": 6, "A": A.tolist(), "b": b.tolist()})
+    plan = poleplace.paired_plan(StateSpace(A, b), [-1, -2, -3, -4, -5, -6])
+    groups = [([format_pole(z) for z in move], [format_pole(w) for w in to])
+              for move, to in plan.groups]
+    monkeypatch.setattr(poleplace.linalg, "_francis_step", lambda *args: 0)
+    assert main(["place", "--system", system, "--plan", groups_plan(tmp_path, groups),
+                 "--method", "sequential"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: QR iteration did not converge within 240 sweeps "
+                            "(active block rows 0..5)\n")
+
+
 def test_verify_table_is_the_pairing_behind_spectrum_residual(tmp_path, capsys):
     # a perturbed gain moves every eigenvalue, so nearest-first pairing in
     # target order would overstate the largest distance

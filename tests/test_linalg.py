@@ -664,11 +664,14 @@ def test_schur_at_extreme_scales_is_bitwise_scaled(k, monkeypatch):
     dec, scaled = real_schur(A), real_schur(f * A)
     assert scaled.Q.tobytes() == dec.Q.tobytes()
     assert scaled.T.tobytes() == np.ldexp(dec.T, k).tobytes()
+    # and a run out of sweeps stops where it stops at A, with its message
     _no_sweeps(monkeypatch)
-    with pytest.raises(ConvergenceError) as info:
-        real_schur(f * A)
-    Q, T = info.value.partial_q, info.value.partial_t
-    assert max_abs(Q @ T @ Q.T - f * A) <= 1024 * 6 * EPS * max_abs(f * A)
+    messages = []
+    for M in (A, f * A):
+        with pytest.raises(ConvergenceError) as info:
+            real_schur(M)
+        messages.append(str(info.value))
+    assert messages[1] == messages[0]
 
 
 @pytest.mark.parametrize("f", [1e150, 1e160, 1e-160, 1e-300])
@@ -704,15 +707,18 @@ def test_eigenvalues_beyond_the_float_range_raise_a_typed_error():
         real_schur(A)
 
 
+# the message at 40 sweeps per dimension, nothing deflated
+BUDGET_MESSAGE_5X5 = "QR iteration did not converge within 200 sweeps (active block rows 0..4)"
+
+
 def test_schur_sweep_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(41)
     A = rng.uniform(-1, 1, (5, 5))
     _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
         real_schur(A)
-    assert "within 200 sweeps" in str(info.value)
-    assert info.value.partial_q.shape == (5, 5)
-    assert info.value.partial_t.shape == (5, 5)
+    assert str(info.value) == BUDGET_MESSAGE_5X5
+    assert info.value.exit_code == 4
 
 
 def test_eigenvalue_only_budget_exhaustion_has_no_q(monkeypatch):
@@ -722,9 +728,7 @@ def test_eigenvalue_only_budget_exhaustion_has_no_q(monkeypatch):
     _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
         linalg._francis_upper(H, None)
-    assert "within 200 sweeps" in str(info.value)
-    assert info.value.partial_q is None
-    assert info.value.partial_t.shape == (5, 5)
+    assert str(info.value) == BUDGET_MESSAGE_5X5
 
 
 def test_eigenvalues_examples():

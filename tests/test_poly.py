@@ -334,7 +334,7 @@ def test_slice_plan_keeps_every_group_and_carry_exact():
     digits[0] = 0.0
     value = [sum(int(d) << (beta * (len(digits) - 1 - t)) for t, d in enumerate(col))
              for col in digits.T]
-    poly._carry(digits, beta, rounds)
+    poly._carry(digits, beta, rounds, np.empty_like(digits[1:]))
     assert np.abs(digits[1:]).max() <= h
     assert value == [sum(int(d) << (beta * (len(digits) - 1 - t)) for t, d in enumerate(col))
                      for col in digits.T]

@@ -715,6 +715,29 @@ def test_forward_error_against_the_exact_gain():
             assert np.median(errors[method][n]) <= 10.0 * reading, (method, n)
 
 
+@pytest.mark.parametrize("index", [3, 5, 6, 12, 22])
+def test_rounded_exact_gain_passes_verify_where_its_rounded_loop_fails(index, tmp_path, capsys):
+    # seed-1 n = 20 benchmark systems: k* rounded to doubles places the
+    # targets to a charpoly_residual of 4.5e-11 or less, read exactly off
+    # the open-loop record, while perfbench's residual of the loop
+    # A + b k^T rounded to doubles reads 1.25e-6 to 1.8e-4 on the same gain
+    import json
+
+    from poleplace import cli
+
+    case = _load_perfbench("inputs").dense_case(1, 20, index)
+    k = [float(v) for v in _exact_gain(case.A, case.b, case.targets, 60)]
+    assert _load_perfbench("oracle").closed_loop_residual(case.A, case.b, k, case.targets) > 1e-6
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 20, "A": case.A.tolist(), "b": case.b.tolist()}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": [cli.format_pole(z) for z in case.targets]}))
+    assert cli.main(["verify", "--system", str(system), "--plan", str(plan),
+                     "--gain=" + ",".join(map(repr, k))]) == 0
+    printed = capsys.readouterr().out
+    assert float(printed.split("charpoly_residual")[1].split()[0]) <= 1e-9
+
+
 def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_pulled():
     # the paper's identities: pulling the kept open-loop values mu into
     # prod(A - mu I) annihilates their right eigenvectors, so
