@@ -653,7 +653,8 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
     chased two positions at a time wherever positions k and k+1 are both
     full 3x3 steps (k + 3 <= hi).  The input of the second reflector,
     column k at rows k+1..k+3 once the first has acted from both sides, is
-    computed on Python floats from the 4x3 block ``H[k:k+4, k:k+3]``; then
+    computed on Python floats from the 4x3 block ``H[k:k+4, k:k+3]``, read
+    in one ``tolist`` with the bulge column k-1 beside it; then
     ``G = diag(1, P_{k+1}) diag(P_k, 1)`` goes to rows k..k+3 as one 4x4
     product and ``G.T`` to columns k..k+3 as another, and both annihilated
     columns are written as (alpha, 0, 0).  That is two products where the
@@ -670,7 +671,15 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
     k = l
     while k < hi:
         m = 3 if k + 2 < top else 2  # the closing step reflects two rows, z = 0
-        if k > l:
+        paired = Q is None and k + 3 <= hi
+        if paired:  # the 4x3 block, and column k-1 beside it after the first step
+            if k > l:
+                ((x, b00, b01, b02), (y, b10, b11, b12), (z, b20, b21, b22),
+                 (_, _, _, b32)) = H[k : k + 4, k - 1 : k + 3].tolist()
+            else:
+                (b00, b01, b02), (b10, b11, b12), (b20, b21, b22), (_, _, b32) = (
+                    H[k : k + 4, k : k + 3].tolist())
+        elif k > l:
             if m == 3:
                 x, y, z = H[k : k + 3, k - 1].tolist()
             else:
@@ -685,10 +694,8 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
         if entries is None:
             k += 1
             continue
-        if Q is None and k + 3 <= hi:
+        if paired:
             p00, p01, p02, p10, p11, p12, p20, p21, p22 = entries
-            (b00, b01, b02), (b10, b11, b12), (b20, b21, b22), (_, _, b32) = (
-                H[k : k + 4, k : k + 3].tolist())
             # column k of P B P at rows 1..3, as P[1:, :] @ (B[:3] @ P[:, 0])
             u0 = b00 * p00 + b01 * p10 + b02 * p20
             u1 = b10 * p00 + b11 * p10 + b12 * p20
@@ -910,13 +917,18 @@ def _scaled_request(near, H, shift) -> list:
     scaled as H is: a value that is not finite after the scaling, or whose
     modulus exceeds the largest column sum of H, a bound on every
     eigenvalue of H, is dropped, so no shift formed from the rest
-    overflows."""
-    z = np.array(near, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        re, im = np.ldexp(z.real, -shift), np.ldexp(z.imag, -shift)
-        keep = np.isfinite(re) & np.isfinite(im)
-        keep &= np.hypot(re, im) <= np.abs(H).sum(axis=0).max()
-    return [complex(x, y) for x, y in zip(re[keep].tolist(), im[keep].tolist())]
+    overflows.  The scaling runs on Python floats; ``abs`` of a complex
+    value is C's ``hypot``, as numpy's is."""
+    bound = float(np.abs(H).sum(axis=0).max())
+    kept = []
+    for z in near:
+        try:
+            w = complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift))
+        except OverflowError:
+            continue
+        if abs(w) <= bound:
+            kept.append(w)
+    return kept
 
 
 def _scaled_transpose(A):
@@ -1002,14 +1014,14 @@ def eigenvalues(A, *, near=()) -> Spectrum:
 # reordering
 
 
-def _sylvester(w, p, q, where) -> list:
+def _sylvester(w, p, q, i) -> list:
     """The coupling X (p x q, as a list in column order) of the window w
     of two adjacent blocks, solving ``A11 X - X A22 = -A12``.
 
     The Kronecker system ``(I_q (x) A11 - A22.T (x) I_p) vec(X) =
     -vec(A12)``, 2x2 or 4x4, is written out entry by entry and solved on
     Python floats by ``_eliminate_scalars``, which refuses a pivot below
-    ``p q eps max|K|``.
+    ``p q eps max|K|``; a refusal names the rows of the swap at offset i.
     """
     if p == 1:  # A11 = a, A22 = B
         (a, c0, c1), (_, b00, b01), (_, b10, b11) = w
@@ -1030,9 +1042,13 @@ def _sylvester(w, p, q, where) -> list:
     try:
         return _eliminate_scalars(K, rhs, limit)
     except SingularMatrixError as exc:
-        raise BlockSwapError(
-            f"cannot swap blocks at {where}: coupling system is singular"
-        ) from exc
+        raise _swap_refused(i, p, q, "coupling system is singular") from exc
+
+
+def _swap_refused(i, p, q, why) -> BlockSwapError:
+    """The refusal of the swap of blocks of sizes p then q at offset i."""
+    return BlockSwapError(
+        f"cannot swap blocks at rows {i}..{i + p - 1} and {i + p}..{i + p + q - 1}: {why}")
 
 
 def _coupling_basis(X, p, q) -> list:
@@ -1084,7 +1100,6 @@ def _swap_adjacent_upper(S, Z, i, p, q):
     """
     m = p + q
     rows = slice(i, i + m)
-    where = f"rows {i}..{i + p - 1} and {i + p}..{i + m - 1}"
     D = S[rows, rows]
     w = D.tolist()
     equal = []
@@ -1093,11 +1108,11 @@ def _swap_adjacent_upper(S, Z, i, p, q):
         diff = a - d
         x = -c / diff if diff != 0.0 else math.inf
         if math.isinf(x):
-            raise BlockSwapError(f"cannot swap blocks at {where}: the blocks coincide")
+            raise _swap_refused(i, p, q, "the blocks coincide")
         r = math.hypot(x, 1.0)
         F = _rotation(x / r, 1.0 / r)
     else:
-        flat = _coupling_basis(_sylvester(w, p, q, where), p, q)
+        flat = _coupling_basis(_sylvester(w, p, q, i), p, q)
         G = np.array(flat).reshape(m, m)
         thresh = max(10.0 * EPS * max(map(abs, itertools.chain(*w))), TINY)
         E = G.T @ D @ G
@@ -1106,10 +1121,8 @@ def _swap_adjacent_upper(S, Z, i, p, q):
             E[q:, :q] = 0.0
             err = np.abs(G @ E @ G.T - D).max()
         if not err <= thresh:
-            raise BlockSwapError(
-                f"cannot swap blocks at {where}: the swapped form has backward "
-                f"error {err:.3e}, above the threshold {thresh:.3e}"
-            )
+            raise _swap_refused(i, p, q, f"the swapped form has backward error "
+                                         f"{err:.3e}, above the threshold {thresh:.3e}")
         # standardize E's 2x2 blocks: F = G diag(R1, R2), column pairs of G
         # turned on the flat list
         e = E.tolist()
@@ -1143,12 +1156,14 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
     """Reorder a Schur decomposition so the selected blocks come first.
 
     ``select`` holds indices into ``dec.blocks`` (a set, or any array-like
-    of whole numbers).  Selected blocks bubble to the leading positions
-    through adjacent swaps, preserving their
-    relative order; a decomposition already in the requested order is
-    returned unchanged.  The swaps touch no row past the end of the last
-    selected block, so only those leading rows are rescanned; the blocks
-    behind them are ``dec.blocks``' own, whose entries keep their bits.
+    of whole numbers).  It is validated here, and the reorder is then
+    ``_reorder``'s, the core ``_lead`` calls on the blocks it has matched
+    itself.  Selected blocks bubble to the leading positions through
+    adjacent swaps, preserving their relative order; a decomposition
+    already in the requested order is returned unchanged.  The swaps touch
+    no row past the end of the last selected block, so only those leading
+    rows are rescanned; the blocks behind them are ``dec.blocks``' own,
+    whose entries keep their bits.
     """
     nblocks = len(dec.blocks)
     index = _floats(list(select) if isinstance(select, (set, frozenset)) else select, "select")
@@ -1158,19 +1173,27 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
     sel = set(index.astype(np.int64).tolist())
     if len(sel) < index.size:
         raise ValidationError("select names a block twice")
+    return _reorder(dec, sel)
+
+
+def _reorder(dec: SchurDecomposition, sel: set) -> SchurDecomposition:
+    """``reorder_schur`` on ``sel``, a set of valid indices into ``dec.blocks``."""
     if not sel or sel == set(range(len(sel))):
         return dec
     S = dec.T.T.copy()
     Z = dec.Q.copy()
     seq = [[blk.size, idx in sel] for idx, blk in enumerate(dec.blocks)]
+    lead = 0  # rows of the selected blocks already in front
     for target in range(len(sel)):
-        j = target
+        j, off = target, lead  # off: the row where block j starts
         while not seq[j][1]:
+            off += seq[j][0]
             j += 1
         for jj in range(j, target, -1):
-            off = sum(size for size, _ in seq[: jj - 1])
+            off -= seq[jj - 1][0]
             _swap_adjacent_upper(S, Z, off, seq[jj - 1][0], seq[jj][0])
             seq[jj - 1], seq[jj] = seq[jj], seq[jj - 1]
+        lead += seq[target][0]
     last = max(sel)
     end = dec.blocks[last].start + dec.blocks[last].size
     blocks = _scan_blocks_upper(S[:end, :end]) + dec.blocks[last + 1 :]
@@ -1195,27 +1218,25 @@ def _match_values(targets, candidates, tol):
     Returns one candidate index per target.  Raises AmbiguousMatchError
     when more candidates sit inside the tolerance of a requested value than
     that value's multiplicity among the targets, and MatchingError when a
-    target has no candidate within tolerance.
+    target has no candidate within tolerance.  Each distinct target's
+    distances are computed once, and only the pairs within ``tol`` are
+    sorted, by distance, then target, then candidate.
     """
     tcount = Counter(targets)
+    within = {}  # each distinct target's candidates within tol, as (distance, index)
     for t, mult in tcount.items():
-        close = sum(1 for c in candidates if abs(c - t) <= tol)
-        if close > mult:
+        within[t] = close = [(d, ci) for ci, c in enumerate(candidates)
+                             if (d := abs(c - t)) <= tol]
+        if len(close) > mult:
             raise AmbiguousMatchError(
-                f"{close} computed eigenvalues lie within {tol:.3e} of {t}, "
+                f"{len(close)} computed eigenvalues lie within {tol:.3e} of {t}, "
                 f"which appears {mult} time(s) in the request; "
                 "the selection is ambiguous"
             )
-    pairs = sorted(
-        (abs(c - t), ti, ci)
-        for ti, t in enumerate(targets)
-        for ci, c in enumerate(candidates)
-    )
+    pairs = sorted((d, ti, ci) for ti, t in enumerate(targets) for d, ci in within[t])
     out = [-1] * len(targets)
     used = set()
-    for dist, ti, ci in pairs:
-        if dist > tol:
-            break
+    for _, ti, ci in pairs:
         if out[ti] >= 0 or ci in used:
             continue
         out[ti] = ci
@@ -1230,8 +1251,8 @@ def _match_values(targets, candidates, tol):
     return out
 
 
-def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> list[int]:
-    """Indices of the blocks of ``dec`` that carry ``moved``, ascending.
+def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> set[int]:
+    """The set of indices of the blocks of ``dec`` that carry ``moved``.
 
     Each requested value is matched against the blocks' eigenvalues within
     ``tol``.  Selecting one half of a complex pair is rejected, since no
@@ -1239,18 +1260,17 @@ def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> list[int]:
     """
     flat = [(z, bi) for bi, blk in enumerate(dec.blocks) for z in blk.eigenvalues]
     matched = _match_values(list(moved), [z for z, _ in flat], tol)
-    matched_set = set(matched)
     per_block = Counter(flat[ci][1] for ci in matched)
     for bi, cnt in per_block.items():
         blk = dec.blocks[bi]
         if cnt != blk.size:
             missing = [z for ci, (z, owner) in enumerate(flat)
-                       if owner == bi and ci not in matched_set]
+                       if owner == bi and ci not in matched]
             raise ValidationError(
                 f"selection splits the conjugate pair {blk.eigenvalues}; "
                 f"also move {missing[0]} or drop the pair"
             )
-    return sorted(per_block)
+    return set(per_block)
 
 
 def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
@@ -1306,7 +1326,7 @@ def _lead(dec: SchurDecomposition, moved: Spectrum, tol):
     """Reorder ``dec`` so the blocks carrying ``moved`` (``_select_blocks``
     within ``tol``) come first.  Returns the new form and contiguous copies
     of its ``Q[:, :r]`` and ``T[:r, :r]``, r = len(moved)."""
-    dec = reorder_schur(dec, _select_blocks(dec, moved, tol))
+    dec = _reorder(dec, _select_blocks(dec, moved, tol))
     r = len(moved)
     return dec, dec.Q[:, :r].copy(), dec.T[:r, :r].copy()
 

@@ -72,7 +72,23 @@ class Spectrum:
     @classmethod
     def _of(cls, values: tuple) -> "Spectrum":
         """A Spectrum of ``values``, a tuple of finite complex values that
-        is self-conjugate by construction, taken over without the checks."""
+        is self-conjugate by construction, taken over without the checks.
+
+        Its callers and why their values qualify:
+
+        - ``linalg._hessenberg_eigenvalues`` and
+          ``subspace.StepRecord.spectrum_after`` (built in
+          ``subspace._run_plan``) read the values off Schur blocks: a 1x1
+          block gives a real, and a 2x2 block an exact conjugate or real
+          pair (``linalg._block_eigs``, ``linalg._standard_eigs``).  The
+          first scales its form and raises NumericalError for a value
+          past the float range; the second takes the carried form's
+          values as they are, finite while its blocks' eigenvalues are.
+        - ``subspace.paired_plan`` builds its groups as ``(z,
+          z.conjugate())`` pairs of its spectra's values with positive
+          imaginary part, and as reals ``complex(x)``, each its own
+          partner; ``subspace._merge_close`` concatenates such groups.
+        """
         spec = cls.__new__(cls)
         spec.values = values
         spec._monic = None

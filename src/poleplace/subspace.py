@@ -214,7 +214,7 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     eigenvalues of A) and replaced by its ``to`` set.  Later groups may
     re-move values placed by earlier ones.
     """
-    return _play_plan(list(Spectrum(_open_loop_values(sys))), plan, _match_tol(sys.A))
+    return _play_plan(_open_loop_values(sys), plan, _match_tol(sys.A))
 
 
 def _open_loop_values(sys: StateSpace) -> list[complex]:
@@ -228,20 +228,26 @@ def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
     ``plan_targets`` and ``place_sequential`` both play it on the block
     values of the system's stored Schur form, so they agree bitwise."""
     for move, to in plan.groups:
-        matched = _match_values(list(move), current, tol)
-        current = [z for i, z in enumerate(current) if i not in set(matched)]
+        matched = set(_match_values(list(move), current, tol))
+        current = [z for i, z in enumerate(current) if i not in matched]
         current.extend(to)
     return Spectrum(current)
 
 
 def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     """Group the open-loop spectrum and the targets into steps of size at
-    most two.
+    most two, but for repeated eigenvalues.
 
     Conjugate pairs move together.  Pairs match target pairs by descending
     modulus and reals match target reals the same way; when the counts
     differ, a leftover pair takes the two largest real targets, or two
     leftover reals take a target pair.  Parity makes the counts work out.
+    Groups whose open-loop values lie within ``_match_tol(sys.A)`` of each
+    other, which the matcher cannot tell apart, merge into one step with
+    the union of their targets: an eigenvalue repeated m times moves in a
+    step of at least m values, which inverts a matrix of that size.  Where
+    such values differ, as a perturbed Jordan block's do, the matcher
+    still refuses the merged step with AmbiguousMatchError.
     """
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
@@ -256,19 +262,51 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
                        key=abs, reverse=True)
         return reals, pairs
 
-    o_reals, o_pairs = buckets(Spectrum(_open_loop_values(sys)))
+    def pair(z):
+        return Spectrum._of((z, z.conjugate()))
+
+    def reals(*xs):
+        return Spectrum._of(tuple(map(complex, xs)))
+
+    o_reals, o_pairs = buckets(_open_loop_values(sys))
     t_reals, t_pairs = buckets(targets)
     groups = []
     common = min(len(o_pairs), len(t_pairs))
     for z, w in zip(o_pairs[:common], t_pairs[:common]):
-        groups.append(((z, z.conjugate()), (w, w.conjugate())))
+        groups.append((pair(z), pair(w)))
     for z in o_pairs[common:]:
-        groups.append(((z, z.conjugate()), (t_reals.pop(0), t_reals.pop(0))))
+        groups.append((pair(z), reals(t_reals.pop(0), t_reals.pop(0))))
     for w in t_pairs[common:]:
-        groups.append(((o_reals.pop(0), o_reals.pop(0)), (w, w.conjugate())))
+        groups.append((reals(o_reals.pop(0), o_reals.pop(0)), pair(w)))
     for z, w in zip(o_reals, t_reals):
-        groups.append(((z,), (w,)))
-    return AssignmentPlan(tuple(groups))
+        groups.append((reals(z), reals(w)))
+    return AssignmentPlan(_merge_close(groups, _match_tol(sys.A)))
+
+
+def _merge_close(groups, tol) -> tuple:
+    """``groups``, with every set of groups whose moved values are linked
+    by distances within ``tol`` merged into the place of its first member:
+    the moves and the targets concatenated in group order.  The values are
+    swept in order of real part, so only neighbours within ``tol`` in the
+    real part are compared."""
+    owner = list(range(len(groups)))  # the first group of each group's set
+    values = sorted(((z.real, z, g) for g, (move, _) in enumerate(groups) for z in move),
+                    key=lambda v: v[0])
+    for i, (x, z, g) in enumerate(values):
+        for y, w, h in values[i + 1 :]:
+            if y - x > tol:
+                break
+            if owner[g] != owner[h] and abs(w - z) <= tol:
+                first, later = sorted((owner[g], owner[h]))
+                owner = [first if o == later else o for o in owner]
+    if owner == list(range(len(groups))):
+        return tuple(groups)
+    merged = {}
+    for g, (move, to) in enumerate(groups):
+        m, t = merged.setdefault(owner[g], ([], []))
+        m += move
+        t += to
+    return tuple((Spectrum._of(tuple(m)), Spectrum._of(tuple(t))) for m, t in merged.values())
 
 
 def place_sequential(sys: StateSpace, plan: AssignmentPlan) -> tuple[Gain, list[StepRecord]]:
@@ -308,7 +346,7 @@ def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spec
             exc.step = step
             exc.records = tuple(records)
             raise
-        after = Spectrum([z for blk in dec.blocks for z in blk.eigenvalues])
+        after = Spectrum._of(tuple(z for blk in dec.blocks for z in blk.eigenvalues))
         k_total = k_total + k_step
         records.append(StepRecord(step=step, basis=U, gain=k_step, kappa=kappa,
                                   spectrum_after=after))

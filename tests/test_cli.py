@@ -1024,13 +1024,12 @@ def test_compare_chain_family(capsys):
     assert rc == 0
     _, _, rows = _split_compare_output(capsys.readouterr().out)
     for row in rows:
+        assert row["status"] == "ok"
         if row["method"] == "sequential":
-            # the chain's open-loop spectrum is 0 with multiplicity n, so
-            # picking an invariant subspace by eigenvalue cannot succeed
-            assert row["status"] == "AmbiguousMatchError"
-            assert row["charpoly_residual"] == ""
+            # the chain's open-loop spectrum is 0 with multiplicity n; the
+            # paired plan moves the repeated value in one step of size n
+            assert float(row["charpoly_residual"]) <= 1e-12
         else:
-            assert row["status"] == "ok"
             # the chain controllability matrix is perfectly conditioned
             assert abs(float(row["kappa_controllability"]) - 1.0) <= 1e-9
 

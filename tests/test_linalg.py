@@ -1695,6 +1695,87 @@ def test_invariant_split_tolerance_is_relative_to_the_matrix():
     assert linalg._match_tol(np.ldexp(A, -600)) == math.ldexp(1e-6, -600)
 
 
+def _match_values_pairwise(targets, candidates, tol):
+    """The matcher as it was before it kept only the pairs within tol:
+    every distance computed twice and every target-candidate pair sorted.
+    The reference for ``linalg._match_values``."""
+    tcount = Counter(targets)
+    for t, mult in tcount.items():
+        close = sum(1 for c in candidates if abs(c - t) <= tol)
+        if close > mult:
+            raise AmbiguousMatchError(
+                f"{close} computed eigenvalues lie within {tol:.3e} of {t}, "
+                f"which appears {mult} time(s) in the request; "
+                "the selection is ambiguous"
+            )
+    pairs = sorted(
+        (abs(c - t), ti, ci)
+        for ti, t in enumerate(targets)
+        for ci, c in enumerate(candidates)
+    )
+    out = [-1] * len(targets)
+    used = set()
+    for dist, ti, ci in pairs:
+        if dist > tol:
+            break
+        if out[ti] >= 0 or ci in used:
+            continue
+        out[ti] = ci
+        used.add(ci)
+    for ti, ci in enumerate(out):
+        if ci < 0:
+            near = sorted(candidates, key=lambda c: abs(c - targets[ti]))[:3]
+            raise MatchingError(
+                f"no computed eigenvalue within {tol:.3e} of {targets[ti]}; "
+                f"nearest candidates: {near}"
+            )
+    return out
+
+
+def test_match_values_agrees_with_the_pairwise_sort():
+    # the matcher sorts only the pairs within tol; it returns the indices
+    # the full pairwise sort returns, or raises the same error with the
+    # same message, on requests with exact repeats, exact conjugates,
+    # signed zeros and candidates inside tol of a target
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    tol = 1e-6
+    parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+    sites = st.builds(complex, parts, parts)
+
+    @st.composite
+    def requests(draw):
+        targets = draw(st.lists(sites, min_size=1, max_size=4))
+        target = st.sampled_from(targets)
+        offset = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+        candidate = st.one_of(
+            target,
+            target.map(lambda z: z.conjugate()),
+            st.tuples(target, offset).map(lambda v: v[0] + tol * v[1]),
+            sites,
+        )
+        return targets, draw(st.lists(candidate, min_size=1, max_size=24))
+
+    def outcome(match, targets, candidates):
+        try:
+            return match(list(targets), list(candidates), tol)
+        except (AmbiguousMatchError, MatchingError) as exc:
+            return type(exc), str(exc)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(requests())
+    # a tie at distance 0 between two candidates, for two equal targets
+    @hypothesis.example(([1 + 1j, 1 + 1j], [1 + 1j, 2.0, 1 + 1j]))
+    # a target with no candidate within tol
+    @hypothesis.example(([0.5j, -0.5j], [0.5j, 2.0]))
+    def check(request):
+        targets, candidates = request
+        assert outcome(linalg._match_values, targets, candidates) == outcome(
+            _match_values_pairwise, targets, candidates)
+
+    check()
+
+
 def test_invariant_split_rejects_half_pair():
     # a non-self-conjugate request never reaches the matcher
     A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]])

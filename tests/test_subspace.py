@@ -490,6 +490,67 @@ def test_paired_plan_groups_stay_small():
         assert plan_targets(sys, plan) == Spectrum(vals)
 
 
+def test_paired_plan_moves_a_jordan_pair_in_one_step():
+    # the matcher cannot tell the two computed copies of a repeated
+    # eigenvalue apart, so the plan moves them together
+    sys = StateSpace(A=[[1.0, 1.0], [0.0, 1.0]], b=[0.0, 1.0])
+    plan = paired_plan(sys, [-1.0, -2.0])
+    assert [(tuple(m), tuple(t)) for m, t in plan.groups] == [((1.0, 1.0), (-2.0, -1.0))]
+    gain, records = place_sequential(sys, plan)
+    assert gain.k.tolist() == [-6.0, -5.0]
+    assert len(records) == 1
+    assert gain.diagnostics.charpoly_residual == 0.0
+
+
+def test_paired_plan_moves_an_integrator_chain_in_one_step():
+    # the chain's spectrum is 0 with multiplicity n: one step of size n
+    for n in (4, 8, 12):
+        sys = StateSpace(A=np.eye(n, k=1), b=np.eye(n)[-1])
+        targets = [-1.0 - i / (n - 1) for i in range(n)]
+        plan = paired_plan(sys, targets)
+        assert len(plan.groups) == 1 and plan.groups[0][1] == Spectrum(targets)
+        gain, _ = place_sequential(sys, plan)
+        assert gain.diagnostics.charpoly_residual == 0.0
+
+
+def test_paired_plan_merged_step_on_a_repeated_mode_b_cannot_split():
+    # A = I: b reaches one direction of the repeated eigenvalue's
+    # eigenspace, and the merged step says so
+    sys = StateSpace(A=np.eye(2), b=[1.0, 1.0])
+    with pytest.raises(RankDeficiencyError, match="rank 1 < 2"):
+        place_sequential(sys, paired_plan(sys, [-1.0, -2.0]))
+
+
+def test_paired_plan_and_steps_build_checked_spectra():
+    # the plan's groups and the steps' spectra skip the self-conjugacy
+    # check; on perfbench's seed-1 dense pool they are the spectra the
+    # check builds, value for value and in order
+    from test_verify import _load_perfbench
+
+    def assert_checked(spec):
+        values = spec.values
+        checked = Spectrum(list(values))
+        assert spec == checked
+        assert type(values) is tuple and all(type(z) is complex for z in values)
+        assert np.array(values).tobytes() == np.array(checked.values).tobytes()
+
+    steps = 0
+    for case in _load_perfbench("inputs").dense_pool(1, 24):
+        sys = StateSpace(case.A, case.b)
+        plan = paired_plan(sys, case.targets)
+        for move, to in plan.groups:
+            assert_checked(move)
+            assert_checked(to)
+        try:
+            _, records = place_sequential(sys, plan)
+        except PolePlacementError as exc:
+            records = exc.records
+        for rec in records:
+            assert_checked(rec.spectrum_after)
+        steps += len(records)
+    assert steps >= 800
+
+
 def test_paired_plan_validates_count():
     with pytest.raises(ValidationError):
         paired_plan(diag_system(), [-1.0])

@@ -16,9 +16,12 @@ operations per second and the ratio NEW / OLD of the totals, and each
 side's count of operations that raised the package's error.  Under each
 of those lines, one line per system size n gives each side's thread time
 on the ops of that size and their ratio, so a change shows where its
-time goes.  Two runs of the same checkout read 1.000 within a few tenths
-of a percent, where separate perfbench runs minutes apart drift by
-several percent.
+time goes.  Directly under each seed line and the all-seeds line, a 95%
+bootstrap interval of the ratio NEW / OLD: 1000 resamples, with
+replacement, of the op indices (each op's time summed over the passes),
+drawn with ``np.random.default_rng(0)`` afresh for each interval.  Two
+runs of the same checkout read 1.000 within a few tenths of a percent,
+where separate perfbench runs minutes apart drift by several percent.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import thread_time  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("errors", "poly", "linalg", "placement", "subspace", "verify", "cli")
+RESAMPLES = 1000
 
 
 def load(checkout: Path, name: str) -> dict:
@@ -56,8 +62,8 @@ def load(checkout: Path, name: str) -> dict:
 
 def timed_passes(sides, passes: int) -> None:
     """Run every side's ops ``passes`` times, op by op, alternating the
-    side that goes first; adds each side's thread seconds, in total and by
-    size, and failures."""
+    side that goes first; adds each side's thread seconds, in total, by
+    size and by op, and failures."""
     count = len(sides[0]["ops"])
     for p in range(passes):
         for i in range(count):
@@ -70,6 +76,7 @@ def timed_passes(sides, passes: int) -> None:
                     side["failed"] += 1
                 seconds = thread_time() - start
                 side["seconds"] += seconds
+                side["by_op"][i] += seconds
                 side["by_n"][op.n] = side["by_n"].get(op.n, 0.0) + seconds
 
 
@@ -87,7 +94,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(PERFBENCH))
     run = importlib.import_module("run")
     packages = [load(args.old, "poleplace_old"), load(args.new, "poleplace_new")]
-    totals = [[0.0, 0, 0, {}] for _ in packages]  # seconds, ops, failed, seconds by n
+    totals = [[0.0, 0, 0, {}, []] for _ in packages]  # seconds, ops, failed, by n, by op
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             sides = []
@@ -96,7 +103,8 @@ def main(argv=None) -> int:
                 workdir.mkdir()
                 ops, _ = run.PREPARE[args.workload](pp, seed, args.workload, workdir)
                 sides.append({"ops": ops, "error": pp["errors"].PolePlacementError,
-                              "seconds": 0.0, "failed": 0, "by_n": {}})
+                              "seconds": 0.0, "failed": 0, "by_n": {},
+                              "by_op": [0.0] * len(ops)})
             timed_passes(sides, args.passes)
         ops = len(sides[0]["ops"]) * args.passes
         for side, total in zip(sides, totals):
@@ -105,17 +113,31 @@ def main(argv=None) -> int:
             total[2] += side["failed"]
             for n, seconds in side["by_n"].items():
                 total[3][n] = total[3].get(n, 0.0) + seconds
-        report(f"seed {seed}", [(s["seconds"], ops, s["failed"], s["by_n"]) for s in sides])
+            total[4] += side["by_op"]
+        report(f"seed {seed}",
+               [(s["seconds"], ops, s["failed"], s["by_n"], s["by_op"]) for s in sides])
     if len(args.seeds) > 1:
         report("all seeds", totals)
     return 0
 
 
+def interval(old_by_op, new_by_op) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of NEW / OLD total time over
+    ``RESAMPLES`` bootstrap resamples of the op indices."""
+    old, new = np.array(old_by_op), np.array(new_by_op)
+    picks = np.random.default_rng(0).integers(0, old.size, (RESAMPLES, old.size))
+    low, high = np.percentile(new[picks].sum(axis=1) / old[picks].sum(axis=1), [2.5, 97.5])
+    return float(low), float(high)
+
+
 def report(title: str, rows) -> None:
-    (old_s, ops, old_failed, old_by_n), (new_s, _, new_failed, new_by_n) = rows
+    old_s, ops, old_failed, old_by_n, old_by_op = rows[0]
+    new_s, _, new_failed, new_by_n, new_by_op = rows[1]
     print(f"{title}: old {old_s:.3f} s ({ops / old_s:.2f} ops/s, {old_failed} failed), "
           f"new {new_s:.3f} s ({ops / new_s:.2f} ops/s, {new_failed} failed), "
           f"new/old {new_s / old_s:.4f}")
+    low, high = interval(old_by_op, new_by_op)
+    print(f"  new/old 95% bootstrap interval over {len(old_by_op)} ops: {low:.4f}-{high:.4f}")
     for n in sorted(old_by_n):
         print(f"  n={n}: old {old_by_n[n]:.3f} s, new {new_by_n[n]:.3f} s, "
               f"new/old {new_by_n[n] / old_by_n[n]:.4f}")
