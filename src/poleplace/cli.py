@@ -39,9 +39,7 @@ from .subspace import (
     place_simon_mitter,
     plan_targets,
 )
-from .verify import ILL_CONDITIONED, _bottleneck, _closed_loop_check
-
-RESIDUAL_LIMIT = 1e-6
+from .verify import ILL_CONDITIONED, RESIDUAL_LIMIT, _bottleneck, _closed_loop_check
 
 
 # ---------------------------------------------------------------- literals

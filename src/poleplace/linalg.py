@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -1212,43 +1211,57 @@ def _match_tol(A) -> float:
     return math.ldexp(1e-6, math.frexp(max_abs(A))[1])
 
 
-def _match_values(targets, candidates, tol):
-    """Match requested values against computed ones, nearest first.
+def _clusters(values, owners, tol) -> list[int]:
+    """The one rule for values too close to tell apart: for each owner
+    0..m-1 (``owners[i]``, ascending, owns ``values[i]``), the least owner
+    linked to it by a chain of values within ``tol``, swept by real part."""
+    label = list(range(owners[-1] + 1))
+    swept = sorted(zip(values, owners), key=lambda v: v[0].real)
+    for i, (z, g) in enumerate(swept):
+        for w, h in swept[i + 1 :]:
+            if w.real - z.real > tol:
+                break
+            if label[g] != label[h] and abs(w - z) <= tol:
+                first, later = sorted((label[g], label[h]))
+                label = [first if o == later else o for o in label]
+    return label
 
-    Returns one candidate index per target.  Raises AmbiguousMatchError
-    when more candidates sit inside the tolerance of a requested value than
-    that value's multiplicity among the targets, and MatchingError when a
-    target has no candidate within tolerance.  Each distinct target's
-    distances are computed once, and only the pairs within ``tol`` are
-    sorted, by distance, then target, then candidate.
+
+def _match_values(targets, candidates, tol) -> set[int]:
+    """The set of indices of the candidates that ``targets`` name.
+
+    Distinct requested values within ``2 tol`` of each other form one
+    cluster (``_clusters``), which takes every candidate within ``tol`` of
+    one of its members, so no candidate falls to two.  A cluster taking
+    more than its multiplicity among the targets raises AmbiguousMatchError;
+    one taking fewer, MatchingError naming its first target left without.
     """
-    tcount = Counter(targets)
-    within = {}  # each distinct target's candidates within tol, as (distance, index)
-    for t, mult in tcount.items():
-        within[t] = close = [(d, ci) for ci, c in enumerate(candidates)
-                             if (d := abs(c - t)) <= tol]
-        if len(close) > mult:
+    distinct = dict.fromkeys(targets)
+    label = dict(zip(distinct, _clusters(distinct, range(len(distinct)), 2 * tol)))
+    found = {}  # per cluster; one distance pass per distinct target
+    for t in distinct:
+        found.setdefault(label[t], set()).update(
+            [ci for ci, c in enumerate(candidates) if abs(c - t) <= tol])
+    left, short = {lab: len(close) for lab, close in found.items()}, None
+    for t in targets:  # each takes one of its cluster's candidates
+        left[label[t]] -= 1
+        if left[label[t]] < 0 and short is None:
+            short = t
+    for lab, extra in left.items():
+        if extra > 0:
+            names = " or ".join(str(t) for t in distinct if label[t] == lab)
             raise AmbiguousMatchError(
-                f"{len(close)} computed eigenvalues lie within {tol:.3e} of {t}, "
-                f"which appears {mult} time(s) in the request; "
+                f"{len(found[lab])} computed eigenvalues lie within {tol:.3e} of {names}, "
+                f"which appears {len(found[lab]) - extra} time(s) in the request; "
                 "the selection is ambiguous"
             )
-    pairs = sorted((d, ti, ci) for ti, t in enumerate(targets) for d, ci in within[t])
-    out = [-1] * len(targets)
-    used = set()
-    for _, ti, ci in pairs:
-        if out[ti] >= 0 or ci in used:
-            continue
-        out[ti] = ci
-        used.add(ci)
-    for ti, ci in enumerate(out):
-        if ci < 0:
-            near = sorted(candidates, key=lambda c: abs(c - targets[ti]))[:3]
-            raise MatchingError(
-                f"no computed eigenvalue within {tol:.3e} of {targets[ti]}; "
-                f"nearest candidates: {near}"
-            )
-    return out
+    if short is not None:
+        near = sorted(candidates, key=lambda c: abs(c - short))[:3]
+        raise MatchingError(
+            f"no computed eigenvalue within {tol:.3e} of {short}; "
+            f"nearest candidates: {near}"
+        )
+    return set().union(*found.values())
 
 
 def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> set[int]:
@@ -1258,19 +1271,17 @@ def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> set[int]:
     ``tol``.  Selecting one half of a complex pair is rejected, since no
     real invariant subspace separates it from its conjugate.
     """
-    flat = [(z, bi) for bi, blk in enumerate(dec.blocks) for z in blk.eigenvalues]
-    matched = _match_values(list(moved), [z for z, _ in flat], tol)
-    per_block = Counter(flat[ci][1] for ci in matched)
-    for bi, cnt in per_block.items():
-        blk = dec.blocks[bi]
-        if cnt != blk.size:
-            missing = [z for ci, (z, owner) in enumerate(flat)
-                       if owner == bi and ci not in matched]
+    values = [z for blk in dec.blocks for z in blk.eigenvalues]
+    owner = [bi for bi, blk in enumerate(dec.blocks) for _ in blk.eigenvalues]
+    matched = _match_values(list(moved), values, tol)
+    chosen = {owner[ci] for ci in matched}
+    for ci, z in enumerate(values):
+        if owner[ci] in chosen and ci not in matched:
             raise ValidationError(
-                f"selection splits the conjugate pair {blk.eigenvalues}; "
-                f"also move {missing[0]} or drop the pair"
+                f"selection splits the conjugate pair {dec.blocks[owner[ci]].eigenvalues}; "
+                f"also move {z} or drop the pair"
             )
-    return set(per_block)
+    return chosen
 
 
 def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:

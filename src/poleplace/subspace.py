@@ -36,6 +36,7 @@ from .errors import (
 from .errors import _as_real
 from .linalg import (
     EPS,
+    _clusters,
     _eliminate_scalars,
     _feed_leading,
     _kappa_2x2,
@@ -228,7 +229,7 @@ def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
     ``plan_targets`` and ``place_sequential`` both play it on the block
     values of the system's stored Schur form, so they agree bitwise."""
     for move, to in plan.groups:
-        matched = set(_match_values(list(move), current, tol))
+        matched = _match_values(list(move), current, tol)
         current = [z for i, z in enumerate(current) if i not in matched]
         current.extend(to)
     return Spectrum(current)
@@ -242,12 +243,10 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     modulus and reals match target reals the same way; when the counts
     differ, a leftover pair takes the two largest real targets, or two
     leftover reals take a target pair.  Parity makes the counts work out.
-    Groups whose open-loop values lie within ``_match_tol(sys.A)`` of each
-    other, which the matcher cannot tell apart, merge into one step with
-    the union of their targets: an eigenvalue repeated m times moves in a
-    step of at least m values, which inverts a matrix of that size.  Where
-    such values differ, as a perturbed Jordan block's do, the matcher
-    still refuses the merged step with AmbiguousMatchError.
+    Groups whose open-loop values cluster within ``_match_tol(sys.A)``
+    (``_merge_close``) move in one step with the union of their targets:
+    an eigenvalue repeated m times, or a perturbed Jordan block's m values,
+    in a step of at least m values, which inverts a matrix of that size.
     """
     targets = _as_spectrum(targets)
     if len(targets) != sys.n:
@@ -284,26 +283,16 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
 
 
 def _merge_close(groups, tol) -> tuple:
-    """``groups``, with every set of groups whose moved values are linked
-    by distances within ``tol`` merged into the place of its first member:
-    the moves and the targets concatenated in group order.  The values are
-    swept in order of real part, so only neighbours within ``tol`` in the
-    real part are compared."""
-    owner = list(range(len(groups)))  # the first group of each group's set
-    values = sorted(((z.real, z, g) for g, (move, _) in enumerate(groups) for z in move),
-                    key=lambda v: v[0])
-    for i, (x, z, g) in enumerate(values):
-        for y, w, h in values[i + 1 :]:
-            if y - x > tol:
-                break
-            if owner[g] != owner[h] and abs(w - z) <= tol:
-                first, later = sorted((owner[g], owner[h]))
-                owner = [first if o == later else o for o in owner]
-    if owner == list(range(len(groups))):
+    """``groups``, each cluster of them (``_clusters`` of their moved
+    values within ``tol``) merged into the place of its first member: the
+    moves and the targets concatenated in group order."""
+    label = _clusters([z for move, _ in groups for z in move],
+                      [g for g, (move, _) in enumerate(groups) for _ in move], tol)
+    if label == list(range(len(groups))):
         return tuple(groups)
     merged = {}
-    for g, (move, to) in enumerate(groups):
-        m, t = merged.setdefault(owner[g], ([], []))
+    for lab, (move, to) in zip(label, groups):
+        m, t = merged.setdefault(lab, ([], []))
         m += move
         t += to
     return tuple((Spectrum._of(tuple(m)), Spectrum._of(tuple(t))) for m, t in merged.values())

@@ -38,6 +38,7 @@ from .linalg import _hessenberg_eigenvalues, max_abs
 from .poly import _as_spectrum, monic_from_roots
 
 ILL_CONDITIONED = 1e8
+RESIDUAL_LIMIT = 1e-6  # the largest charpoly_residual ``poleplace verify`` accepts
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,12 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     check (``_closed_loop_check``), its QR shifts seeded from the targets.
     An ill-conditioned controllability matrix earns a warning rather than
     an error: the gain is still returned, with notice that its digits may
-    not survive closed-loop arithmetic.  So does a closed-loop spectrum
-    check whose QR iteration runs out of its sweeps, as it can on a loop
-    placed far beyond what doubles resolve: ``spectrum_residual`` stays
-    None and the warning names the check and its sweep budget.
+    not survive closed-loop arithmetic.  So does a ``charpoly_residual``
+    above ``RESIDUAL_LIMIT``, which ``poleplace verify`` would reject, and
+    a closed-loop spectrum check whose QR iteration runs out of its
+    sweeps, as it can on a loop placed far beyond what doubles resolve:
+    ``spectrum_residual`` stays None and the warning names the check and
+    its sweep budget.
     """
     k = _as_vector(k, sys.n, "gain")
     kap = sys._kappa
@@ -244,6 +247,9 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     cres = sres = None
     if targets is not None:
         cres, achieved, unknown = _closed_loop_check(sys, k, targets)
+        if not cres <= RESIDUAL_LIMIT:
+            warnings += (f"charpoly_residual {cres:.3e} exceeds {RESIDUAL_LIMIT:.0e}; "
+                         "poleplace verify rejects this gain",)
         if achieved is None:
             warnings += (f"the closed-loop spectrum check ran out of sweeps: {unknown}; "
                          "spectrum_residual is unknown",)

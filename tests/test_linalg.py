@@ -1696,9 +1696,10 @@ def test_invariant_split_tolerance_is_relative_to_the_matrix():
 
 
 def _match_values_pairwise(targets, candidates, tol):
-    """The matcher as it was before it kept only the pairs within tol:
-    every distance computed twice and every target-candidate pair sorted.
-    The reference for ``linalg._match_values``."""
+    """The matcher's old rule, kept as the reference for
+    ``linalg._match_values``: each distinct target may have at most its own
+    multiplicity of candidates within tol, and every target-candidate pair
+    is sorted and paired nearest first.  Returns one index per target."""
     tcount = Counter(targets)
     for t, mult in tcount.items():
         close = sum(1 for c in candidates if abs(c - t) <= tol)
@@ -1733,10 +1734,12 @@ def _match_values_pairwise(targets, candidates, tol):
 
 
 def test_match_values_agrees_with_the_pairwise_sort():
-    # the matcher sorts only the pairs within tol; it returns the indices
-    # the full pairwise sort returns, or raises the same error with the
-    # same message, on requests with exact repeats, exact conjugates,
-    # signed zeros and candidates inside tol of a target
+    # the cluster rule against the old per-value rule: wherever the old
+    # rule accepts, the matcher takes the candidates it paired; wherever no
+    # two distinct requests lie within 2 tol, every cluster is one value
+    # and both raise the same error with the same message.  Requests offset
+    # by up to 1.9 tol from another make clusters, beside exact repeats,
+    # exact conjugates, signed zeros and candidates inside tol of a target
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     tol = 1e-6
@@ -1746,6 +1749,10 @@ def test_match_values_agrees_with_the_pairwise_sort():
     @st.composite
     def requests(draw):
         targets = draw(st.lists(sites, min_size=1, max_size=4))
+        spread = st.builds(complex, st.floats(-1.9, 1.9), st.floats(-1.9, 1.9))
+        for _ in range(draw(st.integers(0, 2))):
+            near = draw(st.sampled_from(targets)) + tol * draw(spread)
+            targets.insert(draw(st.integers(0, len(targets))), near)
         target = st.sampled_from(targets)
         offset = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
         candidate = st.one_of(
@@ -1768,12 +1775,40 @@ def test_match_values_agrees_with_the_pairwise_sort():
     @hypothesis.example(([1 + 1j, 1 + 1j], [1 + 1j, 2.0, 1 + 1j]))
     # a target with no candidate within tol
     @hypothesis.example(([0.5j, -0.5j], [0.5j, 2.0]))
+    # two requests 1.5 tol apart, each with the other's candidate in tol
+    @hypothesis.example(([1.0, 1.0 + 1.5e-6], [1.0 + 0.75e-6, 1.0 + 0.8e-6, 2.0]))
     def check(request):
         targets, candidates = request
-        assert outcome(linalg._match_values, targets, candidates) == outcome(
-            _match_values_pairwise, targets, candidates)
+        new = outcome(linalg._match_values, targets, candidates)
+        old = outcome(_match_values_pairwise, targets, candidates)
+        if isinstance(old, list):
+            assert new == set(old)
+        if isinstance(new, set):
+            assert len(new) == len(targets)
+            assert all(min(abs(candidates[ci] - t) for t in targets) <= tol for ci in new)
+        distinct = set(targets)
+        if all(abs(s - t) > 2 * tol for s, t in itertools.combinations(distinct, 2)):
+            assert new == (set(old) if isinstance(old, list) else old)
 
     check()
+
+
+def test_match_values_takes_a_cluster_whole():
+    # 1 + 1e-7 and 1 - 1e-7, as a perturbed Jordan pair computes them: each
+    # request has both candidates within tol, which the old rule called
+    # ambiguous; the cluster matches both, and counts against its total
+    tol = 1e-6
+    pair = [1 + 1e-7 + 0j, 1 - 1e-7 + 0j]
+    assert linalg._match_values(pair, [3.0 + 0j, *pair], tol) == {1, 2}
+    # requests 1.5 tol apart still cluster: links reach 2 tol
+    assert linalg._match_values([1.0, 1.0 + 1.5e-6], [1.0 + 7.5e-7, 2.0, 1.0 + 8e-7], tol) == {0, 2}
+    with pytest.raises(AmbiguousMatchError, match=(
+            r"^3 computed eigenvalues lie within 1\.000e-06 of \(1\.0000001\+0j\) or "
+            r"\(0\.9999999\+0j\), which appears 2 time\(s\)")):
+        linalg._match_values(pair, [1.0 + 0j, *pair], tol)
+    # the second request finds the cluster's one candidate taken
+    with pytest.raises(MatchingError, match=r"of \(0\.9999999\+0j\); nearest"):
+        linalg._match_values(pair, [3.0 + 0j, pair[0]], tol)
 
 
 def test_invariant_split_rejects_half_pair():

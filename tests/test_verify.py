@@ -389,6 +389,31 @@ def test_diagnostics_with_targets_fills_residuals():
     d = assemble_diagnostics(sys, np.array([-2.0, -3.0]), Spectrum([-1.0, -2.0]))
     assert d.charpoly_residual <= 1e-12
     assert d.spectrum_residual <= 1e-8
+    assert d.warnings == ()
+
+
+def test_diagnostics_warn_on_a_residual_verify_rejects(tmp_path, capsys):
+    # the gain k = (-2, -3 + 4e-6) misses the coefficient 3 of s^2 + 3s + 2
+    # by 1.3e-6 relative: its diagnostics warn against the one limit that
+    # `poleplace verify` applies, and verify fails it
+    import json
+
+    from poleplace import cli
+    from poleplace.verify import RESIDUAL_LIMIT
+
+    sys = double_integrator()
+    k = np.array([-2.0, -3.0 + 4e-6])
+    d = assemble_diagnostics(sys, k, Spectrum([-1.0, -2.0]))
+    assert RESIDUAL_LIMIT < d.charpoly_residual < 2 * RESIDUAL_LIMIT
+    assert d.warnings == (f"charpoly_residual {d.charpoly_residual:.3e} exceeds 1e-06; "
+                          "poleplace verify rejects this gain",)
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 2, "A": sys.A.tolist(), "b": sys.b.tolist()}))
+    plan = tmp_path / "p.json"
+    plan.write_text(json.dumps({"poles": ["-1", "-2"]}))
+    assert cli.main(["verify", "--system", str(system), "--plan", str(plan),
+                     "--gain=" + ",".join(map(repr, k.tolist()))]) == 1
+    assert "FAIL: charpoly_residual > 1e-06" in capsys.readouterr().out
 
 
 def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch, tmp_path, capsys):
@@ -574,8 +599,9 @@ def test_far_targets_return_the_gain_when_the_check_cannot_converge(m, tmp_path,
     # targets -m (1 + 0.01 i) on a dense n = 12 pair: the gain is computed,
     # but the closed-loop check's QR iteration runs out of its 480 sweeps;
     # the gain comes back with spectrum_residual None and a warning naming
-    # the check and its budget, from the library and from `poleplace place`
-    # (exit 0), and compare calls the row "warn", not "ok"
+    # the check and its budget, after the one its charpoly_residual earns,
+    # from the library and from `poleplace place` (exit 0), and compare
+    # calls the row "warn", not "ok"
     import json
 
     from poleplace import cli
@@ -589,9 +615,10 @@ def test_far_targets_return_the_gain_when_the_check_cannot_converge(m, tmp_path,
     diag = gain.diagnostics
     assert diag.spectrum_residual is None
     assert diag.charpoly_residual is not None
-    assert len(diag.warnings) == 1
-    assert "closed-loop spectrum check ran out of sweeps" in diag.warnings[0]
-    assert "within 480 sweeps" in diag.warnings[0]
+    assert len(diag.warnings) == 2
+    assert diag.warnings[0].startswith(f"charpoly_residual {diag.charpoly_residual:.3e} exceeds")
+    assert "closed-loop spectrum check ran out of sweeps" in diag.warnings[1]
+    assert "within 480 sweeps" in diag.warnings[1]
     # the check itself still raises; only the diagnostics take it as a warning
     with pytest.raises(ConvergenceError):
         _closed_loop_spectrum(sys, gain.k, targets)
@@ -713,6 +740,32 @@ def test_forward_error_against_the_exact_gain():
     for method, by_size in FORWARD_ERRORS.items():
         for n, reading in by_size.items():
             assert np.median(errors[method][n]) <= 10.0 * reading, (method, n)
+
+
+def test_known_answer_pairs_at_n24_to_64():
+    # perfbench's verify-large pairs A = Q L Q^T - b k^T with the exact k
+    # (seed 1, even indices): placing L's spectrum has the answer k.  The
+    # baseline a better placement core must beat: Bass-Gura and Ackermann
+    # refuse every pair, whose Krylov matrix fails its pivot test, and
+    # sequential assignment on the paired plan returns each gain with only
+    # the condition-number warning, off k by 1.5e-14 to 7.1e-10 when this
+    # test was written
+    from poleplace import paired_plan, place_ackermann, place_sequential
+    from poleplace.errors import UncontrollableError
+
+    inputs = _load_perfbench("inputs")
+    for n in (24, 32, 48, 64):
+        for index in (0, 2):
+            case = inputs.verify_case(1, n, index)
+            sys, targets = StateSpace(case.A, case.b), Spectrum(case.targets)
+            for place in (place_bass_gura, place_ackermann):
+                with pytest.raises(UncontrollableError, match="too badly scaled for the Krylov route"):
+                    place(sys, targets)
+            gain, _ = place_sequential(sys, paired_plan(sys, targets))
+            (warning,) = gain.diagnostics.warnings
+            assert warning.startswith("controllability matrix condition number")
+            error = np.linalg.norm(gain.k - case.k) / np.linalg.norm(case.k)
+            assert error <= 1e-8, (n, index)
 
 
 @pytest.mark.parametrize("index", [3, 5, 6, 12, 22])
