@@ -50,17 +50,27 @@ where sigma_min read off an SVD carries an absolute error of about eps
 times the largest singular value.
 
 The hot loops read the matrix into Python floats once per use (the
-diagonals for deflation, shifts and block scans; three entries per bulge
-step; a swap's window), apply each reflector through views into a buffer
-made once per iteration, and solve a swap's Kronecker system, at most 4x4,
-on Python floats with the row loop of ``solve_linear``.  A plain bulge
-step costs about 11 us on its active block at n = 20-64 (2-vCPU VM, one
-BLAS thread), of which its two BLAS products take 6-7 us.  Where bits
-must be kept those two products are the floor: a product in another
-order, or outside this BLAS with its FMA-contracted kernels, changes the
-last bits of every result.  Without Q no gain depends on the bits, and
-the paired chase's sweep takes 0.73-0.77x the plain one's time at n =
-8-64.
+diagonals for deflation, shifts and block scans, once per sweep; three
+entries per bulge step; a swap's window), apply each reflector through
+views into a buffer made once per iteration, and solve a swap's Kronecker
+system, at most 4x4, on Python floats with the row loop of
+``solve_linear``.  Where bits must be kept a bulge step's BLAS products
+are the floor: a product in another order, or outside this BLAS with its
+FMA-contracted kernels, changes the last bits of every result.  Without
+Q no gain depends on the bits, and the paired chase's sweep takes
+0.73-0.77x the plain one's time at n = 8-64.
+
+Where a warm gain's time goes (``place_general`` on perfbench's seed-1
+dense systems at n = 12, 2-vCPU VM, one BLAS thread; it reads 0.7-1.0 ms
+as the machine drifts): its closed-loop spectrum takes 450-480 us, of
+which about 300 us are the bulge steps of 10 sweeps (about 30 us a
+sweep) and the rest the Q-less driver's shifts, deflations and
+read-off; the gain's own row (``placement._row``: the LU substitution
+and the pulled product, whose bits fix the gain) 90-120 us; the exact
+closed-loop polynomial (``OpenLoopRecord.closed_loop``) 50-65 us; and
+``W.T k`` with the loop's first row (``ControllerHessenberg.closed_loop``)
+about 12 us.  At n = 16 the steps of 15 sweeps take about 600 us of a
+780-840 us spectrum.
 
 Real eigenvalues appear as 1x1 diagonal blocks.  A 2x2 block normally
 carries a complex conjugate pair stored so the two reported values are
@@ -357,12 +367,26 @@ def _householder(x):
     return v, beta, math.ldexp(alpha, shift)
 
 
-def _hessenberg_upper(B, want_q=True, reflectors=None):
+def _unit_first(v, beta):
+    """The reflector ``I - beta v v^T`` of ``_householder`` (beta > 0) with
+    v divided, in place, by its first entry and beta multiplied by that
+    entry's square: ``v[0] = 1``, as LAPACK's dlarfg stores a reflector.
+    It is the same reflector to rounding, and the compact-WY factor T of
+    such reflectors (``_wy_factor``) stays of the size of their betas,
+    which lie in [1, 2]."""
+    v0 = float(v[0])
+    v /= v0
+    return v, beta * (v0 * v0)
+
+
+def _hessenberg_upper(B, want_q=True, wy=None):
     """Reduce the float matrix B in place to upper Hessenberg H, ``B = Q @
     H @ Q.T``, and return ``(Q, H)``, H being B; Q = I if B already is
-    Hessenberg, and Q = None when not wanted.  Each reflector applied, ``I -
-    beta v v^T`` on entries k+1.., is appended to the list ``reflectors`` as
-    ``(k + 1, v, beta)`` when one is given.  A B with nothing below its
+    Hessenberg, and Q = None when not wanted.  With ``wy = (Vt, taus)``
+    each reflector is taken with ``v[0] = 1`` (``_unit_first``) and, once
+    applied, ``I - beta v v^T`` on entries k+1.. is kept for its
+    compact-WY form (``_wy_factor``): v in the next free row of Vt, from
+    column k+1, and beta appended to ``taus``.  A B with nothing below its
     subdiagonal returns at once, without a reflector to skip per column."""
     n = B.shape[0]
     H = B
@@ -373,15 +397,41 @@ def _hessenberg_upper(B, want_q=True, reflectors=None):
         v, beta, alpha = _householder(H[k + 1 :, k])
         if beta == 0.0:
             continue
+        if wy is not None:
+            v, beta = _unit_first(v, beta)
         H[k + 1 :, k:] -= beta * (v[:, None] * (v @ H[k + 1 :, k:]))
         H[:, k + 1 :] -= beta * ((H[:, k + 1 :] @ v)[:, None] * v)
         if Q is not None:
             Q[:, k + 1 :] -= beta * ((Q[:, k + 1 :] @ v)[:, None] * v)
-        if reflectors is not None:
-            reflectors.append((k + 1, v, beta))
+        if wy is not None:
+            Vt, taus = wy
+            Vt[len(taus), k + 1 :] = v
+            taus.append(beta)
         H[k + 1, k] = alpha
         H[k + 2 :, k] = 0.0
     return Q, H
+
+
+def _wy_factor(Vt, taus) -> np.ndarray:
+    """The upper triangular T of the compact-WY form ``I - V T V^T`` of
+    the reflectors ``I - taus[j] v_j v_j^T`` in the order applied (Schreiber
+    & Van Loan, SISC 10(1), 1989), their vectors the first ``len(taus)``
+    rows of Vt.
+
+    T is the inverse of the upper triangular S with ``1 / taus`` on its
+    diagonal and ``V^T V`` above it (the forward recurrence of LAPACK's
+    dlarft, ``T[:j, j] = -tau_j T[:j, :j] V[:, :j]^T v_j``, builds the
+    same inverse a column at a time), taken by one ``np.linalg.inv``: S
+    has nothing below its diagonal, so its LU factorization pivots on that
+    diagonal and is S itself.  T keeps the taus themselves on its diagonal.
+    """
+    m = len(taus)
+    V = Vt[:m]
+    S = np.triu(V @ V.T, 1)
+    S.flat[:: m + 1] = [1.0 / tau for tau in taus]
+    T = np.linalg.inv(S)
+    T.flat[:: m + 1] = taus
+    return T
 
 
 @dataclass(frozen=True)
@@ -395,15 +445,21 @@ class ControllerHessenberg:
     one: H is the reduction of A scaled by the power of two that brings
     its largest entry into [0.5, 1), and beta the norm of b scaled alike,
     while ``W.T A W`` and ``||b||`` themselves may lie beyond the float
-    range.  W is kept as the Householder reflectors whose product it is,
-    each ``(start, v, tau)`` acting as ``I - tau v v^T`` on entries start..,
-    listed in the order ``W.T`` applies them.  Every reflector after the
-    first leaves e1 alone, so a feedback through b changes only the first
-    row: ``W.T (A + b k^T) W`` is upper Hessenberg as it stands
-    (``closed_loop``).
+    range.  W is the product of the m Householder reflectors of the
+    reduction, kept in compact-WY form ``W = I - V T V^T`` (Schreiber &
+    Van Loan, SISC 10(1), 1989): column j of the n x m matrix V is the
+    j-th reflector's vector, zero above the entry it starts at and 1 there
+    (``_unit_first``), and T is m x m upper triangular with the
+    reflectors' taus on its diagonal.  The reduction applies these very
+    reflectors, so H and W agree to the rounding of each step; it keeps
+    each one's vector as it goes, and T is formed once from them
+    (``_wy_factor``).  Every reflector after the first leaves e1 alone, so
+    a feedback through b changes only the first row: ``W.T (A + b k^T) W``
+    is upper Hessenberg as it stands (``closed_loop``).
     """
 
-    reflectors: tuple[tuple[int, np.ndarray, float], ...]
+    V: np.ndarray
+    T: np.ndarray
     H: np.ndarray
     shift: int
     beta: float
@@ -413,6 +469,8 @@ class ControllerHessenberg:
         """``(M, e)`` with ``W.T (A + b k^T) W = 2**e M``: H at the scale
         ``2**-e``, whose first row gains ``beta (W.T k)^T`` scaled alike.
 
+        k is scaled by the power of two that brings its largest entry into
+        [0.5, 1), and W.T applied to it in compact-WY form (``_wt``).
         Every entry of H, and of ``beta (W.T k)^T`` at k's own scale, is
         below n, so e is 0 unless the loop could reach the float range in
         these coordinates, and then the least that keeps every entry of M
@@ -422,39 +480,46 @@ class ControllerHessenberg:
         every entry by about ``eps |b| |k|``.
         """
         top = math.frexp(max_abs(k))[1]
-        g = np.ldexp(k, -top)
-        for start, v, tau in self.reflectors:
-            g[start:] -= (tau * (v @ g[start:])) * v
+        g = self._wt(np.ldexp(k, -top))
         lift = self.beta_shift + top
         e = max(0, max(self.shift, lift) + (2 * self.H.shape[0]).bit_length() - 1024)
         M = np.ldexp(self.H, self.shift - e)
         M[0] += np.ldexp(self.beta * g, lift - e)
         return M, e
 
+    def _wt(self, g) -> np.ndarray:
+        """``W.T g = g - V (T^T (V^T g))`` for a float vector g: three
+        products, with no loop over the reflectors."""
+        return g - self.V @ (self.T.T @ (g @ self.V))
+
 
 def _controller_hessenberg(A, b) -> ControllerHessenberg:
     """The controller-Hessenberg form of ``(A, b)``: one ``_householder``
     takes b to ``beta e1``, and ``_hessenberg_upper`` reduces the reflected
-    A, whose reflectors act on entries 1.. only.
+    A, whose reflectors act on entries 1.. only; their vectors are kept as
+    they are applied, and ``_wy_factor`` forms the compact-WY T of them.
 
     A and b are each scaled by the power of two that brings their largest
     entry into [0.5, 1), as ``_scaled_transpose`` scales A, and the form keeps
     those scales (``ControllerHessenberg``), so any finite pair has one.
     """
     A = _as_square(A, "A")
-    b = _as_vector(b, A.shape[0], "b")
+    n = A.shape[0]
+    b = _as_vector(b, n, "b")
     shift = int(np.frexp(max_abs(A))[1])
     beta_shift = int(np.frexp(max_abs(b))[1])
     B = np.ldexp(A, -shift)
     v, tau, beta = _householder(np.ldexp(b, -beta_shift))
-    reflectors = []
+    Vt, taus = np.zeros((n, n)), []  # room for the n - 1 reflectors at most
     if tau != 0.0:
+        v, tau = _unit_first(v, tau)
         B -= tau * (v[:, None] * (v @ B))
         B -= tau * ((B @ v)[:, None] * v)
-        reflectors.append((0, v, tau))
-    _, H = _hessenberg_upper(B, want_q=False, reflectors=reflectors)
-    return ControllerHessenberg(reflectors=tuple(reflectors), H=H, shift=shift,
-                                beta=beta, beta_shift=beta_shift)
+        Vt[0] = v
+        taus.append(tau)
+    _, H = _hessenberg_upper(B, want_q=False, wy=(Vt, taus))
+    return ControllerHessenberg(V=Vt[: len(taus)].T, T=_wy_factor(Vt, taus), H=H,
+                                shift=shift, beta=beta, beta_shift=beta_shift)
 
 
 _CLAMP = 16.0 * EPS
@@ -627,9 +692,11 @@ def _reflector(x, y, z):
 
 def _step_scratch() -> tuple:
     """The reflector buffers of ``_francis_step``, each flat and as its
-    square view: 3x3, 2x2 and the paired chase's 4x4."""
+    square view: 3x3, 2x2 and the paired chase's 4x4, with the transposed
+    view of the last."""
     flat3, flat2, flat4 = np.empty(9), np.empty(4), np.empty(16)
-    return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, flat4.reshape(4, 4)
+    G = flat4.reshape(4, 4)
+    return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, G, G.T
 
 
 def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
@@ -666,7 +733,7 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
     x = a * a + b * c - tr * a + det
     y = c * (a + d - tr)
     z = e * c
-    flat3, P3, flat2, P2, flat4, G = scratch
+    flat3, P3, flat2, P2, flat4, G, GT = scratch
     k = l
     while k < hi:
         m = 3 if k + 2 < top else 2  # the closing step reflects two rows, z = 0
@@ -710,7 +777,7 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
             R = H[k : k + 4, k:top]
             R[...] = G.dot(R)
             C = H[l : min(k + 5, top), k : k + 4]
-            C[...] = C.dot(G.T)
+            C[...] = C.dot(GT)
             H[k + 1, k] = alpha
             H[k + 2, k] = H[k + 3, k] = 0.0
             k += 2
@@ -776,9 +843,9 @@ def _francis_upper(H, Q, near=()):
     Subdiagonal entries count as converged when small against their
     diagonal neighbours; every tenth stalled sweep swaps in an exceptional
     shift to break symmetry cycles.  More than 40 sweeps per dimension
-    raise ConvergenceError naming the rows of the active block.  Each pass
-    reads the diagonal and subdiagonal once, as Python floats, for the
-    deflation scan and the shifts.
+    raise ConvergenceError naming the rows of the active block.  The
+    diagonal and subdiagonal are read as Python floats once per sweep, for
+    the deflation scans and the shifts until the next one.
 
     With Q a deflated 2x2 block is brought to standard form
     (``_standardize_2x2``), and the result is None.  Without Q nothing
@@ -823,9 +890,12 @@ def _francis_upper(H, Q, near=()):
     seeded = bool(near)  # the next standard sweep takes requested shifts
     read = [()] * n if Q is None else None  # a Q-less run's eigenvalues, by row
     scratch = _step_scratch()
+    # read again after each sweep: a deflation leaves the rows above it as
+    # they were (a 2x2 standardized with Q turns only its own rows and
+    # columns), and the next pass reads nothing at or below its top row
+    diag = H.diagonal().tolist()
+    sub = H.diagonal(-1).tolist()  # sub[j] is H[j + 1, j]
     while hi > 0:
-        diag = H.diagonal()[: hi + 1].tolist()
-        sub = H.diagonal(-1)[:hi].tolist()  # sub[j] is H[j + 1, j]
         l = hi
         while l > 0:
             if abs(sub[l - 1]) <= EPS * (abs(diag[l - 1]) + abs(diag[l])):
@@ -867,6 +937,8 @@ def _francis_upper(H, Q, near=()):
                 tr, det = _requested_shifts(near, tr, det, diag[hi])
                 seeded = False
         _francis_step(H, Q, l, hi, tr, det, scratch)
+        diag = H.diagonal()[: hi + 1].tolist()
+        sub = H.diagonal(-1)[:hi].tolist()
     if Q is None and hi == 0:
         read[0] = (complex(H[0, 0]),)
     return read
@@ -1227,19 +1299,28 @@ def _clusters(values, owners, tol) -> list[int]:
     return label
 
 
-def _match_values(targets, candidates, tol) -> set[int]:
+def _request_clusters(targets, tol) -> dict:
+    """The cluster label of each distinct requested value, in order of
+    first appearance: distinct values within ``2 tol`` of each other share
+    one (``_clusters``)."""
+    distinct = dict.fromkeys(targets)
+    return dict(zip(distinct, _clusters(distinct, range(len(distinct)), 2 * tol)))
+
+
+def _match_values(targets, candidates, tol, label=None) -> set[int]:
     """The set of indices of the candidates that ``targets`` name.
 
     Distinct requested values within ``2 tol`` of each other form one
-    cluster (``_clusters``), which takes every candidate within ``tol`` of
-    one of its members, so no candidate falls to two.  A cluster taking
-    more than its multiplicity among the targets raises AmbiguousMatchError;
-    one taking fewer, MatchingError naming its first target left without.
+    cluster (``_request_clusters``, or ``label`` when the caller has it
+    already), which takes every candidate within ``tol`` of one of its
+    members, so no candidate falls to two.  A cluster taking more than its
+    multiplicity among the targets raises AmbiguousMatchError; one taking
+    fewer, MatchingError naming its first target left without.
     """
-    distinct = dict.fromkeys(targets)
-    label = dict(zip(distinct, _clusters(distinct, range(len(distinct)), 2 * tol)))
+    if label is None:
+        label = _request_clusters(targets, tol)
     found = {}  # per cluster; one distance pass per distinct target
-    for t in distinct:
+    for t in label:
         found.setdefault(label[t], set()).update(
             [ci for ci, c in enumerate(candidates) if abs(c - t) <= tol])
     left, short = {lab: len(close) for lab, close in found.items()}, None
@@ -1249,7 +1330,7 @@ def _match_values(targets, candidates, tol) -> set[int]:
             short = t
     for lab, extra in left.items():
         if extra > 0:
-            names = " or ".join(str(t) for t in distinct if label[t] == lab)
+            names = " or ".join(str(t) for t in label if label[t] == lab)
             raise AmbiguousMatchError(
                 f"{len(found[lab])} computed eigenvalues lie within {tol:.3e} of {names}, "
                 f"which appears {len(found[lab]) - extra} time(s) in the request; "
@@ -1264,16 +1345,17 @@ def _match_values(targets, candidates, tol) -> set[int]:
     return set().union(*found.values())
 
 
-def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> set[int]:
+def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol, label=None) -> set[int]:
     """The set of indices of the blocks of ``dec`` that carry ``moved``.
 
     Each requested value is matched against the blocks' eigenvalues within
-    ``tol``.  Selecting one half of a complex pair is rejected, since no
-    real invariant subspace separates it from its conjugate.
+    ``tol`` (``_match_values``, with the clusters ``label`` if given).
+    Selecting one half of a complex pair is rejected, since no real
+    invariant subspace separates it from its conjugate.
     """
     values = [z for blk in dec.blocks for z in blk.eigenvalues]
     owner = [bi for bi, blk in enumerate(dec.blocks) for _ in blk.eigenvalues]
-    matched = _match_values(list(moved), values, tol)
+    matched = _match_values(list(moved), values, tol, label)
     chosen = {owner[ci] for ci in matched}
     for ci, z in enumerate(values):
         if owner[ci] in chosen and ci not in matched:
@@ -1333,11 +1415,12 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     return SchurDecomposition(Q=Q, T=T, blocks=blocks)
 
 
-def _lead(dec: SchurDecomposition, moved: Spectrum, tol):
+def _lead(dec: SchurDecomposition, moved: Spectrum, tol, label=None):
     """Reorder ``dec`` so the blocks carrying ``moved`` (``_select_blocks``
-    within ``tol``) come first.  Returns the new form and contiguous copies
-    of its ``Q[:, :r]`` and ``T[:r, :r]``, r = len(moved)."""
-    dec = _reorder(dec, _select_blocks(dec, moved, tol))
+    within ``tol``, with the clusters ``label`` if given) come first.
+    Returns the new form and contiguous copies of its ``Q[:, :r]`` and
+    ``T[:r, :r]``, r = len(moved)."""
+    dec = _reorder(dec, _select_blocks(dec, moved, tol, label))
     r = len(moved)
     return dec, dec.Q[:, :r].copy(), dec.T[:r, :r].copy()
 

@@ -111,9 +111,8 @@ class StateSpace:
         """The controller-Hessenberg form of ``(A, b)``, in which the closed
         loop of every gain is Hessenberg without a reduction of its own."""
         form = _controller_hessenberg(self.A, self.b)
-        form.H.flags.writeable = False
-        for _, v, _ in form.reflectors:
-            v.flags.writeable = False
+        for arr in (form.H, form.V, form.T):
+            arr.flags.writeable = False
         return form
 
     @cached_property
@@ -284,11 +283,12 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     n = sys.n
     if len(targets) != n:
         raise ValidationError(f"{len(targets)} targets for an order-{n} system")
-    if not targets.contains(pulled):
-        raise ValidationError("pulled values must be a sub-multiset of the targets")
     # the targets themselves when nothing is pulled or everything is, so
     # the monic polynomial stored on them serves the residual too
-    rest = targets.minus(pulled) if len(pulled) else targets
+    try:
+        rest = targets.minus(pulled) if len(pulled) else targets
+    except ValidationError:
+        raise ValidationError("pulled values must be a sub-multiset of the targets") from None
     with np.errstate(over="ignore", invalid="ignore"):
         if len(rest) == 0:
             pulled = targets

@@ -35,6 +35,17 @@ class Polynomial:
         c.flags.writeable = False
         self.coeffs = c
 
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "Polynomial":
+        """A Polynomial of ``coeffs``, a fresh nonempty 1-D array of finite
+        floats, taken over read-only without the checks and the copy; its
+        caller, ``OpenLoopRecord.closed_loop``, builds it from rounded
+        sums that are finite or raise first."""
+        poly = cls.__new__(cls)
+        coeffs.flags.writeable = False
+        poly.coeffs = coeffs
+        return poly
+
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -88,6 +99,8 @@ class Spectrum:
           z.conjugate())`` pairs of its spectra's values with positive
           imaginary part, and as reals ``complex(x)``, each its own
           partner; ``subspace._merge_close`` concatenates such groups.
+        - ``Spectrum.minus`` removes a self-conjugate sub-multiset from a
+          Spectrum.
         """
         spec = cls.__new__(cls)
         spec.values = values
@@ -116,9 +129,11 @@ class Spectrum:
         return not other.counter() - self.counter()
 
     def minus(self, other: "Spectrum") -> "Spectrum":
-        """Multiset difference.  ``other`` must be contained in ``self``."""
-        if not self.contains(other):
-            raise ValidationError("cannot remove values that are not in the spectrum")
+        """Multiset difference, in one pass over ``self``: each value of
+        ``other`` removes its first occurrence not yet removed.  ``other``
+        must be contained in ``self``.  The rest of a self-conjugate
+        multiset less a self-conjugate sub-multiset is self-conjugate, so
+        it is taken over as it stands (``_of``)."""
         take = other.counter()
         kept = []
         for z in self.values:
@@ -126,7 +141,9 @@ class Spectrum:
                 take[z] -= 1
             else:
                 kept.append(z)
-        return Spectrum(kept)
+        if +take:
+            raise ValidationError("cannot remove values that are not in the spectrum")
+        return Spectrum._of(tuple(kept))
 
 
 def _as_spectrum(values) -> Spectrum:
@@ -591,17 +608,24 @@ class OpenLoopRecord:
     The arrays are read-only.
     """
 
-    __slots__ = ("p", "words", "shift", "digits", "grids", "beta", "_word_lead")
+    __slots__ = ("p", "words", "shift", "digits", "grids", "beta", "_word_lead", "_word_exp",
+                 "_dot_lead", "_steps")
 
     def __init__(self, p, words, shift, digits, grids, beta):
         for arr in (words, digits, grids):
             arr.flags.writeable = False
         self.p, self.words, self.shift = p, words, shift
         self.digits, self.grids, self.beta = digits, grids, beta
-        # the exponent just above c_k, the scale of each row's terms when
-        # k^T x_k is smaller; a zero c_k sets no scale
-        lead = np.frexp(words[:, 0])[1] + shift * np.arange(1, words.shape[0] + 1)
+        n, window = digits.shape[:2]
+        # what ``closed_loop`` reads for every gain: c_k's exponent, the
+        # exponent just above c_k (the scale of each row's terms when k^T
+        # x_k is smaller; a zero c_k sets no scale), x_k's lead above k's
+        # own and the grid offset of digit j
+        self._word_exp = shift * np.arange(1, n + 1)
+        lead = np.frexp(words[:, 0])[1] + self._word_exp
         self._word_lead = np.where(words[:, 0] != 0.0, lead, np.iinfo(np.int64).min)
+        self._dot_lead = grids + (math.ceil(math.log2(n)) + 1)
+        self._steps = beta * (np.arange(window)[:, None] + 2)
 
     def closed_loop(self, k) -> Polynomial:
         """Characteristic polynomial of the exactly formed ``A + b k^T``.
@@ -617,7 +641,7 @@ class OpenLoopRecord:
         entry at each step, carried on by A.  A coefficient beyond the
         float range raises NumericalError.
         """
-        n, window = self.digits.shape[:2]
+        n = self.digits.shape[0]
         k = _as_vector(k, n, "gain")
         beta = self.beta
         top = math.frexp(float(np.abs(k).max()))[1]
@@ -630,22 +654,25 @@ class OpenLoopRecord:
         dots = self.digits @ np.array(slices).reshape(-1, n).T  # (n, L, slices)
         # each row is summed scaled by a power of two at or above its
         # largest term, so no term overflows on the way
-        dot_lead = self.grids + (top + math.ceil(math.log2(n)) + 1)
-        lead = np.maximum(self._word_lead, dot_lead)
-        steps = beta * (np.arange(window)[:, None] + np.arange(len(slices)) + 2)
-        words = np.ldexp(self.words, (self.shift * np.arange(1, n + 1) - lead)[:, None])
-        dots = np.ldexp(-dots, (self.grids + top - lead)[:, None, None] - steps)
+        lead = np.maximum(self._word_lead, self._dot_lead + top)
+        steps = self._steps + beta * np.arange(len(slices))
+        # row j holds the words of c_{j+1}, then the integers of -k^T x_{j+1}
+        terms = np.concatenate(
+            (np.ldexp(self.words, (self._word_exp - lead)[:, None]),
+             np.ldexp(-dots, (self.grids + top - lead)[:, None, None] - steps).reshape(n, -1)),
+            axis=1)
         desc = []
-        for j, (w, d, e) in enumerate(zip(words.tolist(), dots.reshape(n, -1).tolist(),
-                                          lead.tolist())):
-            try:
-                desc.append(math.ldexp(math.fsum(w + d), e))
-            except OverflowError:
-                raise NumericalError(
-                    f"closed-loop characteristic polynomial coefficient of x**{n - 1 - j} "
-                    "overflows the float range"
-                ) from None
-        return Polynomial(desc[::-1] + [1.0])
+        try:
+            for row, e in zip(terms.tolist(), lead.tolist()):
+                desc.append(math.ldexp(math.fsum(row), e))
+        except OverflowError:
+            raise NumericalError(
+                f"closed-loop characteristic polynomial coefficient of x**{n - 1 - len(desc)} "
+                "overflows the float range"
+            ) from None
+        desc.reverse()
+        desc.append(1.0)
+        return Polynomial._of(np.array(desc))
 
 
 def eval_matrix(q: Polynomial, A) -> np.ndarray:

@@ -43,6 +43,7 @@ from .linalg import (
     _lead,
     _match_tol,
     _match_values,
+    _request_clusters,
 )
 from .placement import Gain, StateSpace, _gain, _row, _selector
 from .poly import Spectrum, _as_spectrum
@@ -215,7 +216,8 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     eigenvalues of A) and replaced by its ``to`` set.  Later groups may
     re-move values placed by earlier ones.
     """
-    return _play_plan(_open_loop_values(sys), plan, _match_tol(sys.A))
+    tol = _match_tol(sys.A)
+    return _play_plan(_open_loop_values(sys), plan, tol, _plan_clusters(plan, tol))
 
 
 def _open_loop_values(sys: StateSpace) -> list[complex]:
@@ -224,12 +226,19 @@ def _open_loop_values(sys: StateSpace) -> list[complex]:
     return [z for blk in sys._schur.blocks for z in blk.eigenvalues]
 
 
-def _play_plan(current, plan: AssignmentPlan, tol) -> Spectrum:
-    """Play ``plan`` on the value list ``current``; see ``plan_targets``.
+def _plan_clusters(plan: AssignmentPlan, tol) -> list[dict]:
+    """Each group's ``_request_clusters`` of its moved values: one
+    computation per run serves the plan's replay and the steps' matches."""
+    return [_request_clusters(move, tol) for move, _ in plan.groups]
+
+
+def _play_plan(current, plan: AssignmentPlan, tol, labels) -> Spectrum:
+    """Play ``plan`` on the value list ``current``, with the groups'
+    clusters ``labels`` (``_plan_clusters``); see ``plan_targets``.
     ``plan_targets`` and ``place_sequential`` both play it on the block
     values of the system's stored Schur form, so they agree bitwise."""
-    for move, to in plan.groups:
-        matched = _match_values(list(move), current, tol)
+    for (move, to), label in zip(plan.groups, labels):
+        matched = _match_values(list(move), current, tol, label)
         current = [z for i, z in enumerate(current) if i not in matched]
         current.extend(to)
     return Spectrum(current)
@@ -323,12 +332,13 @@ def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spec
         raise ValidationError("plan has no groups")
     dec = sys._schur
     tol = _match_tol(sys.A)
-    expected = _play_plan(_open_loop_values(sys), plan, tol)
+    labels = _plan_clusters(plan, tol)
+    expected = _play_plan(_open_loop_values(sys), plan, tol, labels)
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
-    for step, (move, to) in enumerate(plan.groups, start=1):
+    for step, ((move, to), label) in enumerate(zip(plan.groups, labels), start=1):
         try:
-            dec, U, X = _lead(dec, move, tol)
+            dec, U, X = _lead(dec, move, tol, label)
             k_step, g, kappa = _gain_on_split(sys.b, U, X, to)
             dec = _feed_leading(dec, sys.b, g)
         except PolePlacementError as exc:

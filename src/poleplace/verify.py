@@ -5,7 +5,7 @@ characteristic polynomial of the exactly formed closed loop, read off the
 system's one run of the trace recurrence (no eigenvalue solver involved),
 and the closed-loop spectrum from the Schur iteration matched against the
 request.  Agreement of both is strong evidence; disagreement points at
-which half went wrong.  Both run in ``_closed_loop_check``, the one check
+which half went wrong.  Both run in ``_checked_loop``, the one check
 that the diagnostics and ``poleplace verify`` share.  The first route is
 the paper's rank-one determinant identity, applied exactly by the system's
 stored ``OpenLoopRecord.closed_loop``.
@@ -14,9 +14,18 @@ The second route forms the closed loop in the system's stored
 controller-Hessenberg coordinates (``ControllerHessenberg``): with
 ``W.T b = beta e1`` and ``H = W.T A W`` upper Hessenberg, the loop is
 ``H + beta e1 (W.T k)^T``, Hessenberg as it stands, so no gain pays for a
-reduction.  Its rounding is that of ``W.T k`` and of H's first row, so it
-perturbs k, where ``A + b k^T`` formed in doubles would perturb every
-entry by about ``eps |b| |k|``.
+reduction.  W is kept as the compact-WY pair (V, T) of the reduction's
+reflectors, ``W = I - V T V^T``: V gains each reflector's vector as the
+reduction applies it and T is formed from them once per system, so
+``W.T k = k - V (T^T (V^T k))`` is three products per gain.  Its
+rounding is that of ``W.T k`` and of H's first row, so it perturbs k,
+where ``A + b k^T`` formed in doubles would perturb every entry by about
+``eps |b| |k|``.
+
+A gain is checked on entry (``assemble_diagnostics``, or
+``_closed_loop_check`` for ``poleplace verify``); the spectrum half reads
+it as it stands, and ``charpoly_residual`` checks it once more
+(``_checked_loop``).
 
 The Schur iteration takes the request as a hint: the first QR sweep
 after each deflation shifts by the requested values nearest the ones
@@ -59,7 +68,8 @@ class Diagnostics:
 
 
 def _closed_loop_spectrum(sys, k, targets):
-    """Eigenvalues of ``A + b k^T``, formed in the system's stored
+    """Eigenvalues of ``A + b k^T``, for a checked gain and target
+    Spectrum (``_checked_loop``), formed in the system's stored
     controller-Hessenberg coordinates, with the QR shifts seeded from the
     requested spectrum.
 
@@ -73,7 +83,6 @@ def _closed_loop_spectrum(sys, k, targets):
     first formed in doubles, and one with an entry beyond the float range
     there raises NumericalError, as does an eigenvalue beyond it.
     """
-    k = _as_vector(k, sys.n, "gain")
     M, e = sys._hessenberg.closed_loop(k)
     if e:
         # otherwise every entry of A + b k^T is at most 2**1023
@@ -82,7 +91,15 @@ def _closed_loop_spectrum(sys, k, targets):
                 raise NumericalError(
                     "the closed loop A + b k^T has entries beyond the float range")
     shift = math.frexp(max_abs(M))[1]
-    return _hessenberg_eigenvalues(np.ldexp(M, -shift), shift + e, _as_spectrum(targets).values)
+    return _hessenberg_eigenvalues(np.ldexp(M, -shift), shift + e, targets.values)
+
+
+def _full_spectrum(sys, targets):
+    """``targets`` as a Spectrum of one value per state of ``sys``."""
+    targets = _as_spectrum(targets)
+    if len(targets) != sys.n:
+        raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
+    return targets
 
 
 def charpoly_residual(sys, k, targets) -> float:
@@ -102,9 +119,7 @@ def charpoly_residual(sys, k, targets) -> float:
     of x's largest entry at each step, carried on by A; so it is off by at
     most half an ulp plus ``|c_j error| + ||k||_1 ||x_j error||_inf``.
     """
-    targets = _as_spectrum(targets)
-    if len(targets) != sys.n:
-        raise ValidationError(f"{len(targets)} targets for an order-{sys.n} system")
+    targets = _full_spectrum(sys, targets)
     achieved = sys._polynomial.closed_loop(k)
     wanted = monic_from_roots(targets)
     num = np.abs(achieved.coeffs - wanted.coeffs)
@@ -113,10 +128,19 @@ def charpoly_residual(sys, k, targets) -> float:
 
 
 def _closed_loop_check(sys, k, targets):
-    """``(charpoly_residual, achieved, unknown)`` of a gain: the achieved
-    spectrum from ``_closed_loop_spectrum``, or, when its QR iteration runs
-    out of sweeps on a loop placed beyond what doubles resolve, None and
-    the reason the spectrum is unknown."""
+    """``(charpoly_residual, achieved, unknown)`` of a gain on ``sys``,
+    ``_checked_loop`` after checking the targets and then the gain."""
+    targets = _full_spectrum(sys, targets)
+    return _checked_loop(sys, _as_vector(k, sys.n, "gain"), targets)
+
+
+def _checked_loop(sys, k, targets):
+    """``_closed_loop_check`` of a checked gain and full target Spectrum:
+    the achieved spectrum from ``_closed_loop_spectrum``, or, when its QR
+    iteration runs out of sweeps on a loop placed beyond what doubles
+    resolve, None and the reason the spectrum is unknown.  The residual
+    half is ``charpoly_residual`` itself, which checks its arguments again
+    at a few us."""
     cres = charpoly_residual(sys, k, targets)
     try:
         return cres, _closed_loop_spectrum(sys, k, targets), None
@@ -226,7 +250,8 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
     computed on its first use, so every gain on one system reads the same
     value; the residuals are computed afresh for each gain, and filled
     only when the full target spectrum is known, by the one closed-loop
-    check (``_closed_loop_check``), its QR shifts seeded from the targets.
+    check (``_checked_loop`` on the k checked here), its QR shifts seeded
+    from the targets.
     An ill-conditioned controllability matrix earns a warning rather than
     an error: the gain is still returned, with notice that its digits may
     not survive closed-loop arithmetic.  So does a ``charpoly_residual``
@@ -246,7 +271,7 @@ def assemble_diagnostics(sys, k, targets=None, step_kappas=()) -> Diagnostics:
         )
     cres = sres = None
     if targets is not None:
-        cres, achieved, unknown = _closed_loop_check(sys, k, targets)
+        cres, achieved, unknown = _checked_loop(sys, k, _full_spectrum(sys, targets))
         if not cres <= RESIDUAL_LIMIT:
             warnings += (f"charpoly_residual {cres:.3e} exceeds {RESIDUAL_LIMIT:.0e}; "
                          "poleplace verify rejects this gain",)

@@ -25,9 +25,12 @@ from poleplace.errors import (
     ValidationError,
 )
 from poleplace import linalg
+from poleplace.placement import StateSpace
+from poleplace.poly import Spectrum
 from poleplace.verify import spectrum_distance
 from poleplace.linalg import (
     EPS,
+    TINY,
     SchurDecomposition,
     _feed_leading,
     _hessenberg_upper,
@@ -404,11 +407,13 @@ def test_hessenberg_reconstruction():
 
 
 def _dense_w(form, n):
-    """W accumulated from the form's reflectors: ``W.T`` applies them in
-    order, so W is their product in that order."""
+    """W accumulated one reflector at a time, ``I - T[j, j] V[:, j]
+    V[:, j]^T``: ``W.T`` applies them in order, so W is their product in
+    that order."""
     W = np.eye(n)
-    for start, v, tau in form.reflectors:
-        W[:, start:] -= tau * ((W[:, start:] @ v)[:, None] * v)
+    for j in range(form.V.shape[1]):
+        v = form.V[:, j]
+        W -= form.T[j, j] * ((W @ v)[:, None] * v)
     return W
 
 
@@ -470,12 +475,12 @@ def test_controller_hessenberg_edge_pairs_are_exact():
     # closed loop is A + e1 k^T exactly
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     form = linalg._controller_hessenberg(A, [1.0, 0.0])
-    assert form.reflectors == () and math.ldexp(form.beta, form.beta_shift) == 1.0
+    assert form.V.shape == (2, 0) and math.ldexp(form.beta, form.beta_shift) == 1.0
     assert np.array_equal(np.ldexp(form.H, form.shift), A)
     M, e = form.closed_loop(np.array([5.0, 6.0]))
     assert e == 0 and np.array_equal(M, [[6.0, 8.0], [3.0, 4.0]])
     form = linalg._controller_hessenberg([[2.0]], [-3.0])
-    assert form.reflectors == () and math.ldexp(form.beta, form.beta_shift) == -3.0
+    assert form.V.shape == (1, 0) and math.ldexp(form.beta, form.beta_shift) == -3.0
     M, e = form.closed_loop(np.array([0.5]))
     assert e == 0 and np.array_equal(M, [[0.5]])
     # b = 0 has no controller form to speak of, but the loop is still A
@@ -511,6 +516,131 @@ def test_controller_hessenberg_keeps_pairs_beyond_the_float_range():
         assert e > 0 and np.isfinite(M).all()
         M, e = form.closed_loop(np.array([1e300, -1e300]))
         assert e == 0
+
+
+def _wt_by_reflectors(form, g):
+    """W.T g one reflector at a time, in the order W.T applies them:
+    ``I - T[j, j] V[:, j] V[:, j]^T`` for j = 0, 1, ..."""
+    g = g.copy()
+    for j in range(form.V.shape[1]):
+        v = form.V[:, j]
+        g -= (form.T[j, j] * (v @ g)) * v
+    return g
+
+
+def test_compact_wy_matches_the_reflectors_on_the_benchmark_pools():
+    # W.T g in compact-WY form, three products, against the reflectors
+    # applied one at a time, for g at the scale closed_loop takes it (its
+    # largest entry in [0.5, 1)): within 8 eps max|g| on perfbench's seed-1
+    # dense pool (n <= 20, 6.3 eps at most when written) and 16 eps max|g|
+    # on its verify pool (n = 24-64, 12.0 eps at most, at n = 64)
+    from test_verify import _load_perfbench
+
+    inputs = _load_perfbench("inputs")
+    rng = np.random.default_rng(37)
+    pools = [(inputs.dense_pool(1, 24), 8.0), (inputs.verify_pool(1), 16.0)]
+    for pool, units in pools:
+        for case in pool:
+            form = linalg._controller_hessenberg(case.A, case.b)
+            k = case.k if hasattr(case, "k") else rng.uniform(-1.0, 1.0, case.n)
+            g = np.ldexp(k, -math.frexp(max_abs(k))[1])
+            assert max_abs(form._wt(g) - _wt_by_reflectors(form, g)) <= units * EPS * max_abs(g)
+
+
+# what the closed-loop check of a 6-state pair made at 00a20b7, where W.T k
+# was applied one reflector at a time, with b, k or A at the ends of the
+# float range: the scale e of the loop, and the outcome of the check (its
+# spectrum unknown, or its NumericalError) and of its spectrum half alone
+_UNCONVERGED = "QR iteration did not converge within 240 sweeps (active block rows 1..5)"
+_LOOP_OVERFLOW = "NumericalError: the closed loop A + b k^T has entries beyond the float range"
+
+
+def _coefficient_overflow(power, closed=True):
+    return (f"NumericalError: {'closed-loop ' if closed else ''}characteristic polynomial "
+            f"coefficient of x**{power} overflows the float range")
+
+
+_EXTREME_OUTCOMES = [
+    ("b, k", 0, "ok", "ok"),
+    ("b, k*2^-1000", 0, "ok", "ok"),
+    ("b, k*2^1000", 0, "unknown: " + _UNCONVERGED, "ConvergenceError: " + _UNCONVERGED),
+    ("b, spread k", 0, "unknown: " + _UNCONVERGED, "ConvergenceError: " + _UNCONVERGED),
+    ("b, far k", 0, "unknown: " + _UNCONVERGED, "ConvergenceError: " + _UNCONVERGED),
+    ("b*2^-1000, k", 0, "ok", "ok"),
+    ("b*2^-1000, k*2^-1000", 0, "ok", "ok"),
+    ("b*2^-1000, k*2^1000", 0, "ok", "ok"),
+    ("b*2^-1000, spread k", 0, "ok", "ok"),
+    ("b*2^-1000, far k", 0, "ok", "ok"),
+    ("b*2^1000, k", 0, "unknown: " + _UNCONVERGED, "ConvergenceError: " + _UNCONVERGED),
+    ("b*2^1000, k*2^-1000", 0, "ok", "ok"),
+    ("b*2^1000, k*2^1000", 980, _coefficient_overflow(5), _LOOP_OVERFLOW),
+    ("b*2^1000, spread k", 961, _coefficient_overflow(5), _LOOP_OVERFLOW),
+    ("b*2^1000, far k", 977, _coefficient_overflow(5), _LOOP_OVERFLOW),
+    ("spread b, k", 0, "ok", "ok"),
+    ("spread b, k*2^-1000", 0, "ok", "ok"),
+    ("spread b, k*2^1000", 372, _coefficient_overflow(5), _LOOP_OVERFLOW),
+    ("spread b, spread k", 353, _coefficient_overflow(4), _LOOP_OVERFLOW),
+    ("spread b, far k", 369, _coefficient_overflow(5), _LOOP_OVERFLOW),
+    ("A*2^1023, k", 3, _coefficient_overflow(0, closed=False), "ok"),
+    ("A*2^1023, k*2^1021", 3, _coefficient_overflow(0, closed=False), "ok"),
+    ("A*2^1023, k*2^-1000", 3, _coefficient_overflow(0, closed=False), "ok"),
+    ("full A near 2^1023, k", 3, _coefficient_overflow(0, closed=False),
+     "NumericalError: an eigenvalue of the diagonal block at row 0 overflows the float range"),
+]
+
+
+def _extreme_pairs():
+    """The pairs of ``_EXTREME_OUTCOMES``: b and k at their own scale,
+    times 2**+-1000, spread entry by entry over 2**+-1000, or (k) times
+    1e300, and A times 2**1023 or near 2**1023 in every entry."""
+    rng = np.random.default_rng(2024)
+    n = 6
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    b0 = rng.uniform(-1.0, 1.0, n)
+    k0 = rng.uniform(-1.0, 1.0, n)
+    spread_b = np.ldexp(b0, rng.integers(-1000, 1001, n))
+    spread_k = np.ldexp(k0, rng.integers(-1000, 1001, n))
+    bs = {"b": b0, "b*2^-1000": np.ldexp(b0, -1000), "b*2^1000": np.ldexp(b0, 1000),
+          "spread b": spread_b}
+    ks = {"k": k0, "k*2^-1000": np.ldexp(k0, -1000), "k*2^1000": np.ldexp(k0, 1000),
+          "spread k": spread_k, "far k": k0 * 1e300}
+    for bn, b in bs.items():
+        for kn, k in ks.items():
+            yield f"{bn}, {kn}", A, b, k
+    for kn, k in (("k", k0), ("k*2^1021", np.ldexp(k0, 1021)), ("k*2^-1000", np.ldexp(k0, -1000))):
+        yield f"A*2^1023, {kn}", np.ldexp(A, 1023), b0, k
+    full = np.full((n, n), math.ldexp(0.9, 1023)) + np.ldexp(A, 1000)
+    yield "full A near 2^1023, k", full, b0, k0
+
+
+def test_compact_wy_keeps_the_scale_and_every_error_at_the_float_range_ends():
+    from poleplace import verify
+
+    targets = Spectrum([-1.0, -2.0, -3.0, -1 + 1j, -1 - 1j, -0.5])
+    got = []
+    for name, A, b, k in _extreme_pairs():
+        sys = StateSpace(A, b)
+        form = sys._hessenberg
+        M, e = form.closed_loop(k)
+        # the loop itself: W.T k within the reflectors' rounding, in row 0 only
+        top = math.frexp(max_abs(k))[1]
+        g = _wt_by_reflectors(form, np.ldexp(k, -top))
+        row = (np.ldexp(form.H[0], form.shift - e)
+               + np.ldexp(form.beta * g, form.beta_shift + top - e))
+        assert np.array_equal(M[1:], np.ldexp(form.H[1:], form.shift - e))
+        assert max_abs(M[0] - row) <= 16 * EPS * max(max_abs(row), TINY), name
+        try:
+            _, achieved, unknown = verify._closed_loop_check(sys, k, targets)
+            check = "ok" if achieved is not None else "unknown: " + unknown
+        except NumericalError as exc:
+            check = f"NumericalError: {exc}"
+        try:
+            verify._closed_loop_spectrum(sys, k, targets)
+            spectrum = "ok"
+        except (NumericalError, ConvergenceError) as exc:
+            spectrum = f"{type(exc).__name__}: {exc}"
+        got.append((name, e, check, spectrum))
+    assert got == _EXTREME_OUTCOMES
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,9 @@ def test_full_pull_skips_canonical_form(monkeypatch):
 
 
 def test_general_validates_pulled_subset():
-    with pytest.raises(ValidationError):
-        place_general(double_integrator(), [-1.0, -2.0], [-3.0])
+    for pulled in ([-3.0], [-1.0, -1.0]):
+        with pytest.raises(ValidationError, match="pulled values must be a sub-multiset"):
+            place_general(double_integrator(), [-1.0, -2.0], pulled)
 
 
 @pytest.mark.parametrize("scale", [100, 200])

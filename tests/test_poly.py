@@ -62,8 +62,13 @@ def test_spectrum_multiset_semantics():
     assert s.contains(Spectrum([-1, -2]))
     assert not s.contains(Spectrum([-3]))
     assert s.minus(Spectrum([-1])) == Spectrum([-1, -2])
-    with pytest.raises(ValidationError):
-        s.minus(Spectrum([-5]))
+    # one pass: each removed value takes its first occurrence, the rest
+    # keep their order
+    pairs = Spectrum([-1, -1 + 1j, -2, -1 - 1j, -1])
+    assert pairs.minus(Spectrum([-1 - 1j, -1, -1 + 1j])).values == (-2 + 0j, -1 + 0j)
+    for absent in ([-5], [-1, -1, -1]):
+        with pytest.raises(ValidationError, match="cannot remove values that are not in the"):
+            s.minus(Spectrum(absent))
 
 
 def test_spectrum_rejects_nonfinite():

@@ -837,7 +837,7 @@ def test_state_space_arrays_are_read_only():
     record, form = sys._polynomial, sys._hessenberg
     for arr in (record.p.coeffs, record.words, record.digits, record.grids,
                 sys._controllability, *sys._factored, sys._schur.Q, sys._schur.T, sys._canonical,
-                form.H, *(v for _, v, _ in form.reflectors)):
+                form.H, form.V, form.T):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):

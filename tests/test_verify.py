@@ -3,6 +3,7 @@ bottleneck spectrum metric.  The rank-one determinant identity behind the
 polynomial route is checked by acceptance criterion 6 and by the record
 tests in test_poly."""
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -26,7 +27,7 @@ from poleplace.errors import (
     PolePlacementError,
     ValidationError,
 )
-from poleplace.poly import monic_from_roots
+from poleplace.poly import Polynomial, monic_from_roots
 from poleplace.placement import controllability_matrix
 from poleplace.verify import assemble_diagnostics
 
@@ -57,13 +58,15 @@ def test_closed_loop_double_integrator():
 
 
 def test_closed_loop_validates_gain():
-    from poleplace.verify import _closed_loop_spectrum
+    # the check the diagnostics and `poleplace verify` share validates the
+    # gain once, for both of its halves
+    from poleplace.verify import _closed_loop_check
 
     targets = Spectrum([-1.0, -2.0])
     with pytest.raises(ValidationError):
-        _closed_loop_spectrum(double_integrator(), [1.0, 2.0, 3.0], targets)
+        _closed_loop_check(double_integrator(), [1.0, 2.0, 3.0], targets)
     with pytest.raises(ValidationError):
-        _closed_loop_spectrum(double_integrator(), [np.nan, 0.0], targets)
+        _closed_loop_check(double_integrator(), [np.nan, 0.0], targets)
 
 
 def test_charpoly_residual_exact_placement():
@@ -766,6 +769,129 @@ def test_known_answer_pairs_at_n24_to_64():
             assert warning.startswith("controllability matrix condition number")
             error = np.linalg.norm(gain.k - case.k) / np.linalg.norm(case.k)
             assert error <= 1e-8, (n, index)
+
+
+@functools.lru_cache(maxsize=1)
+def _seed1_dense_gains():
+    """perfbench's seed-1 dense pool (24 cases per size, as the benchmark
+    draws it) and every gain placed on it: ``(system, targets, method,
+    k)`` for Bass-Gura, Ackermann, general with the case's pulled set and
+    sequential on its paired plan, in pool order, k being the repr of the
+    error when the method refused."""
+    from poleplace import paired_plan, place_ackermann, place_general, place_sequential
+
+    runs = []
+    for case in _load_perfbench("inputs").dense_pool(1, 24):
+        sys, targets = StateSpace(case.A, case.b), Spectrum(case.targets)
+        methods = {
+            "bass_gura": lambda: place_bass_gura(sys, targets),
+            "ackermann": lambda: place_ackermann(sys, targets),
+            "general": lambda: place_general(sys, targets, Spectrum(case.pulled)),
+            "sequential": lambda: place_sequential(sys, paired_plan(sys, targets))[0],
+        }
+        for method, place in methods.items():
+            try:
+                k = place().k
+            except PolePlacementError as exc:
+                k = repr(exc)
+            runs.append((sys, targets, method, k))
+    return runs
+
+
+def _minus_at_00a20b7(self, other):
+    """``Spectrum.minus`` as it stood at 00a20b7: a containment test, then
+    a pass over ``self`` and a validated Spectrum."""
+    if not self.contains(other):
+        raise ValidationError("cannot remove values that are not in the spectrum")
+    take = other.counter()
+    kept = []
+    for z in self.values:
+        if take.get(z, 0) > 0:
+            take[z] -= 1
+        else:
+            kept.append(z)
+    return Spectrum(kept)
+
+
+def _closed_loop_at_00a20b7(record, k):
+    """``OpenLoopRecord.closed_loop`` as it stood at 00a20b7, reading only
+    the record's public arrays: every array formed per gain, one list
+    concatenation per coefficient, and a validated Polynomial."""
+    n, window = record.digits.shape[:2]
+    k = np.asarray(k, dtype=float)
+    beta = record.beta
+    top = math.frexp(float(np.abs(k).max()))[1]
+    rest, slices = np.ldexp(k, beta - top), []
+    while rest.any():
+        slices.append(np.rint(rest))
+        rest -= slices[-1]
+        rest *= 2.0**beta
+    dots = record.digits @ np.array(slices).reshape(-1, n).T
+    word_lead = np.frexp(record.words[:, 0])[1] + record.shift * np.arange(1, n + 1)
+    word_lead = np.where(record.words[:, 0] != 0.0, word_lead, np.iinfo(np.int64).min)
+    dot_lead = record.grids + (top + math.ceil(math.log2(n)) + 1)
+    lead = np.maximum(word_lead, dot_lead)
+    steps = beta * (np.arange(window)[:, None] + np.arange(len(slices)) + 2)
+    words = np.ldexp(record.words, (record.shift * np.arange(1, n + 1) - lead)[:, None])
+    dots = np.ldexp(-dots, (record.grids + top - lead)[:, None, None] - steps)
+    desc = [math.ldexp(math.fsum(w + d), e)
+            for w, d, e in zip(words.tolist(), dots.reshape(n, -1).tolist(), lead.tolist())]
+    return Polynomial(desc[::-1] + [1.0])
+
+
+def test_seed1_gains_and_closed_loop_polynomials_match_00a20b7_bitwise(monkeypatch):
+    # every seed-1 dense-pool gain equals, byte for byte, the gain placed
+    # in the same process through 00a20b7's paths (its Spectrum.minus, and
+    # each sequential match clustering its own request), and the exactly
+    # formed closed loop of each gain, and of each stored k of the seed-1
+    # verify pool, has the coefficient bytes of 00a20b7's closed_loop; all
+    # in one process, so the comparison holds on any BLAS
+    from poleplace import subspace
+
+    runs = _seed1_dense_gains()
+    with monkeypatch.context() as patch:
+        patch.setattr(Spectrum, "minus", _minus_at_00a20b7)
+        patch.setattr(subspace, "_plan_clusters", lambda plan, tol: [None] * len(plan.groups))
+        reference = _seed1_dense_gains.__wrapped__()
+    assert len(runs) == len(reference) == 480
+    loops = []
+    for (sys, _, method, k), (_, _, ref_method, ref_k) in zip(runs, reference):
+        assert method == ref_method
+        if isinstance(k, str):
+            assert k == ref_k
+            continue
+        assert isinstance(ref_k, np.ndarray) and k.tobytes() == ref_k.tobytes(), method
+        loops.append((sys, k))
+    for case in _load_perfbench("inputs").verify_pool(1):
+        loops.append((StateSpace(case.A, case.b), case.k))
+    for sys, k in loops:
+        got = sys._polynomial.closed_loop(k).coeffs
+        assert got.tobytes() == _closed_loop_at_00a20b7(sys._polynomial, k).coeffs.tobytes()
+
+
+# the largest bottleneck distance, over max|lambda|, between the closed-loop
+# check's spectrum and scipy's eigenvalues of the same loop, over the 360
+# seed-1 full-dense gains, at 00a20b7; the test allows ten times as much
+SCIPY_SPECTRUM_READING = 1.864e-3
+
+
+def test_closed_loop_spectrum_agrees_with_scipy_on_the_same_loop():
+    # scipy is the third oracle: its eigenvalues of the loop 2**e M the
+    # check forms in controller-Hessenberg coordinates.  The placed loops
+    # are ill conditioned, so the two read the same poles to 1e-3 relative
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    from poleplace.verify import _bottleneck, _closed_loop_check
+
+    worst = 0.0
+    for sys, targets, method, k in _seed1_dense_gains():
+        if method == "sequential":
+            continue
+        _, achieved, _ = _closed_loop_check(sys, k, targets)
+        M, e = sys._hessenberg.closed_loop(k)
+        reference = scipy_linalg.eigvals(np.ldexp(M, e))
+        distance = _bottleneck(list(achieved), list(reference))[0]
+        worst = max(worst, distance / np.abs(reference).max())
+    assert worst <= 10.0 * SCIPY_SPECTRUM_READING
 
 
 @pytest.mark.parametrize("index", [3, 5, 6, 12, 22])

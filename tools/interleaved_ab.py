@@ -15,8 +15,10 @@ Prints, per seed and over all seeds, each side's total thread time, its
 operations per second and the ratio NEW / OLD of the totals, and each
 side's count of operations that raised the package's error.  Under each
 of those lines, one line per system size n gives each side's thread time
-on the ops of that size and their ratio, so a change shows where its
-time goes.  Directly under each seed line and the all-seeds line, a 95%
+on the ops of that size and their ratio, and under those one line per op
+label (bass_gura, ackermann, general, sequential, verify) does the same
+on the ops of that label, so a change shows where its time goes.
+Directly under each seed line and the all-seeds line, a 95%
 bootstrap interval of the ratio NEW / OLD: 1000 resamples, with
 replacement, of the op indices (each op's time summed over the passes),
 drawn with ``np.random.default_rng(0)`` afresh for each interval.  Two
@@ -63,7 +65,7 @@ def load(checkout: Path, name: str) -> dict:
 def timed_passes(sides, passes: int) -> None:
     """Run every side's ops ``passes`` times, op by op, alternating the
     side that goes first; adds each side's thread seconds, in total, by
-    size and by op, and failures."""
+    size, by label and by op, and failures."""
     count = len(sides[0]["ops"])
     for p in range(passes):
         for i in range(count):
@@ -78,6 +80,7 @@ def timed_passes(sides, passes: int) -> None:
                 side["seconds"] += seconds
                 side["by_op"][i] += seconds
                 side["by_n"][op.n] = side["by_n"].get(op.n, 0.0) + seconds
+                side["by_label"][op.label] = side["by_label"].get(op.label, 0.0) + seconds
 
 
 def main(argv=None) -> int:
@@ -94,7 +97,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(PERFBENCH))
     run = importlib.import_module("run")
     packages = [load(args.old, "poleplace_old"), load(args.new, "poleplace_new")]
-    totals = [[0.0, 0, 0, {}, []] for _ in packages]  # seconds, ops, failed, by n, by op
+    # seconds, ops, failed, by n, by op, by label
+    totals = [[0.0, 0, 0, {}, [], {}] for _ in packages]
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             sides = []
@@ -103,7 +107,7 @@ def main(argv=None) -> int:
                 workdir.mkdir()
                 ops, _ = run.PREPARE[args.workload](pp, seed, args.workload, workdir)
                 sides.append({"ops": ops, "error": pp["errors"].PolePlacementError,
-                              "seconds": 0.0, "failed": 0, "by_n": {},
+                              "seconds": 0.0, "failed": 0, "by_n": {}, "by_label": {},
                               "by_op": [0.0] * len(ops)})
             timed_passes(sides, args.passes)
         ops = len(sides[0]["ops"]) * args.passes
@@ -114,8 +118,10 @@ def main(argv=None) -> int:
             for n, seconds in side["by_n"].items():
                 total[3][n] = total[3].get(n, 0.0) + seconds
             total[4] += side["by_op"]
-        report(f"seed {seed}",
-               [(s["seconds"], ops, s["failed"], s["by_n"], s["by_op"]) for s in sides])
+            for label, seconds in side["by_label"].items():
+                total[5][label] = total[5].get(label, 0.0) + seconds
+        report(f"seed {seed}", [(s["seconds"], ops, s["failed"], s["by_n"], s["by_op"],
+                                 s["by_label"]) for s in sides])
     if len(args.seeds) > 1:
         report("all seeds", totals)
     return 0
@@ -131,8 +137,8 @@ def interval(old_by_op, new_by_op) -> tuple[float, float]:
 
 
 def report(title: str, rows) -> None:
-    old_s, ops, old_failed, old_by_n, old_by_op = rows[0]
-    new_s, _, new_failed, new_by_n, new_by_op = rows[1]
+    old_s, ops, old_failed, old_by_n, old_by_op, old_by_label = rows[0]
+    new_s, _, new_failed, new_by_n, new_by_op, new_by_label = rows[1]
     print(f"{title}: old {old_s:.3f} s ({ops / old_s:.2f} ops/s, {old_failed} failed), "
           f"new {new_s:.3f} s ({ops / new_s:.2f} ops/s, {new_failed} failed), "
           f"new/old {new_s / old_s:.4f}")
@@ -141,6 +147,9 @@ def report(title: str, rows) -> None:
     for n in sorted(old_by_n):
         print(f"  n={n}: old {old_by_n[n]:.3f} s, new {new_by_n[n]:.3f} s, "
               f"new/old {new_by_n[n] / old_by_n[n]:.4f}")
+    for label in old_by_label:  # in the order the pool first runs them
+        print(f"  {label}: old {old_by_label[label]:.3f} s, new {new_by_label[label]:.3f} s, "
+              f"new/old {new_by_label[label] / old_by_label[label]:.4f}")
     sys.stdout.flush()
 
 
