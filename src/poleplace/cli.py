@@ -39,7 +39,8 @@ from .subspace import (
     place_simon_mitter,
     plan_targets,
 )
-from .verify import ILL_CONDITIONED, RESIDUAL_LIMIT, _bottleneck, _closed_loop_check
+from .verify import (ILL_CONDITIONED, RESIDUAL_LIMIT, _bottleneck, _checked_loop,
+                     _full_spectrum)
 
 
 # ---------------------------------------------------------------- literals
@@ -326,8 +327,10 @@ def cmd_verify(args) -> int:
         kind, plan = _load_plan(args.plan)
         targets = plan if kind == "poles" else plan_targets(sys_, plan)
 
-    # an unknown spectrum leaves the verdict to charpoly_residual alone
-    cres, achieved, unknown = _closed_loop_check(sys_, k, targets)
+    # the targets are checked, then the gain; an unknown spectrum leaves
+    # the verdict to charpoly_residual alone
+    spectrum = _full_spectrum(sys_, targets)
+    cres, achieved, unknown = _checked_loop(sys_, _as_vector(k, sys_.n, "gain"), spectrum)
     print(f"charpoly_residual  {cres:.6e}")
     if achieved is None:
         print(f"spectrum_residual  unknown: {unknown}")

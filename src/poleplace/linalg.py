@@ -125,13 +125,9 @@ def solve_linear(M, rhs) -> np.ndarray:
     rhs = _floats(rhs, "right-hand side")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValidationError(f"right-hand side has shape {rhs.shape}, expected {n} rows")
-    return _eliminate(M.copy(), _finite(rhs, "right-hand side"), n * EPS * max_abs(M))
-
-
-def _eliminate(LU, rhs, limit) -> np.ndarray:
-    """``solve_linear`` without its checks: may overwrite the float matrix
-    LU with its factors, and refuses a pivot below ``limit``."""
-    return _substitute(LU, _factor(LU, limit), rhs)
+    rhs = _finite(rhs, "right-hand side")
+    LU = M.copy()
+    return _substitute(LU, _factor(LU, n * EPS * max_abs(M)), rhs)
 
 
 def _factor(LU, limit) -> list:
@@ -176,7 +172,7 @@ def _pivot_error(k, pivot, limit):
 
 
 def _eliminate_scalars(a, x, limit) -> list:
-    """The row loop of ``_eliminate`` on Python floats, for the small
+    """The row loop of ``solve_linear`` on Python floats, for the small
     systems of block swaps and sequential steps: ``a`` is a list of row
     lists and ``x`` the right-hand side, both overwritten; returns the
     solution as a list.

@@ -70,8 +70,9 @@ class StateSpace:
     and the CLI's gate on one system share one computation of each; no
     gain factors C, and no closed loop runs the trace recurrence or a
     Hessenberg reduction again.  A refused C stores no factors: each read
-    raises anew.  The closed-loop check that reads the record is
-    ``verify``'s.
+    raises anew.  Every full-spectrum gain reads C_c and the factors
+    through one map, ``omega_vector``'s (``_omega``).  The closed-loop
+    check that reads the record is ``verify``'s.
     """
 
     A: np.ndarray
@@ -168,8 +169,9 @@ class StateSpace:
 
     @cached_property
     def _kappa(self) -> float:
-        """``condition_number`` of C, taken on its own: Ackermann's formula
-        reads C without a canonical form."""
+        """``condition_number`` of C itself, not of the similarity
+        ``C inv(C_c)``: the one conditioning figure the diagnostics of
+        every method report, whether or not the method reads C_c."""
         return condition_number(self._controllability)
 
 
@@ -202,16 +204,24 @@ def controller_canonical(sys: StateSpace) -> np.ndarray:
 def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
     """Map a canonical-frame coefficient row back to original coordinates.
 
-    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``.  An omega
-    beyond the float range raises NumericalError.
+    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``: the map
+    every full-spectrum gain goes through (``_omega``).  An omega beyond
+    the float range raises NumericalError.
     """
     gamma = _as_vector(gamma, sys.n, "gamma")
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = controller_canonical(sys).T @ gamma
-        omega = _substitute(*sys._factored, rhs)
+        omega = _omega(sys, gamma)
     if not np.isfinite(omega).all():
         raise NumericalError("omega has entries beyond the float range")
     return omega
+
+
+def _omega(sys: StateSpace, gamma) -> np.ndarray:
+    """``C^{-T} C_c^T gamma``: ``omega_vector`` of a checked gamma, with no
+    range check.  C_c is read before C's factors, so its refusals come
+    first."""
+    rhs = controller_canonical(sys).T @ gamma
+    return _substitute(*sys._factored, rhs)
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -270,45 +280,40 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
 
 
 def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
-    """The generalized formula ``k^T = gamma^T C_c C^{-1} M``.
+    """The generalized formula ``k^T = gamma^T C_c C^{-1} M``, one step
+    after another: gamma, its map ``_omega`` (``omega_vector``'s), then M.
 
     ``M`` is the product ``prod(A - lam I)`` over the pulled roots and
     ``gamma`` holds the coefficients of ``p - f`` reduced modulo the
     open-loop characteristic polynomial ``p``, where ``f`` is the monic
     product of the targets left at the coefficient level: ``p - f``
-    itself when nothing is pulled and ``-f`` otherwise.  An uncontrollable
-    pair raises UncontrollableError; overflow leaves inf or nan in k.
+    itself when nothing is pulled and ``-f`` otherwise (``-e_1`` when
+    everything is).  An uncontrollable pair raises UncontrollableError;
+    overflow leaves inf or nan in k.
     """
     targets, pulled = _as_spectrum(targets), _as_spectrum(pulled)
     n = sys.n
     if len(targets) != n:
         raise ValidationError(f"{len(targets)} targets for an order-{n} system")
-    # the targets themselves when nothing is pulled or everything is, so
-    # the monic polynomial stored on them serves the residual too
+    # the targets themselves when nothing is pulled, so the monic
+    # polynomial stored on them serves the residual too
     try:
         rest = targets.minus(pulled) if len(pulled) else targets
     except ValidationError:
         raise ValidationError("pulled values must be a sub-multiset of the targets") from None
+    # C_c, stored for ``_omega``, before the targets' polynomial: building
+    # it reads the open-loop record, and their refusals of an out-of-range
+    # A come first
+    sys._canonical
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(rest) == 0:
-            pulled = targets
-            # f = 1 reduces to gamma = -e_1, whose canonical row is exactly
-            # -e_n: the canonical form, and its char_poly, are not needed.
-            row = np.zeros(n)
-            row[n - 1] = -1.0
-            k = _substitute(*sys._factored, row)
-        else:
-            # C_c before the targets' polynomial: building it reads the open-loop
-            # record, whose refusal of an out-of-range A comes first
-            C_c = controller_canonical(sys)
-            f = monic_from_roots(rest).coeffs
-            if f.size > n:
-                # degree n: one copy of p cancels the leading 1 exactly
-                f = (f - sys._polynomial.p.coeffs)[:n]
-            gamma = np.zeros(n)
-            # 0.0 - x, not -x: exact zeros stay positive, as in p - f
-            gamma[: f.size] = 0.0 - f
-            k = _substitute(*sys._factored, C_c.T @ gamma)
+        f = monic_from_roots(rest).coeffs
+        if f.size > n:
+            # degree n: one copy of p cancels the leading 1 exactly
+            f = (f - sys._polynomial.p.coeffs)[:n]
+        gamma = np.zeros(n)
+        # 0.0 - x, not -x: exact zeros stay positive, as in p - f
+        gamma[: f.size] = 0.0 - f
+        k = _omega(sys, gamma)
         if len(pulled) > 0:
             k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
     return k

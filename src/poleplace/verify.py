@@ -23,8 +23,8 @@ where ``A + b k^T`` formed in doubles would perturb every entry by about
 ``eps |b| |k|``.
 
 A gain is checked on entry (``assemble_diagnostics``, or
-``_closed_loop_check`` for ``poleplace verify``); the spectrum half reads
-it as it stands, and ``charpoly_residual`` checks it once more
+``cli.cmd_verify`` for ``poleplace verify``); the spectrum half reads it
+as it stands, and ``charpoly_residual`` checks it once more
 (``_checked_loop``).
 
 The Schur iteration takes the request as a hint: the first QR sweep
@@ -127,20 +127,14 @@ def charpoly_residual(sys, k, targets) -> float:
     return float(np.max(num / den))
 
 
-def _closed_loop_check(sys, k, targets):
-    """``(charpoly_residual, achieved, unknown)`` of a gain on ``sys``,
-    ``_checked_loop`` after checking the targets and then the gain."""
-    targets = _full_spectrum(sys, targets)
-    return _checked_loop(sys, _as_vector(k, sys.n, "gain"), targets)
-
-
 def _checked_loop(sys, k, targets):
-    """``_closed_loop_check`` of a checked gain and full target Spectrum:
-    the achieved spectrum from ``_closed_loop_spectrum``, or, when its QR
-    iteration runs out of sweeps on a loop placed beyond what doubles
-    resolve, None and the reason the spectrum is unknown.  The residual
-    half is ``charpoly_residual`` itself, which checks its arguments again
-    at a few us."""
+    """``(charpoly_residual, achieved, unknown)`` of a checked gain and
+    full target Spectrum (``_full_spectrum``): the achieved spectrum from
+    ``_closed_loop_spectrum``, or, when its QR iteration runs out of
+    sweeps on a loop placed beyond what doubles resolve, None and the
+    reason the spectrum is unknown.  The residual half is
+    ``charpoly_residual`` itself, which checks its arguments again at a
+    few us."""
     cres = charpoly_residual(sys, k, targets)
     try:
         return cres, _closed_loop_spectrum(sys, k, targets), None

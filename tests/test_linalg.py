@@ -127,9 +127,9 @@ def test_solve_residual_bound():
 
 def test_eliminate_2x2_scalar_path_is_bitwise_the_row_loop():
     # _eliminate_scalars, which solves the 2x2 systems of block swaps and
-    # two-value steps on Python floats, gives the bits of the row loop of
-    # _eliminate, signed zeros included, or refuses the same pivot with
-    # the same message
+    # two-value steps on Python floats, gives the bits of solve_linear's
+    # row loop (_factor, then _substitute), signed zeros included, or
+    # refuses the same pivot with the same message
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     # small integers and their negatives make exact zeros of both signs,
@@ -152,9 +152,14 @@ def test_eliminate_2x2_scalar_path_is_bitwise_the_row_loop():
         M = np.array(values[:4]).reshape(2, 2)
         rhs = np.array(values[4:])
         limit = 2 * EPS * max_abs(M) if limit_scale == 1.0 else limit_scale
+
+        def row_loop():
+            LU = M.copy()
+            return linalg._substitute(LU, linalg._factor(LU, limit), rhs)
+
         outcomes = []
         for solve in (lambda: np.array(linalg._eliminate_scalars(M.tolist(), rhs.tolist(), limit)),
-                      lambda: linalg._eliminate(M.copy(), rhs.copy(), limit)):
+                      row_loop):
             try:
                 with np.errstate(all="ignore"):
                     outcomes.append(("x", solve().tobytes()))
@@ -630,7 +635,7 @@ def test_compact_wy_keeps_the_scale_and_every_error_at_the_float_range_ends():
         assert np.array_equal(M[1:], np.ldexp(form.H[1:], form.shift - e))
         assert max_abs(M[0] - row) <= 16 * EPS * max(max_abs(row), TINY), name
         try:
-            _, achieved, unknown = verify._closed_loop_check(sys, k, targets)
+            _, achieved, unknown = verify._checked_loop(sys, k, targets)
             check = "ok" if achieved is not None else "unknown: " + unknown
         except NumericalError as exc:
             check = f"NumericalError: {exc}"
@@ -1468,7 +1473,7 @@ def test_reorder_swaps_without_condition_number(monkeypatch):
     # systems are solved bitwise as solve_linear solves them, the 4x4 ones
     # to rounding, and every coupling solves its Sylvester equation.
     def refuse(*args, **kwargs):
-        raise AssertionError("condition_number, solve_linear or _eliminate called")
+        raise AssertionError("condition_number, solve_linear or _factor called")
 
     swaps, solves = [], []
     swap, solve = linalg._swap_adjacent_upper, linalg._eliminate_scalars
@@ -1485,7 +1490,7 @@ def test_reorder_swaps_without_condition_number(monkeypatch):
 
     monkeypatch.setattr(linalg, "condition_number", refuse)
     monkeypatch.setattr(linalg, "solve_linear", refuse)
-    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    monkeypatch.setattr(linalg, "_factor", refuse)
     monkeypatch.setattr(linalg, "_swap_adjacent_upper", recording_swap)
     monkeypatch.setattr(linalg, "_eliminate_scalars", checked_solve)
     rng = np.random.default_rng(59)

@@ -57,16 +57,25 @@ def test_closed_loop_double_integrator():
     assert np.array_equal(M, [[-3.0, -2.0], [1.0, 0.0]])
 
 
-def test_closed_loop_validates_gain():
-    # the check the diagnostics and `poleplace verify` share validates the
-    # gain once, for both of its halves
-    from poleplace.verify import _closed_loop_check
+def test_verify_checks_the_targets_and_then_the_gain(tmp_path, capsys):
+    # `poleplace verify` checks the targets, then the gain, once for both
+    # halves of the closed-loop check the diagnostics share
+    import json
 
-    targets = Spectrum([-1.0, -2.0])
-    with pytest.raises(ValidationError):
-        _closed_loop_check(double_integrator(), [1.0, 2.0, 3.0], targets)
-    with pytest.raises(ValidationError):
-        _closed_loop_check(double_integrator(), [np.nan, 0.0], targets)
+    from poleplace import cli
+
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"n": 2, "A": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, 1.0]}))
+    plan, three = tmp_path / "p.json", tmp_path / "p3.json"
+    plan.write_text(json.dumps({"poles": ["-1", "-2"]}))
+    three.write_text(json.dumps({"poles": ["-1", "-2", "-3"]}))
+    for poles, gain, message in ((plan, "1,2,3", "gain has shape (3,), expected (2,)"),
+                                 (plan, "nan,0", "gain must have finite entries"),
+                                 (three, "1,2,3", "3 targets for an order-2 system")):
+        assert cli.main(["verify", "--system", str(system), "--plan", str(poles),
+                         "--gain=" + gain]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def test_charpoly_residual_exact_placement():
@@ -880,13 +889,13 @@ def test_closed_loop_spectrum_agrees_with_scipy_on_the_same_loop():
     # check forms in controller-Hessenberg coordinates.  The placed loops
     # are ill conditioned, so the two read the same poles to 1e-3 relative
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    from poleplace.verify import _bottleneck, _closed_loop_check
+    from poleplace.verify import _bottleneck, _checked_loop
 
     worst = 0.0
     for sys, targets, method, k in _seed1_dense_gains():
         if method == "sequential":
             continue
-        _, achieved, _ = _closed_loop_check(sys, k, targets)
+        _, achieved, _ = _checked_loop(sys, k, targets)
         M, e = sys._hessenberg.closed_loop(k)
         reference = scipy_linalg.eigvals(np.ldexp(M, e))
         distance = _bottleneck(list(achieved), list(reference))[0]
