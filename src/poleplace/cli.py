@@ -46,7 +46,8 @@ from .verify import (ILL_CONDITIONED, RESIDUAL_LIMIT, _bottleneck, _checked_loop
 # ---------------------------------------------------------------- literals
 
 def parse_pole(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'a-bi' (i suffix only, whitespace ignored)."""
+    """Python's complex literal with 'i' for 'j': 'a', 'a+bi', 'bi', 'i'
+    (whitespace ignored, no parentheses)."""
     s = "".join(str(text).split())
     if not s:
         raise ValidationError("empty pole literal")
@@ -55,22 +56,9 @@ def parse_pole(text: str) -> complex:
             f"pole literal {text!r} uses 'j'; the imaginary suffix is 'i'"
         )
     try:
-        if not s.endswith(("i", "I")):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        cut = 0
-        for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-" and body[idx - 1] not in "eE":
-                cut = idx
-                break
-        re_txt, im_txt = body[:cut], body[cut:]
-        if im_txt in ("", "+"):
-            im = 1.0
-        elif im_txt == "-":
-            im = -1.0
-        else:
-            im = float(im_txt)
-        return complex(float(re_txt) if re_txt else 0.0, im)
+        if "(" in s or ")" in s:  # complex() also reads '(1)'; a pole literal is bare
+            raise ValueError(s)
+        return complex(s[:-1] + "j" if s.endswith(("i", "I")) else s)
     except ValueError as exc:
         raise ValidationError(f"cannot parse pole literal {text!r}") from exc
 
@@ -182,8 +170,8 @@ def _system_from_dict(data, where: str) -> StateSpace:
     return StateSpace(A, b)
 
 
-def _load_plan(path: str):
-    """Returns ('poles', Spectrum) or ('groups', AssignmentPlan)."""
+def _load_plan(path: str) -> Spectrum | AssignmentPlan:
+    """A 'poles' plan as its Spectrum, a 'groups' plan as its AssignmentPlan."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
@@ -196,7 +184,7 @@ def _load_plan(path: str):
     if has_poles:
         if not isinstance(data["poles"], list) or not data["poles"]:
             raise ValidationError(f"{path}: 'poles' must be a nonempty list")
-        return "poles", _json_poles(data["poles"], f"{path}: 'poles'")
+        return _json_poles(data["poles"], f"{path}: 'poles'")
     groups = data["groups"]
     if not isinstance(groups, list) or not groups:
         raise ValidationError(f"{path}: 'groups' must be a nonempty list")
@@ -209,7 +197,13 @@ def _load_plan(path: str):
         move = _json_poles(grp["move"], f"{path}: group {gi + 1} 'move'")
         to = _json_poles(grp["to"], f"{path}: group {gi + 1} 'to'")
         parsed.append((move, to))
-    return "groups", AssignmentPlan(tuple(parsed))
+    return AssignmentPlan(tuple(parsed))
+
+
+def _plan_targets(sys_: StateSpace, plan) -> Spectrum:
+    """The closed-loop spectrum a plan asks for: its poles, or where its
+    groups lead the open-loop spectrum."""
+    return plan if isinstance(plan, Spectrum) else plan_targets(sys_, plan)
 
 
 def _system_dict(sys_: StateSpace) -> dict:
@@ -246,86 +240,77 @@ def _gain_report(sys_: StateSpace, gain, expected, steps=None) -> dict:
 
 def cmd_place(args) -> int:
     sys_ = _system_from_dict(_read_json(args.system), args.system)
-    kind, plan = _load_plan(args.plan)
+    plan = _load_plan(args.plan)
     method = args.method
+    full = method in ("bass-gura", "ackermann", "general")
+    if full != isinstance(plan, Spectrum):
+        raise ValidationError(f"method {method} needs a {'poles' if full else 'groups'!r} plan")
     steps = None
-    if method in ("bass-gura", "ackermann", "general"):
-        if kind != "poles":
-            raise ValidationError(f"method {method} needs a 'poles' plan")
-        targets = plan
-        if method == "bass-gura":
-            gain = place_bass_gura(sys_, targets)
-        elif method == "ackermann":
-            gain = place_ackermann(sys_, targets)
-        else:
-            if args.pulled is None:
-                raise ValidationError(
-                    "method general needs --pulled with a comma-separated "
-                    "pole list (may be empty via '')"
-                )
-            pulled = (
-                Spectrum([])
-                if not args.pulled.strip()
-                else Spectrum(_parse_pole_list(args.pulled, "--pulled"))
+    if method == "bass-gura":
+        gain = place_bass_gura(sys_, plan)
+    elif method == "ackermann":
+        gain = place_ackermann(sys_, plan)
+    elif method == "general":
+        if args.pulled is None:
+            raise ValidationError(
+                "method general needs --pulled with a comma-separated "
+                "pole list (may be empty via '')"
             )
-            gain = place_general(sys_, targets, pulled)
-        expected = targets
+        pulled = (
+            Spectrum([])
+            if not args.pulled.strip()
+            else Spectrum(_parse_pole_list(args.pulled, "--pulled"))
+        )
+        gain = place_general(sys_, plan, pulled)
+    elif method == "partial":
+        if len(plan.groups) != 1:
+            raise ValidationError(
+                f"method partial takes exactly one group, got {len(plan.groups)}"
+            )
+        move, to = plan.groups[0]
+        gain = place_partial(sys_, move, to)
+    elif method == "simon-mitter":
+        if len(plan.groups) != 1 or len(plan.groups[0][0]) != 1:
+            raise ValidationError(
+                "method simon-mitter takes one group moving one eigenvalue"
+            )
+        move, to = plan.groups[0]
+        gain = place_simon_mitter(sys_, tuple(move)[0], tuple(to)[0])
     else:
-        if kind != "groups":
-            raise ValidationError(f"method {method} needs a 'groups' plan")
-        if method == "partial":
-            if len(plan.groups) != 1:
-                raise ValidationError(
-                    f"method partial takes exactly one group, got {len(plan.groups)}"
-                )
-            move, to = plan.groups[0]
-            gain = place_partial(sys_, move, to)
-        elif method == "simon-mitter":
-            if len(plan.groups) != 1 or len(plan.groups[0][0]) != 1:
-                raise ValidationError(
-                    "method simon-mitter takes one group moving one eigenvalue"
-                )
-            move, to = plan.groups[0]
-            mu1, lam1 = tuple(move)[0], tuple(to)[0]
-            gain = place_simon_mitter(sys_, mu1, lam1)
-        else:
-            gain, steps = place_sequential(sys_, plan)
-        expected = plan_targets(sys_, plan)
-    _write_json(_gain_report(sys_, gain, expected, steps), sys.stdout)
+        gain, steps = place_sequential(sys_, plan)
+    _write_json(_gain_report(sys_, gain, _plan_targets(sys_, plan), steps), sys.stdout)
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    # k, the system and the targets, in that order, each from its flag or
+    # else from the placement report on stdin
     if args.gain == "-":
         report = _read_json("-")
         if not isinstance(report, dict) or "k" not in report:
             raise ValidationError("stdin: expected a placement report with 'k'")
         k = _json_gain(report["k"], "stdin report 'k'")
-        if args.system is not None:
-            sys_ = _system_from_dict(_read_json(args.system), args.system)
-        elif "system" in report:
-            sys_ = _system_from_dict(report["system"], "stdin report")
-        else:
-            raise ValidationError("stdin report has no system; pass --system")
-        if args.plan is not None:
-            kind, plan = _load_plan(args.plan)
-            targets = plan if kind == "poles" else plan_targets(sys_, plan)
-        elif "targets" in report:
-            targets = _json_poles(report["targets"], "stdin report 'targets'")
-        else:
-            raise ValidationError("stdin report has no targets; pass --plan")
+    elif args.system is None or args.plan is None:
+        raise ValidationError("verify needs --system and --plan with --gain values")
     else:
-        if args.system is None or args.plan is None:
-            raise ValidationError("verify needs --system and --plan with --gain values")
         entries = _parse_pole_list(args.gain, "--gain")
         if any(z.imag != 0.0 for z in entries):
             raise ValidationError("--gain must be real")
         k = np.array([z.real for z in entries])
+    if args.system is not None:
         sys_ = _system_from_dict(_read_json(args.system), args.system)
-        kind, plan = _load_plan(args.plan)
-        targets = plan if kind == "poles" else plan_targets(sys_, plan)
+    elif "system" in report:
+        sys_ = _system_from_dict(report["system"], "stdin report")
+    else:
+        raise ValidationError("stdin report has no system; pass --system")
+    if args.plan is not None:
+        targets = _plan_targets(sys_, _load_plan(args.plan))
+    elif "targets" in report:
+        targets = _json_poles(report["targets"], "stdin report 'targets'")
+    else:
+        raise ValidationError("stdin report has no targets; pass --plan")
 
     # the targets are checked, then the gain; an unknown spectrum leaves
     # the verdict to charpoly_residual alone
@@ -352,13 +337,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- gen
 
-def _chain_system(n: int) -> StateSpace:
-    A = np.eye(n, k=1)
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    return StateSpace(A, b)
-
-
 def _dense_system(rng, n: int):
     for attempt in range(1, 101):
         A = rng.uniform(-1.0, 1.0, (n, n))
@@ -372,21 +350,24 @@ def _dense_system(rng, n: int):
     )
 
 
+def _draw_system(family: str, seed, n: int) -> tuple[StateSpace, str]:
+    """The system `gen` prints and `compare` places, with what its draw
+    took: the n-integrator chain (nothing), or `_dense_system`'s draw from
+    ``default_rng(seed)``; `compare` passes the Generator it draws the
+    targets from next, which ``default_rng`` returns as it is."""
+    if family == "integrator-chain":
+        return StateSpace(np.eye(n, k=1), np.eye(n)[n - 1]), ""
+    sys_, attempt, kappa = _dense_system(np.random.default_rng(seed), n)
+    return sys_, f" attempt={attempt} kappa={kappa:.3e}"
+
+
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
-    if args.family == "integrator-chain":
-        sys_ = _chain_system(args.n)
-        provenance = f"integrator-chain n={args.n}"
-    else:
-        rng = np.random.default_rng(args.seed)
-        sys_, attempt, kappa = _dense_system(rng, args.n)
-        provenance = (
-            f"dense n={args.n} seed={args.seed} attempt={attempt} "
-            f"kappa={kappa:.3e}"
-        )
+    sys_, draw = _draw_system(args.family, args.seed, args.n)
     out = _system_dict(sys_)
-    out["provenance"] = provenance
+    seeded = f" seed={args.seed}{draw}" if draw else ""
+    out["provenance"] = f"{args.family} n={args.n}{seeded}"
     _write_json(out, sys.stdout)
     return 0
 
@@ -419,9 +400,13 @@ _COMPARE_COLUMNS = (
 
 
 def _compare_row(n, trial, method, sys_, targets) -> dict:
+    """One row of `compare`: ``method`` on the trial's draw, or, when
+    ``sys_`` is the PolePlacementError the draw raised, that failure."""
     row = dict.fromkeys(_COMPARE_COLUMNS, "")
     row.update(n=n, trial=trial, method=method)
     try:
+        if isinstance(sys_, PolePlacementError):
+            raise sys_
         if method == "sequential":
             gain, records = place_sequential(sys_, paired_plan(sys_, targets))
             row["largest_inverse"] = max(r.basis.shape[1] for r in records)
@@ -441,10 +426,10 @@ def _compare_row(n, trial, method, sys_, targets) -> dict:
     return row
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3e}"
-    return str(value)
+def _cell(value, spec: str = ".3e") -> str:
+    """A compare cell: a float to ``spec`` (the table's 4 digits, or the
+    CSV's 17), anything else as ``str``."""
+    return format(value, spec) if isinstance(value, float) else str(value)
 
 
 def cmd_compare(args) -> int:
@@ -466,18 +451,10 @@ def cmd_compare(args) -> int:
         for trial in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, n, trial]))
             try:
-                if args.family == "integrator-chain":
-                    sys_ = _chain_system(n)
-                else:
-                    sys_, _, _ = _dense_system(rng, n)
+                sys_, _ = _draw_system(args.family, rng, n)
                 targets = _draw_targets(rng, n)
             except PolePlacementError as exc:
-                for method in ("bass-gura", "ackermann", "sequential"):
-                    row = dict.fromkeys(_COMPARE_COLUMNS, "")
-                    row.update(n=n, trial=trial, method=method,
-                               status=type(exc).__name__)
-                    rows.append(row)
-                continue
+                sys_, targets = exc, None
             for method in ("bass-gura", "ackermann", "sequential"):
                 rows.append(_compare_row(n, trial, method, sys_, targets))
 
@@ -492,11 +469,7 @@ def cmd_compare(args) -> int:
     print()
     print(",".join(_COMPARE_COLUMNS))
     for row in rows:
-        cells = []
-        for c in _COMPARE_COLUMNS:
-            v = row[c]
-            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-        print(",".join(cells))
+        print(",".join(_cell(row[c], ".17g") for c in _COMPARE_COLUMNS))
     return 0
 
 

@@ -124,10 +124,6 @@ class Spectrum:
     def counter(self) -> Counter:
         return Counter(self.values)
 
-    def contains(self, other: "Spectrum") -> bool:
-        """Multiset containment, by exact value."""
-        return not other.counter() - self.counter()
-
     def minus(self, other: "Spectrum") -> "Spectrum":
         """Multiset difference, in one pass over ``self``: each value of
         ``other`` removes its first occurrence not yet removed.  ``other``

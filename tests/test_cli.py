@@ -102,6 +102,71 @@ def test_parse_pole_rejects_garbage():
             parse_pole(bad)
 
 
+def _parse_pole_by_hand(text):
+    """The pole-literal parser as it stood before it read literals with
+    ``complex``: split the imaginary part off at its last sign."""
+    s = "".join(str(text).split())
+    if not s:
+        raise ValidationError("empty pole literal")
+    if "j" in s or "J" in s:
+        raise ValidationError(
+            f"pole literal {text!r} uses 'j'; the imaginary suffix is 'i'"
+        )
+    try:
+        if not s.endswith(("i", "I")):
+            return complex(float(s), 0.0)
+        body = s[:-1]
+        cut = 0
+        for idx in range(len(body) - 1, 0, -1):
+            if body[idx] in "+-" and body[idx - 1] not in "eE":
+                cut = idx
+                break
+        re_txt, im_txt = body[:cut], body[cut:]
+        if im_txt in ("", "+"):
+            im = 1.0
+        elif im_txt == "-":
+            im = -1.0
+        else:
+            im = float(im_txt)
+        return complex(float(re_txt) if re_txt else 0.0, im)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse pole literal {text!r}") from exc
+
+
+def _parsed_or_refused(parse, text):
+    # the bits of both parts (float.hex reads every NaN as 'nan'), or the message
+    try:
+        z = parse(text)
+    except ValidationError as exc:
+        return str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_parse_pole_matches_the_hand_parser():
+    # Python's complex literal with 'i' for 'j', parentheses refused, gives
+    # the hand parser's bits on every literal it read and its message on
+    # every literal it refused
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pieces = st.sampled_from([*"0123456789+-.eEiIjJ_() \t", "inf", "nan"])
+
+    @hypothesis.settings(max_examples=2000, deadline=None)
+    @hypothesis.given(st.lists(pieces, max_size=12).map("".join))
+    @hypothesis.example("(1)")
+    @hypothesis.example("( -2.5 )")
+    @hypothesis.example("(1+2i)")
+    @hypothesis.example("-0i")
+    @hypothesis.example("-0-0i")
+    @hypothesis.example("1e+i")
+    @hypothesis.example("-nani")
+    @hypothesis.example(" 1_0 - i ")
+    def agrees(text):
+        assert _parsed_or_refused(parse_pole, text) == _parsed_or_refused(
+            _parse_pole_by_hand, text)
+
+    agrees()
+
+
 def test_format_pole_examples():
     assert format_pole(-1.0) == "-1"
     assert format_pole(complex(-1, 2)) == "-1+2i"
@@ -979,6 +1044,48 @@ def test_verify_stdin_report_rejects_malformed_fields(field, value, capsys, monk
     assert main(["verify", "--gain", "-"]) == 0
 
 
+@pytest.mark.parametrize("method, plan", [
+    ("bass-gura", {"poles": ["-1", "-2+1e-3i", "-2-1e-3i"]}),
+    ("sequential", {"groups": [{"move": ["1"], "to": ["-1"]},
+                               {"move": ["2", "3"], "to": ["-2+1i", "-2-1i"]}]}),
+])
+def test_verify_modes_agree(method, plan, tmp_path, capsys, monkeypatch):
+    # a place report on stdin, and the same system, plan and k spelled out
+    # as flags, print the same bytes with the same exit code
+    system = write_json(tmp_path / "lower.json",
+                        {"n": 3, "A": [[1, 0, 0], [1, 2, 0], [0, 1, 3]], "b": [1, 1, 1]})
+    plan = write_json(tmp_path / "plan.json", plan)
+    assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(report))
+    piped = main(["verify", "--gain", "-"]), capsys.readouterr()
+    k = ",".join(map(repr, json.loads(report)["k"]))
+    spelled = main(["verify", "--system", system, "--plan", plan, f"--gain={k}"]), capsys.readouterr()
+    assert piped == spelled
+    assert piped[0] == 0 and piped[1].err == "" and "ok:" in piped[1].out
+
+
+@pytest.mark.parametrize("report, message", [
+    ({"system": _DI_REPORT["system"], "targets": ["-1", "-2"]},
+     "stdin: expected a placement report with 'k'"),
+    ({"k": "abc"}, "stdin report 'k' must be a JSON list of finite numbers"),
+    ({"k": [-2.0, -3.0]}, "stdin report has no system; pass --system"),
+    ({"k": [-2.0, -3.0], "system": {"n": 2}}, "stdin report: missing field 'A'"),
+    ({"k": [1.0, 2.0, 3.0], "system": _DI_REPORT["system"]},
+     "stdin report has no targets; pass --plan"),
+    ({"k": [1.0, 2.0, 3.0], "system": _DI_REPORT["system"], "targets": 5},
+     "stdin report 'targets' must be a JSON list of poles"),
+])
+def test_verify_reads_a_stdin_report_k_then_system_then_targets(report, message, capsys,
+                                                                 monkeypatch):
+    # the first missing or malformed of k, system and targets is the one
+    # refused, whatever follows it; a k of the wrong length is refused
+    # only once the targets are read
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(report)))
+    assert main(["verify", "--gain", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "field, value", [("move", 5), ("move", "12"), ("move", {"a": 1}), ("to", "13")],
 )
@@ -1068,6 +1175,36 @@ def test_compare_validates_arguments(capsys):
     capsys.readouterr()
     assert main(["compare", "--n", "4", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_compare_reports_a_failed_draw(monkeypatch, capsys):
+    # a draw that raises gives its trial three rows, one per method, with
+    # the error's name as status and every numeric cell empty
+    from poleplace import cli
+    from poleplace.errors import NumericalError
+
+    dense_system = cli._dense_system
+
+    def refuse_n3(rng, n):
+        if n == 3:
+            raise NumericalError("no controllable draw")
+        return dense_system(rng, n)
+
+    monkeypatch.setattr(cli, "_dense_system", refuse_n3)
+    assert main(["compare", "--n", "2,3", "--trials", "1", "--seed", "1"]) == 0
+    table, header, rows = _split_compare_output(capsys.readouterr().out)
+    numeric = ("largest_inverse", "kappa_controllability", "max_step_kappa",
+               "charpoly_residual", "spectrum_residual")
+    assert [row["method"] for row in rows[3:]] == ["bass-gura", "ackermann", "sequential"]
+    for row in rows[3:]:
+        assert (row["n"], row["trial"], row["status"]) == ("3", "0", "NumericalError")
+        assert all(row[c] == "" for c in numeric)
+    for row in rows[:3]:
+        assert row["n"] == "2" and row["status"] in ("ok", "warn")
+        assert all(row[c] != "" for c in numeric)
+    assert [line.split() for line in table.splitlines()[4:]] == [
+        ["3", "0", method, "NumericalError"]
+        for method in ("bass-gura", "ackermann", "sequential")]
 
 
 def test_compare_row_records_failures():

@@ -810,7 +810,7 @@ def _seed1_dense_gains():
 def _minus_at_00a20b7(self, other):
     """``Spectrum.minus`` as it stood at 00a20b7: a containment test, then
     a pass over ``self`` and a validated Spectrum."""
-    if not self.contains(other):
+    if other.counter() - self.counter():
         raise ValidationError("cannot remove values that are not in the spectrum")
     take = other.counter()
     kept = []
