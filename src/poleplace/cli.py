@@ -475,6 +475,19 @@ def cmd_compare(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+def _seed(text: str) -> int:
+    """A ``--seed``: numpy's generators take integers >= 0 only, so a
+    negative one is malformed input, refused as the line is parsed (exit 2
+    through ``main``), whether or not the family draws anything."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
@@ -514,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a test system")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--family",
         choices=["dense", "integrator-chain"],
@@ -524,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="method comparison over random systems")
     p.add_argument("--n", default="4,8,12", help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--family",
         choices=["dense", "integrator-chain"],
@@ -534,10 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = {"place": cmd_place, "verify": cmd_verify, "gen": cmd_gen,
-               "compare": cmd_compare}[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        command = {"place": cmd_place, "verify": cmd_verify, "gen": cmd_gen,
+                   "compare": cmd_compare}[args.command]
         code = command(args)
         sys.stdout.flush()
         return code

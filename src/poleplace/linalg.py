@@ -16,15 +16,20 @@ is transposed back at the boundary.
 
 ``real_schur`` keeps the orthogonal factor Q; ``eigenvalues`` and the
 closed-loop check read only the diagonal blocks and run without it, and
-"Q is None" is the engine's one switch between the two.  With Q a sweep
-chases its bulge one position at a time, updating the active block, the
-strips beside it and Q, and the blocks are read off the standardized
-form at the end; ``real_schur``, ``reorder_schur`` and the leading-block
-update of ``_feed_leading`` keep that chase and its bits.  Without Q a
-sweep updates the active block alone and chases its bulge two positions
-at a time, one 4x4 product per side where the plain chase makes two 3x3
-ones (``_francis_step``), and each block's eigenvalues are read as it
-deflates, a 2x2 block standardized on Python floats (``_standard_eigs``).
+"Q is None" is the engine's one switch between the two.  With Q the
+upper form H and Q share one (2n x n) buffer ``[H; Q]`` (``_split``), and
+a sweep chases its bulge one position at a time: each reflector goes to
+the step's rows of the active block and of the strip right of it, and
+then, in one product, to the buffer's column slice, which holds the strip
+above the block, the active rows, the rows below the bulge (exact zeros,
+which stay +0.0) and Q.  The blocks are read off the standardized form at
+the end; ``real_schur``, ``reorder_schur`` (whose S and Z share a buffer
+alike) and the leading-block update of ``_feed_leading`` keep that chase
+and its bits.  Without Q a sweep updates the active block alone and
+chases its bulge two positions at a time, one 4x4 product per side where
+the plain chase makes two 3x3 ones (``_francis_step``), and each block's
+eigenvalues are read as it deflates, a 2x2 block standardized on Python
+floats (``_standard_eigs``).
 Its eigenvalues agree with ``real_schur``'s to rounding of the same size,
 not bitwise.
 
@@ -56,9 +61,19 @@ views into a buffer made once per iteration, and solve a swap's Kronecker
 system, at most 4x4, on Python floats with the row loop of
 ``solve_linear``.  Where bits must be kept a bulge step's BLAS products
 are the floor: a product in another order, or outside this BLAS with its
-FMA-contracted kernels, changes the last bits of every result.  Without
-Q no gain depends on the bits, and the paired chase's sweep takes
-0.73-0.77x the plain one's time at n = 8-64.
+FMA-contracted kernels, changes the last bits of every result.  The one
+freedom is in how many rows a product from the right covers: this BLAS
+rounds each row of ``C @ P`` alike whatever rows surround it, so the
+buffer's one column product gives the bits of separate products on the
+strip, the active rows and Q (T and Q byte for byte on 716 matrices), and
+takes ``real_schur`` to 0.83-0.86x its time.  A product from the left
+has no such freedom, since this BLAS rounds the columns of ``P @ R`` by
+where they sit: one row product over the active block and the strip
+right of it changed T on 303 of those 716 matrices, and stacking Q's
+update under the Hessenberg reduction's column update changed 102.  So
+rows keep their two products, and ``_hessenberg_upper`` keeps Q apart.
+Without Q no gain depends on the bits, and the paired chase's sweep
+takes 0.73-0.77x the plain one's time at n = 8-64.
 
 Where a warm gain's time goes (``place_general`` on perfbench's seed-1
 dense systems at n = 12, 2-vCPU VM, one BLAS thread; it reads 0.7-1.0 ms
@@ -613,20 +628,24 @@ def _rotation(cs, sn) -> np.ndarray:
     return np.array([[cs, -sn], [sn, cs]])
 
 
-def _standardize_2x2(H, Q, i):
+def _standardize_2x2(HQ, i):
     """Bring the 2x2 block at (i, i) of upper quasi-triangular H to standard
     form (see ``_standard_rotation``) by a similarity on rows and columns
-    i, i+1, accumulating the rotation into Q.  A run without Q reads the
-    block's eigenvalues as it deflates instead (``_standard_eigs``)."""
+    i, i+1, accumulating the rotation into Q.  H and Q are the two halves
+    of one buffer ``HQ = [H; Q]`` (``_split``), so the rotation reaches
+    H's columns and Q's in one product over ``HQ[:, i:i+2]``, whose rows
+    round as separate products would round them.  The rows take their own
+    product on H's two rows: a transform from the left cannot share a
+    product with one from the right.  A run without Q reads the block's
+    eigenvalues as it deflates instead (``_standard_eigs``)."""
+    H, _ = _split(HQ)
     (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
     rot, finish = _standard_rotation(a, b, c, d)
     if rot is not None:
         G = _rotation(*rot)
         R = H[i : i + 2, :]
         R[...] = G.T @ R
-        C = H[:, i : i + 2]
-        C[...] = C @ G
-        C = Q[:, i : i + 2]
+        C = HQ[:, i : i + 2]
         C[...] = C @ G
     if finish == "split":
         H[i + 1, i] = 0.0
@@ -695,21 +714,40 @@ def _step_scratch() -> tuple:
     return flat3, flat3.reshape(3, 3), flat2, flat2.reshape(2, 2), flat4, G, G.T
 
 
-def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
+def _split(HQ):
+    """``(H, Q)`` of a buffer ``HQ = [H; Q]`` as ``real_schur`` and
+    ``_reorder`` keep a form and its orthogonal factor: H the first n rows,
+    n the column count, and Q the n rows below; ``(HQ, None)`` when HQ is H
+    alone, with no view made, since a run without Q splits once a sweep.
+    Row indices below n name the same rows of H and HQ."""
+    n = HQ.shape[1]
+    if HQ.shape[0] == n:
+        return HQ, None
+    return HQ[:n], HQ[n:]
+
+
+def _francis_step(HQ, l, hi, tr, det, scratch) -> None:
     """One implicit double-shift sweep on the active block l..hi of upper
-    Hessenberg H.  The shift pair is given through its trace and
+    Hessenberg H, where HQ is the buffer ``[H; Q]`` of a run with Q or H
+    alone (``_split``).  The shift pair is given through its trace and
     determinant, so exceptional shifts use the same path.
 
     Each bulge step writes an explicit 3x3 reflector P (2x2 for the
     closing step) into a buffer from ``scratch`` (``_step_scratch``, made
     once per ``_francis_upper`` call) and applies it as ``R[...] = P @ R``
-    and ``C[...] = C @ P`` on the views R of its rows and C of its columns
-    in the window.  With Q the strips beside the
-    block, rows above it and columns right of it, are updated as well, as
-    LAPACK's dlahqr does when it wants T.  In the step's rows, column k-1
-    is written directly as (alpha, 0, 0) and the columns left of it hold
-    exact zeros; rows below the bulge in the step's columns hold exact
-    zeros too.  All are skipped.
+    and ``C[...] = C @ P`` on the views R of its rows and C of its columns.
+    In the step's rows, column k-1 is written directly as (alpha, 0, 0)
+    and the columns left of it hold exact zeros, so they are skipped.
+    With Q the strips beside the block are updated as well, as LAPACK's
+    dlahqr does when it wants T.  The columns right of the block take a
+    second product on the step's rows: one product over both would round
+    the block's columns by where they sit in it and change T's bits.  The
+    columns take one product over the buffer's whole column slice
+    ``HQ[:, k:k+m]``, the strip above the block, the active rows, the rows
+    below the bulge and Q at once: this BLAS rounds each of its rows as a
+    product of that row alone would, so the bits are those of separate
+    products, and the rows below the bulge, exact zeros, stay +0.0.
+    Without Q the column product covers the active rows down to the bulge.
 
     Without Q, where only the block's eigenvalues are read, the bulge is
     chased two positions at a time wherever positions k and k+1 are both
@@ -723,6 +761,7 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
     plain chase makes four.  Every transform stays local to the bulge, so
     the rounding is of the plain chase's size and place, but not its bits.
     """
+    H, Q = _split(HQ)
     n = H.shape[0]
     top = hi + 1
     (a, b), (c, d), (_, e) = H[l : l + 3, l : l + 2].tolist()
@@ -786,17 +825,14 @@ def _francis_step(H, Q, l, hi, tr, det, scratch) -> None:
             P = P2
         R = H[k : k + m, k:top]
         R[...] = P @ R
-        C = H[l : min(k + 4, top), k : k + m]
-        C[...] = C @ P
-        if Q is not None:
+        if Q is None:
+            C = H[l : min(k + 4, top), k : k + m]
+        else:
             if top < n:
                 R = H[k : k + m, top:]
                 R[...] = P @ R
-            if l > 0:
-                C = H[:l, k : k + m]
-                C[...] = C @ P
-            C = Q[:, k : k + m]
-            C[...] = C @ P
+            C = HQ[:, k : k + m]
+        C[...] = C @ P
         k += 1
 
 
@@ -833,8 +869,10 @@ def _requested_shifts(near, tr, det, corner):
     return z.real + w.real, z.real * w.real
 
 
-def _francis_upper(H, Q, near=()):
-    """Drive upper Hessenberg H to upper quasi-triangular form in place.
+def _francis_upper(HQ, near=()):
+    """Drive upper Hessenberg H to upper quasi-triangular form in place,
+    accumulating the transforms into Q when ``HQ = [H; Q]`` holds one
+    (``_split``); HQ is H alone for a run without Q.
 
     Subdiagonal entries count as converged when small against their
     diagonal neighbours; every tenth stalled sweep swaps in an exceptional
@@ -877,6 +915,7 @@ def _francis_upper(H, Q, near=()):
     sweeps (5758 against 4229), and so did seeding with the most isolated
     target.
     """
+    H, Q = _split(HQ)
     n = H.shape[0]
     hi = n - 1
     max_sweeps = 40 * n
@@ -901,7 +940,7 @@ def _francis_upper(H, Q, near=()):
         if l >= hi - 1:  # a 1x1 or 2x2 block deflates at the bottom
             if Q is not None:
                 if l < hi:
-                    _standardize_2x2(H, Q, l)
+                    _standardize_2x2(HQ, l)
             else:
                 if l == hi:
                     read[hi] = block = (complex(diag[hi]),)
@@ -932,7 +971,7 @@ def _francis_upper(H, Q, near=()):
             if seeded:
                 tr, det = _requested_shifts(near, tr, det, diag[hi])
                 seeded = False
-        _francis_step(H, Q, l, hi, tr, det, scratch)
+        _francis_step(HQ, l, hi, tr, det, scratch)
         diag = H.diagonal()[: hi + 1].tolist()
         sub = H.diagonal(-1)[:hi].tolist()
     if Q is None and hi == 0:
@@ -1022,7 +1061,7 @@ def _hessenberg_eigenvalues(H, shift, near=()) -> Spectrum:
     """
     if near:
         near = _scaled_request(near, H, shift)
-    read = _francis_upper(H, None, near)
+    read = _francis_upper(H, near)
     values = []
     for row, lams in enumerate(read):
         try:
@@ -1043,7 +1082,9 @@ def real_schur(A) -> SchurDecomposition:
     """
     B, shift = _scaled_transpose(A)
     Q, H = _hessenberg_upper(B)
-    _francis_upper(H, Q)
+    HQ = np.concatenate((H, Q))
+    _francis_upper(HQ)
+    H, Q = _split(HQ)
     blocks = _scan_blocks_upper(H, shift)
     with np.errstate(over="ignore"):
         H = np.ldexp(H, shift)
@@ -1112,6 +1153,14 @@ def _sylvester(w, p, q, i) -> list:
         raise _swap_refused(i, p, q, "coupling system is singular") from exc
 
 
+def _peak(values) -> float:
+    """``max |v|`` over a list of Python floats, NaN when one is NaN, as
+    numpy's ``np.abs(M).max()`` reads it; both are exact.  The magnitudes
+    are nonnegative, so their sum is NaN only through a NaN."""
+    mags = list(map(abs, values))
+    return math.nan if math.isnan(sum(mags)) else max(mags)
+
+
 def _swap_refused(i, p, q, why) -> BlockSwapError:
     """The refusal of the swap of blocks of sizes p then q at offset i."""
     return BlockSwapError(
@@ -1143,9 +1192,10 @@ def _coupling_basis(X, p, q) -> list:
             0.0, f20, f21, f22]
 
 
-def _swap_adjacent_upper(S, Z, i, p, q):
+def _swap_adjacent_upper(SZ, i, p, q):
     """Exchange the adjacent diagonal blocks of sizes p then q at offset i
-    in upper quasi-triangular S, accumulating the rotation into Z.
+    in upper quasi-triangular S, accumulating the rotation into Z, where S
+    and Z are the two halves of one buffer ``SZ = [S; Z]`` (``_split``).
 
     The (p+q)-square window D is read once, as Python floats.  Two 1x1
     blocks ``[[a, c], [0, d]]`` swap by the plane rotation onto
@@ -1160,11 +1210,17 @@ def _swap_adjacent_upper(S, Z, i, p, q):
     local block ``E = G.T @ D @ G`` fails the backward-error test of
     dlaexc (Bai & Demmel, LAA 186, 1993): the q x p block of E the swap
     zeroes, and the error of rebuilding D from E without it, must both
-    stay within ``max(10 eps max|D|, tiny)``.  E's 2x2 blocks are then
-    brought to standard form on the window, and the one combined factor
-    ``G diag(R1, R2)`` is applied to S's rows, S's columns and Z: three
-    products.  Nothing is written before a refusal.
+    stay within ``max(10 eps max|D|, tiny)``.  E and the error product
+    are BLAS products, since they decide refusals at rounding margins; the
+    two maxima are read on Python floats (``_peak``), which is exact.  E's
+    2x2 blocks are then brought to standard form on the window, and the
+    one combined factor ``F = G diag(R1, R2)`` is applied to S's rows, and
+    then to S's columns and Z's in one product over ``SZ[:, i:i+m]``,
+    whose rows round as separate products would round them: two products,
+    rows and columns, since a transform from the left cannot share one
+    with a transform from the right.  Nothing is written before a refusal.
     """
+    S, _ = _split(SZ)
     m = p + q
     rows = slice(i, i + m)
     D = S[rows, rows]
@@ -1183,16 +1239,17 @@ def _swap_adjacent_upper(S, Z, i, p, q):
         G = np.array(flat).reshape(m, m)
         thresh = max(10.0 * EPS * max(map(abs, itertools.chain(*w))), TINY)
         E = G.T @ D @ G
-        err = np.abs(E[q:, :q]).max()
+        e = E.tolist()
+        err = _peak([v for row in e[q:] for v in row[:q]])
         if err <= thresh:
             E[q:, :q] = 0.0
-            err = np.abs(G @ E @ G.T - D).max()
+            err = _peak((G @ E @ G.T - D).ravel().tolist())
         if not err <= thresh:
             raise _swap_refused(i, p, q, f"the swapped form has backward error "
                                          f"{err:.3e}, above the threshold {thresh:.3e}")
-        # standardize E's 2x2 blocks: F = G diag(R1, R2), column pairs of G
-        # turned on the flat list
-        e = E.tolist()
+        # standardize E's 2x2 blocks, which the zeroing above leaves as
+        # they are: F = G diag(R1, R2), column pairs of G turned on the
+        # flat list
         for j, size in ((0, q), (q, p)):
             if size == 2:
                 block = _scaled(e[j][j], e[j][j + 1], e[j + 1][j], e[j + 1][j + 1])
@@ -1207,9 +1264,7 @@ def _swap_adjacent_upper(S, Z, i, p, q):
         F = np.array(flat).reshape(m, m)
     R = S[rows, :]
     R[...] = F.T @ R
-    C = S[:, rows]
-    C[...] = C @ F
-    C = Z[:, rows]
+    C = SZ[:, rows]
     C[...] = C @ F
     if m == 2:
         S[i, i], S[i, i + 1], S[i + 1, i], S[i + 1, i + 1] = d, c, 0.0, a
@@ -1244,11 +1299,18 @@ def reorder_schur(dec: SchurDecomposition, select) -> SchurDecomposition:
 
 
 def _reorder(dec: SchurDecomposition, sel: set) -> SchurDecomposition:
-    """``reorder_schur`` on ``sel``, a set of valid indices into ``dec.blocks``."""
+    """``reorder_schur`` on ``sel``, a set of valid indices into ``dec.blocks``.
+
+    The upper form S (T transposed) and Z (Q) are copied into one (2n x n)
+    buffer ``[S; Z]``, so each swap's factor reaches S's columns and Z's
+    in one product (``_swap_adjacent_upper``), with the bits of separate
+    products.  S's rows keep a product of their own: this BLAS rounds a
+    product from the left by where its columns sit, so one product over
+    rows and columns would move bits.  Q of the result is the buffer's
+    lower half."""
     if not sel or sel == set(range(len(sel))):
         return dec
-    S = dec.T.T.copy()
-    Z = dec.Q.copy()
+    SZ = np.concatenate((dec.T.T, dec.Q))
     seq = [[blk.size, idx in sel] for idx, blk in enumerate(dec.blocks)]
     lead = 0  # rows of the selected blocks already in front
     for target in range(len(sel)):
@@ -1258,11 +1320,12 @@ def _reorder(dec: SchurDecomposition, sel: set) -> SchurDecomposition:
             j += 1
         for jj in range(j, target, -1):
             off -= seq[jj - 1][0]
-            _swap_adjacent_upper(S, Z, off, seq[jj - 1][0], seq[jj][0])
+            _swap_adjacent_upper(SZ, off, seq[jj - 1][0], seq[jj][0])
             seq[jj - 1], seq[jj] = seq[jj], seq[jj - 1]
         lead += seq[target][0]
     last = max(sel)
     end = dec.blocks[last].start + dec.blocks[last].size
+    S, Z = _split(SZ)
     blocks = _scan_blocks_upper(S[:end, :end]) + dec.blocks[last + 1 :]
     return SchurDecomposition(Q=Z, T=S.T.copy(), blocks=blocks)
 

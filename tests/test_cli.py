@@ -257,6 +257,22 @@ def test_gen_rejects_bad_dimension(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "3", "--seed", "-1"],
+    ["gen", "--n", "3", "--seed", "-1", "--family", "integrator-chain"],
+    ["compare", "--n", "3", "--trials", "1", "--seed", "-1"],
+    ["compare", "--n", "3", "--trials", "1", "--seed", "-1", "--family", "integrator-chain"],
+])
+def test_negative_seed_is_malformed_input(argv, capsys):
+    # numpy's generators take no negative seed: refused as the line is
+    # parsed, with one error line, exit 2 and nothing on stdout, also for
+    # the integrator chain, which draws nothing
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
+
 # ---------------------------------------------------------------------------
 # place
 

@@ -862,7 +862,7 @@ def test_eigenvalue_only_budget_exhaustion_has_no_q(monkeypatch):
     _, H = _hessenberg_upper(_scaled_transpose(A)[0], want_q=False)
     _no_sweeps(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        linalg._francis_upper(H, None)
+        linalg._francis_upper(H)
     assert str(info.value) == BUDGET_MESSAGE_5X5
 
 
@@ -972,9 +972,9 @@ def test_bitwise_inputs_reach_the_exceptional_shift_and_the_clamp(monkeypatch):
     his = []
     step = linalg._francis_step
 
-    def recording(H, Q, l, hi, tr, det, *mode):
+    def recording(HQ, l, hi, tr, det, scratch):
         his.append(hi)
-        return step(H, Q, l, hi, tr, det, *mode)
+        return step(HQ, l, hi, tr, det, scratch)
 
     monkeypatch.setattr(linalg, "_francis_step", recording)
     for A in _bitwise_inputs("cyclic"):
@@ -1081,9 +1081,9 @@ def test_seeded_sweeps_chase_the_bulge_in_pairs(monkeypatch):
     step = linalg._francis_step
     paired, plain = [], []
 
-    def counting(H, Q, l, hi, tr, det, scratch):
-        step(H.copy(), np.eye(H.shape[0]), l, hi, tr, det, _counted_scratch(plain))
-        step(H, Q, l, hi, tr, det, _counted_scratch(paired))
+    def counting(H, l, hi, tr, det, scratch):
+        step(np.vstack([H, np.eye(H.shape[0])]), l, hi, tr, det, _counted_scratch(plain))
+        step(H, l, hi, tr, det, _counted_scratch(paired))
 
     monkeypatch.setattr(linalg, "_francis_step", counting)
     rng = np.random.default_rng(89)
@@ -1171,9 +1171,9 @@ def test_standard_eigs_reads_the_block_the_numpy_standardization_leaves():
     rng = np.random.default_rng(457)
     blocks += [rng.uniform(-1, 1, (2, 2)).tolist() for _ in range(200)]
     for block in blocks:
-        H = np.array(block)
-        linalg._standardize_2x2(H, np.eye(2), 0)
-        want = [blk.eigenvalues for blk in _scan_blocks_upper(H)]
+        HQ = np.vstack([block, np.eye(2)])
+        linalg._standardize_2x2(HQ, 0)
+        want = [blk.eigenvalues for blk in _scan_blocks_upper(HQ[:2])]
         first, second = linalg._standard_eigs(*np.ravel(block).tolist())
         rows = [first, second] if second else [first]
         assert [len(r) for r in rows] == [len(v) for v in want]
@@ -1306,7 +1306,7 @@ def test_eigenvalue_only_sweep_stays_inside_its_window():
     tr = H[hi - 1, hi - 1] + H[hi, hi]
     det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
     H = H0.copy()
-    linalg._francis_step(H, None, l, hi, tr, det, linalg._step_scratch())
+    linalg._francis_step(H, l, hi, tr, det, linalg._step_scratch())
     window, window0 = H[l : hi + 1, l : hi + 1], H0[l : hi + 1, l : hi + 1]
     assert np.all(np.isfinite(window))
     assert np.all(np.tril(window, -2) == 0.0)
@@ -1452,16 +1452,17 @@ def test_swap_refuses_a_swap_that_is_not_backward_stable(monkeypatch, distort):
         [0.0, 0.0, 3.0, 3.0],
         [0.0, 0.0, -1.0 / 3.0, 3.0],
     ])
-    Z = np.eye(4)
+    SZ = np.vstack([S, np.eye(4)])
+    S, Z = SZ[:4], SZ[4:]
     S0, Z0 = S.copy(), Z.copy()
     with pytest.raises(BlockSwapError) as info:
-        linalg._swap_adjacent_upper(S, Z, 0, 2, 2)
+        linalg._swap_adjacent_upper(SZ, 0, 2, 2)
     assert "rows 0..1 and 2..3" in str(info.value)
     assert "backward error" in str(info.value)
     # refused before anything was written
     assert np.array_equal(S, S0) and np.array_equal(Z, Z0)
     monkeypatch.setattr(linalg, "_coupling_basis", basis)
-    linalg._swap_adjacent_upper(S, Z, 0, 2, 2)
+    linalg._swap_adjacent_upper(SZ, 0, 2, 2)
     assert max_abs(Z @ S @ Z.T - S0) <= 64 * EPS * max_abs(S0)
 
 
@@ -1478,9 +1479,9 @@ def test_reorder_swaps_without_condition_number(monkeypatch):
     swaps, solves = [], []
     swap, solve = linalg._swap_adjacent_upper, linalg._eliminate_scalars
 
-    def recording_swap(S, Z, i, p, q):
-        swaps.append((p, q, S[i : i + p + q, i : i + p + q].copy()))
-        return swap(S, Z, i, p, q)
+    def recording_swap(SZ, i, p, q):
+        swaps.append((p, q, SZ[i : i + p + q, i : i + p + q].copy()))
+        return swap(SZ, i, p, q)
 
     def checked_solve(K, rhs, limit):
         K0, rhs0 = np.array(K), np.array(rhs)
@@ -1558,8 +1559,9 @@ def test_swap_property_against_scipy_on_all_four_shapes():
     def check(case):
         S0, i, p, q = case
         n = S0.shape[0]
-        S, Z = S0.copy(), np.eye(n)
-        linalg._swap_adjacent_upper(S, Z, i, p, q)
+        SZ = np.vstack([S0, np.eye(n)])
+        S, Z = SZ[:n], SZ[n:]
+        linalg._swap_adjacent_upper(SZ, i, p, q)
         m = p + q
         assert max_abs(Z.T @ Z - np.eye(n)) <= 64 * n * EPS
         assert max_abs(Z @ S @ Z.T - S0) <= 64 * n * EPS * max_abs(S0)
@@ -1985,3 +1987,232 @@ def test_feed_leading_touches_only_the_leading_block():
         assert max_abs(new.Q.T @ new.Q - np.eye(n)) <= 64 * n * EPS
         C = A + np.outer(b, dec.Q[:, :r] @ g)
         assert max_abs(new.Q @ new.T @ new.Q.T - C) <= 1024 * n * EPS * max_abs(C)
+
+
+# ---------------------------------------------------------------------------
+# the form and its Q in one buffer: real_schur keeps [H; Q] and _reorder
+# keeps [S; Z], so each transform from the right is one product over the
+# buffer's column slice
+
+
+def _buffer_matrices(verify_seeds=()):
+    """The dense pools of perfbench's seeds 0-3, six random matrices at
+    each n = 2-32, and the verify pools of ``verify_seeds``."""
+    from test_verify import _load_perfbench
+
+    inputs = _load_perfbench("inputs")
+    mats = [case.A for seed in range(4) for case in inputs.dense_pool(seed, 24)]
+    rng = np.random.default_rng(131)
+    mats += [rng.standard_normal((n, n)) for n in range(2, 33) for _ in range(6)]
+    return mats + [case.A for seed in verify_seeds for case in inputs.verify_pool(seed)]
+
+
+def _reordered(dec):
+    """``reorder_schur`` moving the last block to the front, or the
+    BlockSwapError it raised."""
+    try:
+        return reorder_schur(dec, [len(dec.blocks) - 1])
+    except BlockSwapError as exc:
+        return exc
+
+
+def _separate_step(step):
+    """``_francis_step`` with separate column products, the reference for
+    the buffer's one: with Q, the columns of the active rows, the strip
+    above them and Q each take their own product, and the rows below the
+    bulge none.  Without Q it is ``step``."""
+
+    def separate(HQ, l, hi, tr, det, scratch):
+        n = HQ.shape[1]
+        if HQ.shape[0] == n:
+            return step(HQ, l, hi, tr, det, scratch)
+        H, Q = HQ[:n], HQ[n:]
+        top = hi + 1
+        (a, b), (c, d), (_, e) = H[l : l + 3, l : l + 2].tolist()
+        x, y, z = a * a + b * c - tr * a + det, c * (a + d - tr), e * c
+        for k in range(l, hi):
+            m = 3 if k + 2 < top else 2
+            if k > l:
+                x, y, z = H[k : k + 3, k - 1].tolist() if m == 3 else H[k : k + 2, k - 1].tolist() + [0.0]
+            entries, alpha = linalg._reflector(x, y, z)
+            if k > l:
+                H[k, k - 1] = alpha
+                H[k + 1 : k + m, k - 1] = 0.0
+            if entries is None:
+                continue
+            P = np.array(entries).reshape(3, 3)[:m, :m].copy()
+            R = H[k : k + m, k:top]
+            R[...] = P @ R
+            C = H[l : min(k + 4, top), k : k + m]
+            C[...] = C @ P
+            if top < n:
+                R = H[k : k + m, top:]
+                R[...] = P @ R
+            if l > 0:
+                C = H[:l, k : k + m]
+                C[...] = C @ P
+            C = Q[:, k : k + m]
+            C[...] = C @ P
+
+    return separate
+
+
+def _separate_standardize(HQ, i):
+    """``_standardize_2x2`` with separate column products on H and Q."""
+    n = HQ.shape[1]
+    H, Q = HQ[:n], HQ[n:]
+    (a, b), (c, d) = H[i : i + 2, i : i + 2].tolist()
+    rot, finish = linalg._standard_rotation(a, b, c, d)
+    if rot is not None:
+        G = linalg._rotation(*rot)
+        R = H[i : i + 2, :]
+        R[...] = G.T @ R
+        C = H[:, i : i + 2]
+        C[...] = C @ G
+        C = Q[:, i : i + 2]
+        C[...] = C @ G
+    if finish == "split":
+        H[i + 1, i] = 0.0
+    elif finish == "equal":
+        H[i, i] = H[i + 1, i + 1] = linalg._mean(float(H[i, i]), float(H[i + 1, i + 1]))
+
+
+def _separate_swap(SZ, i, p, q):
+    """``_swap_adjacent_upper`` with separate column products on S and Z
+    and its backward-error maxima read by numpy."""
+    n = SZ.shape[1]
+    S, Z = SZ[:n], SZ[n:]
+    m = p + q
+    rows = slice(i, i + m)
+    D = S[rows, rows]
+    w = D.tolist()
+    equal = []
+    if m == 2:
+        (a, c), (_, d) = w
+        diff = a - d
+        x = -c / diff if diff != 0.0 else math.inf
+        if math.isinf(x):
+            raise linalg._swap_refused(i, p, q, "the blocks coincide")
+        r = math.hypot(x, 1.0)
+        F = linalg._rotation(x / r, 1.0 / r)
+    else:
+        flat = linalg._coupling_basis(linalg._sylvester(w, p, q, i), p, q)
+        G = np.array(flat).reshape(m, m)
+        thresh = max(10.0 * EPS * max(map(abs, itertools.chain(*w))), TINY)
+        E = G.T @ D @ G
+        err = np.abs(E[q:, :q]).max()
+        if err <= thresh:
+            E[q:, :q] = 0.0
+            err = np.abs(G @ E @ G.T - D).max()
+        if not err <= thresh:
+            raise linalg._swap_refused(i, p, q, f"the swapped form has backward error "
+                                                f"{err:.3e}, above the threshold {thresh:.3e}")
+        e = E.tolist()
+        for j, size in ((0, q), (q, p)):
+            if size == 2:
+                block = linalg._scaled(e[j][j], e[j][j + 1], e[j + 1][j], e[j + 1][j + 1])
+                rot, finish = linalg._standard_rotation(*block, split=False)
+                if rot is not None:
+                    cs, sn = rot
+                    for k in range(j, m * m, m):
+                        g0, g1 = flat[k], flat[k + 1]
+                        flat[k], flat[k + 1] = cs * g0 + sn * g1, cs * g1 - sn * g0
+                if finish:
+                    equal.append(i + j)
+        F = np.array(flat).reshape(m, m)
+    R = S[rows, :]
+    R[...] = F.T @ R
+    C = S[:, rows]
+    C[...] = C @ F
+    C = Z[:, rows]
+    C[...] = C @ F
+    if m == 2:
+        S[i, i], S[i, i + 1], S[i + 1, i], S[i + 1, i + 1] = d, c, 0.0, a
+        return
+    S[i + q : i + m, i : i + q] = 0.0
+    for j in equal:
+        S[j, j] = S[j + 1, j + 1] = linalg._mean(float(S[j, j]), float(S[j + 1, j + 1]))
+
+
+def _with_separate_products(monkeypatch):
+    monkeypatch.setattr(linalg, "_francis_step", _separate_step(linalg._francis_step))
+    monkeypatch.setattr(linalg, "_standardize_2x2", _separate_standardize)
+    monkeypatch.setattr(linalg, "_swap_adjacent_upper", _separate_swap)
+
+
+def _schur_bits(A):
+    """``real_schur(A)``'s T, Q and blocks, then those of its reorder
+    moving the last block to the front or the message of its refusal."""
+    dec = real_schur(A)
+    re = _reordered(dec)
+    moved = str(re) if isinstance(re, BlockSwapError) else (
+        re.T.tobytes(), re.Q.tobytes(), _block_bits(re.blocks))
+    return dec.T.tobytes(), dec.Q.tobytes(), _block_bits(dec.blocks), moved
+
+
+def _sequential_bits(draw):
+    """A sequential run's gain and diagnostics, or the repr of its error."""
+    from poleplace.errors import PolePlacementError
+    from poleplace.subspace import paired_plan, place_sequential
+
+    A, b, targets = draw
+    sys = StateSpace(A, b)
+    try:
+        gain, steps = place_sequential(sys, paired_plan(sys, targets))
+    except PolePlacementError as exc:
+        return repr(exc)
+    return gain.k.tobytes(), repr(gain.diagnostics), [rec.gain.tobytes() for rec in steps]
+
+
+def test_fused_column_products_keep_the_bits_of_separate_ones(monkeypatch):
+    """One product over [H; Q]'s column slice, where the separate products
+    covered the active rows, the strip above them and Q, gives T, Q, the
+    blocks, every reorder and every BlockSwapError message bit for bit, on
+    716 matrices.  The equality is a property of this BLAS's kernels for a
+    product by a small matrix from the right, not of the algorithm: each
+    row of the result is the same dot product whatever the rows around it,
+    and the rows below the bulge, exact zeros, stay +0.0.  A BLAS whose
+    column-product kernel rounds a row by where it sits would fail here."""
+    mats = _buffer_matrices(verify_seeds=(1,))
+    assert len(mats) == 716
+    fused = [_schur_bits(A) for A in mats]
+    _with_separate_products(monkeypatch)
+    separate = [_schur_bits(A) for A in mats]
+    for i, (f, s) in enumerate(zip(fused, separate, strict=True)):
+        assert f == s, f"matrix {i} moved"
+
+
+def test_fused_column_products_keep_sequential_gains_bitwise(monkeypatch):
+    # the sequential runs of the close family (draws 1000-1239) and the
+    # Jordan family (draws 0-599), tests/families.py: every gain, its
+    # diagnostics and step gains, and every error, four of them the close
+    # family's BlockSwapErrors, as the separate products give them
+    from families import close_draw, jordan_draw
+
+    draws = [close_draw(s) for s in range(1000, 1240)] + [jordan_draw(s) for s in range(600)]
+    fused = [_sequential_bits(draw) for draw in draws]
+    _with_separate_products(monkeypatch)
+    separate = [_sequential_bits(draw) for draw in draws]
+    assert sum("BlockSwapError" in f for f in fused if isinstance(f, str)) == 4
+    for i, (f, s) in enumerate(zip(fused, separate, strict=True)):
+        assert f == s, f"draw {i} moved"
+
+
+def _assert_upper_zeros_positive(S):
+    """Every entry of upper quasi-triangular S below its subdiagonal, and
+    every zero one on it, is +0.0, bit for bit."""
+    below = np.tril(np.ones(S.shape, dtype=bool), -2)
+    assert np.all(S[below] == 0.0) and not np.signbit(S[below]).any()
+    sub = S.diagonal(-1)
+    assert not np.signbit(sub[sub == 0.0]).any()
+
+
+def test_fused_products_leave_positive_zeros_below_the_subdiagonal():
+    # the fused column products also cover the rows below the bulge, whose
+    # exact zeros must come out +0.0, as must the zeros a swap covers
+    for A in _buffer_matrices():
+        dec = real_schur(A)
+        _assert_upper_zeros_positive(dec.T.T)
+        re = _reordered(dec)
+        if not isinstance(re, BlockSwapError):
+            _assert_upper_zeros_positive(re.T.T)

@@ -441,9 +441,9 @@ def test_both_closed_loop_checks_seed_their_shifts_from_the_request(monkeypatch,
     seen, applied = [], []
     francis, householder = linalg._francis_upper, linalg._householder
 
-    def recording(H, Q, near=()):
+    def recording(HQ, near=()):
         seen.append(list(near))
-        return francis(H, Q, near)
+        return francis(HQ, near)
 
     def reflecting(x):
         v, beta, alpha = householder(x)
@@ -926,7 +926,7 @@ def test_rounded_exact_gain_passes_verify_where_its_rounded_loop_fails(index, tm
     assert float(printed.split("charpoly_residual")[1].split()[0]) <= 1e-9
 
 
-def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_pulled():
+def _check_general_formula_with_kept_pulled(n, seed, pair, assume):
     # the paper's identities: pulling the kept open-loop values mu into
     # prod(A - mu I) annihilates their right eigenvectors, so
     # place_general(kept + to, pulled=kept) keeps them, and its exact gain
@@ -934,37 +934,58 @@ def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_p
     # real value, n - 1 pulled.  Each side's forward error against that
     # exact gain (taken with the kept values as computed) stays within
     # 100 times the general gain's, or n eps when that is smaller
+    from poleplace import place_general, place_partial, place_simon_mitter
+
+    rng = np.random.default_rng(seed)
+    sys = StateSpace(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))
+    assume(sys._kappa <= 1e8)
+    values = list(eigenvalues(sys.A))
+    if pair:
+        upper = [z for z in values if z.imag > 0.0]
+        assume(upper)
+        w = complex(rng.uniform(-3, 0), rng.uniform(0.1, 2))
+        move, to = [upper[0], upper[0].conjugate()], [w, w.conjugate()]
+    else:
+        reals = [z for z in values if z.imag == 0.0]
+        assume(reals)
+        move, to = [reals[0]], [complex(rng.uniform(-3, 0))]
+    kept = list(Spectrum(values).minus(Spectrum(move)))
+    try:
+        general = place_general(sys, kept + to, kept).k
+        sides = [place_partial(sys, move, to).k]
+        if not pair:
+            sides.append(place_simon_mitter(sys, move[0].real, to[0].real).k)
+    except PolePlacementError:
+        assume(False)
+    exact = _exact_gain(sys.A, sys.b, Spectrum(kept + to), 60)
+    bound = 100.0 * max(_forward_error(general, exact), n * np.finfo(float).eps)
+    for k in sides:
+        assert _forward_error(k, exact) <= bound
+
+
+def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_pulled():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from poleplace import place_general, place_partial, place_simon_mitter
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.booleans())
     def check(n, seed, pair):
-        rng = np.random.default_rng(seed)
-        sys = StateSpace(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))
-        hypothesis.assume(sys._kappa <= 1e8)
-        values = list(eigenvalues(sys.A))
-        if pair:
-            upper = [z for z in values if z.imag > 0.0]
-            hypothesis.assume(upper)
-            w = complex(rng.uniform(-3, 0), rng.uniform(0.1, 2))
-            move, to = [upper[0], upper[0].conjugate()], [w, w.conjugate()]
-        else:
-            reals = [z for z in values if z.imag == 0.0]
-            hypothesis.assume(reals)
-            move, to = [reals[0]], [complex(rng.uniform(-3, 0))]
-        kept = list(Spectrum(values).minus(Spectrum(move)))
-        try:
-            general = place_general(sys, kept + to, kept).k
-            sides = [place_partial(sys, move, to).k]
-            if not pair:
-                sides.append(place_simon_mitter(sys, move[0].real, to[0].real).k)
-        except PolePlacementError:
-            hypothesis.assume(False)
-        exact = _exact_gain(sys.A, sys.b, Spectrum(kept + to), 60)
-        bound = 100.0 * max(_forward_error(general, exact), n * np.finfo(float).eps)
-        for k in sides:
-            assert _forward_error(k, exact) <= bound
+        _check_general_formula_with_kept_pulled(n, seed, pair, hypothesis.assume)
 
     check()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the partial gain's forward error passes the fixed floor of "
+                          "100 n eps when the general gain's is below n eps")
+@pytest.mark.parametrize("n, seed, pair", [(5, 38, False)])
+def test_general_formula_recorded_draws(n, seed, pair):
+    # a draw of the property above that breaks its bound: the partial
+    # gain's forward error is 1.30e-13 against 100 n eps = 1.11e-13, where
+    # the general gain's is below n eps; recorded so the known defect
+    # shows on every run
+    def assume(valid):
+        if not valid:
+            pytest.fail("not a valid draw of the property")
+
+    _check_general_formula_with_kept_pulled(n, seed, pair, assume)

@@ -36,7 +36,11 @@ draws the dense and verify pools of each seed (default 1 2 3) with
   the one-value group the ``simon_mitter`` kind places; then of
   ``poleplace compare --n 4,8,12 --trials 3 --seed 0`` once.  It covers
   the group methods' JSON (``steps``, ``step_kappas``) and ``compare``'s
-  table and CSV.
+  table and CSV;
+- ``schur``: ``real_schur``'s T, Q, block starts and block sizes on every
+  dense case, then the same of ``reorder_schur`` moving its last block to
+  the front, or the repr of the error either raised: the Schur form and
+  reorder every sequential step reads.
 
 Two checkouts whose lines agree produce those outputs byte for byte;
 ``place``, ``verify`` and ``cli`` print the seeded check's residual and
@@ -73,7 +77,7 @@ DENSE_PER_SIZE = 24  # as perfbench/run.py draws the dense pool
 
 STEP_FIELDS = ("step", "basis", "gain", "kappa", "spectrum_after")
 KINDS = ("gains", "diagnostics", "spectrum", "steps", "place", "verify", "partial",
-         "simon_mitter", "record", "cli")
+         "simon_mitter", "record", "cli", "schur")
 digests = {kind: hashlib.sha256() for kind in KINDS}
 
 
@@ -167,6 +171,19 @@ def record_arrays(A, b):
            rec.shift, rec.beta)
 
 
+def update_schur(dec):
+    update("schur", dec.T.tobytes(), dec.Q.tobytes(), [(blk.start, blk.size) for blk in dec.blocks])
+
+
+def record_schur(A):
+    try:
+        dec = linalg.real_schur(A)
+        update_schur(dec)
+        update_schur(linalg.reorder_schur(dec, [len(dec.blocks) - 1]))
+    except PolePlacementError as exc:
+        update("schur", repr(exc))
+
+
 def record_steps(steps):
     for rec in steps:
         values = (getattr(rec, name) for name in STEP_FIELDS)
@@ -177,6 +194,7 @@ def dense(seed, workdir):
     for i, case in enumerate(inputs.dense_pool(seed, DENSE_PER_SIZE)):
         sys_ = placement.StateSpace(case.A, case.b)
         record_arrays(case.A, case.b)
+        record_schur(case.A)
         targets, pulled = Spectrum(case.targets), Spectrum(case.pulled)
         record("bass_gura", lambda: placement.place_bass_gura(sys_, targets))
         record("ackermann", lambda: placement.place_ackermann(sys_, targets))
