@@ -28,7 +28,6 @@ from .linalg import (
 from .placement import (
     Gain,
     StateSpace,
-    controllability_matrix,
     controller_canonical,
     place_ackermann,
     place_bass_gura,
@@ -68,7 +67,6 @@ __all__ = [
     "ValidationError",
     "char_poly",
     "charpoly_residual",
-    "controllability_matrix",
     "controller_canonical",
     "eigenvalues",
     "invariant_split",

@@ -328,10 +328,6 @@ class SchurDecomposition:
     T: np.ndarray
     blocks: tuple[SchurBlock, ...]
 
-    @property
-    def n(self) -> int:
-        return self.T.shape[0]
-
 
 @dataclass(frozen=True)
 class InvariantSplit:

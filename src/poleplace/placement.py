@@ -47,7 +47,7 @@ from .poly import (
     monic_from_roots,
     open_loop_record,
 )
-from .verify import Diagnostics, assemble_diagnostics
+from .verify import Diagnostics, _full_spectrum, assemble_diagnostics
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,8 @@ class StateSpace:
     gain factors C, and no closed loop runs the trace recurrence or a
     Hessenberg reduction again.  A refused C stores no factors: each read
     raises anew.  Every full-spectrum gain reads C_c and the factors
-    through one map, ``omega_vector``'s (``_omega``).  The closed-loop
-    check that reads the record is ``verify``'s.
+    through one map, ``_row``'s.  The closed-loop check that reads the
+    record is ``verify``'s.
     """
 
     A: np.ndarray
@@ -184,11 +184,6 @@ class Gain:
     diagnostics: Diagnostics
 
 
-def controllability_matrix(sys: StateSpace) -> np.ndarray:
-    """``[b, Ab, ..., A**(n-1) b]``: the system's stored, read-only C."""
-    return sys._controllability
-
-
 def controller_canonical(sys: StateSpace) -> np.ndarray:
     """``C_c``, the controllability matrix of the controller canonical
     pair ``(A_c, e_n)``: ``A_c`` carries ones on the superdiagonal and the
@@ -199,29 +194,6 @@ def controller_canonical(sys: StateSpace) -> np.ndarray:
     on it, so every call on one system returns the same read-only array.
     """
     return sys._canonical
-
-
-def omega_vector(sys: StateSpace, gamma) -> np.ndarray:
-    """Map a canonical-frame coefficient row back to original coordinates.
-
-    Computes ``omega`` with ``omega^T = gamma^T C_c C^{-1}``: the map
-    every full-spectrum gain goes through (``_omega``).  An omega beyond
-    the float range raises NumericalError.
-    """
-    gamma = _as_vector(gamma, sys.n, "gamma")
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega = _omega(sys, gamma)
-    if not np.isfinite(omega).all():
-        raise NumericalError("omega has entries beyond the float range")
-    return omega
-
-
-def _omega(sys: StateSpace, gamma) -> np.ndarray:
-    """``C^{-T} C_c^T gamma``: ``omega_vector`` of a checked gamma, with no
-    range check.  C_c is read before C's factors, so its refusals come
-    first."""
-    rhs = controller_canonical(sys).T @ gamma
-    return _substitute(*sys._factored, rhs)
 
 
 def place_eigenpair(sys: StateSpace, omega, lam1: float) -> Gain:
@@ -281,7 +253,7 @@ def _place(sys: StateSpace, targets, pulled, method: str) -> Gain:
 
 def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     """The generalized formula ``k^T = gamma^T C_c C^{-1} M``, one step
-    after another: gamma, its map ``_omega`` (``omega_vector``'s), then M.
+    after another: gamma, its map ``omega = C^{-T} C_c^T gamma``, then M.
 
     ``M`` is the product ``prod(A - lam I)`` over the pulled roots and
     ``gamma`` holds the coefficients of ``p - f`` reduced modulo the
@@ -291,20 +263,17 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
     everything is).  An uncontrollable pair raises UncontrollableError;
     overflow leaves inf or nan in k.
     """
-    targets, pulled = _as_spectrum(targets), _as_spectrum(pulled)
+    targets, pulled = _full_spectrum(sys, targets), _as_spectrum(pulled)
     n = sys.n
-    if len(targets) != n:
-        raise ValidationError(f"{len(targets)} targets for an order-{n} system")
     # the targets themselves when nothing is pulled, so the monic
     # polynomial stored on them serves the residual too
     try:
         rest = targets.minus(pulled) if len(pulled) else targets
     except ValidationError:
         raise ValidationError("pulled values must be a sub-multiset of the targets") from None
-    # C_c, stored for ``_omega``, before the targets' polynomial: building
-    # it reads the open-loop record, and their refusals of an out-of-range
-    # A come first
-    sys._canonical
+    # C_c before the targets' polynomial: building it reads the open-loop
+    # record, and their refusals of an out-of-range A come first
+    C_c = controller_canonical(sys)
     with np.errstate(over="ignore", invalid="ignore"):
         f = monic_from_roots(rest).coeffs
         if f.size > n:
@@ -313,7 +282,8 @@ def _row(sys: StateSpace, targets, pulled) -> np.ndarray:
         gamma = np.zeros(n)
         # 0.0 - x, not -x: exact zeros stay positive, as in p - f
         gamma[: f.size] = 0.0 - f
-        k = _omega(sys, gamma)
+        rhs = C_c.T @ gamma
+        k = _substitute(*sys._factored, rhs)
         if len(pulled) > 0:
             k = eval_matrix(monic_from_roots(pulled), sys.A).T @ k
     return k

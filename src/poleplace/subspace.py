@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .placement import Gain, StateSpace, _gain, _row, _selector
 from .poly import Spectrum, _as_spectrum
+from .verify import _full_spectrum
 
 
 @dataclass(frozen=True)
@@ -257,11 +258,7 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     an eigenvalue repeated m times, or a perturbed Jordan block's m values,
     in a step of at least m values, which inverts a matrix of that size.
     """
-    targets = _as_spectrum(targets)
-    if len(targets) != sys.n:
-        raise ValidationError(
-            f"{len(targets)} targets for a system of dimension {sys.n}"
-        )
+    targets = _full_spectrum(sys, targets)
 
     def buckets(values):
         reals = sorted((z.real for z in values if z.imag == 0.0),

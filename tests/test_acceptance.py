@@ -12,10 +12,9 @@ import numpy as np
 
 from poleplace import AssignmentPlan, Spectrum, StateSpace
 from poleplace.cli import _dense_system, _draw_targets, main
-from poleplace.linalg import eigenvalues, real_schur, reorder_schur
+from poleplace.linalg import eigenvalues, real_schur, reorder_schur, solve_linear
 from poleplace.placement import (
-    controllability_matrix,
-    omega_vector,
+    controller_canonical,
     place_ackermann,
     place_bass_gura,
     place_eigenpair,
@@ -353,10 +352,12 @@ def test_criterion_6_adjugate_identity():
         A = rng.uniform(-2.0, 2.0, (n, n))
         b = rng.uniform(-1.0, 1.0, n)
         sys_ = StateSpace(A, b)
-        if abs(np.linalg.det(controllability_matrix(sys_))) < 1e-4:
+        C = sys_._controllability
+        if abs(np.linalg.det(C)) < 1e-4:
             continue
         gamma = np.append(rng.uniform(-1.0, 1.0, n - 1), 1.0)
-        omega = omega_vector(sys_, gamma)
+        # omega^T = gamma^T C_c C^{-1}, the map every full-spectrum gain applies
+        omega = solve_linear(C.T, controller_canonical(sys_).T @ gamma)
         rad = max(abs(z) for z in eigenvalues(A)) + 1.0
         samples = [rad + 0.5, -(rad + 1.0), rad + 2.5]
         closed = sys_._polynomial.closed_loop(place_eigenpair(sys_, omega, lam1).k)

@@ -225,12 +225,11 @@ def test_gen_is_deterministic(capsys):
 
 def test_gen_dense_meets_conditioning_contract(capsys):
     from poleplace.linalg import condition_number
-    from poleplace.placement import controllability_matrix
 
     assert main(["gen", "--n", "6", "--seed", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
     sys_ = StateSpace(np.array(out["A"]), np.array(out["b"]))
-    assert condition_number(controllability_matrix(sys_)) <= 1e8
+    assert condition_number(sys_._controllability) <= 1e8
     assert "dense n=6 seed=3" in out["provenance"]
     # the gate seen by numpy's SVD, independent of the estimator: each draw
     # gen rejected lies above 1e8 and the one it kept below, to within
@@ -244,7 +243,7 @@ def test_gen_dense_meets_conditioning_contract(capsys):
         rng = np.random.default_rng(seed)
         for i in range(1, attempt + 1):
             A, b = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
-            s = np.linalg.svd(controllability_matrix(StateSpace(A, b)), compute_uv=False)
+            s = np.linalg.svd(StateSpace(A, b)._controllability, compute_uv=False)
             if i < attempt:
                 assert s[0] >= 1e8 * (1 - 1e-6) * s[-1]
             else:
@@ -671,6 +670,47 @@ def test_place_reads_system_from_stdin(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert_allclose(json.loads(capsys.readouterr().out)["k"], [-2.0, -3.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# malformed files and flags: exit 2, nothing on stdout and one error line
+# (argparse's own refusals print their usage lines first)
+
+DI = {"n": 2, "A": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, 1.0]}
+POLES = {"poles": ["-1", "-2"]}
+
+
+@pytest.mark.parametrize("argv, system, plan, message", [
+    pytest.param(["place", "--method", "bass-gura"], DI, ["-1", "-2"],
+                 "plan.json: expected a JSON object", id="plan not an object"),
+    pytest.param(["place", "--method", "bass-gura"], DI, {"poles": []},
+                 "plan.json: 'poles' must be a nonempty list", id="empty poles"),
+    pytest.param(["place", "--method", "sequential"], DI, {"groups": []},
+                 "plan.json: 'groups' must be a nonempty list", id="empty groups"),
+    pytest.param(["place", "--method", "sequential"], DI, {"groups": [{"move": ["0"]}]},
+                 "plan.json: group 1 needs 'move' and 'to' lists", id="group without to"),
+    pytest.param(["place", "--method", "bass-gura"], [DI], POLES,
+                 "system.json: expected a JSON object", id="system not an object"),
+    pytest.param(["verify", "--gain=,"], DI, POLES, "--gain is empty", id="empty gain"),
+    pytest.param(["compare", "--n", ","], None, None,
+                 "--n must list positive integers, got ','", id="empty size list"),
+    pytest.param(["gen", "--seed", "abc"], None, None,
+                 "invalid int value: 'abc'", id="text seed"),
+])
+def test_malformed_input_exits_2_with_one_error_line(argv, system, plan, message,
+                                                     tmp_path, capsys):
+    if system is not None:
+        argv = argv + ["--system", write_json(tmp_path / "system.json", system),
+                       "--plan", write_json(tmp_path / "plan.json", plan)]
+    try:
+        code, usage = main(argv), False
+    except SystemExit as exc:  # argparse's own refusal, which prints its usage lines too
+        code, usage = exc.code, True
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines and lines[-1].endswith(message), err
+    assert usage or (len(lines) == 1 and lines[0].startswith("error: ")), err
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from poleplace.errors import (
     ValidationError,
 )
 from poleplace.linalg import condition_number, krylov, solve_linear
-from poleplace.placement import omega_vector
 from poleplace.poly import eval_matrix, open_loop_record
 from poleplace.verify import assemble_diagnostics
 
@@ -80,7 +79,6 @@ PROBES = {
     "charpoly_residual text gain": lambda: charpoly_residual(system(), "abc", TARGETS),
     "eval_matrix NaN matrix": lambda: eval_matrix(LINEAR, np.full((2, 2), NAN)),
     "eval_matrix empty matrix": lambda: eval_matrix(LINEAR, np.zeros((0, 0))),
-    "omega_vector None": lambda: omega_vector(system(), None),
     "place_eigenpair NaN omega": lambda: place_eigenpair(system(), [NAN, 0, 0], -1.0),
     "place_eigenpair text lam1": lambda: place_eigenpair(system(), [0, 0, 1], "x"),
     "assemble_diagnostics NaN gain": lambda: assemble_diagnostics(system(), [NAN] * 3),
@@ -166,7 +164,6 @@ ARGUMENTS = {
     "eigenvalues": (eigenvalues, (N, N), [(N,), (N, N + 1)]),
     "invariant_split": (lambda x: invariant_split(x, [1.0]), (N, N), [(N,), (N, N + 1)]),
     "Polynomial": (Polynomial, (N,), [(N, N), (1, 1, N)], ("scalar",)),
-    "omega_vector": (lambda x: omega_vector(system(), x), (N,), [(N + 1,), (N, N)]),
     "place_eigenpair": (lambda x: place_eigenpair(system(), x, -1.0), (N,), [(N + 1,), (N, 1)]),
     "charpoly_residual": (lambda x: charpoly_residual(system(), x, TARGETS), (N,),
                           [(N + 1,), (N, 1)]),
@@ -279,7 +276,6 @@ def test_containers_give_the_bits_of_float64_input_property():
             lambda A, b, k: open_loop_record(A, b).closed_loop(k).coeffs,
             lambda A, b, k: charpoly_residual(sys_, k, targets),
             lambda A, b, k: assemble_diagnostics(sys_, k, targets),
-            lambda A, b, k: omega_vector(sys_, k),
             lambda A, b, k: place_eigenpair(sys_, k, k[0]),
         ]
         for call in calls:
@@ -389,12 +385,6 @@ def test_eigenpair_gain_beyond_the_float_range_is_a_numerical_error():
     sys_ = StateSpace(np.diag([1.0, 2.0]), [1e-300, 1e-300])
     with pytest.raises(NumericalError, match="^the gain has entries beyond the float range$"):
         _strict(lambda: place_eigenpair(sys_, [1.0, 0.0], 1e10))
-
-
-def test_omega_beyond_the_float_range_is_a_numerical_error():
-    A, b, _ = OVERFLOWS["gain"]
-    with pytest.raises(NumericalError, match="^omega has entries beyond the float range$"):
-        _strict(lambda: omega_vector(StateSpace(A, b), [1e308, 0.0]))
 
 
 @pytest.mark.parametrize("name", ["gain", "gamma"])

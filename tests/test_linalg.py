@@ -1635,7 +1635,7 @@ def test_reorder_property_on_random_forms():
     @hypothesis.given(forms())
     def check(case):
         dec, select = case
-        n = dec.n
+        n = dec.T.shape[0]
         A = dec.Q @ dec.T @ dec.Q.T
         re = reorder_schur(dec, select)
         assert max_abs(re.Q.T @ re.Q - np.eye(n)) <= 64 * n * EPS

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from poleplace import (
     Spectrum,
     StateSpace,
-    controllability_matrix,
     controller_canonical,
     eigenvalues,
     place_ackermann,
@@ -24,7 +23,6 @@ from poleplace.errors import (
 )
 from poleplace import linalg, placement, poly, subspace, verify
 from poleplace.cli import _dense_system, _draw_targets
-from poleplace.placement import omega_vector
 from poleplace.verify import spectrum_distance
 
 
@@ -49,10 +47,16 @@ def companion_pair(sys):
     return A_c, np.eye(n)[n - 1]
 
 
+def omega(sys, gamma):
+    """``C^{-T} C_c^T gamma``, the map ``placement._row`` applies to gamma:
+    bitwise its solve against the stored factors of ``C^T``."""
+    return linalg.solve_linear(sys._controllability.T, controller_canonical(sys).T @ gamma)
+
+
 def random_controllable(rng, n):
     for _ in range(50):
         sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
-        C = controllability_matrix(sys)
+        C = sys._controllability
         if abs(np.linalg.det(C)) > 1e-4:
             return sys
     raise AssertionError("no controllable draw")
@@ -98,7 +102,7 @@ def test_state_space_equality_and_hash_follow_a_and_b(n):
 
 
 def test_controllability_matrix_double_integrator():
-    C = controllability_matrix(double_integrator())
+    C = double_integrator()._controllability
     assert np.array_equal(C, [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -158,7 +162,7 @@ def test_stored_canonical_form_is_read_only():
 
 
 def test_omega_vector_double_integrator():
-    w = omega_vector(double_integrator(), [2.0, 3.0])
+    w = omega(double_integrator(), np.array([2.0, 3.0]))
     assert np.array_equal(w, [2.0, 3.0])
 
 
@@ -168,14 +172,15 @@ def test_omega_vector_unit_projection_on_b():
     for n in (2, 3, 5):
         sys = random_controllable(rng, n)
         gamma = np.append(rng.uniform(-2, 2, n - 1), 1.0)
-        w = omega_vector(sys, gamma)
+        w = omega(sys, gamma)
         assert abs(w @ sys.b - 1.0) <= 1e-9
 
 
 def test_omega_vector_uncontrollable():
+    # the map reads the stored factors of C^T, which refuse this pair
     sys = StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 0.0])
     with pytest.raises(UncontrollableError) as info:
-        omega_vector(sys, [1.0, 1.0])
+        sys._factored
     assert "rank estimate" in str(info.value)
 
 
@@ -324,12 +329,13 @@ def test_general_intermediate_pull_agrees():
         assert mid.method == "general"
 
 
-def test_full_spectrum_gains_are_omega_vector_then_the_pulled_product():
+def test_full_spectrum_gains_are_the_omega_map_then_the_pulled_product():
     # every Bass-Gura, Ackermann and general gain is the paper's formula one
     # step after another: gamma from the targets left at the coefficient
     # level (p - f with nothing pulled, -f otherwise, so -e_1 with
-    # everything pulled), mapped by omega_vector, then the pulled product,
-    # byte for byte on perfbench's seed-1 dense pool (24 cases per size)
+    # everything pulled), mapped to omega^T = gamma^T C_c C^{-1}, then the
+    # pulled product, byte for byte on perfbench's seed-1 dense pool (24
+    # cases per size)
     from test_verify import _load_perfbench, _seed1_dense_gains
 
     def route(sys, targets, pulled):
@@ -340,7 +346,7 @@ def test_full_spectrum_gains_are_omega_vector_then_the_pulled_product():
             f = (f - sys._polynomial.p.coeffs)[:n]
         gamma = np.zeros(n)
         gamma[: f.size] = 0.0 - f
-        k = omega_vector(sys, gamma)
+        k = omega(sys, gamma)
         if len(pulled):
             k = poly.eval_matrix(poly.monic_from_roots(pulled), sys.A).T @ k
         return k
@@ -504,7 +510,6 @@ def test_stored_open_loop_record_gives_the_fresh_results():
         assert _full_spectrum_bytes(lambda: sys, targets, pulled) == want
         for name, value in stored.items():
             assert getattr(sys, name) is value
-        assert controllability_matrix(sys) is stored["_controllability"]
         assert controller_canonical(sys) is stored["_canonical"]
         assert repr(sys) == repr(fresh)
 
@@ -550,15 +555,14 @@ def test_uncontrollable_refusal_reports_the_controllable_dimension():
         for _ in range(2):
             for call in (lambda: place_bass_gura(sys, targets),
                          lambda: place_ackermann(sys, targets),
-                         lambda: place_general(sys, targets, Spectrum([-1.0])),
-                         lambda: omega_vector(sys, np.ones(n))):
+                         lambda: place_general(sys, targets, Spectrum([-1.0]))):
                 with pytest.raises(UncontrollableError) as info:
                     call()
                 messages.add(str(info.value))
         assert messages == {"controllability matrix is singular to working precision; "
                             f"rank estimate {dimension} < {n}"}
         with pytest.raises(linalg.SingularMatrixError) as info:
-            linalg.solve_linear(controllability_matrix(sys).T, np.ones(n))
+            linalg.solve_linear(sys._controllability.T, np.ones(n))
         assert info.value.column <= dimension
 
 
@@ -594,7 +598,7 @@ def test_stored_factor_solves_are_bitwise_solve_linear():
     systems.append(StateSpace(np.diag([1.0, 1.0, 2.0]), np.ones(3)))
     outcomes = Counter()
     for sys in systems:
-        n, C = sys.n, controllability_matrix(sys)
+        n, C = sys.n, sys._controllability
         for rhs in (rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, 3)), np.eye(n)[n - 1]):
             try:
                 want = linalg.solve_linear(C.T, rhs)

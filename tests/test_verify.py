@@ -28,7 +28,6 @@ from poleplace.errors import (
     ValidationError,
 )
 from poleplace.poly import Polynomial, monic_from_roots
-from poleplace.placement import controllability_matrix
 from poleplace.verify import assemble_diagnostics
 
 
@@ -39,7 +38,7 @@ def double_integrator():
 def random_controllable(rng, n):
     for _ in range(50):
         sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
-        if abs(np.linalg.det(controllability_matrix(sys))) > 1e-4:
+        if abs(np.linalg.det(sys._controllability)) > 1e-4:
             return sys
     raise AssertionError("no controllable draw")
 
