@@ -44,9 +44,10 @@ class SingularMatrixError(NumericalError):
 class UncontrollableError(NumericalError):
     """The controllability matrix is singular to working precision.  The
     message's rank estimate is the dimension of the controllable subspace
-    as the system's controller-Hessenberg form shows it; when that form
-    shows all states controllable, the message says the pair is too badly
-    scaled for the Krylov route and names the failed elimination column."""
+    as the system's controller-Hessenberg form shows it, followed by the
+    uncontrollable modes; when that form shows all states controllable,
+    the message says the pair is too badly scaled for the Krylov route and
+    names the failed elimination column."""
 
 
 class MatchingError(NumericalError):

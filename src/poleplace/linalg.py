@@ -1362,18 +1362,17 @@ def _request_clusters(targets, tol) -> dict:
     return dict(zip(distinct, _clusters(distinct, range(len(distinct)), 2 * tol)))
 
 
-def _match_values(targets, candidates, tol, label=None) -> set[int]:
+def _match_values(targets, candidates, tol) -> set[int]:
     """The set of indices of the candidates that ``targets`` name.
 
     Distinct requested values within ``2 tol`` of each other form one
-    cluster (``_request_clusters``, or ``label`` when the caller has it
-    already), which takes every candidate within ``tol`` of one of its
-    members, so no candidate falls to two.  A cluster taking more than its
-    multiplicity among the targets raises AmbiguousMatchError; one taking
-    fewer, MatchingError naming its first target left without.
+    cluster (``_request_clusters``), which takes every candidate within
+    ``tol`` of one of its members, so no candidate falls to two.  A
+    cluster taking more than its multiplicity among the targets raises
+    AmbiguousMatchError; one taking fewer, MatchingError naming its first
+    target left without.
     """
-    if label is None:
-        label = _request_clusters(targets, tol)
+    label = _request_clusters(targets, tol)
     found = {}  # per cluster; one distance pass per distinct target
     for t in label:
         found.setdefault(label[t], set()).update(
@@ -1400,17 +1399,17 @@ def _match_values(targets, candidates, tol, label=None) -> set[int]:
     return set().union(*found.values())
 
 
-def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol, label=None) -> set[int]:
+def _select_blocks(dec: SchurDecomposition, moved: Spectrum, tol) -> set[int]:
     """The set of indices of the blocks of ``dec`` that carry ``moved``.
 
     Each requested value is matched against the blocks' eigenvalues within
-    ``tol`` (``_match_values``, with the clusters ``label`` if given).
+    ``tol`` (``_match_values``).
     Selecting one half of a complex pair is rejected, since no real
     invariant subspace separates it from its conjugate.
     """
     values = [z for blk in dec.blocks for z in blk.eigenvalues]
     owner = [bi for bi, blk in enumerate(dec.blocks) for _ in blk.eigenvalues]
-    matched = _match_values(list(moved), values, tol, label)
+    matched = _match_values(list(moved), values, tol)
     chosen = {owner[ci] for ci in matched}
     for ci, z in enumerate(values):
         if owner[ci] in chosen and ci not in matched:
@@ -1470,12 +1469,12 @@ def _feed_leading(dec: SchurDecomposition, b, g) -> SchurDecomposition:
     return SchurDecomposition(Q=Q, T=T, blocks=blocks)
 
 
-def _lead(dec: SchurDecomposition, moved: Spectrum, tol, label=None):
+def _lead(dec: SchurDecomposition, moved: Spectrum, tol):
     """Reorder ``dec`` so the blocks carrying ``moved`` (``_select_blocks``
-    within ``tol``, with the clusters ``label`` if given) come first.
+    within ``tol``) come first.
     Returns the new form and contiguous copies of its ``Q[:, :r]`` and
     ``T[:r, :r]``, r = len(moved)."""
-    dec = _reorder(dec, _select_blocks(dec, moved, tol, label))
+    dec = _reorder(dec, _select_blocks(dec, moved, tol))
     r = len(moved)
     return dec, dec.Q[:, :r].copy(), dec.T[:r, :r].copy()
 

@@ -15,6 +15,7 @@ Feedback convention: ``u = k @ x``, closed loop ``A + b k^T``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,7 @@ from .linalg import (
     SchurDecomposition,
     _controller_hessenberg,
     _factor,
+    _hessenberg_eigenvalues,
     _substitute,
     condition_number,
     krylov,
@@ -132,24 +134,22 @@ class StateSpace:
     @cached_property
     def _factored(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors and pivot order ``solve_linear(C.T, .)`` computes; a
-        C singular to working precision raises UncontrollableError.  Its
-        rank is read off the controller-Hessenberg form (Paige, IEEE TAC
-        26(1), 1981): the index of the first of ``|beta|, |H[1, 0]|, ...``
-        at or below ``sqrt(eps) max|H|``, which covers the reduction's own
-        rounding; with none, the message says the pair is controllable and
-        names the failed column instead."""
+        C singular to working precision raises UncontrollableError, with
+        the rank estimate and the modes ``_uncontrollable`` reads; when
+        that shows all states controllable, the message says so and names
+        the failed column instead."""
         C = self._controllability
         LU = C.T.copy()
         try:
             perm = np.array(_factor(LU, self.n * EPS * max_abs(C)))
         except SingularMatrixError as exc:
-            form = self._hessenberg
-            lead = np.abs(np.append(form.beta, np.diagonal(form.H, -1)))
-            small = np.flatnonzero(lead <= EPS ** 0.5 * max_abs(form.H))
-            if small.size:
+            r, modes = _uncontrollable(self)
+            if r < self.n:
                 raise UncontrollableError(
                     "controllability matrix is singular to working precision; "
-                    f"rank estimate {small[0]} < {self.n}") from None
+                    f"rank estimate {r} < {self.n}; uncontrollable modes "
+                    + ", ".join(f"{z.real:.6g}" if z.imag == 0.0 else f"{z:.6g}"
+                                for z in modes)) from None
             raise UncontrollableError(
                 f"controllability matrix fails its pivot test at column {exc.column} of "
                 f"{self.n}, yet the controller-Hessenberg form shows all {self.n} states "
@@ -173,6 +173,24 @@ class StateSpace:
         ``C inv(C_c)``: the one conditioning figure the diagnostics of
         every method report, whether or not the method reads C_c."""
         return condition_number(self._controllability)
+
+
+def _uncontrollable(sys: StateSpace) -> tuple[int, tuple]:
+    """``(r, modes)``: the dimension r of the controllable subspace, read
+    off the controller-Hessenberg form (Paige, IEEE TAC 26(1), 1981) as
+    the index of the first of ``|beta|, |H[1, 0]|, ...`` at or below
+    ``sqrt(eps) max|H|``, which covers the reduction's own rounding, and
+    the uncontrollable modes, the eigenvalues of ``H[r:, r:]`` at A's
+    scale; ``(n, ())`` when no entry is that small."""
+    form = sys._hessenberg
+    limit = EPS ** 0.5 * max_abs(form.H)
+    lead = [form.beta, *np.diagonal(form.H, -1).tolist()]
+    r = next((i for i, x in enumerate(lead) if abs(x) <= limit), sys.n)
+    if r == sys.n:
+        return r, ()
+    rest = form.H[r:, r:]
+    shift = math.frexp(max_abs(rest))[1]
+    return r, _hessenberg_eigenvalues(np.ldexp(rest, -shift), shift + form.shift).values
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ the rows they changed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,8 @@ from .linalg import (
     _lead,
     _match_tol,
     _match_values,
-    _request_clusters,
 )
-from .placement import Gain, StateSpace, _gain, _row, _selector
+from .placement import Gain, StateSpace, _gain, _row, _selector, _uncontrollable
 from .poly import Spectrum, _as_spectrum
 from .verify import _full_spectrum
 
@@ -213,36 +213,24 @@ def plan_targets(sys: StateSpace, plan: AssignmentPlan) -> Spectrum:
     """Expected final spectrum after running a plan on a system.
 
     Plays the plan through at the value level: each group's ``move`` set
-    is matched against the running spectrum (starting from the computed
-    eigenvalues of A) and replaced by its ``to`` set.  Later groups may
-    re-move values placed by earlier ones.
+    is matched against the running spectrum (starting from the block
+    values of the system's stored Schur form, as ``place_sequential``
+    starts) and replaced by its ``to`` set.  Later groups may re-move
+    values placed by earlier ones.
     """
     tol = _match_tol(sys.A)
-    return _play_plan(_open_loop_values(sys), plan, tol, _plan_clusters(plan, tol))
+    current = _open_loop_values(sys)
+    for move, to in plan.groups:
+        matched = _match_values(list(move), current, tol)
+        current = [z for i, z in enumerate(current) if i not in matched]
+        current.extend(to)
+    return Spectrum(current)
 
 
 def _open_loop_values(sys: StateSpace) -> list[complex]:
     """The block values of the system's stored Schur form, in block order:
     the open-loop spectrum every plan is matched against."""
     return [z for blk in sys._schur.blocks for z in blk.eigenvalues]
-
-
-def _plan_clusters(plan: AssignmentPlan, tol) -> list[dict]:
-    """Each group's ``_request_clusters`` of its moved values: one
-    computation per run serves the plan's replay and the steps' matches."""
-    return [_request_clusters(move, tol) for move, _ in plan.groups]
-
-
-def _play_plan(current, plan: AssignmentPlan, tol, labels) -> Spectrum:
-    """Play ``plan`` on the value list ``current``, with the groups'
-    clusters ``labels`` (``_plan_clusters``); see ``plan_targets``.
-    ``plan_targets`` and ``place_sequential`` both play it on the block
-    values of the system's stored Schur form, so they agree bitwise."""
-    for (move, to), label in zip(plan.groups, labels):
-        matched = _match_values(list(move), current, tol, label)
-        current = [z for i, z in enumerate(current) if i not in matched]
-        current.extend(to)
-    return Spectrum(current)
 
 
 def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
@@ -257,8 +245,25 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     (``_merge_close``) move in one step with the union of their targets:
     an eigenvalue repeated m times, or a perturbed Jordan block's m values,
     in a step of at least m values, which inverts a matrix of that size.
+    A mode b cannot reach (``_uncontrollable``) needs no step when it is
+    already a target: each cluster (``_clusters`` within that tolerance)
+    of as many open-loop values as targets that holds one of them within
+    that tolerance stays out of the plan, a conjugate pair with its
+    partner, unless every value would.  Every value b reaches moves,
+    however close to its target, since its step places it to rounding.
     """
     targets = _full_spectrum(sys, targets)
+    tol = _match_tol(sys.A)
+    values = _open_loop_values(sys) + list(targets)
+    modes = _uncontrollable(sys)[1]
+    if modes:
+        label = _clusters(values, range(2 * sys.n), tol)
+        surplus = Counter(label[: sys.n])
+        surplus.subtract(label[sys.n :])
+        stuck = {lab for z, lab in zip(values, label[: sys.n])
+                 if not surplus[lab] and any(abs(z - m) <= tol for m in modes)}
+        values = [z for z, lab in zip(values, label) if lab not in stuck] or values
+    half = len(values) // 2  # a cluster leaves as many open-loop values as targets
 
     def buckets(values):
         reals = sorted((z.real for z in values if z.imag == 0.0),
@@ -273,8 +278,8 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
     def reals(*xs):
         return Spectrum._of(tuple(map(complex, xs)))
 
-    o_reals, o_pairs = buckets(_open_loop_values(sys))
-    t_reals, t_pairs = buckets(targets)
+    o_reals, o_pairs = buckets(values[:half])
+    t_reals, t_pairs = buckets(values[half:])
     groups = []
     common = min(len(o_pairs), len(t_pairs))
     for z, w in zip(o_pairs[:common], t_pairs[:common]):
@@ -285,7 +290,7 @@ def paired_plan(sys: StateSpace, targets) -> AssignmentPlan:
         groups.append((reals(o_reals.pop(0), o_reals.pop(0)), pair(w)))
     for z, w in zip(o_reals, t_reals):
         groups.append((reals(z), reals(w)))
-    return AssignmentPlan(_merge_close(groups, _match_tol(sys.A)))
+    return AssignmentPlan(_merge_close(groups, tol))
 
 
 def _merge_close(groups, tol) -> tuple:
@@ -327,15 +332,14 @@ def _run_plan(sys: StateSpace, plan) -> tuple[np.ndarray, list[StepRecord], Spec
         plan = AssignmentPlan(plan)
     if not plan.groups:
         raise ValidationError("plan has no groups")
+    expected = plan_targets(sys, plan)
     dec = sys._schur
     tol = _match_tol(sys.A)
-    labels = _plan_clusters(plan, tol)
-    expected = _play_plan(_open_loop_values(sys), plan, tol, labels)
     k_total = np.zeros(sys.n)
     records: list[StepRecord] = []
-    for step, ((move, to), label) in enumerate(zip(plan.groups, labels), start=1):
+    for step, (move, to) in enumerate(plan.groups, start=1):
         try:
-            dec, U, X = _lead(dec, move, tol, label)
+            dec, U, X = _lead(dec, move, tol)
             k_step, g, kappa = _gain_on_split(sys.b, U, X, to)
             dec = _feed_leading(dec, sys.b, g)
         except PolePlacementError as exc:

@@ -521,7 +521,9 @@ def test_place_uncontrollable_reports_the_controllable_dimension(tmp_path, capsy
                                                                  diagonal, dimension):
     # b = ones reaches one mode per distinct eigenvalue; elimination breaks
     # down at column 1, but the refusal names the controllable dimension
+    # and the modes b cannot reach, the repeats of the eigenvalue 1
     n = len(diagonal)
+    modes = ", ".join(["1"] * (n - dimension))
     system = write_json(tmp_path / "s.json", {"n": n, "A": np.diag(diagonal).tolist(),
                                               "b": [1] * n})
     plan = poles_plan(tmp_path, [str(-i - 1) for i in range(n)])
@@ -529,7 +531,7 @@ def test_place_uncontrollable_reports_the_controllable_dimension(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: controllability matrix is singular to working precision; "
-                   f"rank estimate {dimension} < {n}\n")
+                   f"rank estimate {dimension} < {n}; uncontrollable modes {modes}\n")
 
 
 @pytest.mark.parametrize("scale", [100, 200])
@@ -1309,6 +1311,25 @@ def test_sequential_round_trip(tmp_path, capsys, monkeypatch):
         ]
     ) == 0
     report = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(report))
+    assert main(["verify", "--gain", "-"]) == 0
+    capsys.readouterr()
+
+
+def test_sequential_places_an_uncontrollable_target_mode_on_its_default_plan(
+        tmp_path, capsys, monkeypatch):
+    # A = diag(1, 2, 3), b = (1, 1, 0) and targets (-1, -2, 3): the mode at
+    # 3 is out of reach but already a target, so paired_plan, written as
+    # groups, leaves it out; place exits 0 and verify accepts the gain
+    A, b = np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0]
+    plan = poleplace.paired_plan(StateSpace(A, b), [-1.0, -2.0, 3.0])
+    groups = [([format_pole(z) for z in m], [format_pole(z) for z in t]) for m, t in plan.groups]
+    assert groups == [(["2"], ["-2"]), (["1"], ["-1"])]
+    system = write_json(tmp_path / "s.json", {"n": 3, "A": A.tolist(), "b": b})
+    assert main(["place", "--system", system, "--plan", groups_plan(tmp_path, groups),
+                 "--method", "sequential"]) == 0
+    report = capsys.readouterr().out
+    assert_allclose(json.loads(report)["k"], [6.0, -12.0, 0.0], rtol=0.0, atol=1e-13)
     monkeypatch.setattr("sys.stdin", io.StringIO(report))
     assert main(["verify", "--gain", "-"]) == 0
     capsys.readouterr()

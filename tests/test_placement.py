@@ -537,17 +537,26 @@ def test_stored_open_loop_record_keeps_the_uncontrollable_message():
 def test_uncontrollable_refusal_reports_the_controllable_dimension():
     # elimination breaks down at column 1 on both diagonal systems, a lower
     # bound; the controller-Hessenberg form shows the controllable
-    # subspace, of dimension 3 and 2.  Every formula that inverts C, on
+    # subspace, of dimension 3 and 2, and the eigenvalues of its trailing
+    # block, the modes b cannot reach.  Every formula that inverts C, on
     # every call, raises the same message.  b = e1 reaches one mode, and
     # b = 0 none.  In the lower triangular pair e1^T A = -0.5 e1^T and
     # e1^T b = 0, so one mode is exactly out of reach; the reduction leaves
     # its coupling at 2.8e-15 max|H|, rounding of its own, not a mode.
-    cases = [(np.diag([1.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5), 3),
-             (np.diag([1.0, 1.0, 2.0]), np.ones(3), 2),
-             (np.diag([1.0, 2.0, 3.0]), [1.0, 0.0, 0.0], 1),
-             (np.diag([1.0, 2.0, 3.0]), np.zeros(3), 0),
-             ([[-0.5, 0.0, 0.0], [0.3, 0.2, 0.0], [0.1, -0.4, 0.6]], [0.0, 0.4, 1.0], 2)]
-    for A, b, dimension in cases:
+    # The modes are read at A's scale, so the first system scaled by 2**40
+    # names modes 2**40 times as large; a rotation b cannot reach names
+    # its conjugate pair.
+    cases = [(np.diag([1.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5), 3, "1, 1"),
+             (np.diag([1.0, 1.0, 2.0]), np.ones(3), 2, "1"),
+             (np.diag([1.0, 2.0, 3.0]), [1.0, 0.0, 0.0], 1, "2, 3"),
+             (np.diag([1.0, 2.0, 3.0]), np.zeros(3), 0, "1, 2, 3"),
+             ([[-0.5, 0.0, 0.0], [0.3, 0.2, 0.0], [0.1, -0.4, 0.6]], [0.0, 0.4, 1.0], 2,
+              "-0.5"),
+             (np.ldexp(np.diag([1.0, 1.0, 1.0, 2.0, 3.0]), 40), np.ones(5), 3,
+              "1.09951e+12, 1.09951e+12"),
+             ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], [0.0, 0.0, 1.0], 1,
+              "0+1j, 0-1j")]
+    for A, b, dimension, modes in cases:
         sys = StateSpace(A, b)
         n = sys.n
         targets = Spectrum([-float(i + 1) for i in range(n)])
@@ -560,7 +569,7 @@ def test_uncontrollable_refusal_reports_the_controllable_dimension():
                     call()
                 messages.add(str(info.value))
         assert messages == {"controllability matrix is singular to working precision; "
-                            f"rank estimate {dimension} < {n}"}
+                            f"rank estimate {dimension} < {n}; uncontrollable modes {modes}"}
         with pytest.raises(linalg.SingularMatrixError) as info:
             linalg.solve_linear(sys._controllability.T, np.ones(n))
         assert info.value.column <= dimension

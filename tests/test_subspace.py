@@ -179,23 +179,39 @@ def test_partial_validates_sizes():
         place_partial(diag_system(), [1.0, 1.0, 2.0], [-1.0, -2.0, -3.0])
 
 
-def test_partial_diagnostics_score_the_plan_targets():
+@pytest.mark.parametrize("method", ["partial", "simon-mitter", "sequential"])
+def test_partial_diagnostics_score_the_plan_targets(method):
+    # every group method scores its gain against plan_targets of its plan:
+    # partial moves a pair, or a real when there is none, simon-mitter a
+    # real, and sequential the pair and then the real
     rng = np.random.default_rng(229)
+    scored = 0
     for _ in range(10):
         sys = random_controllable(rng, 6)
         spec = list(eigenvalues(sys.A))
         pairs = [z for z in spec if z.imag > 0.0]
-        if pairs:
-            move, to = [pairs[0], pairs[0].conjugate()], [-1 + 2j, -1 - 2j]
+        reals = [z for z in spec if z.imag == 0.0]
+        groups = []
+        if pairs and method != "simon-mitter":
+            groups.append(([pairs[0], pairs[0].conjugate()], [-1 + 2j, -1 - 2j]))
+        if reals and not (method == "partial" and groups):
+            groups.append(([reals[0]], [-4.0]))
+        if not groups:
+            continue
+        plan = AssignmentPlan(tuple(groups))
+        if method == "partial":
+            gain = place_partial(sys, *groups[0])
+        elif method == "simon-mitter":
+            gain = place_simon_mitter(sys, reals[0], -4.0)
         else:
-            move, to = [spec[0]], [-4.0]
-        gain = place_partial(sys, move, to)
-        plan = AssignmentPlan(((move, to),))
+            gain, _ = place_sequential(sys, plan)
         want = assemble_diagnostics(
             sys, gain.k, plan_targets(sys, plan),
             step_kappas=gain.diagnostics.step_kappas,
         )
         assert repr(gain.diagnostics) == repr(want)
+        scored += 1
+    assert scored >= 5
 
 
 def test_partial_rank_deficiency():
@@ -579,6 +595,63 @@ def test_paired_plan_merged_step_on_a_repeated_mode_b_cannot_split():
     sys = StateSpace(A=np.eye(2), b=[1.0, 1.0])
     with pytest.raises(RankDeficiencyError, match="rank 1 < 2"):
         place_sequential(sys, paired_plan(sys, [-1.0, -2.0]))
+
+
+def test_paired_plan_leaves_out_an_uncontrollable_mode_that_is_a_target():
+    # b cannot reach the mode at 3, but 3 is a target, so the plan leaves
+    # it out and the steps place 1 and 2 with no feedback on it: the gain
+    # of the controllable part, which a step (3 -> 3) refused at its
+    # omega^T b gate
+    sys = StateSpace(A=np.diag([1.0, 2.0, 3.0]), b=[1.0, 1.0, 0.0])
+    plan = paired_plan(sys, [-1.0, -2.0, 3.0])
+    assert [(tuple(m), tuple(t)) for m, t in plan.groups] == [((2.0,), (-2.0,)),
+                                                             ((1.0,), (-1.0,))]
+    assert plan_targets(sys, plan) == Spectrum([3.0, -2.0, -1.0])
+    gain, records = place_sequential(sys, plan)
+    assert_allclose(gain.k, [6.0, -12.0, 0.0], rtol=0.0, atol=1e-13)
+    assert len(records) == 2 and gain.diagnostics.charpoly_residual <= 1e-14
+    # with every value left out no step would remain, so the plan keeps
+    # them and its step says why b cannot move them
+    sys = StateSpace(A=np.eye(2), b=[1.0, 0.0])
+    with pytest.raises(RankDeficiencyError, match="rank 1 < 2"):
+        place_sequential(sys, paired_plan(sys, [1.0, 1.0]))
+
+
+def test_paired_plan_leaves_out_an_unreachable_target_pair_with_its_partner():
+    # b = e3 cannot reach the rotation's pair +-2i, and the target pair
+    # lies within _match_tol(A) = 4e-6 of it, so both halves leave and one
+    # real step remains
+    A = [[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    sys = StateSpace(A=A, b=[0.0, 0.0, 1.0])
+    plan = paired_plan(sys, [1e-9 + 2j, 1e-9 - 2j, -5.0])
+    assert [(tuple(m), tuple(t)) for m, t in plan.groups] == [((1.0,), (-5.0,))]
+    gain, _ = place_sequential(sys, plan)
+    assert spectrum_distance(eigenvalues(closed(sys, gain.k)), Spectrum([2j, -2j, -5.0])) < 1e-12
+
+
+def test_paired_plan_moves_every_value_b_can_reach():
+    # a reachable value 1e-9 from its target still takes its step, which
+    # places it to rounding; an unreachable direction of a repeated
+    # eigenvalue asked for twice leaves with its reachable twin, while one
+    # asked for once moves; a reachable spectrum asked for as it stands
+    # keeps every group, each with no feedback to add
+    sys = StateSpace(A=np.diag([1.0, 2.0, 3.0]), b=[1.0, 1.0, 1.0])
+    plan = paired_plan(sys, [-1.0, -2.0, 3.0 + 1e-9])
+    assert len(plan.groups) == 3
+    gain, _ = place_sequential(sys, plan)
+    assert spectrum_distance(eigenvalues(closed(sys, gain.k)),
+                             Spectrum([-1.0, -2.0, 3.0 + 1e-9])) < 1e-12
+    sys = StateSpace(A=np.diag([1.0, 1.0, 2.0]), b=[1.0, 0.0, 1.0])
+    plan = paired_plan(sys, [1.0, 1.0, -2.0])
+    assert [(tuple(m), tuple(t)) for m, t in plan.groups] == [((2.0,), (-2.0,))]
+    gain, _ = place_sequential(sys, plan)
+    assert spectrum_distance(eigenvalues(closed(sys, gain.k)), Spectrum([1.0, 1.0, -2.0])) < 1e-12
+    plan = paired_plan(sys, [1.0, -1.0, -2.0])
+    assert sorted(len(m) for m, _ in plan.groups) == [1, 2]
+    sys = diag_system()
+    plan = paired_plan(sys, [1.0, 2.0])
+    assert [(tuple(m), tuple(t)) for m, t in plan.groups] == [((2.0,), (2.0,)), ((1.0,), (1.0,))]
+    assert_allclose(place_sequential(sys, plan)[0].k, [0.0, 0.0], atol=1e-15)
 
 
 def test_paired_plan_and_steps_build_checked_spectra():

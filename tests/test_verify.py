@@ -849,17 +849,14 @@ def _closed_loop_at_00a20b7(record, k):
 
 def test_seed1_gains_and_closed_loop_polynomials_match_00a20b7_bitwise(monkeypatch):
     # every seed-1 dense-pool gain equals, byte for byte, the gain placed
-    # in the same process through 00a20b7's paths (its Spectrum.minus, and
-    # each sequential match clustering its own request), and the exactly
+    # in the same process through 00a20b7's Spectrum.minus (each sequential
+    # match clusters its own request, as at 00a20b7), and the exactly
     # formed closed loop of each gain, and of each stored k of the seed-1
     # verify pool, has the coefficient bytes of 00a20b7's closed_loop; all
     # in one process, so the comparison holds on any BLAS
-    from poleplace import subspace
-
     runs = _seed1_dense_gains()
     with monkeypatch.context() as patch:
         patch.setattr(Spectrum, "minus", _minus_at_00a20b7)
-        patch.setattr(subspace, "_plan_clusters", lambda plan, tol: [None] * len(plan.groups))
         reference = _seed1_dense_gains.__wrapped__()
     assert len(runs) == len(reference) == 480
     loops = []
