@@ -115,12 +115,14 @@ def _read_json(path: str):
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder's own limit on nesting
+        raise ValidationError(f"{path} is not valid JSON: nested too deep") from exc
 
 
 def _json_poles(value, where: str) -> Spectrum:
@@ -133,11 +135,16 @@ def _json_poles(value, where: str) -> Spectrum:
 
 def _holds_boolean(value) -> bool:
     """Whether a JSON value is a boolean, or a list holding one at any
-    depth: numpy would read true as 1.0 where a number belongs."""
-    if not isinstance(value, list):
-        return isinstance(value, bool)
-    kinds = set(map(type, value))
-    return bool in kinds or (list in kinds and any(map(_holds_boolean, value)))
+    depth: numpy would read true as 1.0 where a number belongs.  Nested
+    lists wait on a stack of their own, so no depth overflows Python's."""
+    lists = [value] if isinstance(value, list) else []
+    while lists:
+        kinds = set(map(type, items := lists.pop()))
+        if bool in kinds:
+            return True
+        if list in kinds:
+            lists += [v for v in items if type(v) is list]
+    return isinstance(value, bool)
 
 
 def _json_gain(value, where: str) -> np.ndarray:
@@ -238,47 +245,46 @@ def _gain_report(sys_: StateSpace, gain, expected, steps=None) -> dict:
     return report
 
 
-def cmd_place(args) -> int:
-    sys_ = _system_from_dict(_read_json(args.system), args.system)
-    plan = _load_plan(args.plan)
-    method = args.method
+def _placement(method: str, sys_: StateSpace, plan, pulled=None):
+    """``method`` on a pole list (a Spectrum, which `sequential` places on
+    its ``paired_plan``) or an AssignmentPlan, with `--pulled`'s text for
+    `general`: the gain, the step records (None but for `sequential`) and
+    the spectrum its diagnostics scored."""
     full = method in ("bass-gura", "ackermann", "general")
-    if full != isinstance(plan, Spectrum):
+    if method != "sequential" and full != isinstance(plan, Spectrum):
         raise ValidationError(f"method {method} needs a {'poles' if full else 'groups'!r} plan")
+    if pulled is not None and method != "general":
+        raise ValidationError(f"method {method} takes no --pulled; only general does")
     steps = None
     if method == "bass-gura":
         gain = place_bass_gura(sys_, plan)
     elif method == "ackermann":
         gain = place_ackermann(sys_, plan)
     elif method == "general":
-        if args.pulled is None:
-            raise ValidationError(
-                "method general needs --pulled with a comma-separated "
-                "pole list (may be empty via '')"
-            )
-        pulled = (
-            Spectrum([])
-            if not args.pulled.strip()
-            else Spectrum(_parse_pole_list(args.pulled, "--pulled"))
-        )
-        gain = place_general(sys_, plan, pulled)
+        if pulled is None:
+            raise ValidationError("method general needs --pulled with a comma-separated "
+                                  "pole list (may be empty via '')")
+        gain = place_general(sys_, plan, Spectrum(
+            _parse_pole_list(pulled, "--pulled") if pulled.strip() else []))
     elif method == "partial":
         if len(plan.groups) != 1:
-            raise ValidationError(
-                f"method partial takes exactly one group, got {len(plan.groups)}"
-            )
-        move, to = plan.groups[0]
-        gain = place_partial(sys_, move, to)
+            raise ValidationError(f"method partial takes exactly one group, got {len(plan.groups)}")
+        gain = place_partial(sys_, *plan.groups[0])
     elif method == "simon-mitter":
         if len(plan.groups) != 1 or len(plan.groups[0][0]) != 1:
-            raise ValidationError(
-                "method simon-mitter takes one group moving one eigenvalue"
-            )
-        move, to = plan.groups[0]
-        gain = place_simon_mitter(sys_, tuple(move)[0], tuple(to)[0])
+            raise ValidationError("method simon-mitter takes one group moving one eigenvalue")
+        gain = place_simon_mitter(sys_, *(tuple(v)[0] for v in plan.groups[0]))
     else:
+        if isinstance(plan, Spectrum):
+            plan = paired_plan(sys_, plan)
         gain, steps = place_sequential(sys_, plan)
-    _write_json(_gain_report(sys_, gain, _plan_targets(sys_, plan), steps), sys.stdout)
+    return gain, steps, _plan_targets(sys_, plan)
+
+
+def cmd_place(args) -> int:
+    sys_ = _system_from_dict(_read_json(args.system), args.system)
+    gain, steps, targets = _placement(args.method, sys_, _load_plan(args.plan), args.pulled)
+    _write_json(_gain_report(sys_, gain, targets, steps), sys.stdout)
     return 0
 
 
@@ -407,16 +413,14 @@ def _compare_row(n, trial, method, sys_, targets) -> dict:
     try:
         if isinstance(sys_, PolePlacementError):
             raise sys_
-        if method == "sequential":
-            gain, records = place_sequential(sys_, paired_plan(sys_, targets))
+        gain, records, _ = _placement(method, sys_, targets)
+        diag = gain.diagnostics
+        if records is None:
+            row["largest_inverse"] = sys_.n
+            row["max_step_kappa"] = diag.kappa_controllability
+        else:
             row["largest_inverse"] = max(r.basis.shape[1] for r in records)
             row["max_step_kappa"] = max(r.kappa for r in records)
-        else:
-            fn = place_bass_gura if method == "bass-gura" else place_ackermann
-            gain = fn(sys_, targets)
-            row["largest_inverse"] = sys_.n
-            row["max_step_kappa"] = gain.diagnostics.kappa_controllability
-        diag = gain.diagnostics
         row["kappa_controllability"] = diag.kappa_controllability
         row["charpoly_residual"] = diag.charpoly_residual
         row["spectrum_residual"] = diag.spectrum_residual

@@ -25,6 +25,7 @@ from poleplace.cli import (
     _build_parser,
     _compare_row,
     _emit_json,
+    _system_from_dict,
     format_pole,
     main,
     parse_pole,
@@ -338,6 +339,22 @@ def test_place_general_requires_pulled(tmp_path, capsys):
     )
     assert rc == 2
     assert "--pulled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, groups, pulled", [
+    ("bass-gura", None, "-1"), ("bass-gura", None, ""), ("ackermann", None, "-1"),
+    ("sequential", None, "-1"), ("sequential", [(["1"], ["-1"])], "-1"),
+    ("partial", [(["1"], ["-1"])], "-1"), ("simon-mitter", [(["1"], ["-1"])], "-1"),
+])
+def test_place_pulled_belongs_to_general_only(method, groups, pulled, tmp_path, capsys):
+    # only general reads --pulled; any other method refuses it, "" included
+    plan = poles_plan(tmp_path, ["-1", "-2"]) if groups is None else groups_plan(tmp_path, groups)
+    rc = main(["place", "--system", diag_system(tmp_path), "--plan", plan,
+               "--method", method, f"--pulled={pulled}"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: method {method} takes no --pulled; only general does"]
 
 
 def test_place_partial(tmp_path, capsys):
@@ -713,6 +730,51 @@ def test_malformed_input_exits_2_with_one_error_line(argv, system, plan, message
     lines = err.splitlines()
     assert lines and lines[-1].endswith(message), err
     assert usage or (len(lines) == 1 and lines[0].startswith("error: ")), err
+
+
+def _deep_list(depth):
+    value = [[1.0]]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("which", ["system", "plan"])
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b'\xff\xfe{"n": 1}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff",
+                 id="not utf-8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, "is not valid JSON: nested too deep",
+                 id="nested too deep"),
+])
+def test_undecodable_json_exits_2_with_one_error_line(which, content, message, tmp_path,
+                                                      capsys):
+    # the decoder's UnicodeDecodeError and RecursionError are malformed input
+    # too, not a traceback
+    files = {"system": di_system(tmp_path), "plan": poles_plan(tmp_path, ["-1", "-2"])}
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files[which] = str(bad)
+    assert main(["place", "--system", files["system"], "--plan", files["plan"],
+                 "--method", "bass-gura"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad} {message}"), err
+
+
+@pytest.mark.parametrize("field", ["A", "b"])
+def test_deeply_nested_system_arrays_exit_2_with_one_error_line(field, tmp_path, capsys):
+    # 900 levels decode, and the search for JSON booleans walks them with a
+    # stack of its own, so numpy's refusal of the shape is the message
+    system = dict(DI, **{field: _deep_list(900)})
+    path = write_json(tmp_path / "deep.json", system)
+    assert main(["place", "--system", path, "--plan", poles_plan(tmp_path, ["-1", "-2"]),
+                 "--method", "bass-gura"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: {field} must hold real numbers"], err
+    with pytest.raises(ValidationError, match=f"{field} must hold real numbers"):
+        _system_from_dict(dict(DI, **{field: _deep_list(100000)}), "deep")
 
 
 # ---------------------------------------------------------------------------
@@ -1331,6 +1393,43 @@ def test_sequential_places_an_uncontrollable_target_mode_on_its_default_plan(
     report = capsys.readouterr().out
     assert_allclose(json.loads(report)["k"], [6.0, -12.0, 0.0], rtol=0.0, atol=1e-13)
     monkeypatch.setattr("sys.stdin", io.StringIO(report))
+    assert main(["verify", "--gain", "-"]) == 0
+    capsys.readouterr()
+
+
+def _item32_case():
+    return StateSpace(np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0]), Spectrum([-1.0, -2.0, 3.0])
+
+
+def _dense_case(n):
+    rng = np.random.default_rng(np.random.SeedSequence([7, n]))
+    sys_, _ = poleplace.cli._draw_system("dense", rng, n)
+    return sys_, poleplace.cli._draw_targets(rng, n)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_item32_case, id="item32"),
+    *(pytest.param(lambda n=n: _dense_case(n), id=f"dense-n{n}") for n in range(4, 11)),
+])
+def test_sequential_places_a_pole_list_on_its_paired_plan(case, tmp_path, capsys,
+                                                          monkeypatch):
+    # place --method sequential takes a pole list as compare does, on its
+    # paired_plan: the same bytes as that plan written out as groups, and
+    # a report verify accepts
+    sys_, targets = case()
+    system = write_json(tmp_path / "s.json", {"n": sys_.n, "A": sys_.A.tolist(),
+                                              "b": sys_.b.tolist()})
+    groups = [([format_pole(z) for z in m], [format_pole(z) for z in t])
+              for m, t in poleplace.paired_plan(sys_, targets).groups]
+    reports = []
+    for plan in (poles_plan(tmp_path, [format_pole(z) for z in targets]),
+                 groups_plan(tmp_path, groups)):
+        assert main(["place", "--system", system, "--plan", plan, "--method", "sequential"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    if case is _item32_case:
+        assert_allclose(json.loads(reports[0])["k"], [6.0, -12.0, 0.0], rtol=0.0, atol=1e-13)
+    monkeypatch.setattr("sys.stdin", io.StringIO(reports[0]))
     assert main(["verify", "--gain", "-"]) == 0
     capsys.readouterr()
 
