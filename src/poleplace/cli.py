@@ -177,6 +177,15 @@ def _system_from_dict(data, where: str) -> StateSpace:
     return StateSpace(A, b)
 
 
+def _one_stdin(args, *flags: str) -> None:
+    """Refuse two of ``flags`` that both read stdin ('-'): the second would
+    meet an empty stream.  It compares flag values and reads nothing."""
+    named = [f"--{flag}" for flag in flags if getattr(args, flag) == "-"]
+    if len(named) > 1:
+        names = ", ".join(named[:-1]) + " and " + named[-1]
+        raise ValidationError(f"{names} cannot share stdin ('-'); only one input can read it")
+
+
 def _load_plan(path: str) -> Spectrum | AssignmentPlan:
     """A 'poles' plan as its Spectrum, a 'groups' plan as its AssignmentPlan."""
     data = _read_json(path)
@@ -282,6 +291,7 @@ def _placement(method: str, sys_: StateSpace, plan, pulled=None):
 
 
 def cmd_place(args) -> int:
+    _one_stdin(args, "system", "plan")
     sys_ = _system_from_dict(_read_json(args.system), args.system)
     gain, steps, targets = _placement(args.method, sys_, _load_plan(args.plan), args.pulled)
     _write_json(_gain_report(sys_, gain, targets, steps), sys.stdout)
@@ -293,6 +303,7 @@ def cmd_place(args) -> int:
 def cmd_verify(args) -> int:
     # k, the system and the targets, in that order, each from its flag or
     # else from the placement report on stdin
+    _one_stdin(args, "gain", "system", "plan")
     if args.gain == "-":
         report = _read_json("-")
         if not isinstance(report, dict) or "k" not in report:

@@ -532,23 +532,37 @@ def test_place_uncontrollable_is_numerical_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["bass-gura", "ackermann"])
+@pytest.mark.parametrize("method", ["bass-gura", "ackermann", "general --pulled=-1,-2"])
 @pytest.mark.parametrize("diagonal, dimension", [([1, 1, 1, 2, 3], 3), ([1, 1, 2], 2)])
 def test_place_uncontrollable_reports_the_controllable_dimension(tmp_path, capsys, method,
                                                                  diagonal, dimension):
     # b = ones reaches one mode per distinct eigenvalue; elimination breaks
-    # down at column 1, but the refusal names the controllable dimension
-    # and the modes b cannot reach, the repeats of the eigenvalue 1
+    # down at column 1, but every full-spectrum method's refusal names the
+    # controllable dimension and the modes b cannot reach, the repeats of
+    # the eigenvalue 1
     n = len(diagonal)
     modes = ", ".join(["1"] * (n - dimension))
     system = write_json(tmp_path / "s.json", {"n": n, "A": np.diag(diagonal).tolist(),
                                               "b": [1] * n})
     plan = poles_plan(tmp_path, [str(-i - 1) for i in range(n)])
-    assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 3
+    assert main(["place", "--system", system, "--plan", plan, "--method", *method.split()]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: controllability matrix is singular to working precision; "
                    f"rank estimate {dimension} < {n}; uncontrollable modes {modes}\n")
+
+
+@pytest.mark.parametrize("method", ["bass-gura", "ackermann", "general --pulled=-1,-2"])
+def test_place_names_a_mode_b_cannot_reach_by_rounding(tmp_path, capsys, method):
+    # e1^T A = -0.5 e1^T and e1^T b = 0, so the mode -0.5 is out of reach;
+    # the controller-Hessenberg reduction leaves that coupling at its own
+    # rounding (2.8e-15 max|H|), and the rank estimate reads past it
+    system = write_json(tmp_path / "s.json", {"n": 3, "A": [[-0.5, 0, 0], [0.3, 0.2, 0],
+                                                            [0.1, -0.4, 0.6]], "b": [0, 0.4, 1]})
+    plan = poles_plan(tmp_path, ["-1", "-2", "-3"])
+    assert main(["place", "--system", system, "--plan", plan, "--method", *method.split()]) == 3
+    assert capsys.readouterr() == ("", "error: controllability matrix is singular to working "
+                                       "precision; rank estimate 2 < 3; uncontrollable modes -0.5\n")
 
 
 @pytest.mark.parametrize("scale", [100, 200])
@@ -777,6 +791,29 @@ def test_deeply_nested_system_arrays_exit_2_with_one_error_line(field, tmp_path,
         _system_from_dict(dict(DI, **{field: _deep_list(100000)}), "deep")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["place", "--system", "-", "--plan", "-", "--method", "bass-gura"],
+                 "--system and --plan", id="place"),
+    pytest.param(["verify", "--gain", "-", "--system", "-"], "--gain and --system",
+                 id="verify-gain-system"),
+    pytest.param(["verify", "--gain", "-", "--plan", "-"], "--gain and --plan",
+                 id="verify-gain-plan"),
+    pytest.param(["verify", "--gain=-2,-3", "--system", "-", "--plan", "-"],
+                 "--system and --plan", id="verify-system-plan"),
+    pytest.param(["verify", "--gain", "-", "--system", "-", "--plan", "-"],
+                 "--gain, --system and --plan", id="verify-all-three"),
+])
+def test_two_inputs_cannot_both_read_stdin(argv, flags, capsys, monkeypatch):
+    # the second read would meet an empty stream and blame its JSON; the
+    # flags are refused before stdin is read at all
+    stdin = io.StringIO(json.dumps(DI))
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flags} cannot share stdin ('-'); only one input can read it\n")
+    assert stdin.tell() == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -872,6 +909,21 @@ def test_place_targets_beyond_float_range_are_numerical_failure(tmp_path, capsys
     assert "target polynomial coefficient of x**0 overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["bass-gura", "ackermann", "general --pulled=-1e153"])
+def test_place_gain_beyond_float_range_is_numerical_failure(tmp_path, capsys, method):
+    # A = diag(1, 1.001), b = (1, 1) with targets +-1e153: every full-spectrum
+    # gain leaves the float range; exit 3 with one error line, nothing on
+    # stdout and no RuntimeWarning on the way
+    system = write_json(tmp_path / "s.json",
+                        {"n": 2, "A": [[1.0, 0.0], [0.0, 1.001]], "b": [1.0, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["place", "--system", system, "--plan", poles_plan(tmp_path, ["1e153", "-1e153"]),
+                   "--method", *method.split()])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "error: the gain has entries beyond the float range\n")
+
+
 def test_verify_closed_loop_beyond_float_range_is_numerical_failure(tmp_path, capsys):
     # the exactly formed loop's constant coefficient is -k . b = -3.4e308
     system = write_json(tmp_path / "one.json", {"n": 1, "A": [[0.0]], "b": [2.0]})
@@ -919,14 +971,19 @@ def test_verify_closed_loop_near_the_float_range_is_checked(tmp_path, capsys, A,
 def test_verify_reports_a_check_that_cannot_converge(tmp_path, capsys, monkeypatch):
     # targets -1e13 (1 + 0.01 i) on default_rng(3)'s n = 12 pair: place
     # returns the gain, but the closed-loop check's QR iteration runs out
-    # of its 480 sweeps; verify says so on the spectrum_residual line,
+    # of its 480 sweeps, so the report's spectrum_residual is null and a
+    # warning names the check; verify says so on the spectrum_residual line,
     # prints no pole table, and keeps charpoly_residual's verdict (exit 1)
     rng = np.random.default_rng(3)
     A, b = rng.uniform(-1, 1, (12, 12)), rng.uniform(-1, 1, 12)
     system = write_json(tmp_path / "far.json", {"n": 12, "A": A.tolist(), "b": b.tolist()})
     plan = poles_plan(tmp_path, [repr(-1e13 * (1 + 0.01 * i)) for i in range(12)])
     assert main(["place", "--system", system, "--plan", plan, "--method", "bass-gura"]) == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    report = capsys.readouterr().out
+    diag = json.loads(report)["diagnostics"]
+    assert len(json.loads(report)["k"]) == 12 and diag["spectrum_residual"] is None
+    assert any("ran out of sweeps" in w and "480 sweeps" in w for w in diag["warnings"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(report))
     assert main(["verify", "--gain", "-"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -1164,16 +1221,32 @@ def test_verify_stdin_report_rejects_malformed_fields(field, value, capsys, monk
     assert main(["verify", "--gain", "-"]) == 0
 
 
-@pytest.mark.parametrize("method, plan", [
-    ("bass-gura", {"poles": ["-1", "-2+1e-3i", "-2-1e-3i"]}),
-    ("sequential", {"groups": [{"move": ["1"], "to": ["-1"]},
-                               {"move": ["2", "3"], "to": ["-2+1i", "-2-1i"]}]}),
+LOWER = {"n": 3, "A": [[1, 0, 0], [1, 2, 0], [0, 1, 3]], "b": [1, 1, 1]}
+ONE_GROUP = {"groups": [{"move": ["1"], "to": ["-1"]}]}
+
+
+@pytest.mark.parametrize("method, plan, system", [
+    pytest.param("bass-gura", {"poles": ["-1", "-2+1e-3i", "-2-1e-3i"]}, LOWER,
+                 id="bass-gura-plan0"),
+    pytest.param("sequential", {"groups": [{"move": ["1"], "to": ["-1"]},
+                                           {"move": ["2", "3"], "to": ["-2+1i", "-2-1i"]}]},
+                 LOWER, id="sequential-plan1"),
+    pytest.param("simon-mitter", ONE_GROUP, LOWER, id="simon-mitter"),
+    pytest.param("partial", ONE_GROUP, LOWER, id="partial"),
+    pytest.param("sequential", {"groups": [{"move": ["1"], "to": ["-1"]},
+                                           {"move": ["2"], "to": ["-3"]}]},
+                 {"n": 2, "A": [[1, 0], [0, 2]], "b": [1, 1]}, id="sequential-diagonal"),
+    pytest.param("sequential", {"groups": [{"move": ["1.0000001", "0.9999999"],
+                                            "to": ["-1", "-2"]}]},
+                 {"n": 2, "A": [[1, 1], [1e-14, 1]], "b": [0, 1]}, id="sequential-jordan-pair"),
 ])
-def test_verify_modes_agree(method, plan, tmp_path, capsys, monkeypatch):
+def test_verify_modes_agree(method, plan, system, tmp_path, capsys, monkeypatch):
     # a place report on stdin, and the same system, plan and k spelled out
-    # as flags, print the same bytes with the same exit code
-    system = write_json(tmp_path / "lower.json",
-                        {"n": 3, "A": [[1, 0, 0], [1, 2, 0], [0, 1, 3]], "b": [1, 1, 1]})
+    # as flags, print the same bytes with the same exit code: a group
+    # plan's targets come through plan_targets either way.  The perturbed
+    # Jordan pair has eigenvalues 1 +- 1e-7, which no invariant subspace
+    # splits; a group naming both is one cluster to the matcher
+    system = write_json(tmp_path / "system.json", system)
     plan = write_json(tmp_path / "plan.json", plan)
     assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 0
     report = capsys.readouterr().out
@@ -1290,6 +1363,20 @@ def test_compare_takes_each_kappa_once(monkeypatch, capsys):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("sizes, trials", [("4,8,12", 3), ("8", 2)])
+def test_compare_runs_every_method_end_to_end(sizes, trials, capsys):
+    # Bass-Gura, Ackermann and sequential assignment on every draw, in the
+    # order drawn, each placing it
+    assert main(["compare", "--n", sizes, "--trials", str(trials), "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, _, rows = _split_compare_output(captured.out)
+    assert [(row["n"], row["trial"], row["method"]) for row in rows] == [
+        (n, str(trial), method) for n in sizes.split(",") for trial in range(trials)
+        for method in ("bass-gura", "ackermann", "sequential")]
+    assert all(row["status"] in ("ok", "warn") for row in rows)
+
+
 def test_compare_validates_arguments(capsys):
     assert main(["compare", "--n", "2,x"]) == 2
     capsys.readouterr()
@@ -1360,6 +1447,50 @@ def test_gen_place_verify_round_trip(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(report))
         assert main(["verify", "--gain", "-"]) == 0
         capsys.readouterr()
+
+
+def test_gen_place_verify_refuses_a_perturbed_report(tmp_path, capsys, monkeypatch):
+    # gen --n 6 --seed 3 placed on -1, ..., -6: the report verifies, and the
+    # same report with k off by 1e-4 relative fails with exit 1, though the
+    # closed-loop check seeds its QR shifts from the requested poles
+    assert main(["gen", "--n", "6", "--seed", "3"]) == 0
+    system = tmp_path / "system.json"
+    system.write_text(capsys.readouterr().out)
+    plan = poles_plan(tmp_path, [str(-i) for i in range(1, 7)])
+    assert main(["place", "--system", str(system), "--plan", plan, "--method", "bass-gura"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for scale, code, verdict in ((1.0, 0, "ok: "), (1.0 + 1e-4, 1, "FAIL: ")):
+        k = [v * scale for v in report["k"]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(report, k=k))))
+        assert main(["verify", "--gain", "-"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[-1].startswith(verdict)
+        if code == 0:
+            assert float(captured.out.split("spectrum_residual")[1].split()[0]) <= 1e-8
+
+
+def test_simon_mitter_is_the_one_value_partial_step(tmp_path, capsys):
+    # on one group moving one value, both methods print the same "k"
+    system = write_json(tmp_path / "lower.json", LOWER)
+    plan = write_json(tmp_path / "plan.json", ONE_GROUP)
+    ks = []
+    for method in ("simon-mitter", "partial"):
+        assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 0
+        ks.append(json.loads(capsys.readouterr().out)["k"])
+    assert ks[0] == ks[1]
+
+
+@pytest.mark.parametrize("method", ["simon-mitter", "partial"])
+def test_one_value_step_refuses_a_mode_b_cannot_reach(method, tmp_path, capsys):
+    # A = diag(1, 2), b = (0, 1), moving 1: the omega^T b gate refuses with
+    # exit 3, one error line and nothing on stdout, for both methods
+    system = write_json(tmp_path / "s.json",
+                        {"n": 2, "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.0, 1.0]})
+    plan = write_json(tmp_path / "plan.json", ONE_GROUP)
+    assert main(["place", "--system", system, "--plan", plan, "--method", method]) == 3
+    assert capsys.readouterr() == (
+        "", "error: omega^T b = 0.000e+00 is negligible against |omega||b| = 1.000e+00; "
+            "this eigenvalue is invariant under feedback through b\n")
 
 
 def test_sequential_round_trip(tmp_path, capsys, monkeypatch):

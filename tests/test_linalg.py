@@ -539,9 +539,9 @@ def test_compact_wy_matches_the_reflectors_on_the_benchmark_pools():
     # largest entry in [0.5, 1)): within 8 eps max|g| on perfbench's seed-1
     # dense pool (n <= 20, 6.3 eps at most when written) and 16 eps max|g|
     # on its verify pool (n = 24-64, 12.0 eps at most, at n = 64)
-    from test_verify import _load_perfbench
+    from families import load_perfbench
 
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     rng = np.random.default_rng(37)
     pools = [(inputs.dense_pool(1, 24), 8.0), (inputs.verify_pool(1), 16.0)]
     for pool, units in pools:
@@ -1998,9 +1998,9 @@ def test_feed_leading_touches_only_the_leading_block():
 def _buffer_matrices(verify_seeds=()):
     """The dense pools of perfbench's seeds 0-3, six random matrices at
     each n = 2-32, and the verify pools of ``verify_seeds``."""
-    from test_verify import _load_perfbench
+    from families import load_perfbench
 
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     mats = [case.A for seed in range(4) for case in inputs.dense_pool(seed, 24)]
     rng = np.random.default_rng(131)
     mats += [rng.standard_normal((n, n)) for n in range(2, 33) for _ in range(6)]

@@ -25,13 +25,13 @@ from poleplace import linalg, placement, poly, subspace, verify
 from poleplace.cli import _dense_system, _draw_targets
 from poleplace.verify import spectrum_distance
 
-
-def double_integrator():
-    return StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0])
-
-
-def diag_system():
-    return StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0])
+from families import (
+    diag_system,
+    double_integrator,
+    load_perfbench,
+    random_controllable,
+    seed1_dense_gains,
+)
 
 
 def similarity(sys):
@@ -51,15 +51,6 @@ def omega(sys, gamma):
     """``C^{-T} C_c^T gamma``, the map ``placement._row`` applies to gamma:
     bitwise its solve against the stored factors of ``C^T``."""
     return linalg.solve_linear(sys._controllability.T, controller_canonical(sys).T @ gamma)
-
-
-def random_controllable(rng, n):
-    for _ in range(50):
-        sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
-        C = sys._controllability
-        if abs(np.linalg.det(C)) > 1e-4:
-            return sys
-    raise AssertionError("no controllable draw")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +327,6 @@ def test_full_spectrum_gains_are_the_omega_map_then_the_pulled_product():
     # everything pulled), mapped to omega^T = gamma^T C_c C^{-1}, then the
     # pulled product, byte for byte on perfbench's seed-1 dense pool (24
     # cases per size)
-    from test_verify import _load_perfbench, _seed1_dense_gains
 
     def route(sys, targets, pulled):
         n = sys.n
@@ -351,8 +341,8 @@ def test_full_spectrum_gains_are_the_omega_map_then_the_pulled_product():
             k = poly.eval_matrix(poly.monic_from_roots(pulled), sys.A).T @ k
         return k
 
-    pool = _load_perfbench("inputs").dense_pool(1, 24)
-    runs = [run for run in _seed1_dense_gains() if run[2] != "sequential"]
+    pool = load_perfbench("inputs").dense_pool(1, 24)
+    runs = [run for run in seed1_dense_gains() if run[2] != "sequential"]
     assert len(runs) == 3 * len(pool)
     for case, trio in zip(pool, zip(*[iter(runs)] * 3)):
         targets = trio[0][1]

@@ -2,12 +2,9 @@
 matrix evaluation."""
 
 import hashlib
-import importlib.util
 import math
-import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +14,8 @@ from poleplace import Polynomial, Spectrum, char_poly, monic_from_roots
 from poleplace.errors import NumericalError, ValidationError
 from poleplace import poly
 from poleplace.poly import eval_matrix
+
+from families import load_perfbench
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +247,6 @@ def test_char_poly_survives_large_feedback_row():
         assert np.array_equal(got, [float(c) for c in exact])
 
 
-def _load_oracle():
-    # perfbench's exact Berkowitz polynomial, which shares no code with
-    # the package.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
-    return oracle
-
-
 def test_char_poly_exact_on_nonnormal_closed_loop():
     # Q L Q^T - b k^T: a closed loop with a known spectrum, non-normal
     # through the feedback term.  The recurrence cancels hard at n = 48;
@@ -270,7 +259,7 @@ def test_char_poly_exact_on_nonnormal_closed_loop():
         re, im = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
         L[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
     A = Q @ L @ Q.T - np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-    exact = _load_oracle().char_poly_exact(A)
+    exact = load_perfbench("oracle").char_poly_exact(A)
     assert np.array_equal(char_poly(A).coeffs, [float(c) for c in exact[::-1]])
 
 
@@ -297,17 +286,8 @@ def test_char_poly_exact_on_integer_feedback_property():
     check()
 
 
-def _load_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # its dataclasses look themselves up there
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 def _exact_coeffs(M):
-    return np.array([float(c) for c in _load_oracle().char_poly_exact(M)[::-1]])
+    return np.array([float(c) for c in load_perfbench("oracle").char_poly_exact(M)[::-1]])
 
 
 def test_slice_plan_keeps_every_group_and_carry_exact():
@@ -428,7 +408,7 @@ def test_char_poly_open_loops_at_n64_against_the_exact_polynomial(seed, index, p
     # digit state matches it on three and is closer on the fourth.  On
     # every other matrix of those pools, open and closed loop, and of the
     # seed 1-2 dense pools, the two gave the same bits.
-    A = _load_inputs().verify_case(seed, 64, index).A
+    A = load_perfbench("inputs").verify_case(seed, 64, index).A
     exact = _exact_coeffs(A)
     got = char_poly(A).coeffs
     error = np.max(np.abs(got - exact) / np.abs(exact))
@@ -536,7 +516,7 @@ def test_record_closed_loop_matches_char_poly_on_dyadic_loops_property():
 def _pinned_record_cases():
     # perfbench's seed-1 dense and verify pools, then the edge cases of
     # this file, each with a generic b and with b = e_1
-    inputs = _load_inputs()
+    inputs = load_perfbench("inputs")
     for case in inputs.dense_pool(1, 24) + inputs.verify_pool(1):
         yield case.A, case.b
     rng = np.random.default_rng(31)

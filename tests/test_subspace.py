@@ -34,17 +34,14 @@ from poleplace.linalg import condition_number, max_abs, real_schur
 from poleplace.subspace import plan_targets
 from poleplace.verify import assemble_diagnostics, spectrum_distance
 
-
-def diag_system():
-    return StateSpace(A=np.diag([1.0, 2.0]), b=[1.0, 1.0])
-
-
-def random_controllable(rng, n):
-    for _ in range(50):
-        sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
-        if abs(np.linalg.det(sys._controllability)) > 1e-4:
-            return sys
-    raise AssertionError("no controllable draw")
+from families import (
+    diag_system,
+    exact_gain,
+    forward_error,
+    ill_conditioned_draw,
+    load_perfbench,
+    random_controllable,
+)
 
 
 def closed(sys, k):
@@ -427,14 +424,10 @@ def test_one_value_step_that_b_cannot_reach_names_the_gate():
     # the ill-conditioned pool at n = 48 (A = Q diag(-u) Q^T, u uniform on
     # [0.5, 2], b standard normal, real targets on [-3, -1]): after 20
     # steps the carried form's U^T b is exactly 0 for the next value
-    n = 48
-    rng = np.random.default_rng(n)
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    A = Q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ Q.T
-    b = rng.standard_normal(n)
+    A, b, targets = ill_conditioned_draw(48)
     sys = StateSpace(A, b)
     with pytest.raises(InvariantEigenvalueError) as info:
-        place_sequential(sys, paired_plan(sys, rng.uniform(-3.0, -1.0, n)))
+        place_sequential(sys, paired_plan(sys, targets))
     assert info.value.step == 21 and len(info.value.records) == 20
     assert str(info.value).startswith("omega^T b = 0.000e+00 is negligible")
 
@@ -566,12 +559,11 @@ def test_close_family_gains_off_the_exact_gain_warn(seed):
     # the exact gain by 1.6e-6, 1.5e-6 and 2.6e-6, with kappa(C) under the
     # 1e8 gate: the charpoly_residual warning is the one that says so
     from families import close_draw
-    from test_verify import _exact_gain, _forward_error
 
     A, b, targets = close_draw(seed)
     sys = StateSpace(A, b)
     gain, _ = place_sequential(sys, paired_plan(sys, targets))
-    assert _forward_error(gain.k, _exact_gain(A, b, targets, 40 + 2 * len(b))) > 1e-6
+    assert forward_error(gain.k, exact_gain(A, b, targets, 40 + 2 * len(b))) > 1e-6
     d = gain.diagnostics
     assert d.kappa_controllability < 1e8
     assert d.warnings == (f"charpoly_residual {d.charpoly_residual:.3e} exceeds 1e-06; "
@@ -658,8 +650,6 @@ def test_paired_plan_and_steps_build_checked_spectra():
     # the plan's groups and the steps' spectra skip the self-conjugacy
     # check; on perfbench's seed-1 dense pool they are the spectra the
     # check builds, value for value and in order
-    from test_verify import _load_perfbench
-
     def assert_checked(spec):
         values = spec.values
         checked = Spectrum(list(values))
@@ -668,7 +658,7 @@ def test_paired_plan_and_steps_build_checked_spectra():
         assert np.array(values).tobytes() == np.array(checked.values).tobytes()
 
     steps = 0
-    for case in _load_perfbench("inputs").dense_pool(1, 24):
+    for case in load_perfbench("inputs").dense_pool(1, 24):
         sys = StateSpace(case.A, case.b)
         plan = paired_plan(sys, case.targets)
         for move, to in plan.groups:

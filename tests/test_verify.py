@@ -3,12 +3,9 @@ bottleneck spectrum metric.  The rank-one determinant identity behind the
 polynomial route is checked by acceptance criterion 6 and by the record
 tests in test_poly."""
 
-import functools
-import importlib.util
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,17 +27,14 @@ from poleplace.errors import (
 from poleplace.poly import Polynomial, monic_from_roots
 from poleplace.verify import assemble_diagnostics
 
-
-def double_integrator():
-    return StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0])
-
-
-def random_controllable(rng, n):
-    for _ in range(50):
-        sys = StateSpace(A=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, n))
-        if abs(np.linalg.det(sys._controllability)) > 1e-4:
-            return sys
-    raise AssertionError("no controllable draw")
+from families import (
+    double_integrator,
+    exact_gain,
+    forward_error,
+    load_perfbench,
+    random_controllable,
+    seed1_dense_gains,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +84,6 @@ def test_charpoly_residual_zero_gain_against_shifted_targets():
 def test_charpoly_residual_small_coefficients_use_absolute_scale():
     sys = StateSpace(A=[[0.0]], b=[1.0])
     assert charpoly_residual(sys, [0.0], [-0.5]) == 0.5
-
-
-def _load_perfbench(name):
-    # a module of perfbench, which shares no code with the package: the
-    # exact Berkowitz polynomial (oracle) or the seeded pools (inputs)
-    import sys
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    if f"perfbench_{name}" not in sys.modules:
-        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-        module = importlib.util.module_from_spec(spec)
-        # registered first: a dataclass looks its module up while it is built
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[f"perfbench_{name}"]
-
-
-def _load_oracle():
-    return _load_perfbench("oracle")
 
 
 def _exact_loop(A, b, k, berkowitz):
@@ -166,7 +141,7 @@ def test_charpoly_residual_is_the_exact_loop_residual_property():
         hypothesis.assume(np.any(b != 0.0))
         return A, b, k, targets
 
-    berkowitz = _load_oracle().berkowitz
+    berkowitz = load_perfbench("oracle").berkowitz
 
     @hypothesis.settings(max_examples=50, deadline=None)
     @hypothesis.given(cases())
@@ -546,7 +521,7 @@ def test_spectrum_residual_tracks_the_exactly_formed_loop(n, index):
     mpmath = pytest.importorskip("mpmath")
     from poleplace.verify import _bottleneck
 
-    case = _load_perfbench("inputs").dense_case(1, n, index)
+    case = load_perfbench("inputs").dense_case(1, n, index)
     sys = StateSpace(case.A, case.b)
     targets = Spectrum(case.targets)
     gain = place_bass_gura(sys, targets)
@@ -573,7 +548,7 @@ def test_gains_and_charpoly_residual_do_not_depend_on_the_spectrum_route(monkeyp
     from poleplace import linalg, placement, poly, verify
     from poleplace import place_ackermann, place_general
 
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     pools = [inputs.dense_pool(seed, 6) for seed in (1, 2, 3)]
 
     def digests():
@@ -679,39 +654,6 @@ def test_routes_agree_on_random_placements():
 # forward error against the exact gain
 
 
-def _exact_gain(A, b, targets, dps):
-    """Ackermann's ``k* = -e_n^T C^-1 p(A)`` for the double data, in mpmath
-    at ``dps`` digits, with no code of the package: the Krylov matrix,
-    the target polynomial, its Horner evaluation at A and the solve."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        n = len(b)
-        Am = mpmath.matrix(A.tolist())
-        C, v = mpmath.matrix(n, n), mpmath.matrix(b.tolist())
-        for j in range(n):
-            C[:, j] = v
-            v = Am * v
-        p = [mpmath.mpc(1)]
-        for z in targets:
-            z = mpmath.mpc(z.real, z.imag)
-            p = [hi - z * lo for hi, lo in zip(p + [0], [0] + p)]
-        P = mpmath.eye(n)
-        for c in p[1:]:
-            P = P * Am + mpmath.re(c) * mpmath.eye(n)
-        e_n = mpmath.matrix(n, 1)
-        e_n[n - 1] = 1
-        return -(mpmath.lu_solve(C.T, e_n).T * P)
-
-
-def _forward_error(k, exact) -> float:
-    """``||k - k*|| / ||k*||``, taken at the working precision of k*."""
-    import mpmath
-
-    with mpmath.workdps(60):
-        diff = [mpmath.mpf(float(x)) - y for x, y in zip(k, exact)]
-        return float(mpmath.norm(mpmath.matrix(diff)) / mpmath.norm(exact))
-
-
 # median forward error per method and size on the seed-1 dense pool (six
 # cases at n = 4, 8 and 12, one at n = 20), as measured when the gains
 # were last changed; the test allows ten times as much
@@ -727,19 +669,19 @@ def test_forward_error_against_the_exact_gain():
     mpmath = pytest.importorskip("mpmath")
     from poleplace import paired_plan, place_ackermann, place_general, place_sequential
 
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     cases = [inputs.dense_case(1, n, i) for n in (4, 8, 12) for i in range(6)]
     cases.append(inputs.dense_case(1, 20, 0))
     # 60 digits are far more than the data needs: a 100-digit run agrees
     probe = cases[12]
-    k60 = _exact_gain(probe.A, probe.b, probe.targets, 60)
-    k100 = _exact_gain(probe.A, probe.b, probe.targets, 100)
+    k60 = exact_gain(probe.A, probe.b, probe.targets, 60)
+    k100 = exact_gain(probe.A, probe.b, probe.targets, 100)
     with mpmath.workdps(100):
         assert mpmath.norm(k60 - k100) <= mpmath.mpf(10) ** -50 * mpmath.norm(k100)
     errors = {method: {} for method in FORWARD_ERRORS}
     for case in cases:
         sys, targets = StateSpace(case.A, case.b), Spectrum(case.targets)
-        exact = _exact_gain(case.A, case.b, case.targets, 60)
+        exact = exact_gain(case.A, case.b, case.targets, 60)
         gains = {
             "bass_gura": place_bass_gura(sys, targets).k,
             "ackermann": place_ackermann(sys, targets).k,
@@ -747,7 +689,7 @@ def test_forward_error_against_the_exact_gain():
             "sequential": place_sequential(sys, paired_plan(sys, targets))[0].k,
         }
         for method, k in gains.items():
-            errors[method].setdefault(case.n, []).append(_forward_error(k, exact))
+            errors[method].setdefault(case.n, []).append(forward_error(k, exact))
     for method, by_size in FORWARD_ERRORS.items():
         for n, reading in by_size.items():
             assert np.median(errors[method][n]) <= 10.0 * reading, (method, n)
@@ -764,7 +706,7 @@ def test_known_answer_pairs_at_n24_to_64():
     from poleplace import paired_plan, place_ackermann, place_sequential
     from poleplace.errors import UncontrollableError
 
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     for n in (24, 32, 48, 64):
         for index in (0, 2):
             case = inputs.verify_case(1, n, index)
@@ -777,33 +719,6 @@ def test_known_answer_pairs_at_n24_to_64():
             assert warning.startswith("controllability matrix condition number")
             error = np.linalg.norm(gain.k - case.k) / np.linalg.norm(case.k)
             assert error <= 1e-8, (n, index)
-
-
-@functools.lru_cache(maxsize=1)
-def _seed1_dense_gains():
-    """perfbench's seed-1 dense pool (24 cases per size, as the benchmark
-    draws it) and every gain placed on it: ``(system, targets, method,
-    k)`` for Bass-Gura, Ackermann, general with the case's pulled set and
-    sequential on its paired plan, in pool order, k being the repr of the
-    error when the method refused."""
-    from poleplace import paired_plan, place_ackermann, place_general, place_sequential
-
-    runs = []
-    for case in _load_perfbench("inputs").dense_pool(1, 24):
-        sys, targets = StateSpace(case.A, case.b), Spectrum(case.targets)
-        methods = {
-            "bass_gura": lambda: place_bass_gura(sys, targets),
-            "ackermann": lambda: place_ackermann(sys, targets),
-            "general": lambda: place_general(sys, targets, Spectrum(case.pulled)),
-            "sequential": lambda: place_sequential(sys, paired_plan(sys, targets))[0],
-        }
-        for method, place in methods.items():
-            try:
-                k = place().k
-            except PolePlacementError as exc:
-                k = repr(exc)
-            runs.append((sys, targets, method, k))
-    return runs
 
 
 def _minus_at_00a20b7(self, other):
@@ -854,10 +769,10 @@ def test_seed1_gains_and_closed_loop_polynomials_match_00a20b7_bitwise(monkeypat
     # formed closed loop of each gain, and of each stored k of the seed-1
     # verify pool, has the coefficient bytes of 00a20b7's closed_loop; all
     # in one process, so the comparison holds on any BLAS
-    runs = _seed1_dense_gains()
+    runs = seed1_dense_gains()
     with monkeypatch.context() as patch:
         patch.setattr(Spectrum, "minus", _minus_at_00a20b7)
-        reference = _seed1_dense_gains.__wrapped__()
+        reference = seed1_dense_gains.__wrapped__()
     assert len(runs) == len(reference) == 480
     loops = []
     for (sys, _, method, k), (_, _, ref_method, ref_k) in zip(runs, reference):
@@ -867,7 +782,7 @@ def test_seed1_gains_and_closed_loop_polynomials_match_00a20b7_bitwise(monkeypat
             continue
         assert isinstance(ref_k, np.ndarray) and k.tobytes() == ref_k.tobytes(), method
         loops.append((sys, k))
-    for case in _load_perfbench("inputs").verify_pool(1):
+    for case in load_perfbench("inputs").verify_pool(1):
         loops.append((StateSpace(case.A, case.b), case.k))
     for sys, k in loops:
         got = sys._polynomial.closed_loop(k).coeffs
@@ -888,7 +803,7 @@ def test_closed_loop_spectrum_agrees_with_scipy_on_the_same_loop():
     from poleplace.verify import _bottleneck, _checked_loop
 
     worst = 0.0
-    for sys, targets, method, k in _seed1_dense_gains():
+    for sys, targets, method, k in seed1_dense_gains():
         if method == "sequential":
             continue
         _, achieved, _ = _checked_loop(sys, k, targets)
@@ -909,9 +824,9 @@ def test_rounded_exact_gain_passes_verify_where_its_rounded_loop_fails(index, tm
 
     from poleplace import cli
 
-    case = _load_perfbench("inputs").dense_case(1, 20, index)
-    k = [float(v) for v in _exact_gain(case.A, case.b, case.targets, 60)]
-    assert _load_perfbench("oracle").closed_loop_residual(case.A, case.b, k, case.targets) > 1e-6
+    case = load_perfbench("inputs").dense_case(1, 20, index)
+    k = [float(v) for v in exact_gain(case.A, case.b, case.targets, 60)]
+    assert load_perfbench("oracle").closed_loop_residual(case.A, case.b, k, case.targets) > 1e-6
     system = tmp_path / "s.json"
     system.write_text(json.dumps({"n": 20, "A": case.A.tolist(), "b": case.b.tolist()}))
     plan = tmp_path / "p.json"
@@ -953,10 +868,10 @@ def _check_general_formula_with_kept_pulled(n, seed, pair, assume):
             sides.append(place_simon_mitter(sys, move[0].real, to[0].real).k)
     except PolePlacementError:
         assume(False)
-    exact = _exact_gain(sys.A, sys.b, Spectrum(kept + to), 60)
-    bound = 100.0 * max(_forward_error(general, exact), n * np.finfo(float).eps)
+    exact = exact_gain(sys.A, sys.b, Spectrum(kept + to), 60)
+    bound = 100.0 * max(forward_error(general, exact), n * np.finfo(float).eps)
     for k in sides:
-        assert _forward_error(k, exact) <= bound
+        assert forward_error(k, exact) <= bound
 
 
 def test_partial_and_simon_mitter_are_the_general_formula_with_the_kept_values_pulled():

@@ -21,9 +21,17 @@ on the ops of that label, so a change shows where its time goes.
 Directly under each seed line and the all-seeds line, a 95%
 bootstrap interval of the ratio NEW / OLD: 1000 resamples, with
 replacement, of the op indices (each op's time summed over the passes),
-drawn with ``np.random.default_rng(0)`` afresh for each interval.  Two
-runs of the same checkout read 1.000 within a few tenths of a percent,
-where separate perfbench runs minutes apart drift by several percent.
+drawn with ``np.random.default_rng(0)`` afresh for each interval.  With
+two or more seeds, the all-seeds block then lists each seed's ratio NEW /
+OLD and their range.
+
+The interval resamples ops within one run, so it leaves out machine load
+that drifts across a run: on a shared 2-vCPU machine, A/A runs of one
+checkout against itself have read single seeds from 0.996 to 1.030, with
+intervals that exclude 1.0.  So a claimed change rests on several seeds
+whose ratios fall on one side, beside an A/A run of the same seeds, not
+on one interval.  Interleaving still beats separate perfbench runs
+minutes apart, which drift by several percent.
 """
 
 from __future__ import annotations
@@ -99,6 +107,7 @@ def main(argv=None) -> int:
     packages = [load(args.old, "poleplace_old"), load(args.new, "poleplace_new")]
     # seconds, ops, failed, by n, by op, by label
     totals = [[0.0, 0, 0, {}, [], {}] for _ in packages]
+    ratios = []
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             sides = []
@@ -122,8 +131,9 @@ def main(argv=None) -> int:
                 total[5][label] = total[5].get(label, 0.0) + seconds
         report(f"seed {seed}", [(s["seconds"], ops, s["failed"], s["by_n"], s["by_op"],
                                  s["by_label"]) for s in sides])
+        ratios.append(sides[1]["seconds"] / sides[0]["seconds"])
     if len(args.seeds) > 1:
-        report("all seeds", totals)
+        report("all seeds", totals, list(zip(args.seeds, ratios)))
     return 0
 
 
@@ -136,7 +146,7 @@ def interval(old_by_op, new_by_op) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def report(title: str, rows) -> None:
+def report(title: str, rows, per_seed=None) -> None:
     old_s, ops, old_failed, old_by_n, old_by_op, old_by_label = rows[0]
     new_s, _, new_failed, new_by_n, new_by_op, new_by_label = rows[1]
     print(f"{title}: old {old_s:.3f} s ({ops / old_s:.2f} ops/s, {old_failed} failed), "
@@ -144,6 +154,10 @@ def report(title: str, rows) -> None:
           f"new/old {new_s / old_s:.4f}")
     low, high = interval(old_by_op, new_by_op)
     print(f"  new/old 95% bootstrap interval over {len(old_by_op)} ops: {low:.4f}-{high:.4f}")
+    if per_seed:
+        ratios = [r for _, r in per_seed]
+        print("  new/old per seed: " + ", ".join(f"{seed} {r:.4f}" for seed, r in per_seed)
+              + f"; range {min(ratios):.4f}-{max(ratios):.4f}")
     for n in sorted(old_by_n):
         print(f"  n={n}: old {old_by_n[n]:.3f} s, new {new_by_n[n]:.3f} s, "
               f"new/old {new_by_n[n] / old_by_n[n]:.4f}")
