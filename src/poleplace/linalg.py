@@ -15,10 +15,9 @@ iteration runs on the transpose in the familiar upper form and the result
 is transposed back at the boundary.
 
 ``real_schur`` keeps the orthogonal factor Q; ``eigenvalues`` and the
-closed-loop check read only the diagonal blocks and run without it, and
-"Q is None" is the engine's one switch between the two.  With Q the
-upper form H and Q share one (2n x n) buffer ``[H; Q]`` (``_split``), and
-a sweep chases its bulge one position at a time: each reflector goes to
+closed-loop check read only the diagonal blocks and run without it.  With
+Q the upper form H and Q share one (2n x n) buffer ``[H; Q]`` (``_split``),
+and a sweep chases its bulge one position at a time: each reflector goes to
 the step's rows of the active block and of the strip right of it, and
 then, in one product, to the buffer's column slice, which holds the strip
 above the block, the active rows, the rows below the bulge (exact zeros,
@@ -29,7 +28,8 @@ and its bits.  Without Q a sweep updates the active block alone and
 chases its bulge two positions at a time, one 4x4 product per side where
 the plain chase makes two 3x3 ones (``_francis_step``), and each block's
 eigenvalues are read as it deflates, a 2x2 block standardized on Python
-floats (``_standard_eigs``).
+floats (``_standard_eigs``); ``_francis_upper`` says when a sweep is one
+explicit QR step instead.
 Its eigenvalues agree with ``real_schur``'s to rounding of the same size,
 not bitwise.
 
@@ -101,6 +101,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # np.linalg.qr's own LAPACK calls, without the R and error state it builds
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_raw, qr_reduced as _qr_q
+except ImportError:  # numpy < 2 names them otherwise
+    _qr_raw = None
 
 from .errors import (
     AmbiguousMatchError,
@@ -832,6 +837,47 @@ def _francis_step(HQ, l, hi, tr, det, scratch) -> None:
         k += 1
 
 
+_EXPLICIT_ROWS = (16, 64)  # the block rows a Q-less sweep may take explicitly (README)
+_EXPLICIT_SPREAD = 16.0  # the largest spread of row, and of column, maxima
+_EXPLICIT_GUARD = 0.5  # the largest entry below X's subdiagonal, in m eps max|H|
+_BELOW = np.tri(_EXPLICIT_ROWS[1], k=-2, dtype=bool)  # below the subdiagonal
+
+
+def _explicit_step(H, l, hi, tr, det, floor) -> bool:
+    """The Q-less sweep of ``_francis_step`` on the block
+    ``B = H[l..hi, l..hi]`` of m rows as one explicit step, the Francis
+    sweep by the implicit-Q theorem: Z from the QR factorization of
+    ``B B - tr B + det I``, and ``X = Z^T (B Z)`` written into B with +0.0
+    below its subdiagonal; whether it was.  With nearly exact shifts the
+    step is forward unstable, so an X holding more than ``m floor`` there
+    is refused and B left as it was."""
+    B = H[l : hi + 1, l : hi + 1]
+    m = B.shape[0]
+    N = B @ B - tr * B
+    N.flat[:: m + 1] += det
+    Z = _qr_q(N, _qr_raw(N)) if _qr_raw else np.linalg.qr(N)[0]
+    X = Z.T @ (B @ Z)
+    below = _BELOW[:m, :m]
+    if np.abs(X[below]).max() > m * floor:
+        return False
+    X[below] = 0.0
+    B[...] = X
+    return True
+
+
+def _explicit_floor(H) -> float:
+    """The guard's unit ``_EXPLICIT_GUARD eps max|H|`` when the row maxima
+    of ``|H|``, and its column maxima, lie within ``_EXPLICIT_SPREAD`` of
+    each other; 0.0, no explicit step, for a graded H."""
+    Habs = np.abs(H)
+    rows = Habs.max(axis=1)
+    top = float(rows.max())
+    least = top / _EXPLICIT_SPREAD
+    if least <= rows.min() and least <= Habs.max(axis=0).min():
+        return _EXPLICIT_GUARD * EPS * top
+    return 0.0
+
+
 def _nearest(values, z) -> int:
     """Index of the first of ``values`` nearest z."""
     dist = [abs(v - z) for v in values]
@@ -888,6 +934,11 @@ def _francis_upper(HQ, near=()):
     (``_francis_step``), so its eigenvalues move against those of a run
     with Q in their trailing digits.
 
+    Without Q a well-scaled H (``_explicit_floor``) takes each sweep over a
+    block of ``_EXPLICIT_ROWS`` rows as one explicit step on the same
+    shifts (``_explicit_step``), or chases where its guard refuses; runs
+    with Q, graded inputs and other blocks chase, bit for bit.
+
     ``near`` holds requested eigenvalues, already scaled as H is, and is
     only given without Q.  While any are left, the first sweep, and the
     first after each deflation at the bottom, shifts by the requested pair
@@ -921,6 +972,8 @@ def _francis_upper(HQ, near=()):
     seeded = bool(near)  # the next standard sweep takes requested shifts
     read = [()] * n if Q is None else None  # a Q-less run's eigenvalues, by row
     scratch = _step_scratch()
+    fewest, most = _EXPLICIT_ROWS
+    floor = _explicit_floor(H) if Q is None and n >= fewest else 0.0
     # read again after each sweep: a deflation leaves the rows above it as
     # they were (a 2x2 standardized with Q turns only its own rows and
     # columns), and the next pass reads nothing at or below its top row
@@ -967,7 +1020,9 @@ def _francis_upper(HQ, near=()):
             if seeded:
                 tr, det = _requested_shifts(near, tr, det, diag[hi])
                 seeded = False
-        _francis_step(HQ, l, hi, tr, det, scratch)
+        if not (floor and fewest <= hi + 1 - l <= most
+                and _explicit_step(H, l, hi, tr, det, floor)):
+            _francis_step(HQ, l, hi, tr, det, scratch)
         diag = H.diagonal()[: hi + 1].tolist()
         sub = H.diagonal(-1)[:hi].tolist()
     if Q is None and hi == 0:
@@ -1103,10 +1158,10 @@ def eigenvalues(A, *, near=()) -> Spectrum:
     which then costs sweeps, not digits.  Values that cannot be
     eigenvalues (not finite, or above the 1-norm of the Hessenberg form)
     are dropped first, so a request of only such values is bitwise no
-    request.  With or without ``near`` the bulge is chased two positions
-    at a time and each block read as it deflates (``_francis_upper``), so
-    the values agree with ``real_schur(A)``'s blocks to rounding, not
-    bitwise.
+    request.  With or without ``near`` each block is read as it deflates
+    and each sweep chases in pairs or is one explicit QR step
+    (``_francis_upper``), so the values agree with ``real_schur(A)``'s
+    blocks to rounding, not bitwise.
     """
     near = _complexes(near, "near")
     B, shift = _scaled_transpose(A)

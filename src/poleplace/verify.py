@@ -208,7 +208,9 @@ def _bottleneck(got, want):
         work[:, j] = np.inf
     best = d[np.arange(n), pairing].max()
     floor = max(d.min(axis=0).max(), d.min(axis=1).max())
-    levels = np.unique(d[(d >= floor) & (d < best)])
+    # distinct, as np.unique gives them without its import of numpy.ma
+    levels = np.sort(d[(d >= floor) & (d < best)])
+    levels = levels[np.diff(levels, prepend=-np.inf) > 0]
     lo, hi = 0, levels.size
     while lo < hi:
         mid = (lo + hi) // 2

@@ -6,6 +6,7 @@ The Schur tests check structure exactly (the iteration writes hard zeros)
 and accuracy against LAPACK through numpy, which is an independent route.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -1034,27 +1035,45 @@ def test_impossible_requests_change_nothing():
         list(eigenvalues(np.ldexp(A, -1000))), dtype=complex).tobytes()
 
 
+def _sweep_routes(monkeypatch):
+    """A list that records the route of each QR sweep as it runs:
+    "explicit" for an explicit step kept, "refused" for one its guard
+    refused, which the chase then takes, and "chase" for each chase."""
+    routes = []
+    chase, explicit = linalg._francis_step, linalg._explicit_step
+
+    def chasing(*args):
+        routes.append("chase")
+        return chase(*args)
+
+    def stepping(*args):
+        kept = explicit(*args)
+        routes.append("explicit" if kept else "refused")
+        return kept
+
+    monkeypatch.setattr(linalg, "_francis_step", chasing)
+    monkeypatch.setattr(linalg, "_explicit_step", stepping)
+    return routes
+
+
+def _sweeps(routes):
+    return routes.count("explicit") + routes.count("chase")
+
+
 def test_requested_shifts_cut_the_sweeps(monkeypatch):
     # an exact shift deflates in about one sweep: on closed loops whose
     # spectrum is requested exactly, each call sweeps at most 0.7x as often
     # as without the request, and agrees with it to rounding
-    calls = []
-    step = linalg._francis_step
-
-    def counting(*args):
-        calls.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(linalg, "_francis_step", counting)
+    routes = _sweep_routes(monkeypatch)
     rng = np.random.default_rng(89)
     for _ in range(10):
         A, values = _known_spectrum(rng, 32)
-        calls.clear()
+        routes.clear()
         plain = eigenvalues(A)
-        without = len(calls)
-        calls.clear()
+        without = _sweeps(routes)
+        routes.clear()
         seeded = eigenvalues(A, near=values)
-        assert len(calls) <= 0.7 * without
+        assert _sweeps(routes) <= 0.7 * without
         assert spectrum_distance(seeded, plain) <= 1e-12
 
 
@@ -1074,10 +1093,12 @@ def _counted_scratch(writes):
 
 def test_seeded_sweeps_chase_the_bulge_in_pairs(monkeypatch):
     # a run without Q fuses bulge positions k and k+1 into one 4x4 product
-    # per side: on n = 32 loops, with their spectrum requested exactly or
-    # without a request, it makes at most 0.55x the row and column products
-    # the plain chase of a run with Q makes on the same matrices and shifts
-    # (0.53x measured)
+    # per side: on graded n = 32 loops, which keep the chase, with their
+    # spectrum requested exactly or without a request, it makes at most
+    # 0.55x the row and column products the plain chase of a run with Q
+    # makes on the same matrices and shifts (0.53x measured).  The grading
+    # is the similarity diag(2**10, 1, ...), exact in doubles: it spreads
+    # the row maxima of the Hessenberg form past _EXPLICIT_SPREAD
     step = linalg._francis_step
     paired, plain = [], []
 
@@ -1086,14 +1107,126 @@ def test_seeded_sweeps_chase_the_bulge_in_pairs(monkeypatch):
         step(H, l, hi, tr, det, _counted_scratch(paired))
 
     monkeypatch.setattr(linalg, "_francis_step", counting)
+    monkeypatch.setattr(linalg, "_explicit_step", lambda *args: pytest.fail("explicit step"))
     rng = np.random.default_rng(89)
     for _ in range(10):
         A, values = _known_spectrum(rng, 32)
+        A[0] *= 2.0**10
+        A[:, 0] *= 2.0**-10
         for near in (values, ()):
             paired.clear()
             plain.clear()
             eigenvalues(A, near=near)
             assert len(paired) <= 0.55 * len(plain)
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_loop(n, index):
+    """``(sys, k, targets, exact)`` of seed-1 verify pair (n, index): its
+    closed loop, formed in controller-Hessenberg coordinates at scale 0, has
+    the eigenvalues ``exact`` in 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    from families import load_perfbench
+
+    case = load_perfbench("inputs").verify_case(1, n, index)
+    sys = StateSpace(case.A, case.b)
+    M, e = sys._hessenberg.closed_loop(case.k)
+    assert e == 0
+    with mpmath.workdps(40):
+        exact = [complex(z) for z in mpmath.eig(mpmath.matrix(M.tolist()), left=False, right=False)]
+    return sys, case.k, Spectrum(case.targets), exact
+
+
+def _relative_error(got, exact):
+    """The largest ``|got - exact| / |exact|`` over the bottleneck pairing."""
+    from poleplace.verify import _bottleneck
+
+    pairing = _bottleneck(list(got), exact)[1]
+    return max(abs(z - exact[j]) / abs(exact[j]) for z, j in zip(got, pairing))
+
+
+def _check_spectrum(M, targets):
+    """The closed-loop check's eigenvalues of Hessenberg M, scaled as
+    ``verify._closed_loop_spectrum`` scales a loop formed at e = 0."""
+    shift = math.frexp(max_abs(M))[1]
+    return linalg._hessenberg_eigenvalues(np.ldexp(M, -shift), shift, targets.values)
+
+
+@pytest.mark.parametrize("n, index", [(24, 0), (24, 1), (32, 0), (32, 1)])
+def test_explicit_check_matches_mpmath_on_verify_loops(monkeypatch, n, index):
+    # the benchmark's n = 24 and 32 verify loops, an exact gain and a
+    # perturbed one, are well scaled, so the check takes its sweeps on
+    # blocks of 16 rows or more as explicit steps; its eigenvalues lie
+    # within 1e-14 relative of the loop's 40-digit ones (1.4-4.4e-15
+    # measured, the chase alone 0.9-2.7e-15)
+    from poleplace.verify import _closed_loop_spectrum
+
+    sys, k, targets, exact = _verify_loop(n, index)
+    routes = _sweep_routes(monkeypatch)
+    got = _closed_loop_spectrum(sys, k, targets)
+    assert "explicit" in routes
+    assert _relative_error(got, exact) <= 1e-14
+
+
+def test_explicit_step_follows_the_scale_bound(monkeypatch):
+    # the exact similarity diag(2**s, 1, ...) spreads the row maxima of a
+    # verify loop as s grows, and leaves its eigenvalues.  While the input
+    # is well scaled the check takes explicit steps and stays within 2x of
+    # the chase's error against mpmath; past _EXPLICIT_SPREAD it is bitwise
+    # a run whose window is empty, the chase alone
+    sys, k, targets, exact = _verify_loop(24, 0)
+    M = sys._hessenberg.closed_loop(k)[0]
+    routes = _sweep_routes(monkeypatch)
+    scaled = []
+    for s in range(17):
+        Ms = M.copy()
+        Ms[0] *= 2.0**s
+        Ms[:, 0] *= 2.0**-s
+        scaled.append(linalg._explicit_floor(np.ldexp(Ms, -math.frexp(max_abs(Ms))[1])) > 0)
+        routes.clear()
+        got = _check_spectrum(Ms, targets)
+        explicit = routes.count("explicit")
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_EXPLICIT_ROWS", (16, 15))
+            chased = _check_spectrum(Ms, targets)
+        if scaled[-1]:
+            assert explicit > 0
+            assert _relative_error(got, exact) <= 2.0 * _relative_error(chased, exact)
+        else:
+            assert "explicit" not in routes and "refused" not in routes
+            assert np.array(list(got)).tobytes() == np.array(list(chased)).tobytes()
+    assert scaled[0] and not scaled[-1]
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_explicit_steps_take_the_exceptional_shift(monkeypatch, n):
+    # the cyclic shift is perfectly scaled, and standard shifts leave it as
+    # it is until the tenth sweep's exceptional shift; all ten are explicit
+    # steps on the whole matrix, and the eigenvalues are the n-th roots of
+    # unity (1.0-1.9e-15 measured on either route)
+    from poleplace.verify import _bottleneck
+
+    routes = _sweep_routes(monkeypatch)
+    got = list(eigenvalues(_cyclic(n)))
+    assert routes[:10] == ["explicit"] * 10
+    roots = [complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
+             for j in range(n)]
+    assert _bottleneck(got, roots)[0] <= 1e-13
+
+
+def test_explicit_step_takes_numpys_qr_bitwise(monkeypatch):
+    # the step calls the LAPACK gufuncs behind np.linalg.qr itself where
+    # numpy exposes them under those names; np.linalg.qr, the route of
+    # numpy < 2, gives the same step bit for bit
+    rng = np.random.default_rng(7)
+    for m in (16, 33, 64):
+        H = np.triu(rng.uniform(-1.0, 1.0, (m + 2, m + 2)), -1)
+        steps = []
+        for route in (linalg._qr_raw, None):
+            monkeypatch.setattr(linalg, "_qr_raw", route)
+            G = H.copy()
+            steps.append((linalg._explicit_step(G, 1, m, 0.1, 0.3, 1.0), G.tobytes()))
+        assert steps[0] == steps[1] and steps[0][0]
 
 
 # the 2x2 blocks a seeded run deflates, one per finish of

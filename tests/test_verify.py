@@ -5,12 +5,16 @@ tests in test_poly."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import poleplace
 from poleplace import (
     Spectrum,
     StateSpace,
@@ -303,6 +307,21 @@ def test_spectrum_distance_property_permutation_invariant():
             assert spectrum_distance(Spectrum(a), Spectrum(b)) == dist
 
     check()
+
+
+def test_bisection_loads_no_masked_arrays():
+    # the bisection path's distinct distances come from a sort, not from
+    # np.unique, whose first call in a process imports numpy.ma: in a fresh
+    # interpreter a bisection (both values nearest 0.05) leaves it as the
+    # imports did (numpy before 2.0 loads it with numpy itself)
+    script = ("import sys; from poleplace import spectrum_distance; "
+              "before = 'numpy.ma' in sys.modules; "
+              "print(spectrum_distance([0, 0.1], [0.05, 1])); "
+              "print(before == ('numpy.ma' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(poleplace.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.9\nTrue\n", "")
 
 
 def test_spectrum_distance_size_mismatch():

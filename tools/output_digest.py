@@ -44,7 +44,12 @@ draws the dense and verify pools of each seed (default 1 2 3) with
 
 Two checkouts whose lines agree produce those outputs byte for byte;
 ``place``, ``verify`` and ``cli`` print the seeded check's residual and
-poles, so they move with ``spectrum``.
+poles, so they move with ``spectrum``.  ``verify`` can also move without
+``spectrum``: the Schur engine's explicit QR step takes only well-scaled
+loops, which the verify cases' are and the dense cases' full-spectrum and
+sequential loops are not.  The partial and Simon-Mitter loops on dense
+cases are well scaled, so the step moves ``spectrum`` and ``cli`` through
+them, and no other line.
 """
 
 from __future__ import annotations
